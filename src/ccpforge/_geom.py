@@ -115,7 +115,8 @@ def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dist_point_segment_2d(pt, a, b) -> float:
+def dist_point_segment(pt, a, b) -> float:
+    """Distance from a point to the segment ab, in any dimension."""
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
@@ -126,17 +127,8 @@ def dist_point_segment_2d(pt, a, b) -> float:
 
 def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray) -> float:
     k = len(poly)
-    return min(dist_point_segment_2d(pt, poly[i], poly[(i + 1) % k])
+    return min(dist_point_segment(pt, poly[i], poly[(i + 1) % k])
                for i in range(k))
-
-
-def dist_point_segment_3d(pt, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(pt - a))
-    t = np.clip(float((pt - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(pt - (a + t * ab)))
 
 
 def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int]]:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .errors import CcpError
+from .errors import BadParameters, CcpError
 from .fileio import load_mesh, save_mesh
 from .generators import CATALOG, FamilyRequest, generate_family
 from .mesh import DEFAULT_TOLERANCES
@@ -22,10 +23,14 @@ from .verify import format_report, verify
 def _parse_params(items):
     out = {}
     for item in items or []:
-        if "=" not in item:
-            raise CcpError(f"--param expects key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        k, _, v = item.partition("=")
+        try:
+            value = float(v)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise BadParameters(f"--param expects key=number, got {item!r}")
+        out[k.strip()] = value
     return out
 
 
@@ -40,10 +45,6 @@ def cmd_generate(args) -> int:
     req = FamilyRequest(args.family, args.genus,
                         _parse_params(args.param), args.prefer_fewest)
     mesh = generate_family(req)
-    if args.seed is not None:
-        # reserved for randomized replays of the drill axis phase
-        mesh = mesh.with_metadata()
-        mesh.metadata.provenance.append(f"seed={args.seed}")
     save_mesh(mesh, args.output)
     print(f"wrote {args.output}: {mesh.n_vertices} vertices, "
           f"{mesh.n_edges} edges, {mesh.n_faces} faces", file=sys.stderr)
@@ -103,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--param", action="append", metavar="K=V")
     g.add_argument("--prefer-fewest", action="store_true",
                    help="dispatch to the fewest-vertex construction")
-    g.add_argument("--seed", type=int,
-                   help="reserved: randomized drill-phase replays")
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 

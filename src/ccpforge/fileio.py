@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _geom
 from .errors import IndexOutOfRange
 from .mesh import (DEFAULT_TOLERANCES, MeshMetadata, Polyhedron,
-                   ToleranceSet, build_polyhedron)
+                   ToleranceSet, build_polyhedron, flat_edges)
 
 FORMAT_VERSION = 1
 
@@ -87,9 +86,9 @@ def write_obj(p: Polyhedron, path) -> None:
 
 def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
              ) -> Polyhedron:
-    """Read an OBJ file.  OBJ carries no metadata, so edges whose two faces
-    are coplanar (subdivision seams, e.g. from a retiled drill) are detected
-    geometrically and recorded as seams rather than rejected as flat."""
+    """Read an OBJ file.  OBJ carries no metadata, so flat edges between
+    two coplanar faces (subdivision seams, e.g. from a retiled drill) are
+    detected geometrically and recorded as seams rather than rejected."""
     verts, faces = [], []
     for raw in Path(path).read_text().splitlines():
         parts = raw.split()
@@ -100,57 +99,25 @@ def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
         elif parts[0] == "f":
             faces.append(tuple(int(tok.split("/")[0]) - 1
                                for tok in parts[1:]))
-    pts = np.array(verts, float)
-    meta = MeshMetadata(seam_edges=_coplanar_seams(pts, faces, tolerances))
-    return build_polyhedron(pts, faces, tolerances, meta)
-
-
-def _coplanar_seams(pts, faces, tolerances) -> set[tuple[int, int]]:
-    """Vertex pairs shared by two coplanar faces.  Faces sharing an edge
-    with parallel normals necessarily lie in one plane."""
-    normals = []
-    for cyc in faces:
-        fp = pts[list(cyc)]
-        n = _geom.newell_normal(fp)
-        norm = np.linalg.norm(n)
-        normals.append(n / norm if norm > 0 else n)
-    incidence: dict[tuple[int, int], list[int]] = {}
-    for fi, cyc in enumerate(faces):
-        k = len(cyc)
-        for s in range(k):
-            u, v = cyc[s], cyc[(s + 1) % k]
-            key = (u, v) if u < v else (v, u)
-            incidence.setdefault(key, []).append(fi)
-    seams = set()
-    for key, fs in incidence.items():
-        if len(fs) == 2 and \
-           abs(abs(float(normals[fs[0]] @ normals[fs[1]])) - 1.0) < 1e-9:
-            seams.add(key)
-    return seams
+    # validate with every side exempt from the flat-edge rejection, then
+    # keep as seams the sides that are flat
+    sides = {(min(u, v), max(u, v))
+             for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+    p = build_polyhedron(np.array(verts, float), faces, tolerances,
+                         MeshMetadata(seam_edges=sides))
+    flat = flat_edges(p, tolerances, ())
+    return p.with_metadata(seam_edges={p.edges[e] for e in flat})
 
 
 # ---------------------------------------------------------------------------
 # binary STL
 
 
-def triangulate(p: Polyhedron) -> list[np.ndarray]:
-    """Ear-clipped world-space triangles covering every face."""
-    tris = []
-    for f in range(p.n_faces):
-        pts = p.face_points(f)
-        c, n, _ = _geom.plane_fit(pts)
-        u, v = _geom.plane_basis(n)
-        p2 = _geom.project_2d(pts, c, u, v)
-        for t in _geom.ear_clip(p2):
-            tris.append(pts[list(t)])
-    return tris
-
-
 def write_stl(p: Polyhedron, path) -> None:
     """Binary little-endian STL; normals follow each triangle's winding
     (deterministic even for non-orientable meshes, where no global
     orientation exists)."""
-    tris = triangulate(p)
+    tris = [t for ts in p.geometry.triangles for t in ts]
     header = b"ccp-forge" + b" " * 71
     blob = bytearray(header)
     blob += struct.pack("<I", len(tris))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _geom
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
 from .mesh import MeshMetadata, Polyhedron, build_polyhedron
@@ -204,10 +205,8 @@ def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float,
     axis = axis / np.linalg.norm(axis)
     sel = [i for i, p in enumerate(verts)
            if abs(float(p @ axis) - offset) < tol]
-    from ._geom import plane_basis, project_2d
-    u, v = plane_basis(axis)
-    centre = verts[sel].mean(axis=0)
-    p2 = project_2d(verts[sel], centre, u, v)
+    u, v = _geom.plane_basis(axis)
+    p2 = _geom.project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
     order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
     return tuple(sel[i] for i in order)
 
@@ -290,24 +289,15 @@ def gen_small_dodecahemidodecahedron() -> Polyhedron:
     assert len(edges) == 30
     verts = np.array([(ico[i] + ico[j]) / 2 for i, j in edges])
 
-    def ring_face(axis, sel):
-        from ._geom import plane_basis, project_2d
-        u, v = plane_basis(axis)
-        p2 = project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
-        order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
-        return tuple(sel[k] for k in order)
-
-    faces = []
-    for vi in range(12):  # pentagon of edge midpoints around each vertex
-        sel = [m for m, e in enumerate(edges) if vi in e]
-        faces.append(ring_face(ico[vi], sel))
+    # pentagon of edge midpoints around each vertex, phi^2/|ico[vi]| out
+    ring = phi * phi / math.sqrt(1 + phi * phi)
+    faces = [_central_polygon(verts, ico[vi], ring) for vi in range(12)]
     seen_axes = []
     for vi in range(12):  # equatorial decagons (one per axis pair)
         if any(np.allclose(ico[vi], -a) for a in seen_axes):
             continue
         seen_axes.append(ico[vi])
-        sel = [m for m in range(30) if abs(float(verts[m] @ ico[vi])) < 1e-9]
-        faces.append(ring_face(ico[vi], sel))
+        faces.append(_central_polygon(verts, ico[vi], 0.0))
     return _build(verts, faces, family="sdhd", genus=14, orientable=False,
                   defect=-4 * math.pi / 5)
 
@@ -397,13 +387,10 @@ def gen_q3_18() -> Polyhedron:
 
 def _find_z_faces(p: Polyhedron) -> tuple[int, int]:
     """The top and bottom faces perpendicular to the z-axis."""
-    from . import _geom
     cands = []
-    for f in range(p.n_faces):
-        pts = p.face_points(f)
-        _, n, _ = _geom.plane_fit(pts)
-        if abs(abs(n[2]) - 1.0) < 1e-9:
-            cands.append((float(pts[:, 2].mean()), f))
+    for f, frame in enumerate(p.geometry.frames):
+        if abs(abs(frame.normal[2]) - 1.0) < 1e-9:
+            cands.append((float(p.face_points(f)[:, 2].mean()), f))
     cands.sort()
     if len(cands) < 2:
         raise GenusOutOfRange("no parallel z-faces to drill")
@@ -954,9 +941,18 @@ CATALOG: tuple[FamilyInfo, ...] = (
 )
 
 
+# free parameters each family accepts; the others accept none
+_FAMILY_PARAMS = {"p2-24": {"b", "c"}, "r-block": {"r", "h"},
+                 "minimal": {"l1", "root_tol"}}
+
+
 def generate_family(request: FamilyRequest) -> Polyhedron:
     """Build the mesh a FamilyRequest describes."""
     fam, g, par = request.family, request.genus, dict(request.params)
+    unknown = set(par) - _FAMILY_PARAMS.get(fam, set())
+    if unknown:
+        raise BadParameters(
+            f"family {fam!r} takes no parameter {', '.join(sorted(unknown))}")
     if fam == "tetrahedron":
         return gen_tetrahedron()
     if fam == "flat-torus-9":

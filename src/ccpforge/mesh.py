@@ -15,11 +15,13 @@ slots instead (``edge_slots``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _geom
-from .errors import (DegenerateFace, DisconnectedSurface,
+from .errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                      InconsistentTopology, IndexOutOfRange, NonManifoldEdge)
 
 # a half-edge is (face index, slot): slot i of face f traverses the segment
@@ -148,12 +150,150 @@ class Polyhedron:
     def face_points(self, f: int) -> np.ndarray:
         return self.vertices[list(self.faces[f])]
 
+    @cached_property
+    def geometry(self) -> "MeshGeometry":
+        """The mesh's face, corner, vertex and edge geometry, computed on
+        first use and kept for the life of the mesh."""
+        return MeshGeometry(self)
+
     def with_metadata(self, **kw) -> "Polyhedron":
-        return replace(self, metadata=replace_meta(self.metadata, **kw))
+        out = replace(self, metadata=replace_meta(self.metadata, **kw))
+        if "geometry" in self.__dict__:  # geometry ignores metadata
+            out.__dict__["geometry"] = self.geometry
+        return out
 
     def label(self, name: str) -> int:
         """Vertex id for a construction label such as 'v2+++' or 'v3,1'."""
         return self.metadata.vertex_labels[name]
+
+
+class FaceFrame(NamedTuple):
+    """Best-fit plane of one face and the face's cycle in that plane."""
+    centroid: np.ndarray
+    normal: np.ndarray               # unit, on the Newell normal's side
+    residual: float                  # max vertex distance to the plane
+    u: np.ndarray                    # in-plane basis, u x v = normal
+    v: np.ndarray
+    polygon: np.ndarray              # (k, 2) cycle in the (u, v) frame
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class MeshGeometry:
+    """Every geometric quantity of one mesh, each computed once.
+
+    Faces are flattened into corners: face f owns corners face_start[f]
+    onwards, in cycle order; corner c sits at vertex corner_vertex[c] and
+    next_corner / prev_corner step along its face's cycle.  Array-valued
+    parts are read-only.
+    """
+
+    def __init__(self, p: Polyhedron):
+        self.vertices = p.vertices
+        self.faces = p.faces
+        self.edge_slots = p.edge_slots
+        sizes = np.array([len(c) for c in p.faces], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        self.face_start = ends - sizes
+        self.corner_face = np.repeat(np.arange(len(sizes)), sizes)
+        self.corner_vertex = np.fromiter(
+            (v for cyc in p.faces for v in cyc), np.intp, int(ends[-1]))
+        corners = np.arange(len(self.corner_vertex))
+        self.next_corner = corners + 1
+        self.next_corner[ends - 1] = self.face_start
+        self.prev_corner = corners - 1
+        self.prev_corner[self.face_start] = ends - 1
+
+    @cached_property
+    def newell(self) -> np.ndarray:
+        """(F, 3) Newell normals; each has length twice the face area."""
+        pts = self.vertices[self.corner_vertex]
+        return _readonly(np.add.reduceat(
+            np.cross(pts, pts[self.next_corner]), self.face_start, axis=0))
+
+    @cached_property
+    def area(self) -> np.ndarray:
+        return _readonly(0.5 * np.linalg.norm(self.newell, axis=1))
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """(F, 3) unit Newell normals."""
+        return _readonly(self.newell / (2.0 * self.area)[:, None])
+
+    @cached_property
+    def frames(self) -> list[FaceFrame]:
+        """Per face: SVD plane fit signed by the Newell normal, then the
+        deterministic in-plane basis and the projected cycle."""
+        out = []
+        for cyc in self.faces:
+            pts = self.vertices[list(cyc)]
+            c, n, resid = _geom.plane_fit(pts)
+            u, v = _geom.plane_basis(n)
+            out.append(FaceFrame(c, n, resid, u, v,
+                                 _geom.project_2d(pts, c, u, v)))
+        return out
+
+    @cached_property
+    def triangles(self) -> list[np.ndarray]:
+        """Per face: its ear-clipped triangles as a (k-2, 3, 3) array of
+        world-space points."""
+        return [_readonly(self.vertices[np.asarray(cyc)[
+                    _geom.ear_clip(fr.polygon)]])
+                for cyc, fr in zip(self.faces, self.frames)]
+
+    @cached_property
+    def corner_angles(self) -> np.ndarray:
+        """Interior angle at every corner, in (0, 2*pi); a corner turning
+        against its face's Newell normal is reflex."""
+        pts = self.vertices[self.corner_vertex]
+        nxt = pts[self.next_corner] - pts
+        prv = pts[self.prev_corner] - pts
+        cross = np.cross(nxt, prv)
+        theta = np.arctan2(np.linalg.norm(cross, axis=1),
+                           np.einsum("ij,ij->i", nxt, prv))
+        reflex = np.einsum("ij,ij->i", cross,
+                           self.normal[self.corner_face]) < 0
+        return _readonly(np.where(reflex, 2.0 * np.pi - theta, theta))
+
+    @cached_property
+    def defects(self) -> np.ndarray:
+        """Per vertex: 2*pi minus the sum of its corner angles."""
+        total = np.bincount(self.corner_vertex, weights=self.corner_angles,
+                            minlength=len(self.vertices))
+        return _readonly(2.0 * np.pi - total)
+
+    @cached_property
+    def dihedrals(self) -> np.ndarray:
+        """Per edge cell: the dihedral angle in [0, 2*pi), measured through
+        the side opposite the first face's Newell normal.  Each face's
+        inward direction at the edge is its normal crossed with its own
+        traversal direction, which is correct for non-convex faces too."""
+        slots = np.array(self.edge_slots, dtype=np.intp).reshape(-1, 2, 2)
+        c1 = self.face_start[slots[:, 0, 0]] + slots[:, 0, 1]
+        c2 = self.face_start[slots[:, 1, 0]] + slots[:, 1, 1]
+        a = self.vertices[self.corner_vertex[c1]]
+        t = self.vertices[self.corner_vertex[self.next_corner[c1]]] - a
+        t /= np.linalg.norm(t, axis=1)[:, None]
+        n1 = self.normal[self.corner_face[c1]]
+        # both sides traverse the same segment, in equal or opposite senses
+        same = self.corner_vertex[c2] == self.corner_vertex[c1]
+        w2 = np.cross(self.normal[self.corner_face[c2]], t)
+        w2[~same] *= -1.0
+        w2 /= np.linalg.norm(w2, axis=1)[:, None]
+        ang = np.arctan2(-np.einsum("ij,ij->i", n1, w2),
+                         np.einsum("ij,ij->i", np.cross(n1, t), w2))
+        return _readonly(np.where(ang < 0, ang + 2.0 * np.pi, ang))
+
+
+def flat_edges(p: Polyhedron, tolerances: ToleranceSet,
+               seams) -> list[int]:
+    """Edge cells whose dihedral angle is within the angle tolerance of pi,
+    other than those joining a vertex pair in `seams`."""
+    near_pi = np.abs(p.geometry.dihedrals - np.pi) < tolerances.angle
+    return [int(e) for e in np.flatnonzero(near_pi) if p.edges[e] not in seams]
 
 
 def _half_edges(faces):
@@ -257,75 +397,37 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
         if np.linalg.norm(pts[u] - pts[v]) <= tolerances.length * scale:
             raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    # planarity, simplicity, positive area
-    for fi, cyc in enumerate(cycles):
-        fpts = pts[list(cyc)]
-        c, nrm, resid = _geom.plane_fit(fpts)
-        if resid > tolerances.planarity * scale:
-            raise DegenerateFace(
-                f"face {fi} deviates {resid:.2e} from planarity")
-        area = 0.5 * np.linalg.norm(_geom.newell_normal(fpts))
-        if area <= tolerances.length * scale * scale:
-            raise DegenerateFace(f"face {fi} has near-zero area")
-        u_ax, v_ax = _geom.plane_basis(nrm)
-        p2 = _geom.project_2d(fpts, c, u_ax, v_ax)
-        if not _geom.polygon_is_simple(p2):
-            raise DegenerateFace(f"face {fi} is not a simple polygon")
-
     poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
                       metadata or MeshMetadata())
+    geo = poly.geometry
+    for fi, frame in enumerate(geo.frames):
+        if frame.residual > tolerances.planarity * scale:
+            raise DegenerateFace(
+                f"face {fi} deviates {frame.residual:.2e} from planarity")
+        if geo.area[fi] <= tolerances.length * scale * scale:
+            raise DegenerateFace(f"face {fi} has near-zero area")
+        if not _geom.polygon_is_simple(frame.polygon):
+            raise DegenerateFace(f"face {fi} is not a simple polygon")
 
-    # flat dihedral rejection (declared subdivision seams are exempt)
-    from .metrics import dihedral_angle  # local import to avoid cycle
-    seams = poly.metadata.seam_edges
-    for e in range(poly.n_edges):
-        if poly.edges[e] in seams:
-            continue
-        dihedral_angle(poly, e, tolerances)  # raises FlatEdge
+    flat = flat_edges(poly, tolerances, poly.metadata.seam_edges)
+    if flat:
+        raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 
-    if _face_components(poly) != 1:
+    if 0 in _orientation_signs(poly)[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
 
 
-def _face_components(p: Polyhedron) -> int:
-    if p.n_faces == 0:
-        return 0
-    adj: list[set[int]] = [set() for _ in range(p.n_faces)]
-    for e in range(p.n_edges):
-        f1, f2 = p.edge_faces(e)
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    seen = [False] * p.n_faces
-    comps = 0
-    for start in range(p.n_faces):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            f = stack.pop()
-            for g in adj[f]:
-                if not seen[g]:
-                    seen[g] = True
-                    stack.append(g)
-    return comps
+def _orientation_signs(p: Polyhedron) -> tuple[list[int], bool]:
+    """Propagate a face orientation from face 0 over the adjacency graph.
 
-
-def euler_characteristic(p: Polyhedron) -> int:
-    return p.n_vertices - p.n_edges + p.n_faces
-
-
-def is_orientable(p: Polyhedron) -> bool:
-    """Propagate a face orientation over the adjacency graph; orientable iff
-    no conflict arises.  Raises DisconnectedSurface on multi-component input.
+    Returns each face's sign (+1 keep cycle, -1 reversed, 0 unreached, so
+    the surface is disconnected) and whether any two signs conflicted.
     """
-    if _face_components(p) != 1:
-        raise DisconnectedSurface("cannot orient a disconnected surface")
-    sign = [0] * p.n_faces  # +1 keep cycle, -1 reversed
+    sign = [0] * p.n_faces
     sign[0] = 1
     stack = [0]
+    conflict = False
     edges_of: list[list[int]] = [[] for _ in range(p.n_faces)]
     for e in range(p.n_edges):
         f1, f2 = p.edge_faces(e)
@@ -346,8 +448,22 @@ def is_orientable(p: Polyhedron) -> bool:
                 sign[g] = need
                 stack.append(g)
             elif sign[g] != need:
-                return False
-    return True
+                conflict = True
+    return sign, conflict
+
+
+def euler_characteristic(p: Polyhedron) -> int:
+    return p.n_vertices - p.n_edges + p.n_faces
+
+
+def is_orientable(p: Polyhedron) -> bool:
+    """Propagate a face orientation over the adjacency graph; orientable iff
+    no conflict arises.  Raises DisconnectedSurface on multi-component input.
+    """
+    sign, conflict = _orientation_signs(p)
+    if 0 in sign:
+        raise DisconnectedSurface("cannot orient a disconnected surface")
+    return not conflict
 
 
 def topology_from(chi: int, orientable: bool) -> TopologyClass:

@@ -45,19 +45,8 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
     cyc = p.faces[f]
     if v not in cyc:
         raise VertexNotOnFace(f"vertex {v} not on face {f}")
-    i = cyc.index(v)
-    k = len(cyc)
-    pv = p.vertices[v]
-    nxt = p.vertices[cyc[(i + 1) % k]] - pv
-    prv = p.vertices[cyc[(i - 1) % k]] - pv
-    n = _geom.newell_normal(p.face_points(f))
-    n = n / np.linalg.norm(n)
-    cross = np.cross(nxt, prv)
-    theta = float(np.arctan2(np.linalg.norm(cross),
-                             float(np.dot(nxt, prv))))
-    if np.dot(cross, n) < 0:
-        theta = 2.0 * np.pi - theta
-    return theta
+    geo = p.geometry
+    return float(geo.corner_angles[geo.face_start[f] + cyc.index(v)])
 
 
 def angular_defect(p: Polyhedron, v: int) -> float:
@@ -65,8 +54,17 @@ def angular_defect(p: Polyhedron, v: int) -> float:
     faces = p.vertex_faces(v)
     if len(faces) < 3:
         raise IsolatedVertex(f"vertex {v} has {len(faces)} incident faces")
-    total = sum(corner_angle(p, f, v) for f in faces)
-    return 2.0 * np.pi - total
+    return float(p.geometry.defects[v])
+
+
+def _defects(p: Polyhedron) -> np.ndarray:
+    """Every vertex's defect; each vertex needs three incident faces."""
+    counts = np.bincount(p.geometry.corner_vertex, minlength=p.n_vertices)
+    low = np.flatnonzero(counts < 3)
+    if low.size:
+        v = int(low[0])
+        raise IsolatedVertex(f"vertex {v} has {counts[v]} incident faces")
+    return p.geometry.defects
 
 
 def defect_profile(p: Polyhedron, tol: float | None = None) -> DefectProfile:
@@ -77,7 +75,7 @@ def defect_profile(p: Polyhedron, tol: float | None = None) -> DefectProfile:
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.defect
-    d = np.array([angular_defect(p, v) for v in range(p.n_vertices)])
+    d = _defects(p)
     mean = float(d.mean())
     dev = float(np.abs(d - mean).max())
     return DefectProfile(d, mean, dev, dev < tol)
@@ -86,7 +84,7 @@ def defect_profile(p: Polyhedron, tol: float | None = None) -> DefectProfile:
 def descartes_residual(p: Polyhedron) -> float:
     """|sum of defects - 2*pi*chi|; an identity of closed surfaces, so this
     measures only floating-point accumulation."""
-    total = sum(angular_defect(p, v) for v in range(p.n_vertices))
+    total = float(_defects(p).sum())
     return abs(total - 2.0 * np.pi * euler_characteristic(p))
 
 
@@ -98,51 +96,14 @@ def dihedral_angle(p: Polyhedron, e: int,
     reversing that face's stored cycle maps the value to 2*pi - value.
     Raises FlatEdge within the angle tolerance of pi.
     """
-    f1, f2 = p.edge_faces(e)
-    u, v = p.edges[e]
-    a, b = p.vertices[u], p.vertices[v]
-    # traverse the edge as f1 does
-    if p.edge_direction(e, 0) < 0:
-        a, b = b, a
-    t = _geom.unit(b - a)
-    n1 = _geom.unit(_geom.newell_normal(p.face_points(f1)))
-    w1 = np.cross(n1, t)
-    w2 = _face_inward(p, f2, a, t)
-    ang = float(np.arctan2(-np.dot(n1, w2), np.dot(w1, w2)))
-    if ang < 0:
-        ang += 2.0 * np.pi
+    ang = float(p.geometry.dihedrals[e])
     if abs(ang - np.pi) < tolerances.angle:
         raise FlatEdge(f"edge {p.edges[e]} has dihedral angle pi")
     return ang
 
 
-def _face_inward(p: Polyhedron, f: int, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unit vector at edge point a, perpendicular to edge direction t, lying
-    in face f's plane and pointing into the face."""
-    n = _geom.unit(_geom.newell_normal(p.face_points(f)))
-    w = np.cross(n, t)
-    # sign from the face centroid side
-    c = p.face_points(f).mean(axis=0)
-    if np.dot(c - a, w) < 0:
-        w = -w
-    return _geom.unit(w - np.dot(w, t) * t)
-
-
 # ---------------------------------------------------------------------------
 # self-intersection detection
-
-
-def _triangulated_faces(p: Polyhedron):
-    """Per face: list of world-space triangles from ear clipping."""
-    out = []
-    for f in range(p.n_faces):
-        fpts = p.face_points(f)
-        c, n, _ = _geom.plane_fit(fpts)
-        u, v = _geom.plane_basis(n)
-        p2 = _geom.project_2d(fpts, c, u, v)
-        tris = _geom.ear_clip(p2)
-        out.append([fpts[list(t)] for t in tris])
-    return out
 
 
 def _shared_features(p: Polyhedron, f1: int, f2: int):
@@ -170,7 +131,7 @@ def _clearance(point, shared_pts, shared_segs):
     for q in shared_pts:
         d = min(d, float(np.linalg.norm(point - q)))
     for a, b in shared_segs:
-        d = min(d, _geom.dist_point_segment_3d(point, a, b))
+        d = min(d, _geom.dist_point_segment(point, a, b))
     return d
 
 
@@ -263,15 +224,13 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     broad phase.  Contact within 1e-9 (relative) of a shared vertex or
     shared edge is a legitimate seam, not a witness.
     """
-    tris = _triangulated_faces(p)
+    tris = p.geometry.triangles
     scale = max(1.0, float(np.abs(p.vertices).max()))
     eps = 1e-12 * scale
     seam_tol = 1e-9 * scale
 
-    fmin = np.array([np.min([t.min(axis=0) for t in ts], axis=0)
-                     for ts in tris])
-    fmax = np.array([np.max([t.max(axis=0) for t in ts], axis=0)
-                     for ts in tris])
+    fmin = np.array([ts.min(axis=(0, 1)) for ts in tris])
+    fmax = np.array([ts.max(axis=(0, 1)) for ts in tris])
 
     witnesses: list[IntersectionWitness] = []
     nf = p.n_faces

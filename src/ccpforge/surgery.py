@@ -212,14 +212,6 @@ def choose_prism_order(p: Polyhedron) -> int:
     return p.n_vertices // (-chi)
 
 
-def _face_frame(p: Polyhedron, f: int):
-    pts = p.face_points(f)
-    c, n, _ = _geom.plane_fit(pts)
-    u, v = _geom.plane_basis(n)
-    poly2 = _geom.project_2d(pts, c, u, v)
-    return c, n, u, v, poly2
-
-
 def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
                         ) -> list[list[int]]:
     """Partition the annulus between an outer polygon and a strictly
@@ -331,8 +323,8 @@ def drill(p: Polyhedron, spec: DrillSpec,
     if p.has_multi_edges:
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
-    c1, n1, u1, v1, poly1 = _face_frame(p, spec.face1)
-    c2, n2, u2, v2, poly2 = _face_frame(p, spec.face2)
+    c1, n1, _, u1, v1, poly1 = p.geometry.frames[spec.face1]
+    c2, n2, _, u2, v2, poly2 = p.geometry.frames[spec.face2]
     if abs(abs(float(n1 @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     scale = max(1.0, float(np.abs(p.vertices).max()))
@@ -411,13 +403,13 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec, tolerances)
-    c1, n1, u1, v1, poly1 = _face_frame(p, spec.face1)
+    c1, n1, _, u1, v1, poly1 = p.geometry.frames[spec.face1]
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
     d0 = _geom.dist_point_polygon_boundary(q1, poly1)
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
-    c2 = p.face_points(spec.face2).mean(axis=0)
+    c2 = p.geometry.frames[spec.face2].centroid
     plane2 = (float(n1 @ c2), n1)
 
     last_err: Exception | None = None
@@ -452,15 +444,13 @@ def _locate_face(p: Polyhedron, point: np.ndarray,
     the point, plus the point's clearance to that polygon's boundary."""
     d0, n = plane
     scale = max(1.0, float(np.abs(p.vertices).max()))
-    for f in range(p.n_faces):
-        pts = p.face_points(f)
-        if np.abs(pts @ n - d0).max() > 1e-7 * scale:
+    for f, frame in enumerate(p.geometry.frames):
+        if np.abs(p.face_points(f) @ n - d0).max() > 1e-7 * scale:
             continue
-        c, nf, _ = _geom.plane_fit(pts)
-        u, v = _geom.plane_basis(nf)
-        poly2 = _geom.project_2d(pts, c, u, v)
-        q = _geom.project_2d(point[None, :], c, u, v)[0]
-        clearance = _geom.dist_point_polygon_boundary(q, poly2)
-        if _geom.point_in_polygon(q, poly2) and clearance > 1e-9 * scale:
+        q = _geom.project_2d(point[None, :], frame.centroid, frame.u,
+                             frame.v)[0]
+        clearance = _geom.dist_point_polygon_boundary(q, frame.polygon)
+        if _geom.point_in_polygon(q, frame.polygon) and \
+           clearance > 1e-9 * scale:
             return f, clearance
     return None, 0.0

@@ -9,12 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _geom
-from .errors import FlatEdge
 from .mesh import (DEFAULT_TOLERANCES, Polyhedron, ToleranceSet,
-                   TopologyClass, classify, euler_characteristic)
+                   TopologyClass, classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
-                      descartes_residual, dihedral_angle, self_intersections)
+                      descartes_residual, self_intersections)
 
 DESCARTES_TOL = 1e-8
 
@@ -99,19 +97,9 @@ def verify(p: Polyhedron,
     res = descartes_residual(p)
 
     scale = max(1.0, float(np.abs(p.vertices).max()))
-    planarity = 0.0
-    for f in range(p.n_faces):
-        _, _, resid = _geom.plane_fit(p.face_points(f))
-        planarity = max(planarity, resid)
-
-    violations = []
-    for e in range(p.n_edges):
-        if p.edges[e] in p.metadata.seam_edges:
-            continue
-        try:
-            dihedral_angle(p, e, tolerances)
-        except FlatEdge:
-            violations.append(p.edges[e])
+    planarity = max((fr.residual for fr in p.geometry.frames), default=0.0)
+    violations = [p.edges[e] for e in
+                  flat_edges(p, tolerances, p.metadata.seam_edges)]
 
     witnesses = self_intersections(p)
 

@@ -107,3 +107,15 @@ def test_deterministic_edges():
     a = build_polyhedron(TET_V, TET_F)
     b = build_polyhedron(TET_V, TET_F)
     assert a.edges == b.edges and a.edge_slots == b.edge_slots
+
+
+def test_flat_edge_beside_non_convex_face_rejected():
+    # 3x3x1 box whose top is split into the square [1,3]^2 and the L-shaped
+    # rest; the L's vertex mean lies inside the square, outside the L
+    verts = [(0, 0, 0), (3, 0, 0), (3, 3, 0), (0, 3, 0), (0, 0, 1),
+             (3, 0, 1), (3, 3, 1), (0, 3, 1), (1, 1, 1), (3, 1, 1),
+             (1, 3, 1)]
+    faces = [(8, 9, 6, 10), (4, 5, 9, 8, 10, 7), (0, 3, 2, 1), (0, 1, 5, 4),
+             (1, 2, 6, 9, 5), (2, 3, 7, 10, 6), (3, 0, 4, 7)]
+    with pytest.raises(FlatEdge):
+        build_polyhedron(verts, faces)

@@ -153,6 +153,18 @@ class TestCli:
                     "-o", str(tmp_path / "x.json"))
         assert r.returncode == 2
 
+    def test_non_numeric_param_exit_2(self, tmp_path):
+        r = run_cli("generate", "--family", "minimal", "--genus", "3",
+                    "--param", "l1=abc", "-o", str(tmp_path / "x.json"))
+        assert r.returncode == 2
+        assert "BadParameters" in r.stderr and "Traceback" not in r.stderr
+
+    def test_unknown_param_exit_2(self, tmp_path):
+        r = run_cli("generate", "--family", "minimal", "--genus", "3",
+                    "--param", "zz=1", "-o", str(tmp_path / "x.json"))
+        assert r.returncode == 2
+        assert "BadParameters" in r.stderr and "Traceback" not in r.stderr
+
     def test_catalog(self):
         r = run_cli("catalog")
         assert r.returncode == 0
