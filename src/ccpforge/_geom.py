@@ -186,71 +186,6 @@ def _tri_contains(a, b, c, p, ccw, eps):
             s * _cross2(a - c, p - c) >= -eps)
 
 
-def clip_polygon_2d(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon by a convex polygon; both 2D.
-    The clipper is reoriented counterclockwise internally."""
-    if polygon_area_2d(clipper) < 0:
-        clipper = clipper[::-1]
-    out = [p for p in subject]
-    k = len(clipper)
-    for i in range(k):
-        a, b = clipper[i], clipper[(i + 1) % k]
-        if not out:
-            break
-        inp = out
-        out = []
-        for j in range(len(inp)):
-            cur, nxt = inp[j], inp[(j + 1) % len(inp)]
-            cur_in = _cross2(b - a, cur - a) >= 0
-            nxt_in = _cross2(b - a, nxt - a) >= 0
-            if cur_in:
-                out.append(cur)
-            if cur_in != nxt_in:
-                d = nxt - cur
-                denom = _cross2(b - a, d)
-                if abs(denom) > 1e-30:
-                    t = _cross2(b - a, a - cur) / denom
-                    out.append(cur + t * d)
-    return np.array(out) if out else np.zeros((0, 2))
-
-
-def segment_plane_clip(tri: np.ndarray, n: np.ndarray, d0: float,
-                       eps: float) -> np.ndarray | None:
-    """Intersect a 3D triangle with the plane n.x = d0.
-
-    Returns a 2-point segment, or None when the triangle lies strictly on
-    one side.  A vertex exactly on the plane counts as a degenerate crossing.
-    """
-    s = tri @ n - d0
-    pos = s > eps
-    neg = s < -eps
-    if pos.all() or neg.all():
-        return None
-    pts = []
-    for i in range(3):
-        j = (i + 1) % 3
-        si, sj = s[i], s[j]
-        if abs(si) <= eps:
-            pts.append(tri[i])
-            continue
-        if (si > 0) != (sj > 0) and abs(sj) > eps:
-            t = si / (si - sj)
-            pts.append(tri[i] + t * (tri[j] - tri[i]))
-    if len(pts) < 2:
-        return None
-    arr = np.array(pts)
-    # keep the two farthest-apart points (duplicates collapse)
-    if len(arr) > 2:
-        best, pair = -1.0, (0, 1)
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                dd = float(np.linalg.norm(arr[i] - arr[j]))
-                if dd > best:
-                    best, pair = dd, (i, j)
-        arr = arr[[pair[0], pair[1]]]
-    return arr
-
-
 def kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Proper rigid motion (R, t) minimizing |R @ src + t - dst|."""
     cs, cd = src.mean(axis=0), dst.mean(axis=0)

@@ -5,6 +5,13 @@ class CcpError(Exception):
     """Base class for all toolkit errors."""
 
 
+# ---- files ----
+
+class BadFile(CcpError):
+    """An input path is not a readable mesh document: a directory, text
+    that is not JSON, or a document without vertices or faces."""
+
+
 # ---- mesh construction / validation ----
 
 class IndexOutOfRange(CcpError):

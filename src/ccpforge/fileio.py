@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import BadFile, IndexOutOfRange
 from .mesh import (DEFAULT_TOLERANCES, MeshMetadata, Polyhedron,
                    ToleranceSet, build_polyhedron, flat_edges)
 
@@ -43,9 +43,15 @@ def mesh_to_document(p: Polyhedron) -> dict:
 def document_to_mesh(doc: dict,
                      tolerances: ToleranceSet = DEFAULT_TOLERANCES
                      ) -> Polyhedron:
+    if not isinstance(doc, dict):
+        raise BadFile(f"a mesh document is a JSON object, not "
+                      f"{type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise IndexOutOfRange(
             f"unsupported format_version {doc.get('format_version')!r}")
+    missing = [k for k in ("vertices", "faces") if k not in doc]
+    if missing:
+        raise BadFile(f"mesh document has no {' or '.join(missing)}")
     m = doc.get("metadata", {})
     meta = MeshMetadata(
         family=m.get("family"),
@@ -68,9 +74,20 @@ def save_json(p: Polyhedron, path) -> None:
     Path(path).write_text(json.dumps(mesh_to_document(p), indent=1) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except IsADirectoryError as exc:
+        raise BadFile(f"{path} is a directory, not a mesh file") from exc
+
+
 def load_json(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
               ) -> Polyhedron:
-    return document_to_mesh(json.loads(Path(path).read_text()), tolerances)
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise BadFile(f"{path} is not JSON: {exc}") from exc
+    return document_to_mesh(doc, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +107,7 @@ def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
     two coplanar faces (subdivision seams, e.g. from a retiled drill) are
     detected geometrically and recorded as seams rather than rejected."""
     verts, faces = [], []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         parts = raw.split()
         if not parts:
             continue

@@ -156,10 +156,19 @@ class Polyhedron:
         first use and kept for the life of the mesh."""
         return MeshGeometry(self)
 
+    @cached_property
+    def orientation(self) -> tuple[tuple[int, ...], bool]:
+        """Each face's orientation sign and whether any two conflict, from
+        one search over the face-adjacency graph (see _orientation_signs);
+        computed on first use and kept for the life of the mesh."""
+        sign, conflict = _orientation_signs(self)
+        return tuple(sign), conflict
+
     def with_metadata(self, **kw) -> "Polyhedron":
         out = replace(self, metadata=replace_meta(self.metadata, **kw))
-        if "geometry" in self.__dict__:  # geometry ignores metadata
-            out.__dict__["geometry"] = self.geometry
+        for name in ("geometry", "orientation"):  # both ignore metadata
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
         return out
 
     def label(self, name: str) -> int:
@@ -413,7 +422,7 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
     if flat:
         raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 
-    if 0 in _orientation_signs(poly)[0]:
+    if 0 in poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
 
@@ -460,7 +469,7 @@ def is_orientable(p: Polyhedron) -> bool:
     """Propagate a face orientation over the adjacency graph; orientable iff
     no conflict arises.  Raises DisconnectedSurface on multi-component input.
     """
-    sign, conflict = _orientation_signs(p)
+    sign, conflict = p.orientation
     if 0 in sign:
         raise DisconnectedSurface("cannot orient a disconnected surface")
     return not conflict

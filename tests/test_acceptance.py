@@ -286,3 +286,13 @@ def test_performance_self_intersections():
     assert worst < 10.0
     print(f"[acceptance perf] PASS - self-intersection scan of the g=10 "
           f"meshes completes in {worst:.2f}s (< 10s)")
+
+
+def test_performance_batched_self_intersections():
+    p = gen_orientable(12)
+    t0 = time.perf_counter()
+    self_intersections(p)
+    took = time.perf_counter() - t0
+    assert took < 1.0
+    print(f"[acceptance perf] PASS - self-intersection scan of orientable "
+          f"g=12 ({p.n_faces} faces) completes in {took:.2f}s (< 1s)")

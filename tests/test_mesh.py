@@ -119,3 +119,23 @@ def test_flat_edge_beside_non_convex_face_rejected():
              (1, 2, 6, 9, 5), (2, 3, 7, 10, 6), (3, 0, 4, 7)]
     with pytest.raises(FlatEdge):
         build_polyhedron(verts, faces)
+
+
+def test_orientation_search_runs_once_per_mesh(monkeypatch, tmp_path):
+    import ccpforge.mesh as mesh_mod
+    from ccpforge import load_json, save_json, verify
+    path = tmp_path / "q2_9.json"
+    save_json(gen_q2_9(), path)
+    calls = []
+    search = mesh_mod._orientation_signs
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(mesh_mod, "_orientation_signs", counted)
+    p = load_json(path)
+    assert not verify(p).topology.orientable
+    relabelled = p.with_metadata(family="relabelled")
+    assert not is_orientable(relabelled)
+    assert len(calls) == 1

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ccpforge import (build_polyhedron, format_pi_multiple, gen_minimal,
                       gen_tetrahedron, gen_tetrahemihexahedron, load_json,
                       load_mesh, read_obj, save_json, verify,
                       write_obj, write_stl)
+from ccpforge.fileio import mesh_to_document
 
 
 class TestVerify:
@@ -105,9 +108,14 @@ class TestFileIO:
         assert len(blob) == 84 + 50 * n
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args, cwd=None):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-m", "ccpforge.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestCli:
@@ -190,6 +198,40 @@ class TestCli:
         r = run_cli("export", str(src), "-o", str(dst))
         assert r.returncode == 0
         assert load_mesh(dst).n_vertices == 6
+
+
+def _bad_input_exits_2(capsys, path, out):
+    """verify, drill and export each end in BadFile and exit 2."""
+    from ccpforge.cli import main
+    for argv in (["verify", str(path)],
+                 ["drill", str(path), "--face-a", "0", "--face-b", "1",
+                  "--n", "12", "-o", str(out)],
+                 ["export", str(path), "-o", str(out)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "BadFile" in err, (argv, err)
+
+
+def test_malformed_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format_version": 1, "vertices": [[0, 0')
+    _bad_input_exits_2(capsys, path, tmp_path / "out.json")
+
+
+def test_document_without_vertices_or_faces_exit_2(tmp_path, capsys):
+    doc = mesh_to_document(gen_tetrahedron())
+    for key in ("vertices", "faces"):
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items()
+                                    if k != key}))
+        _bad_input_exits_2(capsys, path, tmp_path / "out.json")
+
+
+def test_directory_exit_2(tmp_path, capsys):
+    for name in ("meshes.json", "meshes.obj"):
+        folder = tmp_path / name
+        folder.mkdir()
+        _bad_input_exits_2(capsys, folder, tmp_path / "out.json")
 
 
 def test_obj_round_trip_of_drilled_mesh(tmp_path):
