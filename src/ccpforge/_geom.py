@@ -8,60 +8,63 @@ import numpy as np
 from .errors import DegenerateFace
 
 
-def newell_normal(pts: np.ndarray) -> np.ndarray:
-    """Area-weighted normal of a closed polygon (right-hand rule w.r.t. the
-    cycle order).  |result| = 2 * polygon area."""
-    q = np.roll(pts, -1, axis=0)
-    n = np.cross(pts, q).sum(axis=0)
-    return n
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis.  Each is a stacked matmul, which
+    hands a single pair of vectors to the BLAS ddot that np.dot uses, so
+    a stack rounds row by row as one pair does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateFace("zero-length vector")
-    return v / norm
+def norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, rounded as np.linalg.norm
+    rounds one vector."""
+    return np.sqrt(dot(a, a))
 
 
-def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best-fit plane of a point set.
+def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-fit planes of (..., k, 3) point sets.
 
-    Returns (centroid, unit normal, max residual distance).  The normal is
-    chosen to agree in direction with the Newell normal of the cycle.
+    Returns the centroids (..., 3), the unit normals (..., 3) and the
+    largest distances of a point to its plane (...).  Each normal is the
+    smallest principal direction, turned to agree with the Newell normal
+    (right-hand rule over the cycle order) of its own points.
     """
-    c = pts.mean(axis=0)
-    d = pts - c
-    # smallest principal direction of the covariance
+    c = pts.mean(axis=-2)
+    d = pts - c[..., None, :]
     _, _, vt = np.linalg.svd(d, full_matrices=False)
-    n = vt[-1]
-    nw = newell_normal(pts)
-    if np.dot(n, nw) < 0:
-        n = -n
-    resid = float(np.abs(d @ n).max())
+    n = vt[..., -1, :]
+    newell = np.cross(pts, np.roll(pts, -1, axis=-2)).sum(axis=-2)
+    n = np.where((dot(n, newell) < 0)[..., None], -n, n)
+    resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
     return c, n, resid
 
 
 def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal in-plane basis (u, v) with u x v = n."""
-    n = unit(n)
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = unit(e - np.dot(e, n) * n)
-    v = np.cross(n, u)
-    return u, v
+    """Deterministic orthonormal in-plane bases (u, v), u x v = n, of
+    (..., 3) normals: u is the axis of n's smallest component made
+    orthogonal to n."""
+    n = n / norm(n)[..., None]
+    e = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]) * 1.0
+    w = e - dot(e, n)[..., None] * n
+    u = w / norm(w)[..., None]
+    return u, np.cross(n, u)
 
 
 def project_2d(pts: np.ndarray, origin: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> np.ndarray:
-    d = pts - origin
-    return np.column_stack([d @ u, d @ v])
+    """(..., k, 3) points in the frames (origin, u, v), each (..., 3):
+    their (..., k, 2) in-plane coordinates."""
+    d = pts - origin[..., None, :]
+    return np.stack([(d @ u[..., :, None])[..., 0],
+                     (d @ v[..., :, None])[..., 0]], axis=-1)
 
 
-def polygon_area_2d(p: np.ndarray) -> float:
-    """Signed area; positive for counterclockwise cycles."""
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def polygon_area_2d(p: np.ndarray) -> np.ndarray:
+    """Signed areas of (..., k, 2) polygons; positive for counterclockwise
+    cycles."""
+    x, y = p[..., 0], p[..., 1]
+    return 0.5 * (dot(x, np.roll(y, -1, axis=-1))
+                  - dot(y, np.roll(x, -1, axis=-1)))
 
 
 def _segments_cross(a, b, c, d, eps=1e-12):

@@ -9,7 +9,9 @@ class CcpError(Exception):
 
 class BadFile(CcpError):
     """An input path is not a readable mesh document: a directory, text
-    that is not JSON, or a document without vertices or faces."""
+    that is not JSON, a document without vertices or faces or with a part
+    of the wrong shape, or OBJ text whose vertex line lacks three numbers
+    or whose face token is not a valid index."""
 
 
 # ---- mesh construction / validation ----

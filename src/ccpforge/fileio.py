@@ -40,9 +40,50 @@ def mesh_to_document(p: Polyhedron) -> dict:
     return doc
 
 
+def _ints(x, length=None) -> bool:
+    """Whether x is a JSON list of integers (of the given length)."""
+    return isinstance(x, list) and (length is None or len(x) == length) \
+        and all(type(i) is int for i in x)
+
+
+# metadata key -> the JSON type of its value, and a test of each entry of
+# a list or object value
+_METADATA = {
+    "family": (str, None), "genus": (int, None), "orientable": (bool, None),
+    "expected_defect_radians": ((int, float), None),
+    "provenance": (list, lambda e: isinstance(e, str)),
+    "vertex_labels": (dict, lambda e: type(e) is int),
+    "seam_edges": (list, lambda e: _ints(e, 2)),
+}
+
+
+def _metadata(m) -> MeshMetadata:
+    if not isinstance(m, dict):
+        raise BadFile(f"metadata is a JSON object, not {type(m).__name__}")
+    for key, (kind, entry_ok) in _METADATA.items():
+        value = m.get(key)
+        if value is None:
+            continue
+        entries = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or \
+                (entry_ok and not all(map(entry_ok, entries))):
+            raise BadFile(f"metadata {key!r} is malformed: {value!r:.60}")
+    return MeshMetadata(
+        family=m.get("family"),
+        genus=m.get("genus"),
+        orientable=m.get("orientable"),
+        expected_defect=m.get("expected_defect_radians"),
+        provenance=list(m.get("provenance") or []),
+        vertex_labels=dict(m.get("vertex_labels") or {}),
+        seam_edges={tuple(e) for e in m.get("seam_edges") or []},
+    )
+
+
 def document_to_mesh(doc: dict,
                      tolerances: ToleranceSet = DEFAULT_TOLERANCES
                      ) -> Polyhedron:
+    """Build the mesh a native JSON document describes.  A document whose
+    parts are not of the documented shapes raises BadFile."""
     if not isinstance(doc, dict):
         raise BadFile(f"a mesh document is a JSON object, not "
                       f"{type(doc).__name__}")
@@ -52,21 +93,26 @@ def document_to_mesh(doc: dict,
     missing = [k for k in ("vertices", "faces") if k not in doc]
     if missing:
         raise BadFile(f"mesh document has no {' or '.join(missing)}")
-    m = doc.get("metadata", {})
-    meta = MeshMetadata(
-        family=m.get("family"),
-        genus=m.get("genus"),
-        orientable=m.get("orientable"),
-        expected_defect=m.get("expected_defect_radians"),
-        provenance=list(m.get("provenance", [])),
-        vertex_labels=dict(m.get("vertex_labels", {})),
-        seam_edges={tuple(e) for e in m.get("seam_edges", [])},
-    )
+    try:
+        verts = np.array(doc["vertices"])
+    except ValueError as exc:   # ragged rows
+        raise BadFile(f"vertices are malformed: {exc}") from exc
+    if verts.ndim != 2 or verts.shape[1] != 3 or verts.dtype.kind not in "iuf":
+        raise BadFile("vertices must be a list of [x, y, z] numbers")
+    faces = doc["faces"]
+    if not isinstance(faces, list) or not all(map(_ints, faces)):
+        raise BadFile("faces must be a list of lists of vertex indices")
+    meta = _metadata(doc.get("metadata", {}))
     slots = None
     if "edge_cells" in doc:
-        slots = tuple((tuple(c[0]), tuple(c[1])) for c in doc["edge_cells"])
-    return build_polyhedron(np.array(doc["vertices"], float),
-                            [tuple(f) for f in doc["faces"]],
+        cells = doc["edge_cells"]
+        if not isinstance(cells, list) or not all(
+                isinstance(c, list) and len(c) == 2 and _ints(c[0], 2)
+                and _ints(c[1], 2) for c in cells):
+            raise BadFile("edge_cells must be a list of "
+                          "[[face, slot], [face, slot]] pairs")
+        slots = tuple((tuple(c[0]), tuple(c[1])) for c in cells)
+    return build_polyhedron(verts.astype(float), [tuple(f) for f in faces],
                             tolerances, meta, edge_slots=slots)
 
 
@@ -79,6 +125,8 @@ def _read_text(path) -> str:
         return Path(path).read_text()
     except IsADirectoryError as exc:
         raise BadFile(f"{path} is a directory, not a mesh file") from exc
+    except UnicodeDecodeError as exc:
+        raise BadFile(f"{path} is not text: {exc}") from exc
 
 
 def load_json(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
@@ -101,20 +149,41 @@ def write_obj(p: Polyhedron, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _obj_index(token: str, n_vertices: int, lineno: int) -> int:
+    """0-based vertex id of an OBJ face token ("7", "7/1/3", or "-2",
+    relative to the n_vertices read so far)."""
+    try:
+        i = int(token.split("/")[0])
+    except ValueError:
+        raise BadFile(f"line {lineno}: {token!r} is not a vertex index") \
+            from None
+    if i == 0:
+        raise BadFile(f"line {lineno}: OBJ vertex indices start at 1")
+    if i < -n_vertices:
+        raise BadFile(f"line {lineno}: relative index {i} reaches before "
+                      f"the first vertex")
+    return i - 1 if i > 0 else n_vertices + i
+
+
 def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
              ) -> Polyhedron:
     """Read an OBJ file.  OBJ carries no metadata, so flat edges between
     two coplanar faces (subdivision seams, e.g. from a retiled drill) are
     detected geometrically and recorded as seams rather than rejected."""
     verts, faces = [], []
-    for raw in _read_text(path).splitlines():
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         parts = raw.split()
         if not parts:
             continue
         if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
+            try:
+                x, y, z = map(float, parts[1:4])
+            except ValueError:
+                raise BadFile(f"line {lineno}: a vertex is three numbers, "
+                              f"not {raw.strip()!r:.60}") from None
+            verts.append([x, y, z])
         elif parts[0] == "f":
-            faces.append(tuple(int(tok.split("/")[0]) - 1
+            faces.append(tuple(_obj_index(tok, len(verts), lineno)
                                for tok in parts[1:]))
     # validate with every side exempt from the flat-edge rejection, then
     # keep as seams the sides that are flat

@@ -194,10 +194,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class MeshGeometry:
     """Every geometric quantity of one mesh, each computed once.
 
-    Faces are flattened into corners: face f owns corners face_start[f]
-    onwards, in cycle order; corner c sits at vertex corner_vertex[c] and
-    next_corner / prev_corner step along its face's cycle.  Array-valued
-    parts are read-only.
+    Faces are flattened into corners: face f owns the face_size[f] corners
+    from face_start[f] onwards, in cycle order; corner c sits at vertex
+    corner_vertex[c] and next_corner / prev_corner step along its face's
+    cycle.  Array-valued parts are read-only.
     """
 
     def __init__(self, p: Polyhedron):
@@ -206,6 +206,7 @@ class MeshGeometry:
         self.edge_slots = p.edge_slots
         sizes = np.array([len(c) for c in p.faces], dtype=np.intp)
         ends = np.cumsum(sizes)
+        self.face_size = sizes
         self.face_start = ends - sizes
         self.corner_face = np.repeat(np.arange(len(sizes)), sizes)
         self.corner_vertex = np.fromiter(
@@ -233,16 +234,27 @@ class MeshGeometry:
         return _readonly(self.newell / (2.0 * self.area)[:, None])
 
     @cached_property
+    def scale(self) -> float:
+        """The mesh's tolerance scale: its largest absolute coordinate, at
+        least 1."""
+        return max(1.0, float(np.abs(self.vertices).max()))
+
+    @cached_property
     def frames(self) -> list[FaceFrame]:
-        """Per face: SVD plane fit signed by the Newell normal, then the
-        deterministic in-plane basis and the projected cycle."""
-        out = []
-        for cyc in self.faces:
-            pts = self.vertices[list(cyc)]
+        """Per face: SVD plane fit signed by the face's own Newell sum, then
+        the deterministic in-plane basis and the projected cycle.  Faces of
+        equal length are fitted together, in one call per length."""
+        out = [None] * len(self.faces)
+        for k in np.flatnonzero(np.bincount(self.face_size)):
+            rows = np.flatnonzero(self.face_size == k)
+            pts = self.vertices[self.corner_vertex[
+                self.face_start[rows, None] + np.arange(k)]]
             c, n, resid = _geom.plane_fit(pts)
             u, v = _geom.plane_basis(n)
-            out.append(FaceFrame(c, n, resid, u, v,
-                                 _geom.project_2d(pts, c, u, v)))
+            poly = _geom.project_2d(pts, c, u, v)
+            for f, *frame in zip(rows.tolist(), c, n, resid.tolist(), u, v,
+                                 poly):
+                out[f] = FaceFrame(*frame)
         return out
 
     @cached_property
@@ -376,6 +388,10 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
     n = len(pts)
     if n < 4:
         raise IndexOutOfRange(f"need at least 4 vertices, got {n}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise DegenerateFace(f"vertex {bad[0]} has a non-finite coordinate "
+                             f"{tuple(pts[bad[0]].tolist())}")
 
     cycles: list[tuple[int, ...]] = []
     for fi, cyc in enumerate(faces):
@@ -401,14 +417,14 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
         missing = sorted(set(range(n)) - used)
         raise IndexOutOfRange(f"vertices {missing} appear in no face")
 
-    scale = max(1.0, float(np.abs(pts).max()))
+    poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
+                      metadata or MeshMetadata())
+    geo = poly.geometry
+    scale = geo.scale
     for (u, v) in set(pairs):
         if np.linalg.norm(pts[u] - pts[v]) <= tolerances.length * scale:
             raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
-                      metadata or MeshMetadata())
-    geo = poly.geometry
     for fi, frame in enumerate(geo.frames):
         if frame.residual > tolerances.planarity * scale:
             raise DegenerateFace(

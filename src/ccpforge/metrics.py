@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
 from .mesh import DEFAULT_TOLERANCES, Polyhedron, ToleranceSet, euler_characteristic
 
@@ -107,8 +108,9 @@ def dihedral_angle(p: Polyhedron, e: int,
 # The scan batches the pair-at-a-time predicates, and it rounds exactly as
 # they round: seam and touching contacts compare rounding noise with eps,
 # so a dot product summed in another order can turn a seam into a witness.
-# Every dot product and norm therefore goes through stacked matmul, which
-# hands each small product to the BLAS routine that np.dot, `@` and
+# Every dot product, norm, plane basis and projection therefore goes
+# through the broadcasting helpers of _geom, whose stacked matmuls hand
+# each small product to the BLAS routine that np.dot, `@` and
 # np.linalg.norm use on a single pair (ddot for vector . vector, gemv for
 # matrix @ vector), on operands with the same strides.
 
@@ -122,35 +124,8 @@ _OVERLAP_AREA = 1e-12
 _PARALLEL = 1e-30
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, each rounded as np.dot rounds a
-    single pair of vectors."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(a, a))
-
-
-def _project(pts: np.ndarray, origin: np.ndarray, u: np.ndarray,
-             v: np.ndarray) -> np.ndarray:
-    """_geom.project_2d of (n, k, 3) point sets, one frame per row; each
-    product is the gemv that `@` makes of one (k, 3) matrix and a vector."""
-    d = pts - origin[:, None]
-    return np.stack([(d @ u[:, :, None])[..., 0],
-                     (d @ v[:, :, None])[..., 0]], axis=-1)
-
-
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _area_2d(poly: np.ndarray) -> np.ndarray:
-    """Signed areas of (n, k, 2) polygons, summed as
-    _geom.polygon_area_2d sums one polygon."""
-    x, y = poly[..., 0], poly[..., 1]
-    return 0.5 * (_dot(x, np.roll(y, -1, axis=-1))
-                  - _dot(y, np.roll(x, -1, axis=-1)))
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +179,8 @@ class _TriangleScan:
         geo = p.geometry
         self.vertices = p.vertices
         self.n_faces = p.n_faces
-        scale = max(1.0, float(np.abs(p.vertices).max()))
-        self.eps = 1e-12 * scale
-        self.seam_tol = 1e-9 * scale
+        self.eps = 1e-12 * geo.scale
+        self.seam_tol = 1e-9 * geo.scale
         tri = np.concatenate(geo.triangles)
         self.tri = tri
         self.face = np.repeat(np.arange(p.n_faces),
@@ -215,29 +189,21 @@ class _TriangleScan:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            norm = _norm(n)
+            norm = _geom.norm(n)
             self.degenerate = norm == 0     # touches nothing
             n /= norm[:, None]
             self.normal = n
-            self.offset = _dot(n, tri[:, 0])
-            # _geom.plane_basis(n), which first renormalizes n
-            m = n / _norm(n)[:, None]
-            rows = np.arange(len(tri))
-            e = np.zeros_like(m)
-            e[rows, np.argmin(np.abs(m), axis=1)] = 1.0
-            w = e - _dot(e, m)[:, None] * m
-            self.u = w / _norm(w)[:, None]
-            self.v = np.cross(m, self.u)
-            own = _project(tri, tri[:, 0], self.u, self.v)
-            self.ccw = np.where((_area_2d(own) < 0)[:, None, None],
-                                own[:, ::-1], own)
+            self.offset = _geom.dot(n, tri[:, 0])
+            self.u, self.v = _geom.plane_basis(n)
+            own = _geom.project_2d(tri, tri[:, 0], self.u, self.v)
+            cw = _geom.polygon_area_2d(own) < 0
+            self.ccw = np.where(cw[:, None, None], own[:, ::-1], own)
 
         # shared-feature lookups: (face, vertex) and (face, side) keys
         self.corner_vertex = geo.corner_vertex
         self.next_vertex = geo.corner_vertex[geo.next_corner]
         self.face_start = geo.face_start
-        self.face_size = np.diff(geo.face_start, append=len(
-            geo.corner_vertex))
+        self.face_size = geo.face_size
         self.face_vertex = np.sort(self._vertex_key(
             geo.corner_face, self.corner_vertex))
         self.face_side = np.sort(self._side_key(
@@ -316,13 +282,13 @@ class _TriangleScan:
         frame.  A pair is hit when the overlap has area above
         _OVERLAP_AREA; its sample is the overlap's vertex mean."""
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
-        poly, size = _clip_convex(_project(tri, o, u, v), self.ccw[j])
+        poly, size = _clip_convex(_geom.project_2d(tri, o, u, v), self.ccw[j])
         hit = np.zeros(len(j), bool)
         mean = np.zeros((len(j), 2))
         for k in np.flatnonzero(np.bincount(size)[3:]) + 3:
             rows = np.flatnonzero(size == k)
             pk = poly[rows, :k]
-            hit[rows] = np.abs(_area_2d(pk)) > _OVERLAP_AREA
+            hit[rows] = np.abs(_geom.polygon_area_2d(pk)) > _OVERLAP_AREA
             mean[rows] = pk.mean(axis=1)
         return hit, o + mean[:, 0, None] * u + mean[:, 1, None] * v
 
@@ -349,7 +315,7 @@ class _TriangleScan:
                         ends[rows, 2 - np.argmax(found[:, ::-1], axis=1)]],
                        axis=1)
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
-        s2d = _project(seg, o, u, v)
+        s2d = _geom.project_2d(seg, o, u, v)
         a, d = s2d[:, 0], s2d[:, 1] - s2d[:, 0]
         t_in, t_out = np.zeros(len(j)), np.ones(len(j))
         alive = found.sum(axis=1) >= 2
@@ -401,12 +367,12 @@ class _TriangleScan:
             va = self.vertices[a[keep]][feat]
             if segment:
                 ab = self.vertices[b[keep]][feat] - va
-                denom = _dot(ab, ab)
-                t = np.clip(_dot(q - va, ab)
+                denom = _geom.dot(ab, ab)
+                t = np.clip(_geom.dot(q - va, ab)
                             / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
-                dist = _norm(q - (va + t[:, None] * ab))
+                dist = _geom.norm(q - (va + t[:, None] * ab))
             else:
-                dist = _norm(q - va)
+                dist = _geom.norm(q - va)
             np.minimum.at(out, k, dist)
         return out
 

@@ -327,7 +327,7 @@ def drill(p: Polyhedron, spec: DrillSpec,
     c2, n2, _, u2, v2, poly2 = p.geometry.frames[spec.face2]
     if abs(abs(float(n1 @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
-    scale = max(1.0, float(np.abs(p.vertices).max()))
+    scale = p.geometry.scale
 
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
@@ -443,7 +443,7 @@ def _locate_face(p: Polyhedron, point: np.ndarray,
     """Face whose plane matches `plane` and whose polygon strictly contains
     the point, plus the point's clearance to that polygon's boundary."""
     d0, n = plane
-    scale = max(1.0, float(np.abs(p.vertices).max()))
+    scale = p.geometry.scale
     for f, frame in enumerate(p.geometry.frames):
         if np.abs(p.face_points(f) @ n - d0).max() > 1e-7 * scale:
             continue

@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mesh import (DEFAULT_TOLERANCES, Polyhedron, ToleranceSet,
                    TopologyClass, classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
@@ -96,7 +94,6 @@ def verify(p: Polyhedron,
     dp = defect_profile(p, tol=defect_tolerance)
     res = descartes_residual(p)
 
-    scale = max(1.0, float(np.abs(p.vertices).max()))
     planarity = max((fr.residual for fr in p.geometry.frames), default=0.0)
     violations = [p.edges[e] for e in
                   flat_edges(p, tolerances, p.metadata.seam_edges)]
@@ -112,7 +109,7 @@ def verify(p: Polyhedron,
                         topo.orientable == p.metadata.orientable))
 
     ok = (dp.is_constant and res < DESCARTES_TOL and not violations
-          and planarity <= tolerances.planarity * scale
+          and planarity <= tolerances.planarity * p.geometry.scale
           and (delta is None or delta < defect_tolerance)
           and genus_match in (None, True))
     if not ok:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ccpforge import _geom
 from ccpforge import (build_polyhedron, classify, euler_characteristic,
                       gen_flat_torus9, gen_q2_9, gen_tetrahedron,
                       gen_tetrahemihexahedron, is_orientable)
@@ -11,7 +12,8 @@ from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                              NonManifoldEdge)
 from ccpforge.mesh import topology_from
 
-from conftest import cube_data
+from conftest import cube_data, random_rigid_motion
+from test_self_intersection_oracle import SMALL_GENERA, family
 
 TET_V = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 TET_F = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -139,3 +141,61 @@ def test_orientation_search_runs_once_per_mesh(monkeypatch, tmp_path):
     relabelled = p.with_metadata(family="relabelled")
     assert not is_orientable(relabelled)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    verts = np.array(TET_V, float)
+    verts[2, 1] = bad
+    with pytest.raises(DegenerateFace, match="vertex 2 has a non-finite"):
+        build_polyhedron(verts, TET_F)
+
+
+def assert_frames_fit_face_by_face(p):
+    """geometry.frames, fitted per face length, equals fitting each face's
+    own (k, 3) points alone, to the last bit."""
+    frames = p.geometry.frames
+    assert len(frames) == p.n_faces
+    for frame, cyc in zip(frames, p.faces):
+        pts = p.vertices[list(cyc)]
+        c, n, resid = _geom.plane_fit(pts)
+        u, v = _geom.plane_basis(n)
+        want = (c, n, resid, u, v, _geom.project_2d(pts, c, u, v))
+        for got, ref in zip(frame, want, strict=True):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
+def test_frames_equal_face_by_face_fits(name, genus, params):
+    p = family(name, genus, **params)
+    assert_frames_fit_face_by_face(p)
+    rot, tr = random_rigid_motion(np.random.default_rng(len(p.faces)))
+    assert_frames_fit_face_by_face(build_polyhedron(
+        (rot @ p.vertices.T).T + tr, p.faces, metadata=p.metadata,
+        edge_slots=p.edge_slots))
+
+
+def test_plane_helpers_round_a_row_as_in_a_stack():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(6, 5, 3)) * (10.0, 0.1, 1e-3)
+    rot, tr = random_rigid_motion(rng)
+    pts = pts @ rot.T + tr
+    c, n, resid = _geom.plane_fit(pts)
+    u, v = _geom.plane_basis(n)
+    poly = _geom.project_2d(pts, c, u, v)
+    area = _geom.polygon_area_2d(poly)
+    one = _geom.project_2d(pts[:, :1], c, u, v)
+    for i, row in enumerate(pts):
+        ci, ni, ri = _geom.plane_fit(row)
+        ui, vi = _geom.plane_basis(ni)
+        pi = _geom.project_2d(row, ci, ui, vi)
+        for got, want in ((ci, c[i]), (ni, n[i]), (ri, resid[i]),
+                          (ui, u[i]), (vi, v[i]), (pi, poly[i]),
+                          (_geom.polygon_area_2d(pi), area[i]),
+                          (_geom.project_2d(row[:1], ci, ui, vi), one[i])):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert _geom.dot(ui, vi) == np.dot(ui, vi)
+        assert _geom.dot(u, pts[:, 0])[i] == np.dot(ui, row[0])
+        assert _geom.norm(row[0]) == np.linalg.norm(row[0])
+        assert _geom.norm(pts[:, 0])[i] == np.linalg.norm(row[0])

@@ -244,3 +244,53 @@ def test_obj_round_trip_of_drilled_mesh(tmp_path):
     assert again.n_vertices == drilled.n_vertices
     r = verify(again, defect_tolerance=1e-6)
     assert r.verdict == "ccp_embedded"
+
+
+TET_OBJ = """v 1 1 1
+v 1 -1 -1
+v -1 1 -1
+v -1 -1 1
+f 1 2 3
+f 1 3 4
+f 1 4 2
+f 2 4 3
+"""
+
+
+def _tet_json(**parts):
+    doc = mesh_to_document(gen_tetrahedron())
+    doc.update(parts)
+    return json.dumps(doc)
+
+
+def _tet_vertex(first):
+    return _tet_json(vertices=[first] + mesh_to_document(
+        gen_tetrahedron())["vertices"][1:])
+
+
+CONTRACT_CASES = [
+    ("vertices_str.json", _tet_json(vertices="abc"), 2, "BadFile"),
+    ("metadata_list.json", _tet_json(metadata=[]), 2, "BadFile"),
+    ("face_str.json", _tet_json(faces=[[0, 1, "x"], [0, 2, 3], [0, 3, 1],
+                                       [1, 3, 2]]), 2, "BadFile"),
+    ("faces_int.json", _tet_json(faces=5), 2, "BadFile"),
+    ("edge_cells.json", _tet_json(edge_cells=[[1]]), 2, "BadFile"),
+    ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
+    ("inf.json", _tet_vertex([float("inf"), 0, 0]), 2, "vertex 0"),
+    ("short_v.obj", TET_OBJ.replace("v 1 1 1", "v 0 0"), 2, "BadFile"),
+    ("word_v.obj", TET_OBJ.replace("v 1 1 1", "v a 0 0"), 2, "BadFile"),
+    ("zero_index.obj", TET_OBJ.replace("f 1 2 3", "f 0 1 2"), 2, "BadFile"),
+    ("relative.obj", TET_OBJ.replace("f 1 2 3", "f -4 -3 -2"), 0, ""),
+]
+
+
+@pytest.mark.parametrize("name,text,code,error", CONTRACT_CASES,
+                         ids=[case[0] for case in CONTRACT_CASES])
+def test_file_contents_contract(tmp_path, capsys, name, text, code, error):
+    """Malformed file contents end in a named error and exit 2, never in
+    a traceback; OBJ indices below zero count back from the last vertex."""
+    from ccpforge.cli import main
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["verify", str(path)]) == code
+    assert error in capsys.readouterr().err
