@@ -21,6 +21,14 @@ def norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(a, a))
 
 
+def _succ(a: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Each entry's successor along a cyclic axis: np.roll(a, -1, axis)
+    for axis -1 or -2, without np.roll's per-call overhead."""
+    if axis == -1:
+        return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+    return np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2)
+
+
 def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best-fit planes of (..., k, 3) point sets.
 
@@ -33,7 +41,7 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = pts - c[..., None, :]
     _, _, vt = np.linalg.svd(d, full_matrices=False)
     n = vt[..., -1, :]
-    newell = np.cross(pts, np.roll(pts, -1, axis=-2)).sum(axis=-2)
+    newell = np.cross(pts, _succ(pts)).sum(axis=-2)
     n = np.where((dot(n, newell) < 0)[..., None], -n, n)
     resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
     return c, n, resid
@@ -63,8 +71,7 @@ def polygon_area_2d(p: np.ndarray) -> np.ndarray:
     """Signed areas of (..., k, 2) polygons; positive for counterclockwise
     cycles."""
     x, y = p[..., 0], p[..., 1]
-    return 0.5 * (dot(x, np.roll(y, -1, axis=-1))
-                  - dot(y, np.roll(x, -1, axis=-1)))
+    return 0.5 * (dot(x, _succ(y, -1)) - dot(y, _succ(x, -1)))
 
 
 def _segments_cross(a, b, c, d, eps=1e-12):
@@ -97,21 +104,21 @@ def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
 def point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
     """Winding-number test for a point strictly inside a simple 2D polygon.
     Points on the boundary are reported as outside."""
-    if dist_point_polygon_boundary(pt, poly) < 1e-14:
-        return False
-    wn = 0
-    k = len(poly)
-    for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
-        if a[1] <= pt[1]:
-            if b[1] > pt[1]:
-                if _cross2(b - a, pt - a) > 0:
-                    wn += 1
-        else:
-            if b[1] <= pt[1]:
-                if _cross2(b - a, pt - a) < 0:
-                    wn -= 1
-    return wn != 0
+    return bool(dist_point_polygon_boundary(pt, poly) >= 1e-14
+                and winds_around(pt, poly))
+
+
+def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Whether (..., k, 2) cycles have a non-zero winding number about
+    (..., 2) points off their boundaries."""
+    nxt = _succ(poly)
+    ab, ap = nxt - poly, pt[..., None, :] - poly
+    side = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
+    below = poly[..., 1] <= pt[..., None, 1]
+    above = nxt[..., 1] > pt[..., None, 1]
+    up = below & above & (side > 0)         # upward crossings, point left
+    down = ~below & ~above & (side < 0)     # downward crossings, point right
+    return np.count_nonzero(up, axis=-1) != np.count_nonzero(down, axis=-1)
 
 
 def _cross2(u, v):
@@ -128,10 +135,19 @@ def dist_point_segment(pt, a, b) -> float:
     return float(np.linalg.norm(pt - (a + t * ab)))
 
 
-def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray) -> float:
-    k = len(poly)
-    return min(dist_point_segment(pt, poly[i], poly[(i + 1) % k])
-               for i in range(k))
+def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
+                                ) -> np.ndarray:
+    """Distances from (..., 2) points to the boundaries of (..., k, 2)
+    polygons: dist_point_segment over every side at once, rounded side by
+    side as that function rounds (a zero-length side measures to its
+    endpoint)."""
+    ab = _succ(poly) - poly
+    ap = pt[..., None, :] - poly
+    denom = dot(ab, ab)
+    t = np.divide(dot(ap, ab), denom, out=np.zeros(denom.shape),
+                  where=denom != 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    return norm(pt[..., None, :] - (poly + t[..., None] * ab)).min(axis=-1)
 
 
 def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int]]:

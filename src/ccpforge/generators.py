@@ -368,14 +368,14 @@ def gen_q3_18() -> Polyhedron:
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
     out = gen_s_base()
     side = math.sqrt(3.0)
+    block = gen_r_block(r, h)
     for _ in range(3):
-        block = gen_r_block(r, h)
         cyc = out.faces[2]
         blen = float(np.linalg.norm(out.vertices[cyc[0]]
                                     - out.vertices[cyc[1]]))
-        if abs(blen - side) > 1e-9:
-            block = _scaled(block, blen / side)
-        out = connect_sum(out, block, FaceCorrespondence(2, 0,
+        piece = block if abs(blen - side) <= 1e-9 else \
+            _scaled(block, blen / side)
+        out = connect_sum(out, piece, FaceCorrespondence(2, 0,
                                                          mapping=(0, 2, 1)))
     return out.with_metadata(family="q3-18", genus=3, orientable=False,
                              expected_defect=-math.pi / 9)
@@ -672,8 +672,9 @@ def gen_n5g_odd(g: int) -> Polyhedron:
         faces.append((v1(k), v2(k + 1), v1(k + 1)))
     out = build_polyhedron(np.array(verts), faces,
                            metadata=MeshMetadata(family="n5g-drum"))
+    block = gen_r_block(r, 1.0)
     for _ in range(g):
-        out = connect_sum(out, gen_r_block(r, 1.0),
+        out = connect_sum(out, block,
                           FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
     return out.with_metadata(family="n5g", genus=g, orientable=False,
                              expected_defect=-a)
@@ -859,35 +860,31 @@ def gen_minimal(g: int, l1: float = 2.0, root_tol: float = 1e-12) -> Polyhedron:
         lt, dt = params.terminal
         out = gen_t_block(lt, dt)
     elif g % 2 == 0:
-        half = list(params.pairs)
-        mesh, gf, gc = _chain_half(half)
-        mesh2, gf2, gc2 = _chain_half(half)
+        # both halves are one chain; it is glued to a moved copy of itself
+        mesh, gf, gc = _chain_half(list(params.pairs))
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
-        mapping = (gc2[1], gc2[0], gc2[3], gc2[2])
-        out = connect_sum(mesh, mesh2, FaceCorrespondence(gf, gf2,
-                                                          mapping=mapping))
+        mapping = (gc[1], gc[0], gc[3], gc[2])
+        out = connect_sum(mesh, mesh, FaceCorrespondence(gf, gf,
+                                                         mapping=mapping))
     else:
-        half = list(params.pairs)
-        m = len(half)
-        mesh, gf, gc = _chain_half(half)
+        m = len(params.pairs)
+        half, gf, _ = _chain_half(list(params.pairs))
         lt, dt = params.terminal
         centre = gen_t_block(lt, dt)
-        n_faces = mesh.n_faces
         # the centre receives each half on one of its two long rectangles,
         # taking the halves' still-free top/bottom vertices at v4 and v1
         mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
-        mesh = connect_sum(mesh, centre,
+        mesh = connect_sum(half, centre,
                            FaceCorrespondence(gf, 0, mapping=mapping))
-        rb_face = n_faces - 1    # centre block's rect B in the result
-        mesh2, gf2, gc2 = _chain_half(half)
-        h2 = mesh2.faces[gf2]
+        rb_face = half.n_faces - 1    # centre block's rect B in the result
+        h2 = half.faces[gf]
         if m % 2 == 0 and m >= 2:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = connect_sum(mesh, mesh2,
-                          FaceCorrespondence(rb_face, gf2, mapping=mapping2))
+        out = connect_sum(mesh, half,
+                          FaceCorrespondence(rb_face, gf, mapping=mapping2))
     return out.with_metadata(family="minimal", genus=g, orientable=True,
                              expected_defect=defect)
 

@@ -14,6 +14,7 @@ slots instead (``edge_slots``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -191,6 +192,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Corners(NamedTuple):
+    """The corner layout of a face list (see MeshGeometry)."""
+    size: np.ndarray
+    start: np.ndarray
+    vertex: np.ndarray
+    face: np.ndarray
+    next: np.ndarray
+
+
+def _corner_layout(faces) -> _Corners:
+    sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+    ends = np.cumsum(sizes)
+    start = ends - sizes
+    vertex = np.fromiter((v for cyc in faces for v in cyc), np.intp,
+                         int(ends[-1]) if len(ends) else 0)
+    nxt = np.arange(1, len(vertex) + 1)
+    nxt[ends - 1] = start
+    return _Corners(sizes, start, vertex,
+                    np.repeat(np.arange(len(sizes)), sizes), nxt)
+
+
 class MeshGeometry:
     """Every geometric quantity of one mesh, each computed once.
 
@@ -198,24 +220,33 @@ class MeshGeometry:
     from face_start[f] onwards, in cycle order; corner c sits at vertex
     corner_vertex[c] and next_corner / prev_corner step along its face's
     cycle.  Array-valued parts are read-only.
+
+    `frames` seeds the frames of the first faces (None where unknown), for
+    a surgery result whose faces kept their points; `corners` and `cells`
+    are the corner layout and the (E, 4) edge cells when the caller has
+    them already.
     """
 
-    def __init__(self, p: Polyhedron):
+    def __init__(self, p: Polyhedron, frames=(),
+                 corners: _Corners | None = None,
+                 cells: np.ndarray | None = None):
         self.vertices = p.vertices
         self.faces = p.faces
         self.edge_slots = p.edge_slots
-        sizes = np.array([len(c) for c in p.faces], dtype=np.intp)
-        ends = np.cumsum(sizes)
-        self.face_size = sizes
-        self.face_start = ends - sizes
-        self.corner_face = np.repeat(np.arange(len(sizes)), sizes)
-        self.corner_vertex = np.fromiter(
-            (v for cyc in p.faces for v in cyc), np.intp, int(ends[-1]))
-        corners = np.arange(len(self.corner_vertex))
-        self.next_corner = corners + 1
-        self.next_corner[ends - 1] = self.face_start
-        self.prev_corner = corners - 1
-        self.prev_corner[self.face_start] = ends - 1
+        c = _corner_layout(p.faces) if corners is None else corners
+        self.face_size = c.size
+        self.face_start = c.start
+        self.corner_face = c.face
+        self.corner_vertex = c.vertex
+        self.next_corner = c.next
+        self.prev_corner = np.arange(-1, len(c.vertex) - 1)
+        self.prev_corner[c.start] = c.start + c.size - 1
+        # rows (f1, s1, f2, s2), as in edge_slots
+        self.cells = _readonly(np.array(p.edge_slots, dtype=np.intp)
+                               .reshape(-1, 4)) if cells is None else cells
+        # per face: its FaceFrame once fitted, else None
+        self.known_frames: list[FaceFrame | None] = \
+            list(frames) + [None] * (len(p.faces) - len(frames))
 
     @cached_property
     def newell(self) -> np.ndarray:
@@ -239,14 +270,22 @@ class MeshGeometry:
         least 1."""
         return max(1.0, float(np.abs(self.vertices).max()))
 
-    @cached_property
+    @property
     def frames(self) -> list[FaceFrame]:
         """Per face: SVD plane fit signed by the face's own Newell sum, then
-        the deterministic in-plane basis and the projected cycle.  Faces of
-        equal length are fitted together, in one call per length."""
-        out = [None] * len(self.faces)
-        for k in np.flatnonzero(np.bincount(self.face_size)):
-            rows = np.flatnonzero(self.face_size == k)
+        the deterministic in-plane basis and the projected cycle."""
+        return self.face_frames(range(len(self.known_frames)))
+
+    def face_frames(self, faces) -> list[FaceFrame]:
+        """The frames of the given faces.  Those not known yet are fitted,
+        faces of equal length in one call; a face's frame has the same
+        bits fitted alone or in a stack, so the order of fitting does not
+        matter."""
+        todo = np.array([f for f in faces if self.known_frames[f] is None],
+                        dtype=np.intp)
+        sizes = self.face_size[todo]
+        for k in np.flatnonzero(np.bincount(sizes)):
+            rows = todo[sizes == k]
             pts = self.vertices[self.corner_vertex[
                 self.face_start[rows, None] + np.arange(k)]]
             c, n, resid = _geom.plane_fit(pts)
@@ -254,8 +293,8 @@ class MeshGeometry:
             poly = _geom.project_2d(pts, c, u, v)
             for f, *frame in zip(rows.tolist(), c, n, resid.tolist(), u, v,
                                  poly):
-                out[f] = FaceFrame(*frame)
-        return out
+                self.known_frames[f] = FaceFrame(*frame)
+        return [self.known_frames[f] for f in faces]
 
     @cached_property
     def triangles(self) -> list[np.ndarray]:
@@ -292,9 +331,9 @@ class MeshGeometry:
         the side opposite the first face's Newell normal.  Each face's
         inward direction at the edge is its normal crossed with its own
         traversal direction, which is correct for non-convex faces too."""
-        slots = np.array(self.edge_slots, dtype=np.intp).reshape(-1, 2, 2)
-        c1 = self.face_start[slots[:, 0, 0]] + slots[:, 0, 1]
-        c2 = self.face_start[slots[:, 1, 0]] + slots[:, 1, 1]
+        cells = self.cells
+        c1 = self.face_start[cells[:, 0]] + cells[:, 1]
+        c2 = self.face_start[cells[:, 2]] + cells[:, 3]
         a = self.vertices[self.corner_vertex[c1]]
         t = self.vertices[self.corner_vertex[self.next_corner[c1]]] - a
         t /= np.linalg.norm(t, axis=1)[:, None]
@@ -317,70 +356,109 @@ def flat_edges(p: Polyhedron, tolerances: ToleranceSet,
     return [int(e) for e in np.flatnonzero(near_pi) if p.edges[e] not in seams]
 
 
-def _half_edges(faces):
-    """All (face, slot, u, v) traversals."""
-    out = []
-    for fi, cyc in enumerate(faces):
-        k = len(cyc)
-        for s in range(k):
-            out.append((fi, s, cyc[s], cyc[(s + 1) % k]))
-    return out
+def _edge_cells(cells: np.ndarray, corners: _Corners, check: bool
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """An explicit pairing as (E, 4) rows (f1, s1, f2, s2), sorted by vertex
+    pair and then by the half-edges; returns the rows and their (E, 2)
+    vertex pairs (lower id first).  With `check`, every half-edge must lie
+    in exactly one cell and both halves of a cell traverse one segment."""
+    half = cells.reshape(-1, 2)
+    f, s = half[:, 0], half[:, 1]
+    if check:
+        ok = (f >= 0) & (f < len(corners.size))
+        ok[ok] = (s[ok] >= 0) & (s[ok] < corners.size[f[ok]])
+        if not ok.all():
+            i = np.argmin(ok)
+            raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) out of range")
+    corner = corners.start[f] + s
+    if check:
+        order = np.argsort(corner, kind="stable")
+        again = order[1:][corner[order[1:]] == corner[order[:-1]]]
+        if again.size:
+            i = again.min()
+            raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) paired twice")
+    u = corners.vertex[corner]
+    v = corners.vertex[corners.next[corner]]
+    ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+    ends = ends.reshape(-1, 2, 2)
+    if check:
+        bad = np.flatnonzero((ends[:, 0] != ends[:, 1]).any(axis=1))
+        if bad.size:
+            (f1, s1, f2, s2) = cells[bad[0]]
+            raise NonManifoldEdge(
+                f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
+                f"different segments")
+        if 2 * len(cells) != len(corners.vertex):
+            raise NonManifoldEdge("edge_slots do not cover every half-edge")
+    ends = ends[:, 0]
+    order = np.lexsort((cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
+                        ends[:, 1], ends[:, 0]))
+    return cells[order], ends[order]
+
+
+def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the half-edges by unordered vertex pair; every pair must occur
+    exactly twice.  Returns the (E, 4) cells, ordered by vertex pair and
+    within a cell by half-edge, and their (E, 2) vertex pairs."""
+    u, v = corners.vertex, corners.vertex[corners.next]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((np.arange(len(u)), hi, lo))
+    lo, hi = lo[order], hi[order]
+    key_starts = np.ones(len(lo), dtype=bool)
+    key_starts[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.flatnonzero(key_starts)
+    uses = np.diff(np.r_[first, len(lo)])
+    bad = np.flatnonzero(uses != 2)
+    if bad.size:
+        i = first[bad[0]]
+        raise NonManifoldEdge(
+            f"edge {(int(lo[i]), int(hi[i]))} used {uses[bad[0]]} times; "
+            f"meshes with doubled segments need explicit edge_slots")
+    slot = order - corners.start[corners.face[order]]
+    cells = np.stack([corners.face[order], slot], axis=1).reshape(-1, 4)
+    return cells, np.stack([lo[::2], hi[::2]], axis=1)
+
+
+def _as_tuples(cells: np.ndarray, ends: np.ndarray
+               ) -> tuple[EdgeSlots, tuple[tuple[int, int], ...]]:
+    return (tuple(((a, b), (c, d)) for a, b, c, d in cells.tolist()),
+            tuple(map(tuple, ends.tolist())))
 
 
 def _derive_edge_slots(faces):
     """Pair the half-edges by unordered vertex pair; every pair must occur
     exactly twice.  Returns (edge_slots, edge_pairs)."""
-    groups: dict[tuple[int, int], list[HalfEdge]] = {}
-    for fi, s, u, v in _half_edges(faces):
-        key = (u, v) if u < v else (v, u)
-        groups.setdefault(key, []).append((fi, s))
-    cells = []
-    for key in sorted(groups):
-        uses = groups[key]
-        if len(uses) != 2:
-            raise NonManifoldEdge(
-                f"edge {key} used {len(uses)} times; meshes with doubled "
-                f"segments need explicit edge_slots")
-        cells.append((key, (uses[0], uses[1])))
-    return tuple(c[1] for c in cells), tuple(c[0] for c in cells)
+    return _as_tuples(*_derived_cells(_corner_layout(faces)))
 
 
-def _validate_edge_slots(faces, edge_slots):
-    """Check an explicit pairing: every half-edge in exactly one cell and
-    both halves of a cell traversing the same vertex pair."""
-    seen: set[HalfEdge] = set()
-    pairs = []
-    for (f1, s1), (f2, s2) in edge_slots:
-        for (f, s) in ((f1, s1), (f2, s2)):
-            if not (0 <= f < len(faces)) or not (0 <= s < len(faces[f])):
-                raise NonManifoldEdge(f"half-edge ({f}, {s}) out of range")
-            if (f, s) in seen:
-                raise NonManifoldEdge(f"half-edge ({f}, {s}) paired twice")
-            seen.add((f, s))
-        c1, c2 = faces[f1], faces[f2]
-        p1 = frozenset((c1[s1], c1[(s1 + 1) % len(c1)]))
-        p2 = frozenset((c2[s2], c2[(s2 + 1) % len(c2)]))
-        if p1 != p2 or len(p1) != 2:
-            raise NonManifoldEdge(
-                f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
-                f"different segments")
-        pairs.append(tuple(sorted(p1)))
-    total = sum(len(c) for c in faces)
-    if 2 * len(edge_slots) != total:
-        raise NonManifoldEdge("edge_slots do not cover every half-edge")
-    order = sorted(range(len(pairs)), key=lambda i: (pairs[i], edge_slots[i]))
-    return tuple(edge_slots[i] for i in order), \
-        tuple(pairs[i] for i in order)
+# Newell sums are quadratic in the coordinates and their squared lengths
+# quartic; below this bound those stay under 1e256, clear of overflow.
+COORDINATE_LIMIT = 1e64
 
 
 def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERANCES,
                      metadata: MeshMetadata | None = None,
-                     edge_slots: EdgeSlots | None = None) -> Polyhedron:
+                     edge_slots: EdgeSlots | np.ndarray | None = None,
+                     carried: Sequence[FaceFrame | None] | None = None
+                     ) -> Polyhedron:
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
     face planarity/simplicity/area, distinct edge endpoints, no flat (pi)
     dihedral angles, and connectivity of the face-adjacency graph.
+
+    `edge_slots` pairs the face sides explicitly, as ((face, slot),
+    (face, slot)) cells or an (E, 2, 2) array; without it sides are paired
+    by vertex pair.
+
+    `carried` is for a surgery step.  It has one entry for each of the
+    first faces, which the step took over from meshes validated before:
+    the face's FaceFrame when its points did not move, else None.  Those
+    faces' cycles, planarity and simplicity are not checked again, an
+    explicit pairing is only sorted, and connectivity holds by
+    construction, so the orientation search waits for its first use.  The
+    checks over the whole mesh (coordinates, edge lengths, face areas,
+    flat edges) still run, since the step may change the tolerance scale.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -392,9 +470,16 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
     if bad.size:
         raise DegenerateFace(f"vertex {bad[0]} has a non-finite coordinate "
                              f"{tuple(pts[bad[0]].tolist())}")
+    bad = np.flatnonzero(np.abs(pts).max(axis=1) > COORDINATE_LIMIT)
+    if bad.size:
+        raise DegenerateFace(f"vertex {bad[0]} has a coordinate beyond "
+                             f"{COORDINATE_LIMIT:g}: "
+                             f"{tuple(pts[bad[0]].tolist())}")
 
-    cycles: list[tuple[int, ...]] = []
-    for fi, cyc in enumerate(faces):
+    faces = list(faces)
+    old = 0 if carried is None else len(carried)
+    cycles: list[tuple[int, ...]] = faces[:old]
+    for fi, cyc in enumerate(faces[old:], start=old):
         cyc = tuple(int(v) for v in cyc)
         if len(cyc) < 3:
             raise DegenerateFace(f"face {fi} has fewer than 3 vertices")
@@ -405,40 +490,46 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
                 raise IndexOutOfRange(f"face {fi} references vertex {v}")
         cycles.append(cyc)
 
+    corners = _corner_layout(cycles)
     if edge_slots is None:
-        slots, pairs = _derive_edge_slots(cycles)
+        cells, ends = _derived_cells(corners)
     else:
-        slots, pairs = _validate_edge_slots(cycles, edge_slots)
+        cells = np.asarray(edge_slots, dtype=np.intp).reshape(-1, 4)
+        cells, ends = _edge_cells(cells, corners, check=carried is None)
+    missing = np.flatnonzero(np.bincount(corners.vertex, minlength=n) == 0)
+    if missing.size:
+        raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")
 
-    used = set()
-    for cyc in cycles:
-        used.update(cyc)
-    if used != set(range(n)):
-        missing = sorted(set(range(n)) - used)
-        raise IndexOutOfRange(f"vertices {missing} appear in no face")
-
+    slots, pairs = _as_tuples(cells, ends)
     poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
                       metadata or MeshMetadata())
-    geo = poly.geometry
+    geo = poly.__dict__["geometry"] = MeshGeometry(
+        poly, carried or (), corners, _readonly(cells))
     scale = geo.scale
-    for (u, v) in set(pairs):
-        if np.linalg.norm(pts[u] - pts[v]) <= tolerances.length * scale:
-            raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
+    short = _geom.norm(pts[ends[:, 0]] - pts[ends[:, 1]]) \
+        <= tolerances.length * scale
+    if short.any():
+        u, v = ends[np.argmax(short)]
+        raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    for fi, frame in enumerate(geo.frames):
+    small = geo.area <= tolerances.length * scale * scale
+    new = range(old, len(cycles))
+    for fi, frame in zip(new, geo.face_frames(new)):
         if frame.residual > tolerances.planarity * scale:
             raise DegenerateFace(
                 f"face {fi} deviates {frame.residual:.2e} from planarity")
-        if geo.area[fi] <= tolerances.length * scale * scale:
+        if small[fi]:
             raise DegenerateFace(f"face {fi} has near-zero area")
         if not _geom.polygon_is_simple(frame.polygon):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
+    if small.any():
+        raise DegenerateFace(f"face {np.argmax(small)} has near-zero area")
 
     flat = flat_edges(poly, tolerances, poly.metadata.seam_edges)
     if flat:
         raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 
-    if 0 in poly.orientation[0]:
+    if carried is None and 0 in poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
 

@@ -10,10 +10,10 @@ import numpy as np
 
 from . import _geom
 from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
-                     FlatEdge, FlatSeam, FootprintTooLarge, HoleNotInside,
-                     NonNegativeChi, NotInteger, NotIsometric,
-                     SelfCrossingPartition)
-from .mesh import (DEFAULT_TOLERANCES, HalfEdge, Polyhedron,
+                     BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
+                     HoleNotInside, IndexOutOfRange, NonNegativeChi,
+                     NotInteger, NotIsometric, SelfCrossingPartition)
+from .mesh import (DEFAULT_TOLERANCES, Polyhedron,
                    ToleranceSet, build_polyhedron, euler_characteristic,
                    replace_meta)
 
@@ -108,60 +108,42 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron, corr: FaceCorrespondence,
             f"cycles are not congruent (rigid-fit residual {resid:.2e})")
     moved = (rot @ p2.vertices.T).T + tr
 
-    n1 = p1.n_vertices
-    seam = {v2: c1[i] for i, v2 in enumerate(mapping)}
-    new_id: dict[int, int] = {}
-    verts = [p1.vertices[i] for i in range(n1)]
-    for v2 in range(p2.n_vertices):
-        if v2 in seam:
-            new_id[v2] = seam[v2]
-        else:
-            new_id[v2] = len(verts)
-            verts.append(moved[v2])
+    # p2's vertices: the seam ones become face1's, the rest are appended
+    new_id = np.full(p2.n_vertices, -1, dtype=np.intp)
+    new_id[list(mapping)] = c1
+    fresh = new_id < 0
+    new_id[fresh] = p1.n_vertices + np.arange(np.count_nonzero(fresh))
+    verts = np.vstack([p1.vertices, moved[fresh]])
+    new_id = new_id.tolist()
 
     faces = [cyc for i, cyc in enumerate(p1.faces) if i != corr.face1]
-    for i, cyc in enumerate(p2.faces):
-        if i == corr.face2:
-            continue
-        faces.append(tuple(new_id[v] for v in cyc))
+    faces += [tuple(new_id[v] for v in cyc)
+              for i, cyc in enumerate(p2.faces) if i != corr.face2]
 
-    def f1_new(f):
-        return f - (1 if f > corr.face1 else 0)
-
-    def f2_new(f):
-        return (p1.n_faces - 1) + f - (1 if f > corr.face2 else 0)
-
-    # seam position of a p2 half edge on face2: the index i of face1's
-    # cycle whose image under the mapping is that segment
-    seam_pos = {}
-    for i in range(k):
-        a, b = mapping[i], mapping[(i + 1) % k]
-        seam_pos[frozenset((a, b))] = i
-
-    seam_half1: list[HalfEdge | None] = [None] * k
-    seam_half2: list[HalfEdge | None] = [None] * k
-    slots: list[tuple[HalfEdge, HalfEdge]] = []
-    for (fa, sa), (fb, sb) in p1.edge_slots:
-        if fa == corr.face1:
-            seam_half1[sa] = (f1_new(fb), sb)
-        elif fb == corr.face1:
-            seam_half1[sb] = (f1_new(fa), sa)
-        else:
-            slots.append(((f1_new(fa), sa), (f1_new(fb), sb)))
-    for (fa, sa), (fb, sb) in p2.edge_slots:
-        if fa == corr.face2 or fb == corr.face2:
-            f, s = ((fb, sb) if fa == corr.face2 else (fa, sa))
-            cyc2 = p2.faces[corr.face2]
-            s_on_face2 = sa if fa == corr.face2 else sb
-            key = frozenset((cyc2[s_on_face2],
-                             cyc2[(s_on_face2 + 1) % k]))
-            seam_half2[seam_pos[key]] = (f2_new(f), s)
-        else:
-            slots.append(((f2_new(fa), sa), (f2_new(fb), sb)))
-    for i in range(k):
-        if seam_half1[i] is None or seam_half2[i] is None:
+    # Every cell through face1 or face2 leaves one half-edge beyond the seam;
+    # the two left at position i of face1's cycle form that seam's cell.
+    # Side s of face2 sits at the position whose mapped segment it is.
+    cyc2 = p2.faces[corr.face2]
+    seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
+                for i in range(k)}
+    pos2 = [seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
+            for s in range(k)]
+    cells, halves = [], []
+    for p, face, pos, offset in ((p1, corr.face1, range(k), 0),
+                                 (p2, corr.face2, pos2, p1.n_faces - 1)):
+        rows = p.geometry.cells
+        half = np.full((k, 2), -1, dtype=np.intp)
+        for side, beyond in ((0, [2, 3]), (2, [0, 1])):
+            on = rows[:, side] == face
+            half[np.take(pos, rows[on, side + 1])] = rows[on][:, beyond]
+        if (half < 0).any():
             raise NotIsometric("seam pairing incomplete")
-        slots.append((seam_half1[i], seam_half2[i]))
+        rest = rows[(rows[:, [0, 2]] != face).all(axis=1)]
+        for f in (rest[:, 0::2], half[:, :1]):    # face ids in the result
+            f += offset - (f > face)
+        cells.append(rest)
+        halves.append(half)
+    cells.append(np.hstack(halves))
 
     seams = set(p1.metadata.seam_edges)
     for (u, w) in p2.metadata.seam_edges:
@@ -172,9 +154,11 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron, corr: FaceCorrespondence,
         f"connect_sum(face {corr.face1} ~ face {corr.face2})")
     meta.genus = None
     meta.orientable = None
+    carried = [fr for i, fr in enumerate(p1.geometry.known_frames)
+               if i != corr.face1] + [None] * (p2.n_faces - 1)
     try:
-        return build_polyhedron(np.array(verts), faces, tolerances, meta,
-                                edge_slots=tuple(slots))
+        return build_polyhedron(verts, faces, tolerances, meta,
+                                edge_slots=np.vstack(cells), carried=carried)
     except FlatEdge as exc:
         raise FlatSeam(str(exc)) from exc
 
@@ -314,8 +298,14 @@ def drill(p: Polyhedron, spec: DrillSpec,
     Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
     pierced faces are retiled over their existing vertices, so no other
     defect changes.  The axis may cross other faces of an immersed mesh;
-    such crossings only add self-intersection witnesses.
+    such crossings only add self-intersection witnesses.  A face id that
+    is not a face of p raises IndexOutOfRange, a placement number that is
+    not finite BadParameters.
+
+    Only the new faces (the retiled sub-faces and the prism walls) are
+    fitted and checked face by face; the kept faces carry their frames.
     """
+    _check_spec(p, spec)
     if spec.n < 3:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
@@ -323,8 +313,8 @@ def drill(p: Polyhedron, spec: DrillSpec,
     if p.has_multi_edges:
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
-    c1, n1, _, u1, v1, poly1 = p.geometry.frames[spec.face1]
-    c2, n2, _, u2, v2, poly2 = p.geometry.frames[spec.face2]
+    (c1, n1, _, u1, v1, poly1), (c2, n2, _, u2, v2, poly2) = \
+        p.geometry.face_frames((spec.face1, spec.face2))
     if abs(abs(float(n1 @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     scale = p.geometry.scale
@@ -386,7 +376,24 @@ def drill(p: Polyhedron, spec: DrillSpec,
     meta.provenance.append(
         f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
     meta.genus = None
-    return build_polyhedron(verts, faces, tolerances, meta)
+    carried = [fr for i, fr in enumerate(p.geometry.known_frames)
+               if i not in (spec.face1, spec.face2)]
+    return build_polyhedron(verts, faces, tolerances, meta, carried=carried)
+
+
+def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
+    """Reject face ids that are not faces of p and placement numbers that
+    are not finite."""
+    for f in (spec.face1, spec.face2):
+        if not 0 <= f < p.n_faces:
+            raise IndexOutOfRange(
+                f"face {f} out of range: the mesh has {p.n_faces} faces")
+    numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
+        + ([] if spec.point is None else list(spec.point))
+    if not np.isfinite(np.asarray(numbers, dtype=float)).all():
+        raise BadParameters(
+            f"drill placement must be finite: phase {spec.phase}, "
+            f"radius {spec.radius}, point {spec.point}")
 
 
 def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
@@ -403,13 +410,14 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec, tolerances)
-    c1, n1, _, u1, v1, poly1 = p.geometry.frames[spec.face1]
+    _check_spec(p, spec)
+    (c1, n1, _, u1, v1, poly1), (c2, *_) = \
+        p.geometry.face_frames((spec.face1, spec.face2))
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
     d0 = _geom.dist_point_polygon_boundary(q1, poly1)
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
-    c2 = p.geometry.frames[spec.face2].centroid
     plane2 = (float(n1 @ c2), n1)
 
     last_err: Exception | None = None
@@ -440,17 +448,29 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
 
 def _locate_face(p: Polyhedron, point: np.ndarray,
                  plane) -> tuple[int | None, float]:
-    """Face whose plane matches `plane` and whose polygon strictly contains
-    the point, plus the point's clearance to that polygon's boundary."""
+    """First face whose plane matches `plane` and whose polygon strictly
+    contains the point, plus the point's clearance to that polygon's
+    boundary.  The candidates are the faces whose corners all lie near the
+    plane; those of one length are tested together."""
     d0, n = plane
-    scale = p.geometry.scale
-    for f, frame in enumerate(p.geometry.frames):
-        if np.abs(p.face_points(f) @ n - d0).max() > 1e-7 * scale:
-            continue
-        q = _geom.project_2d(point[None, :], frame.centroid, frame.u,
-                             frame.v)[0]
-        clearance = _geom.dist_point_polygon_boundary(q, frame.polygon)
-        if _geom.point_in_polygon(q, frame.polygon) and \
-           clearance > 1e-9 * scale:
-            return f, clearance
-    return None, 0.0
+    geo = p.geometry
+    scale = geo.scale
+    offset = np.abs(p.vertices[geo.corner_vertex] @ n - d0)
+    faces = np.flatnonzero(
+        np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
+    frames = geo.face_frames(faces.tolist())
+    clearance = np.zeros(len(faces))
+    inside = np.zeros(len(faces), dtype=bool)
+    sizes = geo.face_size[faces]
+    for k in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == k)
+        c, u, v, poly = (np.array([getattr(frames[i], name) for i in rows])
+                         for name in ("centroid", "u", "v", "polygon"))
+        q = _geom.project_2d(np.broadcast_to(point, (len(rows), 1, 3)),
+                             c, u, v)[:, 0]
+        clearance[rows] = _geom.dist_point_polygon_boundary(q, poly)
+        inside[rows] = _geom.winds_around(q, poly)
+    hits = np.flatnonzero(inside & (clearance > 1e-9 * scale))
+    if hits.size == 0:
+        return None, 0.0
+    return int(faces[hits[0]]), float(clearance[hits[0]])

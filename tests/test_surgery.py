@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from ccpforge import (DrillSpec, FaceCorrespondence, build_polyhedron,
-                      choose_prism_order, classify, connect_sum,
-                      defect_profile, drill, drill_repeat,
+import ccpforge._geom as geom_mod
+import ccpforge.surgery as surgery_mod
+from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
+                      build_polyhedron, choose_prism_order, classify,
+                      connect_sum, defect_profile, drill, drill_repeat,
                       euler_characteristic, gen_cubohemioctahedron,
-                      gen_p2_24, gen_q3_18, gen_r_block,
+                      gen_minimal, gen_p2_24, gen_q3_18, gen_r_block,
                       gen_tetrahedron, is_embedded, retile_pierced_face)
+from ccpforge._geom import dist_point_polygon_boundary, dist_point_segment
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
-                             BadOrder, FlatSeam, HoleNotInside,
+                             BadOrder, CcpError, FlatSeam, HoleNotInside,
                              NonNegativeChi, NotInteger, NotIsometric)
+from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
+from ccpforge.surgery import _locate_face
 
-from conftest import cube_data
+from conftest import cube_data, random_rigid_motion
+from test_self_intersection_oracle import SMALL_GENERA
 
 R_PARAMS = (0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
 
@@ -202,3 +208,195 @@ class TestDrill:
         out = drill_repeat(p, DrillSpec(1, 0, 18), 1)
         tc = classify(out)
         assert not tc.orientable and tc.genus == 3 + 2
+
+
+# ---------------------------------------------------------------------------
+# incremental validation against a full rebuild
+
+# the meshes of the benchmark's construct-chain workload
+CONSTRUCT_CHAIN = [("minimal", 10, False), ("minimal", 20, False),
+                   ("minimal", 40, False), ("orientable", 4, False),
+                   ("orientable", 8, False), ("n5g", 15, False),
+                   ("nonorientable", 10, False), ("nonorientable", 10, True)]
+
+SURGERY_BUILT = [(name, genus, params, False)
+                 for name, genus, params in SMALL_GENERA
+                 if generate_family(FamilyRequest(name, genus, params))
+                 .metadata.surgery_count()] + \
+    [(name, genus, {}, fewest) for name, genus, fewest in CONSTRUCT_CHAIN]
+
+
+def assert_same_as_full_build(p):
+    """A surgery result equals the full validation of its own data: edge
+    cells, their order, the orientation and every frame, bit for bit."""
+    full = build_polyhedron(p.vertices, p.faces, metadata=p.metadata,
+                            edge_slots=p.edge_slots)
+    assert p.edges == full.edges
+    assert p.edge_slots == full.edge_slots
+    assert p.orientation == full.orientation
+    for got, want in zip(p.geometry.frames, full.geometry.frames,
+                         strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+
+def moved(p, seed):
+    rot, tr = random_rigid_motion(np.random.default_rng(seed))
+    return build_polyhedron((rot @ p.vertices.T).T + tr, p.faces,
+                            metadata=p.metadata, edge_slots=p.edge_slots)
+
+
+def test_surgery_built_list_covers_every_surgery():
+    assert {name for name, *_ in SURGERY_BUILT} >= {
+        "orientable", "q2-9", "q3-18", "nonorientable", "n5g", "minimal"}
+
+
+@pytest.mark.parametrize("name,genus,params,fewest", SURGERY_BUILT)
+def test_incremental_equals_full_validation(name, genus, params, fewest):
+    assert_same_as_full_build(
+        generate_family(FamilyRequest(name, genus, params, fewest)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_incremental_equals_full_validation_on_moved_inputs(seed):
+    r = moved(gen_r_block(*R_PARAMS), seed)
+    glued = connect_sum(r, moved(r, seed + 10),
+                        FaceCorrespondence(0, 0, mapping=(0, 2, 1)))
+    assert_same_as_full_build(glued)
+    assert_same_as_full_build(drill_repeat(moved(gen_p2_24(), seed),
+                                           DrillSpec(0, 1, 12), 2))
+    assert_same_as_full_build(drill_repeat(moved(gen_q3_18(), seed),
+                                           DrillSpec(1, 0, 18), 2))
+    # a T-block's rect C (d x 1) onto the next block's rect A (l = d)
+    chain = connect_sum(moved(gen_t_block(2.0, 1.5), seed),
+                        moved(gen_t_block(1.5, 1.0), seed + 20),
+                        FaceCorrespondence(2, 0, mapping=(0, 1, 4, 3)))
+    assert_same_as_full_build(chain)
+    assert_same_as_full_build(drill(moved(gen_cubohemioctahedron(), seed),
+                                    DrillSpec(*_find_z_faces(
+                                        gen_cubohemioctahedron()), 6)))
+
+
+def _raw_drill(monkeypatch, p, spec):
+    """The vertices, faces and keywords drill hands to build_polyhedron."""
+    seen = []
+    monkeypatch.setattr(surgery_mod, "build_polyhedron",
+                        lambda v, f, tol, meta, **kw: seen.append((v, f, kw)))
+    drill(p, spec)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("nudge,error", [
+    ("along_axis", "dihedral angle pi"),
+    ("onto_neighbour", "coincident endpoints"),
+    ("across_centre", "from planarity"),
+    ("past_neighbour", "not a simple polygon"),
+])
+def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
+                                                   error):
+    """Moving one vertex of a drill's new prism ring breaks its new faces;
+    the incremental and the full validation reject the result alike."""
+    p = moved(gen_p2_24(), 5)
+    verts, faces, kw = _raw_drill(monkeypatch, p, DrillSpec(0, 1, 12))
+    assert len(kw["carried"]) == p.n_faces - 2
+    verts = verts.copy()
+    a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
+    if nudge == "along_axis":
+        verts[a] += 1e-3 * p.geometry.normal[0]
+    elif nudge == "onto_neighbour":
+        verts[a] = verts[b]
+    elif nudge == "across_centre":
+        verts[a] = 2 * verts[a + 6] - verts[a]
+    else:                                      # a bow-tie prism wall
+        verts[a] = verts[b] + 0.5 * (verts[b] - verts[a])
+    with pytest.raises(CcpError, match=error) as incremental:
+        build_polyhedron(verts, faces, **kw)
+    with pytest.raises(CcpError) as full:
+        build_polyhedron(verts, faces)
+    assert incremental.type is full.type
+
+
+def test_chained_minimal_fits_few_face_rows(monkeypatch):
+    """gen_minimal(40) (282 faces) fits each T-block's faces once and no
+    face again after a connected sum."""
+    rows = []
+    fit = geom_mod.plane_fit
+
+    def counted(pts):
+        rows.append(1 if pts.ndim == 2 else len(pts))
+        return fit(pts)
+
+    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    assert gen_minimal(40).n_faces == 282
+    assert sum(rows) <= 200
+
+
+# ---------------------------------------------------------------------------
+# point location
+
+
+def test_locate_face_matches_a_face_by_face_scan():
+    p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 3)
+    n = p.geometry.frames[0].normal
+    rng = np.random.default_rng(8)
+    for face in range(p.n_faces):
+        frame = p.geometry.frames[face]
+        if abs(abs(frame.normal @ n) - 1.0) > 1e-9:
+            continue
+        plane = (float(frame.normal @ frame.centroid), frame.normal)
+        for point in [frame.centroid] + list(
+                frame.centroid + rng.normal(size=(4, 3)) * 0.3):
+            want = (None, 0.0)
+            for f in range(p.n_faces):   # the scan _locate_face replaced
+                fr = p.geometry.frames[f]
+                if np.abs(p.face_points(f) @ plane[1] - plane[0]).max() \
+                        > 1e-7 * p.geometry.scale:
+                    continue
+                q = geom_mod.project_2d(point[None, :], fr.centroid, fr.u,
+                                        fr.v)[0]
+                clear = dist_point_polygon_boundary(q, fr.polygon)
+                if geom_mod.point_in_polygon(q, fr.polygon) and \
+                        clear > 1e-9 * p.geometry.scale:
+                    want = (f, clear)
+                    break
+            assert _locate_face(p, point, plane) == want
+
+
+def _winding_loop(pt, poly):
+    """The side-by-side winding count point_in_polygon used to run."""
+    wn = 0
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        cross = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
+        if a[1] <= pt[1]:
+            wn += b[1] > pt[1] and cross > 0
+        else:
+            wn -= b[1] <= pt[1] and cross < 0
+    return wn != 0
+
+
+def test_point_location_is_the_loop_row_by_row():
+    """winds_around and dist_point_polygon_boundary, on one polygon or a
+    stack, give what the side-by-side loops give for each polygon, to the
+    bit, zero-length sides and points on the boundary included."""
+    rng = np.random.default_rng(12)
+    for k in (3, 4, 7, 12):
+        for scale in (1e-5, 1.0, 1e5):
+            polys = rng.normal(size=(40, k, 2)) * scale
+            polys[::5, 1] = polys[::5, 0]               # zero-length sides
+            polys[::5, -1] = polys[::5, 0]
+            pts = rng.normal(size=(40, 2)) * scale
+            pts[::7] = polys[::7, 2]                    # on a vertex
+            pts[1::7] = 0.5 * (polys[1::7, 0] + polys[1::7, 1])  # on a side
+            winds = geom_mod.winds_around(pts, polys)
+            dists = dist_point_polygon_boundary(pts, polys)
+            for pt, poly, w, d in zip(pts, polys, winds, dists):
+                want = min(dist_point_segment(pt, poly[i], poly[(i + 1) % k])
+                           for i in range(k))
+                assert np.array_equal(d, want)
+                assert np.array_equal(dist_point_polygon_boundary(pt, poly),
+                                      want)
+                assert w == geom_mod.winds_around(pt, poly) == \
+                    _winding_loop(pt, poly)
+                assert geom_mod.point_in_polygon(pt, poly) == \
+                    (want >= 1e-14 and _winding_loop(pt, poly))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccpforge import (build_polyhedron, format_pi_multiple, gen_minimal,
-                      gen_nonorientable, gen_orientable, gen_q2_9,
+                      gen_nonorientable, gen_orientable, gen_p2_24, gen_q2_9,
                       gen_tetrahedron, gen_tetrahemihexahedron, load_json,
                       load_mesh, read_obj, save_json, verify,
                       write_obj, write_stl)
@@ -234,6 +234,29 @@ def test_directory_exit_2(tmp_path, capsys):
         _bad_input_exits_2(capsys, folder, tmp_path / "out.json")
 
 
+@pytest.mark.parametrize("flags,error", [
+    (["--face-a", "999", "--face-b", "1"], "IndexOutOfRange: face 999"),
+    (["--face-a", "-1", "--face-b", "1"], "IndexOutOfRange: face -1"),
+    (["--face-a", "0", "--face-b", "18", "--k", "2"],
+     "IndexOutOfRange: face 18"),
+    (["--face-a", "0", "--face-b", "1", "--phase", "nan"], "BadParameters"),
+    (["--face-a", "0", "--face-b", "1", "--phase", "inf", "--k", "2"],
+     "BadParameters"),
+    (["--face-a", "0", "--face-b", "1", "--radius", "nan"], "BadParameters"),
+], ids=["face_past_end", "negative_face", "face_past_end_k2", "nan_phase",
+        "inf_phase_k2", "nan_radius"])
+def test_drill_bad_placement_exit_2(tmp_path, capsys, flags, error):
+    """A face id that is not a face of the mesh, or a placement number that
+    is not finite, ends in a named error and exit 2 (p2-24 has 18 faces)."""
+    from ccpforge.cli import main
+    src, dst = tmp_path / "p2.json", tmp_path / "out.json"
+    save_json(gen_p2_24(), src)
+    assert main(["drill", str(src), *flags, "--n", "12",
+                 "-o", str(dst)]) == 2
+    assert error in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_obj_round_trip_of_drilled_mesh(tmp_path):
     # OBJ drops metadata; re-import must detect the flat subdivision seams
     from ccpforge import DrillSpec, drill, gen_p2_24
@@ -263,6 +286,11 @@ def _tet_json(**parts):
     return json.dumps(doc)
 
 
+def _tet_scaled(factor):
+    return _tet_json(vertices=(factor * np.array(mesh_to_document(
+        gen_tetrahedron())["vertices"])).tolist())
+
+
 def _tet_vertex(first):
     return _tet_json(vertices=[first] + mesh_to_document(
         gen_tetrahedron())["vertices"][1:])
@@ -277,6 +305,8 @@ CONTRACT_CASES = [
     ("edge_cells.json", _tet_json(edge_cells=[[1]]), 2, "BadFile"),
     ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
     ("inf.json", _tet_vertex([float("inf"), 0, 0]), 2, "vertex 0"),
+    ("huge.json", _tet_scaled(1.7e308), 2, "DegenerateFace: vertex 0"),
+    ("overflow.json", _tet_scaled(1e154), 2, "DegenerateFace: vertex 0"),
     ("short_v.obj", TET_OBJ.replace("v 1 1 1", "v 0 0"), 2, "BadFile"),
     ("word_v.obj", TET_OBJ.replace("v 1 1 1", "v a 0 0"), 2, "BadFile"),
     ("zero_index.obj", TET_OBJ.replace("f 1 2 3", "f 0 1 2"), 2, "BadFile"),
