@@ -21,6 +21,16 @@ def norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(a, a))
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis, componentwise as np.cross
+    computes them (a1*b2 - a2*b1, ...), so with its bits, but without its
+    axis moves."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    parts = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    return np.concatenate([c[..., None] for c in parts], axis=-1)
+
+
 def _succ(a: np.ndarray, axis: int = -2) -> np.ndarray:
     """Each entry's successor along a cyclic axis: np.roll(a, -1, axis)
     for axis -1 or -2, without np.roll's per-call overhead."""
@@ -41,7 +51,7 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = pts - c[..., None, :]
     _, _, vt = np.linalg.svd(d, full_matrices=False)
     n = vt[..., -1, :]
-    newell = np.cross(pts, _succ(pts)).sum(axis=-2)
+    newell = cross(pts, _succ(pts)).sum(axis=-2)
     n = np.where((dot(n, newell) < 0)[..., None], -n, n)
     resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
     return c, n, resid
@@ -55,7 +65,7 @@ def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]) * 1.0
     w = e - dot(e, n)[..., None] * n
     u = w / norm(w)[..., None]
-    return u, np.cross(n, u)
+    return u, cross(n, u)
 
 
 def project_2d(pts: np.ndarray, origin: np.ndarray, u: np.ndarray,
@@ -74,29 +84,28 @@ def polygon_area_2d(p: np.ndarray) -> np.ndarray:
     return 0.5 * (dot(x, _succ(y, -1)) - dot(y, _succ(x, -1)))
 
 
-def _segments_cross(a, b, c, d, eps=1e-12):
-    """Proper or touching intersection of open segments ab and cd."""
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and \
-       ((o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)):
-        return True
-    return False
-
-
 def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
-    """Check that no two non-adjacent edges of the 2D cycle cross."""
-    k = len(p)
-    for i in range(k):
-        a, b = p[i], p[(i + 1) % k]
-        for j in range(i + 1, k):
-            if j == i or (j + 1) % k == i or (i + 1) % k == j:
+    """Check that no two non-adjacent edges of the 2D cycle cross
+    properly: each endpoint of one lies more than eps to a strict side of
+    the other's line.  The loop runs on Python floats, which round each
+    orientation product exactly as numpy scalars do."""
+    pts = p.tolist()
+    k = len(pts)
+    neps = -eps
+    # per side: its two ends and its direction
+    sides = [(ax, ay, bx, by, bx - ax, by - ay)
+             for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    for i in range(k - 2):
+        ax, ay, bx, by, ux, uy = sides[i]
+        # side i meets side i + 1 and, for i = 0, side k - 1 at a corner
+        for cx, cy, dx, dy, vx, vy in sides[i + 2:k if i else k - 1]:
+            o1 = ux * (cy - ay) - uy * (cx - ax)
+            o2 = ux * (dy - ay) - uy * (dx - ax)
+            if not (o1 > eps and o2 < neps or o1 < neps and o2 > eps):
                 continue
-            c, d = p[j], p[(j + 1) % k]
-            if _segments_cross(a, b, c, d, eps):
+            o3 = vx * (ay - cy) - vy * (ax - cx)
+            o4 = vx * (by - cy) - vy * (bx - cx)
+            if o3 > eps and o4 < neps or o3 < neps and o4 > eps:
                 return False
     return True
 
@@ -152,57 +161,49 @@ def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
 
 def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int]]:
     """Triangulate a simple 2D polygon (reflex vertices allowed) by ear
-    clipping.  Returns index triples into the input cycle."""
+    clipping.  Returns index triples into the input cycle.  The loops run
+    on Python floats, which round each corner and containment product
+    exactly as numpy scalars do."""
     k = len(poly2d)
     if k < 3:
         raise DegenerateFace("polygon with fewer than 3 vertices")
     if k == 3:
         return [(0, 1, 2)]
-    idx = list(range(k))
-    pts = poly2d
-    ccw = polygon_area_2d(pts) > 0
-    tris: list[tuple[int, int, int]] = []
-    scale = max(1.0, float(np.abs(pts).max()))
+    s = 1.0 if polygon_area_2d(poly2d) > 0 else -1.0
+    scale = max(1.0, float(np.abs(poly2d).max()))
     area_eps = eps * scale * scale
-    guard = 0
+    neps = -area_eps
+    pts = poly2d.tolist()
+    idx = list(range(k))
+    tris: list[tuple[int, int, int]] = []
+    # each pass clips one ear or raises
     while len(idx) > 3:
-        guard += 1
-        if guard > 4 * k * k:
-            raise DegenerateFace("ear clipping failed to converge")
-        clipped = False
         m = len(idx)
         for ii in range(m):
-            i0, i1, i2 = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
-            a, b, c = pts[i0], pts[i1], pts[i2]
-            cross = _cross2(b - a, c - a)
-            if not ccw:
-                cross = -cross
-            if cross <= area_eps:
+            i0, i1, i2 = idx[ii - 1], idx[ii], idx[(ii + 1) % m]
+            (ax, ay), (bx, by), (cx, cy) = pts[i0], pts[i1], pts[i2]
+            abx, aby = bx - ax, by - ay
+            if s * (abx * (cy - ay) - aby * (cx - ax)) <= area_eps:
                 continue  # reflex or collinear corner
+            bcx, bcy = cx - bx, cy - by
+            cax, cay = ax - cx, ay - cy
             # no other remaining vertex inside the candidate ear
-            ok = True
-            for jj in idx:
-                if jj in (i0, i1, i2):
+            for j in idx:
+                if j == i0 or j == i1 or j == i2:
                     continue
-                if _tri_contains(a, b, c, pts[jj], ccw, area_eps):
-                    ok = False
+                px, py = pts[j]
+                if s * (abx * (py - ay) - aby * (px - ax)) >= neps and \
+                   s * (bcx * (py - by) - bcy * (px - bx)) >= neps and \
+                   s * (cax * (py - cy) - cay * (px - cx)) >= neps:
                     break
-            if ok:
+            else:
                 tris.append((i0, i1, i2))
-                idx.pop(ii)
-                clipped = True
+                del idx[ii]
                 break
-        if not clipped:
+        else:
             raise DegenerateFace("no ear found; polygon may be non-simple")
     tris.append((idx[0], idx[1], idx[2]))
     return tris
-
-
-def _tri_contains(a, b, c, p, ccw, eps):
-    s = 1.0 if ccw else -1.0
-    return (s * _cross2(b - a, p - a) >= -eps and
-            s * _cross2(c - b, p - b) >= -eps and
-            s * _cross2(a - c, p - c) >= -eps)
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _geom
 from .errors import BadFile, IndexOutOfRange
 from .mesh import (DEFAULT_TOLERANCES, MeshMetadata, Polyhedron,
                    ToleranceSet, build_polyhedron, flat_edges)
@@ -208,7 +209,7 @@ def write_stl(p: Polyhedron, path) -> None:
     blob = bytearray(header)
     blob += struct.pack("<I", len(tris))
     for t in tris:
-        n = np.cross(t[1] - t[0], t[2] - t[0])
+        n = _geom.cross(t[1] - t[0], t[2] - t[0])
         norm = np.linalg.norm(n)
         n = n / norm if norm > 0 else n
         blob += struct.pack("<3f", *n)

@@ -431,6 +431,10 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
         return gen_tetrahemihexahedron()
     if g == 2:
         return gen_q2_9()
+    if prefer_fewest and g % 2 == 1 and g > N5G_MAX_GENUS:
+        raise GenusOutOfRange(
+            f"nonorientable with prefer_fewest covers odd genus up to "
+            f"{N5G_MAX_GENUS} (its n5g range), not {g}")
     if prefer_fewest:
         if g % 2 == 1:
             out = gen_n5g_odd(g)
@@ -630,6 +634,11 @@ def _n5g_params(g: int):
     return a, h2, r
 
 
+# Beyond g = 23 the (g - 7)/2 drills of the genus-7 member no longer fit in
+# its pierced face (FootprintTooLarge from drill 2/9 at g = 25).
+N5G_MAX_GENUS = 23
+
+
 def gen_n5g_odd(g: int) -> Polyhedron:
     """Non-orientable odd-genus family with 5g vertices and defect
     (4-2g)*pi/(5g): a g-gonal antiprism drum whose downward lateral
@@ -638,8 +647,9 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     genus-7 member."""
     from .surgery import DrillSpec, FaceCorrespondence, connect_sum, \
         drill_repeat
-    if g < 3 or g % 2 == 0:
-        raise GenusOutOfRange("family covers odd genus >= 3")
+    if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
+        raise GenusOutOfRange(
+            f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
     if g > 11:
         base = gen_n5g_odd(7)
         out = drill_repeat(base, DrillSpec(face1=0, face2=1, n=7),
@@ -847,13 +857,19 @@ def _chain_half(params: list[tuple[float, float]]):
     return mesh, give_face, give_cycle
 
 
+# From g = 46 the T(l, d) widths outgrow the unit block height so far that
+# the first face's area falls below the length tolerance (DegenerateFace).
+MINIMAL_MAX_GENUS = 45
+
+
 def gen_minimal(g: int, l1: float = 2.0, root_tol: float = 1e-12) -> Polyhedron:
     """Orientable genus-g surface on 2g+4 vertices with constant defect
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
     side rectangles, with a terminal centre block for odd genus."""
     from .surgery import FaceCorrespondence, connect_sum
-    if g < 1:
-        raise GenusOutOfRange("genus must be >= 1")
+    if not 1 <= g <= MINIMAL_MAX_GENUS:
+        raise GenusOutOfRange(
+            f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
     params = solve_block_params(g, l1, root_tol)
     defect = -(2 * g - 2) * math.pi / (g + 2)
     if g == 1:
@@ -926,15 +942,15 @@ CATALOG: tuple[FamilyInfo, ...] = (
                "no"),
     FamilyInfo("cho", "cubohemioctahedron", "4", "12", "no"),
     FamilyInfo("nonorientable", "chained or fewest-vertex dispatch",
-               ">=1", "5g / 7g-14 odd, 4g-8 even (fewest)", "no"),
+               ">=1", "5g / 7g-14 odd (<=23), 4g-8 even (fewest)", "no"),
     FamilyInfo("v8g", "windowed 2g-gonal prism", ">=2", "8g", "yes"),
     FamilyInfo("v6g", "windowed g-gonal prism", ">=5", "6g", "yes"),
     FamilyInfo("v7gm7", "windowed prism with a central ring tunnel",
                "4..6", "7g-7", "yes"),
     FamilyInfo("n5g", "antiprism drum with projective handles",
-               "odd >=3", "5g (<=11), 7g-14 beyond", "no"),
+               f"odd 3..{N5G_MAX_GENUS}", "5g (<=11), 7g-14 beyond", "no"),
     FamilyInfo("minimal", "glued T(l,d) chain, fewest known vertices",
-               ">=1", "2g+4", "yes"),
+               f"1..{MINIMAL_MAX_GENUS}", "2g+4", "yes"),
 )
 
 

@@ -124,19 +124,6 @@ class Polyhedron:
             object.__setattr__(self, "_edge_lookup", lookup)
             return self._edge_lookup[key]
 
-    def edge_faces(self, e: int) -> tuple[int, int]:
-        """The two faces bordering edge cell e."""
-        (f1, _), (f2, _) = self.edge_slots[e]
-        return f1, f2
-
-    def edge_direction(self, e: int, side: int) -> int:
-        """+1 when the side-th face of edge e traverses it from the lower
-        to the higher vertex id, else -1."""
-        f, s = self.edge_slots[e][side]
-        cyc = self.faces[f]
-        u = cyc[s]
-        return 1 if u == self.edges[e][0] else -1
-
     def vertex_faces(self, v: int) -> list[int]:
         try:
             table = self._vertex_face_table
@@ -158,12 +145,12 @@ class Polyhedron:
         return MeshGeometry(self)
 
     @cached_property
-    def orientation(self) -> tuple[tuple[int, ...], bool]:
-        """Each face's orientation sign and whether any two conflict, from
-        one search over the face-adjacency graph (see _orientation_signs);
-        computed on first use and kept for the life of the mesh."""
-        sign, conflict = _orientation_signs(self)
-        return tuple(sign), conflict
+    def orientation(self) -> tuple[bool, bool]:
+        """Whether the surface is connected and whether it is orientable,
+        from one search of its orientation double cover (see
+        _orientation_cover); computed on first use and kept for the life
+        of the mesh."""
+        return _orientation_cover(self)
 
     def with_metadata(self, **kw) -> "Polyhedron":
         out = replace(self, metadata=replace_meta(self.metadata, **kw))
@@ -253,7 +240,7 @@ class MeshGeometry:
         """(F, 3) Newell normals; each has length twice the face area."""
         pts = self.vertices[self.corner_vertex]
         return _readonly(np.add.reduceat(
-            np.cross(pts, pts[self.next_corner]), self.face_start, axis=0))
+            _geom.cross(pts, pts[self.next_corner]), self.face_start, axis=0))
 
     @cached_property
     def area(self) -> np.ndarray:
@@ -311,7 +298,7 @@ class MeshGeometry:
         pts = self.vertices[self.corner_vertex]
         nxt = pts[self.next_corner] - pts
         prv = pts[self.prev_corner] - pts
-        cross = np.cross(nxt, prv)
+        cross = _geom.cross(nxt, prv)
         theta = np.arctan2(np.linalg.norm(cross, axis=1),
                            np.einsum("ij,ij->i", nxt, prv))
         reflex = np.einsum("ij,ij->i", cross,
@@ -326,25 +313,31 @@ class MeshGeometry:
         return _readonly(2.0 * np.pi - total)
 
     @cached_property
+    def cell_corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per edge cell: the corners that start its two half-edges, and
+        whether the two traverse its segment in the same sense."""
+        cells = self.cells
+        c1 = self.face_start[cells[:, 0]] + cells[:, 1]
+        c2 = self.face_start[cells[:, 2]] + cells[:, 3]
+        same = self.corner_vertex[c1] == self.corner_vertex[c2]
+        return _readonly(c1), _readonly(c2), _readonly(same)
+
+    @cached_property
     def dihedrals(self) -> np.ndarray:
         """Per edge cell: the dihedral angle in [0, 2*pi), measured through
         the side opposite the first face's Newell normal.  Each face's
         inward direction at the edge is its normal crossed with its own
         traversal direction, which is correct for non-convex faces too."""
-        cells = self.cells
-        c1 = self.face_start[cells[:, 0]] + cells[:, 1]
-        c2 = self.face_start[cells[:, 2]] + cells[:, 3]
+        c1, c2, same = self.cell_corners
         a = self.vertices[self.corner_vertex[c1]]
         t = self.vertices[self.corner_vertex[self.next_corner[c1]]] - a
         t /= np.linalg.norm(t, axis=1)[:, None]
         n1 = self.normal[self.corner_face[c1]]
-        # both sides traverse the same segment, in equal or opposite senses
-        same = self.corner_vertex[c2] == self.corner_vertex[c1]
-        w2 = np.cross(self.normal[self.corner_face[c2]], t)
+        w2 = _geom.cross(self.normal[self.corner_face[c2]], t)
         w2[~same] *= -1.0
         w2 /= np.linalg.norm(w2, axis=1)[:, None]
         ang = np.arctan2(-np.einsum("ij,ij->i", n1, w2),
-                         np.einsum("ij,ij->i", np.cross(n1, t), w2))
+                         np.einsum("ij,ij->i", _geom.cross(n1, t), w2))
         return _readonly(np.where(ang < 0, ang + 2.0 * np.pi, ang))
 
 
@@ -529,43 +522,59 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
     if flat:
         raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 
-    if carried is None and 0 in poly.orientation[0]:
+    if carried is None and not poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
 
 
-def _orientation_signs(p: Polyhedron) -> tuple[list[int], bool]:
-    """Propagate a face orientation from face 0 over the adjacency graph.
+def _orientation_cover(p: Polyhedron) -> tuple[bool, bool]:
+    """Connectivity and orientability, from the orientation double cover.
 
-    Returns each face's sign (+1 keep cycle, -1 reversed, 0 unreached, so
-    the surface is disconnected) and whether any two signs conflicted.
+    The cover has 2F nodes, the face-sides: face f as stored (node f) and
+    reversed (node f + F).  Each side traverses the edges of its face in
+    one sense, and each edge cell links the two pairs of sides that
+    traverse it in opposite senses, as consistently oriented neighbours
+    do.  The surface is connected iff every face reaches face 0 or its
+    reverse, and orientable iff face 0 does not reach its own reverse
+    (Hatcher, Algebraic Topology, section 3.3).
     """
-    sign = [0] * p.n_faces
-    sign[0] = 1
-    stack = [0]
-    conflict = False
-    edges_of: list[list[int]] = [[] for _ in range(p.n_faces)]
-    for e in range(p.n_edges):
-        f1, f2 = p.edge_faces(e)
-        edges_of[f1].append(e)
-        edges_of[f2].append(e)
-    while stack:
-        f = stack.pop()
-        for e in edges_of[f]:
-            f1, f2 = p.edge_faces(e)
-            side = 0 if f == f1 else 1
-            g = f2 if side == 0 else f1
-            d_f = p.edge_direction(e, side)
-            d_g = p.edge_direction(e, 1 - side)
-            # consistent orientation: the two (sign-adjusted) cycles must
-            # traverse the shared edge in opposite directions
-            need = -sign[f] * d_f * d_g
-            if sign[g] == 0:
-                sign[g] = need
-                stack.append(g)
-            elif sign[g] != need:
-                conflict = True
-    return sign, conflict
+    geo, nf = p.geometry, p.n_faces
+    _, _, same = geo.cell_corners
+    # stored faces that traverse the cell in the same sense link to each
+    # other's reverse
+    f1, f2 = geo.cells[:, 0], geo.cells[:, 2] + np.where(same, nf, 0)
+    root = _components(np.concatenate([f1, f1 + nf]),
+                       np.concatenate([f2, (f2 + nf) % (2 * nf)]), 2 * nf)
+    face = root[:nf]
+    connected = bool(((face == root[0]) | (face == root[nf])).all())
+    return connected, bool(root[0] != root[nf])
+
+
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Per node of the graph on n nodes with links (u, v): the least node
+    of its component.
+
+    Min-hooking with pointer jumping (Shiloach & Vishkin 1982): each round
+    hooks every tree's root onto the least root linked to the tree, if
+    smaller, then jumps pointers until every node points at its root.  A
+    tree that neither hooks nor is hooked onto has a neighbour that hooked
+    onto a smaller root, so it hooks in the next round.  A component's
+    trees thus halve every two rounds: O(log n) rounds, where label
+    propagation needs as many as the graph's diameter.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        join = ru != rv
+        if not join.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[join],
+                      np.minimum(ru, rv)[join])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def euler_characteristic(p: Polyhedron) -> int:
@@ -573,13 +582,13 @@ def euler_characteristic(p: Polyhedron) -> int:
 
 
 def is_orientable(p: Polyhedron) -> bool:
-    """Propagate a face orientation over the adjacency graph; orientable iff
-    no conflict arises.  Raises DisconnectedSurface on multi-component input.
-    """
-    sign, conflict = p.orientation
-    if 0 in sign:
+    """Whether the faces can be oriented consistently (see
+    Polyhedron.orientation).  Raises DisconnectedSurface on
+    multi-component input."""
+    connected, orientable = p.orientation
+    if not connected:
         raise DisconnectedSurface("cannot orient a disconnected surface")
-    return not conflict
+    return orientable
 
 
 def topology_from(chi: int, orientable: bool) -> TopologyClass:

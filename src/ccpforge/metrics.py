@@ -188,7 +188,7 @@ class _TriangleScan:
         self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            n = _geom.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
             norm = _geom.norm(n)
             self.degenerate = norm == 0     # touches nothing
             n /= norm[:, None]
@@ -268,8 +268,11 @@ class _TriangleScan:
         live = live[~_one_side(s2, eps)]
         coplanar = (np.abs(s1[live]) <= eps).all(axis=1)
         flat, cross = live[coplanar], live[~coplanar]
-        hit_c, pts_c = self._overlap(j[flat], t1[flat])
-        hit_x, pts_x = self._crossing(j[cross], t1[cross], s1[cross])
+        # a branch with no rows is skipped, not run on empty arrays
+        hit_c, pts_c = self._overlap(j[flat], t1[flat]) if flat.size \
+            else (np.zeros(0, bool), np.zeros((0, 3)))
+        hit_x, pts_x = self._crossing(j[cross], t1[cross], s1[cross]) \
+            if cross.size else (np.zeros(0, bool), np.zeros((0, 5, 3)))
         rows = np.concatenate([flat[hit_c], np.repeat(cross[hit_x], 5)])
         place = np.concatenate([np.zeros(hit_c.sum(), np.intp),
                                 np.tile(np.arange(5), hit_x.sum())])

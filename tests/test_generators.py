@@ -335,3 +335,55 @@ def test_generate_family_dispatch():
     ).n_vertices == 6
     with pytest.raises(GenusOutOfRange):
         generate_family(FamilyRequest("minimal"))
+
+
+class TestGenusLimits:
+    """Each family builds and verifies up to the limit it advertises and
+    raises GenusOutOfRange, naming that limit, before any work beyond."""
+
+    @pytest.mark.parametrize("family,genus,fewest", [
+        ("minimal", 45, False), ("n5g", 23, False),
+        ("nonorientable", 23, True)])
+    def test_last_genus_builds_and_verifies(self, family, genus, fewest):
+        from ccpforge import verify
+        report = verify(generate_family(
+            FamilyRequest(family, genus, prefer_fewest=fewest)))
+        assert report.verdict == "ccp_immersed"
+        assert report.topology.genus == genus
+
+    @pytest.mark.parametrize("family,genus,fewest,limit", [
+        ("minimal", 46, False, "1..45"), ("minimal", 100, False, "1..45"),
+        ("n5g", 25, False, "3..23"), ("n5g", 41, False, "3..23"),
+        ("nonorientable", 25, True, "up to 23")])
+    def test_beyond_the_limit_raises_before_any_work(
+            self, monkeypatch, tmp_path, family, genus, fewest, limit):
+        import ccpforge.generators as generators
+        import ccpforge.surgery as surgery
+        from ccpforge.cli import main
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls.append(name)
+                return fn(*args, **kw)
+            return wrapper
+
+        for module, name in ((generators, "solve_block_params"),
+                             (surgery, "drill"), (surgery, "drill_repeat"),
+                             (surgery, "connect_sum")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        with pytest.raises(GenusOutOfRange, match=limit):
+            generate_family(FamilyRequest(family, genus, prefer_fewest=fewest))
+        assert calls == []
+        out = tmp_path / "mesh.json"
+        argv = ["generate", "--family", family, "--genus", str(genus),
+                "-o", str(out)] + ["--prefer-fewest"] * fewest
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_catalog_advertises_the_limits(self):
+        from ccpforge import CATALOG
+        ranges = {f.family: f.genus_range for f in CATALOG}
+        assert ranges["minimal"] == "1..45"
+        assert ranges["n5g"] == "odd 3..23"

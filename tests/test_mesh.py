@@ -10,7 +10,8 @@ from ccpforge import (build_polyhedron, classify, euler_characteristic,
 from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
-from ccpforge.mesh import topology_from
+from ccpforge.mesh import (MeshMetadata, Polyhedron, _derive_edge_slots,
+                           topology_from)
 
 from conftest import cube_data, random_rigid_motion
 from test_self_intersection_oracle import SMALL_GENERA, family
@@ -123,19 +124,97 @@ def test_flat_edge_beside_non_convex_face_rejected():
         build_polyhedron(verts, faces)
 
 
+def reference_orientation(p):
+    """The depth-first orientation search that the double cover replaced:
+    propagate a sign from face 0 over the face-adjacency graph.  Returns
+    (connected, orientable) as Polyhedron.orientation does."""
+    def faces_of(e):
+        (f1, _), (f2, _) = p.edge_slots[e]
+        return f1, f2
+
+    def direction(e, side):
+        f, s = p.edge_slots[e][side]
+        return 1 if p.faces[f][s] == p.edges[e][0] else -1
+
+    sign = [0] * p.n_faces
+    sign[0] = 1
+    stack = [0]
+    conflict = False
+    edges_of = [[] for _ in range(p.n_faces)]
+    for e in range(p.n_edges):
+        f1, f2 = faces_of(e)
+        edges_of[f1].append(e)
+        edges_of[f2].append(e)
+    while stack:
+        f = stack.pop()
+        for e in edges_of[f]:
+            f1, f2 = faces_of(e)
+            side = 0 if f == f1 else 1
+            g = f2 if side == 0 else f1
+            need = -sign[f] * direction(e, side) * direction(e, 1 - side)
+            if sign[g] == 0:
+                sign[g] = need
+                stack.append(g)
+            elif sign[g] != need:
+                conflict = True
+    return 0 not in sign, not conflict
+
+
+ORIENTATION_CASES = [(name, genus, False, params)
+                     for name, genus, params in SMALL_GENERA] + [
+    ("nonorientable", g, fewest, {})
+    for g in (3, 4, 6, 7, 8, 10) for fewest in (False, True)]
+
+
+@pytest.mark.parametrize("name,genus,fewest,params", ORIENTATION_CASES)
+def test_orientation_cover_agrees_with_search(name, genus, fewest, params):
+    p = family(name, genus, fewest, **params)
+    assert p.orientation == reference_orientation(p) == \
+        (True, classify(p).orientable)
+    if p.has_multi_edges:
+        return
+    # reversing some cycles makes stored neighbours traverse shared edges
+    # in the same sense, which the cover must see through
+    rng = np.random.default_rng(p.n_faces)
+    flip = rng.random(p.n_faces) < 0.5
+    q = build_polyhedron(p.vertices, [c[::-1] if f else c
+                                      for c, f in zip(p.faces, flip)],
+                         metadata=p.metadata)
+    assert q.orientation == reference_orientation(q) == p.orientation
+
+
+def disjoint_union(a, b, shift=10.0):
+    v = np.vstack([a.vertices, b.vertices + shift])
+    f = list(a.faces) + [tuple(i + a.n_vertices for i in c) for c in b.faces]
+    slots, pairs = _derive_edge_slots(f)
+    return Polyhedron(v, tuple(f), pairs, slots, MeshMetadata()), v, f
+
+
+@pytest.mark.parametrize("second", [gen_tetrahedron, gen_tetrahemihexahedron])
+def test_disjoint_surfaces_are_disconnected(second):
+    p, v, f = disjoint_union(gen_tetrahedron(), second())
+    assert p.orientation == reference_orientation(p) == (False, True)
+    with pytest.raises(DisconnectedSurface):
+        classify(p)
+    with pytest.raises(DisconnectedSurface):
+        is_orientable(p)
+    with pytest.raises(DisconnectedSurface):
+        build_polyhedron(v, f)
+
+
 def test_orientation_search_runs_once_per_mesh(monkeypatch, tmp_path):
     import ccpforge.mesh as mesh_mod
     from ccpforge import load_json, save_json, verify
     path = tmp_path / "q2_9.json"
     save_json(gen_q2_9(), path)
     calls = []
-    search = mesh_mod._orientation_signs
+    search = mesh_mod._orientation_cover
 
     def counted(p):
         calls.append(p)
         return search(p)
 
-    monkeypatch.setattr(mesh_mod, "_orientation_signs", counted)
+    monkeypatch.setattr(mesh_mod, "_orientation_cover", counted)
     p = load_json(path)
     assert not verify(p).topology.orientable
     relabelled = p.with_metadata(family="relabelled")
