@@ -2,9 +2,9 @@
 polyhedra (closed polyhedral surfaces whose angular defect is the same at
 every vertex)."""
 
-from .mesh import (DEFAULT_TOLERANCES, MeshMetadata, Polyhedron,
-                   ToleranceSet, TopologyClass, build_polyhedron, classify,
-                   euler_characteristic, is_orientable)
+from .mesh import (MeshMetadata, Polyhedron, TopologyClass,
+                   build_polyhedron, classify, euler_characteristic,
+                   is_orientable)
 from .metrics import (DefectProfile, IntersectionWitness, angular_defect,
                       corner_angle, defect_profile, descartes_residual,
                       dihedral_angle, edge_length, is_embedded,
@@ -26,9 +26,8 @@ from .fileio import (load_json, load_mesh, read_obj, save_json, save_mesh,
                      write_obj, write_stl)
 
 __all__ = [
-    "DEFAULT_TOLERANCES", "MeshMetadata", "Polyhedron", "ToleranceSet",
-    "TopologyClass", "build_polyhedron", "classify", "euler_characteristic",
-    "is_orientable",
+    "MeshMetadata", "Polyhedron", "TopologyClass", "build_polyhedron",
+    "classify", "euler_characteristic", "is_orientable",
     "DefectProfile", "IntersectionWitness", "angular_defect", "corner_angle",
     "defect_profile", "descartes_residual", "dihedral_angle", "edge_length",
     "is_embedded", "self_intersections",

@@ -163,17 +163,20 @@ def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int
     """Triangulate a simple 2D polygon (reflex vertices allowed) by ear
     clipping.  Returns index triples into the input cycle.  The loops run
     on Python floats, which round each corner and containment product
-    exactly as numpy scalars do."""
+    exactly as numpy scalars do; the orientation is the sign of the
+    shoelace sum."""
     k = len(poly2d)
     if k < 3:
         raise DegenerateFace("polygon with fewer than 3 vertices")
     if k == 3:
         return [(0, 1, 2)]
-    s = 1.0 if polygon_area_2d(poly2d) > 0 else -1.0
+    pts = poly2d.tolist()
+    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                     in zip(pts, pts[1:] + pts[:1]))
+    s = 1.0 if twice_area > 0 else -1.0
     scale = max(1.0, float(np.abs(poly2d).max()))
     area_eps = eps * scale * scale
     neps = -area_eps
-    pts = poly2d.tolist()
     idx = list(range(k))
     tris: list[tuple[int, int, int]] = []
     # each pass clips one ear or raises

@@ -15,19 +15,23 @@ import sys
 from .errors import BadParameters, CcpError
 from .fileio import load_mesh, save_mesh
 from .generators import CATALOG, FamilyRequest, generate_family
-from .mesh import DEFAULT_TOLERANCES
 from .surgery import DrillSpec, drill_repeat
 from .verify import format_report, verify
+
+
+def _number(text) -> float:
+    """float(text), or nan when text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _parse_params(items):
     out = {}
     for item in items or []:
         k, _, v = item.partition("=")
-        try:
-            value = float(v)
-        except ValueError:
-            value = math.nan
+        value = _number(v)
         if not math.isfinite(value):
             raise BadParameters(f"--param expects key=number, got {item!r}")
         out[k.strip()] = value
@@ -35,10 +39,17 @@ def _parse_params(items):
 
 
 def _defect_tolerance(args):
-    if getattr(args, "tolerance", None) is not None:
-        return args.tolerance
-    env = os.environ.get("CCP_TOLERANCE")
-    return float(env) if env else None
+    """The defect band --tolerance or else CCP_TOLERANCE sets, if any: a
+    finite positive number."""
+    given = args.tolerance if args.tolerance is not None \
+        else os.environ.get("CCP_TOLERANCE")
+    if given in (None, ""):
+        return None
+    value = _number(given)
+    if not (math.isfinite(value) and value > 0):
+        raise BadParameters(f"the defect tolerance must be a finite "
+                            f"positive number, got {given!r}")
+    return value
 
 
 def cmd_generate(args) -> int:
@@ -52,9 +63,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mesh = load_mesh(args.file)
-    report = verify(mesh, DEFAULT_TOLERANCES,
-                    defect_tolerance=_defect_tolerance(args))
+    tolerance = _defect_tolerance(args)
+    report = verify(load_mesh(args.file), defect_tolerance=tolerance)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
     else:

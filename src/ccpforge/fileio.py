@@ -11,8 +11,7 @@ import numpy as np
 
 from . import _geom
 from .errors import BadFile, IndexOutOfRange
-from .mesh import (DEFAULT_TOLERANCES, MeshMetadata, Polyhedron,
-                   ToleranceSet, build_polyhedron, flat_edges)
+from .mesh import MeshMetadata, Polyhedron, build_polyhedron, flat_edges
 
 FORMAT_VERSION = 1
 
@@ -80,9 +79,7 @@ def _metadata(m) -> MeshMetadata:
     )
 
 
-def document_to_mesh(doc: dict,
-                     tolerances: ToleranceSet = DEFAULT_TOLERANCES
-                     ) -> Polyhedron:
+def document_to_mesh(doc: dict) -> Polyhedron:
     """Build the mesh a native JSON document describes.  A document whose
     parts are not of the documented shapes raises BadFile."""
     if not isinstance(doc, dict):
@@ -114,7 +111,7 @@ def document_to_mesh(doc: dict,
                           "[[face, slot], [face, slot]] pairs")
         slots = tuple((tuple(c[0]), tuple(c[1])) for c in cells)
     return build_polyhedron(verts.astype(float), [tuple(f) for f in faces],
-                            tolerances, meta, edge_slots=slots)
+                            meta, edge_slots=slots)
 
 
 def save_json(p: Polyhedron, path) -> None:
@@ -130,13 +127,12 @@ def _read_text(path) -> str:
         raise BadFile(f"{path} is not text: {exc}") from exc
 
 
-def load_json(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
-              ) -> Polyhedron:
+def load_json(path) -> Polyhedron:
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise BadFile(f"{path} is not JSON: {exc}") from exc
-    return document_to_mesh(doc, tolerances)
+    return document_to_mesh(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +162,7 @@ def _obj_index(token: str, n_vertices: int, lineno: int) -> int:
     return i - 1 if i > 0 else n_vertices + i
 
 
-def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
-             ) -> Polyhedron:
+def read_obj(path) -> Polyhedron:
     """Read an OBJ file.  OBJ carries no metadata, so flat edges between
     two coplanar faces (subdivision seams, e.g. from a retiled drill) are
     detected geometrically and recorded as seams rather than rejected."""
@@ -190,9 +185,9 @@ def read_obj(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
     # keep as seams the sides that are flat
     sides = {(min(u, v), max(u, v))
              for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])}
-    p = build_polyhedron(np.array(verts, float), faces, tolerances,
+    p = build_polyhedron(np.array(verts, float), faces,
                          MeshMetadata(seam_edges=sides))
-    flat = flat_edges(p, tolerances, ())
+    flat = flat_edges(p, ())
     return p.with_metadata(seam_edges={p.edges[e] for e in flat})
 
 
@@ -230,13 +225,12 @@ def save_mesh(p: Polyhedron, path) -> None:
         save_json(p, path)
 
 
-def load_mesh(path, tolerances: ToleranceSet = DEFAULT_TOLERANCES
-              ) -> Polyhedron:
+def load_mesh(path) -> Polyhedron:
     """Dispatch on extension: .json (native) or .obj."""
     suffix = Path(path).suffix.lower()
     if suffix == ".obj":
-        return read_obj(path, tolerances)
+        return read_obj(path)
     if suffix == ".stl":
         raise IndexOutOfRange("STL is export-only (triangle soup loses "
                               "the face structure)")
-    return load_json(path, tolerances)
+    return load_json(path)

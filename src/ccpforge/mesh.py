@@ -31,16 +31,12 @@ HalfEdge = tuple[int, int]
 EdgeSlots = tuple[tuple[HalfEdge, HalfEdge], ...]
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Geometric tolerances used by validation and verification."""
-    planarity: float = 1e-9       # max vertex distance to best-fit face plane
-    angle: float = 1e-9           # radians; dihedral-pi rejection band
-    length: float = 1e-12        # edge-length comparisons (isometry checks)
-    defect: float = 1e-9          # defect-constancy band, radians
-
-
-DEFAULT_TOLERANCES = ToleranceSet()
+# The tolerance of each geometric check of validation and verification;
+# planarity and length are relative to MeshGeometry.scale.
+PLANARITY_TOL = 1e-9    # max vertex distance to the best-fit face plane
+ANGLE_TOL = 1e-9        # radians; dihedral-pi rejection band
+LENGTH_TOL = 1e-12      # edge-length comparisons (isometry checks)
+DEFECT_TOL = 1e-9       # defect-constancy band, radians
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,7 @@ class MeshMetadata:
     # pi and are exempt from the flat-edge rejection.
     seam_edges: set[tuple[int, int]] = field(default_factory=set)
 
+    # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
         return sum(1 for p in self.provenance
                    if p.startswith(("drill", "connect_sum")))
@@ -341,11 +338,10 @@ class MeshGeometry:
         return _readonly(np.where(ang < 0, ang + 2.0 * np.pi, ang))
 
 
-def flat_edges(p: Polyhedron, tolerances: ToleranceSet,
-               seams) -> list[int]:
-    """Edge cells whose dihedral angle is within the angle tolerance of pi,
-    other than those joining a vertex pair in `seams`."""
-    near_pi = np.abs(p.geometry.dihedrals - np.pi) < tolerances.angle
+def flat_edges(p: Polyhedron, seams) -> list[int]:
+    """Edge cells whose dihedral angle is within ANGLE_TOL of pi, other
+    than those joining a vertex pair in `seams`."""
+    near_pi = np.abs(p.geometry.dihedrals - np.pi) < ANGLE_TOL
     return [int(e) for e in np.flatnonzero(near_pi) if p.edges[e] not in seams]
 
 
@@ -429,7 +425,7 @@ def _derive_edge_slots(faces):
 COORDINATE_LIMIT = 1e64
 
 
-def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERANCES,
+def build_polyhedron(vertices, faces,
                      metadata: MeshMetadata | None = None,
                      edge_slots: EdgeSlots | np.ndarray | None = None,
                      carried: Sequence[FaceFrame | None] | None = None
@@ -500,15 +496,15 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
         poly, carried or (), corners, _readonly(cells))
     scale = geo.scale
     short = _geom.norm(pts[ends[:, 0]] - pts[ends[:, 1]]) \
-        <= tolerances.length * scale
+        <= LENGTH_TOL * scale
     if short.any():
         u, v = ends[np.argmax(short)]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    small = geo.area <= tolerances.length * scale * scale
+    small = geo.area <= LENGTH_TOL * scale * scale
     new = range(old, len(cycles))
     for fi, frame in zip(new, geo.face_frames(new)):
-        if frame.residual > tolerances.planarity * scale:
+        if frame.residual > PLANARITY_TOL * scale:
             raise DegenerateFace(
                 f"face {fi} deviates {frame.residual:.2e} from planarity")
         if small[fi]:
@@ -518,7 +514,7 @@ def build_polyhedron(vertices, faces, tolerances: ToleranceSet = DEFAULT_TOLERAN
     if small.any():
         raise DegenerateFace(f"face {np.argmax(small)} has near-zero area")
 
-    flat = flat_edges(poly, tolerances, poly.metadata.seam_edges)
+    flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:
         raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
-from .mesh import DEFAULT_TOLERANCES, Polyhedron, ToleranceSet, euler_characteristic
+from .mesh import ANGLE_TOL, DEFECT_TOL, Polyhedron, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,9 @@ def _defects(p: Polyhedron) -> np.ndarray:
     return p.geometry.defects
 
 
-def defect_profile(p: Polyhedron, tol: float | None = None) -> DefectProfile:
-    """Per-vertex defects with constancy statistics.
-
-    tol defaults to the mesh tolerance set's defect band (1e-9 rad);
-    surgery chains are usually checked at 1e-6.
-    """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.defect
+def defect_profile(p: Polyhedron, tol: float = DEFECT_TOL) -> DefectProfile:
+    """Per-vertex defects with constancy statistics: the defects are
+    constant when every one lies within tol (radians) of their mean."""
     d = _defects(p)
     mean = float(d.mean())
     dev = float(np.abs(d - mean).max())
@@ -88,16 +83,15 @@ def descartes_residual(p: Polyhedron) -> float:
     return abs(total - 2.0 * np.pi * euler_characteristic(p))
 
 
-def dihedral_angle(p: Polyhedron, e: int,
-                   tolerances: ToleranceSet = DEFAULT_TOLERANCES) -> float:
+def dihedral_angle(p: Polyhedron, e: int) -> float:
     """Dihedral angle at edge e in (0, 2*pi) \\ {pi}.
 
     Measured through the side opposite the first face's cycle normal, so
     reversing that face's stored cycle maps the value to 2*pi - value.
-    Raises FlatEdge within the angle tolerance of pi.
+    Raises FlatEdge within ANGLE_TOL of pi.
     """
     ang = float(p.geometry.dihedrals[e])
-    if abs(ang - np.pi) < tolerances.angle:
+    if abs(ang - np.pi) < ANGLE_TOL:
         raise FlatEdge(f"edge {p.edges[e]} has dihedral angle pi")
     return ang
 

@@ -13,9 +13,8 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (DEFAULT_TOLERANCES, Polyhedron,
-                   ToleranceSet, build_polyhedron, euler_characteristic,
-                   replace_meta)
+from .mesh import (LENGTH_TOL, Polyhedron, build_polyhedron,
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -52,9 +51,7 @@ def _alignments(cycle2: tuple[int, ...]):
 
 
 def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
-                           corr: FaceCorrespondence,
-                           tolerances: ToleranceSet = DEFAULT_TOLERANCES
-                           ) -> tuple[int, ...]:
+                           corr: FaceCorrespondence) -> tuple[int, ...]:
     """The face2 vertex ids aligned with face1's stored cycle."""
     c1 = p1.faces[corr.face1]
     c2 = p2.faces[corr.face2]
@@ -62,7 +59,7 @@ def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
         raise NotIsometric("face cycles have different lengths")
     scale = max(1.0, float(np.abs(p1.vertices).max()),
                 float(np.abs(p2.vertices).max()))
-    tol = tolerances.length * scale * 10
+    tol = LENGTH_TOL * scale * 10
 
     if corr.mapping is not None:
         mapping = tuple(int(v) for v in corr.mapping)
@@ -86,8 +83,8 @@ def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
     return found[0]
 
 
-def connect_sum(p1: Polyhedron, p2: Polyhedron, corr: FaceCorrespondence,
-                tolerances: ToleranceSet = DEFAULT_TOLERANCES) -> Polyhedron:
+def connect_sum(p1: Polyhedron, p2: Polyhedron,
+                corr: FaceCorrespondence) -> Polyhedron:
     """Remove the two corresponding faces, rigidly move p2 so the cycles
     coincide, and identify them vertex by vertex.
 
@@ -95,7 +92,7 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron, corr: FaceCorrespondence,
     pairing is carried through explicitly, so segments of the two pieces
     that come to share both endpoints remain distinct 1-cells.
     """
-    mapping = resolve_correspondence(p1, p2, corr, tolerances)
+    mapping = resolve_correspondence(p1, p2, corr)
     c1 = p1.faces[corr.face1]
     k = len(c1)
     src = p2.vertices[list(mapping)]
@@ -157,7 +154,7 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron, corr: FaceCorrespondence,
     carried = [fr for i, fr in enumerate(p1.geometry.known_frames)
                if i != corr.face1] + [None] * (p2.n_faces - 1)
     try:
-        return build_polyhedron(verts, faces, tolerances, meta,
+        return build_polyhedron(verts, faces, meta,
                                 edge_slots=np.vstack(cells), carried=carried)
     except FlatEdge as exc:
         raise FlatSeam(str(exc)) from exc
@@ -291,8 +288,7 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     return faces_local
 
 
-def drill(p: Polyhedron, spec: DrillSpec,
-          tolerances: ToleranceSet = DEFAULT_TOLERANCES) -> Polyhedron:
+def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
     """Tunnel a regular n-gonal prism between two parallel faces.
 
     Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
@@ -378,7 +374,7 @@ def drill(p: Polyhedron, spec: DrillSpec,
     meta.genus = None
     carried = [fr for i, fr in enumerate(p.geometry.known_frames)
                if i not in (spec.face1, spec.face2)]
-    return build_polyhedron(verts, faces, tolerances, meta, carried=carried)
+    return build_polyhedron(verts, faces, meta, carried=carried)
 
 
 def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
@@ -396,8 +392,7 @@ def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
             f"radius {spec.radius}, point {spec.point}")
 
 
-def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
-                 tolerances: ToleranceSet = DEFAULT_TOLERANCES) -> Polyhedron:
+def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     """Apply k parallel drills along offset copies of the axis.
 
     Axes are spread along a face-frame direction with spacing
@@ -409,7 +404,7 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
     if k < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:
-        return drill(p, spec, tolerances)
+        return drill(p, spec)
     _check_spec(p, spec)
     (c1, n1, _, u1, v1, poly1), (c2, *_) = \
         p.geometry.face_frames((spec.face1, spec.face2))
@@ -437,7 +432,7 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int,
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
                 out = drill(out, DrillSpec(f1, f2, spec.n, tuple(axis_pt),
-                                           radius, spec.phase), tolerances)
+                                           radius, spec.phase))
             return out
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mesh import (DEFAULT_TOLERANCES, Polyhedron, ToleranceSet,
-                   TopologyClass, classify, flat_edges)
+from .mesh import (DEFECT_TOL, PLANARITY_TOL, Polyhedron, TopologyClass,
+                   classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
                       descartes_residual, self_intersections)
 
@@ -78,17 +78,14 @@ def format_pi_multiple(x: float, max_denominator: int = 120) -> str:
 
 
 def verify(p: Polyhedron,
-           tolerances: ToleranceSet = DEFAULT_TOLERANCES,
            defect_tolerance: float | None = None) -> VerificationReport:
     """Run every check on a structurally valid mesh.
 
-    The defect-constancy tolerance escalates with the number of chained
-    surgeries (1e-6 * max(1, k) instead of the pristine 1e-9) because
-    composed rigid motions accumulate rounding.
+    Every mesh is held to the defect-constancy band DEFECT_TOL, whatever
+    its metadata says; `defect_tolerance` overrides it.
     """
-    k = p.metadata.surgery_count()
     if defect_tolerance is None:
-        defect_tolerance = tolerances.defect if k == 0 else 1e-6 * max(1, k)
+        defect_tolerance = DEFECT_TOL
 
     topo = classify(p)
     dp = defect_profile(p, tol=defect_tolerance)
@@ -96,7 +93,7 @@ def verify(p: Polyhedron,
 
     planarity = max((fr.residual for fr in p.geometry.frames), default=0.0)
     violations = [p.edges[e] for e in
-                  flat_edges(p, tolerances, p.metadata.seam_edges)]
+                  flat_edges(p, p.metadata.seam_edges)]
 
     witnesses = self_intersections(p)
 
@@ -109,7 +106,7 @@ def verify(p: Polyhedron,
                         topo.orientable == p.metadata.orientable))
 
     ok = (dp.is_constant and res < DESCARTES_TOL and not violations
-          and planarity <= tolerances.planarity * p.geometry.scale
+          and planarity <= PLANARITY_TOL * p.geometry.scale
           and (delta is None or delta < defect_tolerance)
           and genus_match in (None, True))
     if not ok:
@@ -132,7 +129,7 @@ def format_report(r: VerificationReport) -> str:
         f"defect               {r.defects.mean:.12g} rad"
         f" (= {format_pi_multiple(r.defects.mean)})",
         f"defect deviation     {r.defects.max_abs_deviation:.3g}"
-        f" (tolerance {r.defect_tolerance:.1g})",
+        f" (tolerance {r.defect_tolerance:g})",
         f"descartes residual   {r.descartes_residual:.3g}",
         f"planarity residual   {r.max_planarity_residual:.3g}",
         f"self-intersection    "

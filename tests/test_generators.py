@@ -342,8 +342,8 @@ class TestGenusLimits:
     raises GenusOutOfRange, naming that limit, before any work beyond."""
 
     @pytest.mark.parametrize("family,genus,fewest", [
-        ("minimal", 45, False), ("n5g", 23, False),
-        ("nonorientable", 23, True)])
+        ("minimal", 45, False), ("n5g", 19, False),
+        ("nonorientable", 19, True)])
     def test_last_genus_builds_and_verifies(self, family, genus, fewest):
         from ccpforge import verify
         report = verify(generate_family(
@@ -353,8 +353,9 @@ class TestGenusLimits:
 
     @pytest.mark.parametrize("family,genus,fewest,limit", [
         ("minimal", 46, False, "1..45"), ("minimal", 100, False, "1..45"),
-        ("n5g", 25, False, "3..23"), ("n5g", 41, False, "3..23"),
-        ("nonorientable", 25, True, "up to 23")])
+        ("n5g", 21, False, "3..19"), ("n5g", 25, False, "3..19"),
+        ("n5g", 41, False, "3..19"), ("nonorientable", 21, True, "up to 19"),
+        ("nonorientable", 25, True, "up to 19")])
     def test_beyond_the_limit_raises_before_any_work(
             self, monkeypatch, tmp_path, family, genus, fewest, limit):
         import ccpforge.generators as generators
@@ -386,4 +387,6 @@ class TestGenusLimits:
         from ccpforge import CATALOG
         ranges = {f.family: f.genus_range for f in CATALOG}
         assert ranges["minimal"] == "1..45"
-        assert ranges["n5g"] == "odd 3..23"
+        assert ranges["n5g"] == "odd 3..19"
+        counts = {f.family: f.vertex_count for f in CATALOG}
+        assert "odd (<=19)" in counts["nonorientable"]

@@ -281,7 +281,7 @@ def _raw_drill(monkeypatch, p, spec):
     """The vertices, faces and keywords drill hands to build_polyhedron."""
     seen = []
     monkeypatch.setattr(surgery_mod, "build_polyhedron",
-                        lambda v, f, tol, meta, **kw: seen.append((v, f, kw)))
+                        lambda v, f, meta, **kw: seen.append((v, f, kw)))
     drill(p, spec)
     monkeypatch.undo()
     return seen[0]

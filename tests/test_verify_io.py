@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccpforge import (build_polyhedron, format_pi_multiple, gen_minimal,
-                      gen_nonorientable, gen_orientable, gen_p2_24, gen_q2_9,
-                      gen_tetrahedron, gen_tetrahemihexahedron, load_json,
-                      load_mesh, read_obj, save_json, verify,
-                      write_obj, write_stl)
+from ccpforge import (MeshMetadata, build_polyhedron, format_pi_multiple,
+                      gen_minimal, gen_nonorientable, gen_orientable,
+                      gen_p2_24, gen_q2_9, gen_tetrahedron,
+                      gen_tetrahemihexahedron, load_json, load_mesh, read_obj,
+                      save_json, verify, write_obj, write_stl)
 from ccpforge.fileio import mesh_to_document
+
+from test_self_intersection_oracle import SMALL_GENERA, family
 
 
 class TestVerify:
@@ -39,10 +41,9 @@ class TestVerify:
         r = verify(build_polyhedron(v, f))
         assert r.verdict == "not_ccp"
 
-    def test_tolerance_escalation(self):
-        p = gen_nonorientable(7)          # two chained drills
-        r = verify(p)
-        assert r.defect_tolerance >= 1e-6
+    def test_surgery_built_mesh_held_to_the_one_band(self):
+        r = verify(gen_nonorientable(7))  # two chained drills
+        assert r.defect_tolerance == 1e-9
         assert r.verdict == "ccp_immersed"
 
     def test_report_dict(self):
@@ -54,6 +55,71 @@ class TestVerify:
     def test_idempotent(self):
         p = gen_q2_9()
         assert verify(p).to_dict() == verify(p).to_dict()
+
+
+def nudged_tetrahedron(provenance=()):
+    """A regular tetrahedron with one vertex moved by 1e-8: its defect
+    deviation, 5.8e-9, lies between the band 1e-9 and 1e-8."""
+    return build_polyhedron(
+        [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1 + 1e-8)],
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)],
+        metadata=MeshMetadata(provenance=list(provenance)))
+
+
+@pytest.mark.parametrize("provenance", [[], ["drill(n=3)"]])
+def test_provenance_does_not_widen_the_band(tmp_path, provenance):
+    """The nudged tetrahedron is not_ccp, whatever surgeries its
+    provenance claims."""
+    from ccpforge.cli import main
+    p = nudged_tetrahedron(provenance)
+    r = verify(p)
+    assert 1e-9 < r.defects.max_abs_deviation < 1e-8
+    assert r.defect_tolerance == 1e-9
+    assert r.verdict == "not_ccp"
+    path = tmp_path / "nudged.json"
+    save_json(p, path)
+    assert main(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("flag,env,code", [
+    (None, None, 1), ("1e-7", None, 0), (None, "1e-7", 0),
+    ("1e-9", "1e-7", 1),
+    (None, "abc", 2), (None, "nan", 2), (None, "-1", 2), (None, "0", 2),
+    ("nan", None, 2), ("-1", None, 2), ("inf", None, 2), ("0", None, 2),
+])
+def test_tolerance_override_contract(tmp_path, capsys, monkeypatch, flag,
+                                     env, code):
+    """--tolerance, or else CCP_TOLERANCE, sets the defect band of the
+    nudged tetrahedron; a band that is not a finite positive number ends
+    in BadParameters and exit 2."""
+    from ccpforge.cli import main
+    path = tmp_path / "nudged.json"
+    save_json(nudged_tetrahedron(), path)
+    if env is None:
+        monkeypatch.delenv("CCP_TOLERANCE", raising=False)
+    else:
+        monkeypatch.setenv("CCP_TOLERANCE", env)
+    argv = ["verify", str(path)] + ([] if flag is None
+                                    else ["--tolerance", flag])
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert ("BadParameters" in out.err) == (code == 2)
+    assert "Traceback" not in out.err
+
+
+def test_report_prints_the_band_it_used():
+    from ccpforge.verify import format_report
+    for band, text in ((None, "(tolerance 1e-09)"),
+                       (1.5e-7, "(tolerance 1.5e-07)")):
+        assert text in format_report(
+            verify(gen_tetrahedron(), defect_tolerance=band))
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
+def test_report_ignores_provenance(name, genus, params):
+    p = family(name, genus, **params)
+    assert verify(p).to_dict() == \
+        verify(p.with_metadata(provenance=[])).to_dict()
 
 
 def test_format_pi_multiple():
@@ -265,8 +331,7 @@ def test_obj_round_trip_of_drilled_mesh(tmp_path):
     write_obj(drilled, path)
     again = read_obj(path)
     assert again.n_vertices == drilled.n_vertices
-    r = verify(again, defect_tolerance=1e-6)
-    assert r.verdict == "ccp_embedded"
+    assert verify(again).verdict == "ccp_embedded"
 
 
 TET_OBJ = """v 1 1 1
