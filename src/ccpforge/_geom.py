@@ -147,14 +147,13 @@ def dist_point_segment(pt, a, b) -> float:
 def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
                                 ) -> np.ndarray:
     """Distances from (..., 2) points to the boundaries of (..., k, 2)
-    polygons: dist_point_segment over every side at once, rounded side by
-    side as that function rounds (a zero-length side measures to its
-    endpoint)."""
+    polygons, the two broadcast against each other: dist_point_segment
+    over every side at once, rounded side by side as that function rounds
+    (a zero-length side measures to its endpoint)."""
     ab = _succ(poly) - poly
     ap = pt[..., None, :] - poly
-    denom = dot(ab, ab)
-    t = np.divide(dot(ap, ab), denom, out=np.zeros(denom.shape),
-                  where=denom != 0.0)
+    num, denom = dot(ap, ab), dot(ab, ab)
+    t = np.divide(num, denom, out=np.zeros(num.shape), where=denom != 0.0)
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     return norm(pt[..., None, :] - (poly + t[..., None] * ab)).min(axis=-1)
 

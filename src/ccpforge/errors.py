@@ -11,7 +11,13 @@ class BadFile(CcpError):
     """An input path is not a readable mesh document: a directory, text
     that is not JSON, a document without vertices or faces or with a part
     of the wrong shape, or OBJ text whose vertex line lacks three numbers
-    or whose face token is not a valid index."""
+    or whose face token is not a valid index; or an output path that
+    cannot be written."""
+
+
+class NotRepresentable(CcpError):
+    """A mesh does not fit the output format: an STL coordinate beyond the
+    float32 range."""
 
 
 # ---- mesh construction / validation ----

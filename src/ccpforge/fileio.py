@@ -4,13 +4,12 @@ exactly, plus OBJ and binary STL export."""
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from . import _geom
-from .errors import BadFile, IndexOutOfRange
+from .errors import BadFile, IndexOutOfRange, NotRepresentable
 from .mesh import MeshMetadata, Polyhedron, build_polyhedron, flat_edges
 
 FORMAT_VERSION = 1
@@ -30,7 +29,7 @@ def mesh_to_document(p: Polyhedron) -> dict:
         meta["seam_edges"] = sorted(list(e) for e in p.metadata.seam_edges)
     doc = {
         "format_version": FORMAT_VERSION,
-        "vertices": [[float(x) for x in row] for row in p.vertices],
+        "vertices": p.vertices.tolist(),
         "faces": [list(cyc) for cyc in p.faces],
         "metadata": meta,
     }
@@ -115,7 +114,20 @@ def document_to_mesh(doc: dict) -> Polyhedron:
 
 
 def save_json(p: Polyhedron, path) -> None:
-    Path(path).write_text(json.dumps(mesh_to_document(p), indent=1) + "\n")
+    """Write the native JSON document on one line: without indent, json
+    encodes in C, and each double is written as its shortest repr, which
+    reads back to the same bits.  The layout is not part of the format."""
+    _write(path, (json.dumps(mesh_to_document(p)) + "\n").encode())
+
+
+def _write(path, data: bytes) -> None:
+    """Write an output file; a path that cannot be written (a directory,
+    a missing folder, no permission) raises BadFile."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise BadFile(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
 
 
 def _read_text(path) -> str:
@@ -143,7 +155,7 @@ def write_obj(p: Polyhedron, path) -> None:
     """Wavefront OBJ with 1-based indices; polygons are preserved."""
     lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in p.vertices]
     lines += ["f " + " ".join(str(i + 1) for i in cyc) for cyc in p.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _obj_index(token: str, n_vertices: int, lineno: int) -> int:
@@ -195,23 +207,32 @@ def read_obj(path) -> Polyhedron:
 # binary STL
 
 
+# one STL triangle record: normal, three corners, attribute byte count
+_STL_RECORD = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)),
+                        ("attribute", "<u2")])
+
+
 def write_stl(p: Polyhedron, path) -> None:
     """Binary little-endian STL; normals follow each triangle's winding
     (deterministic even for non-orientable meshes, where no global
-    orientation exists)."""
-    tris = [t for ts in p.geometry.triangles for t in ts]
-    header = b"ccp-forge" + b" " * 71
-    blob = bytearray(header)
-    blob += struct.pack("<I", len(tris))
-    for t in tris:
-        n = _geom.cross(t[1] - t[0], t[2] - t[0])
-        norm = np.linalg.norm(n)
-        n = n / norm if norm > 0 else n
-        blob += struct.pack("<3f", *n)
-        for q in t:
-            blob += struct.pack("<3f", *q)
-        blob += struct.pack("<H", 0)
-    Path(path).write_bytes(bytes(blob))
+    orientation exists).  A coordinate beyond the float32 range raises
+    NotRepresentable."""
+    tris = np.concatenate(p.geometry.triangles)
+    n = _geom.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    norm = _geom.norm(n)[:, None]
+    n = np.divide(n, norm, out=n, where=norm > 0)
+    records = np.zeros(len(tris), _STL_RECORD)
+    with np.errstate(over="ignore"):
+        records["normal"] = n
+        records["corners"] = tris
+    # a unit normal always fits; a coordinate may round to inf
+    wide = np.isinf(records["corners"]).any(axis=(1, 2))
+    if wide.any():
+        raise NotRepresentable(
+            f"triangle {int(np.argmax(wide))} does not fit the float32 "
+            f"range of STL (largest coordinate {np.abs(tris).max():.3g})")
+    header = b"ccp-forge".ljust(80) + len(tris).to_bytes(4, "little")
+    _write(path, header + records.tobytes())
 
 
 def save_mesh(p: Polyhedron, path) -> None:

@@ -721,9 +721,11 @@ def f_angle_sum(l: float, d: float) -> float:
         raise DomainError("l must be positive")
     if not 0.0 <= d <= 2.0 * l:
         raise DomainError(f"d = {d} outside [0, {2 * l}]")
-    u = np.clip((2 * l * l - d * d) / (2 * l * math.sqrt(l * l + 1)), -1, 1)
-    w = np.clip((2 * (l * l + 1) - d * d) / (2 * (l * l + 1)), -1, 1)
-    return 2 * math.acos(float(u)) + math.acos(float(w))
+    # clamped on Python floats: the solver calls this thousands of times
+    u = min(max((2 * l * l - d * d) / (2 * l * math.sqrt(l * l + 1)), -1.0),
+            1.0)
+    w = min(max((2 * (l * l + 1) - d * d) / (2 * (l * l + 1)), -1.0), 1.0)
+    return 2 * math.acos(u) + math.acos(w)
 
 
 def _solve_increasing(fn, lo: float, hi: float, target: float,

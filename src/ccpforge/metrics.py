@@ -262,6 +262,10 @@ class _TriangleScan:
         live = live[~_one_side(s2, eps)]
         coplanar = (np.abs(s1[live]) <= eps).all(axis=1)
         flat, cross = live[coplanar], live[~coplanar]
+        # a triangle that meets the other's plane in fewer than two points
+        # only touches it: drop it before the crossing test
+        on, cut = _plane_meets(s1[cross], eps)
+        cross = cross[np.count_nonzero(on | cut, axis=1) >= 2]
         # a branch with no rows is skipped, not run on empty arrays
         hit_c, pts_c = self._overlap(j[flat], t1[flat]) if flat.size \
             else (np.zeros(0, bool), np.zeros((0, 3)))
@@ -293,18 +297,17 @@ class _TriangleScan:
         """Transversal pairs: the segment where triangle tri meets triangle
         j's plane, clipped to triangle j (Liang-Barsky).  A pair is hit
         when some of the segment remains; its samples are the clipped
-        segment's ends, quarter points and midpoint."""
-        eps = self.eps
-        on = np.abs(s) <= eps
+        segment's ends, quarter points and midpoint.  Every row meets the
+        plane in at least two points (see _plane_meets)."""
+        on, cut = _plane_meets(s, self.eps)
         ends = tri.copy()
-        found = on.copy()
         for a in range(3):
-            b = (a + 1) % 3
-            cut = ~on[:, a] & ~on[:, b] & ((s[:, a] > 0) != (s[:, b] > 0))
-            sa, sb = s[cut, a], s[cut, b]
+            b, side = (a + 1) % 3, cut[:, a]
+            sa, sb = s[side, a], s[side, b]
             t = sa / (sa - sb)
-            ends[cut, a] = tri[cut, a] + t[:, None] * (tri[cut, b] - tri[cut, a])
-            found[:, a] |= cut
+            ends[side, a] = tri[side, a] + t[:, None] * (
+                tri[side, b] - tri[side, a])
+        found = on | cut
         # a triangle not in the plane meets it in at most two such points:
         # its vertices on the plane and its sides crossing the plane
         rows = np.arange(len(j))
@@ -315,7 +318,7 @@ class _TriangleScan:
         s2d = _geom.project_2d(seg, o, u, v)
         a, d = s2d[:, 0], s2d[:, 1] - s2d[:, 0]
         t_in, t_out = np.zeros(len(j)), np.ones(len(j))
-        alive = found.sum(axis=1) >= 2
+        alive = np.ones(len(j), bool)
         tri2 = self.ccw[j]
         for k in range(3):
             p0 = tri2[:, k]
@@ -376,6 +379,18 @@ class _TriangleScan:
 
 def _one_side(s: np.ndarray, eps: float) -> np.ndarray:
     return (s > eps).all(axis=1) | (s < -eps).all(axis=1)
+
+
+def _plane_meets(s: np.ndarray, eps: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Where triangles with signed vertex distances s (n, 3) to a plane
+    meet it: per vertex, whether it lies within eps of the plane, and per
+    side (vertex a to a + 1), whether its ends lie off the plane on
+    opposite sides."""
+    on = np.abs(s) <= eps
+    pos = s > 0
+    nxt = [1, 2, 0]
+    return on, ~on & ~on[:, nxt] & (pos != pos[:, nxt])
 
 
 def _best_per_pair(key, clearance, i, j, place, *rest):

@@ -214,10 +214,12 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     u, v = _geom.plane_basis(n)
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
-    for q in h2:
-        if not _geom.point_in_polygon(q, o2) or \
-           _geom.dist_point_polygon_boundary(q, o2) < 1e-12 * scale:
-            raise HoleNotInside("hole not strictly inside the outer polygon")
+    # every hole vertex at once: strictly inside (point_in_polygon) and
+    # clear of the boundary by 1e-12 * scale, which is the stricter bound
+    # as scale >= 1; a NaN distance fails both
+    clear = _geom.dist_point_polygon_boundary(h2, o2)
+    if not np.all((clear >= 1e-12 * scale) & _geom.winds_around(h2, o2)):
+        raise HoleNotInside("hole not strictly inside the outer polygon")
 
     # counterclockwise index sequences over the original cycles
     o_seq = list(range(ko)) if _geom.polygon_area_2d(o2) > 0 \
@@ -266,14 +268,17 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     annulus_area = abs(_geom.polygon_area_2d(o2)) - abs(_geom.polygon_area_2d(h2))
 
     def valid(faces_local):
+        # a partition is all quads or all triangles: one area call, and a
+        # triangle is always simple
+        pts = all2[np.array(faces_local)]
+        area = np.abs(_geom.polygon_area_2d(pts))
+        if (area < 1e-12 * scale * scale).any():
+            return False
+        if pts.shape[1] > 3 and not all(map(_geom.polygon_is_simple, pts)):
+            return False
         total = 0.0
-        for cyc in faces_local:
-            pts = all2[cyc]
-            area = abs(_geom.polygon_area_2d(pts))
-            if area < 1e-12 * scale * scale or \
-               not _geom.polygon_is_simple(pts):
-                return False
-            total += area
+        for a in area.tolist():     # summed in face order, as one at a time
+            total += a
         # exact partitions tile the annulus; any overlap inflates the sum
         return abs(total - annulus_area) < 1e-9 * scale * scale
 

@@ -1,0 +1,121 @@
+"""The angle solver and the annulus retiling of the ``ccp generate`` path
+against the numpy-call code they replaced (tests/scalar_generate.py): the
+same floats, partitions and errors, to the last bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+import ccpforge._geom as geom_mod
+import ccpforge.generators as generators_mod
+from ccpforge import f_angle_sum, retile_pierced_face, solve_block_params
+from ccpforge.errors import CcpError
+
+import scalar_generate
+from conftest import random_rigid_motion
+
+TAU = 2.0 * math.pi
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except CcpError as exc:
+        return type(exc), str(exc)
+
+
+def test_f_angle_sum_is_the_clipped_one():
+    rng = np.random.default_rng(21)
+    for l in [0.5, 1.0, 2.0, 9.7] + list(rng.uniform(1e-3, 1e3, 200)):
+        l = float(l)
+        for d in [0.0, l, 2 * l, math.nextafter(2 * l, 0.0)] + \
+                list(rng.uniform(0.0, 2 * l, 20)):
+            d = float(d)
+            got, want = f_angle_sum(l, d), scalar_generate.f_angle_sum(l, d)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (l, d)
+
+
+def test_solve_block_params_is_bit_identical(monkeypatch):
+    got = [solve_block_params(g) for g in range(1, 46)]
+    monkeypatch.setattr(generators_mod, "f_angle_sum",
+                        scalar_generate.f_angle_sum)
+    want = [solve_block_params(g) for g in range(1, 46)]
+
+    def bits(bp):
+        return [x.hex() for pair in bp.pairs + (bp.terminal or (),)
+                for x in pair]
+    assert [bits(bp) for bp in got] == [bits(bp) for bp in want]
+
+
+def star_annulus(rng, kind):
+    """A random star-shaped outer polygon and a hole polygon about a point
+    near its centre, both in a random plane at a random scale.  `kind`
+    moves one hole vertex onto the outer boundary, outside it, or within a
+    few 1e-12 * scale of it; "inside" leaves the hole alone."""
+    ko = int(rng.integers(3, 13))
+    kh = ko if rng.random() < 0.5 else int(rng.integers(3, 13))
+    ang = (np.arange(ko) + rng.uniform(0.1, 0.9, ko)) * TAU / ko
+    rad = rng.uniform(0.6, 1.4, ko)
+    outer = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    hang = (np.arange(kh) + rng.uniform(0.2, 0.8, kh)) * TAU / kh
+    hrad = rng.uniform(0.1, 0.55) * rng.uniform(0.8, 1.0, kh)
+    hole = rng.uniform(-0.15, 0.15, 2) + \
+        np.stack([hrad * np.cos(hang), hrad * np.sin(hang)], axis=1)
+    if rng.random() < 0.5:
+        outer = outer[::-1]
+    if rng.random() < 0.5:
+        hole = hole[::-1]
+    rot, t = random_rigid_motion(rng)
+    size = 10.0 ** rng.uniform(-3, 3)
+
+    def lift(q):
+        return (np.column_stack([q, np.zeros(len(q))]) * size) @ rot.T + t
+    # the tolerance unit of retile_pierced_face, in units of the 2D draw
+    unit = 1e-12 * max(1.0, float(np.abs(lift(outer)).max())) / size
+    i = int(rng.integers(ko))
+    a, b = outer[i], outer[(i + 1) % ko]
+    on_side = a + rng.uniform(0.0, 1.0) * (b - a)
+    inward = np.array([-(b - a)[1], (b - a)[0]]) / np.linalg.norm(b - a) \
+        * np.sign(geom_mod.polygon_area_2d(outer))
+    if kind == "boundary":
+        hole[0] = a if rng.random() < 0.3 else on_side
+    elif kind == "outside":
+        hole[0] = on_side * rng.uniform(1.01, 3.0)
+    elif kind == "near":
+        hole[0] = on_side + inward * rng.uniform(-1.0, 4.0) * unit
+    return lift(outer), lift(hole)
+
+
+@pytest.mark.parametrize("kind", ["inside", "boundary", "outside", "near"])
+def test_retile_is_the_per_vertex_loop(kind):
+    rng = np.random.default_rng(["inside", "boundary", "outside",
+                                 "near"].index(kind))
+    results = []
+    for _ in range(150):
+        outer, hole = star_annulus(rng, kind)
+        got = outcome(retile_pierced_face, outer, hole)
+        assert got == outcome(scalar_generate.retile_pierced_face, outer,
+                              hole)
+        results.append(type(got) is list)
+    # a hole vertex on or beyond the boundary always fails; the other
+    # kinds give both partitions and errors
+    if kind in ("boundary", "outside"):
+        assert not any(results)
+    else:
+        assert 0 < sum(results) < len(results)
+
+
+def test_retile_locates_the_hole_in_one_call(monkeypatch):
+    calls = []
+    real = geom_mod.dist_point_polygon_boundary
+
+    def counted(pt, poly):
+        calls.append(len(pt))
+        return real(pt, poly)
+    monkeypatch.setattr(geom_mod, "dist_point_polygon_boundary", counted)
+    outer, hole = star_annulus(np.random.default_rng(3), "inside")
+    retile_pierced_face(outer, hole)
+    assert calls == [len(hole)]

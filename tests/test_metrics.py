@@ -177,3 +177,22 @@ def test_r_block_identities():
         want2 = math.acos(math.sqrt(3) * (1 - r) / (2 * leg))
         assert corner_angle(p, f2, p.label("v3")) == pytest.approx(
             want2, abs=1e-12)
+
+
+def test_plane_meets():
+    """Vertices within eps of the plane, and sides whose ends lie off it
+    on opposite sides; a triangle with fewer than two such points only
+    touches the plane and never reaches the crossing test."""
+    from ccpforge.metrics import _plane_meets
+    s = np.array([[1.0, -1.0, 1.0],       # two sides cross
+                  [0.0, 1.0, 1.0],        # touches at a vertex
+                  [1e-13, 2.0, 3.0],      # touches within eps
+                  [0.0, 0.0, 1.0],        # a side on the plane
+                  [0.0, 1.0, -1.0],       # a vertex and the opposite side
+                  [-0.0, -1.0, -2.0]])
+    on, cut = _plane_meets(s, 1e-12)
+    assert on.tolist() == [[False] * 3, [True, False, False],
+                           [True, False, False], [True, True, False],
+                           [True, False, False], [True, False, False]]
+    assert cut.tolist() == [[True, True, False]] + [[False] * 3] * 3 + [
+        [False, True, False], [False] * 3]

@@ -400,3 +400,9 @@ def test_point_location_is_the_loop_row_by_row():
                     _winding_loop(pt, poly)
                 assert geom_mod.point_in_polygon(pt, poly) == \
                     (want >= 1e-14 and _winding_loop(pt, poly))
+            # many points against one polygon, as retile_pierced_face asks
+            one = dist_point_polygon_boundary(pts, polys[0])
+            assert np.array_equal(one, [dist_point_polygon_boundary(
+                pt, polys[0]) for pt in pts])
+            assert np.array_equal(geom_mod.winds_around(pts, polys[0]), [
+                _winding_loop(pt, polys[0]) for pt in pts])

@@ -16,6 +16,8 @@ from ccpforge import (MeshMetadata, build_polyhedron, format_pi_multiple,
                       gen_p2_24, gen_q2_9, gen_tetrahedron,
                       gen_tetrahemihexahedron, load_json, load_mesh, read_obj,
                       save_json, verify, write_obj, write_stl)
+from ccpforge import _geom
+from ccpforge.errors import NotRepresentable
 from ccpforge.fileio import mesh_to_document
 
 from test_self_intersection_oracle import SMALL_GENERA, family
@@ -131,6 +133,25 @@ def test_format_pi_multiple():
     assert format_pi_multiple(1.2345) == "1.2345"
 
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def stl_record_loop(p):
+    """The triangle-by-triangle STL writer that write_stl replaced."""
+    tris = [t for ts in p.geometry.triangles for t in ts]
+    blob = bytearray(b"ccp-forge" + b" " * 71)
+    blob += struct.pack("<I", len(tris))
+    for t in tris:
+        n = _geom.cross(t[1] - t[0], t[2] - t[0])
+        norm = np.linalg.norm(n)
+        n = n / norm if norm > 0 else n
+        blob += struct.pack("<3f", *n)
+        for q in t:
+            blob += struct.pack("<3f", *q)
+        blob += struct.pack("<H", 0)
+    return bytes(blob)
+
+
 class TestFileIO:
     def test_json_round_trip(self, tmp_path):
         p = gen_orientable(3)
@@ -172,6 +193,33 @@ class TestFileIO:
         n = struct.unpack("<I", blob[80:84])[0]
         assert n == sum(len(c) - 2 for c in p.faces)
         assert len(blob) == 84 + 50 * n
+
+    @pytest.mark.parametrize("make", [gen_q2_9, gen_p2_24])
+    def test_stl_bytes_are_the_record_loop(self, tmp_path, make):
+        p = make()
+        write_stl(p, tmp_path / "m.stl")
+        assert (tmp_path / "m.stl").read_bytes() == stl_record_loop(p)
+
+    @pytest.mark.parametrize("factor", [
+        1e38, FLOAT32_MAX, math.nextafter(FLOAT32_MAX + 2.0 ** 103, 0.0),
+        FLOAT32_MAX + 2.0 ** 103, 1e39])     # 2**103: half a float32 ulp
+    def test_stl_float32_range(self, tmp_path, factor):
+        """A coordinate that rounds to inf in float32 raises
+        NotRepresentable, exactly where struct.pack overflows."""
+        p = gen_tetrahedron()
+        big = build_polyhedron(p.vertices * factor, p.faces)
+        try:
+            want = stl_record_loop(big)
+        except OverflowError:
+            want = None
+        path = tmp_path / "big.stl"
+        if want is None:
+            with pytest.raises(NotRepresentable):
+                write_stl(big, path)
+            assert not path.exists()
+        else:
+            write_stl(big, path)
+            assert path.read_bytes() == want
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -298,6 +346,34 @@ def test_directory_exit_2(tmp_path, capsys):
         folder = tmp_path / name
         folder.mkdir()
         _bad_input_exits_2(capsys, folder, tmp_path / "out.json")
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    """generate, drill and export to a directory or into a missing folder
+    end in BadFile and exit 2."""
+    from ccpforge.cli import main
+    src = tmp_path / "p2.json"
+    save_json(gen_p2_24(), src)
+    for name in ("out.json", "out.obj", "out.stl", "missing/out.json"):
+        out = tmp_path / name
+        if "/" not in name:
+            out.mkdir()
+        for argv in (["generate", "--family", "tetrahedron"],
+                     ["drill", str(src), "--face-a", "0", "--face-b", "1",
+                      "--n", "12"],
+                     ["export", str(src)]):
+            assert main([*argv, "-o", str(out)]) == 2, (argv, name)
+            err = capsys.readouterr().err
+            assert "BadFile" in err and str(out) in err, (argv, err)
+
+
+def test_export_stl_beyond_float32_exit_2(tmp_path, capsys):
+    from ccpforge.cli import main
+    src, out = tmp_path / "big.json", tmp_path / "big.stl"
+    src.write_text(_tet_scaled(1e39))
+    assert main(["export", str(src), "-o", str(out)]) == 2
+    assert "NotRepresentable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,error", [
