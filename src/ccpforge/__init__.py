@@ -19,8 +19,7 @@ from .generators import (CATALOG, BlockParams, FamilyRequest, a_coeff,
                          gen_small_dodecahemidodecahedron, gen_t_block,
                          gen_tetrahedron, gen_tetrahemihexahedron,
                          gen_rhombihexahedron, gen_v6g, gen_v7gm7, gen_v8g,
-                         gen_appendix_orientable, generate_family,
-                         solve_block_params)
+                         generate_family, solve_block_params)
 from .verify import VerificationReport, format_pi_multiple, verify
 from .fileio import (load_json, load_mesh, read_obj, save_json, save_mesh,
                      write_obj, write_stl)
@@ -39,8 +38,7 @@ __all__ = [
     "gen_q2_9", "gen_q3_18", "gen_r_block", "gen_s_base",
     "gen_small_dodecahemidodecahedron", "gen_t_block", "gen_tetrahedron",
     "gen_tetrahemihexahedron", "gen_rhombihexahedron", "gen_v6g",
-    "gen_v7gm7", "gen_v8g", "gen_appendix_orientable", "generate_family",
-    "solve_block_params",
+    "gen_v7gm7", "gen_v8g", "generate_family", "solve_block_params",
     "VerificationReport", "format_pi_multiple", "verify",
     "load_json", "load_mesh", "read_obj", "save_json", "save_mesh",
     "write_obj", "write_stl",

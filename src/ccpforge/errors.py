@@ -8,11 +8,12 @@ class CcpError(Exception):
 # ---- files ----
 
 class BadFile(CcpError):
-    """An input path is not a readable mesh document: a directory, text
-    that is not JSON, a document without vertices or faces or with a part
-    of the wrong shape, or OBJ text whose vertex line lacks three numbers
-    or whose face token is not a valid index; or an output path that
-    cannot be written."""
+    """An input path is not a readable mesh document: a directory, an STL
+    file (export only), text that is not JSON, a document of another
+    format_version, without vertices or faces or with a part of the wrong
+    shape, or OBJ text whose vertex line lacks three numbers or whose face
+    token is not a valid index; or an output path that cannot be
+    written."""
 
 
 class NotRepresentable(CcpError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _geom
-from .errors import BadFile, IndexOutOfRange, NotRepresentable
+from .errors import BadFile, NotRepresentable
 from .mesh import MeshMetadata, Polyhedron, build_polyhedron, flat_edges
 
 FORMAT_VERSION = 1
@@ -85,8 +85,8 @@ def document_to_mesh(doc: dict) -> Polyhedron:
         raise BadFile(f"a mesh document is a JSON object, not "
                       f"{type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
-        raise IndexOutOfRange(
-            f"unsupported format_version {doc.get('format_version')!r}")
+        raise BadFile(f"unsupported format_version "
+                      f"{doc.get('format_version')!r}")
     missing = [k for k in ("vertices", "faces") if k not in doc]
     if missing:
         raise BadFile(f"mesh document has no {' or '.join(missing)}")
@@ -252,6 +252,6 @@ def load_mesh(path) -> Polyhedron:
     if suffix == ".obj":
         return read_obj(path)
     if suffix == ".stl":
-        raise IndexOutOfRange("STL is export-only (triangle soup loses "
-                              "the face structure)")
+        raise BadFile("STL is export-only (triangle soup loses the face "
+                      "structure)")
     return load_json(path)

@@ -4,6 +4,7 @@ plus the monotone root solver for the 2g+4-vertex minimal-family blocks."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,16 @@ TAU = 2.0 * math.pi
 def _rot_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _orbit(base, m: int) -> list[np.ndarray]:
+    """The points of `base` turned about the z-axis by k*2*pi/m for
+    k = 0..m-1, rotation-major: point j of turn k is item len(base)*k + j."""
+    out = []
+    for k in range(m):
+        rot = _rot_z(TAU * k / m)
+        out.extend(rot @ p for p in base)
+    return out
 
 
 def _build(vertices, faces, *, family, genus, orientable, defect,
@@ -52,14 +63,9 @@ def gen_flat_torus9() -> Polyhedron:
     base = [np.array([1.0, 0.0, 0.0]),
             np.array([math.cos(math.pi / 8), math.sin(math.pi / 8), 0.5]),
             np.array([math.cos(math.pi / 4), math.sin(math.pi / 4), 1.0])]
-    verts = []
-    labels = {}
-    # id = 3*k + (row-1) for rotation k
-    for k in range(3):
-        r = _rot_z(TAU * k / 3)
-        for row in range(3):
-            labels[f"v{row+1},{k}" if k else f"v{row+1}"] = len(verts)
-            verts.append(r @ base[row])
+    verts = _orbit(base, 3)
+    labels = {f"v{row+1},{k}" if k else f"v{row+1}": 3 * k + row
+              for k in range(3) for row in range(3)}
 
     def vid(row, k):
         return 3 * (k % 3) + (row - 1)
@@ -314,17 +320,11 @@ def gen_s_base() -> Polyhedron:
     h2 = math.sqrt(-4 * math.sin(math.pi / 18) ** 2
                    + 2 * math.sin(math.pi / 18) + 2)
     s = math.sqrt(9 / 4 - h2 * h2)
-    verts = []
-    labels = {}
-    for k in range(3):
-        rot = _rot_z(TAU * k / 3)
-        suffix = f",{k}" if k else ""
-        labels[f"v1{suffix}"] = len(verts)
-        verts.append(rot @ np.array([1.5 - s, 0.0, h2]))
-        labels[f"v2{suffix}"] = len(verts)
-        verts.append(rot @ np.array([1.5, -math.sqrt(3) / 2, 0.0]))
-        labels[f"v3{suffix}"] = len(verts)
-        verts.append(rot @ np.array([1.5, math.sqrt(3) / 2, 0.0]))
+    verts = _orbit([np.array([1.5 - s, 0.0, h2]),
+                    np.array([1.5, -math.sqrt(3) / 2, 0.0]),
+                    np.array([1.5, math.sqrt(3) / 2, 0.0])], 3)
+    labels = {f"v{j+1},{k}" if k else f"v{j+1}": 3 * k + j
+              for k in range(3) for j in range(3)}
 
     def vid(j, k):
         return 3 * (k % 3) + (j - 1)
@@ -341,10 +341,6 @@ def gen_s_base() -> Polyhedron:
 
 S_GLUING_FACES = (2, 3, 4)     # gen_s_base face ids of the gluing triangles
 S_TOP_FACE, S_HEX_FACE = 1, 0
-
-
-def _scaled(p: Polyhedron, s: float) -> Polyhedron:
-    return build_polyhedron(p.vertices * s, p.faces, metadata=p.metadata)
 
 
 def gen_q2_9() -> Polyhedron:
@@ -367,15 +363,9 @@ def gen_q3_18() -> Polyhedron:
     r = 2 * sp9 / (1 + 2 * sp9)
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
     out = gen_s_base()
-    side = math.sqrt(3.0)
     block = gen_r_block(r, h)
     for _ in range(3):
-        cyc = out.faces[2]
-        blen = float(np.linalg.norm(out.vertices[cyc[0]]
-                                    - out.vertices[cyc[1]]))
-        piece = block if abs(blen - side) <= 1e-9 else \
-            _scaled(block, blen / side)
-        out = connect_sum(out, piece, FaceCorrespondence(2, 0,
+        out = connect_sum(out, block, FaceCorrespondence(2, 0,
                                                          mapping=(0, 2, 1)))
     return out.with_metadata(family="q3-18", genus=3, orientable=False,
                              expected_defect=-math.pi / 9)
@@ -397,11 +387,21 @@ def _find_z_faces(p: Polyhedron) -> tuple[int, int]:
     return cands[-1][1], cands[0][1]
 
 
+def _drilled(base: Polyhedron, faces: tuple[int, int] | None, n: int,
+             k: int) -> Polyhedron:
+    """base, or base drilled k times with n-gonal prisms between two faces
+    (its top and bottom z-faces when faces is None)."""
+    from .surgery import DrillSpec, drill_repeat
+    if k == 0:
+        return base
+    f1, f2 = faces or _find_z_faces(base)
+    return drill_repeat(base, DrillSpec(f1, f2, n), k)
+
+
 def gen_orientable(g: int) -> Polyhedron:
     """Embedded orientable family: tetrahedron, the 9-vertex flat torus,
     P^2_24, then repeated 12-gonal drilling of P^2_24 (24(g-1) vertices,
     defect -pi/6)."""
-    from .surgery import DrillSpec, drill_repeat
     if g < 0:
         raise GenusOutOfRange("genus must be >= 0")
     if g == 0:
@@ -410,8 +410,7 @@ def gen_orientable(g: int) -> Polyhedron:
         return gen_flat_torus9()
     if g == 2:
         return gen_p2_24()
-    base = gen_p2_24()
-    out = drill_repeat(base, DrillSpec(face1=0, face2=1, n=12), g - 2)
+    out = _drilled(gen_p2_24(), (0, 1), 12, g - 2)
     return out.with_metadata(family="orientable", genus=g, orientable=True,
                              expected_defect=-math.pi / 6)
 
@@ -424,7 +423,6 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
     smallest vertex counts (5g / 7g-14 for odd genus, the hemi polyhedra
     and 4g-8 drilling for even genus).
     """
-    from .surgery import DrillSpec, drill_repeat
     if g < 1:
         raise GenusOutOfRange("genus must be >= 1")
     if g == 1:
@@ -435,36 +433,18 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
         raise GenusOutOfRange(
             f"nonorientable with prefer_fewest covers odd genus up to "
             f"{N5G_MAX_GENUS} (its n5g range), not {g}")
-    if prefer_fewest:
-        if g % 2 == 1:
-            out = gen_n5g_odd(g)
-        elif g == 4:
-            out = gen_cubohemioctahedron()
-        elif g == 6:
-            base = gen_cubohemioctahedron()
-            f1, f2 = _find_z_faces(base)
-            out = drill_repeat(base, DrillSpec(f1, f2, 6), 1)
-        elif g == 14:
-            out = gen_small_dodecahemidodecahedron()
-        else:
-            base = gen_rhombihexahedron()
-            if g == 8:
-                out = base
-            else:
-                f1, f2 = _find_z_faces(base)
-                out = drill_repeat(base, DrillSpec(f1, f2, 4), (g - 8) // 2)
+    # the fewest-vertex route differs from the chained one only for odd g
+    # and for even g >= 8
+    if prefer_fewest and g % 2 == 1:
+        out = gen_n5g_odd(g)
+    elif prefer_fewest and g == 14:
+        out = gen_small_dodecahemidodecahedron()
+    elif prefer_fewest and g >= 8:
+        out = _drilled(gen_rhombihexahedron(), None, 4, (g - 8) // 2)
+    elif g % 2 == 1:
+        out = _drilled(gen_q3_18(), (1, 0), 18, (g - 3) // 2)
     else:
-        if g % 2 == 1:
-            base = gen_q3_18()
-            out = base if g == 3 else drill_repeat(
-                base, DrillSpec(1, 0, 18), (g - 3) // 2)
-        else:
-            base = gen_cubohemioctahedron()
-            if g == 4:
-                out = base
-            else:
-                f1, f2 = _find_z_faces(base)
-                out = drill_repeat(base, DrillSpec(f1, f2, 6), (g - 4) // 2)
+        out = _drilled(gen_cubohemioctahedron(), None, 6, (g - 4) // 2)
     chi = out.n_vertices - out.n_edges + out.n_faces
     return out.with_metadata(family="nonorientable", genus=g,
                              orientable=False,
@@ -500,10 +480,7 @@ def gen_v8g(g: int) -> Polyhedron:
     base6 = _window_prism_vertices(cot, a, 1.0)
     base = base6[:4] + [base6[4], base6[5],
                         np.array([cot, 1.0, 1.0]), np.array([cot, 1.0, -1.0])]
-    verts = []
-    for k in range(g):
-        rot = _rot_z(TAU * k / g)
-        verts.extend(rot @ p for p in base)
+    verts = _orbit(base, g)
 
     def v(j, k):
         return 8 * (k % g) + (j - 1)
@@ -529,10 +506,7 @@ def gen_v6g(g: int) -> Polyhedron:
     a = math.pi * (g - 1) / (3 * g)
     cot = 1.0 / math.tan(math.pi / g)
     base = _window_prism_vertices(cot, a, 1.0)
-    verts = []
-    for k in range(g):
-        rot = _rot_z(TAU * k / g)
-        verts.extend(rot @ p for p in base)
+    verts = _orbit(base, g)
 
     def v(j, k):
         return 6 * (k % g) + (j - 1)
@@ -572,10 +546,7 @@ def _v7gm7_mesh(g: int, w: float, x0: float, y0: float) -> Polyhedron:
         np.array([cot - (1 - y0) * w, y0, 0.0]),    # v6
         np.array([cot - w - x0, 0.0, 0.0]),         # v7
     ]
-    verts = []
-    for k in range(m):
-        rot = _rot_z(TAU * k / m)
-        verts.extend(rot @ p for p in base)
+    verts = _orbit(base, m)
 
     def v(j, k):
         return 7 * (k % m) + (j - 1)
@@ -602,17 +573,6 @@ def gen_v7gm7(g: int) -> Polyhedron:
     if g not in (4, 5, 6):
         raise GenusOutOfRange("v7gm7 supports genus 4, 5 and 6")
     return _v7gm7_mesh(g, *_v7gm7_printed_params(g))
-
-
-def gen_appendix_orientable(g: int, family: str) -> Polyhedron:
-    """Dispatch for the embedded orientable window families."""
-    if family == "v8g":
-        return gen_v8g(g)
-    if family == "v6g":
-        return gen_v6g(g)
-    if family == "v7gm7":
-        return gen_v7gm7(g)
-    raise GenusOutOfRange(f"unknown appendix family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +606,12 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
     genus-7 member."""
-    from .surgery import DrillSpec, FaceCorrespondence, connect_sum, \
-        drill_repeat
+    from .surgery import FaceCorrespondence, connect_sum
     if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
         raise GenusOutOfRange(
             f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
     if g > 11:
-        base = gen_n5g_odd(7)
-        out = drill_repeat(base, DrillSpec(face1=0, face2=1, n=7),
-                           (g - 7) // 2)
+        out = _drilled(gen_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
         chi = out.n_vertices - out.n_edges + out.n_faces
         return out.with_metadata(family="n5g", genus=g, orientable=False,
                                  expected_defect=TAU * chi / out.n_vertices)
@@ -662,12 +619,9 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     t = math.tan(5 * a / 4)
     s = math.sqrt(9 / 4 - h2 * h2)
     rho_top = math.sqrt(3) / 2 * t - s
-    verts = []
-    for k in range(g):
-        rot = _rot_z(TAU * k / g)
-        verts.append(rot @ np.array([rho_top, 0.0, h2]))                   # v1
-        verts.append(rot @ np.array([math.sqrt(3) / 2 * t,
-                                     -math.sqrt(3) / 2, 0.0]))             # v2
+    verts = _orbit([np.array([rho_top, 0.0, h2]),                # v1
+                    np.array([math.sqrt(3) / 2 * t,
+                              -math.sqrt(3) / 2, 0.0])], g)      # v2
 
     def v1(k):
         return 2 * (k % g)
@@ -728,8 +682,11 @@ def f_angle_sum(l: float, d: float) -> float:
     return 2 * math.acos(u) + math.acos(w)
 
 
-def _solve_increasing(fn, lo: float, hi: float, target: float,
-                      tol: float) -> float:
+# the bound on |f - target| at which the bisection may stop
+_ROOT_TOL = 1e-12
+
+
+def _solve_increasing(fn, lo: float, hi: float, target: float) -> float:
     flo, fhi = fn(lo) - target, fn(hi) - target
     if flo > 0 or fhi < 0:
         raise BracketFailure(
@@ -737,7 +694,7 @@ def _solve_increasing(fn, lo: float, hi: float, target: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid) - target
-        if abs(fm) < tol and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+        if abs(fm) < _ROOT_TOL and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if fm < 0:
             lo = mid
@@ -746,8 +703,7 @@ def _solve_increasing(fn, lo: float, hi: float, target: float,
     return 0.5 * (lo + hi)
 
 
-def solve_block_params(g: int, l1: float = 2.0,
-                       root_tol: float = 1e-12) -> BlockParams:
+def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
     """Solve the block parameter chain f_{l_k}(d_k) = 3*pi - a_{k,g} for
     k = 1..floor(g/2) with l_{k+1} = d_k, plus the terminal relation
     f_{l_g}(d_g) = 3*pi - a_{(g-1)/2,g} - 6*pi/(g+2) when g is odd.
@@ -776,14 +732,14 @@ def solve_block_params(g: int, l1: float = 2.0,
     for k in range(1, n_main + 1):
         target = 3 * math.pi - a_coeff(k, g)
         d = _solve_increasing(lambda x, ll=l: f_angle_sum(ll, x),
-                              l, 2 * l, target, root_tol)
+                              l, 2 * l, target)
         pairs.append((l, d))
         l = d
     terminal = None
     if g % 2 == 1:
         lg = l
         d = _solve_increasing(lambda x, ll=lg: f_angle_sum(ll, x),
-                              0.0, 2 * lg, terminal_target, root_tol)
+                              0.0, 2 * lg, terminal_target)
         terminal = (lg, d)
     return BlockParams(tuple(pairs), terminal)
 
@@ -865,7 +821,7 @@ def _chain_half(params: list[tuple[float, float]]):
 MINIMAL_MAX_GENUS = 45
 
 
-def gen_minimal(g: int, l1: float = 2.0, root_tol: float = 1e-12) -> Polyhedron:
+def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     """Orientable genus-g surface on 2g+4 vertices with constant defect
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
     side rectangles, with a terminal centre block for odd genus."""
@@ -873,7 +829,7 @@ def gen_minimal(g: int, l1: float = 2.0, root_tol: float = 1e-12) -> Polyhedron:
     if not 1 <= g <= MINIMAL_MAX_GENUS:
         raise GenusOutOfRange(
             f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
-    params = solve_block_params(g, l1, root_tol)
+    params = solve_block_params(g, l1)
     defect = -(2 * g - 2) * math.pi / (g + 2)
     if g == 1:
         lt, dt = params.terminal
@@ -923,85 +879,84 @@ class FamilyRequest:
 
 @dataclass(frozen=True)
 class FamilyInfo:
+    """One catalog row: how `ccp catalog` lists a family and how
+    generate_family builds it."""
     family: str
     description: str
     genus_range: str
     vertex_count: str
     orientable: str
+    build: Callable[..., Polyhedron]   # takes the genus unless it is fixed
+    genus: int | None = None           # the family's only genus, if fixed
+    params: tuple[str, ...] = ()       # the --param names it takes
+    required: bool = False             # every one of them must be given
+    fewest: bool = False               # has a prefer_fewest route
 
 
 CATALOG: tuple[FamilyInfo, ...] = (
-    FamilyInfo("tetrahedron", "regular tetrahedron", "0", "4", "yes"),
-    FamilyInfo("flat-torus-9", "nine-vertex flat torus", "1", "9", "yes"),
+    FamilyInfo("tetrahedron", "regular tetrahedron", "0", "4", "yes",
+               gen_tetrahedron, genus=0),
+    FamilyInfo("flat-torus-9", "nine-vertex flat torus", "1", "9", "yes",
+               gen_flat_torus9, genus=1),
     FamilyInfo("p2-24", "doubly tunnelled cube (params b, c)", "2", "24",
-               "yes"),
+               "yes", gen_p2_24, genus=2, params=("b", "c")),
     FamilyInfo("orientable", "tetrahedron / flat torus / drilled p2-24",
-               ">=0", "24(g-1) for g>=2", "yes"),
-    FamilyInfo("thh", "tetrahemihexahedron", "1", "6", "no"),
+               ">=0", "24(g-1) for g>=2", "yes", gen_orientable),
+    FamilyInfo("thh", "tetrahemihexahedron", "1", "6", "no",
+               gen_tetrahemihexahedron, genus=1),
     FamilyInfo("r-block", "squashed tetrahemihexahedron (params r, h)",
-               "1", "6", "no"),
-    FamilyInfo("q2-9", "flat Klein bottle", "2", "9", "no"),
+               "1", "6", "no", gen_r_block, genus=1, params=("r", "h"),
+               required=True),
+    FamilyInfo("q2-9", "flat Klein bottle", "2", "9", "no", gen_q2_9,
+               genus=2),
     FamilyInfo("q3-18", "drum with three projective handles", "3", "18",
-               "no"),
-    FamilyInfo("cho", "cubohemioctahedron", "4", "12", "no"),
+               "no", gen_q3_18, genus=3),
+    FamilyInfo("cho", "cubohemioctahedron", "4", "12", "no",
+               gen_cubohemioctahedron, genus=4),
     FamilyInfo("nonorientable", "chained or fewest-vertex dispatch",
                ">=1", f"5g / 7g-14 odd (<={N5G_MAX_GENUS}), 4g-8 even "
-               "(fewest)", "no"),
-    FamilyInfo("v8g", "windowed 2g-gonal prism", ">=2", "8g", "yes"),
-    FamilyInfo("v6g", "windowed g-gonal prism", ">=5", "6g", "yes"),
+               "(fewest)", "no", gen_nonorientable, fewest=True),
+    FamilyInfo("v8g", "windowed 2g-gonal prism", ">=2", "8g", "yes",
+               gen_v8g),
+    FamilyInfo("v6g", "windowed g-gonal prism", ">=5", "6g", "yes",
+               gen_v6g),
     FamilyInfo("v7gm7", "windowed prism with a central ring tunnel",
-               "4..6", "7g-7", "yes"),
+               "4..6", "7g-7", "yes", gen_v7gm7),
     FamilyInfo("n5g", "antiprism drum with projective handles",
-               f"odd 3..{N5G_MAX_GENUS}", "5g (<=11), 7g-14 beyond", "no"),
+               f"odd 3..{N5G_MAX_GENUS}", "5g (<=11), 7g-14 beyond", "no",
+               gen_n5g_odd),
     FamilyInfo("minimal", "glued T(l,d) chain, fewest known vertices",
-               f"1..{MINIMAL_MAX_GENUS}", "2g+4", "yes"),
+               f"1..{MINIMAL_MAX_GENUS}", "2g+4", "yes", gen_minimal,
+               params=("l1",)),
 )
 
-
-# free parameters each family accepts; the others accept none
-_FAMILY_PARAMS = {"p2-24": {"b", "c"}, "r-block": {"r", "h"},
-                 "minimal": {"l1", "root_tol"}}
+_BY_FAMILY = {info.family: info for info in CATALOG}
 
 
 def generate_family(request: FamilyRequest) -> Polyhedron:
-    """Build the mesh a FamilyRequest describes."""
+    """Build the mesh a FamilyRequest describes.  A request its CATALOG row
+    does not allow raises before any work: an unknown family, parameter or
+    prefer_fewest BadParameters, a missing or other genus GenusOutOfRange."""
     fam, g, par = request.family, request.genus, dict(request.params)
-    unknown = set(par) - _FAMILY_PARAMS.get(fam, set())
+    info = _BY_FAMILY.get(fam)
+    if info is None:
+        raise BadParameters(f"unknown family {fam!r}")
+    unknown = set(par) - set(info.params)
     if unknown:
         raise BadParameters(
             f"family {fam!r} takes no parameter {', '.join(sorted(unknown))}")
-    if fam == "tetrahedron":
-        return gen_tetrahedron()
-    if fam == "flat-torus-9":
-        return gen_flat_torus9()
-    if fam == "p2-24":
-        return gen_p2_24(**par)
-    if fam == "orientable":
-        return gen_orientable(_need_genus(g))
-    if fam == "thh":
-        return gen_tetrahemihexahedron()
-    if fam == "r-block":
-        if not {"r", "h"} <= set(par):
-            raise BadParameters("r-block needs --param r=.. and h=..")
-        return gen_r_block(par["r"], par["h"])
-    if fam == "q2-9":
-        return gen_q2_9()
-    if fam == "q3-18":
-        return gen_q3_18()
-    if fam == "cho":
-        return gen_cubohemioctahedron()
-    if fam == "nonorientable":
-        return gen_nonorientable(_need_genus(g), request.prefer_fewest)
-    if fam in ("v8g", "v6g", "v7gm7"):
-        return gen_appendix_orientable(_need_genus(g), fam)
-    if fam == "n5g":
-        return gen_n5g_odd(_need_genus(g))
-    if fam == "minimal":
-        return gen_minimal(_need_genus(g), **par)
-    raise GenusOutOfRange(f"unknown family {fam!r}")
-
-
-def _need_genus(g):
+    if info.required and set(info.params) - set(par):
+        raise BadParameters(f"family {fam!r} needs --param " + " and ".join(
+            f"{name}=.." for name in info.params))
+    if request.prefer_fewest:
+        if not info.fewest:
+            raise BadParameters(f"family {fam!r} has no fewest-vertex route")
+        par["prefer_fewest"] = True
+    if info.genus is not None:
+        if g is not None and g != info.genus:
+            raise GenusOutOfRange(
+                f"family {fam!r} has genus {info.genus}, not {g}")
+        return info.build(**par)
     if g is None:
-        raise GenusOutOfRange("this family needs --genus")
-    return int(g)
+        raise GenusOutOfRange(f"family {fam!r} needs --genus")
+    return info.build(int(g), **par)

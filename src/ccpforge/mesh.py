@@ -66,12 +66,11 @@ class MeshMetadata:
 
 
 def replace_meta(meta: MeshMetadata, **kw) -> MeshMetadata:
-    new = MeshMetadata(meta.family, meta.genus, meta.orientable,
-                       meta.expected_defect, list(meta.provenance),
-                       dict(meta.vertex_labels), set(meta.seam_edges))
-    for k, v in kw.items():
-        setattr(new, k, v)
-    return new
+    """meta with the fields kw names replaced; the copy shares no list,
+    dict or set with meta."""
+    return replace(meta, **{"provenance": list(meta.provenance),
+                            "vertex_labels": dict(meta.vertex_labels),
+                            "seam_edges": set(meta.seam_edges), **kw})
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,25 @@ class Polyhedron:
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of the (first) edge cell joining u and v."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_lookup[key]
-        except AttributeError:
-            lookup = {}
-            for i in range(len(self.edges) - 1, -1, -1):
-                lookup[self.edges[i]] = i
-            object.__setattr__(self, "_edge_lookup", lookup)
-            return self._edge_lookup[key]
+        return self._edge_lookup[(u, v) if u < v else (v, u)]
+
+    @cached_property
+    def _edge_lookup(self) -> dict[tuple[int, int], int]:
+        lookup = {}
+        for i in range(len(self.edges) - 1, -1, -1):
+            lookup[self.edges[i]] = i
+        return lookup
 
     def vertex_faces(self, v: int) -> list[int]:
-        try:
-            table = self._vertex_face_table
-        except AttributeError:
-            table = [[] for _ in range(self.n_vertices)]
-            for fi, cyc in enumerate(self.faces):
-                for u in cyc:
-                    table[u].append(fi)
-            object.__setattr__(self, "_vertex_face_table", table)
-        return table[v]
+        return self._vertex_face_table[v]
+
+    @cached_property
+    def _vertex_face_table(self) -> list[list[int]]:
+        table = [[] for _ in range(self.n_vertices)]
+        for fi, cyc in enumerate(self.faces):
+            for u in cyc:
+                table[u].append(fi)
+        return table
 
     def face_points(self, f: int) -> np.ndarray:
         return self.vertices[list(self.faces[f])]

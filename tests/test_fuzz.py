@@ -1,6 +1,6 @@
-"""Property tests of the file-input contract: `ccp verify` on a mutated
-tetrahedron, as a JSON document or as OBJ text, exits 0, 1 or 2 and never
-raises."""
+"""Property tests of the input contract: `ccp verify` on a mutated
+tetrahedron, as a JSON document or as OBJ text, and any `ccp` command line
+drawn from a bounded vocabulary exit 0, 1 or 2 and never raise."""
 
 import contextlib
 import io
@@ -13,7 +13,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ccpforge import gen_tetrahedron, write_obj  # noqa: E402
+from ccpforge import (CATALOG, gen_p2_24, gen_tetrahedron,  # noqa: E402
+                      save_json, write_obj, write_stl)
 from ccpforge.cli import main  # noqa: E402
 from ccpforge.fileio import mesh_to_document  # noqa: E402
 
@@ -109,3 +110,74 @@ def test_mutated_obj_text(data, changes):
                 del line[min(slot, len(line) - 1)]
     text = "\n".join(" ".join(line) for line in lines) + "\n"
     assert _verify_exit("mesh.obj", text) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# `ccp` argv drawn from a bounded vocabulary
+
+NUMBERS = st.sampled_from(["nan", "inf", "1e308", "1e-300", "0.2", "2"])
+OUTPUTS = st.sampled_from(["@out.json", "@out.obj", "@out.stl", "@folder",
+                           "@missing/out.json"])
+INPUTS = st.sampled_from(["@p2.json", "@tet.obj", "@tet.stl",
+                          "@missing.json", "@folder"])
+FAMILIES = st.sampled_from(sorted(f.family for f in CATALOG))
+PARAM_NAMES = st.sampled_from(["b", "c", "r", "h", "l1", "root_tol", "x"])
+
+
+@st.composite
+def ccp_argv(draw):
+    """One `ccp` command line; "@name" stands for a path in a scratch
+    folder holding p2.json, tet.obj, tet.stl and an empty folder."""
+    cmd = draw(st.sampled_from(
+        ["generate", "verify", "drill", "export", "catalog"]))
+    argv = [cmd]
+    if cmd == "generate":
+        # the genus stays small: a v6g of genus 1e8 is a 6e8-vertex mesh
+        argv += ["--family", draw(FAMILIES)]
+        if draw(st.booleans()):
+            argv += ["--genus", str(draw(st.integers(-3, 12)))]
+        for name in draw(st.lists(PARAM_NAMES, max_size=2)):
+            argv += ["--param", f"{name}={draw(NUMBERS)}"]
+        argv += ["--prefer-fewest"] * draw(st.booleans())
+        argv += ["-o", draw(OUTPUTS)]
+    elif cmd == "verify":
+        argv.append(draw(INPUTS))
+        if draw(st.booleans()):
+            argv += ["--tolerance", draw(NUMBERS)]
+        argv += ["--json"] * draw(st.booleans())
+    elif cmd == "drill":
+        faces = st.sampled_from(["0", "1", "2", "-1", "99"])
+        argv += [draw(INPUTS), "--face-a", draw(faces), "--face-b",
+                 draw(faces), "--n", str(draw(st.integers(-1, 12))),
+                 "--k", str(draw(st.integers(0, 3)))]
+        for flag in draw(st.lists(st.sampled_from(["--radius", "--phase"]),
+                                  max_size=2, unique=True)):
+            argv += [flag, draw(NUMBERS)]
+        argv += ["-o", draw(OUTPUTS)]
+    elif cmd == "export":
+        argv += [draw(INPUTS), "-o", draw(OUTPUTS)]
+    return argv
+
+
+def _inputs_folder(tmp: Path) -> None:
+    save_json(gen_p2_24(), tmp / "p2.json")
+    write_obj(gen_tetrahedron(), tmp / "tet.obj")
+    write_stl(gen_tetrahedron(), tmp / "tet.stl")
+    (tmp / "folder").mkdir()
+
+
+@FUZZ
+@given(ccp_argv())
+def test_cli_argv(argv):
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        _inputs_folder(tmp)
+        argv = [str(tmp / a[1:]) if a.startswith("@") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejects the command line
+                code = exc.code
+                assert code == 2, argv
+    assert code in (0, 1, 2), argv

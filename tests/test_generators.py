@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from ccpforge import (a_coeff, classify, corner_angle, defect_profile,
-                      f_angle_sum, gen_appendix_orientable,
-                      gen_cubohemioctahedron, gen_flat_torus9, gen_minimal,
-                      gen_n5g_odd, gen_nonorientable, gen_orientable,
-                      gen_p2_24, gen_q2_9, gen_q3_18, gen_r_block,
+                      f_angle_sum, gen_cubohemioctahedron,
+                      gen_flat_torus9, gen_minimal, gen_n5g_odd,
+                      gen_nonorientable, gen_orientable, gen_p2_24,
+                      gen_q2_9, gen_q3_18, gen_r_block,
                       gen_rhombihexahedron, gen_s_base,
                       gen_small_dodecahemidodecahedron, gen_t_block,
                       gen_tetrahedron, gen_tetrahemihexahedron, gen_v6g,
@@ -208,10 +208,10 @@ class TestAppendixFamilies:
         assert dp.mean == pytest.approx(-4 * PI / 7, abs=1e-9)
 
     def test_appendix_dispatch_and_ranges(self):
-        assert gen_appendix_orientable(3, "v8g").n_vertices == 24
+        assert generate_family(FamilyRequest("v8g", 3)).n_vertices == 24
         for fam, g in (("v8g", 1), ("v6g", 4), ("v7gm7", 7)):
             with pytest.raises(GenusOutOfRange):
-                gen_appendix_orientable(g, fam)
+                generate_family(FamilyRequest(fam, g))
 
     @pytest.mark.parametrize("g", [3, 5, 11])
     def test_n5g(self, g):
@@ -289,7 +289,7 @@ class TestMinimalFamily:
 
     def test_solver_residuals_and_brackets(self):
         for g in (5, 8, 13):
-            bp = solve_block_params(g, 2.0, root_tol=1e-12)
+            bp = solve_block_params(g, 2.0)
             for k, (l, d) in enumerate(bp.pairs, start=1):
                 assert l < d < 2 * l
                 assert abs(f_angle_sum(l, d)
@@ -335,6 +335,57 @@ def test_generate_family_dispatch():
     ).n_vertices == 6
     with pytest.raises(GenusOutOfRange):
         generate_family(FamilyRequest("minimal"))
+    with pytest.raises(BadParameters, match="unknown family"):
+        generate_family(FamilyRequest("octahedron"))
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--family", "tetrahedron", "--genus", "5"], "GenusOutOfRange"),
+    (["--family", "p2-24", "--genus", "3"], "GenusOutOfRange"),
+    (["--family", "cho", "--genus", "0"], "GenusOutOfRange"),
+    (["--family", "orientable", "--genus", "3", "--prefer-fewest"],
+     "BadParameters"),
+    (["--family", "tetrahedron", "--prefer-fewest"], "BadParameters"),
+    (["--family", "n5g", "--genus", "5", "--prefer-fewest"],
+     "BadParameters"),
+    (["--family", "minimal", "--genus", "3", "--param", "root_tol=1e-12"],
+     "BadParameters"),
+    (["--family", "r-block", "--param", "r=0.5"], "BadParameters"),
+])
+def test_generate_rejects_what_the_family_does_not_take(tmp_path, capsys,
+                                                        argv, error):
+    """A genus, --prefer-fewest or --param the family's catalog row does
+    not allow exits 2 with a typed error and writes no file."""
+    from ccpforge.cli import main
+    out = tmp_path / "mesh.json"
+    assert main(["generate", *argv, "-o", str(out)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family,genus", [
+    ("tetrahedron", 0), ("p2-24", 2), ("thh", 1), ("q3-18", 3)])
+def test_generate_takes_the_fixed_genus(tmp_path, family, genus):
+    from ccpforge.cli import main
+    out = tmp_path / "mesh.json"
+    assert main(["generate", "--family", family, "--genus", str(genus),
+                 "-o", str(out)]) == 0
+    assert out.exists()
+
+
+def test_catalog_rows_are_consistent():
+    """A fixed genus matches the advertised range, and the builder of a
+    family with a genus range takes the genus first."""
+    import inspect
+    from ccpforge import CATALOG
+    for info in CATALOG:
+        if info.genus is not None:
+            assert info.genus_range == str(info.genus), info.family
+        else:
+            assert next(iter(inspect.signature(info.build).parameters)) \
+                == "g", info.family
+        assert info.fewest == ("prefer_fewest" in
+                               inspect.signature(info.build).parameters)
 
 
 class TestGenusLimits:

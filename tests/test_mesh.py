@@ -1,5 +1,7 @@
 """Mesh construction, validation errors and topological classification."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
 from ccpforge.mesh import (MeshMetadata, Polyhedron, _derive_edge_slots,
-                           topology_from)
+                           replace_meta, topology_from)
 
 from conftest import cube_data, random_rigid_motion
 from test_self_intersection_oracle import SMALL_GENERA, family
@@ -110,6 +112,20 @@ def test_deterministic_edges():
     a = build_polyhedron(TET_V, TET_F)
     b = build_polyhedron(TET_V, TET_F)
     assert a.edges == b.edges and a.edge_slots == b.edge_slots
+
+
+def test_replace_meta_keeps_every_field_and_copies_containers():
+    @dataclass
+    class Tagged(MeshMetadata):
+        tag: str = ""
+
+    meta = Tagged(family="t", provenance=["drill"], seam_edges={(0, 1)},
+                  tag="kept")
+    new = replace_meta(meta, genus=3)
+    assert (new.tag, new.family, new.genus) == ("kept", "t", 3)
+    new.provenance.append("connect_sum")
+    new.seam_edges.add((1, 2))
+    assert meta.provenance == ["drill"] and meta.seam_edges == {(0, 1)}
 
 
 def test_flat_edge_beside_non_convex_face_rejected():

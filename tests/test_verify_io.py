@@ -341,6 +341,18 @@ def test_document_without_vertices_or_faces_exit_2(tmp_path, capsys):
         _bad_input_exits_2(capsys, path, tmp_path / "out.json")
 
 
+def test_stl_and_other_format_version_exit_2(tmp_path, capsys):
+    """STL is export-only and a document of another format_version is not
+    read: both are file-format errors."""
+    stl = tmp_path / "tet.stl"
+    write_stl(gen_tetrahedron(), stl)
+    _bad_input_exits_2(capsys, stl, tmp_path / "out.json")
+    doc = dict(mesh_to_document(gen_tetrahedron()), format_version=2)
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(doc))
+    _bad_input_exits_2(capsys, path, tmp_path / "out.json")
+
+
 def test_directory_exit_2(tmp_path, capsys):
     for name in ("meshes.json", "meshes.obj"):
         folder = tmp_path / name
