@@ -217,7 +217,7 @@ def write_stl(p: Polyhedron, path) -> None:
     (deterministic even for non-orientable meshes, where no global
     orientation exists).  A coordinate beyond the float32 range raises
     NotRepresentable."""
-    tris = np.concatenate(p.geometry.triangles)
+    tris = p.vertices[p.geometry.triangulation.vertex]
     n = _geom.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     norm = _geom.norm(n)[:, None]
     n = np.divide(n, norm, out=n, where=norm > 0)

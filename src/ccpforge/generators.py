@@ -405,11 +405,11 @@ def gen_orientable(g: int) -> Polyhedron:
     if g < 0:
         raise GenusOutOfRange("genus must be >= 0")
     if g == 0:
-        return gen_tetrahedron()
+        return gen_tetrahedron().with_metadata(family="orientable")
     if g == 1:
-        return gen_flat_torus9()
+        return gen_flat_torus9().with_metadata(family="orientable")
     if g == 2:
-        return gen_p2_24()
+        return gen_p2_24().with_metadata(family="orientable")
     out = _drilled(gen_p2_24(), (0, 1), 12, g - 2)
     return out.with_metadata(family="orientable", genus=g, orientable=True,
                              expected_defect=-math.pi / 6)
@@ -426,9 +426,9 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
     if g < 1:
         raise GenusOutOfRange("genus must be >= 1")
     if g == 1:
-        return gen_tetrahemihexahedron()
+        return gen_tetrahemihexahedron().with_metadata(family="nonorientable")
     if g == 2:
-        return gen_q2_9()
+        return gen_q2_9().with_metadata(family="nonorientable")
     if prefer_fewest and g % 2 == 1 and g > N5G_MAX_GENUS:
         raise GenusOutOfRange(
             f"nonorientable with prefer_fewest covers odd genus up to "

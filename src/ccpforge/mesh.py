@@ -183,6 +183,12 @@ class _Corners(NamedTuple):
     next: np.ndarray
 
 
+class Triangulation(NamedTuple):
+    """The ear clip of a mesh's faces (see MeshGeometry.triangulation)."""
+    vertex: np.ndarray      # (T, 3) vertex ids, one row per triangle
+    face: np.ndarray        # (T,) the face each triangle tiles
+
+
 def _corner_layout(faces) -> _Corners:
     sizes = np.fromiter(map(len, faces), np.intp, len(faces))
     ends = np.cumsum(sizes)
@@ -279,12 +285,23 @@ class MeshGeometry:
         return [self.known_frames[f] for f in faces]
 
     @cached_property
+    def triangulation(self) -> Triangulation:
+        """The ear clip of every face, in one record: each face's triangles
+        in a run, faces in order."""
+        clips = [_geom.ear_clip(fr.polygon) for fr in self.frames]
+        face = np.repeat(np.arange(len(clips)), [len(c) for c in clips])
+        local = np.array([t for c in clips for t in c], np.intp)
+        vertex = self.corner_vertex[self.face_start[face, None] + local]
+        return Triangulation(_readonly(vertex), _readonly(face))
+
+    @cached_property
     def triangles(self) -> list[np.ndarray]:
         """Per face: its ear-clipped triangles as a (k-2, 3, 3) array of
         world-space points."""
-        return [_readonly(self.vertices[np.asarray(cyc)[
-                    _geom.ear_clip(fr.polygon)]])
-                for cyc, fr in zip(self.faces, self.frames)]
+        vertex, face = self.triangulation
+        pts = _readonly(self.vertices[vertex])
+        return np.split(pts, np.cumsum(np.bincount(
+            face, minlength=len(self.faces)))[:-1])
 
     @cached_property
     def corner_angles(self) -> np.ndarray:

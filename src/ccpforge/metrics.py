@@ -108,9 +108,12 @@ def dihedral_angle(p: Polyhedron, e: int) -> float:
 # np.linalg.norm use on a single pair (ddot for vector . vector, gemv for
 # matrix @ vector), on operands with the same strides.
 
-# the sweep emits, and the narrow phase tests, this many triangle pairs at a
-# time, which bounds the scan's working memory
-_BLOCK = 1024
+# the broad phase emits, and the narrow phase tests, this many candidate
+# rows at a time, which bounds the scan's working memory: the scan peaks at
+# 0.3 to 0.5 KB per candidate row on the catalog meshes, so a block stays
+# within about 4 MB.  Each mesh of the certify-files bench (at most 5,940
+# candidates) runs in one block.
+_ROWS = 8192
 # coplanar triangles whose overlap is no larger than this only touch
 _OVERLAP_AREA = 1e-12
 # a clip edge this close to parallel to the clipped segment or edge is
@@ -130,37 +133,50 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _clip_convex(subject: np.ndarray, clipper: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sutherland-Hodgman clip of (n, 3, 2) triangles by counterclockwise
-    (n, 3, 2) triangles, row by row.  Returns the clipped polygons,
-    zero-padded to a common length, and each polygon's vertex count."""
-    poly = subject
-    size = np.full(len(subject), subject.shape[1])
+    (n, 3, 2) triangles, row by row.  Returns the rows whose clipped
+    polygon keeps at least two vertices, those polygons padded to a common
+    length, and their vertex counts."""
+    rows = np.arange(len(subject))
+    # each cycle is closed: the slot after a polygon's last vertex repeats
+    # its first, so every live vertex's successor is the next slot
+    poly = np.concatenate([subject, subject[:, :1]], axis=1)
+    size = np.full(len(subject), 3)
     for e in range(3):
-        a = clipper[:, e, None]
-        ab = clipper[:, (e + 1) % 3, None] - a
-        slot = np.arange(poly.shape[1])
-        live = slot < size[:, None]
+        c = clipper[rows]
+        a = c[:, e, None]
+        ab = c[:, (e + 1) % 3, None] - a
         inside = _cross2(ab, poly - a) >= 0
-        nxt = np.where(slot + 1 < size[:, None], slot + 1, 0)
-        nxt_inside = np.take_along_axis(inside, nxt, axis=1)
-        step = np.take_along_axis(poly, nxt[..., None], axis=1) - poly
+        cur, step = poly[:, :-1], poly[:, 1:] - poly[:, :-1]
         denom = _cross2(ab, step)
         crosses = np.abs(denom) > _PARALLEL
-        t = _cross2(ab, a - poly) / np.where(crosses, denom, 1.0)
-        # each input vertex emits itself if inside, then the crossing of
-        # its outgoing side if that side leaves or enters the half-plane
-        emit = np.stack([live & inside,
-                         live & (inside != nxt_inside) & crosses], axis=2)
-        cand = np.stack([poly, poly + t[..., None] * step], axis=2)
-        width = 2 * poly.shape[1]
-        emit = emit.reshape(len(poly), width)
-        size = emit.sum(axis=1)
-        row, col = np.nonzero(emit)
-        poly = np.zeros((len(poly), size.max(initial=0), 2))
-        poly[row, np.cumsum(emit, axis=1)[row, col] - 1] = \
-            cand.reshape(len(cand), width, 2)[row, col]
-    return poly, size
+        t = _cross2(ab, a - cur) / np.where(crosses, denom, 1.0)
+        live = np.arange(cur.shape[1]) < size[:, None]
+        # each live vertex emits itself if inside, then the crossing of
+        # its outgoing side if that side leaves or enters the half-plane;
+        # a row's k-th emitted point goes to its slot k - 1 and the rest
+        # to a spare last slot
+        n, width = len(rows), 2 * cur.shape[1]
+        emit = np.stack([live & inside[:, :-1],
+                         live & (inside[:, :-1] != inside[:, 1:]) & crosses],
+                        axis=2).reshape(n, width).T
+        at = np.cumsum(emit, axis=0, dtype=np.int8)
+        size = at[-1].astype(np.intp)
+        at = np.where(emit, at - 1, width)
+        r = np.arange(n)
+        out = np.zeros((n, width + 1, 2))
+        out[r, at[0::2]] = cur.transpose(1, 0, 2)
+        out[r, at[1::2]] = (cur + t[..., None] * step).transpose(1, 0, 2)
+        out[r, size] = out[:, 0]
+        # a polygon left with one vertex or none keeps that count through
+        # the remaining edges, so its row is dropped
+        keep = np.flatnonzero(size >= 2)
+        rows, size = rows[keep], size[keep]
+        poly = out[keep, :size.max(initial=0) + 1]
+        if not rows.size:
+            break
+    return rows, poly[:, :-1], size
 
 
 class _TriangleScan:
@@ -175,10 +191,9 @@ class _TriangleScan:
         self.n_faces = p.n_faces
         self.eps = 1e-12 * geo.scale
         self.seam_tol = 1e-9 * geo.scale
-        tri = np.concatenate(geo.triangles)
+        self.tri_vertex, self.face = geo.triangulation
+        tri = p.vertices[self.tri_vertex]
         self.tri = tri
-        self.face = np.repeat(np.arange(p.n_faces),
-                              [len(t) for t in geo.triangles])
         self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
 
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,8 +246,8 @@ class _TriangleScan:
         order, count = best
         ends = np.cumsum(count)
         out_i, out_j = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-        for s in range(0, int(ends[-1]), _BLOCK):
-            k = np.arange(s, min(s + _BLOCK, int(ends[-1])))
+        for s in range(0, int(ends[-1]), _ROWS):
+            k = np.arange(s, min(s + _ROWS, int(ends[-1])))
             a = np.searchsorted(ends, k, side="right")
             b = a + 1 + k - (ends[a] - count[a])
             i = np.minimum(order[a], order[b])
@@ -246,74 +261,108 @@ class _TriangleScan:
             out_j.append(j[keep].astype(np.int32))
         return np.concatenate(out_i), np.concatenate(out_j)
 
+    def _distances(self, i, j):
+        """Signed distances of triangle i's vertices to triangle j's plane,
+        as (3, n) columns, one per vertex."""
+        d = (self.tri[i] @ self.normal[j][:, :, None])[..., 0]
+        return np.subtract(d.T, self.offset[j], out=np.empty((3, len(i))))
+
     def contacts(self, i: np.ndarray, j: np.ndarray):
         """Contact samples of the triangle pairs (i, j), tested as triangle
         i against the plane and the interior of triangle j.  Returns per
-        sample its pair's row, its place in that pair's sample sequence,
-        whether the contact is a coplanar overlap, and the point."""
+        sample its pair (i, j), its place in that pair's sample sequence,
+        whether the contact is a coplanar overlap, and the point.  Each
+        test gathers triangle data only for the pairs still live."""
         eps = self.eps
-        t1 = self.tri[i]
-        s1 = (t1 @ self.normal[j][:, :, None])[..., 0] \
-            - self.offset[j][:, None]
-        live = np.flatnonzero(~_one_side(s1, eps))
-        t2 = self.tri[j[live]]
-        s2 = (t2 @ self.normal[i[live]][:, :, None])[..., 0] \
-            - self.offset[i[live]][:, None]
-        live = live[~_one_side(s2, eps)]
-        coplanar = (np.abs(s1[live]) <= eps).all(axis=1)
-        flat, cross = live[coplanar], live[~coplanar]
+        s = self._distances(i, j)
+        keep = ~_one_side(s, eps)
+        i, j, s = i[keep], j[keep], s[:, keep]
+        keep = ~_one_side(self._distances(j, i), eps)
+        i, j, s = i[keep], j[keep], s[:, keep]
+        on, cut = _plane_meets(s, eps)
+        coplanar = _each(on)
         # a triangle that meets the other's plane in fewer than two points
-        # only touches it: drop it before the crossing test
-        on, cut = _plane_meets(s1[cross], eps)
-        cross = cross[np.count_nonzero(on | cut, axis=1) >= 2]
+        # only touches it, and one that meets it in a side of both faces
+        # only touches it along their seam: drop both before the crossing
+        # test
+        met = on | cut
+        cross = np.flatnonzero(~coplanar & _two_of(met))
+        cross = cross[~self._on_shared_side(i[cross], j[cross], on[:, cross])]
+        flat = np.flatnonzero(coplanar)
         # a branch with no rows is skipped, not run on empty arrays
-        hit_c, pts_c = self._overlap(j[flat], t1[flat]) if flat.size \
-            else (np.zeros(0, bool), np.zeros((0, 3)))
-        hit_x, pts_x = self._crossing(j[cross], t1[cross], s1[cross]) \
-            if cross.size else (np.zeros(0, bool), np.zeros((0, 5, 3)))
-        rows = np.concatenate([flat[hit_c], np.repeat(cross[hit_x], 5)])
-        place = np.concatenate([np.zeros(hit_c.sum(), np.intp),
-                                np.tile(np.arange(5), hit_x.sum())])
-        is_flat = np.arange(len(rows)) < hit_c.sum()
-        pts = np.concatenate([pts_c[hit_c], pts_x[hit_x].reshape(-1, 3)])
-        return rows, place, is_flat, pts
+        hit_c, pts_c = self._overlap(i[flat], j[flat]) if flat.size \
+            else (np.zeros(0, np.intp), np.zeros((0, 3)))
+        hit_x, pts_x = self._crossing(j[cross], self._segment(
+            i[cross], s[:, cross], met[:, cross], cut[:, cross])) \
+            if cross.size else (np.zeros(0, np.intp), np.zeros((0, 5, 3)))
+        flat, cross = flat[hit_c], cross[hit_x]
+        rows = np.concatenate([flat, np.repeat(cross, 5)])
+        place = np.concatenate([np.zeros(len(flat), np.intp),
+                                np.tile(np.arange(5), len(cross))])
+        is_flat = np.arange(len(rows)) < len(flat)
+        pts = np.concatenate([pts_c, pts_x.reshape(-1, 3)])
+        return i[rows], j[rows], place, is_flat, pts
 
-    def _overlap(self, j, tri):
-        """Coplanar pairs: overlap of triangle tri with triangle j, in j's
+    def _on_shared_side(self, i, j, on):
+        """Transversal pairs whose triangle i meets triangle j's plane at
+        exactly two of its vertices, where those two are the ends of a
+        side of both faces.  The segment _crossing would sample is then
+        part of an edge the two faces share, so every sample lies within
+        rounding (about eps) of that edge, far inside seam_tol: a seam,
+        never a witness.  A pair of vertices that is a side of one face
+        only (a diagonal of the other) is not dropped."""
+        v = self.tri_vertex[i].T
+        a = np.where(on[0], v[0], v[1])
+        b = np.where(on[2], v[2], v[1])
+        return _two_of(on) & \
+            self._member(self.face_side, self._side_key(self.face[i], a, b)) \
+            & self._member(self.face_side, self._side_key(self.face[j], a, b))
+
+    def _overlap(self, i, j):
+        """Coplanar pairs: overlap of triangle i with triangle j, in j's
         frame.  A pair is hit when the overlap has area above
-        _OVERLAP_AREA; its sample is the overlap's vertex mean."""
+        _OVERLAP_AREA; its sample is the overlap's vertex mean.  Returns
+        the hit rows and their samples."""
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
-        poly, size = _clip_convex(_geom.project_2d(tri, o, u, v), self.ccw[j])
-        hit = np.zeros(len(j), bool)
-        mean = np.zeros((len(j), 2))
+        rows, poly, size = _clip_convex(
+            _geom.project_2d(self.tri[i], o, u, v), self.ccw[j])
+        hit = np.zeros(len(rows), bool)
+        mean = np.zeros((len(rows), 2))
         for k in np.flatnonzero(np.bincount(size)[3:]) + 3:
-            rows = np.flatnonzero(size == k)
-            pk = poly[rows, :k]
-            hit[rows] = np.abs(_geom.polygon_area_2d(pk)) > _OVERLAP_AREA
-            mean[rows] = pk.mean(axis=1)
-        return hit, o + mean[:, 0, None] * u + mean[:, 1, None] * v
+            at = np.flatnonzero(size == k)
+            pk = poly[at, :k]
+            hit[at] = np.abs(_geom.polygon_area_2d(pk)) > _OVERLAP_AREA
+            mean[at] = pk.mean(axis=1)
+        rows, mean = rows[hit], mean[hit]
+        return rows, o[rows] + mean[:, 0, None] * u[rows] \
+            + mean[:, 1, None] * v[rows]
 
-    def _crossing(self, j, tri, s):
-        """Transversal pairs: the segment where triangle tri meets triangle
-        j's plane, clipped to triangle j (Liang-Barsky).  A pair is hit
-        when some of the segment remains; its samples are the clipped
-        segment's ends, quarter points and midpoint.  Every row meets the
-        plane in at least two points (see _plane_meets)."""
-        on, cut = _plane_meets(s, self.eps)
+    def _segment(self, i, s, met, cut):
+        """The segment where triangle i meets the plane its signed vertex
+        distances s are measured to, as (n, 2, 3) ends.  s, met and cut
+        are (3, n) columns (see _plane_meets): met marks the vertices on
+        the plane and the sides crossing it, and every row has at least
+        two."""
+        tri = self.tri[i]
         ends = tri.copy()
         for a in range(3):
-            b, side = (a + 1) % 3, cut[:, a]
-            sa, sb = s[side, a], s[side, b]
+            b, side = (a + 1) % 3, cut[a]
+            sa, sb = s[a, side], s[b, side]
             t = sa / (sa - sb)
             ends[side, a] = tri[side, a] + t[:, None] * (
                 tri[side, b] - tri[side, a])
-        found = on | cut
         # a triangle not in the plane meets it in at most two such points:
         # its vertices on the plane and its sides crossing the plane
-        rows = np.arange(len(j))
-        seg = np.stack([ends[rows, np.argmax(found, axis=1)],
-                        ends[rows, 2 - np.argmax(found[:, ::-1], axis=1)]],
-                       axis=1)
+        first = np.where(met[0], 0, np.where(met[1], 1, 2))
+        last = np.where(met[2], 2, np.where(met[1], 1, 0))
+        row = 3 * np.arange(len(i))
+        return ends.reshape(-1, 3)[np.stack([row + first, row + last], 1)]
+
+    def _crossing(self, j, seg):
+        """Transversal pairs: the segments seg, in triangle j's plane,
+        clipped to triangle j (Liang-Barsky).  A pair is hit when some of
+        its segment remains.  Returns the hit rows and their samples: the
+        clipped segment's ends, quarter points and midpoint."""
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
         s2d = _geom.project_2d(seg, o, u, v)
         a, d = s2d[:, 0], s2d[:, 1] - s2d[:, 0]
@@ -333,18 +382,23 @@ class _TriangleScan:
             t_out = np.where(exits & (t < t_out), t, t_out)
             t_in = np.where(enters & (t > t_in), t, t_in)
             alive &= ~(t_in > t_out)
-        a, b = a + t_in[:, None] * d, a + t_out[:, None] * d
+        # the samples of the hit rows only; each sum is formed in place,
+        # in the order o + x u + y v
+        hit = np.flatnonzero(alive)
+        a, d = a[hit], d[hit]
+        a, b = a + t_in[hit, None] * d, a + t_out[hit, None] * d
         q = np.stack([a, 0.75 * a + 0.25 * b, 0.5 * (a + b),
                       0.25 * a + 0.75 * b, b], axis=1)
-        pts = o[:, None] + q[..., 0, None] * u[:, None] \
-            + q[..., 1, None] * v[:, None]
-        return alive, pts
+        pts = q[..., 0, None] * u[hit, None]
+        pts += o[hit, None]
+        pts += q[..., 1, None] * v[hit, None]
+        return hit, pts
 
-    def clearance(self, f1, f2, pts):
+    def clearance(self, key, pts):
         """Distance from each point to the nearest vertex or whole edge
-        that its faces f1 and f2 share; inf where they share none."""
-        pair, slot = np.unique(f1.astype(np.int64) * self.n_faces + f2,
-                               return_inverse=True)
+        that its faces f1 and f2, given as key = f1 * n_faces + f2, share;
+        inf where they share none."""
+        pair, slot = np.unique(key, return_inverse=True)
         g1, g2 = pair // self.n_faces, pair % self.n_faces
         # every corner of each pair's first face
         owner, at = _spread(self.face_size[g1])
@@ -364,33 +418,51 @@ class _TriangleScan:
             feat, at = _spread(n_pts[owner[keep]])
             k = by_pair[first[owner[keep]][feat] + at]
             q = pts[k]
-            va = self.vertices[a[keep]][feat]
+            va = self.vertices[a[keep]]
             if segment:
-                ab = self.vertices[b[keep]][feat] - va
+                ab = (self.vertices[b[keep]] - va)[feat]
+                va = va[feat]
                 denom = _geom.dot(ab, ab)
                 t = np.clip(_geom.dot(q - va, ab)
                             / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
-                dist = _geom.norm(q - (va + t[:, None] * ab))
+                va += t[:, None] * ab       # the nearest point of the side
             else:
-                dist = _geom.norm(q - va)
-            np.minimum.at(out, k, dist)
+                va = va[feat]
+            q -= va
+            np.minimum.at(out, k, _geom.norm(q))
         return out
 
 
+# Per-triangle predicates work on (3, n) columns, one per vertex or side,
+# so that each test across a row is two elementwise operations on (n,)
+# arrays instead of a reduction along a short axis.
+
+def _each(m: np.ndarray) -> np.ndarray:
+    """Rows where all three (3, n) columns of m hold."""
+    return m[0] & m[1] & m[2]
+
+
+def _two_of(m: np.ndarray) -> np.ndarray:
+    """Rows where at least two of the three (3, n) columns of m hold."""
+    return (m[0] & m[1]) | (m[1] & m[2]) | (m[2] & m[0])
+
+
 def _one_side(s: np.ndarray, eps: float) -> np.ndarray:
-    return (s > eps).all(axis=1) | (s < -eps).all(axis=1)
+    """Rows whose three signed distances, the (3, n) columns s, all exceed
+    eps or all fall below -eps."""
+    return _each(s > eps) | _each(s < -eps)
 
 
 def _plane_meets(s: np.ndarray, eps: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Where triangles with signed vertex distances s (n, 3) to a plane
-    meet it: per vertex, whether it lies within eps of the plane, and per
-    side (vertex a to a + 1), whether its ends lie off the plane on
-    opposite sides."""
+    """Where triangles with signed vertex distances s to a plane meet it,
+    given and returned as (3, n) columns: per vertex, whether it lies
+    within eps of the plane, and per side (vertex a to a + 1), whether its
+    ends lie off the plane on opposite sides."""
     on = np.abs(s) <= eps
-    pos = s > 0
+    off, pos = ~on, s > 0
     nxt = [1, 2, 0]
-    return on, ~on & ~on[:, nxt] & (pos != pos[:, nxt])
+    return on, off & off[nxt] & (pos != pos[nxt])
 
 
 def _best_per_pair(key, clearance, i, j, place, *rest):
@@ -409,15 +481,17 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     broad phase sorts the triangles' bounding boxes on one axis and sweeps
     them (sort-and-sweep), then keeps the pairs from different faces whose
     boxes, widened by eps = 1e-12 (relative), overlap on all three axes.
-    The narrow phase takes the candidates in blocks of _BLOCK pairs and
-    tests each block at once: plane-side rejection, then either the
+    The narrow phase takes the candidates in blocks of up to _ROWS pairs
+    and tests each block at once: plane-side rejection, then either the
     coplanar overlap (Sutherland-Hodgman clip, area above 1e-12, sample at
     the overlap's vertex mean) or the segment where one triangle crosses
     the other's plane, clipped to that triangle (Liang-Barsky, samples at
     its ends, quarter points and midpoint).  A sample within 1e-9
     (relative) of a vertex or whole edge the two faces share is a seam,
-    not a witness.  Each face pair reports its sample of largest
-    clearance, the earliest in triangle order on ties.
+    not a witness; a crossing that runs along a side of both faces is
+    dropped before it is sampled, since all its samples are seams.  Each
+    face pair reports its sample of largest clearance, the earliest in
+    triangle order on ties.
 
     Each dot product and norm is rounded exactly as np.dot rounds a single
     pair, so the result equals that of testing one triangle pair at a
@@ -426,16 +500,15 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     scan = _TriangleScan(p)
     cand_i, cand_j = scan.candidates()
     found = []
-    for s in range(0, len(cand_i), _BLOCK):
-        i = cand_i[s:s + _BLOCK].astype(np.intp)
-        j = cand_j[s:s + _BLOCK].astype(np.intp)
-        rows, place, flat, pts = scan.contacts(i, j)
-        i, j = i[rows], j[rows]
-        f1, f2 = scan.face[i], scan.face[j]
-        clr = scan.clearance(f1, f2, pts)
+    for s in range(0, len(cand_i), _ROWS):
+        i, j, place, flat, pts = scan.contacts(
+            cand_i[s:s + _ROWS].astype(np.intp),
+            cand_j[s:s + _ROWS].astype(np.intp))
+        key = scan.face[i] * p.n_faces + scan.face[j]
+        clr = scan.clearance(key, pts)
         keep = clr > scan.seam_tol
         found.append(_best_per_pair(*(a[keep] for a in (
-            f1 * p.n_faces + f2, clr, i, j, place, flat, pts))))
+            key, clr, i, j, place, flat, pts))))
     if not found:
         return []
     key, _, _, _, _, flat, pts = _best_per_pair(

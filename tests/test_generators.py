@@ -373,6 +373,22 @@ def test_generate_takes_the_fixed_genus(tmp_path, family, genus):
     assert out.exists()
 
 
+@pytest.mark.parametrize("family,genus", [
+    ("orientable", 0), ("orientable", 1), ("orientable", 2),
+    ("orientable", 3), ("nonorientable", 1), ("nonorientable", 2),
+    ("nonorientable", 3)])
+def test_generate_records_the_requested_family(tmp_path, family, genus):
+    """The saved metadata names the family asked for at every genus,
+    also where that genus is built by a base polyhedron."""
+    import json
+    from ccpforge.cli import main
+    out = tmp_path / "mesh.json"
+    assert main(["generate", "--family", family, "--genus", str(genus),
+                 "-o", str(out)]) == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert (meta["family"], meta["genus"]) == (family, genus)
+
+
 def test_catalog_rows_are_consistent():
     """A fixed genus matches the advertised range, and the builder of a
     family with a genus range takes the genus first."""

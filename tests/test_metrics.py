@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from ccpforge import (angular_defect, build_polyhedron,
+from ccpforge import (FamilyRequest, angular_defect, build_polyhedron,
                       corner_angle, defect_profile, descartes_residual,
                       dihedral_angle, edge_length, gen_flat_torus9,
                       gen_minimal, gen_p2_24, gen_q2_9, gen_r_block,
                       gen_tetrahedron, gen_tetrahemihexahedron,
                       self_intersections)
 from ccpforge.errors import FlatEdge, VertexNotOnFace
+from ccpforge.generators import generate_family
 
 from conftest import random_rigid_motion
 
@@ -190,9 +191,111 @@ def test_plane_meets():
                   [0.0, 0.0, 1.0],        # a side on the plane
                   [0.0, 1.0, -1.0],       # a vertex and the opposite side
                   [-0.0, -1.0, -2.0]])
-    on, cut = _plane_meets(s, 1e-12)
+    on, cut = (a.T for a in _plane_meets(s.T, 1e-12))
     assert on.tolist() == [[False] * 3, [True, False, False],
                            [True, False, False], [True, True, False],
                            [True, False, False], [True, False, False]]
     assert cut.tolist() == [[True, True, False]] + [[False] * 3] * 3 + [
         [False, True, False], [False] * 3]
+
+
+# meshes of the oracle corpus with witnesses, each of which fits in one
+# default block of the narrow phase
+BLOCK_CORPUS = [("n5g", 15, False), ("nonorientable", 10, False),
+                ("nonorientable", 10, True), ("minimal", 10, False)]
+
+
+@pytest.mark.parametrize("name,genus,fewest", BLOCK_CORPUS)
+def test_witnesses_do_not_depend_on_the_row_budget(monkeypatch, name, genus,
+                                                   fewest):
+    """Blocks of 1, 7 and 64 rows give the faces, kinds and point bits of
+    one default block, so the merge across blocks in _best_per_pair
+    keeps each face pair's best sample."""
+    from ccpforge import metrics
+    p = generate_family(FamilyRequest(name, genus, {}, fewest))
+    want = self_intersections(p)
+    assert want
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(metrics, "_ROWS", rows)
+        got = self_intersections(p)
+        assert [w.faces for w in got] == [w.faces for w in want]
+        assert [w.kind for w in got] == [w.kind for w in want]
+        assert all(np.array_equal(g.point, w.point)
+                   for g, w in zip(got, want))
+
+
+def _rows_reaching_crossing(monkeypatch, p):
+    """p's triangle scan, its candidate rows, and the (i, j) pairs among
+    them that reach the crossing test when all go through contacts."""
+    from ccpforge.metrics import _TriangleScan
+    scan = _TriangleScan(p)
+    seen_i, seen_j = [], []
+    segment, crossing = scan._segment, scan._crossing
+
+    def spy_segment(i, *rest):
+        seen_i.extend(i.tolist())
+        return segment(i, *rest)
+
+    def spy_crossing(j, seg):
+        seen_j.extend(j.tolist())
+        return crossing(j, seg)
+    monkeypatch.setattr(scan, "_segment", spy_segment)
+    monkeypatch.setattr(scan, "_crossing", spy_crossing)
+    i, j = (a.astype(np.intp) for a in scan.candidates())
+    scan.contacts(i, j)
+    return scan, i, j, set(zip(seen_i, seen_j))
+
+
+def test_crossing_on_a_side_of_both_faces_is_dropped(monkeypatch):
+    """In a tetrahedron every triangle meets each other face's plane at
+    the two ends of a side the faces share: every candidate row is
+    transversal with two on-plane vertices, and none reaches _crossing."""
+    from ccpforge.metrics import _plane_meets
+    scan, i, j, crossed = _rows_reaching_crossing(monkeypatch,
+                                                  gen_tetrahedron())
+    assert len(i) == 6
+    on, cut = _plane_meets(scan._distances(i, j), scan.eps)
+    assert (on.sum(axis=0) == 2).all() and not cut.any()
+    assert scan._on_shared_side(i, j, on).all()
+    assert crossed == set()
+    assert self_intersections(gen_tetrahedron()) == []
+
+
+def diagonal_contact():
+    """A tetrahedron ABTS standing on the diagonal AB of a square pyramid's
+    base PBQA: AB is a side of the tetrahedron's faces but only a diagonal
+    of the base, which the ear clip cuts along AB.  Not one surface, but
+    a valid scan input."""
+    from ccpforge.mesh import MeshMetadata, Polyhedron, _derive_edge_slots
+    v = np.array([(0, 0, 0), (2, 0, 0), (1, -1, 0), (1, 1, 0),    # A B P Q
+                  (1, 0, -1), (1, 0, 1), (1, 1, 1)], float)       # X T S
+    faces = [(0, 1, 5), (2, 1, 3, 0),
+             (1, 0, 6), (0, 5, 6), (1, 6, 5),
+             (2, 4, 1), (1, 4, 3), (3, 4, 0), (0, 4, 2)]
+    slots, pairs = _derive_edge_slots(faces)
+    return Polyhedron(v, tuple(faces), pairs, slots, MeshMetadata())
+
+
+def test_crossing_on_a_diagonal_keeps_its_witness(monkeypatch):
+    """Triangle ABT meets the base's plane at A and B, the ends of a side
+    of its own face but of a diagonal of the base: both its rows against
+    the base's triangles are sampled, and the face pair's witness is the
+    contact at AB's midpoint, as in the scalar scan."""
+    import scalar_scan
+    p = diagonal_contact()
+    vertex, face = p.geometry.triangulation
+    assert {frozenset(t) for t in vertex[face == 1].tolist()} == {
+        frozenset((0, 2, 1)), frozenset((1, 3, 0))}
+    scan, i, j, crossed = _rows_reaching_crossing(monkeypatch, p)
+    on_base = [(a, b) for a, b in zip(i.tolist(), j.tolist())
+               if face[a] == 0 and face[b] == 1]
+    assert len(on_base) == 2 and set(on_base) <= crossed
+
+    got = self_intersections(p)
+    want = scalar_scan.self_intersections(p)
+    assert [(w.faces, w.kind) for w in got] == \
+        [(w.faces, w.kind) for w in want]
+    assert all(np.array_equal(g.point, w.point) for g, w in zip(got, want))
+    ab = next(w for w in got if w.faces == (0, 1))
+    assert ab.kind == "transversal"
+    assert np.allclose(ab.point, (1.0, 0.0, 0.0), atol=1e-12)
