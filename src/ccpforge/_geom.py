@@ -130,26 +130,13 @@ def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return np.count_nonzero(up, axis=-1) != np.count_nonzero(down, axis=-1)
 
 
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def dist_point_segment(pt, a, b) -> float:
-    """Distance from a point to the segment ab, in any dimension."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(pt - a))
-    t = np.clip(float((pt - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(pt - (a + t * ab)))
-
-
 def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
                                 ) -> np.ndarray:
     """Distances from (..., 2) points to the boundaries of (..., k, 2)
-    polygons, the two broadcast against each other: dist_point_segment
-    over every side at once, rounded side by side as that function rounds
-    (a zero-length side measures to its endpoint)."""
+    polygons, the two broadcast against each other: every side at once,
+    each rounded as the scalar distance to one segment rounds it
+    (dist_point_segment in tests/scalar_polygon.py); a zero-length side
+    measures to its endpoint."""
     ab = _succ(poly) - poly
     ap = pt[..., None, :] - poly
     num, denom = dot(ap, ab), dot(ab, ab)

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success (verify: mesh is a constant-defect surface),
-1 verified but not constant-defect, 2 bad input, parameters or files.
+1 verified but not constant-defect, 2 bad input, parameters or files, or
+a closed standard output.
 """
 
 from __future__ import annotations
@@ -149,7 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away; send what is still buffered to
+        # devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except CcpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

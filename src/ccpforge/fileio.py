@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _geom
 from .errors import BadFile, NotRepresentable
 from .mesh import MeshMetadata, Polyhedron, build_polyhedron, flat_edges
 
@@ -218,12 +217,9 @@ def write_stl(p: Polyhedron, path) -> None:
     orientation exists).  A coordinate beyond the float32 range raises
     NotRepresentable."""
     tris = p.vertices[p.geometry.triangulation.vertex]
-    n = _geom.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    norm = _geom.norm(n)[:, None]
-    n = np.divide(n, norm, out=n, where=norm > 0)
     records = np.zeros(len(tris), _STL_RECORD)
     with np.errstate(over="ignore"):
-        records["normal"] = n
+        records["normal"] = p.geometry.triangle_normals[0]
         records["corners"] = tris
     # a unit normal always fits; a coordinate may round to inf
     wide = np.isinf(records["corners"]).any(axis=(1, 2))

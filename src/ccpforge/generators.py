@@ -204,13 +204,13 @@ def gen_tetrahemihexahedron() -> Polyhedron:
 # uniform hemi-polyhedra on Archimedean vertex sets
 
 
-def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float,
-                     tol: float = 1e-9) -> tuple[int, ...]:
-    """Indices of vertices on the plane axis . x = offset, sorted CCW
-    around the axis."""
+def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float
+                     ) -> tuple[int, ...]:
+    """Indices of vertices within 1e-9 of the plane axis . x = offset,
+    sorted CCW around the axis."""
     axis = axis / np.linalg.norm(axis)
     sel = [i for i, p in enumerate(verts)
-           if abs(float(p @ axis) - offset) < tol]
+           if abs(float(p @ axis) - offset) < 1e-9]
     u, v = _geom.plane_basis(axis)
     p2 = _geom.project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
     order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
@@ -337,10 +337,6 @@ def gen_s_base() -> Polyhedron:
         faces.append((vid(1, k), vid(3, k), vid(2, k + 1), vid(1, k + 1)))
     return _build(verts, faces, family="s-base", genus=0, orientable=True,
                   defect=None, labels=labels)
-
-
-S_GLUING_FACES = (2, 3, 4)     # gen_s_base face ids of the gluing triangles
-S_TOP_FACE, S_HEX_FACE = 1, 0
 
 
 def gen_q2_9() -> Polyhedron:

@@ -120,15 +120,8 @@ class Polyhedron:
         return lookup
 
     def vertex_faces(self, v: int) -> list[int]:
-        return self._vertex_face_table[v]
-
-    @cached_property
-    def _vertex_face_table(self) -> list[list[int]]:
-        table = [[] for _ in range(self.n_vertices)]
-        for fi, cyc in enumerate(self.faces):
-            for u in cyc:
-                table[u].append(fi)
-        return table
+        geo = self.geometry
+        return geo.corner_face[geo.corner_vertex == v].tolist()
 
     def face_points(self, f: int) -> np.ndarray:
         return self.vertices[list(self.faces[f])]
@@ -219,8 +212,6 @@ class MeshGeometry:
                  corners: _Corners | None = None,
                  cells: np.ndarray | None = None):
         self.vertices = p.vertices
-        self.faces = p.faces
-        self.edge_slots = p.edge_slots
         c = _corner_layout(p.faces) if corners is None else corners
         self.face_size = c.size
         self.face_start = c.start
@@ -295,13 +286,16 @@ class MeshGeometry:
         return Triangulation(_readonly(vertex), _readonly(face))
 
     @cached_property
-    def triangles(self) -> list[np.ndarray]:
-        """Per face: its ear-clipped triangles as a (k-2, 3, 3) array of
-        world-space points."""
-        vertex, face = self.triangulation
-        pts = _readonly(self.vertices[vertex])
-        return np.split(pts, np.cumsum(np.bincount(
-            face, minlength=len(self.faces)))[:-1])
+    def triangle_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per triangle of `triangulation`: its unit normal, by the right-
+        hand rule over its vertex order, and whether that normal has zero
+        length (the normal is then left zero)."""
+        tri = self.vertices[self.triangulation.vertex]
+        n = _geom.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        norm = _geom.norm(n)
+        zero = norm == 0
+        np.divide(n, norm[:, None], out=n, where=~zero[:, None])
+        return _readonly(n), _readonly(zero)
 
     @cached_property
     def corner_angles(self) -> np.ndarray:
@@ -427,12 +421,6 @@ def _as_tuples(cells: np.ndarray, ends: np.ndarray
                ) -> tuple[EdgeSlots, tuple[tuple[int, int], ...]]:
     return (tuple(((a, b), (c, d)) for a, b, c, d in cells.tolist()),
             tuple(map(tuple, ends.tolist())))
-
-
-def _derive_edge_slots(faces):
-    """Pair the half-edges by unordered vertex pair; every pair must occur
-    exactly twice.  Returns (edge_slots, edge_pairs)."""
-    return _as_tuples(*_derived_cells(_corner_layout(faces)))
 
 
 # Newell sums are quadratic in the coordinates and their squared lengths

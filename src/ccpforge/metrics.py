@@ -196,14 +196,11 @@ class _TriangleScan:
         self.tri = tri
         self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
 
+        # a degenerate triangle has a zero normal and touches nothing
+        self.normal, self.degenerate = geo.triangle_normals
         with np.errstate(divide="ignore", invalid="ignore"):
-            n = _geom.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            norm = _geom.norm(n)
-            self.degenerate = norm == 0     # touches nothing
-            n /= norm[:, None]
-            self.normal = n
-            self.offset = _geom.dot(n, tri[:, 0])
-            self.u, self.v = _geom.plane_basis(n)
+            self.offset = _geom.dot(self.normal, tri[:, 0])
+            self.u, self.v = _geom.plane_basis(self.normal)
             own = _geom.project_2d(tri, tri[:, 0], self.u, self.v)
             cw = _geom.polygon_area_2d(own) < 0
             self.ccw = np.where(cw[:, None, None], own[:, ::-1], own)

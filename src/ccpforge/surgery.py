@@ -57,9 +57,7 @@ def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
     c2 = p2.faces[corr.face2]
     if len(c1) != len(c2):
         raise NotIsometric("face cycles have different lengths")
-    scale = max(1.0, float(np.abs(p1.vertices).max()),
-                float(np.abs(p2.vertices).max()))
-    tol = LENGTH_TOL * scale * 10
+    tol = LENGTH_TOL * max(p1.geometry.scale, p2.geometry.scale) * 10
 
     if corr.mapping is not None:
         mapping = tuple(int(v) for v in corr.mapping)

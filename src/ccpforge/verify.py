@@ -63,11 +63,12 @@ class VerificationReport:
         }
 
 
-def format_pi_multiple(x: float, max_denominator: int = 120) -> str:
-    """Render x as p*pi/q when it is one within 1e-6, else as a float."""
+def format_pi_multiple(x: float) -> str:
+    """Render x as p*pi/q, q <= 120, when it is one within 1e-6, else as a
+    float."""
     if abs(x) < 1e-12:
         return "0"
-    for q in range(1, max_denominator + 1):
+    for q in range(1, 121):
         p = round(x * q / math.pi)
         if p != 0 and abs(x * q / math.pi - p) < 1e-6:
             g = math.gcd(abs(int(p)), q)

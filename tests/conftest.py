@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ccpforge import build_polyhedron
+from ccpforge.mesh import _as_tuples, _corner_layout, _derived_cells
 
 
 def cube_data():
@@ -20,6 +21,20 @@ def cube_data():
         [vid(1, -1, -1), vid(1, 1, -1), vid(1, 1, 1), vid(1, -1, 1)],
     ]
     return verts, faces
+
+
+def _derive_edge_slots(faces):
+    """Pair the half-edges by unordered vertex pair; every pair must occur
+    exactly twice.  Returns (edge_slots, edge_pairs)."""
+    return _as_tuples(*_derived_cells(_corner_layout(faces)))
+
+
+def face_triangles(p):
+    """Per face: its ear-clipped triangles as a (k-2, 3, 3) array of
+    world-space points."""
+    vertex, face = p.geometry.triangulation
+    return np.split(p.vertices[vertex], np.cumsum(np.bincount(
+        face, minlength=p.n_faces))[:-1])
 
 
 @pytest.fixture

@@ -5,15 +5,31 @@ errors.
 
 They index numpy arrays point by point and do their arithmetic on numpy
 scalars, so they are slow; the tests run them on a few thousand small
-polygons only.
+polygons only.  The two helpers below are shared with the scalar scan
+(``scalar_scan``), and dist_point_segment is also the reference of
+``ccpforge._geom.dist_point_polygon_boundary``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ccpforge._geom import _cross2, polygon_area_2d
+from ccpforge._geom import polygon_area_2d
 from ccpforge.errors import DegenerateFace
+
+
+def _cross2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def dist_point_segment(pt, a, b) -> float:
+    """Distance from a point to the segment ab, in any dimension."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(pt - a))
+    t = np.clip(float((pt - a) @ ab) / denom, 0.0, 1.0)
+    return float(np.linalg.norm(pt - (a + t * ab)))
 
 
 def _segments_cross(a, b, c, d, eps=1e-12):

@@ -15,6 +15,9 @@ from ccpforge import _geom
 from ccpforge.metrics import IntersectionWitness
 from ccpforge.mesh import Polyhedron
 
+from conftest import face_triangles
+from scalar_polygon import _cross2, dist_point_segment
+
 
 def _shared_features(p: Polyhedron, f1: int, f2: int):
     """Shared vertices (as points) and shared whole edges between two faces."""
@@ -41,7 +44,7 @@ def _clearance(point, shared_pts, shared_segs):
     for q in shared_pts:
         d = min(d, float(np.linalg.norm(point - q)))
     for a, b in shared_segs:
-        d = min(d, _geom.dist_point_segment(point, a, b))
+        d = min(d, dist_point_segment(point, a, b))
     return d
 
 
@@ -110,8 +113,8 @@ def _clip_segment_to_triangle(seg2d, tri2d):
     for i in range(3):
         p0, p1 = tri2d[i], tri2d[(i + 1) % 3]
         edge = p1 - p0
-        num = _geom._cross2(edge, a - p0)
-        den = -_geom._cross2(edge, d)
+        num = _cross2(edge, a - p0)
+        den = -_cross2(edge, d)
         if abs(den) < 1e-30:
             if num < 0:
                 return None
@@ -134,7 +137,7 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     broad phase.  Contact within 1e-9 (relative) of a shared vertex or
     shared edge is a legitimate seam, not a witness.
     """
-    tris = p.geometry.triangles
+    tris = face_triangles(p)
     scale = max(1.0, float(np.abs(p.vertices).max()))
     eps = 1e-12 * scale
     seam_tol = 1e-9 * scale
@@ -186,15 +189,15 @@ def clip_polygon_2d(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
         out = []
         for j in range(len(inp)):
             cur, nxt = inp[j], inp[(j + 1) % len(inp)]
-            cur_in = _geom._cross2(b - a, cur - a) >= 0
-            nxt_in = _geom._cross2(b - a, nxt - a) >= 0
+            cur_in = _cross2(b - a, cur - a) >= 0
+            nxt_in = _cross2(b - a, nxt - a) >= 0
             if cur_in:
                 out.append(cur)
             if cur_in != nxt_in:
                 d = nxt - cur
-                denom = _geom._cross2(b - a, d)
+                denom = _cross2(b - a, d)
                 if abs(denom) > 1e-30:
-                    t = _geom._cross2(b - a, a - cur) / denom
+                    t = _cross2(b - a, a - cur) / denom
                     out.append(cur + t * d)
     return np.array(out) if out else np.zeros((0, 2))
 

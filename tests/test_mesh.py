@@ -12,10 +12,10 @@ from ccpforge import (build_polyhedron, classify, euler_characteristic,
 from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
-from ccpforge.mesh import (MeshMetadata, Polyhedron, _derive_edge_slots,
+from ccpforge.mesh import (MeshMetadata, Polyhedron,
                            replace_meta, topology_from)
 
-from conftest import cube_data, random_rigid_motion
+from conftest import _derive_edge_slots, cube_data, random_rigid_motion
 from test_self_intersection_oracle import SMALL_GENERA, family
 
 TET_V = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]

@@ -112,7 +112,7 @@ def test_dihedral_flat_raises():
     v = [(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0.2, 1)]
     f = [(0, 2, 1), (0, 1, 3), (0, 4, 2), (2, 4, 1), (0, 3, 4), (3, 1, 4)]
     from ccpforge.mesh import MeshMetadata, Polyhedron
-    from ccpforge.mesh import _derive_edge_slots
+    from conftest import _derive_edge_slots
     slots, pairs = _derive_edge_slots([tuple(c) for c in f])
     p = Polyhedron(np.array(v, float), tuple(tuple(c) for c in f),
                    pairs, slots, MeshMetadata())
@@ -266,7 +266,8 @@ def diagonal_contact():
     base PBQA: AB is a side of the tetrahedron's faces but only a diagonal
     of the base, which the ear clip cuts along AB.  Not one surface, but
     a valid scan input."""
-    from ccpforge.mesh import MeshMetadata, Polyhedron, _derive_edge_slots
+    from ccpforge.mesh import MeshMetadata, Polyhedron
+    from conftest import _derive_edge_slots
     v = np.array([(0, 0, 0), (2, 0, 0), (1, -1, 0), (1, 1, 0),    # A B P Q
                   (1, 0, -1), (1, 0, 1), (1, 1, 1)], float)       # X T S
     faces = [(0, 1, 5), (2, 1, 3, 0),

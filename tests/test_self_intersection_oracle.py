@@ -11,11 +11,11 @@ import pytest
 
 from ccpforge import CATALOG, FamilyRequest, build_polyhedron, gen_p2_24
 from ccpforge.generators import generate_family
-from ccpforge.mesh import MeshMetadata, Polyhedron, _derive_edge_slots
+from ccpforge.mesh import MeshMetadata, Polyhedron
 from ccpforge.metrics import self_intersections
 
 import scalar_scan
-from conftest import random_rigid_motion
+from conftest import _derive_edge_slots, random_rigid_motion
 
 
 def assert_same_witnesses(p):

@@ -12,8 +12,9 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       connect_sum, defect_profile, drill, drill_repeat,
                       euler_characteristic, gen_cubohemioctahedron,
                       gen_minimal, gen_p2_24, gen_q3_18, gen_r_block,
-                      gen_tetrahedron, is_embedded, retile_pierced_face)
-from ccpforge._geom import dist_point_polygon_boundary, dist_point_segment
+                      gen_tetrahedron, is_embedded, retile_pierced_face,
+                      verify)
+from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, CcpError, FlatSeam, HoleNotInside,
                              NonNegativeChi, NotInteger, NotIsometric)
@@ -21,6 +22,7 @@ from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
 from ccpforge.surgery import _locate_face
 
 from conftest import cube_data, random_rigid_motion
+from scalar_polygon import dist_point_segment
 from test_self_intersection_oracle import SMALL_GENERA
 
 R_PARAMS = (0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
@@ -85,6 +87,26 @@ class TestConnectSum:
             for v in c1.faces[1])
         with pytest.raises(FlatSeam):
             connect_sum(c1, c2, FaceCorrespondence(1, 0, mapping=aligned))
+
+    def test_carries_second_mesh_seams(self):
+        """The second mesh's retiling seams come through under their new
+        ids: face2's vertices take face1's ids, the rest are appended in
+        order.  They are exempt from the flat-edge rejection, so the glue
+        builds and verifies with no dihedral violation."""
+        p1 = gen_p2_24()
+        p2 = drill(gen_p2_24(), DrillSpec(0, 1, 12))
+        mapping = (0, 1, 5, 4)
+        out = connect_sum(p1, p2, FaceCorrespondence(14, 12, mapping))
+        assert out.n_vertices == 68
+        new_id = dict(zip(mapping, p1.faces[14]))
+        fresh = [v for v in range(p2.n_vertices) if v not in new_id]
+        new_id.update({v: p1.n_vertices + i for i, v in enumerate(fresh)})
+        assert len(p2.metadata.seam_edges) == 40
+        assert out.metadata.seam_edges == {
+            tuple(sorted((new_id[u], new_id[w])))
+            for u, w in p2.metadata.seam_edges}
+        assert verify(out).dihedral_violations == []
+        assert_same_as_full_build(out)
 
 
 class TestPrismOrder:

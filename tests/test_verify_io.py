@@ -20,6 +20,7 @@ from ccpforge import _geom
 from ccpforge.errors import NotRepresentable
 from ccpforge.fileio import mesh_to_document
 
+from conftest import face_triangles
 from test_self_intersection_oracle import SMALL_GENERA, family
 
 
@@ -138,7 +139,7 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 def stl_record_loop(p):
     """The triangle-by-triangle STL writer that write_stl replaced."""
-    tris = [t for ts in p.geometry.triangles for t in ts]
+    tris = [t for ts in face_triangles(p) for t in ts]
     blob = bytearray(b"ccp-forge" + b" " * 71)
     blob += struct.pack("<I", len(tris))
     for t in tris:
@@ -225,11 +226,12 @@ class TestFileIO:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-m", "ccpforge.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          cwd=cwd, env=env)
 
 
 class TestCli:
@@ -305,6 +307,21 @@ class TestCli:
         r = run_cli("verify", str(dst), "--json")
         assert json.loads(r.stdout)["genus"] == 3
 
+    @pytest.mark.parametrize("argv", [["catalog"], ["verify", "t.json"]])
+    def test_closed_stdout_exit_2(self, tmp_path, argv):
+        """With the read end of its stdout pipe closed, as under
+        `| head -1`, a command exits 2 without a traceback."""
+        save_json(gen_tetrahedron(), tmp_path / "t.json")
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = run_cli(*argv, cwd=tmp_path, stdout=w)
+        finally:
+            os.close(w)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
+
     def test_export_obj(self, tmp_path):
         src = tmp_path / "thh.json"
         dst = tmp_path / "thh.obj"
@@ -312,6 +329,21 @@ class TestCli:
         r = run_cli("export", str(src), "-o", str(dst))
         assert r.returncode == 0
         assert load_mesh(dst).n_vertices == 6
+
+
+@pytest.mark.parametrize("suffix", [".json", ".obj"])
+def test_drill_twice_writes_a_genus_4_mesh(tmp_path, capsys, suffix):
+    """`ccp drill --k 2` on p2-24 writes a mesh that verifies as an
+    embedded genus-4 CCP, through either format."""
+    from ccpforge.cli import main
+    src, dst = tmp_path / "p2.json", tmp_path / f"g4{suffix}"
+    save_json(gen_p2_24(), src)
+    assert main(["drill", str(src), "--face-a", "0", "--face-b", "1",
+                 "--n", "12", "--k", "2", "-o", str(dst)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(dst), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["genus"] == 4 and doc["verdict"] == "ccp_embedded"
 
 
 def _bad_input_exits_2(capsys, path, out):
@@ -444,6 +476,16 @@ def _tet_scaled(factor):
         gen_tetrahedron())["vertices"])).tolist())
 
 
+TET_CELLS = [[[0, 0], [2, 2]], [[0, 2], [1, 0]], [[1, 2], [2, 0]],
+             [[0, 1], [3, 2]], [[2, 1], [3, 0]], [[1, 1], [3, 1]]]
+
+
+def _tet_cells(*first):
+    """The tetrahedron with explicit edge_cells: `first` in place of the
+    leading cells of TET_CELLS."""
+    return _tet_json(edge_cells=[*first, *TET_CELLS[len(first):]])
+
+
 def _tet_vertex(first):
     return _tet_json(vertices=[first] + mesh_to_document(
         gen_tetrahedron())["vertices"][1:])
@@ -464,6 +506,25 @@ CONTRACT_CASES = [
     ("word_v.obj", TET_OBJ.replace("v 1 1 1", "v a 0 0"), 2, "BadFile"),
     ("zero_index.obj", TET_OBJ.replace("f 1 2 3", "f 0 1 2"), 2, "BadFile"),
     ("relative.obj", TET_OBJ.replace("f 1 2 3", "f -4 -3 -2"), 0, ""),
+    ("cells.json", _tet_cells(), 0, ""),
+    ("cell_face_past_end.json", _tet_cells([[0, 0], [4, 0]]), 2,
+     "NonManifoldEdge: half-edge (4, 0) out of range"),
+    ("cell_negative_slot.json", _tet_cells([[0, -1], [2, 2]]), 2,
+     "NonManifoldEdge: half-edge (0, -1) out of range"),
+    ("cell_paired_twice.json", _tet_cells([[0, 0], [2, 2]], [[0, 0], [1, 0]]),
+     2, "NonManifoldEdge: half-edge (0, 0) paired twice"),
+    ("cell_two_segments.json", _tet_cells([[0, 0], [1, 0]], [[0, 2], [2, 2]]),
+     2, "NonManifoldEdge: half-edges (0,0) and (1,0) traverse different "
+        "segments"),
+    ("cell_missing.json", _tet_json(edge_cells=TET_CELLS[:-1]), 2,
+     "NonManifoldEdge: edge_slots do not cover every half-edge"),
+    ("cells_empty.json", _tet_json(edge_cells=[]), 2,
+     "NonManifoldEdge: edge_slots do not cover every half-edge"),
+    ("pillow.json", json.dumps({
+        "format_version": 1,
+        "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+        "faces": [[0, 1, 2, 3], [0, 3, 2, 1]]}), 2,
+     "IsolatedVertex: vertex 0 has 2 incident faces"),
 ]
 
 
