@@ -18,7 +18,7 @@ class BadFile(CcpError):
 
 class NotRepresentable(CcpError):
     """A mesh does not fit the output format: an STL coordinate beyond the
-    float32 range."""
+    float32 range, or an OBJ of a mesh with doubled segments."""
 
 
 # ---- mesh construction / validation ----

@@ -151,7 +151,15 @@ def load_json(path) -> Polyhedron:
 
 
 def write_obj(p: Polyhedron, path) -> None:
-    """Wavefront OBJ with 1-based indices; polygons are preserved."""
+    """Wavefront OBJ with 1-based indices; polygons are preserved.  OBJ
+    pairs face sides by vertex pair, so a mesh with doubled segments (two
+    edge cells on one vertex pair) raises NotRepresentable."""
+    if p.has_multi_edges:
+        pair = next(e for e, f in zip(p.edges, p.edges[1:]) if e == f)
+        raise NotRepresentable(
+            f"OBJ cannot keep the doubled segment {pair} apart (it pairs "
+            f"face sides by vertex pair); write .json, which keeps the "
+            f"edge cells, or .stl")
     lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in p.vertices]
     lines += ["f " + " ".join(str(i + 1) for i in cyc) for cyc in p.faces]
     _write(path, ("\n".join(lines) + "\n").encode())

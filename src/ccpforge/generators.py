@@ -12,7 +12,7 @@ import numpy as np
 from . import _geom
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import MeshMetadata, Polyhedron, build_polyhedron
+from .mesh import MeshData, MeshMetadata, Polyhedron, build_polyhedron
 
 TAU = 2.0 * math.pi
 
@@ -32,13 +32,17 @@ def _orbit(base, m: int) -> list[np.ndarray]:
     return out
 
 
-def _build(vertices, faces, *, family, genus, orientable, defect,
-           labels=None, provenance=None) -> Polyhedron:
+def _data(vertices, faces, *, family, genus, orientable, defect,
+          labels=None) -> MeshData:
+    """A construction's parts, not yet validated."""
     meta = MeshMetadata(family=family, genus=genus, orientable=orientable,
                         expected_defect=defect,
-                        provenance=list(provenance or []),
                         vertex_labels=dict(labels or {}))
-    return build_polyhedron(np.asarray(vertices, float), faces, metadata=meta)
+    return MeshData(np.asarray(vertices, float), faces, meta)
+
+
+def _build(data: MeshData) -> Polyhedron:
+    return build_polyhedron(data.vertices, data.faces, data.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +54,8 @@ def gen_tetrahedron() -> Polyhedron:
     v = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     f = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
     labels = {f"v{i+1}": i for i in range(4)}
-    return _build(v, f, family="tetrahedron", genus=0, orientable=True,
-                  defect=math.pi, labels=labels)
+    return _build(_data(v, f, family="tetrahedron", genus=0,
+                        orientable=True, defect=math.pi, labels=labels))
 
 
 def gen_flat_torus9() -> Polyhedron:
@@ -82,8 +86,8 @@ def gen_flat_torus9() -> Polyhedron:
         # wrap band rows 3-1
         faces.append((vid(3, k), vid(3, k1), vid(1, k)))
         faces.append((vid(3, k1), vid(1, k1), vid(1, k)))
-    return _build(verts, faces, family="flat-torus-9", genus=1,
-                  orientable=True, defect=0.0, labels=labels)
+    return _build(_data(verts, faces, family="flat-torus-9", genus=1,
+                        orientable=True, defect=0.0, labels=labels))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +157,8 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
         # full cube wall at x = sx
         faces.append((v(1, sx, 1, 1), v(1, sx, -1, 1),
                       v(1, sx, -1, -1), v(1, sx, 1, -1)))
-    return _build(verts, faces, family="p2-24", genus=2, orientable=True,
-                  defect=-math.pi / 6, labels=labels)
+    return _build(_data(verts, faces, family="p2-24", genus=2,
+                        orientable=True, defect=-math.pi / 6, labels=labels))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,11 @@ def gen_r_block(r: float, h: float) -> Polyhedron:
     isosceles trapezoids passing through the interior.  r = 1, h = sqrt(2)
     reproduces the uniform tetrahemihexahedron.
     """
+    return _build(_r_block(r, h))
+
+
+def _r_block(r: float, h: float) -> MeshData:
+    """The parts of gen_r_block(r, h), for gluing."""
     if not (0 < r <= 1) or h <= 0:
         raise BadParameters(f"need 0 < r <= 1 and h > 0, got r={r}, h={h}")
     verts = []
@@ -189,8 +198,8 @@ def gen_r_block(r: float, h: float) -> Polyhedron:
         (v5, v6, v1),
         (v6, v4, v2),
     ]
-    return _build(verts, faces, family="r-block", genus=1, orientable=False,
-                  defect=None, labels=labels)
+    return _data(verts, faces, family="r-block", genus=1, orientable=False,
+                 defect=None, labels=labels)
 
 
 def gen_tetrahemihexahedron() -> Polyhedron:
@@ -239,8 +248,8 @@ def gen_cubohemioctahedron() -> Polyhedron:
                 if sx * sy * sz == 1:
                     faces.append(_central_polygon(
                         verts, np.array([sx, sy, sz], float), 0.0))
-    return _build(verts, faces, family="cho", genus=4, orientable=False,
-                  defect=-math.pi / 3)
+    return _build(_data(verts, faces, family="cho", genus=4,
+                        orientable=False, defect=-math.pi / 3))
 
 
 def gen_rhombihexahedron() -> Polyhedron:
@@ -272,8 +281,8 @@ def gen_rhombihexahedron() -> Polyhedron:
                 axis /= np.linalg.norm(axis)
                 faces.append(_central_polygon(verts, axis, (2 + math.sqrt(2))
                                               / math.sqrt(2.0)))  # squares
-    return _build(verts, faces, family="rhombihexahedron", genus=8,
-                  orientable=False, defect=-math.pi / 2)
+    return _build(_data(verts, faces, family="rhombihexahedron", genus=8,
+                        orientable=False, defect=-math.pi / 2))
 
 
 def gen_small_dodecahemidodecahedron() -> Polyhedron:
@@ -304,8 +313,8 @@ def gen_small_dodecahemidodecahedron() -> Polyhedron:
             continue
         seen_axes.append(ico[vi])
         faces.append(_central_polygon(verts, ico[vi], 0.0))
-    return _build(verts, faces, family="sdhd", genus=14, orientable=False,
-                  defect=-4 * math.pi / 5)
+    return _build(_data(verts, faces, family="sdhd", genus=14,
+                        orientable=False, defect=-4 * math.pi / 5))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +326,11 @@ def gen_s_base() -> Polyhedron:
     top, three equilateral gluing triangles and three isosceles trapezoids.
     The gluing triangles have side sqrt(3); the trapezoid base angle at the
     hexagon is 5*pi/9."""
+    return _build(_s_base())
+
+
+def _s_base() -> MeshData:
+    """The parts of gen_s_base(), for gluing."""
     h2 = math.sqrt(-4 * math.sin(math.pi / 18) ** 2
                    + 2 * math.sin(math.pi / 18) + 2)
     s = math.sqrt(9 / 4 - h2 * h2)
@@ -335,18 +349,17 @@ def gen_s_base() -> Polyhedron:
         faces.append((vid(1, k), vid(2, k), vid(3, k)))            # gluing
     for k in range(3):
         faces.append((vid(1, k), vid(3, k), vid(2, k + 1), vid(1, k + 1)))
-    return _build(verts, faces, family="s-base", genus=0, orientable=True,
-                  defect=None, labels=labels)
+    return _data(verts, faces, family="s-base", genus=0, orientable=True,
+                 defect=None, labels=labels)
 
 
 def gen_q2_9() -> Polyhedron:
     """Flat Klein bottle on 9 vertices: two copies of R(1/2, h) glued along
     their base triangles; every defect is zero."""
-    from .surgery import FaceCorrespondence, connect_sum
-    r = 0.5
-    h = 0.5 * math.sqrt(3 * (1 + math.sqrt(3)))
-    r1, r2 = gen_r_block(r, h), gen_r_block(r, h)
-    out = connect_sum(r1, r2, FaceCorrespondence(0, 0, mapping=(0, 2, 1)))
+    from .surgery import FaceCorrespondence, build_glued, glue
+    block = _r_block(0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
+    out = build_glued(glue(block, block,
+                           FaceCorrespondence(0, 0, mapping=(0, 2, 1))))
     return out.with_metadata(family="q2-9", genus=2, orientable=False,
                              expected_defect=0.0)
 
@@ -354,17 +367,17 @@ def gen_q2_9() -> Polyhedron:
 def gen_q3_18() -> Polyhedron:
     """Non-orientable genus 3 on 18 vertices: the S drum with an R(r, h)
     block glued onto each of its three lateral triangles; defect -pi/9."""
-    from .surgery import FaceCorrespondence, connect_sum
+    from .surgery import FaceCorrespondence, build_glued, glue
     sp9 = math.sin(math.pi / 9)
     r = 2 * sp9 / (1 + 2 * sp9)
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
-    out = gen_s_base()
-    block = gen_r_block(r, h)
+    out = _s_base()
+    block = _r_block(r, h).paired()
     for _ in range(3):
-        out = connect_sum(out, block, FaceCorrespondence(2, 0,
-                                                         mapping=(0, 2, 1)))
-    return out.with_metadata(family="q3-18", genus=3, orientable=False,
-                             expected_defect=-math.pi / 9)
+        out = glue(out, block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
+    return build_glued(out).with_metadata(
+        family="q3-18", genus=3, orientable=False,
+        expected_defect=-math.pi / 9)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +503,8 @@ def gen_v8g(g: int) -> Polyhedron:
         faces.append((v(2, k), v(8, k), v(6, k), v(5, k)))
         faces.append((v(1, k), v(2, k), v(8, k), v(7, k)))
         faces.append((v(7, k), v(8, k), v(2, k + 1), v(1, k + 1)))
-    return _build(verts, faces, family="v8g", genus=g, orientable=True,
-                  defect=-2 * a)
+    return _build(_data(verts, faces, family="v8g", genus=g,
+                        orientable=True, defect=-2 * a))
 
 
 def gen_v6g(g: int) -> Polyhedron:
@@ -515,8 +528,8 @@ def gen_v6g(g: int) -> Polyhedron:
         faces.append((v(1, k), v(1, k + 1), v(6, k), v(5, k)))
         faces.append((v(2, k), v(2, k + 1), v(6, k), v(5, k)))
         faces.append((v(1, k), v(2, k), v(2, k + 1), v(1, k + 1)))
-    return _build(verts, faces, family="v6g", genus=g, orientable=True,
-                  defect=-2 * a)
+    return _build(_data(verts, faces, family="v6g", genus=g,
+                        orientable=True, defect=-2 * a))
 
 
 def _v7gm7_printed_params(g: int):
@@ -558,8 +571,8 @@ def _v7gm7_mesh(g: int, w: float, x0: float, y0: float) -> Polyhedron:
         faces.append((v(2, k), v(5, k), v(6, k), v(2, k + 1)))
         faces.append((v(3, k), v(7, k), v(7, k + 1), v(3, k + 1)))   # ringT
         faces.append((v(4, k), v(7, k), v(7, k + 1), v(4, k + 1)))   # ringB
-    return _build(verts, faces, family="v7gm7", genus=g, orientable=True,
-                  defect=-4 * math.pi / 7)
+    return _build(_data(verts, faces, family="v7gm7", genus=g,
+                        orientable=True, defect=-4 * math.pi / 7))
 
 
 def gen_v7gm7(g: int) -> Polyhedron:
@@ -602,7 +615,7 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
     genus-7 member."""
-    from .surgery import FaceCorrespondence, connect_sum
+    from .surgery import FaceCorrespondence, build_glued, glue
     if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
         raise GenusOutOfRange(
             f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
@@ -631,14 +644,12 @@ def gen_n5g_odd(g: int) -> Polyhedron:
         faces.append((v1(k), v2(k), v2(k + 1)))   # gluing triangles
     for k in range(g):
         faces.append((v1(k), v2(k + 1), v1(k + 1)))
-    out = build_polyhedron(np.array(verts), faces,
-                           metadata=MeshMetadata(family="n5g-drum"))
-    block = gen_r_block(r, 1.0)
+    out = MeshData(np.array(verts), faces, MeshMetadata(family="n5g-drum"))
+    block = _r_block(r, 1.0).paired()
     for _ in range(g):
-        out = connect_sum(out, block,
-                          FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
-    return out.with_metadata(family="n5g", genus=g, orientable=False,
-                             expected_defect=-a)
+        out = glue(out, block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
+    return build_glued(out).with_metadata(
+        family="n5g", genus=g, orientable=False, expected_defect=-a)
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +760,11 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
     Face order: rect over (v1,v2) [l x 1], rect over (v1,v3) [l x 1],
     rect over (v2,v3) [d x 1], then the six triangles.
     """
+    return _build(_t_block(l, d))
+
+
+def _t_block(l: float, d: float) -> MeshData:
+    """The parts of gen_t_block(l, d), for gluing."""
     if l <= 0 or not 0 < d < 2 * l:
         raise BadParameters(f"need l > 0 and 0 < d < 2l, got l={l}, d={d}")
     ha = math.sqrt(l * l - d * d / 4)
@@ -770,8 +786,8 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
         (v5, v1, v6),
         (v3, v1, v5),
     ]
-    return _build(verts, faces, family="t-block", genus=1, orientable=True,
-                  defect=None, labels=labels)
+    return _data(verts, faces, family="t-block", genus=1, orientable=True,
+                 defect=None, labels=labels)
 
 
 # Seam maps for the zigzag chain, given as receiver-local vertex ids
@@ -785,15 +801,16 @@ _MAP_B = (0, 2, 5, 3)           # onto rect B after a rect-A receiver
 
 
 def _chain_half(params: list[tuple[float, float]]):
-    """Assemble T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle
-    chain.  Returns (mesh, giving face id, giving cycle vertex ids)."""
-    from .surgery import FaceCorrespondence, connect_sum
-    mesh = gen_t_block(*params[0])
+    """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain.
+    Returns (parts, giving face id, giving cycle vertex ids)."""
+    from .surgery import FaceCorrespondence, glue
+    mesh = _t_block(*params[0]).paired()
+    cells = mesh.cells           # every T-block pairs its sides alike
     give_face = 2
     give_cycle = (1, 2, 5, 4)    # (v2, v3, v6, v5)
     for i, (l, d) in enumerate(params[1:], start=2):
-        block = gen_t_block(l, d)
-        n_faces, n_verts = mesh.n_faces, mesh.n_vertices
+        block = _t_block(l, d)._replace(cells=cells)
+        n_faces, n_verts = len(mesh.faces), len(mesh.vertices)
         h = give_cycle
         if i % 2 == 0:           # receive on rect A
             mapping = _MAP_A_FIRST if i == 2 else _MAP_A
@@ -805,9 +822,8 @@ def _chain_half(params: list[tuple[float, float]]):
             mapping = _MAP_B
             face2 = 1
             give_cycle = (n_verts, h[1], h[2], n_verts + 1)
-        mesh = connect_sum(mesh, block,
-                           FaceCorrespondence(give_face, face2,
-                                              mapping=mapping))
+        mesh = glue(mesh, block,
+                    FaceCorrespondence(give_face, face2, mapping=mapping))
         give_face = n_faces
     return mesh, give_face, give_cycle
 
@@ -820,8 +836,9 @@ MINIMAL_MAX_GENUS = 45
 def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     """Orientable genus-g surface on 2g+4 vertices with constant defect
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
-    side rectangles, with a terminal centre block for odd genus."""
-    from .surgery import FaceCorrespondence, connect_sum
+    side rectangles, with a terminal centre block for odd genus.  The
+    blocks are glued as data and the finished chain validated once."""
+    from .surgery import FaceCorrespondence, build_glued, glue
     if not 1 <= g <= MINIMAL_MAX_GENUS:
         raise GenusOutOfRange(
             f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
@@ -836,26 +853,25 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
         mapping = (gc[1], gc[0], gc[3], gc[2])
-        out = connect_sum(mesh, mesh, FaceCorrespondence(gf, gf,
-                                                         mapping=mapping))
+        out = build_glued(glue(mesh, mesh, FaceCorrespondence(
+            gf, gf, mapping=mapping)))
     else:
         m = len(params.pairs)
         half, gf, _ = _chain_half(list(params.pairs))
         lt, dt = params.terminal
-        centre = gen_t_block(lt, dt)
+        centre = _t_block(lt, dt)
         # the centre receives each half on one of its two long rectangles,
         # taking the halves' still-free top/bottom vertices at v4 and v1
         mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
-        mesh = connect_sum(half, centre,
-                           FaceCorrespondence(gf, 0, mapping=mapping))
-        rb_face = half.n_faces - 1    # centre block's rect B in the result
+        mesh = glue(half, centre, FaceCorrespondence(gf, 0, mapping=mapping))
+        rb_face = len(half.faces) - 1    # centre block's rect B in the result
         h2 = half.faces[gf]
         if m % 2 == 0 and m >= 2:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = connect_sum(mesh, half,
-                          FaceCorrespondence(rb_face, gf, mapping=mapping2))
+        out = build_glued(glue(mesh, half, FaceCorrespondence(
+            rb_face, gf, mapping=mapping2)))
     return out.with_metadata(family="minimal", genus=g, orientable=True,
                              expected_defect=defect)
 

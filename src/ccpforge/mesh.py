@@ -152,6 +152,25 @@ class Polyhedron:
         return self.metadata.vertex_labels[name]
 
 
+class MeshData(NamedTuple):
+    """A mesh's parts before validation: what surgery.glue assembles and
+    build_polyhedron checks.  `cells` pairs the face sides as (E, 4) rows
+    (f1, s1, f2, s2), as MeshGeometry.cells; None pairs them by vertex
+    pair."""
+    vertices: np.ndarray
+    faces: Sequence[tuple[int, ...]]
+    metadata: MeshMetadata
+    cells: np.ndarray | None = None
+
+    def paired(self) -> "MeshData":
+        """This record with its cells, derived by vertex pair if it has
+        none (NonManifoldEdge unless each pair occurs exactly twice)."""
+        if self.cells is not None:
+            return self
+        return self._replace(
+            cells=_derived_cells(_corner_layout(self.faces))[0])
+
+
 class FaceFrame(NamedTuple):
     """Best-fit plane of one face and the face's cycle in that plane."""
     centroid: np.ndarray
@@ -203,7 +222,7 @@ class MeshGeometry:
     cycle.  Array-valued parts are read-only.
 
     `frames` seeds the frames of the first faces (None where unknown), for
-    a surgery result whose faces kept their points; `corners` and `cells`
+    a drill result whose kept faces did not move; `corners` and `cells`
     are the corner layout and the (E, 4) edge cells when the caller has
     them already.
     """
@@ -354,40 +373,37 @@ def flat_edges(p: Polyhedron, seams) -> list[int]:
     return [int(e) for e in np.flatnonzero(near_pi) if p.edges[e] not in seams]
 
 
-def _edge_cells(cells: np.ndarray, corners: _Corners, check: bool
+def _edge_cells(cells: np.ndarray, corners: _Corners
                 ) -> tuple[np.ndarray, np.ndarray]:
     """An explicit pairing as (E, 4) rows (f1, s1, f2, s2), sorted by vertex
     pair and then by the half-edges; returns the rows and their (E, 2)
-    vertex pairs (lower id first).  With `check`, every half-edge must lie
-    in exactly one cell and both halves of a cell traverse one segment."""
+    vertex pairs (lower id first).  Every half-edge must lie in exactly
+    one cell and both halves of a cell traverse one segment."""
     half = cells.reshape(-1, 2)
     f, s = half[:, 0], half[:, 1]
-    if check:
-        ok = (f >= 0) & (f < len(corners.size))
-        ok[ok] = (s[ok] >= 0) & (s[ok] < corners.size[f[ok]])
-        if not ok.all():
-            i = np.argmin(ok)
-            raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) out of range")
+    ok = (f >= 0) & (f < len(corners.size))
+    ok[ok] = (s[ok] >= 0) & (s[ok] < corners.size[f[ok]])
+    if not ok.all():
+        i = np.argmin(ok)
+        raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) out of range")
     corner = corners.start[f] + s
-    if check:
-        order = np.argsort(corner, kind="stable")
-        again = order[1:][corner[order[1:]] == corner[order[:-1]]]
-        if again.size:
-            i = again.min()
-            raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) paired twice")
+    order = np.argsort(corner, kind="stable")
+    again = order[1:][corner[order[1:]] == corner[order[:-1]]]
+    if again.size:
+        i = again.min()
+        raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) paired twice")
     u = corners.vertex[corner]
     v = corners.vertex[corners.next[corner]]
     ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
     ends = ends.reshape(-1, 2, 2)
-    if check:
-        bad = np.flatnonzero((ends[:, 0] != ends[:, 1]).any(axis=1))
-        if bad.size:
-            (f1, s1, f2, s2) = cells[bad[0]]
-            raise NonManifoldEdge(
-                f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
-                f"different segments")
-        if 2 * len(cells) != len(corners.vertex):
-            raise NonManifoldEdge("edge_slots do not cover every half-edge")
+    bad = np.flatnonzero((ends[:, 0] != ends[:, 1]).any(axis=1))
+    if bad.size:
+        (f1, s1, f2, s2) = cells[bad[0]]
+        raise NonManifoldEdge(
+            f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
+            f"different segments")
+    if 2 * len(cells) != len(corners.vertex):
+        raise NonManifoldEdge("edge_slots do not cover every half-edge")
     ends = ends[:, 0]
     order = np.lexsort((cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
                         ends[:, 1], ends[:, 0]))
@@ -440,17 +456,18 @@ def build_polyhedron(vertices, faces,
     dihedral angles, and connectivity of the face-adjacency graph.
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
-    (face, slot)) cells or an (E, 2, 2) array; without it sides are paired
-    by vertex pair.
+    (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
+    are paired by vertex pair.
 
-    `carried` is for a surgery step.  It has one entry for each of the
-    first faces, which the step took over from meshes validated before:
-    the face's FaceFrame when its points did not move, else None.  Those
-    faces' cycles, planarity and simplicity are not checked again, an
-    explicit pairing is only sorted, and connectivity holds by
-    construction, so the orientation search waits for its first use.  The
-    checks over the whole mesh (coordinates, edge lengths, face areas,
-    flat edges) still run, since the step may change the tolerance scale.
+    `carried` is for a drill.  It has one entry for each of the first
+    faces, which the drill took over unmoved from the mesh it pierced:
+    the face's FaceFrame, or None where that mesh had not fitted it yet.
+    Those faces' cycles, planarity and simplicity are not checked again,
+    and connectivity holds by construction, so the orientation search
+    waits for its first use.  The checks over the whole mesh
+    (coordinates, edge lengths, face areas, flat edges) still run, since
+    the drill may change the tolerance scale.  A connected sum passes no
+    `carried`: it validates its result in full.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -487,7 +504,7 @@ def build_polyhedron(vertices, faces,
         cells, ends = _derived_cells(corners)
     else:
         cells = np.asarray(edge_slots, dtype=np.intp).reshape(-1, 4)
-        cells, ends = _edge_cells(cells, corners, check=carried is None)
+        cells, ends = _edge_cells(cells, corners)
     missing = np.flatnonzero(np.bincount(corners.vertex, minlength=n) == 0)
     if missing.size:
         raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")

@@ -13,7 +13,7 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (LENGTH_TOL, Polyhedron, build_polyhedron,
+from .mesh import (LENGTH_TOL, MeshData, Polyhedron, build_polyhedron,
                    euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
@@ -50,14 +50,13 @@ def _alignments(cycle2: tuple[int, ...]):
             yield tuple(base[(i + shift) % k] for i in range(k))
 
 
-def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
+def resolve_correspondence(p1: MeshData, p2: MeshData,
                            corr: FaceCorrespondence) -> tuple[int, ...]:
     """The face2 vertex ids aligned with face1's stored cycle."""
     c1 = p1.faces[corr.face1]
     c2 = p2.faces[corr.face2]
     if len(c1) != len(c2):
         raise NotIsometric("face cycles have different lengths")
-    tol = LENGTH_TOL * max(p1.geometry.scale, p2.geometry.scale) * 10
 
     if corr.mapping is not None:
         mapping = tuple(int(v) for v in corr.mapping)
@@ -67,6 +66,9 @@ def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
             raise NotIsometric("mapping does not respect the face2 cycle")
         return mapping
 
+    # the larger of the two meshes' tolerance scales (MeshGeometry.scale)
+    tol = LENGTH_TOL * max(1.0, float(np.abs(p1.vertices).max()),
+                           float(np.abs(p2.vertices).max())) * 10
     len1 = _cycle_lengths(p1.vertices[list(c1)])
     found = []
     for cand in _alignments(c2):
@@ -81,56 +83,71 @@ def resolve_correspondence(p1: Polyhedron, p2: Polyhedron,
     return found[0]
 
 
-def connect_sum(p1: Polyhedron, p2: Polyhedron,
-                corr: FaceCorrespondence) -> Polyhedron:
-    """Remove the two corresponding faces, rigidly move p2 so the cycles
+def _parts(p: Polyhedron | MeshData) -> MeshData:
+    """p's parts with their edge cells."""
+    if isinstance(p, Polyhedron):
+        return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
+    return p.paired()
+
+
+def glue(p1: Polyhedron | MeshData, p2: Polyhedron | MeshData,
+         corr: FaceCorrespondence) -> MeshData:
+    """The parts of the connected sum of p1 and p2, not yet validated:
+    remove the two corresponding faces, rigidly move p2 so the cycles
     coincide, and identify them vertex by vertex.
 
-    chi(result) = chi(p1) + chi(p2) - 2 by construction.  The edge-cell
-    pairing is carried through explicitly, so segments of the two pieces
-    that come to share both endpoints remain distinct 1-cells.
+    Either piece may be a validated mesh or raw MeshData, such as an
+    earlier glue's result, so a chain of sums is validated once, by
+    build_glued at its end.  The glue checks only that the two faces are
+    congruent (NotIsometric beyond the rigid-fit residual); they never
+    reach a result.  chi(result) = chi(p1) + chi(p2) - 2 by construction.
+    The edge-cell pairing is carried through explicitly, so segments of
+    the two pieces that come to share both endpoints remain distinct
+    1-cells.
     """
-    mapping = resolve_correspondence(p1, p2, corr)
-    c1 = p1.faces[corr.face1]
+    a, b = _parts(p1), _parts(p2)
+    mapping = resolve_correspondence(a, b, corr)
+    c1 = a.faces[corr.face1]
     k = len(c1)
-    src = p2.vertices[list(mapping)]
-    dst = p1.vertices[list(c1)]
+    src = b.vertices[list(mapping)]
+    dst = a.vertices[list(c1)]
     rot, tr = _geom.kabsch(src, dst)
     scale = max(1.0, float(np.abs(dst).max()))
     resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
     if resid > 1e-9 * scale:
         raise NotIsometric(
             f"cycles are not congruent (rigid-fit residual {resid:.2e})")
-    moved = (rot @ p2.vertices.T).T + tr
+    moved = (rot @ b.vertices.T).T + tr
 
-    # p2's vertices: the seam ones become face1's, the rest are appended
-    new_id = np.full(p2.n_vertices, -1, dtype=np.intp)
+    # b's vertices: the seam ones become face1's, the rest are appended
+    n1 = len(a.vertices)
+    new_id = np.full(len(b.vertices), -1, dtype=np.intp)
     new_id[list(mapping)] = c1
     fresh = new_id < 0
-    new_id[fresh] = p1.n_vertices + np.arange(np.count_nonzero(fresh))
-    verts = np.vstack([p1.vertices, moved[fresh]])
+    new_id[fresh] = n1 + np.arange(np.count_nonzero(fresh))
+    verts = np.vstack([a.vertices, moved[fresh]])
     new_id = new_id.tolist()
 
-    faces = [cyc for i, cyc in enumerate(p1.faces) if i != corr.face1]
+    faces = [cyc for i, cyc in enumerate(a.faces) if i != corr.face1]
     faces += [tuple(new_id[v] for v in cyc)
-              for i, cyc in enumerate(p2.faces) if i != corr.face2]
+              for i, cyc in enumerate(b.faces) if i != corr.face2]
 
     # Every cell through face1 or face2 leaves one half-edge beyond the seam;
     # the two left at position i of face1's cycle form that seam's cell.
     # Side s of face2 sits at the position whose mapped segment it is.
-    cyc2 = p2.faces[corr.face2]
+    cyc2 = b.faces[corr.face2]
     seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
                 for i in range(k)}
-    pos2 = [seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
-            for s in range(k)]
+    pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
+                     for s in range(k)])
     cells, halves = [], []
-    for p, face, pos, offset in ((p1, corr.face1, range(k), 0),
-                                 (p2, corr.face2, pos2, p1.n_faces - 1)):
-        rows = p.geometry.cells
+    for p, face, pos, offset in ((a, corr.face1, np.arange(k), 0),
+                                 (b, corr.face2, pos2, len(a.faces) - 1)):
+        rows = p.cells
         half = np.full((k, 2), -1, dtype=np.intp)
         for side, beyond in ((0, [2, 3]), (2, [0, 1])):
             on = rows[:, side] == face
-            half[np.take(pos, rows[on, side + 1])] = rows[on][:, beyond]
+            half[pos[rows[on, side + 1]]] = rows[on][:, beyond]
         if (half < 0).any():
             raise NotIsometric("seam pairing incomplete")
         rest = rows[(rows[:, [0, 2]] != face).all(axis=1)]
@@ -140,22 +157,33 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron,
         halves.append(half)
     cells.append(np.hstack(halves))
 
-    seams = set(p1.metadata.seam_edges)
-    for (u, w) in p2.metadata.seam_edges:
-        a, b = new_id[u], new_id[w]
-        seams.add((a, b) if a < b else (b, a))
-    meta = replace_meta(p1.metadata, seam_edges=seams)
+    seams = set(a.metadata.seam_edges)
+    for (u, w) in b.metadata.seam_edges:
+        u, w = new_id[u], new_id[w]
+        seams.add((u, w) if u < w else (w, u))
+    meta = replace_meta(a.metadata, seam_edges=seams)
     meta.provenance.append(
         f"connect_sum(face {corr.face1} ~ face {corr.face2})")
     meta.genus = None
     meta.orientable = None
-    carried = [fr for i, fr in enumerate(p1.geometry.known_frames)
-               if i != corr.face1] + [None] * (p2.n_faces - 1)
+    return MeshData(verts, faces, meta, np.vstack(cells))
+
+
+def build_glued(data: MeshData) -> Polyhedron:
+    """Validate glued parts in full (build_polyhedron with their edge
+    cells); a flat edge, which a seam can make, raises FlatSeam."""
     try:
-        return build_polyhedron(verts, faces, meta,
-                                edge_slots=np.vstack(cells), carried=carried)
+        return build_polyhedron(data.vertices, data.faces, data.metadata,
+                                edge_slots=data.cells)
     except FlatEdge as exc:
         raise FlatSeam(str(exc)) from exc
+
+
+def connect_sum(p1: Polyhedron, p2: Polyhedron,
+                corr: FaceCorrespondence) -> Polyhedron:
+    """The connected sum of p1 and p2 along corresponding faces (see
+    glue), validated in full."""
+    return build_glued(glue(p1, p2, corr))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The numpy-call versions of two routines on the ``ccp generate`` path,
-kept as the reference that ``ccpforge.generators.f_angle_sum`` and
-``ccpforge.surgery.retile_pierced_face`` must reproduce exactly: the same
-floats, the same partitions and the same errors.
+"""Reference versions of routines on the ``ccp generate`` path, which the
+library must reproduce exactly: the same floats, partitions, meshes and
+errors.
 
 ``f_angle_sum`` clamps with np.clip on Python floats;
 ``retile_pierced_face`` tests each hole vertex with its own numpy calls and
-takes each sub-face's area with its own polygon_area_2d call.
+takes each sub-face's area with its own polygon_area_2d call.  The chain
+builders ``gen_minimal``, ``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18``
+glue one validated block at a time with ``connect_sum``, so every step of
+a chain is a validated mesh.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import math
 
 import numpy as np
 
+from ccpforge import (FaceCorrespondence, build_polyhedron, connect_sum,
+                      gen_r_block, gen_s_base, gen_t_block,
+                      solve_block_params)
 from ccpforge import _geom
 from ccpforge.errors import (DomainError, HoleNotInside,
                              SelfCrossingPartition)
+from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _drilled,
+                                 _n5g_params, _orbit)
+from ccpforge.mesh import MeshMetadata
 
 TAU = 2.0 * math.pi
 
@@ -130,3 +138,117 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     if not valid(faces_local):
         raise SelfCrossingPartition("degenerate sub-face in retiling")
     return faces_local
+
+
+def _chain_half(params: list[tuple[float, float]]):
+    """Assemble T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle
+    chain.  Returns (mesh, giving face id, giving cycle vertex ids)."""
+    mesh = gen_t_block(*params[0])
+    give_face = 2
+    give_cycle = (1, 2, 5, 4)    # (v2, v3, v6, v5)
+    for i, (l, d) in enumerate(params[1:], start=2):
+        block = gen_t_block(l, d)
+        n_faces, n_verts = mesh.n_faces, mesh.n_vertices
+        h = give_cycle
+        if i % 2 == 0:           # receive on rect A
+            mapping = _MAP_A_FIRST if i == 2 else _MAP_A
+            face2 = 0
+            give_cycle = ((h[1], n_verts, n_verts + 1, h[2])
+                          if i == 2 else
+                          (h[0], n_verts, n_verts + 1, h[3]))
+        else:                    # receive on rect B
+            mapping = _MAP_B
+            face2 = 1
+            give_cycle = (n_verts, h[1], h[2], n_verts + 1)
+        mesh = connect_sum(mesh, block,
+                           FaceCorrespondence(give_face, face2,
+                                              mapping=mapping))
+        give_face = n_faces
+    return mesh, give_face, give_cycle
+
+
+def gen_minimal(g: int):
+    params = solve_block_params(g)
+    defect = -(2 * g - 2) * math.pi / (g + 2)
+    if g == 1:
+        out = gen_t_block(*params.terminal)
+    elif g % 2 == 0:
+        mesh, gf, gc = _chain_half(list(params.pairs))
+        mapping = (gc[1], gc[0], gc[3], gc[2])
+        out = connect_sum(mesh, mesh, FaceCorrespondence(gf, gf,
+                                                         mapping=mapping))
+    else:
+        m = len(params.pairs)
+        half, gf, _ = _chain_half(list(params.pairs))
+        centre = gen_t_block(*params.terminal)
+        mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
+        mesh = connect_sum(half, centre,
+                           FaceCorrespondence(gf, 0, mapping=mapping))
+        rb_face = half.n_faces - 1
+        h2 = half.faces[gf]
+        if m % 2 == 0 and m >= 2:
+            mapping2 = (h2[2], h2[3], h2[0], h2[1])
+        else:
+            mapping2 = (h2[3], h2[2], h2[1], h2[0])
+        out = connect_sum(mesh, half,
+                          FaceCorrespondence(rb_face, gf, mapping=mapping2))
+    return out.with_metadata(family="minimal", genus=g, orientable=True,
+                             expected_defect=defect)
+
+
+def gen_n5g_odd(g: int):
+    if g > 11:
+        out = _drilled(gen_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
+        chi = out.n_vertices - out.n_edges + out.n_faces
+        return out.with_metadata(family="n5g", genus=g, orientable=False,
+                                 expected_defect=TAU * chi / out.n_vertices)
+    a, h2, r = _n5g_params(g)
+    t = math.tan(5 * a / 4)
+    s = math.sqrt(9 / 4 - h2 * h2)
+    rho_top = math.sqrt(3) / 2 * t - s
+    verts = _orbit([np.array([rho_top, 0.0, h2]),
+                    np.array([math.sqrt(3) / 2 * t,
+                              -math.sqrt(3) / 2, 0.0])], g)
+
+    def v1(k):
+        return 2 * (k % g)
+
+    def v2(k):
+        return 2 * (k % g) + 1
+
+    faces = [tuple(v1(k) for k in range(g)),
+             tuple(v2(k) for k in range(g))]
+    for k in range(g):
+        faces.append((v1(k), v2(k), v2(k + 1)))
+    for k in range(g):
+        faces.append((v1(k), v2(k + 1), v1(k + 1)))
+    out = build_polyhedron(np.array(verts), faces,
+                           metadata=MeshMetadata(family="n5g-drum"))
+    block = gen_r_block(r, 1.0)
+    for _ in range(g):
+        out = connect_sum(out, block,
+                          FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
+    return out.with_metadata(family="n5g", genus=g, orientable=False,
+                             expected_defect=-a)
+
+
+def gen_q2_9():
+    r = 0.5
+    h = 0.5 * math.sqrt(3 * (1 + math.sqrt(3)))
+    r1, r2 = gen_r_block(r, h), gen_r_block(r, h)
+    out = connect_sum(r1, r2, FaceCorrespondence(0, 0, mapping=(0, 2, 1)))
+    return out.with_metadata(family="q2-9", genus=2, orientable=False,
+                             expected_defect=0.0)
+
+
+def gen_q3_18():
+    sp9 = math.sin(math.pi / 9)
+    r = 2 * sp9 / (1 + 2 * sp9)
+    h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
+    out = gen_s_base()
+    block = gen_r_block(r, h)
+    for _ in range(3):
+        out = connect_sum(out, block, FaceCorrespondence(2, 0,
+                                                         mapping=(0, 2, 1)))
+    return out.with_metadata(family="q3-18", genus=3, orientable=False,
+                             expected_defect=-math.pi / 9)

@@ -1,6 +1,7 @@
-"""The angle solver and the annulus retiling of the ``ccp generate`` path
-against the numpy-call code they replaced (tests/scalar_generate.py): the
-same floats, partitions and errors, to the last bit."""
+"""The angle solver, the annulus retiling and the connected-sum chains of
+the ``ccp generate`` path against the code they replaced
+(tests/scalar_generate.py): the same floats, partitions, meshes and
+errors, to the last bit."""
 
 import math
 
@@ -9,7 +10,10 @@ import pytest
 
 import ccpforge._geom as geom_mod
 import ccpforge.generators as generators_mod
-from ccpforge import f_angle_sum, retile_pierced_face, solve_block_params
+import ccpforge.mesh as mesh_mod
+import ccpforge.surgery as surgery_mod
+from ccpforge import (f_angle_sum, gen_minimal, gen_n5g_odd, gen_q2_9,
+                      gen_q3_18, retile_pierced_face, solve_block_params)
 from ccpforge.errors import CcpError
 
 import scalar_generate
@@ -119,3 +123,42 @@ def test_retile_locates_the_hole_in_one_call(monkeypatch):
     outer, hole = star_annulus(np.random.default_rng(3), "inside")
     retile_pierced_face(outer, hole)
     assert calls == [len(hole)]
+
+
+CHAINS = [(gen_minimal, scalar_generate.gen_minimal, g)
+          for g in range(1, 46)] + \
+    [(gen_n5g_odd, scalar_generate.gen_n5g_odd, g)
+     for g in range(3, 20, 2)] + \
+    [(gen_q2_9, scalar_generate.gen_q2_9, None),
+     (gen_q3_18, scalar_generate.gen_q3_18, None)]
+
+
+@pytest.mark.parametrize(
+    "build,oracle,genus", CHAINS,
+    ids=[f"{b.__name__}-{g}" for b, _, g in CHAINS])
+def test_chain_is_the_step_by_step_one(monkeypatch, build, oracle, genus):
+    """A chain glued as data and validated once is the chain validated at
+    every step, bit for bit; it calls build_polyhedron once (n5g beyond
+    genus 11 then drills the genus-7 member)."""
+    args = () if genus is None else (genus,)
+    want = oracle(*args)
+    builds = []
+    for module in (mesh_mod, surgery_mod, generators_mod):
+        real = module.build_polyhedron
+        monkeypatch.setattr(module, "build_polyhedron",
+                            lambda *a, real=real, **kw:
+                            builds.append(1) or real(*a, **kw))
+    got = build(*args)
+    monkeypatch.undo()
+    if build is not gen_n5g_odd or genus <= 11:
+        assert len(builds) == 1
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces == want.faces
+    assert got.edges == want.edges
+    assert got.edge_slots == want.edge_slots
+    # family, genus, seam_edges, provenance, vertex_labels, ...
+    assert got.metadata == want.metadata
+    assert got.orientation == want.orientation
+    for a, b in zip(got.geometry.frames, want.geometry.frames, strict=True):
+        for x, y in zip(a, b, strict=True):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()

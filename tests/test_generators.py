@@ -426,6 +426,7 @@ class TestGenusLimits:
     def test_beyond_the_limit_raises_before_any_work(
             self, monkeypatch, tmp_path, family, genus, fewest, limit):
         import ccpforge.generators as generators
+        import ccpforge.mesh as mesh
         import ccpforge.surgery as surgery
         from ccpforge.cli import main
         calls = []
@@ -438,7 +439,10 @@ class TestGenusLimits:
 
         for module, name in ((generators, "solve_block_params"),
                              (surgery, "drill"), (surgery, "drill_repeat"),
-                             (surgery, "connect_sum")):
+                             (surgery, "connect_sum"), (surgery, "glue"),
+                             (mesh, "build_polyhedron"),
+                             (surgery, "build_polyhedron"),
+                             (generators, "build_polyhedron")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
         with pytest.raises(GenusOutOfRange, match=limit):

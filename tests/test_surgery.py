@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import ccpforge._geom as geom_mod
+import ccpforge.generators as generators_mod
+import ccpforge.mesh as mesh_mod
 import ccpforge.surgery as surgery_mod
 from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       build_polyhedron, choose_prism_order, classify,
@@ -19,7 +21,8 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, CcpError, FlatSeam, HoleNotInside,
                              NonNegativeChi, NotInteger, NotIsometric)
 from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
-from ccpforge.surgery import _locate_face
+from ccpforge.mesh import MeshData, MeshMetadata
+from ccpforge.surgery import _locate_face, build_glued, glue
 
 from conftest import cube_data, random_rigid_motion
 from scalar_polygon import dist_point_segment
@@ -87,6 +90,20 @@ class TestConnectSum:
             for v in c1.faces[1])
         with pytest.raises(FlatSeam):
             connect_sum(c1, c2, FaceCorrespondence(1, 0, mapping=aligned))
+
+    def test_flat_seam_from_glued_data(self):
+        """Two cubes glued as data: the glue checks only congruence, and
+        the one build of the chain finds the flat seam."""
+        verts, faces = cube_data()
+        cube = MeshData(verts, faces, MeshMetadata())
+        aligned = tuple(
+            next(w for w in faces[0]
+                 if tuple(verts[w][:2]) == tuple(verts[v][:2]))
+            for v in faces[1])
+        chain = glue(cube, cube, FaceCorrespondence(1, 0, mapping=aligned))
+        assert (len(chain.vertices), len(chain.faces)) == (12, 10)
+        with pytest.raises(FlatSeam):
+            build_glued(chain)
 
     def test_carries_second_mesh_seams(self):
         """The second mesh's retiling seams come through under their new
@@ -340,18 +357,27 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
 
 
 def test_chained_minimal_fits_few_face_rows(monkeypatch):
-    """gen_minimal(40) (282 faces) fits each T-block's faces once and no
-    face again after a connected sum."""
-    rows = []
+    """gen_minimal(40) (282 faces) glues its twenty T-blocks as data and
+    validates the result once: one build_polyhedron call, which fits each
+    of the 282 faces exactly once."""
+    rows, builds = [], []
     fit = geom_mod.plane_fit
+    build = surgery_mod.build_polyhedron
 
     def counted(pts):
         rows.append(1 if pts.ndim == 2 else len(pts))
         return fit(pts)
 
+    def counted_build(*args, **kw):
+        builds.append(1)
+        return build(*args, **kw)
+
     monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    for module in (mesh_mod, surgery_mod, generators_mod):
+        monkeypatch.setattr(module, "build_polyhedron", counted_build)
     assert gen_minimal(40).n_faces == 282
-    assert sum(rows) <= 200
+    assert sum(rows) == 282
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from ccpforge import (MeshMetadata, build_polyhedron, format_pi_multiple,
                       gen_minimal, gen_nonorientable, gen_orientable,
-                      gen_p2_24, gen_q2_9, gen_tetrahedron,
+                      gen_p2_24, gen_q2_9, gen_q3_18, gen_tetrahedron,
                       gen_tetrahemihexahedron, load_json, load_mesh, read_obj,
                       save_json, verify, write_obj, write_stl)
 from ccpforge import _geom
@@ -185,6 +185,17 @@ class TestFileIO:
         assert np.abs(q.vertices - p.vertices).max() == 0
         assert q.faces == p.faces
 
+    def test_obj_round_trip_of_q3_18(self, tmp_path):
+        """A glued mesh without doubled segments keeps its faces and
+        pairing through OBJ."""
+        p = gen_q3_18()
+        assert not p.has_multi_edges
+        write_obj(p, tmp_path / "q3.obj")
+        q = read_obj(tmp_path / "q3.obj")
+        assert q.vertices.tobytes() == p.vertices.tobytes()
+        assert q.faces == p.faces and q.edge_slots == p.edge_slots
+        assert verify(q).verdict == verify(p).verdict
+
     def test_stl(self, tmp_path):
         p = gen_q2_9()
         path = tmp_path / "q.stl"
@@ -329,6 +340,20 @@ class TestCli:
         r = run_cli("export", str(src), "-o", str(dst))
         assert r.returncode == 0
         assert load_mesh(dst).n_vertices == 6
+
+    def test_export_obj_of_doubled_segments_exit_2(self, tmp_path):
+        """OBJ cannot keep minimal g = 3's doubled segments apart, so the
+        export fails and writes nothing."""
+        src = tmp_path / "m3.json"
+        dst = tmp_path / "m3.obj"
+        run_cli("generate", "--family", "minimal", "--genus", "3",
+                "-o", str(src))
+        assert load_mesh(src).has_multi_edges
+        r = run_cli("export", str(src), "-o", str(dst))
+        assert r.returncode == 2
+        assert "NotRepresentable" in r.stderr and ".json" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not dst.exists()
 
 
 @pytest.mark.parametrize("suffix", [".json", ".obj"])
