@@ -130,7 +130,9 @@ class Polyhedron:
     def geometry(self) -> "MeshGeometry":
         """The mesh's face, corner, vertex and edge geometry, computed on
         first use and kept for the life of the mesh."""
-        return MeshGeometry(self)
+        return MeshGeometry(self.vertices, _corner_layout(self.faces),
+                            _readonly(np.array(self.edge_slots, dtype=np.intp)
+                                      .reshape(-1, 4)))
 
     @cached_property
     def orientation(self) -> tuple[bool, bool]:
@@ -221,30 +223,24 @@ class MeshGeometry:
     corner_vertex[c] and next_corner / prev_corner step along its face's
     cycle.  Array-valued parts are read-only.
 
-    `frames` seeds the frames of the first faces (None where unknown), for
-    a drill result whose kept faces did not move; `corners` and `cells`
-    are the corner layout and the (E, 4) edge cells when the caller has
-    them already.
+    `corners` is the faces' _corner_layout and `cells` the (E, 4) edge
+    cells (f1, s1, f2, s2), as in edge_slots; the geometry of raw data
+    that surgery reads before validating has no cells.
     """
 
-    def __init__(self, p: Polyhedron, frames=(),
-                 corners: _Corners | None = None,
+    def __init__(self, vertices: np.ndarray, corners: _Corners,
                  cells: np.ndarray | None = None):
-        self.vertices = p.vertices
-        c = _corner_layout(p.faces) if corners is None else corners
-        self.face_size = c.size
-        self.face_start = c.start
-        self.corner_face = c.face
-        self.corner_vertex = c.vertex
-        self.next_corner = c.next
-        self.prev_corner = np.arange(-1, len(c.vertex) - 1)
-        self.prev_corner[c.start] = c.start + c.size - 1
-        # rows (f1, s1, f2, s2), as in edge_slots
-        self.cells = _readonly(np.array(p.edge_slots, dtype=np.intp)
-                               .reshape(-1, 4)) if cells is None else cells
+        self.vertices = vertices
+        self.face_size = corners.size
+        self.face_start = corners.start
+        self.corner_face = corners.face
+        self.corner_vertex = corners.vertex
+        self.next_corner = corners.next
+        self.prev_corner = np.arange(-1, len(corners.vertex) - 1)
+        self.prev_corner[corners.start] = corners.start + corners.size - 1
+        self.cells = cells
         # per face: its FaceFrame once fitted, else None
-        self.known_frames: list[FaceFrame | None] = \
-            list(frames) + [None] * (len(p.faces) - len(frames))
+        self.known_frames: list[FaceFrame | None] = [None] * len(corners.size)
 
     @cached_property
     def newell(self) -> np.ndarray:
@@ -446,28 +442,19 @@ COORDINATE_LIMIT = 1e64
 
 def build_polyhedron(vertices, faces,
                      metadata: MeshMetadata | None = None,
-                     edge_slots: EdgeSlots | np.ndarray | None = None,
-                     carried: Sequence[FaceFrame | None] | None = None
+                     edge_slots: EdgeSlots | np.ndarray | None = None
                      ) -> Polyhedron:
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
     face planarity/simplicity/area, distinct edge endpoints, no flat (pi)
-    dihedral angles, and connectivity of the face-adjacency graph.
+    dihedral angles, and connectivity of the face-adjacency graph.  Every
+    check runs on every face, edge and vertex: surgery assembles raw data
+    (surgery.glue, surgery.pierce) and validates only the finished mesh.
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
     are paired by vertex pair.
-
-    `carried` is for a drill.  It has one entry for each of the first
-    faces, which the drill took over unmoved from the mesh it pierced:
-    the face's FaceFrame, or None where that mesh had not fitted it yet.
-    Those faces' cycles, planarity and simplicity are not checked again,
-    and connectivity holds by construction, so the orientation search
-    waits for its first use.  The checks over the whole mesh
-    (coordinates, edge lengths, face areas, flat edges) still run, since
-    the drill may change the tolerance scale.  A connected sum passes no
-    `carried`: it validates its result in full.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -485,10 +472,8 @@ def build_polyhedron(vertices, faces,
                              f"{COORDINATE_LIMIT:g}: "
                              f"{tuple(pts[bad[0]].tolist())}")
 
-    faces = list(faces)
-    old = 0 if carried is None else len(carried)
-    cycles: list[tuple[int, ...]] = faces[:old]
-    for fi, cyc in enumerate(faces[old:], start=old):
+    cycles: list[tuple[int, ...]] = []
+    for fi, cyc in enumerate(faces):
         cyc = tuple(int(v) for v in cyc)
         if len(cyc) < 3:
             raise DegenerateFace(f"face {fi} has fewer than 3 vertices")
@@ -513,7 +498,7 @@ def build_polyhedron(vertices, faces,
     poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
                       metadata or MeshMetadata())
     geo = poly.__dict__["geometry"] = MeshGeometry(
-        poly, carried or (), corners, _readonly(cells))
+        poly.vertices, corners, _readonly(cells))
     scale = geo.scale
     short = _geom.norm(pts[ends[:, 0]] - pts[ends[:, 1]]) \
         <= LENGTH_TOL * scale
@@ -522,8 +507,7 @@ def build_polyhedron(vertices, faces,
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
     small = geo.area <= LENGTH_TOL * scale * scale
-    new = range(old, len(cycles))
-    for fi, frame in zip(new, geo.face_frames(new)):
+    for fi, frame in enumerate(geo.frames):
         if frame.residual > PLANARITY_TOL * scale:
             raise DegenerateFace(
                 f"face {fi} deviates {frame.residual:.2e} from planarity")
@@ -531,14 +515,12 @@ def build_polyhedron(vertices, faces,
             raise DegenerateFace(f"face {fi} has near-zero area")
         if not _geom.polygon_is_simple(frame.polygon):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
-    if small.any():
-        raise DegenerateFace(f"face {np.argmax(small)} has near-zero area")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:
         raise FlatEdge(f"edge {poly.edges[flat[0]]} has dihedral angle pi")
 
-    if carried is None and not poly.orientation[0]:
+    if not poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
 

@@ -13,8 +13,9 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (LENGTH_TOL, MeshData, Polyhedron, build_polyhedron,
-                   euler_characteristic, replace_meta)
+from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
+                   _corner_layout, build_polyhedron, euler_characteristic,
+                   replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -319,20 +320,19 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     return faces_local
 
 
-def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
-    """Tunnel a regular n-gonal prism between two parallel faces.
-
-    Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
-    pierced faces are retiled over their existing vertices, so no other
-    defect changes.  The axis may cross other faces of an immersed mesh;
-    such crossings only add self-intersection witnesses.  A face id that
-    is not a face of p raises IndexOutOfRange, a placement number that is
-    not finite BadParameters.
-
-    Only the new faces (the retiled sub-faces and the prism walls) are
-    fitted and checked face by face; the kept faces carry their frames.
-    """
-    _check_spec(p, spec)
+def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
+    """Reject a spec that no axis placement mends: bad face ids, numbers
+    or order, a face pierced twice, and a mesh with doubled segments."""
+    for f in (spec.face1, spec.face2):
+        if not 0 <= f < p.n_faces:
+            raise IndexOutOfRange(
+                f"face {f} out of range: the mesh has {p.n_faces} faces")
+    numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
+        + ([] if spec.point is None else list(spec.point))
+    if not np.isfinite(np.asarray(numbers, dtype=float)).all():
+        raise BadParameters(
+            f"drill placement must be finite: phase {spec.phase}, "
+            f"radius {spec.radius}, point {spec.point}")
     if spec.n < 3:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
@@ -340,25 +340,39 @@ def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
     if p.has_multi_edges:
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
-    (c1, n1, _, u1, v1, poly1), (c2, n2, _, u2, v2, poly2) = \
-        p.geometry.face_frames((spec.face1, spec.face2))
+
+
+def _axis(geo: MeshGeometry, spec: DrillSpec):
+    """The pierced faces' frames and the axis: entry point, depth along
+    face2's normal, and entry and exit points in the face frames; it must
+    join the interiors of two parallel faces apart (AxisObstructed)."""
+    frame1, frame2 = geo.face_frames((spec.face1, spec.face2))
+    c1, n1, _, u1, v1, poly1 = frame1
+    c2, n2, _, u2, v2, poly2 = frame2
     if abs(abs(float(n1 @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
-    scale = p.geometry.scale
-
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
     if not _geom.point_in_polygon(q1, poly1):
         raise AxisObstructed("axis point is not interior to face1")
     # orthogonal projection onto face2's plane
     depth = float((p1pt - c2) @ n2)
-    if abs(depth) < 1e-9 * scale:
+    if abs(depth) < 1e-9 * geo.scale:
         raise AxisObstructed("pierced faces are coplanar")
-    p2pt = p1pt - depth * n2
-    q2 = _geom.project_2d(p2pt[None, :], c2, u2, v2)[0]
+    q2 = _geom.project_2d((p1pt - depth * n2)[None, :], c2, u2, v2)[0]
     if not _geom.point_in_polygon(q2, poly2):
         raise AxisObstructed("axis exit point is not interior to face2")
+    return frame1, frame2, p1pt, depth, q1, q2
 
+
+def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
+    """All of drill short of validation, on raw data whose geometry is
+    `geo`: the two prism rings, each pierced face retiled over its own and
+    its ring's vertices with the seams between the pieces, and the walls.
+    Kept faces come first, then face1's and face2's pieces and the walls.
+    """
+    (_, _, _, u1, v1, poly1), (_, n2, _, _, _, poly2), p1pt, depth, q1, q2 \
+        = _axis(geo, spec)
     d1 = _geom.dist_point_polygon_boundary(q1, poly1)
     d2 = _geom.dist_point_polygon_boundary(q2, poly2)
     eps = spec.radius if spec.radius is not None else 0.25 * min(d1, d2)
@@ -371,21 +385,18 @@ def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
                       for j in range(spec.n)])
     ring2 = ring1 - depth * n2
 
-    base1 = p.n_vertices
+    base1 = len(data.vertices)
     base2 = base1 + spec.n
-    verts = np.vstack([p.vertices, ring1, ring2])
+    verts = np.vstack([data.vertices, ring1, ring2])
 
-    faces: list[tuple[int, ...]] = []
-    for i, cyc in enumerate(p.faces):
-        if i in (spec.face1, spec.face2):
-            continue
-        faces.append(cyc)
-    seams = set(p.metadata.seam_edges)
-    for cyc, base in ((p.faces[spec.face1], base1),
-                      (p.faces[spec.face2], base2)):
+    faces = [cyc for i, cyc in enumerate(data.faces)
+             if i not in (spec.face1, spec.face2)]
+    seams = set(data.metadata.seam_edges)
+    for cyc, base in ((data.faces[spec.face1], base1),
+                      (data.faces[spec.face2], base2)):
         part = [tuple(cyc[i] if i < len(cyc) else base + i - len(cyc)
                       for i in local)
-                for local in retile_pierced_face(p.vertices[list(cyc)],
+                for local in retile_pierced_face(data.vertices[list(cyc)],
                                                  verts[base:base + spec.n])]
         faces.extend(part)
         count: dict[tuple[int, int], int] = {}
@@ -399,28 +410,27 @@ def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
         k = (j + 1) % spec.n
         faces.append((base1 + j, base1 + k, base2 + k, base2 + j))
 
-    meta = replace_meta(p.metadata, seam_edges=seams)
+    meta = replace_meta(data.metadata, seam_edges=seams)
     meta.provenance.append(
         f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
     meta.genus = None
-    carried = [fr for i, fr in enumerate(p.geometry.known_frames)
-               if i not in (spec.face1, spec.face2)]
-    return build_polyhedron(verts, faces, meta, carried=carried)
+    return MeshData(verts, faces, meta)
 
 
-def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
-    """Reject face ids that are not faces of p and placement numbers that
-    are not finite."""
-    for f in (spec.face1, spec.face2):
-        if not 0 <= f < p.n_faces:
-            raise IndexOutOfRange(
-                f"face {f} out of range: the mesh has {p.n_faces} faces")
-    numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
-        + ([] if spec.point is None else list(spec.point))
-    if not np.isfinite(np.asarray(numbers, dtype=float)).all():
-        raise BadParameters(
-            f"drill placement must be finite: phase {spec.phase}, "
-            f"radius {spec.radius}, point {spec.point}")
+def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
+    """Tunnel a regular n-gonal prism between two parallel faces: pierce,
+    then one full build_polyhedron.
+
+    Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
+    pierced faces are retiled over their existing vertices, so no other
+    defect changes.  The axis may cross other faces of an immersed mesh;
+    such crossings only add self-intersection witnesses.  A face id that
+    is not a face of p raises IndexOutOfRange, a placement number that is
+    not finite BadParameters.
+    """
+    _check_spec(p, spec)
+    return build_polyhedron(*pierce(MeshData(p.vertices, p.faces, p.metadata),
+                                    p.geometry, spec))
 
 
 def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
@@ -430,17 +440,17 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     clearance/(2k); each subsequent drill locates the current sub-face
     containing its axis point.  If an offset line degenerates against the
     evolving retiling (axis on a seam), the next of a fixed set of offset
-    directions is tried.
+    directions is tried.  A bad spec raises what drill raises, before any
+    offset is tried.  The drills pierce raw data and the finished mesh is
+    validated once; a sub-face a later drill pierces is never validated.
     """
     if k < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec)
     _check_spec(p, spec)
-    (c1, n1, _, u1, v1, poly1), (c2, *_) = \
-        p.geometry.face_frames((spec.face1, spec.face2))
-    p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
-    q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
+    (c1, n1, _, u1, v1, poly1), (c2, *_), p1pt, _, q1, _ = \
+        _axis(p.geometry, spec)
     d0 = _geom.dist_point_polygon_boundary(q1, poly1)
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
@@ -449,39 +459,42 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        out = p
+        out, geo = MeshData(p.vertices, p.faces, p.metadata), p.geometry
         try:
             for j in range(k):
+                if j:
+                    geo = MeshGeometry(out.vertices, _corner_layout(out.faces))
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
-                f1, clr1 = _locate_face(out, axis_pt, plane1)
+                f1, clr1 = _locate_face(geo, axis_pt, plane1)
                 exit_pt = axis_pt - (float(axis_pt @ n1) - plane2[0]) * n1
-                f2, clr2 = _locate_face(out, exit_pt, plane2)
+                f2, clr2 = _locate_face(geo, exit_pt, plane2)
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
                         f"pierced faces")
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
-                out = drill(out, DrillSpec(f1, f2, spec.n, tuple(axis_pt),
-                                           radius, spec.phase))
-            return out
+                out = pierce(out, geo, DrillSpec(f1, f2, spec.n,
+                                                 tuple(axis_pt), radius,
+                                                 spec.phase))
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
+        else:
+            return build_polyhedron(*out)
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")
 
 
-def _locate_face(p: Polyhedron, point: np.ndarray,
+def _locate_face(geo: MeshGeometry, point: np.ndarray,
                  plane) -> tuple[int | None, float]:
     """First face whose plane matches `plane` and whose polygon strictly
     contains the point, plus the point's clearance to that polygon's
     boundary.  The candidates are the faces whose corners all lie near the
     plane; those of one length are tested together."""
     d0, n = plane
-    geo = p.geometry
     scale = geo.scale
-    offset = np.abs(p.vertices[geo.corner_vertex] @ n - d0)
+    offset = np.abs(geo.vertices[geo.corner_vertex] @ n - d0)
     faces = np.flatnonzero(
         np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
     frames = geo.face_frames(faces.tolist())

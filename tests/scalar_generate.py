@@ -7,7 +7,9 @@ errors.
 takes each sub-face's area with its own polygon_area_2d call.  The chain
 builders ``gen_minimal``, ``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18``
 glue one validated block at a time with ``connect_sum``, so every step of
-a chain is a validated mesh.
+a chain is a validated mesh.  ``drill_repeat`` drills one validated mesh
+at a time, so every intermediate mesh of a multiple drill is validated in
+full.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ import math
 
 import numpy as np
 
-from ccpforge import (FaceCorrespondence, build_polyhedron, connect_sum,
-                      gen_r_block, gen_s_base, gen_t_block,
-                      solve_block_params)
+from ccpforge import (DrillSpec, FaceCorrespondence, build_polyhedron,
+                      connect_sum, drill, gen_r_block, gen_s_base,
+                      gen_t_block, solve_block_params)
 from ccpforge import _geom
-from ccpforge.errors import (DomainError, HoleNotInside,
+from ccpforge.errors import (AxisObstructed, BadOrder, DomainError,
+                             FootprintTooLarge, HoleNotInside,
                              SelfCrossingPartition)
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _drilled,
                                  _n5g_params, _orbit)
 from ccpforge.mesh import MeshMetadata
+from ccpforge.surgery import _locate_face
 
 TAU = 2.0 * math.pi
 
@@ -252,3 +256,45 @@ def gen_q3_18():
                                                          mapping=(0, 2, 1)))
     return out.with_metadata(family="q3-18", genus=3, orientable=False,
                              expected_defect=-math.pi / 9)
+
+
+def drill_repeat(p, spec: DrillSpec, k: int):
+    """k parallel drills along offset copies of the axis, each a validated
+    drill of the mesh the one before returned."""
+    if k < 1:
+        raise BadOrder("k must be >= 1")
+    if k == 1:
+        return drill(p, spec)
+    (c1, n1, _, u1, v1, poly1), (c2, *_) = \
+        p.geometry.face_frames((spec.face1, spec.face2))
+    p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
+    q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
+    d0 = _geom.dist_point_polygon_boundary(q1, poly1)
+    delta = d0 / (2 * k)
+    plane1 = (float(n1 @ c1), n1)
+    plane2 = (float(n1 @ c2), n1)
+
+    last_err: Exception | None = None
+    for theta in (t * math.pi / 7 for t in range(7)):
+        u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
+        out = p
+        try:
+            for j in range(k):
+                axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
+                f1, clr1 = _locate_face(out.geometry, axis_pt, plane1)
+                exit_pt = axis_pt - (float(axis_pt @ n1) - plane2[0]) * n1
+                f2, clr2 = _locate_face(out.geometry, exit_pt, plane2)
+                if f1 is None or f2 is None:
+                    raise FootprintTooLarge(
+                        f"drill {j + 1}/{k}: axis offset leaves the "
+                        f"pierced faces")
+                radius = spec.radius if spec.radius is not None else \
+                    0.25 * min(clr1, clr2, delta / 2)
+                out = drill(out, DrillSpec(f1, f2, spec.n, tuple(axis_pt),
+                                           radius, spec.phase))
+            return out
+        except (FootprintTooLarge, AxisObstructed,
+                SelfCrossingPartition) as exc:
+            last_err = exc
+    raise FootprintTooLarge(
+        f"no workable offset direction for {k} parallel drills: {last_err}")

@@ -1,7 +1,7 @@
-"""The angle solver, the annulus retiling and the connected-sum chains of
-the ``ccp generate`` path against the code they replaced
-(tests/scalar_generate.py): the same floats, partitions, meshes and
-errors, to the last bit."""
+"""The angle solver, the annulus retiling, the connected-sum chains and
+the multiple drills of the ``ccp generate`` path against the code they
+replaced (tests/scalar_generate.py): the same floats, partitions, meshes
+and errors, to the last bit."""
 
 import math
 
@@ -12,9 +12,12 @@ import ccpforge._geom as geom_mod
 import ccpforge.generators as generators_mod
 import ccpforge.mesh as mesh_mod
 import ccpforge.surgery as surgery_mod
-from ccpforge import (f_angle_sum, gen_minimal, gen_n5g_odd, gen_q2_9,
-                      gen_q3_18, retile_pierced_face, solve_block_params)
+from ccpforge import (DrillSpec, FamilyRequest, f_angle_sum,
+                      gen_cubohemioctahedron, gen_minimal, gen_n5g_odd,
+                      gen_p2_24, gen_q2_9, gen_q3_18, generate_family,
+                      retile_pierced_face, solve_block_params)
 from ccpforge.errors import CcpError
+from ccpforge.generators import _find_z_faces
 
 import scalar_generate
 from conftest import random_rigid_motion
@@ -152,6 +155,10 @@ def test_chain_is_the_step_by_step_one(monkeypatch, build, oracle, genus):
     monkeypatch.undo()
     if build is not gen_n5g_odd or genus <= 11:
         assert len(builds) == 1
+    assert_same_mesh(got, want)
+
+
+def assert_same_mesh(got, want):
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert got.faces == want.faces
     assert got.edges == want.edges
@@ -162,3 +169,57 @@ def test_chain_is_the_step_by_step_one(monkeypatch, build, oracle, genus):
     for a, b in zip(got.geometry.frames, want.geometry.frames, strict=True):
         for x, y in zip(a, b, strict=True):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _cho_drill(k, phase):
+    p = gen_cubohemioctahedron()
+    return surgery_mod.drill_repeat(p, DrillSpec(*_find_z_faces(p), 6,
+                                                 phase=phase), k)
+
+
+DRILLED = [(f"orientable-{g}", lambda g=g: generate_family(
+    FamilyRequest("orientable", g))) for g in range(3, 13)] + \
+    [(f"n5g-{g}", lambda g=g: generate_family(FamilyRequest("n5g", g)))
+     for g in range(13, 20, 2)] + \
+    [(f"nonorientable-{g}" + "-fewest" * fewest,
+      lambda g=g, fewest=fewest: generate_family(
+          FamilyRequest("nonorientable", g, prefer_fewest=fewest)))
+     for g in range(3, 16) for fewest in (False, True)] + \
+    [(f"{name}-k{k}-phase{phase}",
+      lambda base=base, faces=faces, n=n, k=k, phase=phase:
+      surgery_mod.drill_repeat(base(), DrillSpec(*faces, n, phase=phase), k))
+     for name, base, faces, n in (("p2-24", gen_p2_24, (0, 1), 12),
+                                  ("q3-18", gen_q3_18, (1, 0), 18))
+     for k in (1, 2, 3) for phase in (0.0, 0.3)] + \
+    [(f"cho-k{k}-phase{phase}", lambda k=k, phase=phase: _cho_drill(k, phase))
+     for k in (1, 2, 3) for phase in (0.0, 0.3)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in DRILLED],
+                         ids=[name for name, _ in DRILLED])
+def test_drill_repeat_is_the_step_by_step_one(monkeypatch, make):
+    """Drills that pierce raw data and validate the finished mesh once
+    give the mesh of drills validated one at a time, bit for bit; each
+    drill_repeat calls build_polyhedron exactly once."""
+    monkeypatch.setattr(surgery_mod, "drill_repeat",
+                        scalar_generate.drill_repeat)
+    want = make()
+    monkeypatch.undo()
+    builds, per_repeat = [], []
+    for module in (mesh_mod, surgery_mod, generators_mod):
+        real = module.build_polyhedron
+        monkeypatch.setattr(module, "build_polyhedron",
+                            lambda *a, real=real, **kw:
+                            builds.append(1) or real(*a, **kw))
+    real_repeat = surgery_mod.drill_repeat
+
+    def counted(*args):
+        before = len(builds)
+        out = real_repeat(*args)
+        per_repeat.append(len(builds) - before)
+        return out
+    monkeypatch.setattr(surgery_mod, "drill_repeat", counted)
+    got = make()
+    monkeypatch.undo()
+    assert set(per_repeat) <= {1}
+    assert_same_mesh(got, want)

@@ -22,7 +22,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              NonNegativeChi, NotInteger, NotIsometric)
 from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
-from ccpforge.surgery import _locate_face, build_glued, glue
+from ccpforge.surgery import _locate_face, build_glued, glue, pierce
 
 from conftest import cube_data, random_rigid_motion
 from scalar_polygon import dist_point_segment
@@ -248,9 +248,31 @@ class TestDrill:
         tc = classify(out)
         assert not tc.orientable and tc.genus == 3 + 2
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh,spec,error", [
+        (gen_p2_24, DrillSpec(0, 0, 12), "must differ"),
+        (gen_p2_24, DrillSpec(0, 2, 12), "not parallel"),
+        (gen_p2_24, DrillSpec(0, 1, 12, point=(50.0, 50.0, 50.0)),
+         "not interior to face1"),
+        (lambda: gen_minimal(3), DrillSpec(0, 1, 6), "doubled segments"),
+    ], ids=["same-face", "not-parallel", "point-outside", "doubled"])
+    def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
+                                                    mesh, spec, error):
+        """drill_repeat checks the spec once, on its input, with drill's
+        own checks: any k raises drill's error before it locates an
+        offset axis or retiles a face."""
+        p = mesh()
+        calls = []
+        for name in ("_locate_face", "retile_pierced_face"):
+            monkeypatch.setattr(surgery_mod, name,
+                                lambda *a, name=name: calls.append(name))
+        with pytest.raises(AxisObstructed, match=error):
+            drill_repeat(p, spec, k)
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
-# incremental validation against a full rebuild
+# surgery results against a full rebuild of their own data
 
 # the meshes of the benchmark's construct-chain workload
 CONSTRUCT_CHAIN = [("minimal", 10, False), ("minimal", 20, False),
@@ -316,16 +338,6 @@ def test_incremental_equals_full_validation_on_moved_inputs(seed):
                                         gen_cubohemioctahedron()), 6)))
 
 
-def _raw_drill(monkeypatch, p, spec):
-    """The vertices, faces and keywords drill hands to build_polyhedron."""
-    seen = []
-    monkeypatch.setattr(surgery_mod, "build_polyhedron",
-                        lambda v, f, meta, **kw: seen.append((v, f, kw)))
-    drill(p, spec)
-    monkeypatch.undo()
-    return seen[0]
-
-
 @pytest.mark.parametrize("nudge,error", [
     ("along_axis", "dihedral angle pi"),
     ("onto_neighbour", "coincident endpoints"),
@@ -334,12 +346,16 @@ def _raw_drill(monkeypatch, p, spec):
 ])
 def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
                                                    error):
-    """Moving one vertex of a drill's new prism ring breaks its new faces;
-    the incremental and the full validation reject the result alike."""
+    """Moving one vertex of a drill's new prism ring: one build of the
+    nudged pierce data, without the drill's seams, fails with the message
+    of the check that fails.  With the seams, which exempt the flat edges
+    between retiled pieces, drill's own build rejects the three nudges
+    that break a new face alike and accepts the one along the axis."""
     p = moved(gen_p2_24(), 5)
-    verts, faces, kw = _raw_drill(monkeypatch, p, DrillSpec(0, 1, 12))
-    assert len(kw["carried"]) == p.n_faces - 2
-    verts = verts.copy()
+    spec = DrillSpec(0, 1, 12)
+    data = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
+                  spec)
+    verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
         verts[a] += 1e-3 * p.geometry.normal[0]
@@ -349,11 +365,17 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
         verts[a] = 2 * verts[a + 6] - verts[a]
     else:                                      # a bow-tie prism wall
         verts[a] = verts[b] + 0.5 * (verts[b] - verts[a])
-    with pytest.raises(CcpError, match=error) as incremental:
-        build_polyhedron(verts, faces, **kw)
-    with pytest.raises(CcpError) as full:
-        build_polyhedron(verts, faces)
-    assert incremental.type is full.type
+    with pytest.raises(CcpError, match=error) as bare:
+        build_polyhedron(verts, data.faces)
+    nudged = data._replace(vertices=verts)
+    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: nudged)
+    if nudge == "along_axis":
+        # the ring vertex stays on its triangles and in its wall's plane
+        assert drill(p, spec).vertices.tobytes() == verts.tobytes()
+        return
+    with pytest.raises(CcpError, match=error) as drilled:
+        drill(p, spec)
+    assert drilled.type is bare.type
 
 
 def test_chained_minimal_fits_few_face_rows(monkeypatch):
@@ -408,7 +430,7 @@ def test_locate_face_matches_a_face_by_face_scan():
                         clear > 1e-9 * p.geometry.scale:
                     want = (f, clear)
                     break
-            assert _locate_face(p, point, plane) == want
+            assert _locate_face(p.geometry, point, plane) == want
 
 
 def _winding_loop(pt, poly):
