@@ -45,13 +45,14 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the centroids (..., 3), the unit normals (..., 3) and the
     largest distances of a point to its plane (...).  Each normal is the
     smallest principal direction, turned to agree with the Newell normal
-    (right-hand rule over the cycle order) of its own points.
+    (right-hand rule over the cycle order) of its own points taken about
+    their centroid, so that where the points lie does not sway the sign.
     """
     c = pts.mean(axis=-2)
     d = pts - c[..., None, :]
     _, _, vt = np.linalg.svd(d, full_matrices=False)
     n = vt[..., -1, :]
-    newell = cross(pts, _succ(pts)).sum(axis=-2)
+    newell = cross(d, _succ(d)).sum(axis=-2)
     n = np.where((dot(n, newell) < 0)[..., None], -n, n)
     resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
     return c, n, resid

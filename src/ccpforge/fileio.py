@@ -44,8 +44,8 @@ def _ints(x, length=None) -> bool:
         and all(type(i) is int for i in x)
 
 
-# metadata key -> the JSON type of its value, and a test of each entry of
-# a list or object value
+# metadata key -> the JSON type of its value (true and false only for
+# bool, not int), and a test of each entry of a list or object value
 _METADATA = {
     "family": (str, None), "genus": (int, None), "orientable": (bool, None),
     "expected_defect_radians": ((int, float), None),
@@ -64,6 +64,7 @@ def _metadata(m) -> MeshMetadata:
             continue
         entries = value.values() if isinstance(value, dict) else value
         if not isinstance(value, kind) or \
+                isinstance(value, bool) != (kind is bool) or \
                 (entry_ok and not all(map(entry_ok, entries))):
             raise BadFile(f"metadata {key!r} is malformed: {value!r:.60}")
     return MeshMetadata(

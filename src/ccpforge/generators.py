@@ -386,11 +386,9 @@ def gen_q3_18() -> Polyhedron:
 
 def _find_z_faces(p: Polyhedron) -> tuple[int, int]:
     """The top and bottom faces perpendicular to the z-axis."""
-    cands = []
-    for f, frame in enumerate(p.geometry.frames):
-        if abs(abs(frame.normal[2]) - 1.0) < 1e-9:
-            cands.append((float(p.face_points(f)[:, 2].mean()), f))
-    cands.sort()
+    level = np.abs(np.abs(p.geometry.normal[:, 2]) - 1.0) < 1e-9
+    cands = sorted((float(p.face_points(f)[:, 2].mean()), f)
+                   for f in np.flatnonzero(level).tolist())
     if len(cands) < 2:
         raise GenusOutOfRange("no parallel z-faces to drill")
     return cands[-1][1], cands[0][1]

@@ -132,7 +132,7 @@ class Polyhedron:
         first use and kept for the life of the mesh."""
         return MeshGeometry(self.vertices, _corner_layout(self.faces),
                             _readonly(np.array(self.edge_slots, dtype=np.intp)
-                                      .reshape(-1, 4)))
+                                      .reshape(-1, 4))).fit()
 
     @cached_property
     def orientation(self) -> tuple[bool, bool]:
@@ -171,16 +171,6 @@ class MeshData(NamedTuple):
             return self
         return self._replace(
             cells=_derived_cells(_corner_layout(self.faces))[0])
-
-
-class FaceFrame(NamedTuple):
-    """Best-fit plane of one face and the face's cycle in that plane."""
-    centroid: np.ndarray
-    normal: np.ndarray               # unit, on the Newell normal's side
-    residual: float                  # max vertex distance to the plane
-    u: np.ndarray                    # in-plane basis, u x v = normal
-    v: np.ndarray
-    polygon: np.ndarray              # (k, 2) cycle in the (u, v) frame
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -226,6 +216,14 @@ class MeshGeometry:
     `corners` is the faces' _corner_layout and `cells` the (E, 4) edge
     cells (f1, s1, f2, s2), as in edge_slots; the geometry of raw data
     that surgery reads before validating has no cells.
+
+    Each face has one plane, its best fit (see fit): per face its
+    centroid, unit normal, residual (largest vertex distance to the
+    plane), in-plane basis u, v (u x v = normal) and area, and per corner
+    uv, its coordinates in its face's (u, v) frame; face f's polygon is
+    polygons[f], a slice of uv.  A Polyhedron's geometry has every face
+    fitted, read-only; the geometry of raw data fits only the faces
+    surgery asks for, which `fitted` marks.
     """
 
     def __init__(self, vertices: np.ndarray, corners: _Corners,
@@ -239,24 +237,44 @@ class MeshGeometry:
         self.prev_corner = np.arange(-1, len(corners.vertex) - 1)
         self.prev_corner[corners.start] = corners.start + corners.size - 1
         self.cells = cells
-        # per face: its FaceFrame once fitted, else None
-        self.known_frames: list[FaceFrame | None] = [None] * len(corners.size)
+        self.fitted = np.zeros(len(corners.size), dtype=bool)
+        self.centroid, self.normal, self.u, self.v = \
+            np.empty((4, len(self.fitted), 3))
+        self.residual, self.area = np.empty((2, len(self.fitted)))
+        self.uv = np.empty((len(corners.vertex), 2))
+
+    def fit(self, faces: np.ndarray | None = None) -> "MeshGeometry":
+        """Fit the planes of the given faces, every face when None, that
+        are not fitted yet, and return self.  A plane is the SVD fit of
+        _geom.plane_fit, signed by its face's Newell sum, with the
+        _geom.plane_basis frame; faces of one length are fitted in one
+        stack, in which a face gets the bits it gets fitted alone."""
+        todo = np.flatnonzero(~self.fitted) if faces is None else \
+            faces[~self.fitted[faces]]
+        sizes = self.face_size[todo]
+        for k in np.flatnonzero(np.bincount(sizes)):
+            rows = todo[sizes == k]
+            corner = self.face_start[rows, None] + np.arange(k)
+            pts = self.vertices[self.corner_vertex[corner]]
+            c, n, resid = _geom.plane_fit(pts)
+            u, v = _geom.plane_basis(n)
+            uv = _geom.project_2d(pts, c, u, v)
+            self.centroid[rows], self.normal[rows], self.residual[rows] = \
+                c, n, resid
+            self.u[rows], self.v[rows], self.uv[corner] = u, v, uv
+            self.area[rows] = _geom.polygon_area_2d(uv)
+        self.fitted[todo] = True
+        if self.fitted.all():
+            for a in (self.centroid, self.normal, self.u, self.v,
+                      self.residual, self.area, self.uv):
+                a.setflags(write=False)
+        return self
 
     @cached_property
-    def newell(self) -> np.ndarray:
-        """(F, 3) Newell normals; each has length twice the face area."""
-        pts = self.vertices[self.corner_vertex]
-        return _readonly(np.add.reduceat(
-            _geom.cross(pts, pts[self.next_corner]), self.face_start, axis=0))
-
-    @cached_property
-    def area(self) -> np.ndarray:
-        return _readonly(0.5 * np.linalg.norm(self.newell, axis=1))
-
-    @cached_property
-    def normal(self) -> np.ndarray:
-        """(F, 3) unit Newell normals."""
-        return _readonly(self.newell / (2.0 * self.area)[:, None])
+    def polygons(self) -> list[np.ndarray]:
+        """Per face: its cycle in its (u, v) frame, a (k, 2) view of uv."""
+        bounds = self.face_start.tolist() + [len(self.uv)]
+        return [self.uv[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def scale(self) -> float:
@@ -264,37 +282,11 @@ class MeshGeometry:
         least 1."""
         return max(1.0, float(np.abs(self.vertices).max()))
 
-    @property
-    def frames(self) -> list[FaceFrame]:
-        """Per face: SVD plane fit signed by the face's own Newell sum, then
-        the deterministic in-plane basis and the projected cycle."""
-        return self.face_frames(range(len(self.known_frames)))
-
-    def face_frames(self, faces) -> list[FaceFrame]:
-        """The frames of the given faces.  Those not known yet are fitted,
-        faces of equal length in one call; a face's frame has the same
-        bits fitted alone or in a stack, so the order of fitting does not
-        matter."""
-        todo = np.array([f for f in faces if self.known_frames[f] is None],
-                        dtype=np.intp)
-        sizes = self.face_size[todo]
-        for k in np.flatnonzero(np.bincount(sizes)):
-            rows = todo[sizes == k]
-            pts = self.vertices[self.corner_vertex[
-                self.face_start[rows, None] + np.arange(k)]]
-            c, n, resid = _geom.plane_fit(pts)
-            u, v = _geom.plane_basis(n)
-            poly = _geom.project_2d(pts, c, u, v)
-            for f, *frame in zip(rows.tolist(), c, n, resid.tolist(), u, v,
-                                 poly):
-                self.known_frames[f] = FaceFrame(*frame)
-        return [self.known_frames[f] for f in faces]
-
     @cached_property
     def triangulation(self) -> Triangulation:
         """The ear clip of every face, in one record: each face's triangles
         in a run, faces in order."""
-        clips = [_geom.ear_clip(fr.polygon) for fr in self.frames]
+        clips = [_geom.ear_clip(poly) for poly in self.polygons]
         face = np.repeat(np.arange(len(clips)), [len(c) for c in clips])
         local = np.array([t for c in clips for t in c], np.intp)
         vertex = self.corner_vertex[self.face_start[face, None] + local]
@@ -315,7 +307,7 @@ class MeshGeometry:
     @cached_property
     def corner_angles(self) -> np.ndarray:
         """Interior angle at every corner, in (0, 2*pi); a corner turning
-        against its face's Newell normal is reflex."""
+        against its face's normal is reflex."""
         pts = self.vertices[self.corner_vertex]
         nxt = pts[self.next_corner] - pts
         prv = pts[self.prev_corner] - pts
@@ -346,7 +338,7 @@ class MeshGeometry:
     @cached_property
     def dihedrals(self) -> np.ndarray:
         """Per edge cell: the dihedral angle in [0, 2*pi), measured through
-        the side opposite the first face's Newell normal.  Each face's
+        the side opposite the first face's normal.  Each face's
         inward direction at the edge is its normal crossed with its own
         traversal direction, which is correct for non-convex faces too."""
         c1, c2, same = self.cell_corners
@@ -435,7 +427,7 @@ def _as_tuples(cells: np.ndarray, ends: np.ndarray
             tuple(map(tuple, ends.tolist())))
 
 
-# Newell sums are quadratic in the coordinates and their squared lengths
+# Cross products are quadratic in the coordinates, their squared lengths
 # quartic; below this bound those stay under 1e256, clear of overflow.
 COORDINATE_LIMIT = 1e64
 
@@ -498,7 +490,7 @@ def build_polyhedron(vertices, faces,
     poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
                       metadata or MeshMetadata())
     geo = poly.__dict__["geometry"] = MeshGeometry(
-        poly.vertices, corners, _readonly(cells))
+        poly.vertices, corners, _readonly(cells)).fit()
     scale = geo.scale
     short = _geom.norm(pts[ends[:, 0]] - pts[ends[:, 1]]) \
         <= LENGTH_TOL * scale
@@ -507,13 +499,14 @@ def build_polyhedron(vertices, faces,
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
     small = geo.area <= LENGTH_TOL * scale * scale
-    for fi, frame in enumerate(geo.frames):
-        if frame.residual > PLANARITY_TOL * scale:
+    for fi, (resid, tiny, polygon) in enumerate(zip(
+            geo.residual.tolist(), small.tolist(), geo.polygons)):
+        if resid > PLANARITY_TOL * scale:
             raise DegenerateFace(
-                f"face {fi} deviates {frame.residual:.2e} from planarity")
-        if small[fi]:
+                f"face {fi} deviates {resid:.2e} from planarity")
+        if tiny:
             raise DegenerateFace(f"face {fi} has near-zero area")
-        if not _geom.polygon_is_simple(frame.polygon):
+        if not _geom.polygon_is_simple(polygon):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)

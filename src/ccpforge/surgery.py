@@ -343,26 +343,30 @@ def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
 
 
 def _axis(geo: MeshGeometry, spec: DrillSpec):
-    """The pierced faces' frames and the axis: entry point, depth along
-    face2's normal, and entry and exit points in the face frames; it must
-    join the interiors of two parallel faces apart (AxisObstructed)."""
-    frame1, frame2 = geo.face_frames((spec.face1, spec.face2))
-    c1, n1, _, u1, v1, poly1 = frame1
-    c2, n2, _, u2, v2, poly2 = frame2
-    if abs(abs(float(n1 @ n2)) - 1.0) > 1e-9:
+    """The axis: entry point, depth along face2's normal, and entry and
+    exit clearances in the pierced faces; it must join the interiors of
+    two parallel faces apart (AxisObstructed)."""
+    f1, f2 = spec.face1, spec.face2
+    geo.fit(np.array([f1, f2]))
+    c1, c2, n2 = geo.centroid[f1], geo.centroid[f2], geo.normal[f2]
+    if abs(abs(float(geo.normal[f1] @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
-    q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
+    q1 = _geom.project_2d(p1pt[None, :], c1, geo.u[f1], geo.v[f1])[0]
+    poly1, poly2 = (geo.uv[geo.face_start[f] + np.arange(geo.face_size[f])]
+                    for f in (f1, f2))
     if not _geom.point_in_polygon(q1, poly1):
         raise AxisObstructed("axis point is not interior to face1")
     # orthogonal projection onto face2's plane
     depth = float((p1pt - c2) @ n2)
     if abs(depth) < 1e-9 * geo.scale:
         raise AxisObstructed("pierced faces are coplanar")
-    q2 = _geom.project_2d((p1pt - depth * n2)[None, :], c2, u2, v2)[0]
+    q2 = _geom.project_2d((p1pt - depth * n2)[None, :], c2, geo.u[f2],
+                          geo.v[f2])[0]
     if not _geom.point_in_polygon(q2, poly2):
         raise AxisObstructed("axis exit point is not interior to face2")
-    return frame1, frame2, p1pt, depth, q1, q2
+    return (p1pt, depth, _geom.dist_point_polygon_boundary(q1, poly1),
+            _geom.dist_point_polygon_boundary(q2, poly2))
 
 
 def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
@@ -371,10 +375,8 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     its ring's vertices with the seams between the pieces, and the walls.
     Kept faces come first, then face1's and face2's pieces and the walls.
     """
-    (_, _, _, u1, v1, poly1), (_, n2, _, _, _, poly2), p1pt, depth, q1, q2 \
-        = _axis(geo, spec)
-    d1 = _geom.dist_point_polygon_boundary(q1, poly1)
-    d2 = _geom.dist_point_polygon_boundary(q2, poly2)
+    p1pt, depth, d1, d2 = _axis(geo, spec)
+    u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
     eps = spec.radius if spec.radius is not None else 0.25 * min(d1, d2)
     if eps <= 0 or eps >= min(d1, d2):
         raise FootprintTooLarge(
@@ -449,12 +451,13 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     if k == 1:
         return drill(p, spec)
     _check_spec(p, spec)
-    (c1, n1, _, u1, v1, poly1), (c2, *_), p1pt, _, q1, _ = \
-        _axis(p.geometry, spec)
-    d0 = _geom.dist_point_polygon_boundary(q1, poly1)
+    geo = p.geometry
+    p1pt, _, d0, _ = _axis(geo, spec)
+    c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
+                                              geo.u, geo.v))
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
-    plane2 = (float(n1 @ c2), n1)
+    plane2 = (float(n1 @ geo.centroid[spec.face2]), n1)
 
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
@@ -497,16 +500,16 @@ def _locate_face(geo: MeshGeometry, point: np.ndarray,
     offset = np.abs(geo.vertices[geo.corner_vertex] @ n - d0)
     faces = np.flatnonzero(
         np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
-    frames = geo.face_frames(faces.tolist())
+    geo.fit(faces)
     clearance = np.zeros(len(faces))
     inside = np.zeros(len(faces), dtype=bool)
     sizes = geo.face_size[faces]
     for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == k)
-        c, u, v, poly = (np.array([getattr(frames[i], name) for i in rows])
-                         for name in ("centroid", "u", "v", "polygon"))
+        f = faces[rows]
         q = _geom.project_2d(np.broadcast_to(point, (len(rows), 1, 3)),
-                             c, u, v)[:, 0]
+                             geo.centroid[f], geo.u[f], geo.v[f])[:, 0]
+        poly = geo.uv[geo.face_start[f, None] + np.arange(k)]
         clearance[rows] = _geom.dist_point_polygon_boundary(q, poly)
         inside[rows] = _geom.winds_around(q, poly)
     hits = np.flatnonzero(inside & (clearance > 1e-9 * scale))

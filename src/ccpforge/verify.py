@@ -92,7 +92,7 @@ def verify(p: Polyhedron,
     dp = defect_profile(p, tol=defect_tolerance)
     res = descartes_residual(p)
 
-    planarity = max((fr.residual for fr in p.geometry.frames), default=0.0)
+    planarity = float(p.geometry.residual.max(initial=0.0))
     violations = [p.edges[e] for e in
                   flat_edges(p, p.metadata.seam_edges)]
 

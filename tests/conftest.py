@@ -37,6 +37,14 @@ def face_triangles(p):
         face, minlength=p.n_faces))[:-1])
 
 
+def assert_same_planes(p, q):
+    """The face planes of p and q, every plane array of MeshGeometry,
+    are equal to the last bit."""
+    for name in ("centroid", "normal", "residual", "u", "v", "area", "uv"):
+        assert getattr(p.geometry, name).tobytes() == \
+            getattr(q.geometry, name).tobytes(), name
+
+
 @pytest.fixture
 def cube():
     return build_polyhedron(*cube_data())

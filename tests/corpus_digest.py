@@ -1,0 +1,96 @@
+"""One sha256 line per mesh of a fixed corpus, to compare two checkouts
+bit for bit:
+
+    python3 tests/corpus_digest.py > digest.txt
+
+Run it in both checkouts and diff the outputs.  Each digest covers the
+mesh's vertex bytes, faces, edge_slots, seams, provenance, defect bytes,
+triangulation, saved JSON and STL bytes, verify().to_dict() and the bytes
+of the witness points.  The corpus is SMALL_GENERA, the meshes of the
+three benchmark workloads (p2-sweep drawn from seed 1), minimal
+g = 1..45, the drilled meshes (n5g odd g = 3..19, orientable g = 3..12,
+nonorientable g = 3..15 by both routes) and drill_repeat of p2-24, q3-18
+and the cubohemioctahedron with k = 2, 3.  pytest does not collect this
+file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src"),
+                str(HERE.parent / "perfbench")]
+
+from ccpforge.fileio import save_mesh  # noqa: E402
+from ccpforge.generators import (  # noqa: E402
+    FamilyRequest, gen_cubohemioctahedron, gen_p2_24, gen_q3_18,
+    generate_family)
+from ccpforge.surgery import DrillSpec, drill_repeat  # noqa: E402
+from ccpforge.verify import verify  # noqa: E402
+
+import workloads  # noqa: E402
+from test_self_intersection_oracle import SMALL_GENERA  # noqa: E402
+
+
+def corpus():
+    """(name, builder) pairs; a name appears once."""
+    items = [(f"{name}-{genus}-{params}", lambda a=(name, genus, params):
+              generate_family(FamilyRequest(*a)))
+             for name, genus, params in SMALL_GENERA]
+    runs = [(family, genus, fewest) for _, family, genus, fewest
+            in workloads.CONSTRUCT_CHAIN + workloads.CERTIFY_FILES] + \
+        [("minimal", g, False) for g in range(1, 46)] + \
+        [("n5g", g, False) for g in range(3, 20, 2)] + \
+        [("orientable", g, False) for g in range(3, 13)] + \
+        [("nonorientable", g, fewest) for g in range(3, 16)
+         for fewest in (False, True)]
+    items += [(f"{family}-{genus}" + "-fewest" * fewest,
+               lambda a=(family, genus, {}, fewest):
+               generate_family(FamilyRequest(*a)))
+              for family, genus, fewest in runs]
+    items += [(f"p2-24-b{b!r}-c{c!r}", lambda b=b, c=c: gen_p2_24(b, c))
+              for b, c in workloads.draw_p2_params(
+                  np.random.default_rng(1), workloads.P2_SWEEP_ITEMS)]
+    items += [(f"{name}-k{k}", lambda base=base, faces=faces, n=n, k=k:
+               drill_repeat(base(), DrillSpec(*faces, n), k))
+              for name, base, faces, n in (
+                  ("p2-24", gen_p2_24, (0, 1), 12),
+                  ("q3-18", gen_q3_18, (1, 0), 18),
+                  ("cho", gen_cubohemioctahedron, (4, 5), 6))
+              for k in (2, 3)]
+    return dict(items).items()
+
+
+def digest(p, workdir: Path) -> str:
+    h = hashlib.sha256()
+    tri = p.geometry.triangulation
+    report = verify(p)
+    for part in (p.vertices.tobytes(), p.faces, p.edge_slots,
+                 sorted(p.metadata.seam_edges), p.metadata.provenance,
+                 p.geometry.defects.tobytes(), tri.vertex.tobytes(),
+                 tri.face.tobytes(),
+                 json.dumps(report.to_dict(), sort_keys=True),
+                 [np.asarray(w.point).tobytes() for w in report.witnesses]):
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    for suffix in (".json", ".stl"):
+        path = workdir / f"mesh{suffix}"
+        save_mesh(p, path)
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build in corpus():
+            print(name, digest(build(), Path(tmp)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

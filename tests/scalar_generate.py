@@ -265,14 +265,15 @@ def drill_repeat(p, spec: DrillSpec, k: int):
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec)
-    (c1, n1, _, u1, v1, poly1), (c2, *_) = \
-        p.geometry.face_frames((spec.face1, spec.face2))
+    geo = p.geometry
+    c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
+                                              geo.u, geo.v))
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
-    d0 = _geom.dist_point_polygon_boundary(q1, poly1)
+    d0 = _geom.dist_point_polygon_boundary(q1, geo.polygons[spec.face1])
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
-    plane2 = (float(n1 @ c2), n1)
+    plane2 = (float(n1 @ geo.centroid[spec.face2]), n1)
 
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):

@@ -16,8 +16,8 @@ MAX_GAP = 1e-14
 
 def mp_defects(p) -> list:
     """2*pi minus each vertex's corner-angle sum at the working precision.
-    A corner turning against its face's float Newell normal is reflex, as
-    in MeshGeometry.corner_angles."""
+    A corner turning against its face's float normal is reflex, as in
+    MeshGeometry.corner_angles."""
     mp = mpmath.mp
     pts = [[mp.mpf(x) for x in row] for row in p.vertices.tolist()]
     total = [mp.mpf(0)] * p.n_vertices

@@ -20,7 +20,7 @@ from ccpforge.errors import CcpError
 from ccpforge.generators import _find_z_faces
 
 import scalar_generate
-from conftest import random_rigid_motion
+from conftest import assert_same_planes, random_rigid_motion
 
 TAU = 2.0 * math.pi
 
@@ -166,9 +166,7 @@ def assert_same_mesh(got, want):
     # family, genus, seam_edges, provenance, vertex_labels, ...
     assert got.metadata == want.metadata
     assert got.orientation == want.orientation
-    for a, b in zip(got.geometry.frames, want.geometry.frames, strict=True):
-        for x, y in zip(a, b, strict=True):
-            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    assert_same_planes(got, want)
 
 
 def _cho_drill(k, phase):

@@ -60,8 +60,8 @@ def corpus_meshes():
 def test_polygon_routines_on_corpus_faces():
     count = 0
     for p in corpus_meshes():
-        for frame in p.geometry.frames:
-            assert_same_polygon_results(frame.polygon)
+        for poly in p.geometry.polygons:
+            assert_same_polygon_results(poly)
             count += 1
     assert count > 1500
 

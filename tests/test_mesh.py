@@ -247,17 +247,20 @@ def test_non_finite_vertex_rejected(bad):
 
 
 def assert_frames_fit_face_by_face(p):
-    """geometry.frames, fitted per face length, equals fitting each face's
-    own (k, 3) points alone, to the last bit."""
-    frames = p.geometry.frames
-    assert len(frames) == p.n_faces
-    for frame, cyc in zip(frames, p.faces):
+    """The plane arrays of geometry, fitted per face length, equal fitting
+    each face's own (k, 3) points alone, to the last bit."""
+    geo = p.geometry
+    assert geo.fitted.all() and len(geo.fitted) == p.n_faces
+    for f, cyc in enumerate(p.faces):
         pts = p.vertices[list(cyc)]
         c, n, resid = _geom.plane_fit(pts)
         u, v = _geom.plane_basis(n)
-        want = (c, n, resid, u, v, _geom.project_2d(pts, c, u, v))
-        for got, ref in zip(frame, want, strict=True):
-            assert np.array_equal(got, ref)
+        uv = _geom.project_2d(pts, c, u, v)
+        want = (c, n, resid, u, v, uv, _geom.polygon_area_2d(uv))
+        got = (geo.centroid[f], geo.normal[f], geo.residual[f], geo.u[f],
+               geo.v[f], geo.polygons[f], geo.area[f])
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
@@ -268,6 +271,18 @@ def test_frames_equal_face_by_face_fits(name, genus, params):
     assert_frames_fit_face_by_face(build_polyhedron(
         (rot @ p.vertices.T).T + tr, p.faces, metadata=p.metadata,
         edge_slots=p.edge_slots))
+
+
+@pytest.mark.parametrize("name,genus", [("p2-24", None), ("q3-18", None),
+                                        ("minimal", 5)])
+def test_planes_do_not_depend_on_translation(name, genus):
+    """Moving every vertex by (1e4, 1e4, 1e4) leaves each face normal and
+    each dihedral angle within 1e-11 of the unmoved mesh's."""
+    p = family(name, genus)
+    q = build_polyhedron(p.vertices + 1e4, p.faces, metadata=p.metadata,
+                         edge_slots=p.edge_slots)
+    assert np.abs(q.geometry.normal - p.geometry.normal).max() < 1e-11
+    assert np.abs(q.geometry.dihedrals - p.geometry.dihedrals).max() < 1e-11
 
 
 def test_plane_helpers_round_a_row_as_in_a_stack():

@@ -24,7 +24,7 @@ from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _locate_face, build_glued, glue, pierce
 
-from conftest import cube_data, random_rigid_motion
+from conftest import assert_same_planes, cube_data, random_rigid_motion
 from scalar_polygon import dist_point_segment
 from test_self_intersection_oracle import SMALL_GENERA
 
@@ -295,10 +295,7 @@ def assert_same_as_full_build(p):
     assert p.edges == full.edges
     assert p.edge_slots == full.edge_slots
     assert p.orientation == full.orientation
-    for got, want in zip(p.geometry.frames, full.geometry.frames,
-                         strict=True):
-        for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a, b)
+    assert_same_planes(p, full)
 
 
 def moved(p, seed):
@@ -408,26 +405,25 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
 
 def test_locate_face_matches_a_face_by_face_scan():
     p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 3)
-    n = p.geometry.frames[0].normal
+    geo = p.geometry
     rng = np.random.default_rng(8)
     for face in range(p.n_faces):
-        frame = p.geometry.frames[face]
-        if abs(abs(frame.normal @ n) - 1.0) > 1e-9:
+        normal, centroid = geo.normal[face], geo.centroid[face]
+        if abs(abs(normal @ geo.normal[0]) - 1.0) > 1e-9:
             continue
-        plane = (float(frame.normal @ frame.centroid), frame.normal)
-        for point in [frame.centroid] + list(
-                frame.centroid + rng.normal(size=(4, 3)) * 0.3):
+        plane = (float(normal @ centroid), normal)
+        for point in [centroid] + list(
+                centroid + rng.normal(size=(4, 3)) * 0.3):
             want = (None, 0.0)
             for f in range(p.n_faces):   # the scan _locate_face replaced
-                fr = p.geometry.frames[f]
                 if np.abs(p.face_points(f) @ plane[1] - plane[0]).max() \
-                        > 1e-7 * p.geometry.scale:
+                        > 1e-7 * geo.scale:
                     continue
-                q = geom_mod.project_2d(point[None, :], fr.centroid, fr.u,
-                                        fr.v)[0]
-                clear = dist_point_polygon_boundary(q, fr.polygon)
-                if geom_mod.point_in_polygon(q, fr.polygon) and \
-                        clear > 1e-9 * p.geometry.scale:
+                q = geom_mod.project_2d(point[None, :], geo.centroid[f],
+                                        geo.u[f], geo.v[f])[0]
+                clear = dist_point_polygon_boundary(q, geo.polygons[f])
+                if geom_mod.point_in_polygon(q, geo.polygons[f]) and \
+                        clear > 1e-9 * geo.scale:
                     want = (f, clear)
                     break
             assert _locate_face(p.geometry, point, plane) == want

@@ -479,6 +479,16 @@ def test_obj_round_trip_of_drilled_mesh(tmp_path):
     assert verify(again).verdict == "ccp_embedded"
 
 
+def test_obj_round_trip_keeps_every_seam(tmp_path):
+    """Each seam of a drilled mesh reads as a flat edge from its OBJ:
+    n5g g = 19 keeps all 116, two of them beside sliver triangles (area
+    3e-8) whose normals an uncentred Newell sum tilts by 1e-9 rad."""
+    p = family("n5g", 19)
+    write_obj(p, tmp_path / "n5g.obj")
+    assert read_obj(tmp_path / "n5g.obj").metadata.seam_edges == \
+        p.metadata.seam_edges
+
+
 TET_OBJ = """v 1 1 1
 v 1 -1 -1
 v -1 1 -1
@@ -519,6 +529,10 @@ def _tet_vertex(first):
 CONTRACT_CASES = [
     ("vertices_str.json", _tet_json(vertices="abc"), 2, "BadFile"),
     ("metadata_list.json", _tet_json(metadata=[]), 2, "BadFile"),
+    # bool is a subclass of int
+    ("genus_true.json", _tet_json(metadata={"genus": True}), 2, "BadFile"),
+    ("defect_true.json", _tet_json(metadata={"expected_defect_radians": True}),
+     2, "BadFile"),
     ("face_str.json", _tet_json(faces=[[0, 1, "x"], [0, 2, 3], [0, 3, 1],
                                        [1, 3, 2]]), 2, "BadFile"),
     ("faces_int.json", _tet_json(faces=5), 2, "BadFile"),
