@@ -4,6 +4,7 @@ exactly, plus OBJ and binary STL export."""
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,34 +39,40 @@ def mesh_to_document(p: Polyhedron) -> dict:
     return doc
 
 
-def _ints(x, length=None) -> bool:
-    """Whether x is a JSON list of integers (of the given length)."""
-    return isinstance(x, list) and (length is None or len(x) == length) \
-        and all(type(i) is int for i in x)
+def _lists(rows, length=None) -> bool:
+    """Whether rows is a JSON list of lists (each of the given length)."""
+    return isinstance(rows, list) and {type(r) for r in rows} <= {list} \
+        and (length is None or {len(r) for r in rows} <= {length})
+
+
+def _int_entries(rows) -> bool:
+    """Whether every entry of every list in rows is a JSON integer."""
+    return {type(i) for row in rows for i in row} <= {int}
 
 
 # metadata key -> the JSON type of its value (true and false only for
-# bool, not int), and a test of each entry of a list or object value
+# bool, not int), and a further test of the value
 _METADATA = {
-    "family": (str, None), "genus": (int, None), "orientable": (bool, None),
-    "expected_defect_radians": ((int, float), None),
-    "provenance": (list, lambda e: isinstance(e, str)),
-    "vertex_labels": (dict, lambda e: type(e) is int),
-    "seam_edges": (list, lambda e: _ints(e, 2)),
+    "family": (str, None), "genus": (int, lambda g: g >= 0),
+    "orientable": (bool, None),
+    "expected_defect_radians": ((int, float),
+                                lambda x: abs(x) <= sys.float_info.max),
+    "provenance": (list, lambda v: {type(e) for e in v} <= {str}),
+    "vertex_labels": (dict, lambda v: {type(e) for e in v.values()} <= {int}),
+    "seam_edges": (list, lambda v: _lists(v, 2) and _int_entries(v)),
 }
 
 
 def _metadata(m) -> MeshMetadata:
     if not isinstance(m, dict):
         raise BadFile(f"metadata is a JSON object, not {type(m).__name__}")
-    for key, (kind, entry_ok) in _METADATA.items():
+    for key, (kind, value_ok) in _METADATA.items():
         value = m.get(key)
         if value is None:
             continue
-        entries = value.values() if isinstance(value, dict) else value
         if not isinstance(value, kind) or \
                 isinstance(value, bool) != (kind is bool) or \
-                (entry_ok and not all(map(entry_ok, entries))):
+                (value_ok and not value_ok(value)):
             raise BadFile(f"metadata {key!r} is malformed: {value!r:.60}")
     return MeshMetadata(
         family=m.get("family"),
@@ -84,9 +91,9 @@ def document_to_mesh(doc: dict) -> Polyhedron:
     if not isinstance(doc, dict):
         raise BadFile(f"a mesh document is a JSON object, not "
                       f"{type(doc).__name__}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise BadFile(f"unsupported format_version "
-                      f"{doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise BadFile(f"unsupported format_version {version!r}")
     missing = [k for k in ("vertices", "faces") if k not in doc]
     if missing:
         raise BadFile(f"mesh document has no {' or '.join(missing)}")
@@ -97,15 +104,15 @@ def document_to_mesh(doc: dict) -> Polyhedron:
     if verts.ndim != 2 or verts.shape[1] != 3 or verts.dtype.kind not in "iuf":
         raise BadFile("vertices must be a list of [x, y, z] numbers")
     faces = doc["faces"]
-    if not isinstance(faces, list) or not all(map(_ints, faces)):
+    if not _lists(faces) or not _int_entries(faces):
         raise BadFile("faces must be a list of lists of vertex indices")
     meta = _metadata(doc.get("metadata", {}))
     slots = None
     if "edge_cells" in doc:
         cells = doc["edge_cells"]
-        if not isinstance(cells, list) or not all(
-                isinstance(c, list) and len(c) == 2 and _ints(c[0], 2)
-                and _ints(c[1], 2) for c in cells):
+        if not _lists(cells, 2) or not _lists(
+                halves := [h for c in cells for h in c], 2) or \
+                not _int_entries(halves):
             raise BadFile("edge_cells must be a list of "
                           "[[face, slot], [face, slot]] pairs")
         slots = tuple((tuple(c[0]), tuple(c[1])) for c in cells)

@@ -471,9 +471,9 @@ def build_polyhedron(vertices, faces,
             raise DegenerateFace(f"face {fi} has fewer than 3 vertices")
         if len(set(cyc)) != len(cyc):
             raise DegenerateFace(f"face {fi} repeats a vertex")
-        for v in cyc:
-            if not 0 <= v < n:
-                raise IndexOutOfRange(f"face {fi} references vertex {v}")
+        if min(cyc) < 0 or max(cyc) >= n:
+            v = next(v for v in cyc if not 0 <= v < n)
+            raise IndexOutOfRange(f"face {fi} references vertex {v}")
         cycles.append(cyc)
 
     corners = _corner_layout(cycles)
@@ -506,7 +506,8 @@ def build_polyhedron(vertices, faces,
                 f"face {fi} deviates {resid:.2e} from planarity")
         if tiny:
             raise DegenerateFace(f"face {fi} has near-zero area")
-        if not _geom.polygon_is_simple(polygon):
+        # a triangle has no two sides that do not meet at a corner
+        if len(polygon) > 3 and not _geom.polygon_is_simple(polygon):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)

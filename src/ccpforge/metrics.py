@@ -286,7 +286,10 @@ class _TriangleScan:
         cross = np.flatnonzero(~coplanar & _two_of(met))
         cross = cross[~self._on_shared_side(i[cross], j[cross], on[:, cross])]
         flat = np.flatnonzero(coplanar)
-        # a branch with no rows is skipped, not run on empty arrays
+        # a branch with no rows is skipped, not run on empty arrays; a
+        # coplanar pair that a side separates has no overlap to clip
+        if flat.size:
+            flat = flat[~self._separated(i[flat], j[flat])]
         hit_c, pts_c = self._overlap(i[flat], j[flat]) if flat.size \
             else (np.zeros(0, np.intp), np.zeros((0, 3)))
         hit_x, pts_x = self._crossing(j[cross], self._segment(
@@ -314,6 +317,16 @@ class _TriangleScan:
         return _two_of(on) & \
             self._member(self.face_side, self._side_key(self.face[i], a, b)) \
             & self._member(self.face_side, self._side_key(self.face[j], a, b))
+
+    def _separated(self, i, j):
+        """Coplanar pairs that the line of a side separates (see
+        _side_separates), tested in triangle j's frame, where _overlap
+        would clip them."""
+        own = _geom.project_2d(self.tri[i], self.tri[j, 0], self.u[j],
+                               self.v[j])
+        cw = _geom.polygon_area_2d(own) < 0
+        own = np.where(cw[:, None, None], own[:, ::-1], own)
+        return _side_separates(own, self.ccw[j])
 
     def _overlap(self, i, j):
         """Coplanar pairs: overlap of triangle i with triangle j, in j's
@@ -462,6 +475,22 @@ def _plane_meets(s: np.ndarray, eps: float
     return on, off & off[nxt] & (pos != pos[nxt])
 
 
+def _side_separates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of the counterclockwise (n, 3, 2) triangles a and b where all
+    three vertices of one lie on or right of the line of a side of the
+    other.  Two convex polygons whose interiors are disjoint are always
+    separated so (the separating-axis lemma), so these are exactly the
+    rows whose overlap has zero area, up to the rounding of the side
+    products."""
+    out = np.zeros(len(a), bool)
+    for p, q in ((a, b), (b, a)):
+        for e in range(3):
+            start = p[:, e, None]
+            side = p[:, (e + 1) % 3, None] - start
+            out |= _each((_cross2(side, q - start) <= 0).T)
+    return out
+
+
 def _best_per_pair(key, clearance, i, j, place, *rest):
     """Keep, per face-pair key, the sample of largest clearance; ties go to
     the least (i, j, place), the first sample a pair-at-a-time scan meets.
@@ -481,7 +510,8 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     The narrow phase takes the candidates in blocks of up to _ROWS pairs
     and tests each block at once: plane-side rejection, then either the
     coplanar overlap (Sutherland-Hodgman clip, area above 1e-12, sample at
-    the overlap's vertex mean) or the segment where one triangle crosses
+    the overlap's vertex mean; a pair that the line of a side separates is
+    dropped before the clip) or the segment where one triangle crosses
     the other's plane, clipped to that triangle (Liang-Barsky, samples at
     its ends, quarter points and midpoint).  A sample within 1e-9
     (relative) of a vertex or whole edge the two faces share is a seam,

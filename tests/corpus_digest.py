@@ -9,9 +9,10 @@ triangulation, saved JSON and STL bytes, verify().to_dict() and the bytes
 of the witness points.  The corpus is SMALL_GENERA, the meshes of the
 three benchmark workloads (p2-sweep drawn from seed 1), minimal
 g = 1..45, the drilled meshes (n5g odd g = 3..19, orientable g = 3..12,
-nonorientable g = 3..15 by both routes) and drill_repeat of p2-24, q3-18
-and the cubohemioctahedron with k = 2, 3.  pytest does not collect this
-file.
+nonorientable g = 3..15 by both routes), three larger meshes whose scans
+hold many coplanar triangle pairs (orientable g = 30, nonorientable
+g = 31, v8g g = 40) and drill_repeat of p2-24, q3-18 and the
+cubohemioctahedron with k = 2, 3.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def corpus():
         [("n5g", g, False) for g in range(3, 20, 2)] + \
         [("orientable", g, False) for g in range(3, 13)] + \
         [("nonorientable", g, fewest) for g in range(3, 16)
-         for fewest in (False, True)]
+         for fewest in (False, True)] + \
+        [("orientable", 30, False), ("nonorientable", 31, False),
+         ("v8g", 40, False)]
     items += [(f"{family}-{genus}" + "-fewest" * fewest,
                lambda a=(family, genus, {}, fewest):
                generate_family(FamilyRequest(*a)))

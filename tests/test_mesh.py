@@ -44,6 +44,14 @@ def test_bad_index_rejected():
         build_polyhedron(TET_V, [(0, 1, 9), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
 
 
+@pytest.mark.parametrize("first,named", [((9, 1, -1), 9), ((0, -2, 7), -2),
+                                         ((2, 0, 4), 4)])
+def test_bad_index_names_first_in_cycle_order(first, named):
+    with pytest.raises(IndexOutOfRange,
+                       match=f"face 0 references vertex {named}$"):
+        build_polyhedron(TET_V, [first, (0, 2, 3), (0, 3, 1), (1, 3, 2)])
+
+
 def test_repeated_vertex_rejected():
     with pytest.raises(DegenerateFace):
         build_polyhedron(TET_V, [(0, 1, 2, 1)] + TET_F[1:])

@@ -12,6 +12,7 @@ import pytest
 from ccpforge import CATALOG, FamilyRequest, build_polyhedron, gen_p2_24
 from ccpforge.generators import generate_family
 from ccpforge.mesh import MeshMetadata, Polyhedron
+from ccpforge import metrics
 from ccpforge.metrics import self_intersections
 
 import scalar_scan
@@ -113,3 +114,33 @@ def test_coplanar_overlaps(shift):
         assert_same_witnesses(Polyhedron(
             (rot @ p.vertices.T).T + tr, p.faces, p.edges, p.edge_slots,
             MeshMetadata()))
+
+
+def _rows_tested_and_clipped(monkeypatch, meshes):
+    """Coplanar rows that the side test sees and that reach the clip, over
+    the scans of the given meshes."""
+    count = {"tested": 0, "clipped": 0}
+
+    def counted(name, key):
+        real = getattr(metrics, name)
+
+        def wrapper(a, b):
+            count[key] += len(a)
+            return real(a, b)
+        monkeypatch.setattr(metrics, name, wrapper)
+
+    counted("_side_separates", "tested")
+    counted("_clip_convex", "clipped")
+    for p in meshes:
+        self_intersections(p)
+    return count
+
+
+def test_separated_coplanar_rows_skip_the_clip(monkeypatch):
+    """On the certify-files corpus every coplanar row is separated by a
+    side, so none is clipped; overlapping bases still are."""
+    count = _rows_tested_and_clipped(monkeypatch, [
+        family(*spec) for spec in CERTIFY_FILES])
+    assert count["tested"] > 2000 and count["clipped"] == 0
+    count = _rows_tested_and_clipped(monkeypatch, [two_tetrahedra((0.5, 0.5))])
+    assert count["clipped"] > 0

@@ -533,6 +533,18 @@ CONTRACT_CASES = [
     ("genus_true.json", _tet_json(metadata={"genus": True}), 2, "BadFile"),
     ("defect_true.json", _tet_json(metadata={"expected_defect_radians": True}),
      2, "BadFile"),
+    # a defect must be a finite double, a genus at least 0, and the
+    # version the integer 1
+    ("defect_nan.json", _tet_json(metadata={
+        "expected_defect_radians": float("nan")}), 2, "BadFile"),
+    ("defect_inf.json", _tet_json(metadata={
+        "expected_defect_radians": float("inf")}), 2, "BadFile"),
+    ("defect_minus_inf.json", _tet_json(metadata={
+        "expected_defect_radians": float("-inf")}), 2, "BadFile"),
+    ("defect_huge_int.json", _tet_json(metadata={
+        "expected_defect_radians": 10 ** 400}), 2, "BadFile"),
+    ("genus_negative.json", _tet_json(metadata={"genus": -1}), 2, "BadFile"),
+    ("version_true.json", _tet_json(format_version=True), 2, "BadFile"),
     ("face_str.json", _tet_json(faces=[[0, 1, "x"], [0, 2, 3], [0, 3, 1],
                                        [1, 3, 2]]), 2, "BadFile"),
     ("faces_int.json", _tet_json(faces=5), 2, "BadFile"),
