@@ -398,6 +398,20 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     return cells[order], ends[order]
 
 
+def _cell_array(edge_slots) -> np.ndarray:
+    """An explicit pairing as an (E, 4) index array.  A half-edge whose
+    face or slot lies beyond the index range raises NonManifoldEdge, as
+    _edge_cells does for one off the mesh."""
+    try:
+        return np.asarray(edge_slots, dtype=np.intp).reshape(-1, 4)
+    except OverflowError:
+        limit = np.iinfo(np.intp)
+        f, s = next((f, s) for f, s in np.asarray(
+            edge_slots, dtype=object).reshape(-1, 2).tolist()
+            if not limit.min <= min(f, s) <= max(f, s) <= limit.max)
+        raise NonManifoldEdge(f"half-edge ({f}, {s}) out of range") from None
+
+
 def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
     """Pair the half-edges by unordered vertex pair; every pair must occur
     exactly twice.  Returns the (E, 4) cells, ordered by vertex pair and
@@ -480,8 +494,7 @@ def build_polyhedron(vertices, faces,
     if edge_slots is None:
         cells, ends = _derived_cells(corners)
     else:
-        cells = np.asarray(edge_slots, dtype=np.intp).reshape(-1, 4)
-        cells, ends = _edge_cells(cells, corners)
+        cells, ends = _edge_cells(_cell_array(edge_slots), corners)
     missing = np.flatnonzero(np.bincount(corners.vertex, minlength=n) == 0)
     if missing.size:
         raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")

@@ -5,6 +5,7 @@ angles, and global self-intersection detection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,16 +205,23 @@ class _TriangleScan:
             own = _geom.project_2d(tri, tri[:, 0], self.u, self.v)
             cw = _geom.polygon_area_2d(own) < 0
             self.ccw = np.where(cw[:, None, None], own[:, ::-1], own)
+        # the vertex ids of each ccw cycle
+        self.ccw_vertex = np.where(cw[:, None], self.tri_vertex[:, ::-1],
+                                   self.tri_vertex)
 
         # shared-feature lookups: (face, vertex) and (face, side) keys
+        self.corner_face = geo.corner_face
         self.corner_vertex = geo.corner_vertex
         self.next_vertex = geo.corner_vertex[geo.next_corner]
         self.face_start = geo.face_start
         self.face_size = geo.face_size
-        self.face_vertex = np.sort(self._vertex_key(
-            geo.corner_face, self.corner_vertex))
         self.face_side = np.sort(self._side_key(
             geo.corner_face, self.corner_vertex, self.next_vertex))
+
+    @cached_property
+    def face_vertex(self):
+        """The sorted (face, vertex) keys; only clearance reads them."""
+        return np.sort(self._vertex_key(self.corner_face, self.corner_vertex))
 
     def _vertex_key(self, f, v):
         return f.astype(np.int64) * len(self.vertices) + v
@@ -269,7 +277,12 @@ class _TriangleScan:
         i against the plane and the interior of triangle j.  Returns per
         sample its pair (i, j), its place in that pair's sample sequence,
         whether the contact is a coplanar overlap, and the point.  Each
-        test gathers triangle data only for the pairs still live."""
+        test gathers triangle data only for the pairs still live.  A
+        clipped crossing whose two ends both lie within seam_tol / 2 of a
+        vertex both triangles share is dropped before it is sampled: its
+        samples are convex combinations of the ends, lifted to 3D with
+        only rounding added, so each would be a seam (_at_shared_vertex).
+        A block that keeps no contact returns at once."""
         eps = self.eps
         s = self._distances(i, j)
         keep = ~_one_side(s, eps)
@@ -292,10 +305,18 @@ class _TriangleScan:
             flat = flat[~self._separated(i[flat], j[flat])]
         hit_c, pts_c = self._overlap(i[flat], j[flat]) if flat.size \
             else (np.zeros(0, np.intp), np.zeros((0, 3)))
-        hit_x, pts_x = self._crossing(j[cross], self._segment(
-            i[cross], s[:, cross], met[:, cross], cut[:, cross])) \
-            if cross.size else (np.zeros(0, np.intp), np.zeros((0, 5, 3)))
-        flat, cross = flat[hit_c], cross[hit_x]
+        flat = flat[hit_c]
+        if cross.size:
+            hit_x, a, b = self._crossing(j[cross], self._segment(
+                i[cross], s[:, cross], met[:, cross], cut[:, cross]))
+            cross = cross[hit_x]
+            live = ~self._at_shared_vertex(i[cross], j[cross], a, b)
+            cross, a, b = cross[live], a[live], b[live]
+        if not (flat.size or cross.size):
+            none = np.zeros(0, np.intp)
+            return none, none, none, np.zeros(0, bool), np.zeros((0, 3))
+        pts_x = self._samples(j[cross], a, b) if cross.size \
+            else np.zeros((0, 5, 3))
         rows = np.concatenate([flat, np.repeat(cross, 5)])
         place = np.concatenate([np.zeros(len(flat), np.intp),
                                 np.tile(np.arange(5), len(cross))])
@@ -371,8 +392,11 @@ class _TriangleScan:
     def _crossing(self, j, seg):
         """Transversal pairs: the segments seg, in triangle j's plane,
         clipped to triangle j (Liang-Barsky).  A pair is hit when some of
-        its segment remains.  Returns the hit rows and their samples: the
-        clipped segment's ends, quarter points and midpoint."""
+        its segment remains.  Returns the hit rows and the clipped
+        segment's two ends in j's frame, as (n, 2) arrays.  contacts then
+        drops the rows whose ends both lie within seam_tol / 2 of a vertex
+        both triangles share, since every sample between such ends is a
+        seam (_at_shared_vertex), and samples the rest (_samples)."""
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
         s2d = _geom.project_2d(seg, o, u, v)
         a, d = s2d[:, 0], s2d[:, 1] - s2d[:, 0]
@@ -392,17 +416,43 @@ class _TriangleScan:
             t_out = np.where(exits & (t < t_out), t, t_out)
             t_in = np.where(enters & (t > t_in), t, t_in)
             alive &= ~(t_in > t_out)
-        # the samples of the hit rows only; each sum is formed in place,
-        # in the order o + x u + y v
         hit = np.flatnonzero(alive)
         a, d = a[hit], d[hit]
-        a, b = a + t_in[hit, None] * d, a + t_out[hit, None] * d
+        return hit, a + t_in[hit, None] * d, a + t_out[hit, None] * d
+
+    def _at_shared_vertex(self, i, j, a, b):
+        """Clipped crossings whose ends a and b, in triangle j's frame,
+        both lie within seam_tol / 2 of the image of a vertex that
+        triangles i and j share.  Each of the segment's samples is a
+        convex combination of its ends, so it lies that close to the
+        image too; the image is a vertex of triangle j in j's own plane,
+        so lifting a sample to 3D adds only rounding.  The vertex belongs
+        to both faces, so every sample's clearance is below seam_tol:
+        the row holds seams only and can be dropped unsampled."""
+        tol2 = (0.5 * self.seam_tol) ** 2
+        own = self.tri_vertex[i]
+        out = np.zeros(len(i), bool)
+        for k in range(3):
+            w = self.ccw_vertex[j, k]
+            at = self.ccw[j, k]
+            da, db = a - at, b - at
+            out |= ((own[:, 0] == w) | (own[:, 1] == w) | (own[:, 2] == w)) \
+                & (da[:, 0] * da[:, 0] + da[:, 1] * da[:, 1] <= tol2) \
+                & (db[:, 0] * db[:, 0] + db[:, 1] * db[:, 1] <= tol2)
+        return out
+
+    def _samples(self, j, a, b):
+        """The samples of clipped crossings in triangle j's plane, from
+        their ends a and b in j's frame: the ends, quarter points and
+        midpoint, as (n, 5, 3).  Each sum is formed in place, in the order
+        o + x u + y v."""
+        o, u, v = self.tri[j, 0], self.u[j], self.v[j]
         q = np.stack([a, 0.75 * a + 0.25 * b, 0.5 * (a + b),
                       0.25 * a + 0.75 * b, b], axis=1)
-        pts = q[..., 0, None] * u[hit, None]
-        pts += o[hit, None]
-        pts += q[..., 1, None] * v[hit, None]
-        return hit, pts
+        pts = q[..., 0, None] * u[:, None]
+        pts += o[:, None]
+        pts += q[..., 1, None] * v[:, None]
+        return pts
 
     def clearance(self, key, pts):
         """Distance from each point to the nearest vertex or whole edge
@@ -516,9 +566,14 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     its ends, quarter points and midpoint).  A sample within 1e-9
     (relative) of a vertex or whole edge the two faces share is a seam,
     not a witness; a crossing that runs along a side of both faces is
-    dropped before it is sampled, since all its samples are seams.  Each
-    face pair reports its sample of largest clearance, the earliest in
-    triangle order on ties.
+    dropped before it is sampled, since all its samples are seams.  So is
+    a clipped crossing whose two ends both lie within seam_tol / 2 of the
+    image, in the second triangle's frame, of a vertex both triangles
+    share: every sample is a convex combination of the ends, lifting it
+    to 3D adds only rounding, and the vertex is shared by both faces, so
+    every sample would be a seam.  A block left with no sample skips the
+    clearance and the per-pair selection.  Each face pair reports its
+    sample of largest clearance, the earliest in triangle order on ties.
 
     Each dot product and norm is rounded exactly as np.dot rounds a single
     pair, so the result equals that of testing one triangle pair at a
@@ -531,6 +586,8 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
         i, j, place, flat, pts = scan.contacts(
             cand_i[s:s + _ROWS].astype(np.intp),
             cand_j[s:s + _ROWS].astype(np.intp))
+        if not i.size:
+            continue
         key = scan.face[i] * p.n_faces + scan.face[j]
         clr = scan.clearance(key, pts)
         keep = clr > scan.seam_tol

@@ -144,3 +144,102 @@ def test_separated_coplanar_rows_skip_the_clip(monkeypatch):
     assert count["tested"] > 2000 and count["clipped"] == 0
     count = _rows_tested_and_clipped(monkeypatch, [two_tetrahedra((0.5, 0.5))])
     assert count["clipped"] > 0
+
+
+def _seam_rows(monkeypatch):
+    """Spies on the scans run while the spy is set: per call of
+    _at_shared_vertex its scan, its arguments and its verdict, and the
+    sample count of each clearance call."""
+    seen = {"rows": [], "clearance": []}
+    Scan = metrics._TriangleScan
+    test, clearance = Scan._at_shared_vertex, Scan.clearance
+
+    def spy_test(scan, i, j, a, b):
+        drop = test(scan, i, j, a, b)
+        seen["rows"].append((scan, i, j, a, b, drop))
+        return drop
+
+    def spy_clearance(scan, key, pts):
+        seen["clearance"].append(len(pts))
+        return clearance(scan, key, pts)
+    monkeypatch.setattr(Scan, "_at_shared_vertex", spy_test)
+    monkeypatch.setattr(Scan, "clearance", spy_clearance)
+    return seen
+
+
+LARGER = [("orientable", 30, False), ("nonorientable", 31, False),
+          ("v8g", 40, False)]
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA + [
+    (name, genus, {}) for name, genus, _ in LARGER])
+def test_rows_ending_at_a_shared_vertex_are_seams(monkeypatch, name, genus,
+                                                   params):
+    """Every crossing dropped for ending near a shared vertex at both
+    ends, sampled as it was before the rule, has every sample's clearance
+    below seam_tol: the rule drops only samples that `keep` would.  The
+    larger meshes each drop some."""
+    seen = _seam_rows(monkeypatch)
+    self_intersections(family(name, genus, **params))
+    dropped = 0
+    for scan, i, j, a, b, drop in seen["rows"]:
+        i, j, a, b = i[drop], j[drop], a[drop], b[drop]
+        pts = scan._samples(j, a, b).reshape(-1, 3)
+        key = np.repeat(scan.face[i] * scan.n_faces + scan.face[j], 5)
+        assert (scan.clearance(key, pts) < scan.seam_tol).all()
+        dropped += len(i)
+    assert dropped or (name, genus, False) not in LARGER
+
+
+def vertex_contact(reach):
+    """A tetrahedron V P Q D whose side PQ pierces triangle V A B of a
+    second tetrahedron V A B C at a point X, `reach` from their shared
+    vertex V, in a direction inside the triangle's corner at V: face VPQ
+    meets VAB in the segment from V to X, and face PQD crosses VAB (and
+    tetrahedron VABC's other faces at V) near X.  Not one surface, but a
+    valid scan input."""
+    x = reach / np.sqrt(2.0) * np.array([1.0, 1.0, 0.0])
+    w = np.array([-1.0, -0.5, 1.0])
+    v = np.array([(0, 0, 0), x + w, x - w, (-1, -1, -1),        # V P Q D
+                  (2, 0, 0), (0, 2, 0), (0.5, 0.5, 1)], float)  # A B C
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2),
+             (0, 5, 4), (0, 4, 6), (4, 5, 6), (5, 0, 6)]
+    slots, pairs = _derive_edge_slots(faces)
+    return Polyhedron(v, tuple(faces), pairs, slots, MeshMetadata())
+
+
+@pytest.mark.parametrize("factor,dropped", [(0.9, True), (1.1, False)])
+def test_crossing_near_a_shared_vertex(monkeypatch, factor, dropped):
+    """The crossing of VPQ through VAB runs from V to X: with X just
+    inside seam_tol / 2 of V the row is dropped unsampled, just beyond it
+    the row is sampled.  Either way the pair is a seam, PQD against VAB
+    is a witness, and the scan equals the scalar scan to the bit."""
+    seam_tol = metrics._TriangleScan(vertex_contact(1.0)).seam_tol
+    p = vertex_contact(factor * seam_tol / 2)
+    seen = _seam_rows(monkeypatch)
+    got = assert_same_witnesses(p)
+    faces = [w.faces for w in got]
+    assert (0, 4) not in faces and (3, 4) in faces
+    rows = {(int(f), int(g), bool(d))
+            for scan, i, j, _, _, drop in seen["rows"]
+            for f, g, d in zip(scan.face[i], scan.face[j], drop)}
+    assert (0, 4, dropped) in rows
+    assert (3, 4, False) in rows
+
+
+def test_embedded_meshes_skip_clearance(monkeypatch):
+    """Every crossing of p2-24, orientable g = 6 and v8g g = 10 ends at a
+    shared vertex, so clearance never runs on them.  Over the whole
+    certify-files corpus at most 7,700 samples reach clearance (20,305
+    when every clipped crossing was sampled), at least 2,500 rows are
+    dropped, and the witnesses still equal the scalar scan's."""
+    seen = _seam_rows(monkeypatch)
+    for spec in [("p2-24", None, False), ("orientable", 6, False),
+                 ("v8g", 10, False)]:
+        assert self_intersections(family(*spec)) == []
+    assert seen["clearance"] == []
+    seen = _seam_rows(monkeypatch)
+    for spec in CERTIFY_FILES:
+        assert_same_witnesses(family(*spec))
+    assert sum(seen["clearance"]) <= 7700
+    assert sum(int(r[-1].sum()) for r in seen["rows"]) >= 2500

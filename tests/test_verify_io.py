@@ -562,6 +562,13 @@ CONTRACT_CASES = [
      "NonManifoldEdge: half-edge (4, 0) out of range"),
     ("cell_negative_slot.json", _tet_cells([[0, -1], [2, 2]]), 2,
      "NonManifoldEdge: half-edge (0, -1) out of range"),
+    # a slot beyond the int64 range names no half-edge
+    ("cell_huge_slot.json", _tet_json(edge_cells=TET_CELLS[:-1] + [
+        [[1, 1], [3, 10 ** 30]]]), 2,
+     f"NonManifoldEdge: half-edge (3, {10 ** 30}) out of range"),
+    ("cell_huge_negative_slot.json", _tet_json(edge_cells=TET_CELLS[:-1] + [
+        [[1, 1], [3, -10 ** 30]]]), 2,
+     f"NonManifoldEdge: half-edge (3, {-10 ** 30}) out of range"),
     ("cell_paired_twice.json", _tet_cells([[0, 0], [2, 2]], [[0, 0], [1, 0]]),
      2, "NonManifoldEdge: half-edge (0, 0) paired twice"),
     ("cell_two_segments.json", _tet_cells([[0, 0], [1, 0]], [[0, 2], [2, 2]]),
