@@ -114,8 +114,15 @@ def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
 def point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
     """Winding-number test for a point strictly inside a simple 2D polygon.
     Points on the boundary are reported as outside."""
-    return bool(dist_point_polygon_boundary(pt, poly) >= 1e-14
-                and winds_around(pt, poly))
+    return interior_clearance(pt, poly) is not None
+
+
+def interior_clearance(pt: np.ndarray, poly: np.ndarray) -> float | None:
+    """A 2D point's distance to the boundary of a simple 2D polygon if the
+    point is strictly inside it (at least 1e-14 from the boundary, winding
+    number non-zero), else None."""
+    clear = float(dist_point_polygon_boundary(pt, poly))
+    return clear if clear >= 1e-14 and winds_around(pt, poly) else None
 
 
 def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:

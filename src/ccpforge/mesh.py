@@ -270,6 +270,25 @@ class MeshGeometry:
                 a.setflags(write=False)
         return self
 
+    def carry(self, kept: np.ndarray, vertices: np.ndarray,
+              corners: _Corners) -> "MeshGeometry":
+        """The geometry of a mesh on `vertices` (this mesh's first, at the
+        same places) and `corners` whose first faces are the faces of this
+        mesh that the boolean mask `kept` marks, in order: those faces keep
+        the planes fitted here, and the faces after them are not fitted."""
+        out = MeshGeometry(vertices, corners)
+        n = np.count_nonzero(kept)
+        corner = kept[self.corner_face]
+        m = np.count_nonzero(corner)
+        assert np.array_equal(corners.size[:n], self.face_size[kept]) and \
+            np.array_equal(corners.vertex[:m], self.corner_vertex[corner]), \
+            "the first faces are not the kept faces"
+        for name in ("fitted", "centroid", "normal", "u", "v", "residual",
+                     "area"):
+            getattr(out, name)[:n] = getattr(self, name)[kept]
+        out.uv[:m] = self.uv[corner]
+        return out
+
     @cached_property
     def polygons(self) -> list[np.ndarray]:
         """Per face: its cycle in its (u, v) frame, a (k, 2) view of uv."""

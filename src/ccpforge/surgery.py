@@ -231,29 +231,58 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     partition into quads; otherwise a radial angular sweep produces
     triangles.
     """
-    outer = np.asarray(outer, float)
-    hole = np.asarray(hole, float)
-    ko, kh = len(outer), len(hole)
-    c, n, resid = _geom.plane_fit(np.vstack([outer, hole]))
-    scale = max(1.0, float(np.abs(outer).max()))
-    if resid > 1e-9 * scale:
-        raise HoleNotInside("hole is not coplanar with the outer face")
+    return _retile([np.asarray(outer, float)], [np.asarray(hole, float)])[0]
+
+
+def _retile(outers: list[np.ndarray], holes: list[np.ndarray]
+            ) -> list[list[list[int]]]:
+    """retile_pierced_face of each (outer, hole) pair, in order, so the
+    first pair that fails raises its error.  Pairs that all have one shape
+    share one stack for the plane fit, the projections, the hole test and
+    the polygon areas, in which each gets the bits it gets alone; the
+    partition is built per pair."""
+    if len({(len(o), len(h)) for o, h in zip(outers, holes)}) > 1:
+        return [_retile_stack(o[None], h[None])[0]
+                for o, h in zip(outers, holes)]
+    return _retile_stack(np.stack(outers), np.stack(holes))
+
+
+def _retile_stack(outer: np.ndarray, hole: np.ndarray
+                  ) -> list[list[list[int]]]:
+    """_retile of an (m, ko, 3) stack of outer cycles and an (m, kh, 3)
+    stack of holes."""
+    c, n, resid = _geom.plane_fit(np.concatenate([outer, hole], axis=1))
+    scale = np.maximum(1.0, np.abs(outer).max(axis=(1, 2)))
     u, v = _geom.plane_basis(n)
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
     # every hole vertex at once: strictly inside (point_in_polygon) and
     # clear of the boundary by 1e-12 * scale, which is the stricter bound
     # as scale >= 1; a NaN distance fails both
-    clear = _geom.dist_point_polygon_boundary(h2, o2)
-    if not np.all((clear >= 1e-12 * scale) & _geom.winds_around(h2, o2)):
-        raise HoleNotInside("hole not strictly inside the outer polygon")
+    clear = _geom.dist_point_polygon_boundary(h2, o2[:, None])
+    inside = ((clear >= 1e-12 * scale[:, None])
+              & _geom.winds_around(h2, o2[:, None])).all(axis=1)
+    area_o, area_h = _geom.polygon_area_2d(o2), _geom.polygon_area_2d(h2)
+    centre = h2.mean(axis=1)
+    out = []
+    for i in range(len(outer)):
+        if resid[i] > 1e-9 * scale[i]:
+            raise HoleNotInside("hole is not coplanar with the outer face")
+        if not inside[i]:
+            raise HoleNotInside("hole not strictly inside the outer polygon")
+        out.append(_partition(o2[i], h2[i], area_o[i], area_h[i],
+                              centre[i], float(scale[i])))
+    return out
 
+
+def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
+               centre: np.ndarray, scale: float) -> list[list[int]]:
+    """The partition of one annulus, given in its plane's frame with the
+    signed areas of its two cycles and the hole's vertex mean."""
+    ko, kh = len(o2), len(h2)
     # counterclockwise index sequences over the original cycles
-    o_seq = list(range(ko)) if _geom.polygon_area_2d(o2) > 0 \
-        else list(reversed(range(ko)))
-    h_seq = list(range(kh)) if _geom.polygon_area_2d(h2) > 0 \
-        else list(reversed(range(kh)))
-    centre = h2.mean(axis=0)
+    o_seq = list(range(ko)) if area_o > 0 else list(reversed(range(ko)))
+    h_seq = list(range(kh)) if area_h > 0 else list(reversed(range(kh)))
     ang_o = [math.atan2(*(o2[i] - centre)[::-1]) % TAU for i in o_seq]
     ang_h = [math.atan2(*(h2[j] - centre)[::-1]) % TAU for j in h_seq]
 
@@ -292,7 +321,7 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
         return out
 
     all2 = np.vstack([o2, h2])
-    annulus_area = abs(_geom.polygon_area_2d(o2)) - abs(_geom.polygon_area_2d(h2))
+    annulus_area = abs(area_o) - abs(area_h)
 
     def valid(faces_local):
         # a partition is all quads or all triangles: one area call, and a
@@ -322,7 +351,8 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
 
 def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, numbers
-    or order, a face pierced twice, and a mesh with doubled segments."""
+    (not finite, or a radius that is not positive) or order, a face
+    pierced twice, and a mesh with doubled segments."""
     for f in (spec.face1, spec.face2):
         if not 0 <= f < p.n_faces:
             raise IndexOutOfRange(
@@ -333,6 +363,8 @@ def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
         raise BadParameters(
             f"drill placement must be finite: phase {spec.phase}, "
             f"radius {spec.radius}, point {spec.point}")
+    if spec.radius is not None and spec.radius <= 0:
+        raise BadParameters(f"prism radius {spec.radius} must be positive")
     if spec.n < 3:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
@@ -355,7 +387,8 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     q1 = _geom.project_2d(p1pt[None, :], c1, geo.u[f1], geo.v[f1])[0]
     poly1, poly2 = (geo.uv[geo.face_start[f] + np.arange(geo.face_size[f])]
                     for f in (f1, f2))
-    if not _geom.point_in_polygon(q1, poly1):
+    d1 = _geom.interior_clearance(q1, poly1)
+    if d1 is None:
         raise AxisObstructed("axis point is not interior to face1")
     # orthogonal projection onto face2's plane
     depth = float((p1pt - c2) @ n2)
@@ -363,17 +396,18 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
         raise AxisObstructed("pierced faces are coplanar")
     q2 = _geom.project_2d((p1pt - depth * n2)[None, :], c2, geo.u[f2],
                           geo.v[f2])[0]
-    if not _geom.point_in_polygon(q2, poly2):
+    d2 = _geom.interior_clearance(q2, poly2)
+    if d2 is None:
         raise AxisObstructed("axis exit point is not interior to face2")
-    return (p1pt, depth, _geom.dist_point_polygon_boundary(q1, poly1),
-            _geom.dist_point_polygon_boundary(q2, poly2))
+    return p1pt, depth, d1, d2
 
 
 def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     """All of drill short of validation, on raw data whose geometry is
-    `geo`: the two prism rings, each pierced face retiled over its own and
-    its ring's vertices with the seams between the pieces, and the walls.
-    Kept faces come first, then face1's and face2's pieces and the walls.
+    `geo`: the two prism rings, both pierced faces retiled in one call,
+    each over its own and its ring's vertices with the seams between the
+    pieces, and the walls.  Kept faces come first, in order, then face1's
+    and face2's pieces and the walls; face1's errors come before face2's.
     """
     p1pt, depth, d1, d2 = _axis(geo, spec)
     u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
@@ -394,12 +428,13 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     faces = [cyc for i, cyc in enumerate(data.faces)
              if i not in (spec.face1, spec.face2)]
     seams = set(data.metadata.seam_edges)
-    for cyc, base in ((data.faces[spec.face1], base1),
-                      (data.faces[spec.face2], base2)):
+    cycles = (data.faces[spec.face1], data.faces[spec.face2])
+    parts = _retile([data.vertices[list(cyc)] for cyc in cycles],
+                    [ring1, ring2])
+    for cyc, base, local in zip(cycles, (base1, base2), parts):
         part = [tuple(cyc[i] if i < len(cyc) else base + i - len(cyc)
-                      for i in local)
-                for local in retile_pierced_face(data.vertices[list(cyc)],
-                                                 verts[base:base + spec.n])]
+                      for i in sub)
+                for sub in local]
         faces.extend(part)
         count: dict[tuple[int, int], int] = {}
         for sub in part:
@@ -417,6 +452,16 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
         f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
     meta.genus = None
     return MeshData(verts, faces, meta)
+
+
+def _pierced_geometry(geo: MeshGeometry, spec: DrillSpec,
+                      data: MeshData) -> MeshGeometry:
+    """The geometry of `data`, which pierce(_, geo, spec) returned.  pierce
+    puts the faces it keeps first, in order, so they keep their planes and
+    only the new pieces are left to fit."""
+    kept = np.ones(len(geo.face_size), dtype=bool)
+    kept[[spec.face1, spec.face2]] = False
+    return geo.carry(kept, data.vertices, _corner_layout(data.faces))
 
 
 def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
@@ -439,12 +484,14 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     """Apply k parallel drills along offset copies of the axis.
 
     Axes are spread along a face-frame direction with spacing
-    clearance/(2k); each subsequent drill locates the current sub-face
-    containing its axis point.  If an offset line degenerates against the
-    evolving retiling (axis on a seam), the next of a fixed set of offset
-    directions is tried.  A bad spec raises what drill raises, before any
-    offset is tried.  The drills pierce raw data and the finished mesh is
-    validated once; a sub-face a later drill pierces is never validated.
+    clearance/(2k); each subsequent drill locates the current sub-faces
+    containing its axis's entry and exit points.  If an offset line
+    degenerates against the evolving retiling (axis on a seam), the next
+    of a fixed set of offset directions is tried.  A bad spec raises what
+    drill raises, before any offset is tried.  The drills pierce raw data
+    and the finished mesh is validated once; a sub-face a later drill
+    pierces is never validated.  Each step's geometry keeps the planes of
+    the faces the step before kept, so only new pieces are fitted.
     """
     if k < 1:
         raise BadOrder("k must be >= 1")
@@ -456,8 +503,7 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
                                               geo.u, geo.v))
     delta = d0 / (2 * k)
-    plane1 = (float(n1 @ c1), n1)
-    plane2 = (float(n1 @ geo.centroid[spec.face2]), n1)
+    heights = (float(n1 @ c1), float(n1 @ geo.centroid[spec.face2]))
 
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
@@ -466,20 +512,20 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
         try:
             for j in range(k):
                 if j:
-                    geo = MeshGeometry(out.vertices, _corner_layout(out.faces))
+                    geo = _pierced_geometry(geo, step, out)
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
-                f1, clr1 = _locate_face(geo, axis_pt, plane1)
-                exit_pt = axis_pt - (float(axis_pt @ n1) - plane2[0]) * n1
-                f2, clr2 = _locate_face(geo, exit_pt, plane2)
+                exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
+                (f1, clr1), (f2, clr2) = _locate_face(
+                    geo, np.array([axis_pt, exit_pt]), heights, n1)
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
                         f"pierced faces")
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
-                out = pierce(out, geo, DrillSpec(f1, f2, spec.n,
-                                                 tuple(axis_pt), radius,
-                                                 spec.phase))
+                step = DrillSpec(f1, f2, spec.n, tuple(axis_pt), radius,
+                                 spec.phase)
+                out = pierce(out, geo, step)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
@@ -489,17 +535,23 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
         f"no workable offset direction for {k} parallel drills: {last_err}")
 
 
-def _locate_face(geo: MeshGeometry, point: np.ndarray,
-                 plane) -> tuple[int | None, float]:
-    """First face whose plane matches `plane` and whose polygon strictly
-    contains the point, plus the point's clearance to that polygon's
-    boundary.  The candidates are the faces whose corners all lie near the
-    plane; those of one length are tested together."""
-    d0, n = plane
+def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
+                 normal: np.ndarray) -> list[tuple[int | None, float]]:
+    """Per point and plane height: the first face in the plane
+    normal . x = height whose polygon strictly contains the point, plus
+    the point's clearance to that polygon's boundary; (None, 0.0) where no
+    face does.  A face is in the plane when its corners all lie near it.
+    The candidates of every plane are fitted in one call, and those of
+    one length are tested together."""
     scale = geo.scale
-    offset = np.abs(geo.vertices[geo.corner_vertex] @ n - d0)
-    faces = np.flatnonzero(
-        np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
+    along = geo.vertices[geo.corner_vertex] @ normal
+    faces, which = [], []
+    for i, height in enumerate(heights):
+        near = np.flatnonzero(np.maximum.reduceat(
+            np.abs(along - height), geo.face_start) <= 1e-7 * scale)
+        faces.append(near)
+        which.append(np.full(len(near), i))
+    faces, which = np.concatenate(faces), np.concatenate(which)
     geo.fit(faces)
     clearance = np.zeros(len(faces))
     inside = np.zeros(len(faces), dtype=bool)
@@ -507,12 +559,15 @@ def _locate_face(geo: MeshGeometry, point: np.ndarray,
     for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == k)
         f = faces[rows]
-        q = _geom.project_2d(np.broadcast_to(point, (len(rows), 1, 3)),
-                             geo.centroid[f], geo.u[f], geo.v[f])[:, 0]
+        q = _geom.project_2d(points[which[rows], None], geo.centroid[f],
+                             geo.u[f], geo.v[f])[:, 0]
         poly = geo.uv[geo.face_start[f, None] + np.arange(k)]
         clearance[rows] = _geom.dist_point_polygon_boundary(q, poly)
         inside[rows] = _geom.winds_around(q, poly)
-    hits = np.flatnonzero(inside & (clearance > 1e-9 * scale))
-    if hits.size == 0:
-        return None, 0.0
-    return int(faces[hits[0]]), float(clearance[hits[0]])
+    hit = inside & (clearance > 1e-9 * scale)
+    out: list[tuple[int | None, float]] = []
+    for i in range(len(heights)):
+        rows = np.flatnonzero(hit & (which == i))
+        out.append((int(faces[rows[0]]), float(clearance[rows[0]]))
+                   if rows.size else (None, 0.0))
+    return out

@@ -11,8 +11,10 @@ three benchmark workloads (p2-sweep drawn from seed 1), minimal
 g = 1..45, the drilled meshes (n5g odd g = 3..19, orientable g = 3..12,
 nonorientable g = 3..15 by both routes), three larger meshes whose scans
 hold many coplanar triangle pairs (orientable g = 30, nonorientable
-g = 31, v8g g = 40) and drill_repeat of p2-24, q3-18 and the
-cubohemioctahedron with k = 2, 3.  pytest does not collect this file.
+g = 31, v8g g = 40), drill_repeat of p2-24, q3-18 and the
+cubohemioctahedron with k = 2, 3, of p2-24 with k = 6 and an explicit
+point, radius and phase, and of n5g g = 7 with k = 4, whose first offset
+direction fails.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src"),
 
 from ccpforge.fileio import save_mesh  # noqa: E402
 from ccpforge.generators import (  # noqa: E402
-    FamilyRequest, gen_cubohemioctahedron, gen_p2_24, gen_q3_18,
-    generate_family)
+    FamilyRequest, gen_cubohemioctahedron, gen_n5g_odd, gen_p2_24,
+    gen_q3_18, generate_family)
 from ccpforge.surgery import DrillSpec, drill_repeat  # noqa: E402
 from ccpforge.verify import verify  # noqa: E402
 
@@ -68,6 +70,11 @@ def corpus():
                   ("q3-18", gen_q3_18, (1, 0), 18),
                   ("cho", gen_cubohemioctahedron, (4, 5), 6))
               for k in (2, 3)]
+    items += [("p2-24-k6-placed", lambda: drill_repeat(
+        gen_p2_24(), DrillSpec(0, 1, 12, point=(0.1, 0.05, 1.0),
+                               radius=0.01, phase=0.2), 6)),
+              ("n5g-7-k4", lambda: drill_repeat(gen_n5g_odd(7),
+                                                DrillSpec(0, 1, 7), 4))]
     return dict(items).items()
 
 

@@ -9,7 +9,8 @@ builders ``gen_minimal``, ``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18``
 glue one validated block at a time with ``connect_sum``, so every step of
 a chain is a validated mesh.  ``drill_repeat`` drills one validated mesh
 at a time, so every intermediate mesh of a multiple drill is validated in
-full.
+full, and locates each pierced face with its own ``_locate_face`` call on
+that mesh's full geometry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ccpforge.errors import (AxisObstructed, BadOrder, DomainError,
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _drilled,
                                  _n5g_params, _orbit)
 from ccpforge.mesh import MeshMetadata
-from ccpforge.surgery import _locate_face
 
 TAU = 2.0 * math.pi
 
@@ -256,6 +256,34 @@ def gen_q3_18():
                                                          mapping=(0, 2, 1)))
     return out.with_metadata(family="q3-18", genus=3, orientable=False,
                              expected_defect=-math.pi / 9)
+
+
+def _locate_face(geo, point: np.ndarray, plane) -> tuple[int | None, float]:
+    """First face whose plane matches `plane` and whose polygon strictly
+    contains the point, plus the point's clearance to that polygon's
+    boundary.  The candidates are the faces whose corners all lie near the
+    plane; those of one length are tested together."""
+    d0, n = plane
+    scale = geo.scale
+    offset = np.abs(geo.vertices[geo.corner_vertex] @ n - d0)
+    faces = np.flatnonzero(
+        np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
+    geo.fit(faces)
+    clearance = np.zeros(len(faces))
+    inside = np.zeros(len(faces), dtype=bool)
+    sizes = geo.face_size[faces]
+    for k in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == k)
+        f = faces[rows]
+        q = _geom.project_2d(np.broadcast_to(point, (len(rows), 1, 3)),
+                             geo.centroid[f], geo.u[f], geo.v[f])[:, 0]
+        poly = geo.uv[geo.face_start[f, None] + np.arange(k)]
+        clearance[rows] = _geom.dist_point_polygon_boundary(q, poly)
+        inside[rows] = _geom.winds_around(q, poly)
+    hits = np.flatnonzero(inside & (clearance > 1e-9 * scale))
+    if hits.size == 0:
+        return None, 0.0
+    return int(faces[hits[0]]), float(clearance[hits[0]])
 
 
 def drill_repeat(p, spec: DrillSpec, k: int):

@@ -57,13 +57,16 @@ def test_solve_block_params_is_bit_identical(monkeypatch):
     assert [bits(bp) for bp in got] == [bits(bp) for bp in want]
 
 
-def star_annulus(rng, kind):
+def star_annulus(rng, kind, ko=None, kh=None):
     """A random star-shaped outer polygon and a hole polygon about a point
     near its centre, both in a random plane at a random scale.  `kind`
     moves one hole vertex onto the outer boundary, outside it, or within a
-    few 1e-12 * scale of it; "inside" leaves the hole alone."""
-    ko = int(rng.integers(3, 13))
-    kh = ko if rng.random() < 0.5 else int(rng.integers(3, 13))
+    few 1e-12 * scale of it; "inside" leaves the hole alone.  The vertex
+    counts ko and kh are drawn where not given."""
+    if ko is None:
+        ko = int(rng.integers(3, 13))
+    if kh is None:
+        kh = ko if rng.random() < 0.5 else int(rng.integers(3, 13))
     ang = (np.arange(ko) + rng.uniform(0.1, 0.9, ko)) * TAU / ko
     rad = rng.uniform(0.6, 1.4, ko)
     outer = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
@@ -96,10 +99,12 @@ def star_annulus(rng, kind):
     return lift(outer), lift(hole)
 
 
-@pytest.mark.parametrize("kind", ["inside", "boundary", "outside", "near"])
+KINDS = ["inside", "boundary", "outside", "near"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_retile_is_the_per_vertex_loop(kind):
-    rng = np.random.default_rng(["inside", "boundary", "outside",
-                                 "near"].index(kind))
+    rng = np.random.default_rng(KINDS.index(kind))
     results = []
     for _ in range(150):
         outer, hole = star_annulus(rng, kind)
@@ -115,12 +120,48 @@ def test_retile_is_the_per_vertex_loop(kind):
         assert 0 < sum(results) < len(results)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_retile_pairs_are_the_per_vertex_loop(monkeypatch, kind):
+    """Two annuli retiled in one call, as pierce retiles its two faces:
+    one of `kind` and one of a drawn kind, with equal or unequal outer
+    vertex counts, in both orders.  The call raises the oracle's error
+    for the first face that has one, else gives each face the oracle's
+    partition; a pair of one shape takes one plane fit."""
+    rng = np.random.default_rng(10 + KINDS.index(kind))
+    fits = []
+    real = geom_mod.plane_fit
+    monkeypatch.setattr(geom_mod, "plane_fit",
+                        lambda pts: fits.append(1) or real(pts))
+    results = set()
+    for _ in range(80):
+        ko, kh = (int(x) for x in rng.integers(3, 13, 2))
+        ko2 = ko if rng.random() < 0.5 else int(rng.integers(3, 13))
+        pair = [star_annulus(rng, kind, ko, kh),
+                star_annulus(rng, KINDS[rng.integers(4)], ko2, kh)]
+        for order in (pair, pair[::-1]):
+            want = [outcome(scalar_generate.retile_pierced_face, *a)
+                    for a in order]
+            failed = [w for w in want if type(w) is not list]
+            fits.clear()
+            got = outcome(surgery_mod._retile, [o for o, _ in order],
+                          [h for _, h in order])
+            assert got == (failed[0] if failed else want)
+            # an unstacked pair stops at its first face's error
+            assert len(fits) == (1 if ko2 == ko or failed[:1] == want[:1]
+                                 else 2)
+        results.add((len(failed), ko2 == ko))
+    # faces that fail (and, for "inside", pairs that do not), each among
+    # stacked and unstacked pairs
+    failing = (0, 1, 2) if kind == "inside" else (1, 2)
+    assert results >= {(n, same) for n in failing for same in (True, False)}
+
+
 def test_retile_locates_the_hole_in_one_call(monkeypatch):
     calls = []
     real = geom_mod.dist_point_polygon_boundary
 
     def counted(pt, poly):
-        calls.append(len(pt))
+        calls.append(pt.size // 2)      # the points, whatever the stack
         return real(pt, poly)
     monkeypatch.setattr(geom_mod, "dist_point_polygon_boundary", counted)
     outer, hole = star_annulus(np.random.default_rng(3), "inside")

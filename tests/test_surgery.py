@@ -18,8 +18,9 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       verify)
 from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
-                             BadOrder, CcpError, FlatSeam, HoleNotInside,
-                             NonNegativeChi, NotInteger, NotIsometric)
+                             BadOrder, BadParameters, CcpError, FlatSeam,
+                             HoleNotInside, NonNegativeChi, NotInteger,
+                             NotIsometric)
 from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _locate_face, build_glued, glue, pierce
@@ -249,24 +250,31 @@ class TestDrill:
         assert not tc.orientable and tc.genus == 3 + 2
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("mesh,spec,error", [
-        (gen_p2_24, DrillSpec(0, 0, 12), "must differ"),
-        (gen_p2_24, DrillSpec(0, 2, 12), "not parallel"),
+    @pytest.mark.parametrize("mesh,spec,kind,error", [
+        (gen_p2_24, DrillSpec(0, 0, 12), AxisObstructed, "must differ"),
+        (gen_p2_24, DrillSpec(0, 2, 12), AxisObstructed, "not parallel"),
         (gen_p2_24, DrillSpec(0, 1, 12, point=(50.0, 50.0, 50.0)),
-         "not interior to face1"),
-        (lambda: gen_minimal(3), DrillSpec(0, 1, 6), "doubled segments"),
-    ], ids=["same-face", "not-parallel", "point-outside", "doubled"])
+         AxisObstructed, "not interior to face1"),
+        (lambda: gen_minimal(3), DrillSpec(0, 1, 6), AxisObstructed,
+         "doubled segments"),
+        (gen_p2_24, DrillSpec(0, 1, 12, radius=0.0), BadParameters,
+         "radius 0.0 must be positive"),
+        (gen_p2_24, DrillSpec(0, 1, 12, radius=-1.0), BadParameters,
+         "radius -1.0 must be positive"),
+    ], ids=["same-face", "not-parallel", "point-outside", "doubled",
+            "zero-radius", "negative-radius"])
     def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
-                                                    mesh, spec, error):
+                                                    mesh, spec, kind, error):
         """drill_repeat checks the spec once, on its input, with drill's
         own checks: any k raises drill's error before it locates an
-        offset axis or retiles a face."""
+        offset axis or retiles a face (drill_repeat locates with
+        _locate_face, pierce retiles with _retile)."""
         p = mesh()
         calls = []
-        for name in ("_locate_face", "retile_pierced_face"):
+        for name in ("_locate_face", "_retile"):
             monkeypatch.setattr(surgery_mod, name,
                                 lambda *a, name=name: calls.append(name))
-        with pytest.raises(AxisObstructed, match=error):
+        with pytest.raises(kind, match=error):
             drill_repeat(p, spec, k)
         assert calls == []
 
@@ -399,34 +407,98 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
     assert len(builds) == 1
 
 
+def test_pierced_geometry_carries_the_kept_planes():
+    """The next drill step's geometry keeps, bit for bit, the planes of
+    the faces pierce kept and leaves the new pieces unfitted; face data
+    whose first faces are not the kept ones, in order, is refused."""
+    p = gen_p2_24()
+    spec = DrillSpec(0, 1, 12)
+    out = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry, spec)
+    geo = surgery_mod._pierced_geometry(p.geometry, spec, out)
+    n = p.n_faces - 2
+    assert geo.fitted[:n].all() and not geo.fitted[n:].any()
+    fresh = mesh_mod.MeshGeometry(out.vertices,
+                                  mesh_mod._corner_layout(out.faces)).fit()
+    for name in ("centroid", "normal", "u", "v", "residual", "area"):
+        assert getattr(geo, name)[:n].tobytes() == \
+            getattr(fresh, name)[:n].tobytes(), name
+    m = geo.face_start[n]
+    assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
+    swapped = [out.faces[1], out.faces[0]] + list(out.faces[2:])
+    with pytest.raises(AssertionError, match="not the kept faces"):
+        surgery_mod._pierced_geometry(p.geometry, spec,
+                                      MeshData(out.vertices, swapped,
+                                               out.metadata))
+
+
+def test_drill_repeat_fits_each_piece_once(monkeypatch):
+    """Each step of drill_repeat keeps the planes of the faces it keeps,
+    so orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit
+    at most two plane rows per face of the result, final build included,
+    where re-fitting every sub-face of both pierced planes at each step
+    grew as k squared."""
+    rows = []
+    fit = geom_mod.plane_fit
+
+    def counted(pts):
+        rows.append(1 if pts.ndim == 2 else len(pts))
+        return fit(pts)
+
+    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    for genus in (24, 48):
+        rows.clear()
+        p = generate_family(FamilyRequest("orientable", genus))
+        assert sum(rows) <= 2 * p.n_faces, (genus, sum(rows), p.n_faces)
+
+
 # ---------------------------------------------------------------------------
 # point location
 
 
 def test_locate_face_matches_a_face_by_face_scan():
-    p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 3)
+    """One plane per call, and two planes of one normal in one call, as
+    drill_repeat asks: each point gets the face of the scan _locate_face
+    replaced.  The planes are those of the pierced faces, which the
+    three drills cut into many pieces."""
+    base = gen_p2_24()
+    p = drill_repeat(base, DrillSpec(0, 1, 12), 3)
     geo = p.geometry
     rng = np.random.default_rng(8)
+
+    def scan(point, height, normal):
+        for f in range(p.n_faces):
+            if np.abs(p.face_points(f) @ normal - height).max() \
+                    > 1e-7 * geo.scale:
+                continue
+            q = geom_mod.project_2d(point[None, :], geo.centroid[f],
+                                    geo.u[f], geo.v[f])[0]
+            clear = dist_point_polygon_boundary(q, geo.polygons[f])
+            if geom_mod.point_in_polygon(q, geo.polygons[f]) and \
+                    clear > 1e-9 * geo.scale:
+                return f, clear
+        return None, 0.0
+
+    normal0, points = base.geometry.normal[0], []
     for face in range(p.n_faces):
         normal, centroid = geo.normal[face], geo.centroid[face]
-        if abs(abs(normal @ geo.normal[0]) - 1.0) > 1e-9:
+        if abs(abs(normal @ normal0) - 1.0) > 1e-9:
             continue
-        plane = (float(normal @ centroid), normal)
+        height = float(normal @ centroid)
         for point in [centroid] + list(
                 centroid + rng.normal(size=(4, 3)) * 0.3):
-            want = (None, 0.0)
-            for f in range(p.n_faces):   # the scan _locate_face replaced
-                if np.abs(p.face_points(f) @ plane[1] - plane[0]).max() \
-                        > 1e-7 * geo.scale:
-                    continue
-                q = geom_mod.project_2d(point[None, :], geo.centroid[f],
-                                        geo.u[f], geo.v[f])[0]
-                clear = dist_point_polygon_boundary(q, geo.polygons[f])
-                if geom_mod.point_in_polygon(q, geo.polygons[f]) and \
-                        clear > 1e-9 * geo.scale:
-                    want = (f, clear)
-                    break
-            assert _locate_face(p.geometry, point, plane) == want
+            assert _locate_face(p.geometry, point[None], [height],
+                                normal) == [scan(point, height, normal)]
+            points.append((point, float(normal0 @ centroid)))
+    # the entry and exit planes of both pierced faces, in both orders
+    heights = {round(h) for _, h in points}
+    assert heights == {-1, 1}
+    located = set()
+    for (a, ha), (b, hb) in zip(points, reversed(points)):
+        want = [scan(a, ha, normal0), scan(b, hb, normal0)]
+        assert _locate_face(p.geometry, np.array([a, b]), [ha, hb],
+                            normal0) == want
+        located.update(f is None for f, _ in want)
+    assert located == {True, False}
 
 
 def _winding_loop(pt, poly):

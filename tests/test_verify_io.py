@@ -454,11 +454,16 @@ def test_export_stl_beyond_float32_exit_2(tmp_path, capsys):
     (["--face-a", "0", "--face-b", "1", "--phase", "inf", "--k", "2"],
      "BadParameters"),
     (["--face-a", "0", "--face-b", "1", "--radius", "nan"], "BadParameters"),
+    (["--face-a", "0", "--face-b", "1", "--radius", "0", "--k", "2"],
+     "BadParameters: prism radius 0.0 must be positive"),
+    (["--face-a", "0", "--face-b", "1", "--radius", "-1"],
+     "BadParameters: prism radius -1.0 must be positive"),
 ], ids=["face_past_end", "negative_face", "face_past_end_k2", "nan_phase",
-        "inf_phase_k2", "nan_radius"])
+        "inf_phase_k2", "nan_radius", "zero_radius_k2", "negative_radius"])
 def test_drill_bad_placement_exit_2(tmp_path, capsys, flags, error):
     """A face id that is not a face of the mesh, or a placement number that
-    is not finite, ends in a named error and exit 2 (p2-24 has 18 faces)."""
+    is not finite, or a radius that is not positive, ends in a named error
+    and exit 2 (p2-24 has 18 faces)."""
     from ccpforge.cli import main
     src, dst = tmp_path / "p2.json", tmp_path / "out.json"
     save_json(gen_p2_24(), src)
