@@ -12,7 +12,8 @@ import numpy as np
 from . import _geom
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import MeshData, MeshMetadata, Polyhedron, build_polyhedron
+from .mesh import (MeshData, MeshGeometry, MeshMetadata, Polyhedron,
+                   _corner_layout, build_polyhedron, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -42,7 +43,17 @@ def _data(vertices, faces, *, family, genus, orientable, defect,
 
 
 def _build(data: MeshData) -> Polyhedron:
+    """Validate a construction's parts; glued parts, which carry their
+    edge cells, through build_glued."""
+    if data.cells is not None:
+        from .surgery import build_glued
+        return build_glued(data)
     return build_polyhedron(data.vertices, data.faces, data.metadata)
+
+
+def _relabel(data: MeshData, **kw) -> MeshData:
+    """data with the metadata fields kw names replaced."""
+    return data._replace(metadata=replace_meta(data.metadata, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +114,11 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
     admissible domain is b > c > 0, sqrt(3)*b < 1, 4*sqrt(3)*c < 1; the
     defect is -pi/6 for every admissible pair.
     """
+    return _build(_p2_24(b, c))
+
+
+def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
+    """The parts of gen_p2_24(b, c), for drilling."""
     s3 = math.sqrt(3.0)
     if not (b > c > 0 and 1 > s3 * b and 1 > 4 * s3 * c):
         raise BadParameters(f"(b, c) = ({b}, {c}) outside admissible domain")
@@ -157,8 +173,8 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
         # full cube wall at x = sx
         faces.append((v(1, sx, 1, 1), v(1, sx, -1, 1),
                       v(1, sx, -1, -1), v(1, sx, 1, -1)))
-    return _build(_data(verts, faces, family="p2-24", genus=2,
-                        orientable=True, defect=-math.pi / 6, labels=labels))
+    return _data(verts, faces, family="p2-24", genus=2, orientable=True,
+                 defect=-math.pi / 6, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +234,21 @@ def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float
     """Indices of vertices within 1e-9 of the plane axis . x = offset,
     sorted CCW around the axis."""
     axis = axis / np.linalg.norm(axis)
-    sel = [i for i, p in enumerate(verts)
-           if abs(float(p @ axis) - offset) < 1e-9]
+    sel = np.flatnonzero(np.abs(verts @ axis - offset) < 1e-9)
     u, v = _geom.plane_basis(axis)
     p2 = _geom.project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
     order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
-    return tuple(sel[i] for i in order)
+    return tuple(sel[order].tolist())
 
 
 def gen_cubohemioctahedron() -> Polyhedron:
     """Cuboctahedron vertices; 6 squares plus 4 hexagons through the centre.
     Non-orientable genus 4, defect -pi/3 at all 12 vertices."""
+    return _build(_cubohemioctahedron())
+
+
+def _cubohemioctahedron() -> MeshData:
+    """The parts of gen_cubohemioctahedron(), for drilling."""
     verts = []
     for a in (1, -1):
         for b in (1, -1):
@@ -248,14 +268,19 @@ def gen_cubohemioctahedron() -> Polyhedron:
                 if sx * sy * sz == 1:
                     faces.append(_central_polygon(
                         verts, np.array([sx, sy, sz], float), 0.0))
-    return _build(_data(verts, faces, family="cho", genus=4,
-                        orientable=False, defect=-math.pi / 3))
+    return _data(verts, faces, family="cho", genus=4, orientable=False,
+                 defect=-math.pi / 3)
 
 
 def gen_rhombihexahedron() -> Polyhedron:
     """Small rhombihexahedron on the rhombicuboctahedron's 24 vertices:
     12 edge squares + 6 off-centre octagons.  Non-orientable genus 8,
     defect -pi/2."""
+    return _build(_rhombihexahedron())
+
+
+def _rhombihexahedron() -> MeshData:
+    """The parts of gen_rhombihexahedron(), for drilling."""
     q = 1.0 + math.sqrt(2.0)
     verts = []
     for long_axis in range(3):
@@ -281,8 +306,8 @@ def gen_rhombihexahedron() -> Polyhedron:
                 axis /= np.linalg.norm(axis)
                 faces.append(_central_polygon(verts, axis, (2 + math.sqrt(2))
                                               / math.sqrt(2.0)))  # squares
-    return _build(_data(verts, faces, family="rhombihexahedron", genus=8,
-                        orientable=False, defect=-math.pi / 2))
+    return _data(verts, faces, family="rhombihexahedron", genus=8,
+                 orientable=False, defect=-math.pi / 2)
 
 
 def gen_small_dodecahemidodecahedron() -> Polyhedron:
@@ -358,8 +383,8 @@ def gen_q2_9() -> Polyhedron:
     their base triangles; every defect is zero."""
     from .surgery import FaceCorrespondence, build_glued, glue
     block = _r_block(0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
-    out = build_glued(glue(block, block,
-                           FaceCorrespondence(0, 0, mapping=(0, 2, 1))))
+    out = build_glued(glue(block, [(block, FaceCorrespondence(
+        0, 0, mapping=(0, 2, 1)))]))
     return out.with_metadata(family="q2-9", genus=2, orientable=False,
                              expected_defect=0.0)
 
@@ -367,40 +392,46 @@ def gen_q2_9() -> Polyhedron:
 def gen_q3_18() -> Polyhedron:
     """Non-orientable genus 3 on 18 vertices: the S drum with an R(r, h)
     block glued onto each of its three lateral triangles; defect -pi/9."""
-    from .surgery import FaceCorrespondence, build_glued, glue
+    return _build(_q3_18())
+
+
+def _q3_18() -> MeshData:
+    """The glued parts of gen_q3_18(), for drilling."""
+    from .surgery import FaceCorrespondence, glue
     sp9 = math.sin(math.pi / 9)
     r = 2 * sp9 / (1 + 2 * sp9)
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
-    out = _s_base()
     block = _r_block(r, h).paired()
-    for _ in range(3):
-        out = glue(out, block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
-    return build_glued(out).with_metadata(
-        family="q3-18", genus=3, orientable=False,
-        expected_defect=-math.pi / 9)
+    out = glue(_s_base(),
+               [(block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))] * 3)
+    return _relabel(out, family="q3-18", genus=3, orientable=False,
+                    expected_defect=-math.pi / 9)
 
 
 # ---------------------------------------------------------------------------
 # drilled families
 
 
-def _find_z_faces(p: Polyhedron) -> tuple[int, int]:
-    """The top and bottom faces perpendicular to the z-axis."""
-    level = np.abs(np.abs(p.geometry.normal[:, 2]) - 1.0) < 1e-9
-    cands = sorted((float(p.face_points(f)[:, 2].mean()), f)
+def _find_z_faces(data: MeshData) -> tuple[int, int]:
+    """The top and bottom faces perpendicular to the z-axis, from a
+    geometry of the raw parts."""
+    verts = np.asarray(data.vertices, float)
+    geo = MeshGeometry(verts, _corner_layout(data.faces)).fit()
+    level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
+    cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
                    for f in np.flatnonzero(level).tolist())
     if len(cands) < 2:
         raise GenusOutOfRange("no parallel z-faces to drill")
     return cands[-1][1], cands[0][1]
 
 
-def _drilled(base: Polyhedron, faces: tuple[int, int] | None, n: int,
+def _drilled(base: MeshData, faces: tuple[int, int] | None, n: int,
              k: int) -> Polyhedron:
-    """base, or base drilled k times with n-gonal prisms between two faces
-    (its top and bottom z-faces when faces is None)."""
+    """The raw base built, or drilled k times with n-gonal prisms between
+    two faces (its top and bottom z-faces when faces is None)."""
     from .surgery import DrillSpec, drill_repeat
     if k == 0:
-        return base
+        return _build(base)
     f1, f2 = faces or _find_z_faces(base)
     return drill_repeat(base, DrillSpec(f1, f2, n), k)
 
@@ -417,7 +448,7 @@ def gen_orientable(g: int) -> Polyhedron:
         return gen_flat_torus9().with_metadata(family="orientable")
     if g == 2:
         return gen_p2_24().with_metadata(family="orientable")
-    out = _drilled(gen_p2_24(), (0, 1), 12, g - 2)
+    out = _drilled(_p2_24(), (0, 1), 12, g - 2)
     return out.with_metadata(family="orientable", genus=g, orientable=True,
                              expected_defect=-math.pi / 6)
 
@@ -447,11 +478,11 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
     elif prefer_fewest and g == 14:
         out = gen_small_dodecahemidodecahedron()
     elif prefer_fewest and g >= 8:
-        out = _drilled(gen_rhombihexahedron(), None, 4, (g - 8) // 2)
+        out = _drilled(_rhombihexahedron(), None, 4, (g - 8) // 2)
     elif g % 2 == 1:
-        out = _drilled(gen_q3_18(), (1, 0), 18, (g - 3) // 2)
+        out = _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2)
     else:
-        out = _drilled(gen_cubohemioctahedron(), None, 6, (g - 4) // 2)
+        out = _drilled(_cubohemioctahedron(), None, 6, (g - 4) // 2)
     chi = out.n_vertices - out.n_edges + out.n_faces
     return out.with_metadata(family="nonorientable", genus=g,
                              orientable=False,
@@ -613,15 +644,20 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
     genus-7 member."""
-    from .surgery import FaceCorrespondence, build_glued, glue
     if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
         raise GenusOutOfRange(
             f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
-    if g > 11:
-        out = _drilled(gen_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
-        chi = out.n_vertices - out.n_edges + out.n_faces
-        return out.with_metadata(family="n5g", genus=g, orientable=False,
-                                 expected_defect=TAU * chi / out.n_vertices)
+    if g <= 11:
+        return _build(_n5g_odd(g))
+    out = _drilled(_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
+    chi = out.n_vertices - out.n_edges + out.n_faces
+    return out.with_metadata(family="n5g", genus=g, orientable=False,
+                             expected_defect=TAU * chi / out.n_vertices)
+
+
+def _n5g_odd(g: int) -> MeshData:
+    """The glued parts of gen_n5g_odd(g) for g up to 11, for drilling."""
+    from .surgery import FaceCorrespondence, glue
     a, h2, r = _n5g_params(g)
     t = math.tan(5 * a / 4)
     s = math.sqrt(9 / 4 - h2 * h2)
@@ -642,12 +678,12 @@ def gen_n5g_odd(g: int) -> Polyhedron:
         faces.append((v1(k), v2(k), v2(k + 1)))   # gluing triangles
     for k in range(g):
         faces.append((v1(k), v2(k + 1), v1(k + 1)))
-    out = MeshData(np.array(verts), faces, MeshMetadata(family="n5g-drum"))
+    drum = MeshData(np.array(verts), faces, MeshMetadata(family="n5g-drum"))
     block = _r_block(r, 1.0).paired()
-    for _ in range(g):
-        out = glue(out, block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))
-    return build_glued(out).with_metadata(
-        family="n5g", genus=g, orientable=False, expected_defect=-a)
+    out = glue(drum,
+               [(block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))] * g)
+    return _relabel(out, family="n5g", genus=g, orientable=False,
+                    expected_defect=-a)
 
 
 # ---------------------------------------------------------------------------
@@ -799,16 +835,20 @@ _MAP_B = (0, 2, 5, 3)           # onto rect B after a rect-A receiver
 
 
 def _chain_half(params: list[tuple[float, float]]):
-    """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain.
-    Returns (parts, giving face id, giving cycle vertex ids)."""
+    """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain,
+    in one glue call.  Returns (parts, giving face id, giving cycle vertex
+    ids)."""
     from .surgery import FaceCorrespondence, glue
-    mesh = _t_block(*params[0]).paired()
-    cells = mesh.cells           # every T-block pairs its sides alike
+    first = _t_block(*params[0]).paired()
+    cells = first.cells          # every T-block pairs its sides alike
     give_face = 2
     give_cycle = (1, 2, 5, 4)    # (v2, v3, v6, v5)
+    steps = []
     for i, (l, d) in enumerate(params[1:], start=2):
         block = _t_block(l, d)._replace(cells=cells)
-        n_faces, n_verts = len(mesh.faces), len(mesh.vertices)
+        # the chain so far: the first block's 9 faces and 6 vertices, and
+        # 9 - 2 faces and 6 - 4 vertices more per block glued on
+        n_faces, n_verts = 9 + 7 * (i - 2), 6 + 2 * (i - 2)
         h = give_cycle
         if i % 2 == 0:           # receive on rect A
             mapping = _MAP_A_FIRST if i == 2 else _MAP_A
@@ -820,10 +860,10 @@ def _chain_half(params: list[tuple[float, float]]):
             mapping = _MAP_B
             face2 = 1
             give_cycle = (n_verts, h[1], h[2], n_verts + 1)
-        mesh = glue(mesh, block,
-                    FaceCorrespondence(give_face, face2, mapping=mapping))
+        steps.append((block, FaceCorrespondence(give_face, face2,
+                                                mapping=mapping)))
         give_face = n_faces
-    return mesh, give_face, give_cycle
+    return glue(first, steps), give_face, give_cycle
 
 
 # From g = 46 the T(l, d) widths outgrow the unit block height so far that
@@ -851,8 +891,8 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
         mapping = (gc[1], gc[0], gc[3], gc[2])
-        out = build_glued(glue(mesh, mesh, FaceCorrespondence(
-            gf, gf, mapping=mapping)))
+        out = build_glued(glue(mesh, [(mesh, FaceCorrespondence(
+            gf, gf, mapping=mapping))]))
     else:
         m = len(params.pairs)
         half, gf, _ = _chain_half(list(params.pairs))
@@ -861,15 +901,16 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
         # the centre receives each half on one of its two long rectangles,
         # taking the halves' still-free top/bottom vertices at v4 and v1
         mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
-        mesh = glue(half, centre, FaceCorrespondence(gf, 0, mapping=mapping))
+        mesh = glue(half, [(centre, FaceCorrespondence(gf, 0,
+                                                       mapping=mapping))])
         rb_face = len(half.faces) - 1    # centre block's rect B in the result
         h2 = half.faces[gf]
         if m % 2 == 0 and m >= 2:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = build_glued(glue(mesh, half, FaceCorrespondence(
-            rb_face, gf, mapping=mapping2)))
+        out = build_glued(glue(mesh, [(half, FaceCorrespondence(
+            rb_face, gf, mapping=mapping2))]))
     return out.with_metadata(family="minimal", genus=g, orientable=True,
                              expected_defect=defect)
 

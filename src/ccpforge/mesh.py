@@ -68,9 +68,10 @@ class MeshMetadata:
 def replace_meta(meta: MeshMetadata, **kw) -> MeshMetadata:
     """meta with the fields kw names replaced; the copy shares no list,
     dict or set with meta."""
-    return replace(meta, **{"provenance": list(meta.provenance),
-                            "vertex_labels": dict(meta.vertex_labels),
-                            "seam_edges": set(meta.seam_edges), **kw})
+    copies = {name: copy(getattr(meta, name)) for name, copy in (
+        ("provenance", list), ("vertex_labels", dict), ("seam_edges", set))
+        if name not in kw}
+    return replace(meta, **copies, **kw)
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,15 @@ class Triangulation(NamedTuple):
 
 def _corner_layout(faces) -> _Corners:
     sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+    return _corners(sizes, np.fromiter((v for cyc in faces for v in cyc),
+                                       np.intp, int(sizes.sum())))
+
+
+def _corners(sizes: np.ndarray, vertex: np.ndarray) -> _Corners:
+    """The corner layout of faces of the given sizes whose cycles, one
+    after another, are `vertex`."""
     ends = np.cumsum(sizes)
     start = ends - sizes
-    vertex = np.fromiter((v for cyc in faces for v in cyc), np.intp,
-                         int(ends[-1]) if len(ends) else 0)
     nxt = np.arange(1, len(vertex) + 1)
     nxt[ends - 1] = start
     return _Corners(sizes, start, vertex,
@@ -270,23 +276,32 @@ class MeshGeometry:
                 a.setflags(write=False)
         return self
 
-    def carry(self, kept: np.ndarray, vertices: np.ndarray,
-              corners: _Corners) -> "MeshGeometry":
+    def carry(self, dropped: list[int], vertices: np.ndarray,
+              new: _Corners) -> "MeshGeometry":
         """The geometry of a mesh on `vertices` (this mesh's first, at the
-        same places) and `corners` whose first faces are the faces of this
-        mesh that the boolean mask `kept` marks, in order: those faces keep
-        the planes fitted here, and the faces after them are not fitted."""
-        out = MeshGeometry(vertices, corners)
-        n = np.count_nonzero(kept)
-        corner = kept[self.corner_face]
-        m = np.count_nonzero(corner)
-        assert np.array_equal(corners.size[:n], self.face_size[kept]) and \
-            np.array_equal(corners.vertex[:m], self.corner_vertex[corner]), \
-            "the first faces are not the kept faces"
+        same places) whose faces are this mesh's but the `dropped` ones, in
+        order, and then the faces laid out in `new`: the kept faces keep
+        their corners and the planes fitted here, and the new ones are not
+        fitted.  The kept faces are copied as runs between the dropped
+        ones."""
+        n_faces, n_corners = len(self.face_size), len(self.corner_vertex)
+        cut = sorted(dropped)
+        faces = [slice(a + 1, b) for a, b in zip([-1] + cut, cut + [n_faces])]
+        start = [int(self.face_start[f]) if f < n_faces else n_corners
+                 for s in faces for f in (s.start, s.stop)]
+        corners = [slice(a, b) for a, b in zip(start[::2], start[1::2])]
+
+        def kept(a: np.ndarray, runs: list[slice]) -> np.ndarray:
+            return np.concatenate([a[s] for s in runs])
+
+        out = MeshGeometry(vertices, _corners(
+            np.concatenate([kept(self.face_size, faces), new.size]),
+            np.concatenate([kept(self.corner_vertex, corners), new.vertex])))
+        n, m = n_faces - len(cut), len(out.corner_vertex) - len(new.vertex)
         for name in ("fitted", "centroid", "normal", "u", "v", "residual",
                      "area"):
-            getattr(out, name)[:n] = getattr(self, name)[kept]
-        out.uv[:m] = self.uv[corner]
+            getattr(out, name)[:n] = kept(getattr(self, name), faces)
+        out.uv[:m] = kept(self.uv, corners)
         return out
 
     @cached_property

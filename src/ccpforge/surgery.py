@@ -4,6 +4,7 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,9 @@ def _cycle_lengths(pts: np.ndarray) -> np.ndarray:
 
 
 def _alignments(cycle2: tuple[int, ...]):
-    k = len(cycle2)
-    for rev in (False, True):
-        base = tuple(reversed(cycle2)) if rev else cycle2
-        for shift in range(k):
-            yield tuple(base[(i + shift) % k] for i in range(k))
+    for base in (tuple(cycle2), tuple(reversed(cycle2))):
+        for shift in range(len(base)):
+            yield base[shift:] + base[:shift]
 
 
 def resolve_correspondence(p1: MeshData, p2: MeshData,
@@ -91,83 +90,137 @@ def _parts(p: Polyhedron | MeshData) -> MeshData:
     return p.paired()
 
 
-def glue(p1: Polyhedron | MeshData, p2: Polyhedron | MeshData,
-         corr: FaceCorrespondence) -> MeshData:
-    """The parts of the connected sum of p1 and p2, not yet validated:
-    remove the two corresponding faces, rigidly move p2 so the cycles
-    coincide, and identify them vertex by vertex.
+def glue(first: Polyhedron | MeshData,
+         steps: Sequence[tuple[Polyhedron | MeshData, FaceCorrespondence]]
+         ) -> MeshData:
+    """The parts of a chain of connected sums, not yet validated: at each
+    step, remove the two corresponding faces, rigidly move the piece so
+    the cycles coincide, and identify them vertex by vertex.
 
-    Either piece may be a validated mesh or raw MeshData, such as an
-    earlier glue's result, so a chain of sums is validated once, by
-    build_glued at its end.  The glue checks only that the two faces are
-    congruent (NotIsometric beyond the rigid-fit residual); they never
-    reach a result.  chi(result) = chi(p1) + chi(p2) - 2 by construction.
-    The edge-cell pairing is carried through explicitly, so segments of
-    the two pieces that come to share both endpoints remain distinct
-    1-cells.
+    Each step's corr.face1 is a face of the mesh glued so far and
+    corr.face2 one of its piece; the result is that of gluing the steps
+    one at a time, each onto the result of the one before.  Any mesh may
+    be a validated mesh or raw MeshData, such as an earlier glue's result,
+    so a chain of sums is validated once, by build_glued at its end.  The
+    glue checks only that the two faces of a step are congruent
+    (NotIsometric beyond the rigid-fit residual); they never reach a
+    result.  Each step lowers chi by 2.  The edge-cell pairing is carried
+    through explicitly, so segments of two pieces that come to share both
+    endpoints remain distinct 1-cells.
+
+    The faces sit in one list, each with a stable id, from which a step
+    deletes its face1 and to which it appends its piece's faces.  The
+    cells are kept as half-edges (face, slot) in stable ids, two to a
+    cell, in blocks in the order the one-at-a-time glues leave them: the
+    first mesh's, then each step's piece and seam cells.  A face's
+    half-edges are in its own block until a seam re-pairs them, and a
+    dict finds the re-paired ones.  The cells a step replaces are marked
+    dead, and the live ones are renumbered to face places once, at the
+    end, so a step does only its correspondence, rigid fit and its
+    piece's cells.
     """
-    a, b = _parts(p1), _parts(p2)
-    mapping = resolve_correspondence(a, b, corr)
-    c1 = a.faces[corr.face1]
-    k = len(c1)
-    src = b.vertices[list(mapping)]
-    dst = a.vertices[list(c1)]
-    rot, tr = _geom.kabsch(src, dst)
-    scale = max(1.0, float(np.abs(dst).max()))
-    resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
-    if resid > 1e-9 * scale:
-        raise NotIsometric(
-            f"cycles are not congruent (rigid-fit residual {resid:.2e})")
-    moved = (rot @ b.vertices.T).T + tr
-
-    # b's vertices: the seam ones become face1's, the rest are appended
-    n1 = len(a.vertices)
-    new_id = np.full(len(b.vertices), -1, dtype=np.intp)
-    new_id[list(mapping)] = c1
-    fresh = new_id < 0
-    new_id[fresh] = n1 + np.arange(np.count_nonzero(fresh))
-    verts = np.vstack([a.vertices, moved[fresh]])
-    new_id = new_id.tolist()
-
-    faces = [cyc for i, cyc in enumerate(a.faces) if i != corr.face1]
-    faces += [tuple(new_id[v] for v in cyc)
-              for i, cyc in enumerate(b.faces) if i != corr.face2]
-
-    # Every cell through face1 or face2 leaves one half-edge beyond the seam;
-    # the two left at position i of face1's cycle form that seam's cell.
-    # Side s of face2 sits at the position whose mapped segment it is.
-    cyc2 = b.faces[corr.face2]
-    seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
-                for i in range(k)}
-    pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
-                     for s in range(k)])
-    cells, halves = [], []
-    for p, face, pos, offset in ((a, corr.face1, np.arange(k), 0),
-                                 (b, corr.face2, pos2, len(a.faces) - 1)):
-        rows = p.cells
-        half = np.full((k, 2), -1, dtype=np.intp)
-        for side, beyond in ((0, [2, 3]), (2, [0, 1])):
-            on = rows[:, side] == face
-            half[pos[rows[on, side + 1]]] = rows[on][:, beyond]
-        if (half < 0).any():
-            raise NotIsometric("seam pairing incomplete")
-        rest = rows[(rows[:, [0, 2]] != face).all(axis=1)]
-        for f in (rest[:, 0::2], half[:, :1]):    # face ids in the result
-            f += offset - (f > face)
-        cells.append(rest)
-        halves.append(half)
-    cells.append(np.hstack(halves))
-
+    a = _parts(first)
+    if not steps:
+        return a
+    n = len(a.vertices)
+    verts = np.empty((n + sum(len(p.vertices) for p, _ in steps), 3))
+    verts[:n] = a.vertices
+    faces = list(a.faces)
+    ids = list(range(len(faces)))          # stable id of the face at each place
+    n_ids = len(faces)
+    halves = [a.cells.reshape(-1, 2)]
+    alive = [np.ones(len(a.cells), dtype=bool)]
+    home = [0] * n_ids                     # block of each stable id's cells
+    seamed: dict[tuple[int, int], tuple[int, int]] = {}
     seams = set(a.metadata.seam_edges)
-    for (u, w) in b.metadata.seam_edges:
-        u, w = new_id[u], new_id[w]
-        seams.add((u, w) if u < w else (w, u))
-    meta = replace_meta(a.metadata, seam_edges=seams)
-    meta.provenance.append(
-        f"connect_sum(face {corr.face1} ~ face {corr.face2})")
-    meta.genus = None
-    meta.orientable = None
-    return MeshData(verts, faces, meta, np.vstack(cells))
+    provenance = []
+    for piece, corr in steps:
+        b = _parts(piece)
+        mapping = resolve_correspondence(
+            MeshData(verts[:n], faces, a.metadata), b, corr)
+        c1 = faces[corr.face1]
+        k = len(c1)
+        src = b.vertices[list(mapping)]
+        dst = verts[list(c1)]
+        rot, tr = _geom.kabsch(src, dst)
+        scale = max(1.0, float(np.abs(dst).max()))
+        resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
+        if resid > 1e-9 * scale:
+            raise NotIsometric(
+                f"cycles are not congruent (rigid-fit residual {resid:.2e})")
+
+        # Every cell through face1 or face2 leaves one half-edge beyond the
+        # seam, its partner (half-edge index ^ 1); the two left at position
+        # i of face1's cycle form that seam's cell.  Side s of face2 sits at
+        # the position whose mapped segment it is.
+        s1 = ids[corr.face1]
+        found = [seamed.get((s1, i)) for i in range(k)]
+        if None in found:
+            own = halves[home[s1]]
+            at1 = np.flatnonzero(own[:, 0] == s1)
+            for h, slot in zip(at1.tolist(), own[at1, 1].tolist()):
+                if found[slot] is None:
+                    found[slot] = (home[s1], h)
+            if None in found:
+                raise NotIsometric("seam pairing incomplete")
+        cyc2 = b.faces[corr.face2]
+        seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
+                    for i in range(k)}
+        pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
+                         for s in range(k)])
+        piece_halves = b.cells.reshape(-1, 2) + (n_ids, 0)
+        at2 = np.flatnonzero(piece_halves[:, 0] == n_ids + corr.face2)
+        beyond2 = np.full((k, 2), -1, dtype=np.intp)
+        beyond2[pos2[piece_halves[at2, 1]]] = piece_halves[at2 ^ 1]
+        if (beyond2 < 0).any():
+            raise NotIsometric("seam pairing incomplete")
+
+        # b's vertices: the seam ones become face1's, the rest are appended
+        new_id = np.full(len(b.vertices), -1, dtype=np.intp)
+        new_id[list(mapping)] = c1
+        fresh = new_id < 0
+        m = np.count_nonzero(fresh)
+        new_id[fresh] = n + np.arange(m)
+        verts[n:n + m] = ((rot @ b.vertices.T).T + tr)[fresh]
+        n += m
+        new_id = new_id.tolist()
+
+        del faces[corr.face1], ids[corr.face1]
+        keep = [i for i in range(len(b.faces)) if i != corr.face2]
+        faces += [tuple(map(new_id.__getitem__, b.faces[i])) for i in keep]
+        ids += [n_ids + i for i in keep]
+        home += [len(halves)] * len(b.faces)
+        n_ids += len(b.faces)
+
+        # the piece's cells but those through face2, then the seam cells,
+        # which replace those through face1
+        live = np.ones(len(b.cells), dtype=bool)
+        live[at2 >> 1] = False
+        seam = np.empty((2 * k, 2), dtype=np.intp)
+        for i, (block, h) in enumerate(found):
+            seam[2 * i] = halves[block][h ^ 1]
+            alive[block][h >> 1] = False
+        seam[1::2] = beyond2
+        halves += [piece_halves, seam]
+        alive += [live, np.ones(k, dtype=bool)]
+        for h, (f, t) in enumerate(seam.tolist()):
+            seamed[f, t] = (len(halves) - 1, h)
+
+        for (u, w) in b.metadata.seam_edges:
+            u, w = new_id[u], new_id[w]
+            seams.add((u, w) if u < w else (w, u))
+        provenance.append(
+            f"connect_sum(face {corr.face1} ~ face {corr.face2})")
+
+    place = np.empty(n_ids, dtype=np.intp)
+    place[ids] = np.arange(len(ids))
+    out = np.concatenate([h.reshape(-1, 4)[on]
+                          for h, on in zip(halves, alive)])
+    out[:, 0::2] = place[out[:, 0::2]]
+    meta = replace_meta(a.metadata, seam_edges=seams, genus=None,
+                        orientable=None)
+    meta.provenance += provenance
+    return MeshData(verts[:n], faces, meta, out)
 
 
 def build_glued(data: MeshData) -> Polyhedron:
@@ -184,7 +237,7 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron,
                 corr: FaceCorrespondence) -> Polyhedron:
     """The connected sum of p1 and p2 along corresponding faces (see
     glue), validated in full."""
-    return build_glued(glue(p1, p2, corr))
+    return build_glued(glue(p1, [(p2, corr)]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +402,32 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
     return faces_local
 
 
-def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
+def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
+    """p's parts and a geometry of them: a validated mesh's own, or one
+    that fits the planes of raw data's faces as they are asked for."""
+    if isinstance(p, Polyhedron):
+        return MeshData(p.vertices, p.faces, p.metadata), p.geometry
+    return p, MeshGeometry(np.asarray(p.vertices, float),
+                           _corner_layout(p.faces))
+
+
+def _doubled(geo: MeshGeometry) -> bool:
+    """Whether a segment carries two edge cells: its vertex pair bounds
+    four or more face sides."""
+    u, v = geo.corner_vertex, geo.corner_vertex[geo.next_corner]
+    pair = np.sort(np.minimum(u, v) * len(geo.vertices) + np.maximum(u, v))
+    return bool((pair[3:] == pair[:-3]).any())
+
+
+def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, numbers
     (not finite, or a radius that is not positive) or order, a face
     pierced twice, and a mesh with doubled segments."""
+    n_faces = len(geo.face_size)
     for f in (spec.face1, spec.face2):
-        if not 0 <= f < p.n_faces:
+        if not 0 <= f < n_faces:
             raise IndexOutOfRange(
-                f"face {f} out of range: the mesh has {p.n_faces} faces")
+                f"face {f} out of range: the mesh has {n_faces} faces")
     numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
         + ([] if spec.point is None else list(spec.point))
     if not np.isfinite(np.asarray(numbers, dtype=float)).all():
@@ -369,7 +440,7 @@ def _check_spec(p: Polyhedron, spec: DrillSpec) -> None:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
-    if p.has_multi_edges:
+    if _doubled(geo):
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
 
@@ -416,17 +487,17 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
         raise FootprintTooLarge(
             f"prism radius {eps:.3g} does not fit (clearances {d1:.3g}, {d2:.3g})")
 
-    ring1 = np.array([p1pt + eps * (math.cos(TAU * j / spec.n + spec.phase) * u1
-                                    + math.sin(TAU * j / spec.n + spec.phase) * v1)
-                      for j in range(spec.n)])
+    angle = [TAU * j / spec.n + spec.phase for j in range(spec.n)]
+    cos = np.array([math.cos(t) for t in angle])[:, None]
+    sin = np.array([math.sin(t) for t in angle])[:, None]
+    ring1 = p1pt + eps * (cos * u1 + sin * v1)
     ring2 = ring1 - depth * n2
 
     base1 = len(data.vertices)
     base2 = base1 + spec.n
     verts = np.vstack([data.vertices, ring1, ring2])
 
-    faces = [cyc for i, cyc in enumerate(data.faces)
-             if i not in (spec.face1, spec.face2)]
+    faces = _kept_faces(data, spec)
     seams = set(data.metadata.seam_edges)
     cycles = (data.faces[spec.face1], data.faces[spec.face2])
     parts = _retile([data.vertices[list(cyc)] for cyc in cycles],
@@ -454,17 +525,28 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     return MeshData(verts, faces, meta)
 
 
-def _pierced_geometry(geo: MeshGeometry, spec: DrillSpec,
-                      data: MeshData) -> MeshGeometry:
-    """The geometry of `data`, which pierce(_, geo, spec) returned.  pierce
-    puts the faces it keeps first, in order, so they keep their planes and
-    only the new pieces are left to fit."""
-    kept = np.ones(len(geo.face_size), dtype=bool)
-    kept[[spec.face1, spec.face2]] = False
-    return geo.carry(kept, data.vertices, _corner_layout(data.faces))
+def _kept_faces(data: MeshData, spec: DrillSpec) -> list[tuple[int, ...]]:
+    """data's faces but the two that spec pierces, in order: the faces
+    pierce puts first."""
+    faces = list(data.faces)
+    del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
+    return faces
 
 
-def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
+def _pierced_geometry(geo: MeshGeometry, spec: DrillSpec, before: MeshData,
+                      after: MeshData) -> MeshGeometry:
+    """The geometry of `after`, which pierce(before, geo, spec) returned.
+    pierce puts the faces it keeps first, in order, so they keep their
+    corners and planes; only the new pieces are laid out, and left to
+    fit."""
+    n = len(geo.face_size) - 2
+    assert after.faces[:n] == _kept_faces(before, spec), \
+        "the first faces are not the kept faces"
+    return geo.carry([spec.face1, spec.face2], after.vertices,
+                     _corner_layout(after.faces[n:]))
+
+
+def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """Tunnel a regular n-gonal prism between two parallel faces: pierce,
     then one full build_polyhedron.
 
@@ -473,14 +555,15 @@ def drill(p: Polyhedron, spec: DrillSpec) -> Polyhedron:
     defect changes.  The axis may cross other faces of an immersed mesh;
     such crossings only add self-intersection witnesses.  A face id that
     is not a face of p raises IndexOutOfRange, a placement number that is
-    not finite BadParameters.
+    not finite BadParameters.  p may be a validated mesh or raw MeshData.
     """
-    _check_spec(p, spec)
-    return build_polyhedron(*pierce(MeshData(p.vertices, p.faces, p.metadata),
-                                    p.geometry, spec))
+    data, geo = _raw(p)
+    _check_spec(geo, spec)
+    return build_polyhedron(*pierce(data, geo, spec))
 
 
-def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
+def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
+                 k: int) -> Polyhedron:
     """Apply k parallel drills along offset copies of the axis.
 
     Axes are spread along a face-frame direction with spacing
@@ -488,17 +571,18 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     containing its axis's entry and exit points.  If an offset line
     degenerates against the evolving retiling (axis on a seam), the next
     of a fixed set of offset directions is tried.  A bad spec raises what
-    drill raises, before any offset is tried.  The drills pierce raw data
-    and the finished mesh is validated once; a sub-face a later drill
-    pierces is never validated.  Each step's geometry keeps the planes of
-    the faces the step before kept, so only new pieces are fitted.
+    drill raises, before any offset is tried.  p may be a validated mesh
+    or raw MeshData.  The drills pierce raw data and the finished mesh is
+    validated once; a sub-face a later drill pierces is never validated.
+    Each step's geometry keeps the corners and planes of the faces the
+    step before kept, so only new pieces are laid out and fitted.
     """
     if k < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec)
-    _check_spec(p, spec)
-    geo = p.geometry
+    data, geo = _raw(p)
+    _check_spec(geo, spec)
     p1pt, _, d0, _ = _axis(geo, spec)
     c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
                                               geo.u, geo.v))
@@ -508,15 +592,15 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        out, geo = MeshData(p.vertices, p.faces, p.metadata), p.geometry
+        out, step_geo = data, geo
         try:
             for j in range(k):
                 if j:
-                    geo = _pierced_geometry(geo, step, out)
+                    step_geo = _pierced_geometry(step_geo, step, before, out)
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
                 exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
                 (f1, clr1), (f2, clr2) = _locate_face(
-                    geo, np.array([axis_pt, exit_pt]), heights, n1)
+                    step_geo, np.array([axis_pt, exit_pt]), heights, n1)
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
@@ -525,7 +609,7 @@ def drill_repeat(p: Polyhedron, spec: DrillSpec, k: int) -> Polyhedron:
                     0.25 * min(clr1, clr2, delta / 2)
                 step = DrillSpec(f1, f2, spec.n, tuple(axis_pt), radius,
                                  spec.phase)
-                out = pierce(out, geo, step)
+                before, out = out, pierce(out, step_geo, step)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc

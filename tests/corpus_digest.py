@@ -2,8 +2,12 @@
 bit for bit:
 
     python3 tests/corpus_digest.py > digest.txt
+    python3 tests/corpus_digest.py --against ../other-checkout
 
-Run it in both checkouts and diff the outputs.  Each digest covers the
+Run it in both checkouts and diff the outputs, or let --against DIR run
+the digest of checkout DIR in a subprocess and compare: it prints the
+names whose digests differ or that only one side has, and exits 0 when
+the two match and 1 otherwise.  Each digest covers the
 mesh's vertex bytes, faces, edge_slots, seams, provenance, defect bytes,
 triangulation, saved JSON and STL bytes, verify().to_dict() and the bytes
 of the witness points.  The corpus is SMALL_GENERA, the meshes of the
@@ -19,8 +23,10 @@ direction fails.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -96,11 +102,49 @@ def digest(p, workdir: Path) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def digests():
+    """(name, digest) of each corpus mesh, in corpus order."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in corpus():
-            print(name, digest(build(), Path(tmp)), flush=True)
+            yield name, digest(build(), Path(tmp))
+
+
+def compare(other: Path) -> int:
+    """Print the names whose digests differ here and in checkout `other`,
+    or that only one side has; 0 when none do, else 1."""
+    run = subprocess.run([sys.executable,
+                          str(other / "tests" / "corpus_digest.py")],
+                         capture_output=True, text=True)
+    if run.returncode:
+        print(f"the digest of {other} failed:\n{run.stderr}",
+              file=sys.stderr)
+        return 1
+    theirs = dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+    ours = dict(digests())
+    report = [f"differs: {name}" for name in ours
+              if name in theirs and ours[name] != theirs[name]]
+    report += [f"only here: {name}" for name in ours if name not in theirs]
+    report += [f"only in {other}: {name}" for name in theirs
+               if name not in ours]
+    for line in report:
+        print(line)
+    same = sum(ours[name] == theirs.get(name) for name in ours)
+    print(f"{same} of {len(ours)} digests match {other}'s "
+          f"({len(theirs)} there)")
+    return 1 if report else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="DIR", type=Path,
+                        help="compare with the digest of checkout DIR")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare(args.against)
+    for name, value in digests():
+        print(name, value, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,13 +4,15 @@ errors.
 
 ``f_angle_sum`` clamps with np.clip on Python floats;
 ``retile_pierced_face`` tests each hole vertex with its own numpy calls and
-takes each sub-face's area with its own polygon_area_2d call.  The chain
-builders ``gen_minimal``, ``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18``
-glue one validated block at a time with ``connect_sum``, so every step of
-a chain is a validated mesh.  ``drill_repeat`` drills one validated mesh
-at a time, so every intermediate mesh of a multiple drill is validated in
-full, and locates each pierced face with its own ``_locate_face`` call on
-that mesh's full geometry.
+takes each sub-face's area with its own polygon_area_2d call.  ``glue``
+is one connected sum as data, with a renumbered copy of every face and
+mask passes over every cell.  The chain builders ``gen_minimal``,
+``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18`` glue one validated block
+at a time with it and validate each step with ``build_glued``, so every
+step of a chain is a validated mesh.  ``drill_repeat`` builds raw input
+first and then drills one validated mesh at a time, so every intermediate
+mesh of a multiple drill is validated in full, and locates each pierced
+face with its own ``_locate_face`` call on that mesh's full geometry.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ import math
 import numpy as np
 
 from ccpforge import (DrillSpec, FaceCorrespondence, build_polyhedron,
-                      connect_sum, drill, gen_r_block, gen_s_base,
-                      gen_t_block, solve_block_params)
+                      drill, gen_r_block, gen_s_base, gen_t_block,
+                      solve_block_params)
 from ccpforge import _geom
 from ccpforge.errors import (AxisObstructed, BadOrder, DomainError,
-                             FootprintTooLarge, HoleNotInside,
+                             FootprintTooLarge, HoleNotInside, NotIsometric,
                              SelfCrossingPartition)
-from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _drilled,
-                                 _n5g_params, _orbit)
-from ccpforge.mesh import MeshMetadata
+from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _n5g_params,
+                                 _orbit)
+from ccpforge.mesh import MeshData, MeshMetadata, Polyhedron, replace_meta
+from ccpforge.surgery import build_glued, resolve_correspondence
 
 TAU = 2.0 * math.pi
 
@@ -144,6 +147,86 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     return faces_local
 
 
+def _parts(p):
+    """p's parts with their edge cells."""
+    if isinstance(p, Polyhedron):
+        return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
+    return p.paired()
+
+
+def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
+    """The parts of the connected sum of p1 and p2, not yet validated:
+    remove the two corresponding faces, rigidly move p2 so the cycles
+    coincide, and identify them vertex by vertex."""
+    a, b = _parts(p1), _parts(p2)
+    mapping = resolve_correspondence(a, b, corr)
+    c1 = a.faces[corr.face1]
+    k = len(c1)
+    src = b.vertices[list(mapping)]
+    dst = a.vertices[list(c1)]
+    rot, tr = _geom.kabsch(src, dst)
+    scale = max(1.0, float(np.abs(dst).max()))
+    resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
+    if resid > 1e-9 * scale:
+        raise NotIsometric(
+            f"cycles are not congruent (rigid-fit residual {resid:.2e})")
+    moved = (rot @ b.vertices.T).T + tr
+
+    # b's vertices: the seam ones become face1's, the rest are appended
+    n1 = len(a.vertices)
+    new_id = np.full(len(b.vertices), -1, dtype=np.intp)
+    new_id[list(mapping)] = c1
+    fresh = new_id < 0
+    new_id[fresh] = n1 + np.arange(np.count_nonzero(fresh))
+    verts = np.vstack([a.vertices, moved[fresh]])
+    new_id = new_id.tolist()
+
+    faces = [cyc for i, cyc in enumerate(a.faces) if i != corr.face1]
+    faces += [tuple(new_id[v] for v in cyc)
+              for i, cyc in enumerate(b.faces) if i != corr.face2]
+
+    # Every cell through face1 or face2 leaves one half-edge beyond the seam;
+    # the two left at position i of face1's cycle form that seam's cell.
+    # Side s of face2 sits at the position whose mapped segment it is.
+    cyc2 = b.faces[corr.face2]
+    seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
+                for i in range(k)}
+    pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
+                     for s in range(k)])
+    cells, halves = [], []
+    for p, face, pos, offset in ((a, corr.face1, np.arange(k), 0),
+                                 (b, corr.face2, pos2, len(a.faces) - 1)):
+        rows = p.cells
+        half = np.full((k, 2), -1, dtype=np.intp)
+        for side, beyond in ((0, [2, 3]), (2, [0, 1])):
+            on = rows[:, side] == face
+            half[pos[rows[on, side + 1]]] = rows[on][:, beyond]
+        if (half < 0).any():
+            raise NotIsometric("seam pairing incomplete")
+        rest = rows[(rows[:, [0, 2]] != face).all(axis=1)]
+        for f in (rest[:, 0::2], half[:, :1]):    # face ids in the result
+            f += offset - (f > face)
+        cells.append(rest)
+        halves.append(half)
+    cells.append(np.hstack(halves))
+
+    seams = set(a.metadata.seam_edges)
+    for (u, w) in b.metadata.seam_edges:
+        u, w = new_id[u], new_id[w]
+        seams.add((u, w) if u < w else (w, u))
+    meta = replace_meta(a.metadata, seam_edges=seams)
+    meta.provenance.append(
+        f"connect_sum(face {corr.face1} ~ face {corr.face2})")
+    meta.genus = None
+    meta.orientable = None
+    return MeshData(verts, faces, meta, np.vstack(cells))
+
+
+def connect_sum(p1, p2, corr: FaceCorrespondence):
+    """glue, validated in full."""
+    return build_glued(glue(p1, p2, corr))
+
+
 def _chain_half(params: list[tuple[float, float]]):
     """Assemble T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle
     chain.  Returns (mesh, giving face id, giving cycle vertex ids)."""
@@ -202,7 +285,7 @@ def gen_minimal(g: int):
 
 def gen_n5g_odd(g: int):
     if g > 11:
-        out = _drilled(gen_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
+        out = drill_repeat(gen_n5g_odd(7), DrillSpec(0, 1, 7), (g - 7) // 2)
         chi = out.n_vertices - out.n_edges + out.n_faces
         return out.with_metadata(family="n5g", genus=g, orientable=False,
                                  expected_defect=TAU * chi / out.n_vertices)
@@ -288,7 +371,9 @@ def _locate_face(geo, point: np.ndarray, plane) -> tuple[int | None, float]:
 
 def drill_repeat(p, spec: DrillSpec, k: int):
     """k parallel drills along offset copies of the axis, each a validated
-    drill of the mesh the one before returned."""
+    drill of the mesh the one before returned; raw input is built first."""
+    if isinstance(p, MeshData):
+        p = build_glued(p)
     if k < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:

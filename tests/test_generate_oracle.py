@@ -12,12 +12,14 @@ import ccpforge._geom as geom_mod
 import ccpforge.generators as generators_mod
 import ccpforge.mesh as mesh_mod
 import ccpforge.surgery as surgery_mod
-from ccpforge import (DrillSpec, FamilyRequest, f_angle_sum,
+from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
+                      build_polyhedron, drill, f_angle_sum,
                       gen_cubohemioctahedron, gen_minimal, gen_n5g_odd,
                       gen_p2_24, gen_q2_9, gen_q3_18, generate_family,
                       retile_pierced_face, solve_block_params)
-from ccpforge.errors import CcpError
+from ccpforge.errors import CcpError, NotIsometric
 from ccpforge.generators import _find_z_faces
+from ccpforge.mesh import MeshData, MeshMetadata
 
 import scalar_generate
 from conftest import assert_same_planes, random_rigid_motion
@@ -183,20 +185,146 @@ CHAINS = [(gen_minimal, scalar_generate.gen_minimal, g)
 def test_chain_is_the_step_by_step_one(monkeypatch, build, oracle, genus):
     """A chain glued as data and validated once is the chain validated at
     every step, bit for bit; it calls build_polyhedron once (n5g beyond
-    genus 11 then drills the genus-7 member)."""
+    genus 11 drills the genus-7 member's raw parts and builds once)."""
     args = () if genus is None else (genus,)
     want = oracle(*args)
+    builds = counted_builds(monkeypatch)
+    got = build(*args)
+    monkeypatch.undo()
+    assert len(builds) == 1
+    assert_same_mesh(got, want)
+
+
+def counted_builds(monkeypatch) -> list:
+    """A list that gains an item at each build_polyhedron call, through
+    any module's binding."""
     builds = []
     for module in (mesh_mod, surgery_mod, generators_mod):
         real = module.build_polyhedron
         monkeypatch.setattr(module, "build_polyhedron",
                             lambda *a, real=real, **kw:
                             builds.append(1) or real(*a, **kw))
-    got = build(*args)
+    return builds
+
+
+def recorded_glues(monkeypatch, build, *args) -> list:
+    """The (first, steps) of every glue call that build(*args) makes."""
+    calls = []
+    real = surgery_mod.glue
+    monkeypatch.setattr(surgery_mod, "glue", lambda first, steps: calls.append(
+        (first, list(steps))) or real(first, steps))
+    build(*args)
     monkeypatch.undo()
-    if build is not gen_n5g_odd or genus <= 11:
-        assert len(builds) == 1
-    assert_same_mesh(got, want)
+    return calls
+
+
+def folded(first, steps):
+    """The one-step reference glue applied to each step in turn."""
+    out = first
+    for piece, corr in steps:
+        out = scalar_generate.glue(out, piece, corr)
+    return out
+
+
+@pytest.mark.parametrize(
+    "build,genus", [(b, g) for b, _, g in CHAINS],
+    ids=[f"{b.__name__}-{g}" for b, _, g in CHAINS])
+def test_glue_is_the_fold_of_one_step_glues(monkeypatch, build, genus):
+    """Each glue call of a chain gives, before validation, the parts of
+    the one-step glues applied in turn: the same vertex bytes, faces,
+    cell rows in their order with their halves in order, seams and
+    provenance."""
+    args = () if genus is None else (genus,)
+    for first, steps in recorded_glues(monkeypatch, build, *args):
+        assert_same_parts(surgery_mod.glue(first, steps),
+                          folded(first, steps))
+
+
+def assert_same_parts(got, want):
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert list(got.faces) == list(want.faces)
+    assert got.cells.tobytes() == want.cells.tobytes()
+    assert got.metadata == want.metadata
+
+
+def test_glue_of_mixed_pieces_is_the_fold():
+    """Validated and raw pieces, found isometries and a seamed first
+    mesh: three scalene tetrahedra onto a fourth, each step on a face of
+    the piece before, and plain p2-24 onto a drilled one."""
+    v = np.array([(0, 0, 0), (3, 0, 0), (0, 4, 0), (1.1, 1.3, 5)], float)
+    f = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)]
+    tetra, raw = build_polyhedron(v, f), MeshData(v, f, MeshMetadata())
+    steps = [(tetra, FaceCorrespondence(0, 0)),
+             (raw, FaceCorrespondence(3, 1)),
+             (tetra, FaceCorrespondence(6, 2))]
+    assert_same_parts(surgery_mod.glue(tetra, steps), folded(tetra, steps))
+    drilled, plain = drill(gen_p2_24(), DrillSpec(0, 1, 12)), gen_p2_24()
+    aligned = (0, 1, 5, 4)      # drilled ids along plain face 14's cycle
+    mapping = tuple(plain.faces[14][aligned.index(w)]
+                    for w in drilled.faces[12])
+    steps = [(plain, FaceCorrespondence(12, 14, mapping))]
+    got = surgery_mod.glue(drilled, steps)
+    assert len(got.metadata.seam_edges) == 40
+    assert_same_parts(got, folded(drilled, steps))
+
+
+def _corrupted(first, steps, j, kind):
+    """(first, steps) with step j spoilt so that the glue fails there."""
+    steps = list(steps)
+    piece, corr = steps[j]
+    m = corr.mapping
+    if kind == "lengths":
+        corr = FaceCorrespondence(corr.face1, 3, m)     # a triangle
+    elif kind == "bijection":
+        corr = FaceCorrespondence(corr.face1, corr.face2, (m[0],) + m[:-1])
+    elif kind == "cycle":
+        corr = FaceCorrespondence(corr.face1, corr.face2,
+                                  (m[1], m[0]) + m[2:])
+    elif kind == "residual":
+        piece = piece._replace(vertices=piece.vertices * [1.25, 1.0, 1.0])
+    elif kind == "pairing-piece":
+        on = (piece.cells[:, 0::2] == corr.face2).any(axis=1)
+        piece = piece._replace(cells=np.delete(piece.cells, np.argmax(on),
+                                               axis=0))
+    else:                       # pairing-mesh: the giving block lacks a cell
+        if j == 0:
+            giver, face2 = first, None
+        else:
+            giver, face2 = steps[j - 1][0], steps[j - 1][1].face2
+        cells = giver.cells
+        on = (cells[:, 0::2] == 2).any(axis=1) & \
+            ~(cells[:, 0::2] == face2).any(axis=1)
+        giver = giver._replace(cells=np.delete(cells, np.argmax(on), axis=0))
+        if j == 0:
+            first = giver
+        else:
+            steps[j - 1] = (giver, steps[j - 1][1])
+    steps[j] = (piece, corr)
+    return first, steps
+
+
+GLUE_ERRORS = {"lengths": "different lengths",
+               "bijection": "not a bijection",
+               "cycle": "does not respect the face2 cycle",
+               "residual": "rigid-fit residual",
+               "pairing-piece": "seam pairing incomplete",
+               "pairing-mesh": "seam pairing incomplete"}
+
+
+@pytest.mark.parametrize("kind", GLUE_ERRORS)
+def test_glue_errors_are_the_one_step_ones(monkeypatch, kind):
+    """A chain spoilt at step j raises at step j the error class and
+    message of the one-step glue, for a first, middle and last step of
+    the nine-step T-block chain of minimal g = 20."""
+    (first, steps), *_ = recorded_glues(monkeypatch, gen_minimal, 20)
+    assert len(steps) == 9
+    for j in (0, 4, 8):
+        bad = _corrupted(first, steps, j, kind)
+        got = outcome(surgery_mod.glue, *bad)
+        assert got == outcome(folded, *bad)
+        assert got[0] is NotIsometric and GLUE_ERRORS[kind] in got[1]
+        # the steps before j glue
+        folded(bad[0], bad[1][:j])
 
 
 def assert_same_mesh(got, want):
@@ -262,3 +390,21 @@ def test_drill_repeat_is_the_step_by_step_one(monkeypatch, make):
     monkeypatch.undo()
     assert set(per_repeat) <= {1}
     assert_same_mesh(got, want)
+
+
+DRILLED_FAMILIES = [("orientable", g, False) for g in range(3, 13)] + \
+    [("n5g", g, False) for g in range(13, 20, 2)] + \
+    [("nonorientable", g, fewest) for g in range(3, 16)
+     for fewest in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "family,genus,fewest", DRILLED_FAMILIES,
+    ids=[f"{f}-{g}" + "-fewest" * x for f, g, x in DRILLED_FAMILIES])
+def test_drilled_family_builds_once(monkeypatch, family, genus, fewest):
+    """A drilled family drills the raw parts of its base, so generating
+    it calls build_polyhedron once, on the finished mesh; a family member
+    with no drill builds its base once."""
+    builds = counted_builds(monkeypatch)
+    generate_family(FamilyRequest(family, genus, prefer_fewest=fewest))
+    assert len(builds) == 1

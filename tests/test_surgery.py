@@ -101,7 +101,8 @@ class TestConnectSum:
             next(w for w in faces[0]
                  if tuple(verts[w][:2]) == tuple(verts[v][:2]))
             for v in faces[1])
-        chain = glue(cube, cube, FaceCorrespondence(1, 0, mapping=aligned))
+        chain = glue(cube, [(cube, FaceCorrespondence(1, 0,
+                                                      mapping=aligned))])
         assert (len(chain.vertices), len(chain.faces)) == (12, 10)
         with pytest.raises(FlatSeam):
             build_glued(chain)
@@ -257,18 +258,21 @@ class TestDrill:
          AxisObstructed, "not interior to face1"),
         (lambda: gen_minimal(3), DrillSpec(0, 1, 6), AxisObstructed,
          "doubled segments"),
+        (lambda: glued_data(gen_minimal, 3), DrillSpec(0, 1, 6),
+         AxisObstructed, "doubled segments"),
         (gen_p2_24, DrillSpec(0, 1, 12, radius=0.0), BadParameters,
          "radius 0.0 must be positive"),
         (gen_p2_24, DrillSpec(0, 1, 12, radius=-1.0), BadParameters,
          "radius -1.0 must be positive"),
     ], ids=["same-face", "not-parallel", "point-outside", "doubled",
-            "zero-radius", "negative-radius"])
+            "doubled-raw", "zero-radius", "negative-radius"])
     def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
                                                     mesh, spec, kind, error):
         """drill_repeat checks the spec once, on its input, with drill's
         own checks: any k raises drill's error before it locates an
         offset axis or retiles a face (drill_repeat locates with
-        _locate_face, pierce retiles with _retile)."""
+        _locate_face, pierce retiles with _retile).  Raw data with doubled
+        segments is refused as the validated mesh is."""
         p = mesh()
         calls = []
         for name in ("_locate_face", "_retile"):
@@ -277,6 +281,20 @@ class TestDrill:
         with pytest.raises(kind, match=error):
             drill_repeat(p, spec, k)
         assert calls == []
+
+
+def glued_data(build, *args):
+    """The glued data that build(*args) validates, with its explicit
+    cells."""
+    seen = []
+    real = surgery_mod.build_glued
+    surgery_mod.build_glued = lambda data: seen.append(data) or real(data)
+    try:
+        build(*args)
+    finally:
+        surgery_mod.build_glued = real
+    assert seen[-1].cells is not None
+    return seen[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +427,14 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
 
 def test_pierced_geometry_carries_the_kept_planes():
     """The next drill step's geometry keeps, bit for bit, the planes of
-    the faces pierce kept and leaves the new pieces unfitted; face data
-    whose first faces are not the kept ones, in order, is refused."""
+    the faces pierce kept and leaves the new pieces unfitted; its corner
+    layout is that of the whole face list.  Face data whose first faces
+    are not the kept ones, in order, is refused."""
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
-    out = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry, spec)
-    geo = surgery_mod._pierced_geometry(p.geometry, spec, out)
+    data = MeshData(p.vertices, p.faces, p.metadata)
+    out = pierce(data, p.geometry, spec)
+    geo = surgery_mod._pierced_geometry(p.geometry, spec, data, out)
     n = p.n_faces - 2
     assert geo.fitted[:n].all() and not geo.fitted[n:].any()
     fresh = mesh_mod.MeshGeometry(out.vertices,
@@ -424,9 +444,12 @@ def test_pierced_geometry_carries_the_kept_planes():
             getattr(fresh, name)[:n].tobytes(), name
     m = geo.face_start[n]
     assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
+    for name in ("face_size", "face_start", "corner_face", "corner_vertex",
+                 "next_corner", "prev_corner"):
+        assert np.array_equal(getattr(geo, name), getattr(fresh, name)), name
     swapped = [out.faces[1], out.faces[0]] + list(out.faces[2:])
     with pytest.raises(AssertionError, match="not the kept faces"):
-        surgery_mod._pierced_geometry(p.geometry, spec,
+        surgery_mod._pierced_geometry(p.geometry, spec, data,
                                       MeshData(out.vertices, swapped,
                                                out.metadata))
 
