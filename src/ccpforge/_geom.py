@@ -111,12 +111,6 @@ def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
     return True
 
 
-def point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
-    """Winding-number test for a point strictly inside a simple 2D polygon.
-    Points on the boundary are reported as outside."""
-    return interior_clearance(pt, poly) is not None
-
-
 def interior_clearance(pt: np.ndarray, poly: np.ndarray) -> float | None:
     """A 2D point's distance to the boundary of a simple 2D polygon if the
     point is strictly inside it (at least 1e-14 from the boundary, winding

@@ -63,7 +63,7 @@ _METADATA = {
 }
 
 
-def _metadata(m) -> MeshMetadata:
+def _metadata(m, n_vertices: int) -> MeshMetadata:
     if not isinstance(m, dict):
         raise BadFile(f"metadata is a JSON object, not {type(m).__name__}")
     for key, (kind, value_ok) in _METADATA.items():
@@ -74,14 +74,22 @@ def _metadata(m) -> MeshMetadata:
                 isinstance(value, bool) != (kind is bool) or \
                 (value_ok and not value_ok(value)):
             raise BadFile(f"metadata {key!r} is malformed: {value!r:.60}")
+    labels, seams = m.get("vertex_labels") or {}, m.get("seam_edges") or []
+    for name, v in labels.items():
+        if not 0 <= v < n_vertices:
+            raise BadFile(f"vertex label {name!r} names no vertex: {v}")
+    # a seam is an unordered pair of distinct vertices, stored lower first
+    for a, b in seams:
+        if a == b or min(a, b) < 0 or max(a, b) >= n_vertices:
+            raise BadFile(f"seam {[a, b]} is not two distinct vertex ids")
     return MeshMetadata(
         family=m.get("family"),
         genus=m.get("genus"),
         orientable=m.get("orientable"),
         expected_defect=m.get("expected_defect_radians"),
         provenance=list(m.get("provenance") or []),
-        vertex_labels=dict(m.get("vertex_labels") or {}),
-        seam_edges={tuple(e) for e in m.get("seam_edges") or []},
+        vertex_labels=dict(labels),
+        seam_edges={(min(a, b), max(a, b)) for a, b in seams},
     )
 
 
@@ -106,7 +114,7 @@ def document_to_mesh(doc: dict) -> Polyhedron:
     faces = doc["faces"]
     if not _lists(faces) or not _int_entries(faces):
         raise BadFile("faces must be a list of lists of vertex indices")
-    meta = _metadata(doc.get("metadata", {}))
+    meta = _metadata(doc.get("metadata", {}), len(verts))
     slots = None
     if "edge_cells" in doc:
         cells = doc["edge_cells"]

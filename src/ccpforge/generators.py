@@ -12,8 +12,8 @@ import numpy as np
 from . import _geom
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import (MeshData, MeshGeometry, MeshMetadata, Polyhedron,
-                   _corner_layout, build_polyhedron, replace_meta)
+from .mesh import (MeshData, MeshMetadata, Polyhedron, build_polyhedron,
+                   replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -412,28 +412,14 @@ def _q3_18() -> MeshData:
 # drilled families
 
 
-def _find_z_faces(data: MeshData) -> tuple[int, int]:
-    """The top and bottom faces perpendicular to the z-axis, from a
-    geometry of the raw parts."""
-    verts = np.asarray(data.vertices, float)
-    geo = MeshGeometry(verts, _corner_layout(data.faces)).fit()
-    level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
-    cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
-                   for f in np.flatnonzero(level).tolist())
-    if len(cands) < 2:
-        raise GenusOutOfRange("no parallel z-faces to drill")
-    return cands[-1][1], cands[0][1]
-
-
-def _drilled(base: MeshData, faces: tuple[int, int] | None, n: int,
+def _drilled(base: MeshData, faces: tuple[int, int], n: int,
              k: int) -> Polyhedron:
     """The raw base built, or drilled k times with n-gonal prisms between
-    two faces (its top and bottom z-faces when faces is None)."""
+    two of its faces, its highest and lowest ones normal to the z-axis."""
     from .surgery import DrillSpec, drill_repeat
     if k == 0:
         return _build(base)
-    f1, f2 = faces or _find_z_faces(base)
-    return drill_repeat(base, DrillSpec(f1, f2, n), k)
+    return drill_repeat(base, DrillSpec(*faces, n), k)
 
 
 def gen_orientable(g: int) -> Polyhedron:
@@ -478,11 +464,11 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
     elif prefer_fewest and g == 14:
         out = gen_small_dodecahemidodecahedron()
     elif prefer_fewest and g >= 8:
-        out = _drilled(_rhombihexahedron(), None, 4, (g - 8) // 2)
+        out = _drilled(_rhombihexahedron(), (4, 5), 4, (g - 8) // 2)
     elif g % 2 == 1:
         out = _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2)
     else:
-        out = _drilled(_cubohemioctahedron(), None, 6, (g - 4) // 2)
+        out = _drilled(_cubohemioctahedron(), (4, 5), 6, (g - 4) // 2)
     chi = out.n_vertices - out.n_edges + out.n_faces
     return out.with_metadata(family="nonorientable", genus=g,
                              orientable=False,

@@ -107,7 +107,8 @@ class Polyhedron:
 
     @property
     def has_multi_edges(self) -> bool:
-        return len(set(self.edges)) != len(self.edges)
+        """Whether two edge cells share a vertex pair."""
+        return self.geometry.doubled
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of the (first) edge cell joining u and v."""
@@ -303,6 +304,15 @@ class MeshGeometry:
             getattr(out, name)[:n] = kept(getattr(self, name), faces)
         out.uv[:m] = kept(self.uv, corners)
         return out
+
+    @cached_property
+    def doubled(self) -> bool:
+        """Whether a segment carries two edge cells: its vertex pair bounds
+        four or more face sides."""
+        u, v = self.corner_vertex, self.corner_vertex[self.next_corner]
+        pair = np.sort(np.minimum(u, v) * len(self.vertices)
+                       + np.maximum(u, v))
+        return bool((pair[3:] == pair[:-3]).any())
 
     @cached_property
     def polygons(self) -> list[np.ndarray]:

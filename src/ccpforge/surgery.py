@@ -309,7 +309,7 @@ def _retile_stack(outer: np.ndarray, hole: np.ndarray
     u, v = _geom.plane_basis(n)
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
-    # every hole vertex at once: strictly inside (point_in_polygon) and
+    # every hole vertex at once: strictly inside (interior_clearance) and
     # clear of the boundary by 1e-12 * scale, which is the stricter bound
     # as scale >= 1; a NaN distance fails both
     clear = _geom.dist_point_polygon_boundary(h2, o2[:, None])
@@ -411,14 +411,6 @@ def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
                            _corner_layout(p.faces))
 
 
-def _doubled(geo: MeshGeometry) -> bool:
-    """Whether a segment carries two edge cells: its vertex pair bounds
-    four or more face sides."""
-    u, v = geo.corner_vertex, geo.corner_vertex[geo.next_corner]
-    pair = np.sort(np.minimum(u, v) * len(geo.vertices) + np.maximum(u, v))
-    return bool((pair[3:] == pair[:-3]).any())
-
-
 def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, numbers
     (not finite, or a radius that is not positive) or order, a face
@@ -440,7 +432,7 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
-    if _doubled(geo):
+    if geo.doubled:
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
 
@@ -473,12 +465,15 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     return p1pt, depth, d1, d2
 
 
-def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
+def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec
+           ) -> tuple[MeshData, MeshGeometry]:
     """All of drill short of validation, on raw data whose geometry is
     `geo`: the two prism rings, both pierced faces retiled in one call,
     each over its own and its ring's vertices with the seams between the
-    pieces, and the walls.  Kept faces come first, in order, then face1's
-    and face2's pieces and the walls; face1's errors come before face2's.
+    pieces, and the walls; face1's errors come before face2's.  Returns
+    the parts and the next step's geometry: the kept faces come first, in
+    order, with their planes from `geo`, then face1's and face2's pieces
+    and the walls, left to fit.
     """
     p1pt, depth, d1, d2 = _axis(geo, spec)
     u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
@@ -497,7 +492,9 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     base2 = base1 + spec.n
     verts = np.vstack([data.vertices, ring1, ring2])
 
-    faces = _kept_faces(data, spec)
+    faces = list(data.faces)
+    del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
+    kept = len(faces)
     seams = set(data.metadata.seam_edges)
     cycles = (data.faces[spec.face1], data.faces[spec.face2])
     parts = _retile([data.vertices[list(cyc)] for cyc in cycles],
@@ -522,28 +519,8 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec) -> MeshData:
     meta.provenance.append(
         f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
     meta.genus = None
-    return MeshData(verts, faces, meta)
-
-
-def _kept_faces(data: MeshData, spec: DrillSpec) -> list[tuple[int, ...]]:
-    """data's faces but the two that spec pierces, in order: the faces
-    pierce puts first."""
-    faces = list(data.faces)
-    del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
-    return faces
-
-
-def _pierced_geometry(geo: MeshGeometry, spec: DrillSpec, before: MeshData,
-                      after: MeshData) -> MeshGeometry:
-    """The geometry of `after`, which pierce(before, geo, spec) returned.
-    pierce puts the faces it keeps first, in order, so they keep their
-    corners and planes; only the new pieces are laid out, and left to
-    fit."""
-    n = len(geo.face_size) - 2
-    assert after.faces[:n] == _kept_faces(before, spec), \
-        "the first faces are not the kept faces"
-    return geo.carry([spec.face1, spec.face2], after.vertices,
-                     _corner_layout(after.faces[n:]))
+    return MeshData(verts, faces, meta), geo.carry(
+        [spec.face1, spec.face2], verts, _corner_layout(faces[kept:]))
 
 
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
@@ -559,7 +536,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    return build_polyhedron(*pierce(data, geo, spec))
+    return build_polyhedron(*pierce(data, geo, spec)[0])
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -574,8 +551,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     drill raises, before any offset is tried.  p may be a validated mesh
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
-    Each step's geometry keeps the corners and planes of the faces the
-    step before kept, so only new pieces are laid out and fitted.
+    Each step pierces with the geometry the step before returned, so only
+    new pieces are laid out and fitted.
     """
     if k < 1:
         raise BadOrder("k must be >= 1")
@@ -595,8 +572,6 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
         out, step_geo = data, geo
         try:
             for j in range(k):
-                if j:
-                    step_geo = _pierced_geometry(step_geo, step, before, out)
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
                 exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
                 (f1, clr1), (f2, clr2) = _locate_face(
@@ -607,9 +582,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                         f"pierced faces")
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
-                step = DrillSpec(f1, f2, spec.n, tuple(axis_pt), radius,
-                                 spec.phase)
-                before, out = out, pierce(out, step_geo, step)
+                out, step_geo = pierce(out, step_geo, DrillSpec(
+                    f1, f2, spec.n, tuple(axis_pt), radius, spec.phase))
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc

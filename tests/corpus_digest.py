@@ -18,7 +18,9 @@ hold many coplanar triangle pairs (orientable g = 30, nonorientable
 g = 31, v8g g = 40), drill_repeat of p2-24, q3-18 and the
 cubohemioctahedron with k = 2, 3, of p2-24 with k = 6 and an explicit
 point, radius and phase, and of n5g g = 7 with k = 4, whose first offset
-direction fails.  pytest does not collect this file.
+direction fails.  pytest does not collect this file;
+tests/test_corpus_digest.py checks that it imports and digests a few
+meshes repeatably.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def corpus():
          for fewest in (False, True)] + \
         [("orientable", 30, False), ("nonorientable", 31, False),
          ("v8g", 40, False)]
+    runs = list(dict.fromkeys(runs))    # the workloads share some meshes
     items += [(f"{family}-{genus}" + "-fewest" * fewest,
                lambda a=(family, genus, {}, fewest):
                generate_family(FamilyRequest(*a)))
@@ -81,7 +84,7 @@ def corpus():
                                radius=0.01, phase=0.2), 6)),
               ("n5g-7-k4", lambda: drill_repeat(gen_n5g_odd(7),
                                                 DrillSpec(0, 1, 7), 4))]
-    return dict(items).items()
+    return items
 
 
 def digest(p, workdir: Path) -> str:

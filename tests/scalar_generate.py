@@ -74,7 +74,7 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
     for q in h2:
-        if not _geom.point_in_polygon(q, o2) or \
+        if _geom.interior_clearance(q, o2) is None or \
            _geom.dist_point_polygon_boundary(q, o2) < 1e-12 * scale:
             raise HoleNotInside("hole not strictly inside the outer polygon")
 

@@ -207,6 +207,15 @@ def test_orientation_cover_agrees_with_search(name, genus, fewest, params):
     assert q.orientation == reference_orientation(q) == p.orientation
 
 
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA + [
+    ("minimal", g, {}) for g in range(4, 46)])
+def test_multi_edges_are_repeated_vertex_pairs(name, genus, params):
+    """has_multi_edges, read from the corner layout, says whether two
+    edge cells share a vertex pair."""
+    p = family(name, genus, **params)
+    assert p.has_multi_edges == (len(set(p.edges)) != len(p.edges))
+
+
 def disjoint_union(a, b, shift=10.0):
     v = np.vstack([a.vertices, b.vertices + shift])
     f = list(a.faces) + [tuple(i + a.n_vertices for i in c) for c in b.faces]

@@ -21,7 +21,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, BadParameters, CcpError, FlatSeam,
                              HoleNotInside, NonNegativeChi, NotInteger,
                              NotIsometric)
-from ccpforge.generators import _find_z_faces, gen_t_block, generate_family
+from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _locate_face, build_glued, glue, pierce
 
@@ -228,9 +228,7 @@ class TestDrill:
 
     def test_drill_preserves_old_defects(self):
         p = gen_cubohemioctahedron()
-        from ccpforge.generators import _find_z_faces
-        f1, f2 = _find_z_faces(p)
-        out = drill(p, DrillSpec(f1, f2, 6))
+        out = drill(p, DrillSpec(4, 5, 6))
         before = defect_profile(p).per_vertex
         after = defect_profile(out).per_vertex
         assert np.abs(after[:p.n_vertices] - before).max() < 1e-9
@@ -357,8 +355,7 @@ def test_incremental_equals_full_validation_on_moved_inputs(seed):
                         FaceCorrespondence(2, 0, mapping=(0, 1, 4, 3)))
     assert_same_as_full_build(chain)
     assert_same_as_full_build(drill(moved(gen_cubohemioctahedron(), seed),
-                                    DrillSpec(*_find_z_faces(
-                                        gen_cubohemioctahedron()), 6)))
+                                    DrillSpec(4, 5, 6)))
 
 
 @pytest.mark.parametrize("nudge,error", [
@@ -376,8 +373,8 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     that break a new face alike and accepts the one along the axis."""
     p = moved(gen_p2_24(), 5)
     spec = DrillSpec(0, 1, 12)
-    data = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
-                  spec)
+    data, geo = pierce(MeshData(p.vertices, p.faces, p.metadata),
+                       p.geometry, spec)
     verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
@@ -391,7 +388,7 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     with pytest.raises(CcpError, match=error) as bare:
         build_polyhedron(verts, data.faces)
     nudged = data._replace(vertices=verts)
-    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: nudged)
+    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: (nudged, geo))
     if nudge == "along_axis":
         # the ring vertex stays on its triangles and in its wall's plane
         assert drill(p, spec).vertices.tobytes() == verts.tobytes()
@@ -425,33 +422,28 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
     assert len(builds) == 1
 
 
-def test_pierced_geometry_carries_the_kept_planes():
-    """The next drill step's geometry keeps, bit for bit, the planes of
-    the faces pierce kept and leaves the new pieces unfitted; its corner
-    layout is that of the whole face list.  Face data whose first faces
-    are not the kept ones, in order, is refused."""
+def test_pierce_returns_the_next_geometry():
+    """The geometry pierce returns with its parts keeps, bit for bit, the
+    planes of the faces it kept and leaves the new pieces unfitted; its
+    corner layout is that of the whole face list it returned."""
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
-    data = MeshData(p.vertices, p.faces, p.metadata)
-    out = pierce(data, p.geometry, spec)
-    geo = surgery_mod._pierced_geometry(p.geometry, spec, data, out)
+    out, geo = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
+                      spec)
     n = p.n_faces - 2
+    assert geo.vertices is out.vertices
     assert geo.fitted[:n].all() and not geo.fitted[n:].any()
-    fresh = mesh_mod.MeshGeometry(out.vertices,
-                                  mesh_mod._corner_layout(out.faces)).fit()
+    layout = mesh_mod._corner_layout(out.faces)
+    fresh = mesh_mod.MeshGeometry(out.vertices, layout).fit()
     for name in ("centroid", "normal", "u", "v", "residual", "area"):
         assert getattr(geo, name)[:n].tobytes() == \
             getattr(fresh, name)[:n].tobytes(), name
     m = geo.face_start[n]
     assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
-    for name in ("face_size", "face_start", "corner_face", "corner_vertex",
-                 "next_corner", "prev_corner"):
-        assert np.array_equal(getattr(geo, name), getattr(fresh, name)), name
-    swapped = [out.faces[1], out.faces[0]] + list(out.faces[2:])
-    with pytest.raises(AssertionError, match="not the kept faces"):
-        surgery_mod._pierced_geometry(p.geometry, spec, data,
-                                      MeshData(out.vertices, swapped,
-                                               out.metadata))
+    for name, want in zip(("face_size", "face_start", "corner_vertex",
+                           "corner_face", "next_corner"), layout):
+        assert np.array_equal(getattr(geo, name), want), name
+    assert np.array_equal(geo.prev_corner, fresh.prev_corner)
 
 
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
@@ -472,6 +464,37 @@ def test_drill_repeat_fits_each_piece_once(monkeypatch):
         rows.clear()
         p = generate_family(FamilyRequest("orientable", genus))
         assert sum(rows) <= 2 * p.n_faces, (genus, sum(rows), p.n_faces)
+
+
+def _z_faces(data):
+    """The highest and lowest faces of raw parts whose fitted normal is
+    +-z, by the mean height of their vertices."""
+    verts = np.asarray(data.vertices, float)
+    geo = mesh_mod.MeshGeometry(verts,
+                                mesh_mod._corner_layout(data.faces)).fit()
+    level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
+    cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
+                   for f in np.flatnonzero(level).tolist())
+    return cands[-1][1], cands[0][1]
+
+
+@pytest.mark.parametrize("name,genus,fewest,faces", [
+    ("orientable", 3, False, (0, 1)), ("nonorientable", 5, False, (1, 0)),
+    ("n5g", 13, False, (0, 1)), ("nonorientable", 6, False, (4, 5)),
+    ("nonorientable", 10, True, (4, 5))],
+    ids=["p2-24", "q3-18", "n5g-7", "cho", "rhombihexahedron"])
+def test_drilled_families_name_their_top_and_bottom_faces(
+        monkeypatch, name, genus, fewest, faces):
+    """Each drilled family drills the two faces it names, which are its
+    base's highest and lowest faces normal to the z-axis."""
+    calls = []
+    real = generators_mod._drilled
+    monkeypatch.setattr(generators_mod, "_drilled",
+                        lambda base, *a: calls.append((base, a[0]))
+                        or real(base, *a))
+    generate_family(FamilyRequest(name, genus, prefer_fewest=fewest))
+    [(base, named)] = calls
+    assert named == faces == _z_faces(base)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +519,8 @@ def test_locate_face_matches_a_face_by_face_scan():
             q = geom_mod.project_2d(point[None, :], geo.centroid[f],
                                     geo.u[f], geo.v[f])[0]
             clear = dist_point_polygon_boundary(q, geo.polygons[f])
-            if geom_mod.point_in_polygon(q, geo.polygons[f]) and \
-                    clear > 1e-9 * geo.scale:
+            inside = geom_mod.interior_clearance(q, geo.polygons[f])
+            if inside is not None and clear > 1e-9 * geo.scale:
                 return f, clear
         return None, 0.0
 
@@ -525,7 +548,7 @@ def test_locate_face_matches_a_face_by_face_scan():
 
 
 def _winding_loop(pt, poly):
-    """The side-by-side winding count point_in_polygon used to run."""
+    """The side-by-side winding count that winds_around replaced."""
     wn = 0
     for a, b in zip(poly, np.roll(poly, -1, axis=0)):
         cross = (b - a)[0] * (pt - a)[1] - (b - a)[1] * (pt - a)[0]
@@ -559,8 +582,8 @@ def test_point_location_is_the_loop_row_by_row():
                                       want)
                 assert w == geom_mod.winds_around(pt, poly) == \
                     _winding_loop(pt, poly)
-                assert geom_mod.point_in_polygon(pt, poly) == \
-                    (want >= 1e-14 and _winding_loop(pt, poly))
+                inside = geom_mod.interior_clearance(pt, poly) is not None
+                assert inside == (want >= 1e-14 and _winding_loop(pt, poly))
             # many points against one polygon, as retile_pierced_face asks
             one = dist_point_polygon_boundary(pts, polys[0])
             assert np.array_equal(one, [dist_point_polygon_boundary(

@@ -494,6 +494,25 @@ def test_obj_round_trip_keeps_every_seam(tmp_path):
         p.metadata.seam_edges
 
 
+def test_seams_are_unordered_vertex_pairs(tmp_path, capsys):
+    """A drilled p2-24 file whose 40 seams are each written higher id
+    first verifies as ccp_embedded, and saved again it reloads with the
+    seams the mesh was saved with."""
+    from ccpforge.cli import main
+    p = gen_orientable(3)
+    doc = mesh_to_document(p)
+    seams = doc["metadata"]["seam_edges"]
+    assert len(seams) == 40
+    doc["metadata"]["seam_edges"] = [[b, a] for a, b in seams]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    assert "ccp_embedded" in capsys.readouterr().out
+    save_json(load_json(path), tmp_path / "again.json")
+    assert load_json(tmp_path / "again.json").metadata.seam_edges == \
+        p.metadata.seam_edges
+
+
 TET_OBJ = """v 1 1 1
 v 1 -1 -1
 v -1 1 -1
@@ -554,6 +573,13 @@ CONTRACT_CASES = [
                                        [1, 3, 2]]), 2, "BadFile"),
     ("faces_int.json", _tet_json(faces=5), 2, "BadFile"),
     ("edge_cells.json", _tet_json(edge_cells=[[1]]), 2, "BadFile"),
+    # a seam joins two distinct vertices of the mesh, a label names one
+    ("seam_out_of_range.json", _tet_json(metadata={
+        "seam_edges": [[5, 1000000]]}), 2, "BadFile: seam [5, 1000000]"),
+    ("seam_loop.json", _tet_json(metadata={"seam_edges": [[2, 2]]}), 2,
+     "BadFile: seam [2, 2]"),
+    ("label_out_of_range.json", _tet_json(metadata={
+        "vertex_labels": {"v4": 4}}), 2, "BadFile: vertex label 'v4'"),
     ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
     ("inf.json", _tet_vertex([float("inf"), 0, 0]), 2, "vertex 0"),
     ("huge.json", _tet_scaled(1.7e308), 2, "DegenerateFace: vertex 0"),
