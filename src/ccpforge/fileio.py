@@ -95,7 +95,8 @@ def _metadata(m, n_vertices: int) -> MeshMetadata:
 
 def document_to_mesh(doc: dict) -> Polyhedron:
     """Build the mesh a native JSON document describes.  A document whose
-    parts are not of the documented shapes raises BadFile."""
+    parts are not of the documented shapes, or that names a seam that is
+    not an edge of the mesh, raises BadFile."""
     if not isinstance(doc, dict):
         raise BadFile(f"a mesh document is a JSON object, not "
                       f"{type(doc).__name__}")
@@ -124,8 +125,12 @@ def document_to_mesh(doc: dict) -> Polyhedron:
             raise BadFile("edge_cells must be a list of "
                           "[[face, slot], [face, slot]] pairs")
         slots = tuple((tuple(c[0]), tuple(c[1])) for c in cells)
-    return build_polyhedron(verts.astype(float), [tuple(f) for f in faces],
-                            meta, edge_slots=slots)
+    p = build_polyhedron(verts.astype(float), [tuple(f) for f in faces],
+                         meta, edge_slots=slots)
+    stray = meta.seam_edges - set(p.edges)
+    if stray:
+        raise BadFile(f"seam {list(min(stray))} is not an edge of the mesh")
+    return p
 
 
 def save_json(p: Polyhedron, path) -> None:

@@ -283,26 +283,18 @@ class MeshGeometry:
         same places) whose faces are this mesh's but the `dropped` ones, in
         order, and then the faces laid out in `new`: the kept faces keep
         their corners and the planes fitted here, and the new ones are not
-        fitted.  The kept faces are copied as runs between the dropped
-        ones."""
-        n_faces, n_corners = len(self.face_size), len(self.corner_vertex)
-        cut = sorted(dropped)
-        faces = [slice(a + 1, b) for a, b in zip([-1] + cut, cut + [n_faces])]
-        start = [int(self.face_start[f]) if f < n_faces else n_corners
-                 for s in faces for f in (s.start, s.stop)]
-        corners = [slice(a, b) for a, b in zip(start[::2], start[1::2])]
-
-        def kept(a: np.ndarray, runs: list[slice]) -> np.ndarray:
-            return np.concatenate([a[s] for s in runs])
-
+        fitted.  The kept faces and their corners are selected by mask."""
+        keep = np.ones(len(self.face_size), dtype=bool)
+        keep[dropped] = False
+        corners = keep[self.corner_face]
         out = MeshGeometry(vertices, _corners(
-            np.concatenate([kept(self.face_size, faces), new.size]),
-            np.concatenate([kept(self.corner_vertex, corners), new.vertex])))
-        n, m = n_faces - len(cut), len(out.corner_vertex) - len(new.vertex)
+            np.concatenate([self.face_size[keep], new.size]),
+            np.concatenate([self.corner_vertex[corners], new.vertex])))
+        n, m = np.count_nonzero(keep), np.count_nonzero(corners)
         for name in ("fitted", "centroid", "normal", "u", "v", "residual",
                      "area"):
-            getattr(out, name)[:n] = kept(getattr(self, name), faces)
-        out.uv[:m] = kept(self.uv, corners)
+            getattr(out, name)[:n] = getattr(self, name)[keep]
+        out.uv[:m] = self.uv[corners]
         return out
 
     @cached_property

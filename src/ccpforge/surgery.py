@@ -110,14 +110,14 @@ def glue(first: Polyhedron | MeshData,
 
     The faces sit in one list, each with a stable id, from which a step
     deletes its face1 and to which it appends its piece's faces.  The
-    cells are kept as half-edges (face, slot) in stable ids, two to a
-    cell, in blocks in the order the one-at-a-time glues leave them: the
-    first mesh's, then each step's piece and seam cells.  A face's
-    half-edges are in its own block until a seam re-pairs them, and a
-    dict finds the re-paired ones.  The cells a step replaces are marked
-    dead, and the live ones are renumbered to face places once, at the
-    end, so a step does only its correspondence, rigid fit and its
-    piece's cells.
+    cells are kept as half-edge rows (face, slot) in stable ids, two to a
+    cell, in one table sized from the faces' lengths, in the order the
+    one-at-a-time glues leave them: the first mesh's, then each step's
+    piece and seam cells.  A mask marks the cells a step replaces as
+    dead, and a step finds face1's live half-edges in one pass over the
+    rows glued so far.  The live cells are renumbered to face places
+    once, at the end, so a step does only its correspondence, rigid fit
+    and its piece's cells.
     """
     a = _parts(first)
     if not steps:
@@ -128,10 +128,11 @@ def glue(first: Polyhedron | MeshData,
     faces = list(a.faces)
     ids = list(range(len(faces)))          # stable id of the face at each place
     n_ids = len(faces)
-    halves = [a.cells.reshape(-1, 2)]
-    alive = [np.ones(len(a.cells), dtype=bool)]
-    home = [0] * n_ids                     # block of each stable id's cells
-    seamed: dict[tuple[int, int], tuple[int, int]] = {}
+    half = np.empty((sum(map(len, faces)) + sum(
+        sum(map(len, p.faces)) for p, _ in steps), 2), dtype=np.intp)
+    top = 2 * len(a.cells)                 # rows filled so far
+    half[:top] = a.cells.reshape(-1, 2)
+    live = np.ones(len(half) // 2, dtype=bool)
     seams = set(a.metadata.seam_edges)
     provenance = []
     for piece, corr in steps:
@@ -150,19 +151,15 @@ def glue(first: Polyhedron | MeshData,
                 f"cycles are not congruent (rigid-fit residual {resid:.2e})")
 
         # Every cell through face1 or face2 leaves one half-edge beyond the
-        # seam, its partner (half-edge index ^ 1); the two left at position
-        # i of face1's cycle form that seam's cell.  Side s of face2 sits at
-        # the position whose mapped segment it is.
-        s1 = ids[corr.face1]
-        found = [seamed.get((s1, i)) for i in range(k)]
-        if None in found:
-            own = halves[home[s1]]
-            at1 = np.flatnonzero(own[:, 0] == s1)
-            for h, slot in zip(at1.tolist(), own[at1, 1].tolist()):
-                if found[slot] is None:
-                    found[slot] = (home[s1], h)
-            if None in found:
-                raise NotIsometric("seam pairing incomplete")
+        # seam, its partner (row ^ 1); the two left at position i of
+        # face1's cycle form that seam's cell.  Side s of face2 sits at the
+        # position whose mapped segment it is.
+        at1 = np.flatnonzero((half[:top, 0] == ids[corr.face1])
+                             & live[:top // 2].repeat(2))
+        row1 = np.full(k, -1, dtype=np.intp)
+        row1[half[at1, 1]] = at1
+        if (row1 < 0).any():
+            raise NotIsometric("seam pairing incomplete")
         cyc2 = b.faces[corr.face2]
         seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
                     for i in range(k)}
@@ -189,22 +186,19 @@ def glue(first: Polyhedron | MeshData,
         keep = [i for i in range(len(b.faces)) if i != corr.face2]
         faces += [tuple(map(new_id.__getitem__, b.faces[i])) for i in keep]
         ids += [n_ids + i for i in keep]
-        home += [len(halves)] * len(b.faces)
         n_ids += len(b.faces)
 
         # the piece's cells but those through face2, then the seam cells,
         # which replace those through face1
-        live = np.ones(len(b.cells), dtype=bool)
-        live[at2 >> 1] = False
-        seam = np.empty((2 * k, 2), dtype=np.intp)
-        for i, (block, h) in enumerate(found):
-            seam[2 * i] = halves[block][h ^ 1]
-            alive[block][h >> 1] = False
-        seam[1::2] = beyond2
-        halves += [piece_halves, seam]
-        alive += [live, np.ones(k, dtype=bool)]
-        for h, (f, t) in enumerate(seam.tolist()):
-            seamed[f, t] = (len(halves) - 1, h)
+        own = np.ones(len(b.cells), dtype=bool)
+        own[at2 >> 1] = False
+        rows = piece_halves.reshape(-1, 4)[own].reshape(-1, 2)
+        half[top:top + len(rows)] = rows
+        top += len(rows)
+        half[top:top + 2 * k:2] = half[row1 ^ 1]
+        half[top + 1:top + 2 * k:2] = beyond2
+        top += 2 * k
+        live[row1 >> 1] = False
 
         for (u, w) in b.metadata.seam_edges:
             u, w = new_id[u], new_id[w]
@@ -214,8 +208,7 @@ def glue(first: Polyhedron | MeshData,
 
     place = np.empty(n_ids, dtype=np.intp)
     place[ids] = np.arange(len(ids))
-    out = np.concatenate([h.reshape(-1, 4)[on]
-                          for h, on in zip(halves, alive)])
+    out = half[:top].reshape(-1, 4)[live[:top // 2]]
     out[:, 0::2] = place[out[:, 0::2]]
     meta = replace_meta(a.metadata, seam_edges=seams, genus=None,
                         orientable=None)
@@ -599,17 +592,13 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
     normal . x = height whose polygon strictly contains the point, plus
     the point's clearance to that polygon's boundary; (None, 0.0) where no
     face does.  A face is in the plane when its corners all lie near it.
-    The candidates of every plane are fitted in one call, and those of
-    one length are tested together."""
+    Both planes' candidates are selected in one pass and fitted in one
+    call, and those of one length are tested together."""
     scale = geo.scale
     along = geo.vertices[geo.corner_vertex] @ normal
-    faces, which = [], []
-    for i, height in enumerate(heights):
-        near = np.flatnonzero(np.maximum.reduceat(
-            np.abs(along - height), geo.face_start) <= 1e-7 * scale)
-        faces.append(near)
-        which.append(np.full(len(near), i))
-    faces, which = np.concatenate(faces), np.concatenate(which)
+    which, faces = np.nonzero(np.maximum.reduceat(
+        np.abs(along - np.asarray(heights)[:, None]), geo.face_start,
+        axis=1) <= 1e-7 * scale)
     geo.fit(faces)
     clearance = np.zeros(len(faces))
     inside = np.zeros(len(faces), dtype=bool)

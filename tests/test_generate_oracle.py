@@ -267,6 +267,38 @@ def test_glue_of_mixed_pieces_is_the_fold():
     assert_same_parts(got, folded(drilled, steps))
 
 
+def random_tetra_chain(rng):
+    """(first, steps) of a chain of 3 to 8 scalene tetrahedra: each piece
+    stands on a random face of the mesh glued so far, its apex along that
+    face's outer normal, and is glued by its face 0."""
+    v = np.array([(0, 0, 0), (3, 0, 0), (0, 4, 0), (1.1, 1.3, 5)], float)
+    first = build_polyhedron(v, [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)])
+    out, steps = first, []
+    for _ in range(rng.integers(2, 8)):
+        f1 = int(rng.integers(len(out.faces)))
+        a, b, c = out.vertices[list(out.faces[f1])]
+        normal = np.cross(b - a, c - a)
+        apex = (a + b + c) / 3 + rng.uniform(0.5, 2.0) * normal / \
+            np.linalg.norm(normal)
+        piece = MeshData(np.array([a, c, b, apex]),
+                         [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)],
+                         MeshMetadata())
+        steps.append((piece, FaceCorrespondence(f1, 0, mapping=(0, 2, 1))))
+        out = scalar_generate.glue(out, *steps[-1])
+    return first, steps
+
+
+def test_glue_of_random_tetra_chains_is_the_fold():
+    """Forty seeded chains of tetrahedra, each piece on a random face of
+    the mesh glued so far, so that a step often glues onto a face whose
+    sides earlier seams have re-paired."""
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        first, steps = random_tetra_chain(rng)
+        assert_same_parts(surgery_mod.glue(first, steps),
+                          folded(first, steps))
+
+
 def _corrupted(first, steps, j, kind):
     """(first, steps) with step j spoilt so that the glue fails there."""
     steps = list(steps)

@@ -446,6 +446,31 @@ def test_pierce_returns_the_next_geometry():
     assert np.array_equal(geo.prev_corner, fresh.prev_corner)
 
 
+@pytest.mark.parametrize("dropped", [[0, 17], [17, 0], [5, 6], [6, 5]])
+def test_carry_keeps_the_other_faces(dropped):
+    """carry on p2-24's geometry (18 faces), dropping the first and last
+    faces or two adjacent ones, in either order: its layout is that of
+    the kept faces and then the new ones, the kept faces' planes and uv
+    are a fresh fit's bit for bit, and the new faces are unfitted."""
+    p = gen_p2_24()
+    verts = np.vstack([p.vertices, [(0.0, 0.0, 5.0)]])
+    new = [p.faces[f][::-1] for f in dropped] + [(0, 1, len(p.vertices))]
+    faces = [f for i, f in enumerate(p.faces) if i not in dropped] + new
+    geo = p.geometry.carry(dropped, verts, mesh_mod._corner_layout(new))
+    layout = mesh_mod._corner_layout(faces)
+    for name, want in zip(("face_size", "face_start", "corner_vertex",
+                           "corner_face", "next_corner"), layout):
+        assert np.array_equal(getattr(geo, name), want), name
+    n = p.n_faces - 2
+    assert geo.fitted[:n].all() and not geo.fitted[n:].any()
+    fresh = mesh_mod.MeshGeometry(verts, layout).fit()
+    for name in ("centroid", "normal", "u", "v", "residual", "area"):
+        assert getattr(geo, name)[:n].tobytes() == \
+            getattr(fresh, name)[:n].tobytes(), name
+    m = geo.face_start[n]
+    assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
+
+
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
     """Each step of drill_repeat keeps the planes of the faces it keeps,
     so orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit

@@ -550,6 +550,13 @@ def _tet_vertex(first):
         gen_tetrahedron())["vertices"][1:])
 
 
+def _p2_seams(seams):
+    """p2-24's document with the given seams."""
+    doc = mesh_to_document(gen_p2_24())
+    doc["metadata"]["seam_edges"] = seams
+    return json.dumps(doc)
+
+
 CONTRACT_CASES = [
     ("vertices_str.json", _tet_json(vertices="abc"), 2, "BadFile"),
     ("metadata_list.json", _tet_json(metadata=[]), 2, "BadFile"),
@@ -578,6 +585,9 @@ CONTRACT_CASES = [
         "seam_edges": [[5, 1000000]]}), 2, "BadFile: seam [5, 1000000]"),
     ("seam_loop.json", _tet_json(metadata={"seam_edges": [[2, 2]]}), 2,
      "BadFile: seam [2, 2]"),
+    # p2-24 has no edge from vertex 0 to vertex 3
+    ("seam_not_an_edge.json", _p2_seams([[0, 3]]), 2,
+     "BadFile: seam [0, 3] is not an edge"),
     ("label_out_of_range.json", _tet_json(metadata={
         "vertex_labels": {"v4": 4}}), 2, "BadFile: vertex label 'v4'"),
     ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
