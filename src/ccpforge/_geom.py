@@ -111,14 +111,6 @@ def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
     return True
 
 
-def interior_clearance(pt: np.ndarray, poly: np.ndarray) -> float | None:
-    """A 2D point's distance to the boundary of a simple 2D polygon if the
-    point is strictly inside it (at least 1e-14 from the boundary, winding
-    number non-zero), else None."""
-    clear = float(dist_point_polygon_boundary(pt, poly))
-    return clear if clear >= 1e-14 and winds_around(pt, poly) else None
-
-
 def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Whether (..., k, 2) cycles have a non-zero winding number about
     (..., 2) points off their boundaries."""
@@ -145,6 +137,14 @@ def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
     t = np.divide(num, denom, out=np.zeros(num.shape), where=denom != 0.0)
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     return norm(pt[..., None, :] - (poly + t[..., None] * ab)).min(axis=-1)
+
+
+def inside_clearance(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """How far (..., 2) points lie inside (..., k, 2) polygons, the two
+    broadcast as in dist_point_polygon_boundary: the distance to the
+    boundary where the polygon winds around the point, else 0."""
+    return np.where(winds_around(pt, poly),
+                    dist_point_polygon_boundary(pt, poly), 0.0)
 
 
 def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int]]:

@@ -151,10 +151,13 @@ def _write(path, data: bytes) -> None:
 
 
 def _read_text(path) -> str:
+    """Read an input file; one that cannot be read as text raises BadFile."""
     try:
         return Path(path).read_text()
     except IsADirectoryError as exc:
         raise BadFile(f"{path} is a directory, not a mesh file") from exc
+    except OSError as exc:
+        raise BadFile(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise BadFile(f"{path} is not text: {exc}") from exc
 

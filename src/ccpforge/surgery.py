@@ -236,6 +236,9 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron,
 # ---------------------------------------------------------------------------
 # drilling
 
+# how far inside its pierced face an axis point must lie, times mesh scale
+AXIS_CLEARANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class DrillSpec:
@@ -302,12 +305,9 @@ def _retile_stack(outer: np.ndarray, hole: np.ndarray
     u, v = _geom.plane_basis(n)
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
-    # every hole vertex at once: strictly inside (interior_clearance) and
-    # clear of the boundary by 1e-12 * scale, which is the stricter bound
-    # as scale >= 1; a NaN distance fails both
-    clear = _geom.dist_point_polygon_boundary(h2, o2[:, None])
-    inside = ((clear >= 1e-12 * scale[:, None])
-              & _geom.winds_around(h2, o2[:, None])).all(axis=1)
+    # every hole vertex at once, at least 1e-12 * scale inside (NaN fails)
+    inside = (_geom.inside_clearance(h2, o2[:, None])
+              >= 1e-12 * scale[:, None]).all(axis=1)
     area_o, area_h = _geom.polygon_area_2d(o2), _geom.polygon_area_2d(h2)
     centre = h2.mean(axis=1)
     out = []
@@ -440,35 +440,37 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     if abs(abs(float(geo.normal[f1] @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
-    q1 = _geom.project_2d(p1pt[None, :], c1, geo.u[f1], geo.v[f1])[0]
-    poly1, poly2 = (geo.uv[geo.face_start[f] + np.arange(geo.face_size[f])]
-                    for f in (f1, f2))
-    d1 = _geom.interior_clearance(q1, poly1)
-    if d1 is None:
+    d1 = _clearance(geo, f1, p1pt)
+    if not d1 > AXIS_CLEARANCE * geo.scale:
         raise AxisObstructed("axis point is not interior to face1")
     # orthogonal projection onto face2's plane
     depth = float((p1pt - c2) @ n2)
     if abs(depth) < 1e-9 * geo.scale:
         raise AxisObstructed("pierced faces are coplanar")
-    q2 = _geom.project_2d((p1pt - depth * n2)[None, :], c2, geo.u[f2],
-                          geo.v[f2])[0]
-    d2 = _geom.interior_clearance(q2, poly2)
-    if d2 is None:
+    d2 = _clearance(geo, f2, p1pt - depth * n2)
+    if not d2 > AXIS_CLEARANCE * geo.scale:
         raise AxisObstructed("axis exit point is not interior to face2")
     return p1pt, depth, d1, d2
 
 
-def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec
-           ) -> tuple[MeshData, MeshGeometry]:
+def _clearance(geo: MeshGeometry, f: int, pt: np.ndarray) -> float:
+    """How far a point of face f's plane lies inside the face."""
+    q = _geom.project_2d(pt[None, :], geo.centroid[f], geo.u[f], geo.v[f])[0]
+    return float(_geom.inside_clearance(
+        q, geo.uv[geo.face_start[f] + np.arange(geo.face_size[f])]))
+
+
+def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
+           axis: tuple) -> tuple[MeshData, MeshGeometry]:
     """All of drill short of validation, on raw data whose geometry is
-    `geo`: the two prism rings, both pierced faces retiled in one call,
-    each over its own and its ring's vertices with the seams between the
-    pieces, and the walls; face1's errors come before face2's.  Returns
-    the parts and the next step's geometry: the kept faces come first, in
-    order, with their planes from `geo`, then face1's and face2's pieces
-    and the walls, left to fit.
+    `geo`, along the axis _axis gives for `spec`: the two prism rings,
+    both pierced faces retiled in one call, each over its own and its
+    ring's vertices with the seams between the pieces, and the walls;
+    face1's errors come before face2's.  Returns the parts and the next
+    step's geometry: the kept faces first, in order, with their planes
+    from `geo`, then face1's and face2's pieces and the walls, unfitted.
     """
-    p1pt, depth, d1, d2 = _axis(geo, spec)
+    p1pt, depth, d1, d2 = axis
     u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
     eps = spec.radius if spec.radius is not None else 0.25 * min(d1, d2)
     if eps <= 0 or eps >= min(d1, d2):
@@ -529,7 +531,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    return build_polyhedron(*pierce(data, geo, spec)[0])
+    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec))[0])
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -575,8 +577,12 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                         f"pierced faces")
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
+                # the planes are those _axis checked; only depth is new
+                depth = float((axis_pt - step_geo.centroid[f2])
+                              @ step_geo.normal[f2])
                 out, step_geo = pierce(out, step_geo, DrillSpec(
-                    f1, f2, spec.n, tuple(axis_pt), radius, spec.phase))
+                    f1, f2, spec.n, tuple(axis_pt), radius, spec.phase),
+                    (axis_pt, depth, clr1, clr2))
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
@@ -589,8 +595,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
 def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
                  normal: np.ndarray) -> list[tuple[int | None, float]]:
     """Per point and plane height: the first face in the plane
-    normal . x = height whose polygon strictly contains the point, plus
-    the point's clearance to that polygon's boundary; (None, 0.0) where no
+    normal . x = height that holds the point inside (_axis's bound), plus
+    the point's clearance to that face's boundary; (None, 0.0) where no
     face does.  A face is in the plane when its corners all lie near it.
     Both planes' candidates are selected in one pass and fitted in one
     call, and those of one length are tested together."""
@@ -601,7 +607,6 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
         axis=1) <= 1e-7 * scale)
     geo.fit(faces)
     clearance = np.zeros(len(faces))
-    inside = np.zeros(len(faces), dtype=bool)
     sizes = geo.face_size[faces]
     for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == k)
@@ -609,9 +614,8 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
         q = _geom.project_2d(points[which[rows], None], geo.centroid[f],
                              geo.u[f], geo.v[f])[:, 0]
         poly = geo.uv[geo.face_start[f, None] + np.arange(k)]
-        clearance[rows] = _geom.dist_point_polygon_boundary(q, poly)
-        inside[rows] = _geom.winds_around(q, poly)
-    hit = inside & (clearance > 1e-9 * scale)
+        clearance[rows] = _geom.inside_clearance(q, poly)
+    hit = clearance > AXIS_CLEARANCE * scale
     out: list[tuple[int | None, float]] = []
     for i in range(len(heights)):
         rows = np.flatnonzero(hit & (which == i))

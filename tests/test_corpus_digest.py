@@ -14,10 +14,10 @@ def test_corpus_names_are_unique():
     assert len(set(names)) == len(names)
 
 
-# cho-k2 drills the faces (4, 5) that the cubohemioctahedron names, and
-# minimal-5 is a glued chain
+# cho-k2 drills the faces (4, 5) that the cubohemioctahedron names,
+# q3-18-k2 drills a glued chain and minimal-5 is a glued chain
 @pytest.mark.parametrize("name", ["tetrahedron-None-{}", "p2-24-k2",
-                                  "cho-k2", "minimal-5"])
+                                  "cho-k2", "q3-18-k2", "minimal-5"])
 def test_digest_is_repeatable(tmp_path, name):
     first = corpus_digest.digest(CORPUS[name](), tmp_path)
     assert len(first) == 64

@@ -23,7 +23,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
-from ccpforge.surgery import _locate_face, build_glued, glue, pierce
+from ccpforge.surgery import _axis, _locate_face, build_glued, glue, pierce
 
 from conftest import assert_same_planes, cube_data, random_rigid_motion
 from scalar_polygon import dist_point_segment
@@ -281,6 +281,22 @@ class TestDrill:
         assert calls == []
 
 
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+@pytest.mark.parametrize("delta", [1e-15, 1e-12])
+def test_axis_acceptance_does_not_depend_on_scale(factor, delta):
+    """An axis point delta * scale inside face 0 of p2-24, next to the
+    midpoint of its first side, is too close to the boundary to drill,
+    whatever the mesh's size: the bound scales with the mesh."""
+    p = gen_p2_24()
+    p = build_polyhedron(p.vertices * factor, p.faces, p.metadata)
+    a, b = p.vertices[list(p.faces[0][:2])]
+    mid = 0.5 * (a + b)
+    inward = p.geometry.centroid[0] - mid
+    point = mid + delta * p.geometry.scale * inward / np.linalg.norm(inward)
+    with pytest.raises(AxisObstructed, match="not interior to face1"):
+        drill(p, DrillSpec(0, 1, 12, point=tuple(point)))
+
+
 def glued_data(build, *args):
     """The glued data that build(*args) validates, with its explicit
     cells."""
@@ -374,7 +390,7 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     p = moved(gen_p2_24(), 5)
     spec = DrillSpec(0, 1, 12)
     data, geo = pierce(MeshData(p.vertices, p.faces, p.metadata),
-                       p.geometry, spec)
+                       p.geometry, spec, _axis(p.geometry, spec))
     verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
@@ -429,7 +445,7 @@ def test_pierce_returns_the_next_geometry():
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
     out, geo = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
-                      spec)
+                      spec, _axis(p.geometry, spec))
     n = p.n_faces - 2
     assert geo.vertices is out.vertices
     assert geo.fitted[:n].all() and not geo.fitted[n:].any()
@@ -544,8 +560,8 @@ def test_locate_face_matches_a_face_by_face_scan():
             q = geom_mod.project_2d(point[None, :], geo.centroid[f],
                                     geo.u[f], geo.v[f])[0]
             clear = dist_point_polygon_boundary(q, geo.polygons[f])
-            inside = geom_mod.interior_clearance(q, geo.polygons[f])
-            if inside is not None and clear > 1e-9 * geo.scale:
+            if geom_mod.winds_around(q, geo.polygons[f]) \
+                    and clear > 1e-9 * geo.scale:
                 return f, clear
         return None, 0.0
 
@@ -585,9 +601,11 @@ def _winding_loop(pt, poly):
 
 
 def test_point_location_is_the_loop_row_by_row():
-    """winds_around and dist_point_polygon_boundary, on one polygon or a
-    stack, give what the side-by-side loops give for each polygon, to the
-    bit, zero-length sides and points on the boundary included."""
+    """winds_around, dist_point_polygon_boundary and inside_clearance, on
+    one polygon or a stack, give what the side-by-side loops give for each
+    polygon, to the bit, zero-length sides and points on the boundary
+    included; inside_clearance is the distance where the loop winds, else
+    0.0."""
     rng = np.random.default_rng(12)
     for k in (3, 4, 7, 12):
         for scale in (1e-5, 1.0, 1e5):
@@ -599,6 +617,7 @@ def test_point_location_is_the_loop_row_by_row():
             pts[1::7] = 0.5 * (polys[1::7, 0] + polys[1::7, 1])  # on a side
             winds = geom_mod.winds_around(pts, polys)
             dists = dist_point_polygon_boundary(pts, polys)
+            stacked = []
             for pt, poly, w, d in zip(pts, polys, winds, dists):
                 want = min(dist_point_segment(pt, poly[i], poly[(i + 1) % k])
                            for i in range(k))
@@ -607,8 +626,12 @@ def test_point_location_is_the_loop_row_by_row():
                                       want)
                 assert w == geom_mod.winds_around(pt, poly) == \
                     _winding_loop(pt, poly)
-                inside = geom_mod.interior_clearance(pt, poly) is not None
-                assert inside == (want >= 1e-14 and _winding_loop(pt, poly))
+                inside = want if _winding_loop(pt, poly) else 0.0
+                assert np.array_equal(geom_mod.inside_clearance(pt, poly),
+                                      inside)
+                stacked.append(inside)
+            assert np.array_equal(geom_mod.inside_clearance(pts, polys),
+                                  stacked)
             # many points against one polygon, as retile_pierced_face asks
             one = dist_point_polygon_boundary(pts, polys[0])
             assert np.array_equal(one, [dist_point_polygon_boundary(

@@ -417,6 +417,24 @@ def test_directory_exit_2(tmp_path, capsys):
         _bad_input_exits_2(capsys, folder, tmp_path / "out.json")
 
 
+@pytest.mark.parametrize("cause", ["name_too_long", "permission"])
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, cause):
+    """An input path that cannot be read ends in BadFile: a name too long
+    for the file system, or a file the user may not read (faked, since a
+    root user reads any file)."""
+    stem = "m" * 5000 if cause == "name_too_long" else "tet"
+    if cause == "permission":
+        save_json(gen_tetrahedron(), tmp_path / "tet.json")
+        (tmp_path / "tet.obj").write_text(TET_OBJ)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "read_text", refuse)
+    for suffix in (".json", ".obj"):
+        _bad_input_exits_2(capsys, tmp_path / (stem + suffix),
+                           tmp_path / "out.json")
+
+
 def test_unwritable_output_exit_2(tmp_path, capsys):
     """generate, drill and export to a directory or into a missing folder
     end in BadFile and exit 2."""
