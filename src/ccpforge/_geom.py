@@ -39,6 +39,14 @@ def _succ(a: np.ndarray, axis: int = -2) -> np.ndarray:
     return np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2)
 
 
+def tolerance_scale(points: np.ndarray, axis=None):
+    """The scale of every length tolerance: the largest absolute coordinate
+    of `points`, at least 1, or 1 if one is NaN; with `axis`, one per row
+    taken over that axis, NaN for a row with a NaN."""
+    top = np.abs(points).max(axis=axis)
+    return max(1.0, float(top)) if axis is None else np.maximum(1.0, top)
+
+
 def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best-fit planes of (..., k, 3) point sets.
 
@@ -162,7 +170,7 @@ def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int
     twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                      in zip(pts, pts[1:] + pts[:1]))
     s = 1.0 if twice_area > 0 else -1.0
-    scale = max(1.0, float(np.abs(poly2d).max()))
+    scale = tolerance_scale(poly2d)
     area_eps = eps * scale * scale
     neps = -area_eps
     idx = list(range(k))

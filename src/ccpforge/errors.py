@@ -24,7 +24,7 @@ class NotRepresentable(CcpError):
 # ---- mesh construction / validation ----
 
 class IndexOutOfRange(CcpError):
-    """A face cycle references a vertex index outside the vertex array."""
+    """A vertex or face id that is not an integer index of its mesh."""
 
 
 class NonManifoldEdge(CcpError):
@@ -82,7 +82,7 @@ class NotInteger(CcpError):
 
 
 class BadOrder(CcpError):
-    """Prism order below three."""
+    """Prism order below 3 or drill count below 1, or either not an int."""
 
 
 class AxisObstructed(CcpError):

@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _geom
+from . import _geom, surgery
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
 from .mesh import (MeshData, MeshMetadata, Polyhedron, build_polyhedron,
-                   replace_meta)
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -33,6 +33,14 @@ def _orbit(base, m: int) -> list[np.ndarray]:
     return out
 
 
+def _orbit_id(base, m: int) -> Callable[[int, int], int]:
+    """The numbering of _orbit(base, m): vid(j, k) is the id of point j,
+    counted from 1, of turn k, taken mod m."""
+    def vid(j: int, k: int) -> int:
+        return len(base) * (k % m) + j - 1
+    return vid
+
+
 def _data(vertices, faces, *, family, genus, orientable, defect,
           labels=None) -> MeshData:
     """A construction's parts, not yet validated."""
@@ -46,8 +54,7 @@ def _build(data: MeshData) -> Polyhedron:
     """Validate a construction's parts; glued parts, which carry their
     edge cells, through build_glued."""
     if data.cells is not None:
-        from .surgery import build_glued
-        return build_glued(data)
+        return surgery.build_glued(data)
     return build_polyhedron(data.vertices, data.faces, data.metadata)
 
 
@@ -79,12 +86,9 @@ def gen_flat_torus9() -> Polyhedron:
             np.array([math.cos(math.pi / 8), math.sin(math.pi / 8), 0.5]),
             np.array([math.cos(math.pi / 4), math.sin(math.pi / 4), 1.0])]
     verts = _orbit(base, 3)
-    labels = {f"v{row+1},{k}" if k else f"v{row+1}": 3 * k + row
-              for k in range(3) for row in range(3)}
-
-    def vid(row, k):
-        return 3 * (k % 3) + (row - 1)
-
+    vid = _orbit_id(base, 3)
+    labels = {f"v{j},{k}" if k else f"v{j}": vid(j, k)
+              for k in range(3) for j in (1, 2, 3)}
     faces = []
     for k in range(3):
         k1 = k + 1
@@ -125,24 +129,16 @@ def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
 
     signs = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1)
              for sz in (1, -1)]
-
-    def sig_label(s):
-        return "".join("+" if x > 0 else "-" for x in s)
-
-    verts = []
-    labels = {}
-    index = {}
     base = {1: np.array([1.0, 1.0, 1.0]),
             2: np.array([1 - s3 * b, 1 - b, 1.0]),
             3: np.array([1 - s3 * c, 1 - c, 1 - 4 * s3 * c])}
-    for j in (1, 2, 3):
-        for s in signs:
-            index[(j, s)] = len(verts)
-            labels[f"v{j}{sig_label(s)}"] = len(verts)
-            verts.append(base[j] * np.array(s, float))
 
-    def v(j, sx, sy, sz):
-        return index[(j, (sx, sy, sz))]
+    def v(j, *s):       # point j of the base reflected by the signs s
+        return 8 * (j - 1) + signs.index(s)
+
+    verts = [base[j] * np.array(s, float) for j in base for s in signs]
+    labels = {f"v{j}" + "".join("+-"[x < 0] for x in s): v(j, *s)
+              for j in base for s in signs}
 
     faces = []
     for sz in (1, -1):
@@ -359,15 +355,13 @@ def _s_base() -> MeshData:
     h2 = math.sqrt(-4 * math.sin(math.pi / 18) ** 2
                    + 2 * math.sin(math.pi / 18) + 2)
     s = math.sqrt(9 / 4 - h2 * h2)
-    verts = _orbit([np.array([1.5 - s, 0.0, h2]),
-                    np.array([1.5, -math.sqrt(3) / 2, 0.0]),
-                    np.array([1.5, math.sqrt(3) / 2, 0.0])], 3)
-    labels = {f"v{j+1},{k}" if k else f"v{j+1}": 3 * k + j
-              for k in range(3) for j in range(3)}
-
-    def vid(j, k):
-        return 3 * (k % 3) + (j - 1)
-
+    base = [np.array([1.5 - s, 0.0, h2]),
+            np.array([1.5, -math.sqrt(3) / 2, 0.0]),
+            np.array([1.5, math.sqrt(3) / 2, 0.0])]
+    verts = _orbit(base, 3)
+    vid = _orbit_id(base, 3)
+    labels = {f"v{j},{k}" if k else f"v{j}": vid(j, k)
+              for k in range(3) for j in (1, 2, 3)}
     faces = [tuple(vid(j, k) for k in range(3) for j in (2, 3)),  # hexagon
              tuple(vid(1, k) for k in range(3))]                  # top
     for k in range(3):
@@ -381,10 +375,9 @@ def _s_base() -> MeshData:
 def gen_q2_9() -> Polyhedron:
     """Flat Klein bottle on 9 vertices: two copies of R(1/2, h) glued along
     their base triangles; every defect is zero."""
-    from .surgery import FaceCorrespondence, build_glued, glue
     block = _r_block(0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
-    out = build_glued(glue(block, [(block, FaceCorrespondence(
-        0, 0, mapping=(0, 2, 1)))]))
+    out = surgery.build_glued(surgery.glue(block, [(
+        block, surgery.FaceCorrespondence(0, 0, mapping=(0, 2, 1)))]))
     return out.with_metadata(family="q2-9", genus=2, orientable=False,
                              expected_defect=0.0)
 
@@ -397,13 +390,12 @@ def gen_q3_18() -> Polyhedron:
 
 def _q3_18() -> MeshData:
     """The glued parts of gen_q3_18(), for drilling."""
-    from .surgery import FaceCorrespondence, glue
     sp9 = math.sin(math.pi / 9)
     r = 2 * sp9 / (1 + 2 * sp9)
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
     block = _r_block(r, h).paired()
-    out = glue(_s_base(),
-               [(block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))] * 3)
+    out = surgery.glue(_s_base(), [(block, surgery.FaceCorrespondence(
+        2, 0, mapping=(0, 2, 1)))] * 3)
     return _relabel(out, family="q3-18", genus=3, orientable=False,
                     expected_defect=-math.pi / 9)
 
@@ -416,10 +408,9 @@ def _drilled(base: MeshData, faces: tuple[int, int], n: int,
              k: int) -> Polyhedron:
     """The raw base built, or drilled k times with n-gonal prisms between
     two of its faces, its highest and lowest ones normal to the z-axis."""
-    from .surgery import DrillSpec, drill_repeat
     if k == 0:
         return _build(base)
-    return drill_repeat(base, DrillSpec(*faces, n), k)
+    return surgery.drill_repeat(base, surgery.DrillSpec(*faces, n), k)
 
 
 def gen_orientable(g: int) -> Polyhedron:
@@ -469,10 +460,9 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
         out = _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2)
     else:
         out = _drilled(_cubohemioctahedron(), (4, 5), 6, (g - 4) // 2)
-    chi = out.n_vertices - out.n_edges + out.n_faces
-    return out.with_metadata(family="nonorientable", genus=g,
-                             orientable=False,
-                             expected_defect=TAU * chi / out.n_vertices)
+    return out.with_metadata(
+        family="nonorientable", genus=g, orientable=False,
+        expected_defect=TAU * euler_characteristic(out) / out.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +495,7 @@ def gen_v8g(g: int) -> Polyhedron:
     base = base6[:4] + [base6[4], base6[5],
                         np.array([cot, 1.0, 1.0]), np.array([cot, 1.0, -1.0])]
     verts = _orbit(base, g)
-
-    def v(j, k):
-        return 8 * (k % g) + (j - 1)
-
+    v = _orbit_id(base, g)
     faces = [tuple(x for k in range(g) for x in (v(1, k), v(3, k), v(7, k))),
              tuple(x for k in range(g) for x in (v(2, k), v(4, k), v(8, k)))]
     for k in range(g):
@@ -531,10 +518,7 @@ def gen_v6g(g: int) -> Polyhedron:
     cot = 1.0 / math.tan(math.pi / g)
     base = _window_prism_vertices(cot, a, 1.0)
     verts = _orbit(base, g)
-
-    def v(j, k):
-        return 6 * (k % g) + (j - 1)
-
+    v = _orbit_id(base, g)
     faces = [tuple(x for k in range(g) for x in (v(1, k), v(3, k))),
              tuple(x for k in range(g) for x in (v(2, k), v(4, k)))]
     for k in range(g):
@@ -571,10 +555,7 @@ def _v7gm7_mesh(g: int, w: float, x0: float, y0: float) -> Polyhedron:
         np.array([cot - w - x0, 0.0, 0.0]),         # v7
     ]
     verts = _orbit(base, m)
-
-    def v(j, k):
-        return 7 * (k % m) + (j - 1)
-
+    v = _orbit_id(base, m)
     faces = []
     for k in range(m):
         faces.append((v(1, k), v(2, k), v(2, k + 1), v(1, k + 1)))   # pane
@@ -636,38 +617,31 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     if g <= 11:
         return _build(_n5g_odd(g))
     out = _drilled(_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
-    chi = out.n_vertices - out.n_edges + out.n_faces
-    return out.with_metadata(family="n5g", genus=g, orientable=False,
-                             expected_defect=TAU * chi / out.n_vertices)
+    return out.with_metadata(
+        family="n5g", genus=g, orientable=False,
+        expected_defect=TAU * euler_characteristic(out) / out.n_vertices)
 
 
 def _n5g_odd(g: int) -> MeshData:
     """The glued parts of gen_n5g_odd(g) for g up to 11, for drilling."""
-    from .surgery import FaceCorrespondence, glue
     a, h2, r = _n5g_params(g)
     t = math.tan(5 * a / 4)
     s = math.sqrt(9 / 4 - h2 * h2)
     rho_top = math.sqrt(3) / 2 * t - s
-    verts = _orbit([np.array([rho_top, 0.0, h2]),                # v1
-                    np.array([math.sqrt(3) / 2 * t,
-                              -math.sqrt(3) / 2, 0.0])], g)      # v2
-
-    def v1(k):
-        return 2 * (k % g)
-
-    def v2(k):
-        return 2 * (k % g) + 1
-
-    faces = [tuple(v1(k) for k in range(g)),      # top g-gon
-             tuple(v2(k) for k in range(g))]      # base g-gon
+    base = [np.array([rho_top, 0.0, h2]),                            # v1
+            np.array([math.sqrt(3) / 2 * t, -math.sqrt(3) / 2, 0.0])]  # v2
+    verts = _orbit(base, g)
+    v = _orbit_id(base, g)
+    faces = [tuple(v(1, k) for k in range(g)),        # top g-gon
+             tuple(v(2, k) for k in range(g))]        # base g-gon
     for k in range(g):
-        faces.append((v1(k), v2(k), v2(k + 1)))   # gluing triangles
+        faces.append((v(1, k), v(2, k), v(2, k + 1)))     # gluing triangles
     for k in range(g):
-        faces.append((v1(k), v2(k + 1), v1(k + 1)))
+        faces.append((v(1, k), v(2, k + 1), v(1, k + 1)))
     drum = MeshData(np.array(verts), faces, MeshMetadata(family="n5g-drum"))
     block = _r_block(r, 1.0).paired()
-    out = glue(drum,
-               [(block, FaceCorrespondence(2, 0, mapping=(0, 2, 1)))] * g)
+    out = surgery.glue(drum, [(block, surgery.FaceCorrespondence(
+        2, 0, mapping=(0, 2, 1)))] * g)
     return _relabel(out, family="n5g", genus=g, orientable=False,
                     expected_defect=-a)
 
@@ -824,7 +798,6 @@ def _chain_half(params: list[tuple[float, float]]):
     """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain,
     in one glue call.  Returns (parts, giving face id, giving cycle vertex
     ids)."""
-    from .surgery import FaceCorrespondence, glue
     first = _t_block(*params[0]).paired()
     cells = first.cells          # every T-block pairs its sides alike
     give_face = 2
@@ -846,10 +819,10 @@ def _chain_half(params: list[tuple[float, float]]):
             mapping = _MAP_B
             face2 = 1
             give_cycle = (n_verts, h[1], h[2], n_verts + 1)
-        steps.append((block, FaceCorrespondence(give_face, face2,
-                                                mapping=mapping)))
+        steps.append((block, surgery.FaceCorrespondence(
+            give_face, face2, mapping=mapping)))
         give_face = n_faces
-    return glue(first, steps), give_face, give_cycle
+    return surgery.glue(first, steps), give_face, give_cycle
 
 
 # From g = 46 the T(l, d) widths outgrow the unit block height so far that
@@ -862,7 +835,6 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
     side rectangles, with a terminal centre block for odd genus.  The
     blocks are glued as data and the finished chain validated once."""
-    from .surgery import FaceCorrespondence, build_glued, glue
     if not 1 <= g <= MINIMAL_MAX_GENUS:
         raise GenusOutOfRange(
             f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
@@ -877,8 +849,8 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
         mapping = (gc[1], gc[0], gc[3], gc[2])
-        out = build_glued(glue(mesh, [(mesh, FaceCorrespondence(
-            gf, gf, mapping=mapping))]))
+        out = surgery.build_glued(surgery.glue(mesh, [(
+            mesh, surgery.FaceCorrespondence(gf, gf, mapping=mapping))]))
     else:
         m = len(params.pairs)
         half, gf, _ = _chain_half(list(params.pairs))
@@ -887,16 +859,17 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
         # the centre receives each half on one of its two long rectangles,
         # taking the halves' still-free top/bottom vertices at v4 and v1
         mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
-        mesh = glue(half, [(centre, FaceCorrespondence(gf, 0,
-                                                       mapping=mapping))])
+        mesh = surgery.glue(half, [(centre, surgery.FaceCorrespondence(
+            gf, 0, mapping=mapping))])
         rb_face = len(half.faces) - 1    # centre block's rect B in the result
         h2 = half.faces[gf]
         if m % 2 == 0 and m >= 2:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = build_glued(glue(mesh, [(half, FaceCorrespondence(
-            rb_face, gf, mapping=mapping2))]))
+        out = surgery.build_glued(surgery.glue(mesh, [(
+            half, surgery.FaceCorrespondence(rb_face, gf,
+                                             mapping=mapping2))]))
     return out.with_metadata(family="minimal", genus=g, orientable=True,
                              expected_defect=defect)
 

@@ -277,6 +277,24 @@ class MeshGeometry:
                 a.setflags(write=False)
         return self
 
+    def inside_clearance(self, faces: np.ndarray, points: np.ndarray
+                         ) -> np.ndarray:
+        """Per (n, 3) point, _geom.inside_clearance of its projection into
+        the (u, v) frame of the face of `faces` (n,) at its place: 0 outside
+        the face.  Fits the faces; those of one length are measured in one
+        stack, in which a point gets the bits it gets alone."""
+        self.fit(faces)
+        out = np.zeros(len(faces))
+        sizes = self.face_size[faces]
+        for k in np.flatnonzero(np.bincount(sizes)):
+            rows = np.flatnonzero(sizes == k)
+            f = faces[rows]
+            q = _geom.project_2d(points[rows, None], self.centroid[f],
+                                 self.u[f], self.v[f])[:, 0]
+            out[rows] = _geom.inside_clearance(
+                q, self.uv[self.face_start[f, None] + np.arange(k)])
+        return out
+
     def carry(self, dropped: list[int], vertices: np.ndarray,
               new: _Corners) -> "MeshGeometry":
         """The geometry of a mesh on `vertices` (this mesh's first, at the
@@ -316,7 +334,7 @@ class MeshGeometry:
     def scale(self) -> float:
         """The mesh's tolerance scale: its largest absolute coordinate, at
         least 1."""
-        return max(1.0, float(np.abs(self.vertices).max()))
+        return _geom.tolerance_scale(self.vertices)
 
     @cached_property
     def triangulation(self) -> Triangulation:

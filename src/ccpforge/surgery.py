@@ -4,6 +4,8 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -19,6 +21,21 @@ from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
                    replace_meta)
 
 TAU = 2.0 * math.pi
+
+
+def _integer(x, what: str, error: type[Exception]) -> int:
+    """x as an int by operator.index (numpy integers pass), else error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _check_face(f, n_faces: int) -> None:
+    """IndexOutOfRange unless f is an integer face id of n_faces faces."""
+    if not 0 <= _integer(f, "face", IndexOutOfRange) < n_faces:
+        raise IndexOutOfRange(
+            f"face {f} out of range: the mesh has {n_faces} faces")
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +84,8 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
         return mapping
 
     # the larger of the two meshes' tolerance scales (MeshGeometry.scale)
-    tol = LENGTH_TOL * max(1.0, float(np.abs(p1.vertices).max()),
-                           float(np.abs(p2.vertices).max())) * 10
+    tol = LENGTH_TOL * max(_geom.tolerance_scale(p1.vertices),
+                           _geom.tolerance_scale(p2.vertices)) * 10
     len1 = _cycle_lengths(p1.vertices[list(c1)])
     found = []
     for cand in _alignments(c2):
@@ -102,11 +119,12 @@ def glue(first: Polyhedron | MeshData,
     one at a time, each onto the result of the one before.  Any mesh may
     be a validated mesh or raw MeshData, such as an earlier glue's result,
     so a chain of sums is validated once, by build_glued at its end.  The
-    glue checks only that the two faces of a step are congruent
-    (NotIsometric beyond the rigid-fit residual); they never reach a
-    result.  Each step lowers chi by 2.  The edge-cell pairing is carried
-    through explicitly, so segments of two pieces that come to share both
-    endpoints remain distinct 1-cells.
+    glue checks only that a step's two face ids are faces of their meshes
+    (IndexOutOfRange) and that the two faces are congruent (NotIsometric
+    beyond the rigid-fit residual); they never reach a result.  Each step
+    lowers chi by 2.  The edge-cell pairing is carried through explicitly,
+    so segments of two pieces that come to share both endpoints remain
+    distinct 1-cells.
 
     The faces sit in one list, each with a stable id, from which a step
     deletes its face1 and to which it appends its piece's faces.  The
@@ -137,6 +155,8 @@ def glue(first: Polyhedron | MeshData,
     provenance = []
     for piece, corr in steps:
         b = _parts(piece)
+        _check_face(corr.face1, len(faces))
+        _check_face(corr.face2, len(b.faces))
         mapping = resolve_correspondence(
             MeshData(verts[:n], faces, a.metadata), b, corr)
         c1 = faces[corr.face1]
@@ -144,9 +164,8 @@ def glue(first: Polyhedron | MeshData,
         src = b.vertices[list(mapping)]
         dst = verts[list(c1)]
         rot, tr = _geom.kabsch(src, dst)
-        scale = max(1.0, float(np.abs(dst).max()))
         resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
-        if resid > 1e-9 * scale:
+        if resid > 1e-9 * _geom.tolerance_scale(dst):
             raise NotIsometric(
                 f"cycles are not congruent (rigid-fit residual {resid:.2e})")
 
@@ -158,8 +177,6 @@ def glue(first: Polyhedron | MeshData,
                              & live[:top // 2].repeat(2))
         row1 = np.full(k, -1, dtype=np.intp)
         row1[half[at1, 1]] = at1
-        if (row1 < 0).any():
-            raise NotIsometric("seam pairing incomplete")
         cyc2 = b.faces[corr.face2]
         seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
                     for i in range(k)}
@@ -169,7 +186,7 @@ def glue(first: Polyhedron | MeshData,
         at2 = np.flatnonzero(piece_halves[:, 0] == n_ids + corr.face2)
         beyond2 = np.full((k, 2), -1, dtype=np.intp)
         beyond2[pos2[piece_halves[at2, 1]]] = piece_halves[at2 ^ 1]
-        if (beyond2 < 0).any():
+        if (row1 < 0).any() or (beyond2 < 0).any():
             raise NotIsometric("seam pairing incomplete")
 
         # b's vertices: the seam ones become face1's, the rest are appended
@@ -301,7 +318,7 @@ def _retile_stack(outer: np.ndarray, hole: np.ndarray
     """_retile of an (m, ko, 3) stack of outer cycles and an (m, kh, 3)
     stack of holes."""
     c, n, resid = _geom.plane_fit(np.concatenate([outer, hole], axis=1))
-    scale = np.maximum(1.0, np.abs(outer).max(axis=(1, 2)))
+    scale = _geom.tolerance_scale(outer, axis=(1, 2))
     u, v = _geom.plane_basis(n)
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
@@ -384,11 +401,8 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
         # exact partitions tile the annulus; any overlap inflates the sum
         return abs(total - annulus_area) < 1e-9 * scale * scale
 
-    if ko == kh:
-        faces_local = spoke_quads()
-        if not valid(faces_local):
-            faces_local = sweep_triangles()
-    else:
+    faces_local = spoke_quads() if ko == kh else None
+    if faces_local is None or not valid(faces_local):
         faces_local = sweep_triangles()
     if not valid(faces_local):
         raise SelfCrossingPartition("degenerate sub-face in retiling")
@@ -408,11 +422,8 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, numbers
     (not finite, or a radius that is not positive) or order, a face
     pierced twice, and a mesh with doubled segments."""
-    n_faces = len(geo.face_size)
     for f in (spec.face1, spec.face2):
-        if not 0 <= f < n_faces:
-            raise IndexOutOfRange(
-                f"face {f} out of range: the mesh has {n_faces} faces")
+        _check_face(f, len(geo.face_size))
     numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
         + ([] if spec.point is None else list(spec.point))
     if not np.isfinite(np.asarray(numbers, dtype=float)).all():
@@ -421,7 +432,7 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
             f"radius {spec.radius}, point {spec.point}")
     if spec.radius is not None and spec.radius <= 0:
         raise BadParameters(f"prism radius {spec.radius} must be positive")
-    if spec.n < 3:
+    if _integer(spec.n, "prism order", BadOrder) < 3:
         raise BadOrder(f"prism order {spec.n} < 3")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
@@ -435,29 +446,23 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     exit clearances in the pierced faces; it must join the interiors of
     two parallel faces apart (AxisObstructed)."""
     f1, f2 = spec.face1, spec.face2
-    geo.fit(np.array([f1, f2]))
+    faces = np.array([f1, f2])
+    geo.fit(faces)
     c1, c2, n2 = geo.centroid[f1], geo.centroid[f2], geo.normal[f2]
     if abs(abs(float(geo.normal[f1] @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
-    d1 = _clearance(geo, f1, p1pt)
+    # the exit point: the entry point projected onto face2's plane
+    depth = float((p1pt - c2) @ n2)
+    d1, d2 = geo.inside_clearance(
+        faces, np.array([p1pt, p1pt - depth * n2])).tolist()
     if not d1 > AXIS_CLEARANCE * geo.scale:
         raise AxisObstructed("axis point is not interior to face1")
-    # orthogonal projection onto face2's plane
-    depth = float((p1pt - c2) @ n2)
     if abs(depth) < 1e-9 * geo.scale:
         raise AxisObstructed("pierced faces are coplanar")
-    d2 = _clearance(geo, f2, p1pt - depth * n2)
     if not d2 > AXIS_CLEARANCE * geo.scale:
         raise AxisObstructed("axis exit point is not interior to face2")
     return p1pt, depth, d1, d2
-
-
-def _clearance(geo: MeshGeometry, f: int, pt: np.ndarray) -> float:
-    """How far a point of face f's plane lies inside the face."""
-    q = _geom.project_2d(pt[None, :], geo.centroid[f], geo.u[f], geo.v[f])[0]
-    return float(_geom.inside_clearance(
-        q, geo.uv[geo.face_start[f] + np.arange(geo.face_size[f])]))
 
 
 def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
@@ -499,12 +504,9 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
                       for i in sub)
                 for sub in local]
         faces.extend(part)
-        count: dict[tuple[int, int], int] = {}
-        for sub in part:
-            for t in range(len(sub)):
-                u, w = sub[t], sub[(t + 1) % len(sub)]
-                key = (u, w) if u < w else (w, u)
-                count[key] = count.get(key, 0) + 1
+        # the sides two pieces share
+        count = Counter((min(u, w), max(u, w)) for sub in part
+                        for u, w in zip(sub, sub[1:] + sub[:1]))
         seams.update(k for k, c in count.items() if c == 2)
     for j in range(spec.n):
         k = (j + 1) % spec.n
@@ -549,7 +551,7 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     Each step pierces with the geometry the step before returned, so only
     new pieces are laid out and fitted.
     """
-    if k < 1:
+    if _integer(k, "k", BadOrder) < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec)
@@ -598,23 +600,14 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
     normal . x = height that holds the point inside (_axis's bound), plus
     the point's clearance to that face's boundary; (None, 0.0) where no
     face does.  A face is in the plane when its corners all lie near it.
-    Both planes' candidates are selected in one pass and fitted in one
-    call, and those of one length are tested together."""
+    Both planes' candidates are selected in one pass and measured in one
+    MeshGeometry.inside_clearance call."""
     scale = geo.scale
     along = geo.vertices[geo.corner_vertex] @ normal
     which, faces = np.nonzero(np.maximum.reduceat(
         np.abs(along - np.asarray(heights)[:, None]), geo.face_start,
         axis=1) <= 1e-7 * scale)
-    geo.fit(faces)
-    clearance = np.zeros(len(faces))
-    sizes = geo.face_size[faces]
-    for k in np.flatnonzero(np.bincount(sizes)):
-        rows = np.flatnonzero(sizes == k)
-        f = faces[rows]
-        q = _geom.project_2d(points[which[rows], None], geo.centroid[f],
-                             geo.u[f], geo.v[f])[:, 0]
-        poly = geo.uv[geo.face_start[f, None] + np.arange(k)]
-        clearance[rows] = _geom.inside_clearance(q, poly)
+    clearance = geo.inside_clearance(faces, points[which])
     hit = clearance > AXIS_CLEARANCE * scale
     out: list[tuple[int | None, float]] = []
     for i in range(len(heights)):

@@ -3,34 +3,39 @@ bit for bit:
 
     python3 tests/corpus_digest.py > digest.txt
     python3 tests/corpus_digest.py --against ../other-checkout
+    python3 tests/corpus_digest.py --against-rev HEAD~
 
-Run it in both checkouts and diff the outputs, or let --against DIR run
-the digest of checkout DIR in a subprocess and compare: it prints the
-names whose digests differ or that only one side has, and exits 0 when
-the two match and 1 otherwise.  Each digest covers the
-mesh's vertex bytes, faces, edge_slots, seams, provenance, defect bytes,
-triangulation, saved JSON and STL bytes, verify().to_dict() and the bytes
-of the witness points.  The corpus is SMALL_GENERA, the meshes of the
-three benchmark workloads (p2-sweep drawn from seed 1), minimal
-g = 1..45, the drilled meshes (n5g odd g = 3..19, orientable g = 3..12,
-nonorientable g = 3..15 by both routes), three larger meshes whose scans
-hold many coplanar triangle pairs (orientable g = 30, nonorientable
-g = 31, v8g g = 40), drill_repeat of p2-24, q3-18 and the
-cubohemioctahedron with k = 2, 3, of p2-24 with k = 6 and an explicit
-point, radius and phase, and of n5g g = 7 with k = 4, whose first offset
-direction fails.  pytest does not collect this file;
-tests/test_corpus_digest.py checks that it imports and digests a few
-meshes repeatably.
+Run it in both checkouts and diff the outputs, or let --against DIR
+run the digest of checkout DIR in a subprocess and compare: it prints
+the names whose digests differ or that only one side has, and exits 0
+when the two match and 1 otherwise.  --against-rev REV does the same
+with the files of git revision REV of this repository, extracted by
+`git archive` into a temporary directory that is removed afterwards.
+Each digest covers the mesh's vertex bytes, faces, edge_slots, seams,
+provenance, defect bytes, triangulation, saved JSON and STL bytes,
+verify().to_dict() and the bytes of the witness points.  The corpus
+is SMALL_GENERA, the meshes of the three benchmark workloads
+(p2-sweep drawn from seed 1), minimal g = 1..45, the drilled meshes
+(n5g odd g = 3..19, orientable g = 3..12, nonorientable g = 3..15 by
+both routes), three larger meshes whose scans hold many coplanar
+triangle pairs (orientable g = 30, nonorientable g = 31, v8g g = 40),
+drill_repeat of p2-24, q3-18 and the cubohemioctahedron with k = 2,
+3, of p2-24 with k = 6 and an explicit point, radius and phase, and
+of n5g g = 7 with k = 4, whose first offset direction fails.  pytest
+does not collect this file; tests/test_corpus_digest.py checks that
+it imports and digests a few meshes repeatably.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -112,38 +117,67 @@ def digests():
             yield name, digest(build(), Path(tmp))
 
 
-def compare(other: Path) -> int:
+def compare(other: Path, name: str | None = None) -> int:
     """Print the names whose digests differ here and in checkout `other`,
-    or that only one side has; 0 when none do, else 1."""
+    called `name` in the report (its path when None), or that only one
+    side has; 0 when none do, else 1."""
+    name = name or str(other)
     run = subprocess.run([sys.executable,
                           str(other / "tests" / "corpus_digest.py")],
                          capture_output=True, text=True)
     if run.returncode:
-        print(f"the digest of {other} failed:\n{run.stderr}",
+        print(f"the digest of {name} failed:\n{run.stderr}",
               file=sys.stderr)
         return 1
     theirs = dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
     ours = dict(digests())
-    report = [f"differs: {name}" for name in ours
-              if name in theirs and ours[name] != theirs[name]]
-    report += [f"only here: {name}" for name in ours if name not in theirs]
-    report += [f"only in {other}: {name}" for name in theirs
-               if name not in ours]
+    report = [f"differs: {mesh}" for mesh in ours
+              if mesh in theirs and ours[mesh] != theirs[mesh]]
+    report += [f"only here: {mesh}" for mesh in ours if mesh not in theirs]
+    report += [f"only in {name}: {mesh}" for mesh in theirs
+               if mesh not in ours]
     for line in report:
         print(line)
-    same = sum(ours[name] == theirs.get(name) for name in ours)
-    print(f"{same} of {len(ours)} digests match {other}'s "
+    same = sum(ours[mesh] == theirs.get(mesh) for mesh in ours)
+    print(f"{same} of {len(ours)} digests match {name}'s "
           f"({len(theirs)} there)")
     return 1 if report else 0
 
 
+def extract(rev: str, dest: Path) -> None:
+    """The files of git revision `rev` of this repository, written under
+    `dest` (CalledProcessError if git cannot archive it)."""
+    data = subprocess.run(["git", "-C", str(HERE.parent), "archive",
+                           "--format=zip", rev],
+                          capture_output=True, check=True).stdout
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        archive.extractall(dest)
+
+
+def compare_rev(rev: str) -> int:
+    """compare() against revision `rev`, extracted for the run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            extract(rev, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            print(f"git archive {rev} failed:\n{exc.stderr.decode()}",
+                  file=sys.stderr)
+            return 1
+        return compare(Path(tmp), f"revision {rev}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="DIR", type=Path,
-                        help="compare with the digest of checkout DIR")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--against", metavar="DIR", type=Path,
+                       help="compare with the digest of checkout DIR")
+    group.add_argument("--against-rev", metavar="REV",
+                       help="compare with the digest of git revision REV")
     args = parser.parse_args(argv)
     if args.against is not None:
         return compare(args.against)
+    if args.against_rev is not None:
+        return compare_rev(args.against_rev)
     for name, value in digests():
         print(name, value, flush=True)
     return 0

@@ -19,8 +19,8 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
 from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, BadParameters, CcpError, FlatSeam,
-                             HoleNotInside, NonNegativeChi, NotInteger,
-                             NotIsometric)
+                             HoleNotInside, IndexOutOfRange, NonNegativeChi,
+                             NotInteger, NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _axis, _locate_face, build_glued, glue, pierce
@@ -78,6 +78,31 @@ class TestConnectSum:
             [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
         with pytest.raises(NotIsometric):
             connect_sum(gen_tetrahedron(), big, FaceCorrespondence(0, 0))
+
+    @pytest.mark.parametrize("corr,error", [
+        (FaceCorrespondence(7, 0), "face 7 out of range"),
+        (FaceCorrespondence(0, 9), "face 9 out of range"),
+        (FaceCorrespondence(-1, 0, mapping=(0, 2, 1)), "face -1 out of range"),
+        (FaceCorrespondence(-4, -4, mapping=(0, 2, 1)),
+         "face -4 out of range"),
+        (FaceCorrespondence(0.0, 0, mapping=(0, 2, 1)),
+         "face 0.0 is not an integer"),
+    ], ids=["face1-beyond", "face2-beyond", "face1-negative",
+            "both-negative", "not-an-integer"])
+    def test_face_ids_off_the_mesh(self, corr, error):
+        """A face id that is not a face of its mesh raises IndexOutOfRange
+        with drill's message, before any correspondence is sought; a
+        negative id is not read from the end of the face list."""
+        t = gen_tetrahedron()
+        with pytest.raises(IndexOutOfRange, match=error):
+            connect_sum(t, t, corr)
+
+    def test_chain_face_ids_count_the_faces_glued_so_far(self):
+        t = gen_tetrahedron()
+        with pytest.raises(IndexOutOfRange,
+                           match="face 6 out of range: the mesh has 6 faces"):
+            glue(t, [(t, FaceCorrespondence(0, 0, mapping=(0, 2, 1))),
+                     (t, FaceCorrespondence(6, 0))])
 
     def test_flat_seam(self):
         verts, faces = cube_data()
@@ -199,6 +224,32 @@ class TestDrill:
     def test_bad_order(self, cube):
         with pytest.raises(BadOrder):
             drill(cube, DrillSpec(1, 0, 2))
+
+    @pytest.mark.parametrize("spec,k,kind,error", [
+        (DrillSpec(0, 1, 12.5), 1, BadOrder,
+         "prism order 12.5 is not an integer"),
+        (DrillSpec(0, 1, 12.0), 2, BadOrder,
+         "prism order 12.0 is not an integer"),
+        (DrillSpec(0, 1, 12), 2.5, BadOrder, "k 2.5 is not an integer"),
+        (DrillSpec(0.0, 1, 12), 1, IndexOutOfRange,
+         "face 0.0 is not an integer"),
+        (DrillSpec(0, 1.0, 12), 2, IndexOutOfRange,
+         "face 1.0 is not an integer"),
+    ], ids=["order-fraction", "order-float", "k-fraction", "face1-float",
+            "face2-float"])
+    def test_numbers_that_are_not_integers(self, spec, k, kind, error):
+        with pytest.raises(kind, match=error):
+            drill_repeat(gen_p2_24(), spec, k)
+        if k == 1:
+            with pytest.raises(kind, match=error):
+                drill(gen_p2_24(), spec)
+
+    def test_numpy_integers_drill_as_ints(self):
+        p = gen_p2_24()
+        out = drill_repeat(p, DrillSpec(*np.array([0, 1, 12])), np.int64(2))
+        want = drill_repeat(p, DrillSpec(0, 1, 12), 2)
+        assert np.array_equal(out.vertices, want.vertices)
+        assert out.faces == want.faces
 
     def test_nonparallel_faces(self, cube):
         with pytest.raises(AxisObstructed):
@@ -586,6 +637,73 @@ def test_locate_face_matches_a_face_by_face_scan():
                             normal0) == want
         located.update(f is None for f, _ in want)
     assert located == {True, False}
+
+
+def test_inside_clearance_is_the_face_by_face_loop():
+    """MeshGeometry.inside_clearance of a raw geometry, on faces of three
+    lengths in one call, gives per point what one face's projection and
+    the side-by-side loops give: the distance where the face winds around
+    the point, else 0.0, which points outside and on the boundary get.
+    It fits the faces it is asked about and no others."""
+    data = generators_mod._p2_24()
+    _, geo = surgery_mod._raw(data)
+    faces = np.array([0, 2, 3, 6, 1, 9, 0, 2, 14, 3, 6])
+    assert sorted(set(geo.face_size[faces].tolist())) == [4, 6, 8]
+    pts = []
+    rng = np.random.default_rng(27)
+    for i, f in enumerate(faces.tolist()):
+        cyc = data.vertices[list(data.faces[f])]
+        a, b = cyc[i % len(cyc)], cyc[(i + 1) % len(cyc)]
+        pts += [cyc.mean(axis=0) + 0.05 * rng.normal() * (b - a),  # inside
+                a + 3.0 * (a - cyc.mean(axis=0)),                  # outside
+                a, 0.5 * (a + b)]                                  # boundary
+    faces, pts = faces.repeat(4), np.array(pts)
+    got = geo.inside_clearance(faces, pts)
+    assert np.flatnonzero(geo.fitted).tolist() == \
+        sorted(set(faces.tolist()))
+    want = []
+    for f, pt in zip(faces.tolist(), pts):
+        q = geom_mod.project_2d(pt[None], geo.centroid[f], geo.u[f],
+                                geo.v[f])[0]
+        poly = geo.polygons[f]
+        k = len(poly)
+        dist = min(dist_point_segment(q, poly[i], poly[(i + 1) % k])
+                   for i in range(k))
+        want.append(dist if _winding_loop(q, poly) else 0.0)
+    assert np.array_equal(got, want)
+    assert (got[0::4] > 0).all() and not got[1::4].any()
+    # a point on the boundary may round a hair inside
+    assert (got[2::4] < 1e-15).all() and (got[3::4] < 1e-15).all()
+
+
+def test_axis_and_locate_face_return_the_query_bits():
+    """_axis's entry and exit clearances and each face _locate_face finds
+    come with the bits MeshGeometry.inside_clearance gives for that face
+    and point."""
+    p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 2)
+    geo = p.geometry
+    normal = gen_p2_24().geometry.normal[0]
+    tried = 0
+    for f1 in range(p.n_faces):
+        if abs(abs(geo.normal[f1] @ normal) - 1.0) > 1e-9 \
+                or geo.centroid[f1] @ normal < 0.5:
+            continue
+        f2 = next(f for f in range(p.n_faces)
+                  if np.allclose(geo.centroid[f][:2], geo.centroid[f1][:2])
+                  and geo.centroid[f] @ normal < -0.5)
+        spec = DrillSpec(f1, f2, 12)
+        point, depth, d1, d2 = _axis(geo, spec)
+        want = geo.inside_clearance(np.array([f1, f2]), np.array(
+            [point, point - depth * geo.normal[f2]]))
+        assert np.array_equal([d1, d2], want)
+        exit_pt = point - depth * geo.normal[f2]
+        heights = [float(normal @ point), float(normal @ exit_pt)]
+        located = _locate_face(geo, np.array([point, exit_pt]), heights,
+                               normal)
+        assert [f for f, _ in located] == [f1, f2]
+        assert np.array_equal([c for _, c in located], want)
+        tried += 1
+    assert tried == 34      # the triangles that retile the top face
 
 
 def _winding_loop(pt, poly):
