@@ -93,12 +93,13 @@ def polygon_area_2d(p: np.ndarray) -> np.ndarray:
     return 0.5 * (dot(x, _succ(y, -1)) - dot(y, _succ(x, -1)))
 
 
-def polygon_is_simple(p: np.ndarray, eps=1e-12) -> bool:
-    """Check that no two non-adjacent edges of the 2D cycle cross
-    properly: each endpoint of one lies more than eps to a strict side of
-    the other's line.  The loop runs on Python floats, which round each
-    orientation product exactly as numpy scalars do."""
-    pts = p.tolist()
+def polygon_is_simple(p: np.ndarray | list, eps=1e-12) -> bool:
+    """Check that no two non-adjacent edges of the 2D cycle, a (k, 2)
+    array or a list of k pairs, cross properly: each endpoint of one lies
+    more than eps to a strict side of the other's line.  The loop runs on
+    Python floats, which round each orientation product exactly as numpy
+    scalars do."""
+    pts = p if isinstance(p, list) else p.tolist()
     k = len(pts)
     neps = -eps
     # per side: its two ends and its direction
@@ -155,10 +156,13 @@ def inside_clearance(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
                     dist_point_polygon_boundary(pt, poly), 0.0)
 
 
-def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int]]:
-    """Triangulate a simple 2D polygon (reflex vertices allowed) by ear
-    clipping.  Returns index triples into the input cycle.  The loops run
-    on Python floats, which round each corner and containment product
+def ear_clip(poly2d: np.ndarray | list, eps: float = 1e-12,
+             scale: float | None = None) -> list[tuple[int, int, int]]:
+    """Triangulate a simple 2D polygon (reflex vertices allowed), a (k, 2)
+    array or a list of k pairs, by ear clipping.  Returns index triples
+    into the input cycle.  The area tolerance is eps times the square of
+    `scale`, the polygon's tolerance_scale when None.  The loops run on
+    Python floats, which round each corner and containment product
     exactly as numpy scalars do; the orientation is the sign of the
     shoelace sum."""
     k = len(poly2d)
@@ -166,11 +170,12 @@ def ear_clip(poly2d: np.ndarray, eps: float = 1e-12) -> list[tuple[int, int, int
         raise DegenerateFace("polygon with fewer than 3 vertices")
     if k == 3:
         return [(0, 1, 2)]
-    pts = poly2d.tolist()
+    pts = poly2d if isinstance(poly2d, list) else poly2d.tolist()
     twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                      in zip(pts, pts[1:] + pts[:1]))
     s = 1.0 if twice_area > 0 else -1.0
-    scale = tolerance_scale(poly2d)
+    if scale is None:
+        scale = tolerance_scale(poly2d)
     area_eps = eps * scale * scale
     neps = -area_eps
     idx = list(range(k))

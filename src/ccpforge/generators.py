@@ -129,16 +129,19 @@ def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
 
     signs = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1)
              for sz in (1, -1)]
-    base = {1: np.array([1.0, 1.0, 1.0]),
-            2: np.array([1 - s3 * b, 1 - b, 1.0]),
-            3: np.array([1 - s3 * c, 1 - c, 1 - 4 * s3 * c])}
+    sign_id = {s: i for i, s in enumerate(signs)}
+    base = np.array([[1.0, 1.0, 1.0],
+                     [1 - s3 * b, 1 - b, 1.0],
+                     [1 - s3 * c, 1 - c, 1 - 4 * s3 * c]])
 
     def v(j, *s):       # point j of the base reflected by the signs s
-        return 8 * (j - 1) + signs.index(s)
+        return 8 * (j - 1) + sign_id[s]
 
-    verts = [base[j] * np.array(s, float) for j in base for s in signs]
-    labels = {f"v{j}" + "".join("+-"[x < 0] for x in s): v(j, *s)
-              for j in base for s in signs}
+    # each base point times each sign row; a product by +-1 is exact
+    verts = (base[:, None] * np.array(signs, float)).reshape(-1, 3)
+    tags = ["".join("+-"[x < 0] for x in s) for s in signs]
+    labels = {f"v{j}{tag}": 8 * (j - 1) + i
+              for j in (1, 2, 3) for i, tag in enumerate(tags)}
 
     faces = []
     for sz in (1, -1):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -254,22 +255,36 @@ class MeshGeometry:
         """Fit the planes of the given faces, every face when None, that
         are not fitted yet, and return self.  A plane is the SVD fit of
         _geom.plane_fit, signed by its face's Newell sum, with the
-        _geom.plane_basis frame; faces of one length are fitted in one
-        stack, in which a face gets the bits it gets fitted alone."""
+        _geom.plane_basis frame.  The fit, the projection into the frame
+        and the area run once per face length, each on one stack in which
+        a face gets the bits it gets fitted alone; the frames run once
+        over every face fitted, a row at a time as alone, and each array
+        is written once."""
         todo = np.flatnonzero(~self.fitted) if faces is None else \
             faces[~self.fitted[faces]]
         sizes = self.face_size[todo]
+        groups = []             # per face length: rows, corners, points
         for k in np.flatnonzero(np.bincount(sizes)):
             rows = todo[sizes == k]
             corner = self.face_start[rows, None] + np.arange(k)
-            pts = self.vertices[self.corner_vertex[corner]]
-            c, n, resid = _geom.plane_fit(pts)
+            groups.append((rows, corner,
+                           self.vertices[self.corner_vertex[corner]]))
+        if groups:
+            rows, corners, pts = zip(*groups)
+            rows = np.concatenate(rows)
+            c, n, resid = (np.concatenate(a) for a in
+                           zip(*map(_geom.plane_fit, pts)))
             u, v = _geom.plane_basis(n)
-            uv = _geom.project_2d(pts, c, u, v)
+            ends = list(accumulate(map(len, pts), initial=0))
+            uv = [_geom.project_2d(p, c[a:b], u[a:b], v[a:b])
+                  for p, a, b in zip(pts, ends, ends[1:])]
             self.centroid[rows], self.normal[rows], self.residual[rows] = \
                 c, n, resid
-            self.u[rows], self.v[rows], self.uv[corner] = u, v, uv
-            self.area[rows] = _geom.polygon_area_2d(uv)
+            self.u[rows], self.v[rows] = u, v
+            self.area[rows] = np.concatenate(
+                [_geom.polygon_area_2d(p) for p in uv])
+            self.uv[np.concatenate([x.ravel() for x in corners])] = \
+                np.concatenate([p.reshape(-1, 2) for p in uv])
         self.fitted[todo] = True
         if self.fitted.all():
             for a in (self.centroid, self.normal, self.u, self.v,
@@ -339,8 +354,16 @@ class MeshGeometry:
     @cached_property
     def triangulation(self) -> Triangulation:
         """The ear clip of every face, in one record: each face's triangles
-        in a run, faces in order."""
-        clips = [_geom.ear_clip(poly) for poly in self.polygons]
+        in a run, faces in order.  The clips run face by face on slices of
+        one list of uv, each with its face's tolerance scale, all taken in
+        one reduction."""
+        uv = self.uv.tolist()
+        bounds = self.face_start.tolist() + [len(uv)]
+        # per face its largest |u| and |v|; the scale is the larger, >= 1
+        scale = _geom.tolerance_scale(np.maximum.reduceat(
+            np.abs(self.uv), self.face_start), axis=1).tolist()
+        clips = [_geom.ear_clip(uv[a:b], scale=s)
+                 for a, b, s in zip(bounds, bounds[1:], scale)]
         face = np.repeat(np.arange(len(clips)), [len(c) for c in clips])
         local = np.array([t for c in clips for t in c], np.intp)
         vertex = self.corner_vertex[self.face_start[face, None] + local]
@@ -566,15 +589,17 @@ def build_polyhedron(vertices, faces,
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
     small = geo.area <= LENGTH_TOL * scale * scale
-    for fi, (resid, tiny, polygon) in enumerate(zip(
-            geo.residual.tolist(), small.tolist(), geo.polygons)):
+    uv = geo.uv.tolist()
+    bounds = geo.face_start.tolist() + [len(uv)]
+    for fi, (resid, tiny, a, b) in enumerate(zip(
+            geo.residual.tolist(), small.tolist(), bounds, bounds[1:])):
         if resid > PLANARITY_TOL * scale:
             raise DegenerateFace(
                 f"face {fi} deviates {resid:.2e} from planarity")
         if tiny:
             raise DegenerateFace(f"face {fi} has near-zero area")
         # a triangle has no two sides that do not meet at a corner
-        if len(polygon) > 3 and not _geom.polygon_is_simple(polygon):
+        if b - a > 3 and not _geom.polygon_is_simple(uv[a:b]):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)

@@ -120,6 +120,8 @@ _OVERLAP_AREA = 1e-12
 # a clip edge this close to parallel to the clipped segment or edge is
 # skipped
 _PARALLEL = 1e-30
+# each vertex's successor around a triangle, and so each side's end
+_NEXT = [1, 2, 0]
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,6 +180,40 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray
         if not rows.size:
             break
     return rows, poly[:, :-1], size
+
+
+def _clip_segments(a: np.ndarray, d: np.ndarray, tri: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Liang-Barsky clip of the (n, 2) segments a + t d, t in [0, 1], by
+    counterclockwise (n, 3, 2) triangles, row by row.  Returns the rows
+    where some of a segment remains and that piece's two ends, as (n, 2)
+    arrays.
+
+    The three edges are (3, n) columns of one pass, each coordinate apart
+    (the products of _cross2, in its order).  Edge by edge, the clip
+    raises t_in from 0 to an entering edge's larger t and lowers t_out
+    from 1 to an exiting edge's smaller t; both only move one way, so
+    t_in is the largest of 0 and the entering t, and t_out the first
+    least of 1 and the exiting t.  "First" matters only for zeros of
+    either sign, which compare equal: two strict comparisons in edge
+    order keep the one the loop kept, where a min may return either.  A
+    segment is dropped when it lies outside a parallel edge or t_in
+    passes t_out."""
+    x, y = tri[..., 0].T, tri[..., 1].T
+    ex, ey = x[_NEXT] - x, y[_NEXT] - y
+    num = ex * (a[:, 1] - y) - ey * (a[:, 0] - x)
+    den = -(ex * d[:, 1] - ey * d[:, 0])
+    parallel = np.abs(den) < _PARALLEL
+    t = num / np.where(parallel, 1.0, den)
+    exits = ~parallel & (den > 0)
+    t_in = np.where(~parallel & ~exits & (t > 0.0), t, 0.0).max(axis=0)
+    out = np.where(exits, t, 1.0)
+    t_out = np.where(out[1] < out[0], out[1], out[0])
+    t_out = np.minimum(np.where(out[2] < t_out, out[2], t_out), 1.0)
+    hit = np.flatnonzero(~(parallel & (num < 0)).any(axis=0)
+                         & ~(t_in > t_out))
+    a, d = a[hit], d[hit]
+    return hit, a + t_in[hit, None] * d, a + t_out[hit, None] * d
 
 
 class _TriangleScan:
@@ -373,15 +409,15 @@ class _TriangleScan:
         distances s are measured to, as (n, 2, 3) ends.  s, met and cut
         are (3, n) columns (see _plane_meets): met marks the vertices on
         the plane and the sides crossing it, and every row has at least
-        two."""
+        two.  The cut sides of every row are crossed in one pass."""
         tri = self.tri[i]
+        side, row = np.nonzero(cut)
+        after = (side + 1) % 3
+        sa = s[side, row]
+        t = sa / (sa - s[after, row])
         ends = tri.copy()
-        for a in range(3):
-            b, side = (a + 1) % 3, cut[a]
-            sa, sb = s[a, side], s[b, side]
-            t = sa / (sa - sb)
-            ends[side, a] = tri[side, a] + t[:, None] * (
-                tri[side, b] - tri[side, a])
+        start = tri[row, side]
+        ends[row, side] = start + t[:, None] * (tri[row, after] - start)
         # a triangle not in the plane meets it in at most two such points:
         # its vertices on the plane and its sides crossing the plane
         first = np.where(met[0], 0, np.where(met[1], 1, 2))
@@ -391,34 +427,16 @@ class _TriangleScan:
 
     def _crossing(self, j, seg):
         """Transversal pairs: the segments seg, in triangle j's plane,
-        clipped to triangle j (Liang-Barsky).  A pair is hit when some of
-        its segment remains.  Returns the hit rows and the clipped
-        segment's two ends in j's frame, as (n, 2) arrays.  contacts then
-        drops the rows whose ends both lie within seam_tol / 2 of a vertex
-        both triangles share, since every sample between such ends is a
-        seam (_at_shared_vertex), and samples the rest (_samples)."""
+        clipped to triangle j in j's frame (_clip_segments).  A pair is
+        hit when some of its segment remains.  Returns the hit rows and
+        the clipped segment's two ends in j's frame, as (n, 2) arrays.
+        contacts then drops the rows whose ends both lie within
+        seam_tol / 2 of a vertex both triangles share, since every sample
+        between such ends is a seam (_at_shared_vertex), and samples the
+        rest (_samples)."""
         o, u, v = self.tri[j, 0], self.u[j], self.v[j]
         s2d = _geom.project_2d(seg, o, u, v)
-        a, d = s2d[:, 0], s2d[:, 1] - s2d[:, 0]
-        t_in, t_out = np.zeros(len(j)), np.ones(len(j))
-        alive = np.ones(len(j), bool)
-        tri2 = self.ccw[j]
-        for k in range(3):
-            p0 = tri2[:, k]
-            edge = tri2[:, (k + 1) % 3] - p0
-            num = _cross2(edge, a - p0)
-            den = -_cross2(edge, d)
-            parallel = np.abs(den) < _PARALLEL
-            alive &= ~(parallel & (num < 0))
-            t = num / np.where(parallel, 1.0, den)
-            exits = ~parallel & (den > 0)
-            enters = ~parallel & ~(den > 0)
-            t_out = np.where(exits & (t < t_out), t, t_out)
-            t_in = np.where(enters & (t > t_in), t, t_in)
-            alive &= ~(t_in > t_out)
-        hit = np.flatnonzero(alive)
-        a, d = a[hit], d[hit]
-        return hit, a + t_in[hit, None] * d, a + t_out[hit, None] * d
+        return _clip_segments(s2d[:, 0], s2d[:, 1] - s2d[:, 0], self.ccw[j])
 
     def _at_shared_vertex(self, i, j, a, b):
         """Clipped crossings whose ends a and b, in triangle j's frame,
@@ -521,8 +539,7 @@ def _plane_meets(s: np.ndarray, eps: float
     ends lie off the plane on opposite sides."""
     on = np.abs(s) <= eps
     off, pos = ~on, s > 0
-    nxt = [1, 2, 0]
-    return on, off & off[nxt] & (pos != pos[nxt])
+    return on, off & off[_NEXT] & (pos != pos[_NEXT])
 
 
 def _side_separates(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import Counter
 from collections.abc import Sequence
@@ -29,6 +30,14 @@ def _integer(x, what: str, error: type[Exception]) -> int:
         return operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _finite(x) -> bool:
+    """Whether x is a real number (numpy's pass) and finite."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def _check_face(f, n_faces: int) -> None:
@@ -76,7 +85,8 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
         raise NotIsometric("face cycles have different lengths")
 
     if corr.mapping is not None:
-        mapping = tuple(int(v) for v in corr.mapping)
+        mapping = tuple(_integer(v, "mapping entry", IndexOutOfRange)
+                        for v in corr.mapping)
         if sorted(mapping) != sorted(c2):
             raise NotIsometric("mapping is not a bijection onto face2")
         if mapping not in set(_alignments(c2)):
@@ -418,18 +428,29 @@ def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
                            _corner_layout(p.faces))
 
 
+def _coordinates(point) -> bool:
+    """Whether point is a sequence or flat array of three finite real
+    numbers."""
+    flat = isinstance(point, Sequence) or (
+        isinstance(point, np.ndarray) and point.ndim == 1)
+    return flat and len(point) == 3 and all(map(_finite, point))
+
+
 def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
-    """Reject a spec that no axis placement mends: bad face ids, numbers
-    (not finite, or a radius that is not positive) or order, a face
-    pierced twice, and a mesh with doubled segments."""
+    """Reject a spec that no axis placement mends: bad face ids, a bad
+    placement (a phase, radius or point that is not finite real numbers,
+    a point that is not three of them, or a radius that is not positive)
+    or order, a face pierced twice, and a mesh with doubled segments."""
     for f in (spec.face1, spec.face2):
         _check_face(f, len(geo.face_size))
-    numbers = [spec.phase] + ([] if spec.radius is None else [spec.radius]) \
-        + ([] if spec.point is None else list(spec.point))
-    if not np.isfinite(np.asarray(numbers, dtype=float)).all():
+    point = spec.point
+    if not (_finite(spec.phase)
+            and (spec.radius is None or _finite(spec.radius))
+            and (point is None or _coordinates(point))):
         raise BadParameters(
-            f"drill placement must be finite: phase {spec.phase}, "
-            f"radius {spec.radius}, point {spec.point}")
+            f"drill placement must be finite numbers, the point three of "
+            f"them: phase {spec.phase!r}, radius {spec.radius!r}, "
+            f"point {point!r}")
     if spec.radius is not None and spec.radius <= 0:
         raise BadParameters(f"prism radius {spec.radius} must be positive")
     if _integer(spec.n, "prism order", BadOrder) < 3:
@@ -528,8 +549,9 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     pierced faces are retiled over their existing vertices, so no other
     defect changes.  The axis may cross other faces of an immersed mesh;
     such crossings only add self-intersection witnesses.  A face id that
-    is not a face of p raises IndexOutOfRange, a placement number that is
-    not finite BadParameters.  p may be a validated mesh or raw MeshData.
+    is not a face of p raises IndexOutOfRange, a placement that is not
+    finite real numbers (the point three of them) BadParameters.  p may be
+    a validated mesh or raw MeshData.
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)

@@ -12,7 +12,8 @@ from ccpforge import (build_polyhedron, classify, euler_characteristic,
 from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
-from ccpforge.mesh import (MeshMetadata, Polyhedron,
+from ccpforge import mesh as mesh_mod
+from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
                            replace_meta, topology_from)
 
 from conftest import _derive_edge_slots, cube_data, random_rigid_motion
@@ -263,10 +264,11 @@ def test_non_finite_vertex_rejected(bad):
         build_polyhedron(verts, TET_F)
 
 
-def assert_frames_fit_face_by_face(p):
-    """The plane arrays of geometry, fitted per face length, equal fitting
-    each face's own (k, 3) points alone, to the last bit."""
-    geo = p.geometry
+def assert_frames_fit_face_by_face(p, geo=None):
+    """The plane arrays of geo, p's geometry when None, fitted per face
+    length, equal fitting each face's own (k, 3) points alone, to the
+    last bit."""
+    geo = p.geometry if geo is None else geo
     assert geo.fitted.all() and len(geo.fitted) == p.n_faces
     for f, cyc in enumerate(p.faces):
         pts = p.vertices[list(cyc)]
@@ -288,6 +290,28 @@ def test_frames_equal_face_by_face_fits(name, genus, params):
     assert_frames_fit_face_by_face(build_polyhedron(
         (rot @ p.vertices.T).T + tr, p.faces, metadata=p.metadata,
         edge_slots=p.edge_slots))
+
+
+@pytest.mark.parametrize("name,genus,first", [
+    ("p2-24", None, [9, 3, 0, 15, 3]), ("orientable", 3, [40, 2, 17, 5, 1])])
+def test_a_fit_in_two_calls_equals_one(name, genus, first):
+    """A raw geometry fitted in two calls, first some faces of mixed
+    lengths (out of order, one twice) and then the rest, equals the
+    one-call fit bit for bit, uv included, and each face's own fit: so
+    _axis, _locate_face and carry, which fit faces as they are asked for,
+    see the planes a validated mesh has."""
+    p = family(name, genus)
+    layout = mesh_mod._corner_layout(p.faces)
+    geo = MeshGeometry(p.vertices, layout)
+    assert len({len(p.faces[f]) for f in first}) > 1
+    geo.fit(np.array(first))
+    assert np.flatnonzero(geo.fitted).tolist() == sorted(set(first))
+    geo.fit()
+    once = MeshGeometry(p.vertices, layout).fit()
+    for part in ("centroid", "normal", "u", "v", "residual", "area", "uv"):
+        assert getattr(geo, part).tobytes() == getattr(once, part).tobytes()
+        assert not getattr(geo, part).flags.writeable
+    assert_frames_fit_face_by_face(p, geo)
 
 
 @pytest.mark.parametrize("name,genus", [("p2-24", None), ("q3-18", None),

@@ -1,9 +1,11 @@
 """Property tests of the self-intersection scan's per-triangle predicates:
 the column forms in ``ccpforge.metrics`` give, row for row, what the
 reductions along a row of three signed distances give, at eps, at zeros
-of either sign and at NaN (a degenerate triangle's normal); and the side
+of either sign and at NaN (a degenerate triangle's normal); the side
 separation test of coplanar triangles holds exactly when their overlap,
-clipped in rational arithmetic, has zero area."""
+clipped in rational arithmetic, has zero area; and the one-pass clip of
+segments to triangles gives the scalar clip's ends bit for bit, zeros'
+signs included."""
 
 from fractions import Fraction
 
@@ -14,8 +16,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ccpforge.metrics import (_each, _one_side, _plane_meets,  # noqa: E402
-                              _side_separates, _two_of)
+from ccpforge.metrics import (_clip_segments, _each,  # noqa: E402
+                              _one_side, _plane_meets, _side_separates,
+                              _two_of)
+
+from scalar_scan import _clip_segment_to_triangle  # noqa: E402
 
 EPS = 1e-12
 PROPS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -136,3 +141,50 @@ def test_side_separation_is_zero_overlap_area():
     assert seen == {"random": {False, True}, "vertex": {False, True},
                     "side": {False, True}, "collinear": {False, True},
                     "nested": {False}}
+
+
+# a counterclockwise triangle, and crossings of it: (start, end, whether
+# some of the segment remains)
+TRIANGLE = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
+CROSSINGS = {
+    "parallel-outside": ((1.0, -1.0), (3.0, -1.0), False),
+    "parallel-inside": ((1.0, 1.0), (5.0, 1.0), True),
+    "ends-on-an-edge": ((1.0, 2.0), (1.0, 0.0), True),
+    "enters-through-a-vertex": ((-1.0, -1.0), (1.0, 1.0), True),
+    "touches-a-vertex": ((-1.0, 1.0), (1.0, -1.0), True),
+    # leaves (4, 0) through two sides at once, at t = -0 and t = +0
+    "leaves-through-a-vertex": ((4.0, -0.0), (6.0, -1.0), True),
+}
+
+
+def assert_clips_as_scalar(a, b, tri):
+    """_clip_segments of the segments a -> b by the triangles tri, all
+    (n, ...) rows, keeps the rows and gives the ends, to the last bit,
+    that the scalar clip gives row by row."""
+    hit, start, end = _clip_segments(a, b - a, tri)
+    want = [_clip_segment_to_triangle(np.array(seg), t)
+            for seg, t in zip(zip(a, b), tri)]
+    assert hit.tolist() == [r for r, w in enumerate(want) if w is not None]
+    for r, s, e in zip(hit.tolist(), start, end):
+        assert s.tobytes() == want[r][0].tobytes(), r
+        assert e.tobytes() == want[r][1].tobytes(), r
+
+
+@pytest.mark.parametrize("start,end,kept", CROSSINGS.values(),
+                         ids=CROSSINGS.keys())
+def test_clip_segments_edge_cases(start, end, kept):
+    a, b = np.array([start]), np.array([end])
+    assert _clip_segments(a, b - a, TRIANGLE[None])[0].size == kept
+    assert_clips_as_scalar(a, b, TRIANGLE[None])
+
+
+def test_clip_segments_on_a_grid():
+    """Every segment between two points of a grid that holds the
+    triangles' vertices and both zeros: many run along a side, end on one
+    or pass through a vertex."""
+    ticks = [-1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    grid = np.array([(x, y) for x in ticks for y in ticks])
+    a, b = (g.reshape(-1, 2) for g in np.broadcast_arrays(
+        grid[:, None], grid[None, :]))
+    for tri in (TRIANGLE, np.array([(0.0, 0.0), (3.0, 1.0), (1.0, 3.0)])):
+        assert_clips_as_scalar(a, b, np.broadcast_to(tri, (len(a), 3, 2)))

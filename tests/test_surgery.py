@@ -97,6 +97,20 @@ class TestConnectSum:
         with pytest.raises(IndexOutOfRange, match=error):
             connect_sum(t, t, corr)
 
+    @pytest.mark.parametrize("mapping,error", [
+        (("a", 2, 1), "mapping entry 'a' is not an integer"),
+        ((0.0, 2, 1), "mapping entry 0.0 is not an integer"),
+    ], ids=["text", "float"])
+    def test_mapping_entries_are_integers(self, mapping, error):
+        """A mapping entry is read as a face id is: one that is not an
+        integer raises IndexOutOfRange, and a float is not truncated and
+        glued; numpy integers pass."""
+        t = gen_tetrahedron()
+        with pytest.raises(IndexOutOfRange, match=error):
+            connect_sum(t, t, FaceCorrespondence(0, 0, mapping=mapping))
+        assert connect_sum(t, t, FaceCorrespondence(
+            0, 0, mapping=tuple(map(np.int64, (0, 2, 1))))).n_faces == 6
+
     def test_chain_face_ids_count_the_faces_glued_so_far(self):
         t = gen_tetrahedron()
         with pytest.raises(IndexOutOfRange,
@@ -313,8 +327,15 @@ class TestDrill:
          "radius 0.0 must be positive"),
         (gen_p2_24, DrillSpec(0, 1, 12, radius=-1.0), BadParameters,
          "radius -1.0 must be positive"),
+        (gen_p2_24, DrillSpec(0, 1, 12, point=(0.0, 0.0)), BadParameters,
+         r"point \(0.0, 0.0\)"),
+        (gen_p2_24, DrillSpec(0, 1, 12, phase="x"), BadParameters,
+         "phase 'x'"),
+        (gen_p2_24, DrillSpec(0, 1, 12, radius="0.1"), BadParameters,
+         "radius '0.1'"),
     ], ids=["same-face", "not-parallel", "point-outside", "doubled",
-            "doubled-raw", "zero-radius", "negative-radius"])
+            "doubled-raw", "zero-radius", "negative-radius",
+            "two-coordinate-point", "text-phase", "text-radius"])
     def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
                                                     mesh, spec, kind, error):
         """drill_repeat checks the spec once, on its input, with drill's
