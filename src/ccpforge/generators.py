@@ -675,15 +675,30 @@ def f_angle_sum(l: float, d: float) -> float:
     Strictly increasing in d on [0, 2l], with f(0) = pi - 2*arctan(l),
     f(l) = pi and f(2l) = pi + 4*arctan(l).
     """
+    return _angle_sum_of(l)(d)
+
+
+def _angle_sum_of(l: float) -> Callable[[float], float]:
+    """f_angle_sum(l, .) with l checked and its terms in l computed once:
+    the solver calls it thousands of times per solve."""
     if l <= 0:
         raise DomainError("l must be positive")
-    if not 0.0 <= d <= 2.0 * l:
-        raise DomainError(f"d = {d} outside [0, {2 * l}]")
-    # clamped on Python floats: the solver calls this thousands of times
-    u = min(max((2 * l * l - d * d) / (2 * l * math.sqrt(l * l + 1)), -1.0),
-            1.0)
-    w = min(max((2 * (l * l + 1) - d * d) / (2 * (l * l + 1)), -1.0), 1.0)
-    return 2 * math.acos(u) + math.acos(w)
+    hi, acos = 2.0 * l, math.acos
+    a = 2 * l * l
+    b = 2 * l * math.sqrt(l * l + 1)
+    c = 2 * (l * l + 1)
+
+    def f(d: float) -> float:
+        if not 0.0 <= d <= hi:
+            raise DomainError(f"d = {d} outside [0, {2 * l}]")
+        d2 = d * d
+        u = (a - d2) / b
+        w = (c - d2) / c
+        # clamped to [-1, 1] as min(max(x, -1.0), 1.0) clamps, NaN kept
+        u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
+        w = -1.0 if w < -1.0 else 1.0 if w > 1.0 else w
+        return 2 * acos(u) + acos(w)
+    return f
 
 
 # the bound on |f - target| at which the bisection may stop
@@ -735,16 +750,13 @@ def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
     l = l1
     for k in range(1, n_main + 1):
         target = 3 * math.pi - a_coeff(k, g)
-        d = _solve_increasing(lambda x, ll=l: f_angle_sum(ll, x),
-                              l, 2 * l, target)
+        d = _solve_increasing(_angle_sum_of(l), l, 2 * l, target)
         pairs.append((l, d))
         l = d
     terminal = None
     if g % 2 == 1:
-        lg = l
-        d = _solve_increasing(lambda x, ll=lg: f_angle_sum(ll, x),
-                              0.0, 2 * lg, terminal_target)
-        terminal = (lg, d)
+        d = _solve_increasing(_angle_sum_of(l), 0.0, 2 * l, terminal_target)
+        terminal = (l, d)
     return BlockParams(tuple(pairs), terminal)
 
 

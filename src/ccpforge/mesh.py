@@ -14,10 +14,11 @@ slots instead (``edge_slots``).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -229,8 +230,8 @@ class MeshGeometry:
     centroid, unit normal, residual (largest vertex distance to the
     plane), in-plane basis u, v (u x v = normal) and area, and per corner
     uv, its coordinates in its face's (u, v) frame; face f's polygon is
-    polygons[f], a slice of uv.  A Polyhedron's geometry has every face
-    fitted, read-only; the geometry of raw data fits only the faces
+    the slice of uv its corners hold.  A Polyhedron's geometry has every
+    face fitted, read-only; the geometry of raw data fits only the faces
     surgery asks for, which `fitted` marks.
     """
 
@@ -338,12 +339,6 @@ class MeshGeometry:
         pair = np.sort(np.minimum(u, v) * len(self.vertices)
                        + np.maximum(u, v))
         return bool((pair[3:] == pair[:-3]).any())
-
-    @cached_property
-    def polygons(self) -> list[np.ndarray]:
-        """Per face: its cycle in its (u, v) frame, a (k, 2) view of uv."""
-        bounds = self.face_start.tolist() + [len(self.uv)]
-        return [self.uv[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def scale(self) -> float:
@@ -555,19 +550,7 @@ def build_polyhedron(vertices, faces,
                              f"{COORDINATE_LIMIT:g}: "
                              f"{tuple(pts[bad[0]].tolist())}")
 
-    cycles: list[tuple[int, ...]] = []
-    for fi, cyc in enumerate(faces):
-        cyc = tuple(int(v) for v in cyc)
-        if len(cyc) < 3:
-            raise DegenerateFace(f"face {fi} has fewer than 3 vertices")
-        if len(set(cyc)) != len(cyc):
-            raise DegenerateFace(f"face {fi} repeats a vertex")
-        if min(cyc) < 0 or max(cyc) >= n:
-            v = next(v for v in cyc if not 0 <= v < n)
-            raise IndexOutOfRange(f"face {fi} references vertex {v}")
-        cycles.append(cyc)
-
-    corners = _corner_layout(cycles)
+    corners = _checked_corners(faces, n)
     if edge_slots is None:
         cells, ends = _derived_cells(corners)
     else:
@@ -577,7 +560,10 @@ def build_polyhedron(vertices, faces,
         raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")
 
     slots, pairs = _as_tuples(cells, ends)
-    poly = Polyhedron(pts.copy(), tuple(cycles), pairs, slots,
+    vertex = corners.vertex.tolist()
+    bounds = corners.start.tolist() + [len(vertex)]
+    cycles = tuple(tuple(vertex[a:b]) for a, b in zip(bounds, bounds[1:]))
+    poly = Polyhedron(pts.copy(), cycles, pairs, slots,
                       metadata or MeshMetadata())
     geo = poly.__dict__["geometry"] = MeshGeometry(
         poly.vertices, corners, _readonly(cells)).fit()
@@ -609,6 +595,81 @@ def build_polyhedron(vertices, faces,
     if not poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
+
+
+def _checked_corners(faces, n: int) -> _Corners:
+    """The corner layout of `faces` once each face is checked, as one
+    array: it has 3 or more vertices, none repeated, each an integer (by
+    operator.index, so numpy integers pass) in range(n).  The first face
+    that fails raises, for the first of those checks it fails."""
+    faces = list(faces)             # read twice below; any iterable passes
+    sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+    flat = list(chain.from_iterable(faces))
+    vertex, bad = _intp_entries(flat)
+    n_faces = len(sizes)
+    face = np.repeat(np.arange(n_faces), sizes)
+    inside = (vertex >= 0) & (vertex < n)
+    ids, m = vertex, n
+    if not inside.all():            # ranks, so that no key wraps
+        uniq, ids = np.unique(vertex, return_inverse=True)
+        m = len(uniq)
+    key = np.sort(face * m + ids)
+    repeat = key[1:][key[1:] == key[:-1]] // m
+    short = np.flatnonzero(sizes < 3)
+    outside = np.flatnonzero(~inside)
+    # per check, in order within a face, the first face that fails it
+    fails = [face[bad] if bad < len(flat) else n_faces,
+             short[0] if short.size else n_faces,
+             repeat[0] if repeat.size else n_faces,
+             face[outside[0]] if outside.size else n_faces]
+    fi = min(fails)
+    if fi == n_faces:
+        return _corners(sizes, vertex)
+    check = fails.index(fi)
+    if check == 0:              # not an integer, or one beyond intp
+        v = _integer(flat[bad], f"face {fi} vertex", IndexOutOfRange)
+    elif check == 1:
+        raise DegenerateFace(f"face {fi} has fewer than 3 vertices")
+    elif check == 2:
+        raise DegenerateFace(f"face {fi} repeats a vertex")
+    else:
+        v = vertex[outside[0]]
+    raise IndexOutOfRange(f"face {fi} references vertex {v}")
+
+
+def _integer(x, what: str, error: type[Exception]) -> int:
+    """x as an int by operator.index (numpy integers pass), else error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
+    """`flat` as an intp array, and the index of its first entry that is
+    not an intp integer by operator.index (len(flat) if none); from that
+    entry on the array reads -1.
+
+    numpy infers an integer dtype for a flat list only when every entry is
+    an integer, so the common case takes no Python call per entry."""
+    try:
+        vertex = np.array(flat)
+    except ValueError:              # ragged: an entry is a sequence
+        vertex = None
+    if vertex is not None and vertex.ndim == 1 and vertex.dtype.kind == "i":
+        return vertex.astype(np.intp, copy=False), len(flat)
+    lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
+    out = []
+    for v in flat:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            break
+        if not lo <= v <= hi:
+            break
+        out.append(v)
+    bad = len(out)
+    return np.array(out + [-1] * (len(flat) - bad), np.intp), bad
 
 
 def _orientation_cover(p: Polyhedron) -> tuple[bool, bool]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -18,18 +17,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _corner_layout, build_polyhedron, euler_characteristic,
-                   replace_meta)
+                   _corner_layout, _integer, build_polyhedron,
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
-
-
-def _integer(x, what: str, error: type[Exception]) -> int:
-    """x as an int by operator.index (numpy integers pass), else error."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise error(f"{what} {x!r} is not an integer") from None
 
 
 def _finite(x) -> bool:
@@ -85,8 +76,13 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
         raise NotIsometric("face cycles have different lengths")
 
     if corr.mapping is not None:
+        try:
+            entries = iter(corr.mapping)
+        except TypeError:
+            raise IndexOutOfRange(
+                f"mapping {corr.mapping!r} is not a sequence") from None
         mapping = tuple(_integer(v, "mapping entry", IndexOutOfRange)
-                        for v in corr.mapping)
+                        for v in entries)
         if sorted(mapping) != sorted(c2):
             raise NotIsometric("mapping is not a bijection onto face2")
         if mapping not in set(_alignments(c2)):
@@ -356,8 +352,10 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
     # counterclockwise index sequences over the original cycles
     o_seq = list(range(ko)) if area_o > 0 else list(reversed(range(ko)))
     h_seq = list(range(kh)) if area_h > 0 else list(reversed(range(kh)))
-    ang_o = [math.atan2(*(o2[i] - centre)[::-1]) % TAU for i in o_seq]
-    ang_h = [math.atan2(*(h2[j] - centre)[::-1]) % TAU for j in h_seq]
+    # angles about the centre, on Python floats
+    o_rel, h_rel = (o2 - centre).tolist(), (h2 - centre).tolist()
+    ang_o = [math.atan2(o_rel[i][1], o_rel[i][0]) % TAU for i in o_seq]
+    ang_h = [math.atan2(h_rel[j][1], h_rel[j][0]) % TAU for j in h_seq]
 
     def spoke_quads():
         def mismatch(s):
@@ -369,10 +367,6 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
                  ko + h_seq[(t + 1) % kh], ko + h_seq[t]]
                 for t in range(kh)]
 
-    def circ_dist(a, b):
-        d = (a - b) % TAU
-        return min(d, TAU - d)
-
     def sweep_triangles():
         # Assign each hole edge to the outer corner nearest the edge's
         # angular midpoint; corner-to-corner transitions are bridged at
@@ -380,8 +374,18 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
         # hole vertex and clear of the hole polygon.
         mu = [(ang_h[j] + 0.5 * ((ang_h[(j + 1) % kh] - ang_h[j]) % TAU))
               % TAU for j in range(kh)]
-        owner = [min(range(ko), key=lambda t: circ_dist(ang_o[t], mu[j]))
-                 for j in range(kh)]
+        owner = []
+        for m in mu:
+            # the first outer corner at the least circular distance, as
+            # min(range(ko), key=...) picks it
+            best = least = None
+            for t, a in enumerate(ang_o):
+                d = (a - m) % TAU
+                if TAU - d < d:
+                    d = TAU - d
+                if least is None or d < least:
+                    best, least = t, d
+            owner.append(best)
         out: list[list[int]] = []
         for j in range(kh):
             jn = (j + 1) % kh

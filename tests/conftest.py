@@ -29,6 +29,13 @@ def _derive_edge_slots(faces):
     return _as_tuples(*_derived_cells(_corner_layout(faces)))
 
 
+def face_polygon(geo, f):
+    """Face f's cycle in its (u, v) frame: the (k, 2) slice of geo.uv
+    its corners hold."""
+    start = geo.face_start[f]
+    return geo.uv[start:start + geo.face_size[f]]
+
+
 def face_triangles(p):
     """Per face: its ear-clipped triangles as a (k-2, 3, 3) array of
     world-space points."""

@@ -2,7 +2,9 @@
 library must reproduce exactly: the same floats, partitions, meshes and
 errors.
 
-``f_angle_sum`` clamps with np.clip on Python floats;
+``f_angle_sum`` clamps with np.clip on Python floats, and
+``solve_block_params`` bisects over it, so each step checks l and computes
+the terms in l again;
 ``retile_pierced_face`` tests each hole vertex with its own numpy calls and
 takes each sub-face's area with its own polygon_area_2d call.  ``glue``
 is one connected sum as data, with a renumbered copy of every face and
@@ -22,16 +24,17 @@ import math
 import numpy as np
 
 from ccpforge import (DrillSpec, FaceCorrespondence, build_polyhedron,
-                      drill, gen_r_block, gen_s_base, gen_t_block,
-                      solve_block_params)
+                      drill, gen_r_block, gen_s_base, gen_t_block)
 from ccpforge import _geom
-from ccpforge.errors import (AxisObstructed, BadOrder, DomainError,
-                             FootprintTooLarge, HoleNotInside, NotIsometric,
+from ccpforge.errors import (AxisObstructed, BadOrder, BracketFailure,
+                             DomainError, FootprintTooLarge, GenusOutOfRange,
+                             HoleNotInside, NotIsometric,
                              SelfCrossingPartition)
-from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, _n5g_params,
-                                 _orbit)
+from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
+                                 _n5g_params, _orbit, a_coeff)
 from ccpforge.mesh import MeshData, MeshMetadata, Polyhedron, replace_meta
 from ccpforge.surgery import build_glued, resolve_correspondence
+from conftest import face_polygon
 
 TAU = 2.0 * math.pi
 
@@ -50,6 +53,60 @@ def f_angle_sum(l: float, d: float) -> float:
     u = np.clip((2 * l * l - d * d) / (2 * l * math.sqrt(l * l + 1)), -1, 1)
     w = np.clip((2 * (l * l + 1) - d * d) / (2 * (l * l + 1)), -1, 1)
     return 2 * math.acos(float(u)) + math.acos(float(w))
+
+
+def _solve_increasing(fn, lo: float, hi: float, target: float) -> float:
+    flo, fhi = fn(lo) - target, fn(hi) - target
+    if flo > 0 or fhi < 0:
+        raise BracketFailure(
+            f"no sign change on [{lo}, {hi}] for target {target}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid) - target
+        if abs(fm) < 1e-12 and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+            return mid
+        if fm < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
+    """The block parameter chain, each bisection step a call of
+    f_angle_sum(l, d) that checks l and computes its terms in l again."""
+    if g < 1:
+        raise GenusOutOfRange("genus must be >= 1")
+    n_main = g // 2
+    terminal_target = (3 * math.pi - a_coeff((g - 1) // 2, g)
+                       - 6 * math.pi / (g + 2)) if g % 2 == 1 else None
+    for _ in range(80):
+        ok = True
+        if n_main >= 1:
+            ok = f_angle_sum(l1, 2 * l1) > 3 * math.pi - a_coeff(1, g)
+        if ok and terminal_target is not None:
+            ok = f_angle_sum(l1, 0.0) < terminal_target
+        if ok:
+            break
+        l1 *= 2.0
+    else:
+        raise BracketFailure("could not establish the l1 bracket")
+
+    pairs = []
+    l = l1
+    for k in range(1, n_main + 1):
+        target = 3 * math.pi - a_coeff(k, g)
+        d = _solve_increasing(lambda x, ll=l: f_angle_sum(ll, x),
+                              l, 2 * l, target)
+        pairs.append((l, d))
+        l = d
+    terminal = None
+    if g % 2 == 1:
+        lg = l
+        d = _solve_increasing(lambda x, ll=lg: f_angle_sum(ll, x),
+                              0.0, 2 * lg, terminal_target)
+        terminal = (lg, d)
+    return BlockParams(tuple(pairs), terminal)
 
 
 def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
@@ -383,7 +440,8 @@ def drill_repeat(p, spec: DrillSpec, k: int):
                                               geo.u, geo.v))
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     q1 = _geom.project_2d(p1pt[None, :], c1, u1, v1)[0]
-    d0 = _geom.dist_point_polygon_boundary(q1, geo.polygons[spec.face1])
+    d0 = _geom.dist_point_polygon_boundary(q1,
+                                           face_polygon(geo, spec.face1))
     delta = d0 / (2 * k)
     plane1 = (float(n1 @ c1), n1)
     plane2 = (float(n1 @ geo.centroid[spec.face2]), n1)

@@ -17,7 +17,7 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       gen_cubohemioctahedron, gen_minimal, gen_n5g_odd,
                       gen_p2_24, gen_q2_9, gen_q3_18, generate_family,
                       retile_pierced_face, solve_block_params)
-from ccpforge.errors import CcpError, NotIsometric
+from ccpforge.errors import CcpError, DomainError, NotIsometric
 from ccpforge.mesh import MeshData, MeshMetadata
 
 import scalar_generate
@@ -38,24 +38,39 @@ def test_f_angle_sum_is_the_clipped_one():
     rng = np.random.default_rng(21)
     for l in [0.5, 1.0, 2.0, 9.7] + list(rng.uniform(1e-3, 1e3, 200)):
         l = float(l)
+        f = generators_mod._angle_sum_of(l)
         for d in [0.0, l, 2 * l, math.nextafter(2 * l, 0.0)] + \
                 list(rng.uniform(0.0, 2 * l, 20)):
             d = float(d)
-            got, want = f_angle_sum(l, d), scalar_generate.f_angle_sum(l, d)
-            assert type(got) is float
-            assert got.hex() == want.hex(), (l, d)
+            want = scalar_generate.f_angle_sum(l, d)
+            for got in (f_angle_sum(l, d), f(d)):
+                assert type(got) is float
+                assert got.hex() == want.hex(), (l, d)
 
 
-def test_solve_block_params_is_bit_identical(monkeypatch):
-    got = [solve_block_params(g) for g in range(1, 46)]
-    monkeypatch.setattr(generators_mod, "f_angle_sum",
-                        scalar_generate.f_angle_sum)
-    want = [solve_block_params(g) for g in range(1, 46)]
+@pytest.mark.parametrize("l, d", [(0.0, 1.0), (-2.0, 1.0), (2.0, -1e-300),
+                                  (2.0, 4.5), (2, 5), (2.0, math.nan),
+                                  (math.nan, 1.0)])
+def test_f_angle_sum_domain_errors(l, d):
+    want = outcome(scalar_generate.f_angle_sum, l, d)
+    assert want[0] is DomainError
+    assert outcome(f_angle_sum, l, d) == want
 
+    def helper(l, d):
+        return generators_mod._angle_sum_of(l)(d)
+    assert outcome(helper, l, d) == want
+
+
+def test_solve_block_params_is_bit_identical():
+    # the reference bisects over scalar_generate.f_angle_sum, so this holds
+    # whichever helper the library's solver calls
     def bits(bp):
         return [x.hex() for pair in bp.pairs + (bp.terminal or (),)
                 for x in pair]
-    assert [bits(bp) for bp in got] == [bits(bp) for bp in want]
+    for l1 in (1.2, 2.0, 4.0):
+        for g in range(1, 46):
+            assert bits(solve_block_params(g, l1)) == \
+                bits(scalar_generate.solve_block_params(g, l1)), (g, l1)
 
 
 def star_annulus(rng, kind, ko=None, kh=None):

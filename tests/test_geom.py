@@ -10,7 +10,7 @@ from ccpforge import _geom, build_polyhedron, gen_p2_24
 from ccpforge.errors import DegenerateFace
 
 import scalar_polygon
-from conftest import random_rigid_motion
+from conftest import face_polygon, random_rigid_motion
 from test_self_intersection_oracle import (CERTIFY_FILES, SMALL_GENERA,
                                            family, two_tetrahedra)
 
@@ -60,8 +60,9 @@ def corpus_meshes():
 def test_polygon_routines_on_corpus_faces():
     count = 0
     for p in corpus_meshes():
-        for poly in p.geometry.polygons:
-            assert_same_polygon_results(poly)
+        geo = p.geometry
+        for f in range(p.n_faces):
+            assert_same_polygon_results(face_polygon(geo, f))
             count += 1
     assert count > 1500
 

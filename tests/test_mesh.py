@@ -16,7 +16,8 @@ from ccpforge import mesh as mesh_mod
 from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
                            replace_meta, topology_from)
 
-from conftest import _derive_edge_slots, cube_data, random_rigid_motion
+from conftest import (_derive_edge_slots, cube_data, face_polygon,
+                      random_rigid_motion)
 from test_self_intersection_oracle import SMALL_GENERA, family
 
 TET_V = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
@@ -56,6 +57,70 @@ def test_bad_index_names_first_in_cycle_order(first, named):
 def test_repeated_vertex_rejected():
     with pytest.raises(DegenerateFace):
         build_polyhedron(TET_V, [(0, 1, 2, 1)] + TET_F[1:])
+
+
+@pytest.mark.parametrize("faces,error,message", [
+    ([(0, 1)] + TET_F[1:], DegenerateFace,
+     "face 0 has fewer than 3 vertices"),
+    (TET_F[:3] + [(1, 3, 2, 3)], DegenerateFace, "face 3 repeats a vertex"),
+    (TET_F[:2] + [(0, 3, 4)] + TET_F[3:], IndexOutOfRange,
+     "face 2 references vertex 4"),
+    (TET_F[:2] + [(0, -1, 1)] + TET_F[3:], IndexOutOfRange,
+     "face 2 references vertex -1"),
+    # two faces fail different checks: the first face is named
+    (TET_F[:1] + [(0, 2, 9), (0, 3)] + TET_F[3:], IndexOutOfRange,
+     "face 1 references vertex 9"),
+    (TET_F[:1] + [(0, 2, 2), (0, 3, -1)] + TET_F[3:], DegenerateFace,
+     "face 1 repeats a vertex"),
+    (TET_F[:1] + [(0, 2, 5), (0, 3)] + [(1, 1, 1)], IndexOutOfRange,
+     "face 1 references vertex 5"),
+    # one face fails two checks: length, then repeats, then range
+    ([(1, 1)] + TET_F[1:], DegenerateFace,
+     "face 0 has fewer than 3 vertices"),
+    ([(9, 1)] + TET_F[1:], DegenerateFace,
+     "face 0 has fewer than 3 vertices"),
+    ([(9, 9, 1)] + TET_F[1:], DegenerateFace, "face 0 repeats a vertex"),
+    ([(-5, 1, -5)] + TET_F[1:], DegenerateFace, "face 0 repeats a vertex"),
+    ([()] + TET_F[1:], DegenerateFace, "face 0 has fewer than 3 vertices"),
+    # an id beyond any index type is out of range, not wrapped
+    (TET_F[:3] + [(1, 3, 2 ** 70)], IndexOutOfRange,
+     f"face 3 references vertex {2 ** 70}"),
+], ids=["short", "repeat", "high", "negative", "first-face-range",
+        "first-face-repeat", "first-face-before-several", "short-repeat",
+        "short-range", "repeat-range", "repeat-negative", "empty",
+        "beyond-intp"])
+def test_face_check_names_first_face_and_check(faces, error, message):
+    with pytest.raises(error) as info:
+        build_polyhedron(TET_V, faces)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [2.7, "2", None, np.float64(2.0), (2,)],
+                         ids=["float", "text", "none", "numpy-float",
+                              "tuple"])
+def test_face_entries_are_integers(entry):
+    """A face entry that is not an integer by operator.index raises
+    IndexOutOfRange naming its face, before the face's other checks; a
+    float is not truncated and built."""
+    with pytest.raises(IndexOutOfRange) as info:
+        build_polyhedron(TET_V, TET_F[:3] + [(1, 3, entry)])
+    assert str(info.value) == f"face 3 vertex {entry!r} is not an integer"
+    with pytest.raises(IndexOutOfRange, match="^face 2 vertex"):
+        build_polyhedron(TET_V, TET_F[:2] + [(0, entry, 1, 1)] + TET_F[3:])
+    # an earlier face that fails another check is named first
+    with pytest.raises(DegenerateFace, match="^face 0 repeats a vertex$"):
+        build_polyhedron(TET_V, [(0, 1, 1)] + TET_F[1:3] + [(1, 3, entry)])
+
+
+def test_faces_are_tuples_of_python_ints():
+    faces = [np.array(TET_F[0], np.int32), list(map(np.int64, TET_F[1])),
+             np.array(TET_F[2], np.uint8), [1, 3, 2]]
+    p = build_polyhedron(TET_V, faces)
+    assert p.faces == tuple(TET_F)
+    assert type(p.faces) is tuple
+    assert all(type(c) is tuple for c in p.faces)
+    assert all(type(v) is int for c in p.faces for v in c)
+    assert build_polyhedron(TET_V, (c for c in TET_F)).faces == tuple(TET_F)
 
 
 def test_nonplanar_face_rejected():
@@ -277,7 +342,7 @@ def assert_frames_fit_face_by_face(p, geo=None):
         uv = _geom.project_2d(pts, c, u, v)
         want = (c, n, resid, u, v, uv, _geom.polygon_area_2d(uv))
         got = (geo.centroid[f], geo.normal[f], geo.residual[f], geo.u[f],
-               geo.v[f], geo.polygons[f], geo.area[f])
+               geo.v[f], face_polygon(geo, f), geo.area[f])
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 

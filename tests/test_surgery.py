@@ -25,7 +25,8 @@ from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _axis, _locate_face, build_glued, glue, pierce
 
-from conftest import assert_same_planes, cube_data, random_rigid_motion
+from conftest import (assert_same_planes, cube_data, face_polygon,
+                      random_rigid_motion)
 from scalar_polygon import dist_point_segment
 from test_self_intersection_oracle import SMALL_GENERA
 
@@ -100,11 +101,13 @@ class TestConnectSum:
     @pytest.mark.parametrize("mapping,error", [
         (("a", 2, 1), "mapping entry 'a' is not an integer"),
         ((0.0, 2, 1), "mapping entry 0.0 is not an integer"),
-    ], ids=["text", "float"])
+        (5, "mapping 5 is not a sequence"),
+    ], ids=["text", "float", "not-a-sequence"])
     def test_mapping_entries_are_integers(self, mapping, error):
         """A mapping entry is read as a face id is: one that is not an
         integer raises IndexOutOfRange, and a float is not truncated and
-        glued; numpy integers pass."""
+        glued; numpy integers pass.  So does a mapping that is not a
+        sequence at all."""
         t = gen_tetrahedron()
         with pytest.raises(IndexOutOfRange, match=error):
             connect_sum(t, t, FaceCorrespondence(0, 0, mapping=mapping))
@@ -631,8 +634,8 @@ def test_locate_face_matches_a_face_by_face_scan():
                 continue
             q = geom_mod.project_2d(point[None, :], geo.centroid[f],
                                     geo.u[f], geo.v[f])[0]
-            clear = dist_point_polygon_boundary(q, geo.polygons[f])
-            if geom_mod.winds_around(q, geo.polygons[f]) \
+            clear = dist_point_polygon_boundary(q, face_polygon(geo, f))
+            if geom_mod.winds_around(q, face_polygon(geo, f)) \
                     and clear > 1e-9 * geo.scale:
                 return f, clear
         return None, 0.0
@@ -686,7 +689,7 @@ def test_inside_clearance_is_the_face_by_face_loop():
     for f, pt in zip(faces.tolist(), pts):
         q = geom_mod.project_2d(pt[None], geo.centroid[f], geo.u[f],
                                 geo.v[f])[0]
-        poly = geo.polygons[f]
+        poly = face_polygon(geo, f)
         k = len(poly)
         dist = min(dist_point_segment(q, poly[i], poly[(i + 1) % k])
                    for i in range(k))
