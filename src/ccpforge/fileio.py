@@ -153,7 +153,7 @@ def _write(path, data: bytes) -> None:
 def _read_text(path) -> str:
     """Read an input file; one that cannot be read as text raises BadFile."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except IsADirectoryError as exc:
         raise BadFile(f"{path} is a directory, not a mesh file") from exc
     except OSError as exc:
@@ -248,7 +248,7 @@ def write_stl(p: Polyhedron, path) -> None:
     (deterministic even for non-orientable meshes, where no global
     orientation exists).  A coordinate beyond the float32 range raises
     NotRepresentable."""
-    tris = p.vertices[p.geometry.triangulation.vertex]
+    tris = p.vertices.take(p.geometry.triangulation.vertex, axis=0)
     records = np.zeros(len(tris), _STL_RECORD)
     with np.errstate(over="ignore"):
         records["normal"] = p.geometry.triangle_normals[0]

@@ -267,9 +267,9 @@ class MeshGeometry:
         groups = []             # per face length: rows, corners, points
         for k in np.flatnonzero(np.bincount(sizes)):
             rows = todo[sizes == k]
-            corner = self.face_start[rows, None] + np.arange(k)
-            groups.append((rows, corner,
-                           self.vertices[self.corner_vertex[corner]]))
+            corner = self.face_start[rows][:, None] + np.arange(k)
+            groups.append((rows, corner, self.vertices.take(
+                self.corner_vertex[corner], axis=0)))
         if groups:
             rows, corners, pts = zip(*groups)
             rows = np.concatenate(rows)
@@ -305,10 +305,12 @@ class MeshGeometry:
         for k in np.flatnonzero(np.bincount(sizes)):
             rows = np.flatnonzero(sizes == k)
             f = faces[rows]
-            q = _geom.project_2d(points[rows, None], self.centroid[f],
-                                 self.u[f], self.v[f])[:, 0]
-            out[rows] = _geom.inside_clearance(
-                q, self.uv[self.face_start[f, None] + np.arange(k)])
+            q = _geom.project_2d(
+                points.take(rows, axis=0)[:, None],
+                *(a.take(f, axis=0) for a in (self.centroid, self.u, self.v))
+            )[:, 0]
+            out[rows] = _geom.inside_clearance(q, self.uv.take(
+                self.face_start[f][:, None] + np.arange(k), axis=0))
         return out
 
     def carry(self, dropped: list[int], vertices: np.ndarray,
@@ -325,10 +327,11 @@ class MeshGeometry:
             np.concatenate([self.face_size[keep], new.size]),
             np.concatenate([self.corner_vertex[corners], new.vertex])))
         n, m = np.count_nonzero(keep), np.count_nonzero(corners)
-        for name in ("fitted", "centroid", "normal", "u", "v", "residual",
-                     "area"):
+        for name in ("fitted", "residual", "area"):
             getattr(out, name)[:n] = getattr(self, name)[keep]
-        out.uv[:m] = self.uv[corners]
+        for name in ("centroid", "normal", "u", "v"):
+            getattr(out, name)[:n] = getattr(self, name).compress(keep, axis=0)
+        out.uv[:m] = self.uv.compress(corners, axis=0)
         return out
 
     @cached_property
@@ -369,7 +372,7 @@ class MeshGeometry:
         """Per triangle of `triangulation`: its unit normal, by the right-
         hand rule over its vertex order, and whether that normal has zero
         length (the normal is then left zero)."""
-        tri = self.vertices[self.triangulation.vertex]
+        tri = self.vertices.take(self.triangulation.vertex, axis=0)
         n = _geom.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         norm = _geom.norm(n)
         zero = norm == 0
@@ -380,14 +383,14 @@ class MeshGeometry:
     def corner_angles(self) -> np.ndarray:
         """Interior angle at every corner, in (0, 2*pi); a corner turning
         against its face's normal is reflex."""
-        pts = self.vertices[self.corner_vertex]
-        nxt = pts[self.next_corner] - pts
-        prv = pts[self.prev_corner] - pts
+        pts = self.vertices.take(self.corner_vertex, axis=0)
+        nxt = pts.take(self.next_corner, axis=0) - pts
+        prv = pts.take(self.prev_corner, axis=0) - pts
         cross = _geom.cross(nxt, prv)
         theta = np.arctan2(np.linalg.norm(cross, axis=1),
                            np.einsum("ij,ij->i", nxt, prv))
         reflex = np.einsum("ij,ij->i", cross,
-                           self.normal[self.corner_face]) < 0
+                           self.normal.take(self.corner_face, axis=0)) < 0
         return _readonly(np.where(reflex, 2.0 * np.pi - theta, theta))
 
     @cached_property
@@ -414,12 +417,13 @@ class MeshGeometry:
         inward direction at the edge is its normal crossed with its own
         traversal direction, which is correct for non-convex faces too."""
         c1, c2, same = self.cell_corners
-        a = self.vertices[self.corner_vertex[c1]]
-        t = self.vertices[self.corner_vertex[self.next_corner[c1]]] - a
+        a = self.vertices.take(self.corner_vertex[c1], axis=0)
+        t = self.vertices.take(self.corner_vertex[self.next_corner[c1]],
+                               axis=0) - a
         t /= np.linalg.norm(t, axis=1)[:, None]
-        n1 = self.normal[self.corner_face[c1]]
-        w2 = _geom.cross(self.normal[self.corner_face[c2]], t)
-        w2[~same] *= -1.0
+        n1 = self.normal.take(self.corner_face[c1], axis=0)
+        w2 = _geom.cross(self.normal.take(self.corner_face[c2], axis=0), t)
+        np.negative(w2, out=w2, where=~same[:, None])
         w2 /= np.linalg.norm(w2, axis=1)[:, None]
         ang = np.arctan2(-np.einsum("ij,ij->i", n1, w2),
                          np.einsum("ij,ij->i", _geom.cross(n1, t), w2))
@@ -467,7 +471,7 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     ends = ends[:, 0]
     order = np.lexsort((cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
                         ends[:, 1], ends[:, 0]))
-    return cells[order], ends[order]
+    return cells.take(order, axis=0), ends.take(order, axis=0)
 
 
 def _cell_array(edge_slots) -> np.ndarray:
@@ -568,8 +572,8 @@ def build_polyhedron(vertices, faces,
     geo = poly.__dict__["geometry"] = MeshGeometry(
         poly.vertices, corners, _readonly(cells)).fit()
     scale = geo.scale
-    short = _geom.norm(pts[ends[:, 0]] - pts[ends[:, 1]]) \
-        <= LENGTH_TOL * scale
+    short = _geom.norm(pts.take(ends[:, 0], axis=0)
+                       - pts.take(ends[:, 1], axis=0)) <= LENGTH_TOL * scale
     if short.any():
         u, v = ends[np.argmax(short)]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")

@@ -122,6 +122,16 @@ _OVERLAP_AREA = 1e-12
 _PARALLEL = 1e-30
 # each vertex's successor around a triangle, and so each side's end
 _NEXT = [1, 2, 0]
+# the samples of a transversal pair (_samples); a sample's place in its
+# pair runs from 0 to _PLACES - 1
+_PLACES = 5
+
+# Rows of an array with more than one dimension are gathered with take and
+# masked with compress, never by fancy indexing: on numpy 2.x `a[idx]`,
+# `a[mask]` and `s[:, idx]` cost 3 to 5 times as much for the same copy.
+# One-dimensional arrays keep plain indexing, which is as fast below about
+# 1,000 entries.  take reads a boolean mask as rows 0 and 1, and compress
+# truncates to a shorter mask, so each is handed only its own kind.
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +157,7 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray
     poly = np.concatenate([subject, subject[:, :1]], axis=1)
     size = np.full(len(subject), 3)
     for e in range(3):
-        c = clipper[rows]
+        c = clipper.take(rows, axis=0)
         a = c[:, e, None]
         ab = c[:, (e + 1) % 3, None] - a
         inside = _cross2(ab, poly - a) >= 0
@@ -176,7 +186,7 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray
         # the remaining edges, so its row is dropped
         keep = np.flatnonzero(size >= 2)
         rows, size = rows[keep], size[keep]
-        poly = out[keep, :size.max(initial=0) + 1]
+        poly = out[:, :size.max(initial=0) + 1].take(keep, axis=0)
         if not rows.size:
             break
     return rows, poly[:, :-1], size
@@ -200,7 +210,7 @@ def _clip_segments(a: np.ndarray, d: np.ndarray, tri: np.ndarray
     segment is dropped when it lies outside a parallel edge or t_in
     passes t_out."""
     x, y = tri[..., 0].T, tri[..., 1].T
-    ex, ey = x[_NEXT] - x, y[_NEXT] - y
+    ex, ey = x.take(_NEXT, axis=0) - x, y.take(_NEXT, axis=0) - y
     num = ex * (a[:, 1] - y) - ey * (a[:, 0] - x)
     den = -(ex * d[:, 1] - ey * d[:, 0])
     parallel = np.abs(den) < _PARALLEL
@@ -212,15 +222,18 @@ def _clip_segments(a: np.ndarray, d: np.ndarray, tri: np.ndarray
     t_out = np.minimum(np.where(out[2] < t_out, out[2], t_out), 1.0)
     hit = np.flatnonzero(~(parallel & (num < 0)).any(axis=0)
                          & ~(t_in > t_out))
-    a, d = a[hit], d[hit]
-    return hit, a + t_in[hit, None] * d, a + t_out[hit, None] * d
+    a, d = a.take(hit, axis=0), d.take(hit, axis=0)
+    return hit, a + t_in[hit][:, None] * d, a + t_out[hit][:, None] * d
 
 
 class _TriangleScan:
     """The batched scan of one mesh: every ear-clip triangle in one array,
     with the per-triangle halves of the pair test (unit plane normal and
     offset, the _geom.plane_basis frame, the triangle's own cycle in that
-    frame turned counterclockwise, and its bounding box)."""
+    frame turned counterclockwise, and its bounding box).  The triangles'
+    first vertices, their origins, are kept as one (T, 3) array and the
+    box bounds as contiguous (3, T) rows, one per axis, so that every pick
+    is a gather of whole rows."""
 
     def __init__(self, p: Polyhedron):
         geo = p.geometry
@@ -229,16 +242,18 @@ class _TriangleScan:
         self.eps = 1e-12 * geo.scale
         self.seam_tol = 1e-9 * geo.scale
         self.tri_vertex, self.face = geo.triangulation
-        tri = p.vertices[self.tri_vertex]
+        tri = p.vertices.take(self.tri_vertex, axis=0)
         self.tri = tri
-        self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
+        self.origin = tri[:, 0].copy()
+        self.lo = np.ascontiguousarray(tri.min(axis=1).T)
+        self.hi = np.ascontiguousarray(tri.max(axis=1).T)
 
         # a degenerate triangle has a zero normal and touches nothing
         self.normal, self.degenerate = geo.triangle_normals
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.offset = _geom.dot(self.normal, tri[:, 0])
+            self.offset = _geom.dot(self.normal, self.origin)
             self.u, self.v = _geom.plane_basis(self.normal)
-            own = _geom.project_2d(tri, tri[:, 0], self.u, self.v)
+            own = _geom.project_2d(tri, self.origin, self.u, self.v)
             cw = _geom.polygon_area_2d(own) < 0
             self.ccw = np.where(cw[:, None, None], own[:, ::-1], own)
         # the vertex ids of each ccw cycle
@@ -278,8 +293,8 @@ class _TriangleScan:
         lo, hi, eps = self.lo, self.hi, self.eps
         best = None
         for axis in range(3):
-            order = np.argsort(lo[:, axis], kind="stable")
-            end = np.searchsorted(lo[order, axis], hi[order, axis] + eps,
+            order = np.argsort(lo[axis], kind="stable")
+            end = np.searchsorted(lo[axis][order], hi[axis][order] + eps,
                                   side="right")
             count = end - np.arange(1, len(order) + 1)
             if best is None or count.sum() < best[1].sum():
@@ -296,16 +311,21 @@ class _TriangleScan:
             keep = (self.face[i] != self.face[j]) & ~self.degenerate[i] & \
                 ~self.degenerate[j]
             for x in range(3):
-                keep &= ~(lo[i, x] > hi[j, x] + eps)
-                keep &= ~(lo[j, x] > hi[i, x] + eps)
+                keep &= ~(lo[x][i] > hi[x][j] + eps)
+                keep &= ~(lo[x][j] > hi[x][i] + eps)
             out_i.append(i[keep].astype(np.int32))
             out_j.append(j[keep].astype(np.int32))
         return np.concatenate(out_i), np.concatenate(out_j)
 
+    def _frame(self, j):
+        """The (origin, u, v) frames of triangles j, as (n, 3) rows."""
+        return tuple(a.take(j, axis=0) for a in (self.origin, self.u, self.v))
+
     def _distances(self, i, j):
         """Signed distances of triangle i's vertices to triangle j's plane,
         as (3, n) columns, one per vertex."""
-        d = (self.tri[i] @ self.normal[j][:, :, None])[..., 0]
+        d = (self.tri.take(i, axis=0)
+             @ self.normal.take(j, axis=0)[:, :, None])[..., 0]
         return np.subtract(d.T, self.offset[j], out=np.empty((3, len(i))))
 
     def contacts(self, i: np.ndarray, j: np.ndarray):
@@ -322,9 +342,9 @@ class _TriangleScan:
         eps = self.eps
         s = self._distances(i, j)
         keep = ~_one_side(s, eps)
-        i, j, s = i[keep], j[keep], s[:, keep]
+        i, j, s = i[keep], j[keep], s.compress(keep, axis=1)
         keep = ~_one_side(self._distances(j, i), eps)
-        i, j, s = i[keep], j[keep], s[:, keep]
+        i, j, s = i[keep], j[keep], s.compress(keep, axis=1)
         on, cut = _plane_meets(s, eps)
         coplanar = _each(on)
         # a triangle that meets the other's plane in fewer than two points
@@ -333,7 +353,8 @@ class _TriangleScan:
         # test
         met = on | cut
         cross = np.flatnonzero(~coplanar & _two_of(met))
-        cross = cross[~self._on_shared_side(i[cross], j[cross], on[:, cross])]
+        cross = cross[~self._on_shared_side(i[cross], j[cross],
+                                            on.take(cross, axis=1))]
         flat = np.flatnonzero(coplanar)
         # a branch with no rows is skipped, not run on empty arrays; a
         # coplanar pair that a side separates has no overlap to clip
@@ -344,18 +365,19 @@ class _TriangleScan:
         flat = flat[hit_c]
         if cross.size:
             hit_x, a, b = self._crossing(j[cross], self._segment(
-                i[cross], s[:, cross], met[:, cross], cut[:, cross]))
+                i[cross], *(m.take(cross, axis=1) for m in (s, met, cut))))
             cross = cross[hit_x]
             live = ~self._at_shared_vertex(i[cross], j[cross], a, b)
-            cross, a, b = cross[live], a[live], b[live]
+            cross = cross[live]
+            a, b = a.compress(live, axis=0), b.compress(live, axis=0)
         if not (flat.size or cross.size):
             none = np.zeros(0, np.intp)
             return none, none, none, np.zeros(0, bool), np.zeros((0, 3))
         pts_x = self._samples(j[cross], a, b) if cross.size \
-            else np.zeros((0, 5, 3))
-        rows = np.concatenate([flat, np.repeat(cross, 5)])
+            else np.zeros((0, _PLACES, 3))
+        rows = np.concatenate([flat, np.repeat(cross, _PLACES)])
         place = np.concatenate([np.zeros(len(flat), np.intp),
-                                np.tile(np.arange(5), len(cross))])
+                                np.tile(np.arange(_PLACES), len(cross))])
         is_flat = np.arange(len(rows)) < len(flat)
         pts = np.concatenate([pts_c, pts_x.reshape(-1, 3)])
         return i[rows], j[rows], place, is_flat, pts
@@ -368,7 +390,7 @@ class _TriangleScan:
         rounding (about eps) of that edge, far inside seam_tol: a seam,
         never a witness.  A pair of vertices that is a side of one face
         only (a diagonal of the other) is not dropped."""
-        v = self.tri_vertex[i].T
+        v = self.tri_vertex.take(i, axis=0).T
         a = np.where(on[0], v[0], v[1])
         b = np.where(on[2], v[2], v[1])
         return _two_of(on) & \
@@ -379,51 +401,56 @@ class _TriangleScan:
         """Coplanar pairs that the line of a side separates (see
         _side_separates), tested in triangle j's frame, where _overlap
         would clip them."""
-        own = _geom.project_2d(self.tri[i], self.tri[j, 0], self.u[j],
-                               self.v[j])
+        own = _geom.project_2d(self.tri.take(i, axis=0), *self._frame(j))
         cw = _geom.polygon_area_2d(own) < 0
         own = np.where(cw[:, None, None], own[:, ::-1], own)
-        return _side_separates(own, self.ccw[j])
+        return _side_separates(own, self.ccw.take(j, axis=0))
 
     def _overlap(self, i, j):
         """Coplanar pairs: overlap of triangle i with triangle j, in j's
         frame.  A pair is hit when the overlap has area above
         _OVERLAP_AREA; its sample is the overlap's vertex mean.  Returns
         the hit rows and their samples."""
-        o, u, v = self.tri[j, 0], self.u[j], self.v[j]
+        o, u, v = self._frame(j)
         rows, poly, size = _clip_convex(
-            _geom.project_2d(self.tri[i], o, u, v), self.ccw[j])
+            _geom.project_2d(self.tri.take(i, axis=0), o, u, v),
+            self.ccw.take(j, axis=0))
         hit = np.zeros(len(rows), bool)
         mean = np.zeros((len(rows), 2))
         for k in np.flatnonzero(np.bincount(size)[3:]) + 3:
             at = np.flatnonzero(size == k)
-            pk = poly[at, :k]
+            pk = poly[:, :k].take(at, axis=0)
             hit[at] = np.abs(_geom.polygon_area_2d(pk)) > _OVERLAP_AREA
             mean[at] = pk.mean(axis=1)
-        rows, mean = rows[hit], mean[hit]
-        return rows, o[rows] + mean[:, 0, None] * u[rows] \
-            + mean[:, 1, None] * v[rows]
+        rows, mean = rows[hit], mean.compress(hit, axis=0)
+        o, u, v = (a.take(rows, axis=0) for a in (o, u, v))
+        return rows, o + mean[:, 0, None] * u + mean[:, 1, None] * v
 
     def _segment(self, i, s, met, cut):
         """The segment where triangle i meets the plane its signed vertex
         distances s are measured to, as (n, 2, 3) ends.  s, met and cut
         are (3, n) columns (see _plane_meets): met marks the vertices on
         the plane and the sides crossing it, and every row has at least
-        two.  The cut sides of every row are crossed in one pass."""
-        tri = self.tri[i]
-        side, row = np.nonzero(cut)
+        two.  The cut sides of every row are crossed in one pass, each
+        (side, row) pick a gather from the flat (3n,) s and the (3n, 3)
+        vertex rows."""
+        n = len(i)
+        at = np.flatnonzero(cut)
+        side, row = np.divmod(at, n)
         after = (side + 1) % 3
-        sa = s[side, row]
-        t = sa / (sa - s[after, row])
-        ends = tri.copy()
-        start = tri[row, side]
-        ends[row, side] = start + t[:, None] * (tri[row, after] - start)
+        s = s.ravel()
+        sa = s[at]
+        t = sa / (sa - s[after * n + row])
+        ends = self.tri.take(i, axis=0).reshape(-1, 3)
+        start, stop = 3 * row + side, 3 * row + after
+        a = ends.take(start, axis=0)
+        ends[start] = a + t[:, None] * (ends.take(stop, axis=0) - a)
         # a triangle not in the plane meets it in at most two such points:
         # its vertices on the plane and its sides crossing the plane
         first = np.where(met[0], 0, np.where(met[1], 1, 2))
         last = np.where(met[2], 2, np.where(met[1], 1, 0))
-        row = 3 * np.arange(len(i))
-        return ends.reshape(-1, 3)[np.stack([row + first, row + last], 1)]
+        row = 3 * np.arange(n)
+        return ends.take(np.stack([row + first, row + last], 1), axis=0)
 
     def _crossing(self, j, seg):
         """Transversal pairs: the segments seg, in triangle j's plane,
@@ -434,9 +461,9 @@ class _TriangleScan:
         seam_tol / 2 of a vertex both triangles share, since every sample
         between such ends is a seam (_at_shared_vertex), and samples the
         rest (_samples)."""
-        o, u, v = self.tri[j, 0], self.u[j], self.v[j]
-        s2d = _geom.project_2d(seg, o, u, v)
-        return _clip_segments(s2d[:, 0], s2d[:, 1] - s2d[:, 0], self.ccw[j])
+        s2d = _geom.project_2d(seg, *self._frame(j))
+        return _clip_segments(s2d[:, 0], s2d[:, 1] - s2d[:, 0],
+                              self.ccw.take(j, axis=0))
 
     def _at_shared_vertex(self, i, j, a, b):
         """Clipped crossings whose ends a and b, in triangle j's frame,
@@ -448,11 +475,13 @@ class _TriangleScan:
         to both faces, so every sample's clearance is below seam_tol:
         the row holds seams only and can be dropped unsampled."""
         tol2 = (0.5 * self.seam_tol) ** 2
-        own = self.tri_vertex[i]
+        own = self.tri_vertex.take(i, axis=0)
+        ccw_vertex = self.ccw_vertex.take(j, axis=0)
+        ccw = self.ccw.take(j, axis=0)
         out = np.zeros(len(i), bool)
         for k in range(3):
-            w = self.ccw_vertex[j, k]
-            at = self.ccw[j, k]
+            w = ccw_vertex[:, k]
+            at = ccw[:, k]
             da, db = a - at, b - at
             out |= ((own[:, 0] == w) | (own[:, 1] == w) | (own[:, 2] == w)) \
                 & (da[:, 0] * da[:, 0] + da[:, 1] * da[:, 1] <= tol2) \
@@ -464,7 +493,7 @@ class _TriangleScan:
         their ends a and b in j's frame: the ends, quarter points and
         midpoint, as (n, 5, 3).  Each sum is formed in place, in the order
         o + x u + y v."""
-        o, u, v = self.tri[j, 0], self.u[j], self.v[j]
+        o, u, v = self._frame(j)
         q = np.stack([a, 0.75 * a + 0.25 * b, 0.5 * (a + b),
                       0.25 * a + 0.75 * b, b], axis=1)
         pts = q[..., 0, None] * u[:, None]
@@ -495,17 +524,18 @@ class _TriangleScan:
         for keep, segment in ((has_a, False), (side, True)):
             feat, at = _spread(n_pts[owner[keep]])
             k = by_pair[first[owner[keep]][feat] + at]
-            q = pts[k]
-            va = self.vertices[a[keep]]
+            q = pts.take(k, axis=0)
+            va = self.vertices.take(a[keep], axis=0)
             if segment:
-                ab = (self.vertices[b[keep]] - va)[feat]
-                va = va[feat]
+                ab = (self.vertices.take(b[keep], axis=0) - va).take(
+                    feat, axis=0)
+                va = va.take(feat, axis=0)
                 denom = _geom.dot(ab, ab)
                 t = np.clip(_geom.dot(q - va, ab)
                             / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
                 va += t[:, None] * ab       # the nearest point of the side
             else:
-                va = va[feat]
+                va = va.take(feat, axis=0)
             q -= va
             np.minimum.at(out, k, _geom.norm(q))
         return out
@@ -558,13 +588,20 @@ def _side_separates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_per_pair(key, clearance, i, j, place, *rest):
+def _best_per_pair(n_tri, key, clearance, i, j, place, *rest):
     """Keep, per face-pair key, the sample of largest clearance; ties go to
     the least (i, j, place), the first sample a pair-at-a-time scan meets.
-    Every argument is an array over the samples."""
-    idx = np.lexsort((place, j, i, -clearance, key))
+    i and j are triangles, in range(n_tri); every argument but n_tri is an
+    array over the samples.  The sort is np.lexsort((place, j, i,
+    -clearance, key)) with its first three keys packed into one int64,
+    (i * n_tri + j) * _PLACES + place, which orders as they do.  The
+    largest packed key is _PLACES * n_tri**2 - 1, within int64 for up to
+    isqrt(2**63 // _PLACES) = 1,358,187,913 triangles."""
+    tie = (i.astype(np.int64) * n_tri + j) * _PLACES + place
+    idx = np.lexsort((tie, -clearance, key))
     idx = idx[np.diff(key[idx], prepend=-1) != 0]
-    return tuple(a[idx] for a in (key, clearance, i, j, place, *rest))
+    return tuple(a.take(idx, axis=0)
+                 for a in (key, clearance, i, j, place, *rest))
 
 
 def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
@@ -590,13 +627,17 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     to 3D adds only rounding, and the vertex is shared by both faces, so
     every sample would be a seam.  A block left with no sample skips the
     clearance and the per-pair selection.  Each face pair reports its
-    sample of largest clearance, the earliest in triangle order on ties.
+    sample of largest clearance, the earliest in triangle order on ties;
+    the selection runs per block and, when more than one block kept
+    samples, once more over their winners (it is idempotent, so a single
+    block's winners stand).
 
     Each dot product and norm is rounded exactly as np.dot rounds a single
     pair, so the result equals that of testing one triangle pair at a
     time, down to the bits of the witness points.
     """
     scan = _TriangleScan(p)
+    n_tri = len(scan.face)
     cand_i, cand_j = scan.candidates()
     found = []
     for s in range(0, len(cand_i), _ROWS):
@@ -608,16 +649,18 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
         key = scan.face[i] * p.n_faces + scan.face[j]
         clr = scan.clearance(key, pts)
         keep = clr > scan.seam_tol
-        found.append(_best_per_pair(*(a[keep] for a in (
-            key, clr, i, j, place, flat, pts))))
+        found.append(_best_per_pair(
+            n_tri, *(a[keep] for a in (key, clr, i, j, place, flat)),
+            pts.compress(keep, axis=0)))
     if not found:
         return []
-    key, _, _, _, _, flat, pts = _best_per_pair(
-        *(np.concatenate(a) for a in zip(*found)))
-    kinds = np.where(flat, "coplanar-overlap", "transversal").tolist()
-    return [IntersectionWitness(faces, point, kind) for faces, point, kind
-            in zip(zip((key // p.n_faces).tolist(),
-                       (key % p.n_faces).tolist()), pts, kinds)]
+    key, _, _, _, _, flat, pts = found[0] if len(found) == 1 else \
+        _best_per_pair(n_tri, *(np.concatenate(a) for a in zip(*found)))
+    kinds = ("transversal", "coplanar-overlap")
+    return [IntersectionWitness((f1, f2), point, kinds[f])
+            for f1, f2, point, f in zip((key // p.n_faces).tolist(),
+                                        (key % p.n_faces).tolist(),
+                                        list(pts), flat.tolist())]
 
 
 def is_embedded(p: Polyhedron) -> bool:

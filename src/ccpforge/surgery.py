@@ -629,11 +629,11 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
     Both planes' candidates are selected in one pass and measured in one
     MeshGeometry.inside_clearance call."""
     scale = geo.scale
-    along = geo.vertices[geo.corner_vertex] @ normal
+    along = geo.vertices.take(geo.corner_vertex, axis=0) @ normal
     which, faces = np.nonzero(np.maximum.reduceat(
         np.abs(along - np.asarray(heights)[:, None]), geo.face_start,
         axis=1) <= 1e-7 * scale)
-    clearance = geo.inside_clearance(faces, points[which])
+    clearance = geo.inside_clearance(faces, points.take(which, axis=0))
     hit = clearance > AXIS_CLEARANCE * scale
     out: list[tuple[int | None, float]] = []
     for i in range(len(heights)):

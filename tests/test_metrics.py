@@ -300,3 +300,70 @@ def test_crossing_on_a_diagonal_keeps_its_witness(monkeypatch):
     ab = next(w for w in got if w.faces == (0, 1))
     assert ab.kind == "transversal"
     assert np.allclose(ab.point, (1.0, 0.0, 0.0), atol=1e-12)
+
+
+def _lexsort_best(key, clearance, i, j, place):
+    """The per-pair selection as five separate sort keys."""
+    idx = np.lexsort((place, j, i, -clearance, key))
+    return idx[np.diff(key[idx], prepend=-1) != 0]
+
+
+@pytest.mark.parametrize("n_tri", [1, 2, 7, 1000, "bound"])
+def test_best_per_pair_packs_its_tie_keys(n_tri):
+    """_best_per_pair, whose three tie keys (i, j, place) are packed into
+    one int64, keeps the rows that sorting on the five keys apart keeps,
+    row for row, on samples with heavy ties in clearance (both zeros
+    among them), in (i, j) and in place.  At the radix bound the largest
+    packed key is just below 2**63, and one more triangle would pass
+    it."""
+    from ccpforge.metrics import _PLACES, _best_per_pair
+    if n_tri == "bound":
+        n_tri = math.isqrt(2 ** 63 // _PLACES)
+        assert _PLACES * n_tri ** 2 - 1 <= np.iinfo(np.int64).max \
+            < _PLACES * (n_tri + 1) ** 2 - 1
+    rng = np.random.default_rng(n_tri % 9973)
+    n = 2000
+    tri = np.unique(np.r_[0, 1, n_tri - 2, n_tri - 1].clip(0, n_tri - 1))
+    key = rng.integers(0, 40, n)
+    clearance = rng.choice([0.0, -0.0, 0.5, 1.0, np.inf], n)
+    i, j = rng.choice(tri, (2, n))
+    place = rng.integers(0, _PLACES, n)
+    want = _lexsort_best(key, clearance, i, j, place)
+    assert len(want) == len(np.unique(key))
+    got = _best_per_pair(n_tri, key, clearance, i, j, place, np.arange(n))
+    assert np.array_equal(got[-1], want)
+    for g, a in zip(got, (key, clearance, i, j, place)):
+        assert g.tobytes() == a[want].tobytes()
+
+
+@pytest.mark.parametrize("name,genus", [("minimal", 10), ("orientable", 6),
+                                        ("two-tetrahedra", None)])
+def test_contacts_are_row_by_row(name, genus):
+    """contacts on a seeded random split of a mesh's candidate rows, the
+    parts' results concatenated, equals one call on all rows: the same
+    pairs, places, kinds and point bytes per row, once sorted by (i, j,
+    place).  A gather or mask along the wrong axis, or a mask cut short,
+    mixes or loses rows and breaks this.  minimal g = 10 has transversal
+    contacts, the two tetrahedra a coplanar one; orientable g = 6 has
+    none."""
+    from ccpforge.metrics import _TriangleScan
+    from test_self_intersection_oracle import two_tetrahedra
+    p = two_tetrahedra((0.5, 0.5)) if genus is None else \
+        generate_family(FamilyRequest(name, genus, {}))
+    scan = _TriangleScan(p)
+    i, j = (a.astype(np.intp) for a in scan.candidates())
+
+    def by_row(parts):
+        ci, cj, place, flat, pts = (np.concatenate(a) for a in zip(*parts))
+        order = np.lexsort((place, cj, ci))
+        return [a[order].tobytes() for a in (ci, cj, place, flat, pts)]
+
+    want = by_row([scan.contacts(i, j)])
+    assert want[0] or name == "orientable"
+    part = np.random.default_rng(30).integers(0, 7, len(i))
+    # a few rows alone, as blocks of one
+    part[np.random.default_rng(31).choice(len(i), 5, replace=False)] = \
+        np.arange(7, 12)
+    got = by_row([scan.contacts(i[part == k], j[part == k])
+                  for k in range(12)])
+    assert got == want

@@ -655,3 +655,43 @@ def test_file_contents_contract(tmp_path, capsys, name, text, code, error):
     path.write_text(text)
     assert main(["verify", str(path)]) == code
     assert error in capsys.readouterr().err
+
+
+def _tet_labelled(labels):
+    doc = mesh_to_document(gen_tetrahedron())
+    doc["metadata"]["vertex_labels"] = labels
+    return json.dumps(doc, ensure_ascii=False)
+
+
+ENCODING_CASES = [
+    ("label.json", _tet_labelled({"α0": 0}).encode("utf-8"), 0),
+    ("comment.obj", ("# maillage créé par ccp\n" + TET_OBJ).encode("utf-8"),
+     0),
+    # Latin-1 bytes are not UTF-8
+    ("latin1.json", _tet_labelled({"é0": 0}).encode("latin-1"), 2),
+    ("latin1.obj", ("# maillage créé par ccp\n" + TET_OBJ).encode("latin-1"),
+     2),
+]
+
+
+@pytest.mark.parametrize("name,data,code", ENCODING_CASES,
+                         ids=[case[0] for case in ENCODING_CASES])
+@pytest.mark.parametrize("locale", ["C", "default"])
+def test_input_is_read_as_utf8(tmp_path, name, data, code, locale):
+    """Input files are decoded as UTF-8 whatever the locale, also in a
+    POSIX locale with neither locale coercion nor UTF-8 mode; bytes that
+    are not UTF-8 end in BadFile and exit 2."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH", "")])))
+    flags = []
+    if locale == "C":
+        env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        flags = ["-X", "utf8=0"]
+    r = subprocess.run([sys.executable, *flags, "-m", "ccpforge.cli",
+                        "verify", str(path)], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == code, r.stderr
+    if code:
+        assert "BadFile" in r.stderr and "is not text" in r.stderr
