@@ -24,11 +24,22 @@ def norm(a: np.ndarray) -> np.ndarray:
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross products along the last axis, componentwise as np.cross
     computes them (a1*b2 - a2*b1, ...), so with its bits, but without its
-    axis moves."""
+    axis moves: each component is written into one new array."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    parts = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    return np.concatenate([c[..., None] for c in parts], axis=-1)
+    x = a1 * b2 - a2 * b1
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def linalg_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis with the bits of
+    np.linalg.norm(a, axis=-1), which for real input sums the squares by
+    np.add.reduce; they differ from norm's, whose sums are BLAS ddot's."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _succ(a: np.ndarray, axis: int = -2) -> np.ndarray:
@@ -43,7 +54,7 @@ def tolerance_scale(points: np.ndarray, axis=None):
     """The scale of every length tolerance: the largest absolute coordinate
     of `points`, at least 1, or 1 if one is NaN; with `axis`, one per row
     taken over that axis, NaN for a row with a NaN."""
-    top = np.abs(points).max(axis=axis)
+    top = np.maximum.reduce(np.abs(points), axis=axis)
     return max(1.0, float(top)) if axis is None else np.maximum(1.0, top)
 
 
@@ -56,13 +67,13 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (right-hand rule over the cycle order) of its own points taken about
     their centroid, so that where the points lie does not sway the sign.
     """
-    c = pts.mean(axis=-2)
+    c = np.add.reduce(pts, axis=-2) / pts.shape[-2]
     d = pts - c[..., None, :]
     _, _, vt = np.linalg.svd(d, full_matrices=False)
     n = vt[..., -1, :]
-    newell = cross(d, _succ(d)).sum(axis=-2)
+    newell = np.add.reduce(cross(d, _succ(d)), axis=-2)
     n = np.where((dot(n, newell) < 0)[..., None], -n, n)
-    resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
+    resid = np.maximum.reduce(np.abs((d @ n[..., :, None])[..., 0]), axis=-1)
     return c, n, resid
 
 
@@ -71,7 +82,7 @@ def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (..., 3) normals: u is the axis of n's smallest component made
     orthogonal to n."""
     n = n / norm(n)[..., None]
-    e = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]) * 1.0
+    e = (np.arange(3) == np.abs(n).argmin(axis=-1)[..., None]) * 1.0
     w = e - dot(e, n)[..., None] * n
     u = w / norm(w)[..., None]
     return u, cross(n, u)
@@ -82,8 +93,10 @@ def project_2d(pts: np.ndarray, origin: np.ndarray, u: np.ndarray,
     """(..., k, 3) points in the frames (origin, u, v), each (..., 3):
     their (..., k, 2) in-plane coordinates."""
     d = pts - origin[..., None, :]
-    return np.stack([(d @ u[..., :, None])[..., 0],
-                     (d @ v[..., :, None])[..., 0]], axis=-1)
+    out = np.empty(d.shape[:-1] + (2,))
+    out[..., 0] = (d @ u[..., :, None])[..., 0]
+    out[..., 1] = (d @ v[..., :, None])[..., 0]
+    return out
 
 
 def polygon_area_2d(p: np.ndarray) -> np.ndarray:
@@ -130,7 +143,9 @@ def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
     above = nxt[..., 1] > pt[..., None, 1]
     up = below & above & (side > 0)         # upward crossings, point left
     down = ~below & ~above & (side < 0)     # downward crossings, point right
-    return np.count_nonzero(up, axis=-1) != np.count_nonzero(down, axis=-1)
+    # per cycle the count of each, as np.count_nonzero(axis=-1) takes it
+    return np.add.reduce(up, axis=-1, dtype=np.intp) != \
+        np.add.reduce(down, axis=-1, dtype=np.intp)
 
 
 def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
@@ -145,7 +160,8 @@ def dist_point_polygon_boundary(pt: np.ndarray, poly: np.ndarray
     num, denom = dot(ap, ab), dot(ab, ab)
     t = np.divide(num, denom, out=np.zeros(num.shape), where=denom != 0.0)
     t = np.minimum(np.maximum(t, 0.0), 1.0)
-    return norm(pt[..., None, :] - (poly + t[..., None] * ab)).min(axis=-1)
+    return np.minimum.reduce(
+        norm(pt[..., None, :] - (poly + t[..., None] * ab)), axis=-1)
 
 
 def inside_clearance(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -212,7 +228,8 @@ def ear_clip(poly2d: np.ndarray | list, eps: float = 1e-12,
 
 def kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Proper rigid motion (R, t) minimizing |R @ src + t - dst|."""
-    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    cs = np.add.reduce(src, axis=0) / len(src)
+    cd = np.add.reduce(dst, axis=0) / len(dst)
     h = (src - cs).T @ (dst - cd)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))

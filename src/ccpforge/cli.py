@@ -17,7 +17,7 @@ from .errors import BadParameters, CcpError
 from .fileio import load_mesh, save_mesh
 from .generators import CATALOG, FamilyRequest, generate_family
 from .surgery import DrillSpec, drill_repeat
-from .verify import format_report, verify
+from .verify import check_defect_tolerance, format_report, verify
 
 
 def _number(text) -> float:
@@ -40,17 +40,17 @@ def _parse_params(items):
 
 
 def _defect_tolerance(args):
-    """The defect band --tolerance or else CCP_TOLERANCE sets, if any: a
-    finite positive number."""
+    """The defect band --tolerance or else CCP_TOLERANCE sets, if any,
+    checked as verify checks it, before the file is read."""
     given = args.tolerance if args.tolerance is not None \
         else os.environ.get("CCP_TOLERANCE")
     if given in (None, ""):
         return None
-    value = _number(given)
-    if not (math.isfinite(value) and value > 0):
-        raise BadParameters(f"the defect tolerance must be a finite "
-                            f"positive number, got {given!r}")
-    return value
+    try:
+        given = float(given)
+    except ValueError:
+        pass                    # text that is no number: the error names it
+    return check_defect_tolerance(given)
 
 
 def cmd_generate(args) -> int:

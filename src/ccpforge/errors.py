@@ -105,11 +105,14 @@ class SelfCrossingPartition(CcpError):
 # ---- generators ----
 
 class BadParameters(CcpError):
-    """Free parameters outside the admissible domain of a family."""
+    """Free parameters outside the admissible domain of a family, a
+    defect tolerance that is not a finite positive number, or a vertex
+    label that no vertex of the mesh carries."""
 
 
 class GenusOutOfRange(CcpError):
-    """Requested genus outside the range a family supports."""
+    """Requested genus outside the range a family supports, or one that
+    is not an integer."""
 
 
 class BracketFailure(CcpError):

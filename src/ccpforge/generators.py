@@ -12,10 +12,18 @@ import numpy as np
 from . import _geom, surgery
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import (MeshData, MeshMetadata, Polyhedron, build_polyhedron,
-                   euler_characteristic, replace_meta)
+from .mesh import (MeshData, MeshMetadata, Polyhedron, _integer,
+                   build_polyhedron, euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
+
+
+def _genus(g) -> int:
+    """g as an int, by mesh._integer (numpy integers pass); a bool or
+    anything else that is not an integer raises GenusOutOfRange."""
+    if isinstance(g, bool):
+        raise GenusOutOfRange(f"genus {g!r} is not an integer")
+    return _integer(g, "genus", GenusOutOfRange)
 
 
 def _rot_z(angle: float) -> np.ndarray:
@@ -420,6 +428,7 @@ def gen_orientable(g: int) -> Polyhedron:
     """Embedded orientable family: tetrahedron, the 9-vertex flat torus,
     P^2_24, then repeated 12-gonal drilling of P^2_24 (24(g-1) vertices,
     defect -pi/6)."""
+    g = _genus(g)
     if g < 0:
         raise GenusOutOfRange("genus must be >= 0")
     if g == 0:
@@ -441,6 +450,7 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
     smallest vertex counts (5g / 7g-14 for odd genus, the hemi polyhedra
     and 4g-8 drilling for even genus).
     """
+    g = _genus(g)
     if g < 1:
         raise GenusOutOfRange("genus must be >= 1")
     if g == 1:
@@ -490,6 +500,7 @@ def _window_prism_vertices(cot: float, a: float, z: float):
 def gen_v8g(g: int) -> Polyhedron:
     """Embedded orientable family on a 2g-gonal prism with g windows:
     |V|=8g, |E|=16g, |F|=6g+2, defect pi(1-g)/(2g)."""
+    g = _genus(g)
     if g < 2:
         raise GenusOutOfRange("v8g needs genus >= 2")
     a = math.pi * (g - 1) / (4 * g)
@@ -515,6 +526,7 @@ def gen_v8g(g: int) -> Polyhedron:
 def gen_v6g(g: int) -> Polyhedron:
     """Embedded orientable family on a g-gonal prism, one window per
     lateral face: |V|=6g, |E|=13g, |F|=5g+2, defect 2*pi(1-g)/(3g)."""
+    g = _genus(g)
     if g < 5:
         raise GenusOutOfRange("v6g needs genus >= 5")
     a = math.pi * (g - 1) / (3 * g)
@@ -578,6 +590,7 @@ def gen_v7gm7(g: int) -> Polyhedron:
     """Embedded orientable family for g in {4, 5, 6} on a (g-1)-gonal prism
     with lateral windows plus one central ring tunnel: |V|=7g-7, |E|=18g-18,
     |F|=9g-9, defect -4*pi/7."""
+    g = _genus(g)
     if g not in (4, 5, 6):
         raise GenusOutOfRange("v7gm7 supports genus 4, 5 and 6")
     return _v7gm7_mesh(g, *_v7gm7_printed_params(g))
@@ -614,6 +627,7 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
     genus-7 member."""
+    g = _genus(g)
     if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
         raise GenusOutOfRange(
             f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
@@ -729,6 +743,7 @@ def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
 
     l1 is doubled until both intermediate-value brackets hold.
     """
+    g = _genus(g)
     if g < 1:
         raise GenusOutOfRange("genus must be >= 1")
     n_main = g // 2
@@ -850,6 +865,7 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
     side rectangles, with a terminal centre block for odd genus.  The
     blocks are glued as data and the finished chain validated once."""
+    g = _genus(g)
     if not 1 <= g <= MINIMAL_MAX_GENUS:
         raise GenusOutOfRange(
             f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
@@ -961,7 +977,8 @@ _BY_FAMILY = {info.family: info for info in CATALOG}
 def generate_family(request: FamilyRequest) -> Polyhedron:
     """Build the mesh a FamilyRequest describes.  A request its CATALOG row
     does not allow raises before any work: an unknown family, parameter or
-    prefer_fewest BadParameters, a missing or other genus GenusOutOfRange."""
+    prefer_fewest BadParameters, and a missing or other genus, or one
+    that is not an integer (a bool included), GenusOutOfRange."""
     fam, g, par = request.family, request.genus, dict(request.params)
     info = _BY_FAMILY.get(fam)
     if info is None:
@@ -977,6 +994,8 @@ def generate_family(request: FamilyRequest) -> Polyhedron:
         if not info.fewest:
             raise BadParameters(f"family {fam!r} has no fewest-vertex route")
         par["prefer_fewest"] = True
+    if g is not None:
+        g = _genus(g)
     if info.genus is not None:
         if g is not None and g != info.genus:
             raise GenusOutOfRange(
@@ -984,4 +1003,4 @@ def generate_family(request: FamilyRequest) -> Polyhedron:
         return info.build(**par)
     if g is None:
         raise GenusOutOfRange(f"family {fam!r} needs --genus")
-    return info.build(int(g), **par)
+    return info.build(g, **par)

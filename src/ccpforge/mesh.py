@@ -14,6 +14,8 @@ slots instead (``edge_slots``).
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -24,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _geom
-from .errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
-                     InconsistentTopology, IndexOutOfRange, NonManifoldEdge)
+from .errors import (BadParameters, DegenerateFace, DisconnectedSurface,
+                     FlatEdge, InconsistentTopology, IndexOutOfRange,
+                     NonManifoldEdge)
 
 # a half-edge is (face index, slot): slot i of face f traverses the segment
 # from faces[f][i] to faces[f][(i+1) % len]
@@ -154,8 +157,12 @@ class Polyhedron:
         return out
 
     def label(self, name: str) -> int:
-        """Vertex id for a construction label such as 'v2+++' or 'v3,1'."""
-        return self.metadata.vertex_labels[name]
+        """Vertex id for a construction label such as 'v2+++' or 'v3,1';
+        BadParameters for a label no vertex carries."""
+        try:
+            return self.metadata.vertex_labels[name]
+        except (KeyError, TypeError):   # TypeError: an unhashable name
+            raise BadParameters(f"no vertex is labelled {name!r}") from None
 
 
 class MeshData(NamedTuple):
@@ -200,18 +207,18 @@ class Triangulation(NamedTuple):
 def _corner_layout(faces) -> _Corners:
     sizes = np.fromiter(map(len, faces), np.intp, len(faces))
     return _corners(sizes, np.fromiter((v for cyc in faces for v in cyc),
-                                       np.intp, int(sizes.sum())))
+                                       np.intp, int(np.add.reduce(sizes))))
 
 
 def _corners(sizes: np.ndarray, vertex: np.ndarray) -> _Corners:
     """The corner layout of faces of the given sizes whose cycles, one
     after another, are `vertex`."""
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     start = ends - sizes
     nxt = np.arange(1, len(vertex) + 1)
     nxt[ends - 1] = start
     return _Corners(sizes, start, vertex,
-                    np.repeat(np.arange(len(sizes)), sizes), nxt)
+                    np.arange(len(sizes)).repeat(sizes), nxt)
 
 
 class MeshGeometry:
@@ -261,11 +268,11 @@ class MeshGeometry:
         a face gets the bits it gets fitted alone; the frames run once
         over every face fitted, a row at a time as alone, and each array
         is written once."""
-        todo = np.flatnonzero(~self.fitted) if faces is None else \
+        todo = (~self.fitted).nonzero()[0] if faces is None else \
             faces[~self.fitted[faces]]
         sizes = self.face_size[todo]
         groups = []             # per face length: rows, corners, points
-        for k in np.flatnonzero(np.bincount(sizes)):
+        for k in np.bincount(sizes).nonzero()[0]:
             rows = todo[sizes == k]
             corner = self.face_start[rows][:, None] + np.arange(k)
             groups.append((rows, corner, self.vertices.take(
@@ -287,7 +294,7 @@ class MeshGeometry:
             self.uv[np.concatenate([x.ravel() for x in corners])] = \
                 np.concatenate([p.reshape(-1, 2) for p in uv])
         self.fitted[todo] = True
-        if self.fitted.all():
+        if np.logical_and.reduce(self.fitted):
             for a in (self.centroid, self.normal, self.u, self.v,
                       self.residual, self.area, self.uv):
                 a.setflags(write=False)
@@ -302,8 +309,8 @@ class MeshGeometry:
         self.fit(faces)
         out = np.zeros(len(faces))
         sizes = self.face_size[faces]
-        for k in np.flatnonzero(np.bincount(sizes)):
-            rows = np.flatnonzero(sizes == k)
+        for k in np.bincount(sizes).nonzero()[0]:
+            rows = (sizes == k).nonzero()[0]
             f = faces[rows]
             q = _geom.project_2d(
                 points.take(rows, axis=0)[:, None],
@@ -339,9 +346,9 @@ class MeshGeometry:
         """Whether a segment carries two edge cells: its vertex pair bounds
         four or more face sides."""
         u, v = self.corner_vertex, self.corner_vertex[self.next_corner]
-        pair = np.sort(np.minimum(u, v) * len(self.vertices)
-                       + np.maximum(u, v))
-        return bool((pair[3:] == pair[:-3]).any())
+        pair = np.minimum(u, v) * len(self.vertices) + np.maximum(u, v)
+        pair.sort()
+        return bool(np.logical_or.reduce(pair[3:] == pair[:-3]))
 
     @cached_property
     def scale(self) -> float:
@@ -362,7 +369,7 @@ class MeshGeometry:
             np.abs(self.uv), self.face_start), axis=1).tolist()
         clips = [_geom.ear_clip(uv[a:b], scale=s)
                  for a, b, s in zip(bounds, bounds[1:], scale)]
-        face = np.repeat(np.arange(len(clips)), [len(c) for c in clips])
+        face = np.arange(len(clips)).repeat([len(c) for c in clips])
         local = np.array([t for c in clips for t in c], np.intp)
         vertex = self.corner_vertex[self.face_start[face, None] + local]
         return Triangulation(_readonly(vertex), _readonly(face))
@@ -387,7 +394,7 @@ class MeshGeometry:
         nxt = pts.take(self.next_corner, axis=0) - pts
         prv = pts.take(self.prev_corner, axis=0) - pts
         cross = _geom.cross(nxt, prv)
-        theta = np.arctan2(np.linalg.norm(cross, axis=1),
+        theta = np.arctan2(_geom.linalg_norm(cross),
                            np.einsum("ij,ij->i", nxt, prv))
         reflex = np.einsum("ij,ij->i", cross,
                            self.normal.take(self.corner_face, axis=0)) < 0
@@ -420,11 +427,11 @@ class MeshGeometry:
         a = self.vertices.take(self.corner_vertex[c1], axis=0)
         t = self.vertices.take(self.corner_vertex[self.next_corner[c1]],
                                axis=0) - a
-        t /= np.linalg.norm(t, axis=1)[:, None]
+        t /= _geom.linalg_norm(t)[:, None]
         n1 = self.normal.take(self.corner_face[c1], axis=0)
         w2 = _geom.cross(self.normal.take(self.corner_face[c2], axis=0), t)
         np.negative(w2, out=w2, where=~same[:, None])
-        w2 /= np.linalg.norm(w2, axis=1)[:, None]
+        w2 /= _geom.linalg_norm(w2)[:, None]
         ang = np.arctan2(-np.einsum("ij,ij->i", n1, w2),
                          np.einsum("ij,ij->i", _geom.cross(n1, t), w2))
         return _readonly(np.where(ang < 0, ang + 2.0 * np.pi, ang))
@@ -434,7 +441,8 @@ def flat_edges(p: Polyhedron, seams) -> list[int]:
     """Edge cells whose dihedral angle is within ANGLE_TOL of pi, other
     than those joining a vertex pair in `seams`."""
     near_pi = np.abs(p.geometry.dihedrals - np.pi) < ANGLE_TOL
-    return [int(e) for e in np.flatnonzero(near_pi) if p.edges[e] not in seams]
+    return [e for e in near_pi.nonzero()[0].tolist()
+            if p.edges[e] not in seams]
 
 
 def _edge_cells(cells: np.ndarray, corners: _Corners
@@ -447,20 +455,22 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     f, s = half[:, 0], half[:, 1]
     ok = (f >= 0) & (f < len(corners.size))
     ok[ok] = (s[ok] >= 0) & (s[ok] < corners.size[f[ok]])
-    if not ok.all():
-        i = np.argmin(ok)
+    if not np.logical_and.reduce(ok):
+        i = ok.argmin()
         raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) out of range")
     corner = corners.start[f] + s
-    order = np.argsort(corner, kind="stable")
+    order = corner.argsort(kind="stable")
     again = order[1:][corner[order[1:]] == corner[order[:-1]]]
     if again.size:
-        i = again.min()
+        i = np.minimum.reduce(again)
         raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) paired twice")
     u = corners.vertex[corner]
     v = corners.vertex[corners.next[corner]]
-    ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+    ends = np.empty((len(u), 2), u.dtype)
+    np.minimum(u, v, out=ends[:, 0])
+    np.maximum(u, v, out=ends[:, 1])
     ends = ends.reshape(-1, 2, 2)
-    bad = np.flatnonzero((ends[:, 0] != ends[:, 1]).any(axis=1))
+    bad = np.logical_or.reduce(ends[:, 0] != ends[:, 1], axis=1).nonzero()[0]
     if bad.size:
         (f1, s1, f2, s2) = cells[bad[0]]
         raise NonManifoldEdge(
@@ -496,19 +506,27 @@ def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((np.arange(len(u)), hi, lo))
     lo, hi = lo[order], hi[order]
-    key_starts = np.ones(len(lo), dtype=bool)
+    key_starts = np.empty(len(lo), dtype=bool)
+    key_starts[:1] = True
     key_starts[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    first = np.flatnonzero(key_starts)
-    uses = np.diff(np.r_[first, len(lo)])
-    bad = np.flatnonzero(uses != 2)
+    first = key_starts.nonzero()[0]
+    uses = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=uses[:-1])
+    uses[-1:] = len(lo) - first[-1:]
+    bad = (uses != 2).nonzero()[0]
     if bad.size:
         i = first[bad[0]]
         raise NonManifoldEdge(
             f"edge {(int(lo[i]), int(hi[i]))} used {uses[bad[0]]} times; "
             f"meshes with doubled segments need explicit edge_slots")
-    slot = order - corners.start[corners.face[order]]
-    cells = np.stack([corners.face[order], slot], axis=1).reshape(-1, 4)
-    return cells, np.stack([lo[::2], hi[::2]], axis=1)
+    face = corners.face[order]
+    cells = np.empty((len(order), 2), np.intp)
+    cells[:, 0] = face
+    np.subtract(order, corners.start[face], out=cells[:, 1])
+    ends = np.empty((len(lo) // 2, 2), lo.dtype)
+    ends[:, 0] = lo[::2]
+    ends[:, 1] = hi[::2]
+    return cells.reshape(-1, 4), ends
 
 
 def _as_tuples(cells: np.ndarray, ends: np.ndarray
@@ -544,11 +562,12 @@ def build_polyhedron(vertices, faces,
     n = len(pts)
     if n < 4:
         raise IndexOutOfRange(f"need at least 4 vertices, got {n}")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    bad = (~np.logical_and.reduce(np.isfinite(pts), axis=1)).nonzero()[0]
     if bad.size:
         raise DegenerateFace(f"vertex {bad[0]} has a non-finite coordinate "
                              f"{tuple(pts[bad[0]].tolist())}")
-    bad = np.flatnonzero(np.abs(pts).max(axis=1) > COORDINATE_LIMIT)
+    bad = (np.maximum.reduce(np.abs(pts), axis=1)
+           > COORDINATE_LIMIT).nonzero()[0]
     if bad.size:
         raise DegenerateFace(f"vertex {bad[0]} has a coordinate beyond "
                              f"{COORDINATE_LIMIT:g}: "
@@ -559,7 +578,7 @@ def build_polyhedron(vertices, faces,
         cells, ends = _derived_cells(corners)
     else:
         cells, ends = _edge_cells(_cell_array(edge_slots), corners)
-    missing = np.flatnonzero(np.bincount(corners.vertex, minlength=n) == 0)
+    missing = (np.bincount(corners.vertex, minlength=n) == 0).nonzero()[0]
     if missing.size:
         raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")
 
@@ -574,8 +593,8 @@ def build_polyhedron(vertices, faces,
     scale = geo.scale
     short = _geom.norm(pts.take(ends[:, 0], axis=0)
                        - pts.take(ends[:, 1], axis=0)) <= LENGTH_TOL * scale
-    if short.any():
-        u, v = ends[np.argmax(short)]
+    if np.logical_or.reduce(short):
+        u, v = ends[short.argmax()]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
     small = geo.area <= LENGTH_TOL * scale * scale
@@ -611,16 +630,17 @@ def _checked_corners(faces, n: int) -> _Corners:
     flat = list(chain.from_iterable(faces))
     vertex, bad = _intp_entries(flat)
     n_faces = len(sizes)
-    face = np.repeat(np.arange(n_faces), sizes)
+    face = np.arange(n_faces).repeat(sizes)
     inside = (vertex >= 0) & (vertex < n)
     ids, m = vertex, n
-    if not inside.all():            # ranks, so that no key wraps
+    if not np.logical_and.reduce(inside):   # ranks, so that no key wraps
         uniq, ids = np.unique(vertex, return_inverse=True)
         m = len(uniq)
-    key = np.sort(face * m + ids)
+    key = face * m + ids
+    key.sort()
     repeat = key[1:][key[1:] == key[:-1]] // m
-    short = np.flatnonzero(sizes < 3)
-    outside = np.flatnonzero(~inside)
+    short = (sizes < 3).nonzero()[0]
+    outside = (~inside).nonzero()[0]
     # per check, in order within a face, the first face that fails it
     fails = [face[bad] if bad < len(flat) else n_faces,
              short[0] if short.size else n_faces,
@@ -647,6 +667,14 @@ def _integer(x, what: str, error: type[Exception]) -> int:
         return operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _finite(x) -> bool:
+    """Whether x is a real number (numpy's pass) and finite."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
@@ -695,7 +723,8 @@ def _orientation_cover(p: Polyhedron) -> tuple[bool, bool]:
     root = _components(np.concatenate([f1, f1 + nf]),
                        np.concatenate([f2, (f2 + nf) % (2 * nf)]), 2 * nf)
     face = root[:nf]
-    connected = bool(((face == root[0]) | (face == root[nf])).all())
+    connected = bool(np.logical_and.reduce((face == root[0])
+                                           | (face == root[nf])))
     return connected, bool(root[0] != root[nf])
 
 
@@ -715,13 +744,13 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     while True:
         ru, rv = root[u], root[v]
         join = ru != rv
-        if not join.any():
+        if not np.logical_or.reduce(join):
             return root
         np.minimum.at(root, np.maximum(ru, rv)[join],
                       np.minimum(ru, rv)[join])
         while True:
             up = root[root]
-            if np.array_equal(up, root):
+            if np.logical_and.reduce(up == root):
                 break
             root = up
 

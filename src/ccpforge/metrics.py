@@ -34,7 +34,7 @@ class IntersectionWitness:
 
 def edge_length(p: Polyhedron, e: int) -> float:
     u, v = p.edges[e]
-    return float(np.linalg.norm(p.vertices[u] - p.vertices[v]))
+    return float(_geom.norm(p.vertices[u] - p.vertices[v]))
 
 
 def corner_angle(p: Polyhedron, f: int, v: int) -> float:
@@ -61,7 +61,7 @@ def angular_defect(p: Polyhedron, v: int) -> float:
 def _defects(p: Polyhedron) -> np.ndarray:
     """Every vertex's defect; each vertex needs three incident faces."""
     counts = np.bincount(p.geometry.corner_vertex, minlength=p.n_vertices)
-    low = np.flatnonzero(counts < 3)
+    low = (counts < 3).nonzero()[0]
     if low.size:
         v = int(low[0])
         raise IsolatedVertex(f"vertex {v} has {counts[v]} incident faces")
@@ -72,15 +72,15 @@ def defect_profile(p: Polyhedron, tol: float = DEFECT_TOL) -> DefectProfile:
     """Per-vertex defects with constancy statistics: the defects are
     constant when every one lies within tol (radians) of their mean."""
     d = _defects(p)
-    mean = float(d.mean())
-    dev = float(np.abs(d - mean).max())
+    mean = float(np.add.reduce(d) / len(d))
+    dev = float(np.maximum.reduce(np.abs(d - mean)))
     return DefectProfile(d, mean, dev, dev < tol)
 
 
 def descartes_residual(p: Polyhedron) -> float:
     """|sum of defects - 2*pi*chi|; an identity of closed surfaces, so this
     measures only floating-point accumulation."""
-    total = float(_defects(p).sum())
+    total = float(np.add.reduce(_defects(p)))
     return abs(total - 2.0 * np.pi * euler_characteristic(p))
 
 
@@ -141,8 +141,8 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For counts c: the owner of each of sum(c) slots, and the slot's
     position within its owner's run."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts)[owner]
 
 
 def _clip_convex(subject: np.ndarray, clipper: np.ndarray
@@ -171,10 +171,11 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray
         # a row's k-th emitted point goes to its slot k - 1 and the rest
         # to a spare last slot
         n, width = len(rows), 2 * cur.shape[1]
-        emit = np.stack([live & inside[:, :-1],
-                         live & (inside[:, :-1] != inside[:, 1:]) & crosses],
-                        axis=2).reshape(n, width).T
-        at = np.cumsum(emit, axis=0, dtype=np.int8)
+        emit = np.empty((n, cur.shape[1], 2), bool)
+        np.logical_and(live, inside[:, :-1], out=emit[..., 0])
+        emit[..., 1] = live & (inside[:, :-1] != inside[:, 1:]) & crosses
+        emit = emit.reshape(n, width).T
+        at = emit.cumsum(axis=0, dtype=np.int8)
         size = at[-1].astype(np.intp)
         at = np.where(emit, at - 1, width)
         r = np.arange(n)
@@ -184,9 +185,10 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray
         out[r, size] = out[:, 0]
         # a polygon left with one vertex or none keeps that count through
         # the remaining edges, so its row is dropped
-        keep = np.flatnonzero(size >= 2)
+        keep = (size >= 2).nonzero()[0]
         rows, size = rows[keep], size[keep]
-        poly = out[:, :size.max(initial=0) + 1].take(keep, axis=0)
+        poly = out[:, :np.maximum.reduce(size, initial=0) + 1].take(keep,
+                                                                   axis=0)
         if not rows.size:
             break
     return rows, poly[:, :-1], size
@@ -216,12 +218,13 @@ def _clip_segments(a: np.ndarray, d: np.ndarray, tri: np.ndarray
     parallel = np.abs(den) < _PARALLEL
     t = num / np.where(parallel, 1.0, den)
     exits = ~parallel & (den > 0)
-    t_in = np.where(~parallel & ~exits & (t > 0.0), t, 0.0).max(axis=0)
+    t_in = np.maximum.reduce(np.where(~parallel & ~exits & (t > 0.0), t, 0.0),
+                             axis=0)
     out = np.where(exits, t, 1.0)
     t_out = np.where(out[1] < out[0], out[1], out[0])
     t_out = np.minimum(np.where(out[2] < t_out, out[2], t_out), 1.0)
-    hit = np.flatnonzero(~(parallel & (num < 0)).any(axis=0)
-                         & ~(t_in > t_out))
+    hit = (~np.logical_or.reduce(parallel & (num < 0), axis=0)
+           & ~(t_in > t_out)).nonzero()[0]
     a, d = a.take(hit, axis=0), d.take(hit, axis=0)
     return hit, a + t_in[hit][:, None] * d, a + t_out[hit][:, None] * d
 
@@ -245,8 +248,8 @@ class _TriangleScan:
         tri = p.vertices.take(self.tri_vertex, axis=0)
         self.tri = tri
         self.origin = tri[:, 0].copy()
-        self.lo = np.ascontiguousarray(tri.min(axis=1).T)
-        self.hi = np.ascontiguousarray(tri.max(axis=1).T)
+        self.lo = np.ascontiguousarray(np.minimum.reduce(tri, axis=1).T)
+        self.hi = np.ascontiguousarray(np.maximum.reduce(tri, axis=1).T)
 
         # a degenerate triangle has a zero normal and touches nothing
         self.normal, self.degenerate = geo.triangle_normals
@@ -266,13 +269,16 @@ class _TriangleScan:
         self.next_vertex = geo.corner_vertex[geo.next_corner]
         self.face_start = geo.face_start
         self.face_size = geo.face_size
-        self.face_side = np.sort(self._side_key(
-            geo.corner_face, self.corner_vertex, self.next_vertex))
+        self.face_side = self._side_key(
+            geo.corner_face, self.corner_vertex, self.next_vertex)
+        self.face_side.sort()
 
     @cached_property
     def face_vertex(self):
         """The sorted (face, vertex) keys; only clearance reads them."""
-        return np.sort(self._vertex_key(self.corner_face, self.corner_vertex))
+        keys = self._vertex_key(self.corner_face, self.corner_vertex)
+        keys.sort()
+        return keys
 
     def _vertex_key(self, f, v):
         return f.astype(np.int64) * len(self.vertices) + v
@@ -283,7 +289,7 @@ class _TriangleScan:
 
     @staticmethod
     def _member(keys, q):
-        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        at = np.minimum(keys.searchsorted(q), len(keys) - 1)
         return keys[at] == q
 
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,18 +299,19 @@ class _TriangleScan:
         lo, hi, eps = self.lo, self.hi, self.eps
         best = None
         for axis in range(3):
-            order = np.argsort(lo[axis], kind="stable")
-            end = np.searchsorted(lo[axis][order], hi[axis][order] + eps,
-                                  side="right")
+            order = lo[axis].argsort(kind="stable")
+            end = lo[axis][order].searchsorted(hi[axis][order] + eps,
+                                               side="right")
             count = end - np.arange(1, len(order) + 1)
-            if best is None or count.sum() < best[1].sum():
-                best = (order, count)
-        order, count = best
-        ends = np.cumsum(count)
+            total = np.add.reduce(count)
+            if best is None or total < best[2]:
+                best = (order, count, total)
+        order, count, _ = best
+        ends = count.cumsum()
         out_i, out_j = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
         for s in range(0, int(ends[-1]), _ROWS):
             k = np.arange(s, min(s + _ROWS, int(ends[-1])))
-            a = np.searchsorted(ends, k, side="right")
+            a = ends.searchsorted(k, side="right")
             b = a + 1 + k - (ends[a] - count[a])
             i = np.minimum(order[a], order[b])
             j = np.maximum(order[a], order[b])
@@ -313,8 +320,8 @@ class _TriangleScan:
             for x in range(3):
                 keep &= ~(lo[x][i] > hi[x][j] + eps)
                 keep &= ~(lo[x][j] > hi[x][i] + eps)
-            out_i.append(i[keep].astype(np.int32))
-            out_j.append(j[keep].astype(np.int32))
+            out_i.append(i.compress(keep).astype(np.int32))
+            out_j.append(j.compress(keep).astype(np.int32))
         return np.concatenate(out_i), np.concatenate(out_j)
 
     def _frame(self, j):
@@ -342,9 +349,9 @@ class _TriangleScan:
         eps = self.eps
         s = self._distances(i, j)
         keep = ~_one_side(s, eps)
-        i, j, s = i[keep], j[keep], s.compress(keep, axis=1)
+        i, j, s = i.compress(keep), j.compress(keep), s.compress(keep, axis=1)
         keep = ~_one_side(self._distances(j, i), eps)
-        i, j, s = i[keep], j[keep], s.compress(keep, axis=1)
+        i, j, s = i.compress(keep), j.compress(keep), s.compress(keep, axis=1)
         on, cut = _plane_meets(s, eps)
         coplanar = _each(on)
         # a triangle that meets the other's plane in fewer than two points
@@ -352,10 +359,10 @@ class _TriangleScan:
         # only touches it along their seam: drop both before the crossing
         # test
         met = on | cut
-        cross = np.flatnonzero(~coplanar & _two_of(met))
+        cross = (~coplanar & _two_of(met)).nonzero()[0]
         cross = cross[~self._on_shared_side(i[cross], j[cross],
                                             on.take(cross, axis=1))]
-        flat = np.flatnonzero(coplanar)
+        flat = coplanar.nonzero()[0]
         # a branch with no rows is skipped, not run on empty arrays; a
         # coplanar pair that a side separates has no overlap to clip
         if flat.size:
@@ -375,9 +382,9 @@ class _TriangleScan:
             return none, none, none, np.zeros(0, bool), np.zeros((0, 3))
         pts_x = self._samples(j[cross], a, b) if cross.size \
             else np.zeros((0, _PLACES, 3))
-        rows = np.concatenate([flat, np.repeat(cross, _PLACES)])
-        place = np.concatenate([np.zeros(len(flat), np.intp),
-                                np.tile(np.arange(_PLACES), len(cross))])
+        rows = np.concatenate([flat, cross.repeat(_PLACES)])
+        place = np.zeros(len(rows), np.intp)    # a coplanar pair's is 0
+        place[len(flat):].reshape(-1, _PLACES)[:] = np.arange(_PLACES)
         is_flat = np.arange(len(rows)) < len(flat)
         pts = np.concatenate([pts_c, pts_x.reshape(-1, 3)])
         return i[rows], j[rows], place, is_flat, pts
@@ -417,11 +424,11 @@ class _TriangleScan:
             self.ccw.take(j, axis=0))
         hit = np.zeros(len(rows), bool)
         mean = np.zeros((len(rows), 2))
-        for k in np.flatnonzero(np.bincount(size)[3:]) + 3:
-            at = np.flatnonzero(size == k)
+        for k in (np.bincount(size)[3:].nonzero()[0] + 3).tolist():
+            at = (size == k).nonzero()[0]
             pk = poly[:, :k].take(at, axis=0)
             hit[at] = np.abs(_geom.polygon_area_2d(pk)) > _OVERLAP_AREA
-            mean[at] = pk.mean(axis=1)
+            mean[at] = np.add.reduce(pk, axis=1) / k
         rows, mean = rows[hit], mean.compress(hit, axis=0)
         o, u, v = (a.take(rows, axis=0) for a in (o, u, v))
         return rows, o + mean[:, 0, None] * u + mean[:, 1, None] * v
@@ -435,7 +442,7 @@ class _TriangleScan:
         (side, row) pick a gather from the flat (3n,) s and the (3n, 3)
         vertex rows."""
         n = len(i)
-        at = np.flatnonzero(cut)
+        at = cut.ravel().nonzero()[0]
         side, row = np.divmod(at, n)
         after = (side + 1) % 3
         s = s.ravel()
@@ -450,7 +457,10 @@ class _TriangleScan:
         first = np.where(met[0], 0, np.where(met[1], 1, 2))
         last = np.where(met[2], 2, np.where(met[1], 1, 0))
         row = 3 * np.arange(n)
-        return ends.take(np.stack([row + first, row + last], 1), axis=0)
+        pick = np.empty((n, 2), row.dtype)
+        np.add(row, first, out=pick[:, 0])
+        np.add(row, last, out=pick[:, 1])
+        return ends.take(pick, axis=0)
 
     def _crossing(self, j, seg):
         """Transversal pairs: the segments seg, in triangle j's plane,
@@ -494,8 +504,12 @@ class _TriangleScan:
         midpoint, as (n, 5, 3).  Each sum is formed in place, in the order
         o + x u + y v."""
         o, u, v = self._frame(j)
-        q = np.stack([a, 0.75 * a + 0.25 * b, 0.5 * (a + b),
-                      0.25 * a + 0.75 * b, b], axis=1)
+        q = np.empty((len(a), _PLACES, 2))
+        q[:, 0] = a
+        q[:, 1] = 0.75 * a + 0.25 * b
+        q[:, 2] = 0.5 * (a + b)
+        q[:, 3] = 0.25 * a + 0.75 * b
+        q[:, 4] = b
         pts = q[..., 0, None] * u[:, None]
         pts += o[:, None]
         pts += q[..., 1, None] * v[:, None]
@@ -505,7 +519,12 @@ class _TriangleScan:
         """Distance from each point to the nearest vertex or whole edge
         that its faces f1 and f2, given as key = f1 * n_faces + f2, share;
         inf where they share none."""
-        pair, slot = np.unique(key, return_inverse=True)
+        # the points grouped by key, each group in order, as a stable
+        # sort leaves them; per group its first place and its size
+        by_pair = key.argsort(kind="stable")
+        grouped = key[by_pair]
+        first, n_pts = _runs(grouped)
+        pair = grouped[first]
         g1, g2 = pair // self.n_faces, pair % self.n_faces
         # every corner of each pair's first face
         owner, at = _spread(self.face_size[g1])
@@ -517,9 +536,6 @@ class _TriangleScan:
         side = has_a & has_b & self._member(
             self.face_side, self._side_key(other, a, b))
 
-        by_pair = np.argsort(slot, kind="stable")
-        n_pts = np.bincount(slot, minlength=len(pair))
-        first = np.cumsum(n_pts) - n_pts
         out = np.full(len(pts), np.inf)
         for keep, segment in ((has_a, False), (side, True)):
             feat, at = _spread(n_pts[owner[keep]])
@@ -588,6 +604,19 @@ def _side_separates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal entries of the 1-D array k: where each starts,
+    and its length."""
+    starts = np.empty(len(k), bool)
+    starts[:1] = True
+    np.not_equal(k[1:], k[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    length = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=length[:-1])
+    length[-1:] = len(k) - first[-1:]
+    return first, length
+
+
 def _best_per_pair(n_tri, key, clearance, i, j, place, *rest):
     """Keep, per face-pair key, the sample of largest clearance; ties go to
     the least (i, j, place), the first sample a pair-at-a-time scan meets.
@@ -599,7 +628,7 @@ def _best_per_pair(n_tri, key, clearance, i, j, place, *rest):
     isqrt(2**63 // _PLACES) = 1,358,187,913 triangles."""
     tie = (i.astype(np.int64) * n_tri + j) * _PLACES + place
     idx = np.lexsort((tie, -clearance, key))
-    idx = idx[np.diff(key[idx], prepend=-1) != 0]
+    idx = idx[_runs(key[idx])[0]]
     return tuple(a.take(idx, axis=0)
                  for a in (key, clearance, i, j, place, *rest))
 
@@ -650,7 +679,7 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
         clr = scan.clearance(key, pts)
         keep = clr > scan.seam_tol
         found.append(_best_per_pair(
-            n_tri, *(a[keep] for a in (key, clr, i, j, place, flat)),
+            n_tri, *(a.compress(keep) for a in (key, clr, i, j, place, flat)),
             pts.compress(keep, axis=0)))
     if not found:
         return []

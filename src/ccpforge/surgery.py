@@ -4,7 +4,6 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,18 +16,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _corner_layout, _integer, build_polyhedron,
+                   _corner_layout, _finite, _integer, build_polyhedron,
                    euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
-
-
-def _finite(x) -> bool:
-    """Whether x is a real number (numpy's pass) and finite."""
-    try:
-        return isinstance(x, numbers.Real) and math.isfinite(x)
-    except OverflowError:       # an int beyond the float range
-        return False
 
 
 def _check_face(f, n_faces: int) -> None:
@@ -58,7 +49,7 @@ class FaceCorrespondence:
 
 
 def _cycle_lengths(pts: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    return _geom.linalg_norm(_geom._succ(pts) - pts)
 
 
 def _alignments(cycle2: tuple[int, ...]):
@@ -96,7 +87,7 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
     found = []
     for cand in _alignments(c2):
         len2 = _cycle_lengths(p2.vertices[list(cand)])
-        if np.abs(len1 - len2).max() < tol:
+        if np.maximum.reduce(np.abs(len1 - len2)) < tol:
             found.append(cand)
     if not found:
         raise NotIsometric("no isometric alignment of the two face cycles")
@@ -170,7 +161,8 @@ def glue(first: Polyhedron | MeshData,
         src = b.vertices[list(mapping)]
         dst = verts[list(c1)]
         rot, tr = _geom.kabsch(src, dst)
-        resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
+        resid = float(np.maximum.reduce(
+            np.abs(rot @ src.T + tr[:, None] - dst.T), axis=None))
         if resid > 1e-9 * _geom.tolerance_scale(dst):
             raise NotIsometric(
                 f"cycles are not congruent (rigid-fit residual {resid:.2e})")
@@ -179,8 +171,8 @@ def glue(first: Polyhedron | MeshData,
         # seam, its partner (row ^ 1); the two left at position i of
         # face1's cycle form that seam's cell.  Side s of face2 sits at the
         # position whose mapped segment it is.
-        at1 = np.flatnonzero((half[:top, 0] == ids[corr.face1])
-                             & live[:top // 2].repeat(2))
+        at1 = ((half[:top, 0] == ids[corr.face1])
+               & live[:top // 2].repeat(2)).nonzero()[0]
         row1 = np.full(k, -1, dtype=np.intp)
         row1[half[at1, 1]] = at1
         cyc2 = b.faces[corr.face2]
@@ -189,10 +181,11 @@ def glue(first: Polyhedron | MeshData,
         pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
                          for s in range(k)])
         piece_halves = b.cells.reshape(-1, 2) + (n_ids, 0)
-        at2 = np.flatnonzero(piece_halves[:, 0] == n_ids + corr.face2)
+        at2 = (piece_halves[:, 0] == n_ids + corr.face2).nonzero()[0]
         beyond2 = np.full((k, 2), -1, dtype=np.intp)
         beyond2[pos2[piece_halves[at2, 1]]] = piece_halves[at2 ^ 1]
-        if (row1 < 0).any() or (beyond2 < 0).any():
+        if np.logical_or.reduce(row1 < 0) or \
+                np.logical_or.reduce(beyond2 < 0, axis=None):
             raise NotIsometric("seam pairing incomplete")
 
         # b's vertices: the seam ones become face1's, the rest are appended
@@ -316,7 +309,7 @@ def _retile(outers: list[np.ndarray], holes: list[np.ndarray]
     if len({(len(o), len(h)) for o, h in zip(outers, holes)}) > 1:
         return [_retile_stack(o[None], h[None])[0]
                 for o, h in zip(outers, holes)]
-    return _retile_stack(np.stack(outers), np.stack(holes))
+    return _retile_stack(np.array(outers), np.array(holes))
 
 
 def _retile_stack(outer: np.ndarray, hole: np.ndarray
@@ -329,10 +322,10 @@ def _retile_stack(outer: np.ndarray, hole: np.ndarray
     o2 = _geom.project_2d(outer, c, u, v)
     h2 = _geom.project_2d(hole, c, u, v)
     # every hole vertex at once, at least 1e-12 * scale inside (NaN fails)
-    inside = (_geom.inside_clearance(h2, o2[:, None])
-              >= 1e-12 * scale[:, None]).all(axis=1)
+    inside = np.logical_and.reduce(_geom.inside_clearance(h2, o2[:, None])
+                                   >= 1e-12 * scale[:, None], axis=1)
     area_o, area_h = _geom.polygon_area_2d(o2), _geom.polygon_area_2d(h2)
-    centre = h2.mean(axis=1)
+    centre = np.add.reduce(h2, axis=1) / h2.shape[1]
     out = []
     for i in range(len(outer)):
         if resid[i] > 1e-9 * scale[i]:
@@ -397,15 +390,15 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
                 t = nt
         return out
 
-    all2 = np.vstack([o2, h2])
+    all2 = np.concatenate((o2, h2))
     annulus_area = abs(area_o) - abs(area_h)
 
     def valid(faces_local):
         # a partition is all quads or all triangles: one area call, and a
         # triangle is always simple
-        pts = all2[np.array(faces_local)]
+        pts = all2.take(np.array(faces_local), axis=0)
         area = np.abs(_geom.polygon_area_2d(pts))
-        if (area < 1e-12 * scale * scale).any():
+        if np.logical_or.reduce(area < 1e-12 * scale * scale):
             return False
         if pts.shape[1] > 3 and not all(map(_geom.polygon_is_simple, pts)):
             return False
@@ -515,7 +508,7 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
 
     base1 = len(data.vertices)
     base2 = base1 + spec.n
-    verts = np.vstack([data.vertices, ring1, ring2])
+    verts = np.concatenate((data.vertices, ring1, ring2))
 
     faces = list(data.faces)
     del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
@@ -630,14 +623,14 @@ def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
     MeshGeometry.inside_clearance call."""
     scale = geo.scale
     along = geo.vertices.take(geo.corner_vertex, axis=0) @ normal
-    which, faces = np.nonzero(np.maximum.reduceat(
+    which, faces = (np.maximum.reduceat(
         np.abs(along - np.asarray(heights)[:, None]), geo.face_start,
-        axis=1) <= 1e-7 * scale)
+        axis=1) <= 1e-7 * scale).nonzero()
     clearance = geo.inside_clearance(faces, points.take(which, axis=0))
     hit = clearance > AXIS_CLEARANCE * scale
     out: list[tuple[int | None, float]] = []
     for i in range(len(heights)):
-        rows = np.flatnonzero(hit & (which == i))
+        rows = (hit & (which == i)).nonzero()[0]
         out.append((int(faces[rows[0]]), float(clearance[rows[0]]))
                    if rows.size else (None, 0.0))
     return out

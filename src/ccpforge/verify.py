@@ -7,8 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import BadParameters
 from .mesh import (DEFECT_TOL, PLANARITY_TOL, Polyhedron, TopologyClass,
-                   classify, flat_edges)
+                   _finite, classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
                       descartes_residual, self_intersections)
 
@@ -78,15 +79,27 @@ def format_pi_multiple(x: float) -> str:
     return f"{x:.9g}"
 
 
+def check_defect_tolerance(value) -> float:
+    """The defect-constancy band `value` sets, as a float: DEFECT_TOL for
+    None, else value, which must be a finite positive real number (a bool
+    is none); BadParameters otherwise."""
+    if value is None:
+        return DEFECT_TOL
+    if isinstance(value, bool) or not (_finite(value) and value > 0):
+        raise BadParameters(f"the defect tolerance must be a finite "
+                            f"positive number, got {value!r}")
+    return float(value)
+
+
 def verify(p: Polyhedron,
            defect_tolerance: float | None = None) -> VerificationReport:
     """Run every check on a structurally valid mesh.
 
     Every mesh is held to the defect-constancy band DEFECT_TOL, whatever
-    its metadata says; `defect_tolerance` overrides it.
+    its metadata says; `defect_tolerance` overrides it (see
+    check_defect_tolerance).
     """
-    if defect_tolerance is None:
-        defect_tolerance = DEFECT_TOL
+    defect_tolerance = check_defect_tolerance(defect_tolerance)
 
     topo = classify(p)
     dp = defect_profile(p, tol=defect_tolerance)

@@ -339,6 +339,27 @@ def test_generate_family_dispatch():
         generate_family(FamilyRequest("octahedron"))
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: generate_family(FamilyRequest("minimal", g)),
+    lambda g: generate_family(FamilyRequest("orientable", g)),
+    lambda g: generate_family(FamilyRequest("flat-torus-9", g)),
+    gen_orientable, gen_nonorientable, gen_v8g, gen_v6g, gen_v7gm7,
+    gen_n5g_odd, gen_minimal, solve_block_params])
+@pytest.mark.parametrize("genus", [2.5, 2.0, 5.0, "3", True, np.True_])
+def test_genus_must_be_an_integer(build, genus):
+    """A genus that is not an integer, a bool included, raises
+    GenusOutOfRange naming it, in generate_family and in every generator
+    that takes one."""
+    with pytest.raises(GenusOutOfRange, match="is not an integer"):
+        build(genus)
+
+
+def test_numpy_integer_genus_builds_with_an_int_genus():
+    p = generate_family(FamilyRequest("minimal", np.int64(3)))
+    assert type(p.metadata.genus) is int and p.metadata.genus == 3
+    assert gen_v8g(np.int32(2)).metadata.genus == 2
+
+
 @pytest.mark.parametrize("argv,error", [
     (["--family", "tetrahedron", "--genus", "5"], "GenusOutOfRange"),
     (["--family", "p2-24", "--genus", "3"], "GenusOutOfRange"),

@@ -9,7 +9,8 @@ from ccpforge import _geom
 from ccpforge import (build_polyhedron, classify, euler_characteristic,
                       gen_flat_torus9, gen_q2_9, gen_tetrahedron,
                       gen_tetrahemihexahedron, is_orientable)
-from ccpforge.errors import (DegenerateFace, DisconnectedSurface, FlatEdge,
+from ccpforge.errors import (BadParameters, DegenerateFace,
+                             DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
 from ccpforge import mesh as mesh_mod
@@ -121,6 +122,14 @@ def test_faces_are_tuples_of_python_ints():
     assert all(type(c) is tuple for c in p.faces)
     assert all(type(v) is int for c in p.faces for v in c)
     assert build_polyhedron(TET_V, (c for c in TET_F)).faces == tuple(TET_F)
+
+
+@pytest.mark.parametrize("name", ["zz", "", ["v1"], None])
+def test_unknown_label_is_bad_parameters(name):
+    p = gen_q2_9()
+    assert p.vertices[p.label("v1")] is not None
+    with pytest.raises(BadParameters, match="no vertex is labelled"):
+        p.label(name)
 
 
 def test_nonplanar_face_rejected():

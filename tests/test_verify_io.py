@@ -17,7 +17,7 @@ from ccpforge import (MeshMetadata, build_polyhedron, format_pi_multiple,
                       gen_tetrahemihexahedron, load_json, load_mesh, read_obj,
                       save_json, verify, write_obj, write_stl)
 from ccpforge import _geom
-from ccpforge.errors import NotRepresentable
+from ccpforge.errors import BadParameters, NotRepresentable
 from ccpforge.fileio import mesh_to_document
 
 from conftest import face_triangles
@@ -108,6 +108,25 @@ def test_tolerance_override_contract(tmp_path, capsys, monkeypatch, flag,
     out = capsys.readouterr()
     assert ("BadParameters" in out.err) == (code == 2)
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("band", [
+    "x", "1e-7", math.nan, -1.0, 0.0, -0.0, math.inf, -math.inf, True, False,
+    np.nan, 1e-7j, 10 ** 400, [1e-7]])
+def test_verify_rejects_a_band_that_is_no_finite_positive_number(band):
+    """verify's own check, the one the CLI applies: a band that is not a
+    finite positive real number, or is a bool, raises BadParameters naming
+    it."""
+    with pytest.raises(BadParameters, match="finite positive number"):
+        verify(gen_tetrahedron(), defect_tolerance=band)
+
+
+@pytest.mark.parametrize("band", [1e-7, np.float64(1e-7), 1, np.int64(1),
+                                  5e-324])
+def test_verify_takes_a_finite_positive_band(band):
+    r = verify(gen_tetrahedron(), defect_tolerance=band)
+    assert r.defect_tolerance == float(band)
+    assert type(r.defect_tolerance) is float
 
 
 def test_report_prints_the_band_it_used():
