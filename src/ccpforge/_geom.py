@@ -9,10 +9,10 @@ from .errors import DegenerateFace
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis.  Each is a stacked matmul, which
-    hands a single pair of vectors to the BLAS ddot that np.dot uses, so
-    a stack rounds row by row as one pair does."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot products along the last axis, broadcast over the others.
+    np.vecdot hands each pair of vectors to the BLAS ddot that np.dot
+    uses, so a stack rounds row by row as one pair does."""
+    return np.vecdot(a, b)
 
 
 def norm(a: np.ndarray) -> np.ndarray:
@@ -73,7 +73,7 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = vt[..., -1, :]
     newell = np.add.reduce(cross(d, _succ(d)), axis=-2)
     n = np.where((dot(n, newell) < 0)[..., None], -n, n)
-    resid = np.maximum.reduce(np.abs((d @ n[..., :, None])[..., 0]), axis=-1)
+    resid = np.maximum.reduce(np.abs(np.matvec(d, n)), axis=-1)
     return c, n, resid
 
 
@@ -91,11 +91,13 @@ def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_2d(pts: np.ndarray, origin: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> np.ndarray:
     """(..., k, 3) points in the frames (origin, u, v), each (..., 3):
-    their (..., k, 2) in-plane coordinates."""
+    their (..., k, 2) in-plane coordinates.  Each coordinate column is
+    one np.matvec of the fresh, C-ordered offsets, which hands every
+    matrix to BLAS gemv, so a stack rounds as one frame alone does."""
     d = pts - origin[..., None, :]
     out = np.empty(d.shape[:-1] + (2,))
-    out[..., 0] = (d @ u[..., :, None])[..., 0]
-    out[..., 1] = (d @ v[..., :, None])[..., 0]
+    out[..., 0] = np.matvec(d, u)
+    out[..., 1] = np.matvec(d, v)
     return out
 
 
@@ -226,14 +228,24 @@ def ear_clip(poly2d: np.ndarray | list, eps: float = 1e-12,
     return tris
 
 
+def _det3(m: np.ndarray) -> float:
+    """The determinant of a 3 x 3 matrix by cofactors, on Python floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Proper rigid motion (R, t) minimizing |R @ src + t - dst|."""
+    """Proper rigid motion (R, t) minimizing |R @ src + t - dst|.  R is
+    V diag(1, 1, d) U^T of the SVD U S V^T of the cross-covariance, with
+    d the sign of det(V U^T): both factors are orthogonal, so the sign is
+    that of the product of their cofactor determinants, each 1 or -1 to
+    within rounding, and d = -1 negates V's last column."""
     cs = np.add.reduce(src, axis=0) / len(src)
     cd = np.add.reduce(dst, axis=0) / len(dst)
     h = (src - cs).T @ (dst - cd)
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    f = np.diag([1.0, 1.0, d])
-    r = vt.T @ f @ u.T
+    if _det3(u) * _det3(vt) < 0:
+        np.negative(vt[2], out=vt[2])
+    r = vt.T @ u.T
     t = cd - r @ cs
     return r, t

@@ -34,8 +34,7 @@ def mesh_to_document(p: Polyhedron) -> dict:
         "metadata": meta,
     }
     if p.has_multi_edges:
-        doc["edge_cells"] = [[list(h) for h in cell]
-                             for cell in p.edge_slots]
+        doc["edge_cells"] = p.geometry.cells.reshape(-1, 2, 2).tolist()
     return doc
 
 
@@ -254,11 +253,12 @@ def write_stl(p: Polyhedron, path) -> None:
         records["normal"] = p.geometry.triangle_normals[0]
         records["corners"] = tris
     # a unit normal always fits; a coordinate may round to inf
-    wide = np.isinf(records["corners"]).any(axis=(1, 2))
-    if wide.any():
+    wide = np.logical_or.reduce(np.isinf(records["corners"]), axis=(1, 2))
+    if np.logical_or.reduce(wide):
+        top = np.maximum.reduce(np.abs(tris), axis=None)
         raise NotRepresentable(
-            f"triangle {int(np.argmax(wide))} does not fit the float32 "
-            f"range of STL (largest coordinate {np.abs(tris).max():.3g})")
+            f"triangle {int(wide.argmax())} does not fit the float32 "
+            f"range of STL (largest coordinate {top:.3g})")
     header = b"ccp-forge".ljust(80) + len(tris).to_bytes(4, "little")
     _write(path, header + records.tobytes())
 

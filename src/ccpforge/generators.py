@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _geom, surgery
+from . import surgery
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import (MeshData, MeshMetadata, Polyhedron, _integer,
+from .mesh import (MeshData, MeshMetadata, Polyhedron, _integer, _real,
                    build_polyhedron, euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
@@ -131,6 +131,8 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
 
 def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
     """The parts of gen_p2_24(b, c), for drilling."""
+    b, c = _real(b, "p2-24 b", BadParameters), \
+        _real(c, "p2-24 c", BadParameters)
     s3 = math.sqrt(3.0)
     if not (b > c > 0 and 1 > s3 * b and 1 > 4 * s3 * c):
         raise BadParameters(f"(b, c) = ({b}, {c}) outside admissible domain")
@@ -201,6 +203,8 @@ def gen_r_block(r: float, h: float) -> Polyhedron:
 
 def _r_block(r: float, h: float) -> MeshData:
     """The parts of gen_r_block(r, h), for gluing."""
+    r, h = _real(r, "r-block r", BadParameters), \
+        _real(h, "r-block h", BadParameters)
     if not (0 < r <= 1) or h <= 0:
         raise BadParameters(f"need 0 < r <= 1 and h > 0, got r={r}, h={h}")
     verts = []
@@ -236,16 +240,43 @@ def gen_tetrahemihexahedron() -> Polyhedron:
 # uniform hemi-polyhedra on Archimedean vertex sets
 
 
-def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float
-                     ) -> tuple[int, ...]:
-    """Indices of vertices within 1e-9 of the plane axis . x = offset,
-    sorted CCW around the axis."""
-    axis = axis / np.linalg.norm(axis)
-    sel = np.flatnonzero(np.abs(verts @ axis - offset) < 1e-9)
-    u, v = _geom.plane_basis(axis)
-    p2 = _geom.project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
-    order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
-    return tuple(sel[order].tolist())
+# The faces of the three hemi-polyhedra on their vertices as numbered
+# below.  Each face is the vertices in one plane, counterclockwise about
+# a normal of the plane, from the one of least angle in (-pi, pi] in the
+# plane's _geom.plane_basis frame (tests/scalar_generate.py derives them
+# so).  The cubohemioctahedron's squares lie on the planes x, y, z = +-1,
+# normal +-e_i, and its hexagons through the centre, normal
+# (sx, sy, sz) with sx*sy*sz = 1.
+_CHO_FACES = (
+    (4, 0, 1, 3), (7, 6, 10, 9), (2, 0, 5, 6), (11, 3, 8, 9), (8, 1, 2, 7),
+    (5, 4, 11, 10), (7, 8, 3, 4, 5, 6), (10, 5, 0, 1, 8, 9),
+    (7, 2, 0, 4, 11, 9), (10, 11, 3, 1, 2, 6))
+# The small rhombihexahedron's octagons lie on the planes x, y, z = +-1,
+# normal +-e_i, and its squares on the planes (a e_i + b e_j) . x =
+# 2 + sqrt(2), normal a e_i + b e_j, for (i, j) = (x, y), (x, z), (y, z)
+# and a, b = +-1.
+_RHOMBIHEXAHEDRON_FACES = (
+    (12, 14, 16, 18, 19, 17, 15, 13), (5, 7, 9, 11, 10, 8, 6, 4),
+    (3, 9, 17, 23, 22, 16, 8, 2), (0, 6, 14, 20, 21, 15, 7, 1),
+    (1, 5, 13, 21, 23, 19, 11, 3), (2, 10, 18, 22, 20, 12, 4, 0),
+    (18, 19, 23, 22), (20, 21, 13, 12), (2, 3, 11, 10), (4, 5, 1, 0),
+    (21, 23, 17, 15), (14, 16, 22, 20), (7, 9, 3, 1), (0, 2, 8, 6),
+    (9, 17, 19, 11), (10, 18, 16, 8), (5, 13, 15, 7), (6, 14, 12, 4))
+# The small dodecahemidodecahedron's pentagons are the edge midpoints
+# around each icosahedron vertex, normal to it, in the order of those
+# vertices, and its decagons the equators normal to the six of them that
+# are not opposite an earlier one.
+_SDHD_FACES = (
+    (2, 3, 1, 0, 4), (6, 7, 0, 5, 8), (9, 11, 5, 1, 10), (12, 6, 13, 14, 15),
+    (17, 9, 16, 19, 18), (20, 2, 21, 23, 22), (24, 16, 10, 3, 20),
+    (25, 21, 4, 7, 12), (26, 13, 8, 11, 17), (28, 14, 26, 18, 27),
+    (27, 19, 24, 22, 29), (29, 23, 25, 15, 28),
+    (22, 24, 16, 9, 11, 8, 6, 12, 25, 23),
+    (15, 25, 21, 2, 3, 10, 9, 17, 26, 14),
+    (18, 26, 13, 6, 7, 4, 2, 20, 24, 19),
+    (21, 4, 0, 5, 11, 17, 18, 27, 29, 23),
+    (13, 8, 5, 1, 3, 20, 22, 29, 28, 14),
+    (16, 10, 1, 0, 7, 12, 15, 28, 27, 19))
 
 
 def gen_cubohemioctahedron() -> Polyhedron:
@@ -262,20 +293,7 @@ def _cubohemioctahedron() -> MeshData:
             verts.append((a, b, 0.0))
             verts.append((a, 0.0, b))
             verts.append((0.0, a, b))
-    verts = np.array(verts, float)
-    faces = []
-    for axis_i in range(3):
-        for s in (1, -1):
-            axis = np.zeros(3)
-            axis[axis_i] = s
-            faces.append(_central_polygon(verts, axis, 1.0))
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                if sx * sy * sz == 1:
-                    faces.append(_central_polygon(
-                        verts, np.array([sx, sy, sz], float), 0.0))
-    return _data(verts, faces, family="cho", genus=4, orientable=False,
+    return _data(verts, _CHO_FACES, family="cho", genus=4, orientable=False,
                  defect=-math.pi / 3)
 
 
@@ -298,23 +316,8 @@ def _rhombihexahedron() -> MeshData:
                     p[long_axis] *= q
                     verts.append(tuple(p))
     verts = np.array(sorted(set(verts)), float)
-    assert len(verts) == 24
-    faces = []
-    for axis_i in range(3):
-        for s in (1, -1):
-            axis = np.zeros(3)
-            axis[axis_i] = s
-            faces.append(_central_polygon(verts, axis, 1.0))  # octagons
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for si in (1, -1):
-            for sj in (1, -1):
-                axis = np.zeros(3)
-                axis[i], axis[j] = si, sj
-                axis /= np.linalg.norm(axis)
-                faces.append(_central_polygon(verts, axis, (2 + math.sqrt(2))
-                                              / math.sqrt(2.0)))  # squares
-    return _data(verts, faces, family="rhombihexahedron", genus=8,
-                 orientable=False, defect=-math.pi / 2)
+    return _data(verts, _RHOMBIHEXAHEDRON_FACES, family="rhombihexahedron",
+                 genus=8, orientable=False, defect=-math.pi / 2)
 
 
 def gen_small_dodecahemidodecahedron() -> Polyhedron:
@@ -329,23 +332,12 @@ def gen_small_dodecahemidodecahedron() -> Polyhedron:
                 vals = (0.0, s1 * 1.0, s2 * phi)
                 ico.append(np.array([vals[cyc % 3], vals[(cyc + 1) % 3],
                                      vals[(cyc + 2) % 3]]))
-    ico = np.array(ico)
-    edge_len2 = 4.0  # adjacent icosahedron vertices are at distance 2
+    # the icosahedron's edges: its vertex pairs at distance 2
     edges = [(i, j) for i in range(12) for j in range(i + 1, 12)
-             if abs(float(np.sum((ico[i] - ico[j]) ** 2)) - edge_len2) < 1e-9]
-    assert len(edges) == 30
+             if abs(sum((a - b) ** 2 for a, b in zip(ico[i], ico[j])) - 4.0)
+             < 1e-9]
     verts = np.array([(ico[i] + ico[j]) / 2 for i, j in edges])
-
-    # pentagon of edge midpoints around each vertex, phi^2/|ico[vi]| out
-    ring = phi * phi / math.sqrt(1 + phi * phi)
-    faces = [_central_polygon(verts, ico[vi], ring) for vi in range(12)]
-    seen_axes = []
-    for vi in range(12):  # equatorial decagons (one per axis pair)
-        if any(np.allclose(ico[vi], -a) for a in seen_axes):
-            continue
-        seen_axes.append(ico[vi])
-        faces.append(_central_polygon(verts, ico[vi], 0.0))
-    return _build(_data(verts, faces, family="sdhd", genus=14,
+    return _build(_data(verts, _SDHD_FACES, family="sdhd", genus=14,
                         orientable=False, defect=-4 * math.pi / 5))
 
 
@@ -741,11 +733,15 @@ def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
     k = 1..floor(g/2) with l_{k+1} = d_k, plus the terminal relation
     f_{l_g}(d_g) = 3*pi - a_{(g-1)/2,g} - 6*pi/(g+2) when g is odd.
 
-    l1 is doubled until both intermediate-value brackets hold.
+    l1, a finite positive number (BadParameters otherwise), is doubled
+    until both intermediate-value brackets hold.
     """
     g = _genus(g)
     if g < 1:
         raise GenusOutOfRange("genus must be >= 1")
+    l1 = _real(l1, "l1", BadParameters)
+    if l1 <= 0:
+        raise BadParameters(f"l1 {l1!r} must be positive")
     n_main = g // 2
     terminal_target = (3 * math.pi - a_coeff((g - 1) // 2, g)
                        - 6 * math.pi / (g + 2)) if g % 2 == 1 else None

@@ -327,13 +327,15 @@ class MeshGeometry:
         order, and then the faces laid out in `new`: the kept faces keep
         their corners and the planes fitted here, and the new ones are not
         fitted.  The kept faces and their corners are selected by mask."""
-        keep = np.ones(len(self.face_size), dtype=bool)
+        keep = np.empty(len(self.face_size), dtype=bool)
+        keep.fill(True)
         keep[dropped] = False
         corners = keep[self.corner_face]
         out = MeshGeometry(vertices, _corners(
             np.concatenate([self.face_size[keep], new.size]),
             np.concatenate([self.corner_vertex[corners], new.vertex])))
-        n, m = np.count_nonzero(keep), np.count_nonzero(corners)
+        n = int(np.add.reduce(keep, dtype=np.intp))
+        m = int(np.add.reduce(corners, dtype=np.intp))
         for name in ("fitted", "residual", "area"):
             getattr(out, name)[:n] = getattr(self, name)[keep]
         for name in ("centroid", "normal", "u", "v"):
@@ -556,8 +558,11 @@ def build_polyhedron(vertices, faces,
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
     are paired by vertex pair.
     """
-    pts = np.asarray(vertices, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
+    try:
+        pts = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError):     # not numbers, or ragged
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
         raise IndexOutOfRange("vertices must be an (n, 3) array")
     n = len(pts)
     if n < 4:
@@ -624,9 +629,24 @@ def _checked_corners(faces, n: int) -> _Corners:
     """The corner layout of `faces` once each face is checked, as one
     array: it has 3 or more vertices, none repeated, each an integer (by
     operator.index, so numpy integers pass) in range(n).  The first face
-    that fails raises, for the first of those checks it fails."""
-    faces = list(faces)             # read twice below; any iterable passes
-    sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+    that fails raises, for the first of those checks it fails.  Faces
+    that are not iterable, or a face with no length, raise
+    IndexOutOfRange before any face is checked."""
+    try:
+        faces = list(faces)         # read twice below; any iterable passes
+    except TypeError:
+        raise IndexOutOfRange(
+            f"faces {faces!r} is not a sequence of vertex cycles") from None
+    try:
+        sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+    except TypeError:               # a face with no length
+        for fi, cyc in enumerate(faces):
+            try:
+                len(cyc)
+            except TypeError:
+                raise IndexOutOfRange(
+                    f"face {fi} {cyc!r} is not a vertex cycle") from None
+        raise
     flat = list(chain.from_iterable(faces))
     vertex, bad = _intp_entries(flat)
     n_faces = len(sizes)
@@ -667,6 +687,14 @@ def _integer(x, what: str, error: type[Exception]) -> int:
         return operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _real(x, what: str, error: type[Exception]) -> float:
+    """x as a float when it is a finite real number (numpy's pass) and
+    not a bool, else error."""
+    if isinstance(x, bool) or not _finite(x):
+        raise error(f"{what} {x!r} is not a finite real number")
+    return float(x)
 
 
 def _finite(x) -> bool:

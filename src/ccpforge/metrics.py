@@ -104,10 +104,11 @@ def dihedral_angle(p: Polyhedron, e: int) -> float:
 # they round: seam and touching contacts compare rounding noise with eps,
 # so a dot product summed in another order can turn a seam into a witness.
 # Every dot product, norm, plane basis and projection therefore goes
-# through the broadcasting helpers of _geom, whose stacked matmuls hand
-# each small product to the BLAS routine that np.dot, `@` and
-# np.linalg.norm use on a single pair (ddot for vector . vector, gemv for
-# matrix @ vector), on operands with the same strides.
+# through the broadcasting helpers of _geom or np.matvec, which hand each
+# small product to the BLAS routine that np.dot, `@` and np.linalg.norm
+# use on a single pair: ddot for vector . vector (np.vecdot) and gemv for
+# a C-ordered matrix @ vector (np.matvec), on operands with the same
+# strides.
 
 # the broad phase emits, and the narrow phase tests, this many candidate
 # rows at a time, which bounds the scan's working memory: the scan peaks at
@@ -331,8 +332,7 @@ class _TriangleScan:
     def _distances(self, i, j):
         """Signed distances of triangle i's vertices to triangle j's plane,
         as (3, n) columns, one per vertex."""
-        d = (self.tri.take(i, axis=0)
-             @ self.normal.take(j, axis=0)[:, :, None])[..., 0]
+        d = np.matvec(self.tri.take(i, axis=0), self.normal.take(j, axis=0))
         return np.subtract(d.T, self.offset[j], out=np.empty((3, len(i))))
 
     def contacts(self, i: np.ndarray, j: np.ndarray):

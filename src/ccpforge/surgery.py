@@ -4,7 +4,6 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,6 +57,32 @@ def _alignments(cycle2: tuple[int, ...]):
             yield base[shift:] + base[:shift]
 
 
+def _alignment(mapping: Sequence[int], cycle: Sequence[int]
+               ) -> tuple[int, int] | None:
+    """Where `mapping`, k entries like `cycle`, starts in `cycle` and
+    which way it runs: (start, step) with mapping[i] ==
+    cycle[(start + step * i) % k] for every i, step 1 tried first; None
+    when mapping is none of the 2k rotations of the cycle or of its
+    reverse."""
+    k = len(cycle)
+    for step in (1, -1):
+        for start in range(k):
+            if cycle[start] == mapping[0] and all(
+                    mapping[i] == cycle[(start + step * i) % k]
+                    for i in range(1, k)):
+                return start, step
+    return None
+
+
+def _side_place(side, start: int, step: int, k: int):
+    """The place i of the aligned cycle (see _alignment) whose segment,
+    mapping[i] to mapping[i + 1], is side `side` of the cycle, which joins
+    cycle[side] to cycle[side + 1]; `side` may be an index array."""
+    if step > 0:
+        return (side - start) % k
+    return (start - 1 - side) % k
+
+
 def resolve_correspondence(p1: MeshData, p2: MeshData,
                            corr: FaceCorrespondence) -> tuple[int, ...]:
     """The face2 vertex ids aligned with face1's stored cycle."""
@@ -76,7 +101,7 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
                         for v in entries)
         if sorted(mapping) != sorted(c2):
             raise NotIsometric("mapping is not a bijection onto face2")
-        if mapping not in set(_alignments(c2)):
+        if _alignment(mapping, c2) is None:
             raise NotIsometric("mapping does not respect the face2 cycle")
         return mapping
 
@@ -147,7 +172,8 @@ def glue(first: Polyhedron | MeshData,
         sum(map(len, p.faces)) for p, _ in steps), 2), dtype=np.intp)
     top = 2 * len(a.cells)                 # rows filled so far
     half[:top] = a.cells.reshape(-1, 2)
-    live = np.ones(len(half) // 2, dtype=bool)
+    live = np.empty(len(half) // 2, dtype=bool)
+    live.fill(True)
     seams = set(a.metadata.seam_edges)
     provenance = []
     for piece, corr in steps:
@@ -170,29 +196,30 @@ def glue(first: Polyhedron | MeshData,
         # Every cell through face1 or face2 leaves one half-edge beyond the
         # seam, its partner (row ^ 1); the two left at position i of
         # face1's cycle form that seam's cell.  Side s of face2 sits at the
-        # position whose mapped segment it is.
+        # position whose mapped segment it is, which the alignment of the
+        # mapping with face2's cycle gives.
         at1 = ((half[:top, 0] == ids[corr.face1])
                & live[:top // 2].repeat(2)).nonzero()[0]
-        row1 = np.full(k, -1, dtype=np.intp)
+        row1 = np.empty(k, dtype=np.intp)
+        row1.fill(-1)
         row1[half[at1, 1]] = at1
-        cyc2 = b.faces[corr.face2]
-        seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
-                    for i in range(k)}
-        pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
-                         for s in range(k)])
         piece_halves = b.cells.reshape(-1, 2) + (n_ids, 0)
         at2 = (piece_halves[:, 0] == n_ids + corr.face2).nonzero()[0]
-        beyond2 = np.full((k, 2), -1, dtype=np.intp)
-        beyond2[pos2[piece_halves[at2, 1]]] = piece_halves[at2 ^ 1]
+        start, step = _alignment(mapping, b.faces[corr.face2])
+        beyond2 = np.empty((k, 2), dtype=np.intp)
+        beyond2.fill(-1)
+        beyond2[_side_place(piece_halves[at2, 1], start, step, k)] = \
+            piece_halves[at2 ^ 1]
         if np.logical_or.reduce(row1 < 0) or \
                 np.logical_or.reduce(beyond2 < 0, axis=None):
             raise NotIsometric("seam pairing incomplete")
 
         # b's vertices: the seam ones become face1's, the rest are appended
-        new_id = np.full(len(b.vertices), -1, dtype=np.intp)
+        new_id = np.empty(len(b.vertices), dtype=np.intp)
+        new_id.fill(-1)
         new_id[list(mapping)] = c1
         fresh = new_id < 0
-        m = np.count_nonzero(fresh)
+        m = int(np.add.reduce(fresh, dtype=np.intp))
         new_id[fresh] = n + np.arange(m)
         verts[n:n + m] = ((rot @ b.vertices.T).T + tr)[fresh]
         n += m
@@ -206,7 +233,8 @@ def glue(first: Polyhedron | MeshData,
 
         # the piece's cells but those through face2, then the seam cells,
         # which replace those through face1
-        own = np.ones(len(b.cells), dtype=bool)
+        own = np.empty(len(b.cells), dtype=bool)
+        own.fill(True)
         own[at2 >> 1] = False
         rows = piece_halves.reshape(-1, 4)[own].reshape(-1, 2)
         half[top:top + len(rows)] = rows
@@ -416,6 +444,18 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
     return faces_local
 
 
+def _spokes(part: list[tuple[int, ...]], first_ring: int
+            ) -> set[tuple[int, int]]:
+    """The seams of a retiled face: its spokes, the sides that join a
+    vertex of the pierced face (an id below first_ring) to a ring vertex.
+    Each piece of a retiling has two, and each spoke is the side two
+    neighbouring pieces share; the outer and hole sides are one piece's
+    each."""
+    return {(u, w) if u < w else (w, u) for sub in part
+            for u, w in zip(sub, sub[1:] + sub[:1])
+            if (u < first_ring) != (w < first_ring)}
+
+
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
     """p's parts and a geometry of them: a validated mesh's own, or one
     that fits the planes of raw data's faces as they are asked for."""
@@ -522,10 +562,7 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
                       for i in sub)
                 for sub in local]
         faces.extend(part)
-        # the sides two pieces share
-        count = Counter((min(u, w), max(u, w)) for sub in part
-                        for u, w in zip(sub, sub[1:] + sub[:1]))
-        seams.update(k for k, c in count.items() if c == 2)
+        seams.update(_spokes(part, base1))
     for j in range(spec.n):
         k = (j + 1) % spec.n
         faces.append((base1 + j, base1 + k, base2 + k, base2 + j))

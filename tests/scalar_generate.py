@@ -15,25 +15,38 @@ step of a chain is a validated mesh.  ``drill_repeat`` builds raw input
 first and then drills one validated mesh at a time, so every intermediate
 mesh of a multiple drill is validated in full, and locates each pierced
 face with its own ``_locate_face`` call on that mesh's full geometry.
+
+The combinatorics the library reads off the construction are found here
+as they once were at run time: ``_central_polygon`` sorts the vertices
+in a plane by angle, which gives the face tables of the three
+hemi-polyhedra (``hemi_faces``); ``resolve_correspondence`` checks an
+explicit mapping against the set of all 2k alignments of face2's cycle,
+and ``seam_places`` places face2's sides by frozenset lookups;
+``shared_sides`` counts every side of a retiled face and keeps those two
+pieces share; ``kabsch`` takes the determinant's sign with
+np.linalg.det and applies it through np.diag.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from ccpforge import (DrillSpec, FaceCorrespondence, build_polyhedron,
                       drill, gen_r_block, gen_s_base, gen_t_block)
 from ccpforge import _geom
-from ccpforge.errors import (AxisObstructed, BadOrder, BracketFailure,
-                             DomainError, FootprintTooLarge, GenusOutOfRange,
-                             HoleNotInside, NotIsometric,
+from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
+                             BadOrder, BracketFailure, DomainError,
+                             FootprintTooLarge, GenusOutOfRange,
+                             HoleNotInside, IndexOutOfRange, NotIsometric,
                              SelfCrossingPartition)
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
                                  _n5g_params, _orbit, a_coeff)
-from ccpforge.mesh import MeshData, MeshMetadata, Polyhedron, replace_meta
-from ccpforge.surgery import build_glued, resolve_correspondence
+from ccpforge.mesh import (LENGTH_TOL, MeshData, MeshMetadata, Polyhedron,
+                           _integer, replace_meta)
+from ccpforge.surgery import build_glued
 from conftest import face_polygon
 
 TAU = 2.0 * math.pi
@@ -204,6 +217,143 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     return faces_local
 
 
+def _central_polygon(verts: np.ndarray, axis: np.ndarray, offset: float
+                     ) -> tuple[int, ...]:
+    """Indices of vertices within 1e-9 of the plane axis . x = offset,
+    sorted CCW around the axis."""
+    axis = axis / np.linalg.norm(axis)
+    sel = np.flatnonzero(np.abs(verts @ axis - offset) < 1e-9)
+    u, v = _geom.plane_basis(axis)
+    p2 = _geom.project_2d(verts[sel], verts[sel].mean(axis=0), u, v)
+    order = np.argsort(np.arctan2(p2[:, 1], p2[:, 0]))
+    return tuple(sel[order].tolist())
+
+
+def hemi_faces(name: str, verts: np.ndarray) -> list[tuple[int, ...]]:
+    """The faces of hemi-polyhedron `name` ("cho", "rhombihexahedron" or
+    "sdhd") on its vertices, each the vertices of one plane sorted by
+    _central_polygon."""
+    faces = []
+    if name == "cho":
+        for axis_i in range(3):
+            for s in (1, -1):
+                axis = np.zeros(3)
+                axis[axis_i] = s
+                faces.append(_central_polygon(verts, axis, 1.0))
+        for sx in (1, -1):
+            for sy in (1, -1):
+                for sz in (1, -1):
+                    if sx * sy * sz == 1:
+                        faces.append(_central_polygon(
+                            verts, np.array([sx, sy, sz], float), 0.0))
+    elif name == "rhombihexahedron":
+        for axis_i in range(3):
+            for s in (1, -1):
+                axis = np.zeros(3)
+                axis[axis_i] = s
+                faces.append(_central_polygon(verts, axis, 1.0))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    axis = np.zeros(3)
+                    axis[i], axis[j] = si, sj
+                    axis /= np.linalg.norm(axis)
+                    faces.append(_central_polygon(
+                        verts, axis, (2 + math.sqrt(2)) / math.sqrt(2.0)))
+    else:
+        phi = (1 + math.sqrt(5.0)) / 2
+        ico = []
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                for cyc in range(3):
+                    vals = (0.0, s1 * 1.0, s2 * phi)
+                    ico.append(np.array([vals[cyc % 3], vals[(cyc + 1) % 3],
+                                         vals[(cyc + 2) % 3]]))
+        ring = phi * phi / math.sqrt(1 + phi * phi)
+        faces = [_central_polygon(verts, ico[vi], ring) for vi in range(12)]
+        seen_axes = []
+        for vi in range(12):
+            if any(np.allclose(ico[vi], -a) for a in seen_axes):
+                continue
+            seen_axes.append(ico[vi])
+            faces.append(_central_polygon(verts, ico[vi], 0.0))
+    return faces
+
+
+def _alignments(cycle2):
+    for base in (tuple(cycle2), tuple(reversed(cycle2))):
+        for shift in range(len(base)):
+            yield base[shift:] + base[:shift]
+
+
+def resolve_correspondence(p1, p2, corr: FaceCorrespondence
+                           ) -> tuple[int, ...]:
+    """The face2 vertex ids aligned with face1's stored cycle; an explicit
+    mapping must be one of the 2k alignments of face2's cycle."""
+    c1 = p1.faces[corr.face1]
+    c2 = p2.faces[corr.face2]
+    if len(c1) != len(c2):
+        raise NotIsometric("face cycles have different lengths")
+    if corr.mapping is not None:
+        try:
+            entries = iter(corr.mapping)
+        except TypeError:
+            raise IndexOutOfRange(
+                f"mapping {corr.mapping!r} is not a sequence") from None
+        mapping = tuple(_integer(v, "mapping entry", IndexOutOfRange)
+                        for v in entries)
+        if sorted(mapping) != sorted(c2):
+            raise NotIsometric("mapping is not a bijection onto face2")
+        if mapping not in set(_alignments(c2)):
+            raise NotIsometric("mapping does not respect the face2 cycle")
+        return mapping
+    tol = LENGTH_TOL * max(_geom.tolerance_scale(p1.vertices),
+                           _geom.tolerance_scale(p2.vertices)) * 10
+
+    def lengths(pts):
+        return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    len1 = lengths(p1.vertices[list(c1)])
+    found = [cand for cand in _alignments(c2)
+             if np.abs(len1 - lengths(p2.vertices[list(cand)])).max() < tol]
+    if not found:
+        raise NotIsometric("no isometric alignment of the two face cycles")
+    if len(found) > 1:
+        raise AmbiguousCorrespondence(
+            f"{len(found)} isometric alignments; pass an explicit mapping")
+    return found[0]
+
+
+def seam_places(mapping, cycle2) -> np.ndarray:
+    """Per side s of cycle2, the position i whose mapped segment,
+    mapping[i] to mapping[i + 1], it is."""
+    k = len(cycle2)
+    seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
+                for i in range(k)}
+    return np.array([seam_pos[frozenset((cycle2[s], cycle2[(s + 1) % k]))]
+                     for s in range(k)])
+
+
+def kabsch(src: np.ndarray, dst: np.ndarray):
+    """Proper rigid motion (R, t) minimizing |R @ src + t - dst|."""
+    cs = np.add.reduce(src, axis=0) / len(src)
+    cd = np.add.reduce(dst, axis=0) / len(dst)
+    h = (src - cs).T @ (dst - cd)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    f = np.diag([1.0, 1.0, d])
+    r = vt.T @ f @ u.T
+    t = cd - r @ cs
+    return r, t
+
+
+def shared_sides(part) -> set[tuple[int, int]]:
+    """The sides, as (lower, higher) vertex pairs, that two of the
+    sub-faces `part` share."""
+    count = Counter((min(u, w), max(u, w)) for sub in part
+                    for u, w in zip(sub, sub[1:] + sub[:1]))
+    return {k for k, c in count.items() if c == 2}
+
+
 def _parts(p):
     """p's parts with their edge cells."""
     if isinstance(p, Polyhedron):
@@ -221,7 +371,7 @@ def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
     k = len(c1)
     src = b.vertices[list(mapping)]
     dst = a.vertices[list(c1)]
-    rot, tr = _geom.kabsch(src, dst)
+    rot, tr = kabsch(src, dst)
     scale = max(1.0, float(np.abs(dst).max()))
     resid = float(np.abs(rot @ src.T + tr[:, None] - dst.T).max())
     if resid > 1e-9 * scale:
@@ -245,11 +395,7 @@ def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
     # Every cell through face1 or face2 leaves one half-edge beyond the seam;
     # the two left at position i of face1's cycle form that seam's cell.
     # Side s of face2 sits at the position whose mapped segment it is.
-    cyc2 = b.faces[corr.face2]
-    seam_pos = {frozenset((mapping[i], mapping[(i + 1) % k])): i
-                for i in range(k)}
-    pos2 = np.array([seam_pos[frozenset((cyc2[s], cyc2[(s + 1) % k]))]
-                     for s in range(k)])
+    pos2 = seam_places(mapping, b.faces[corr.face2])
     cells, halves = [], []
     for p, face, pos, offset in ((a, corr.face1, np.arange(k), 0),
                                  (b, corr.face2, pos2, len(a.faces) - 1)):

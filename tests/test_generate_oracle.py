@@ -1,8 +1,12 @@
 """The angle solver, the annulus retiling, the connected-sum chains and
 the multiple drills of the ``ccp generate`` path against the code they
 replaced (tests/scalar_generate.py): the same floats, partitions, meshes
-and errors, to the last bit."""
+and errors, to the last bit.  So are the combinatorics the path reads
+off the construction: the hemi-polyhedra's face tables, the alignment of
+a glued face's cycle, the seams of a retiled face and the rigid fit."""
 
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +24,7 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
 from ccpforge.errors import CcpError, DomainError, NotIsometric
 from ccpforge.mesh import MeshData, MeshMetadata
 
+import corpus_digest
 import scalar_generate
 from conftest import assert_same_planes, random_rigid_motion
 
@@ -453,3 +458,174 @@ def test_drilled_family_builds_once(monkeypatch, family, genus, fewest):
     builds = counted_builds(monkeypatch)
     generate_family(FamilyRequest(family, genus, prefer_fewest=fewest))
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# combinatorics read off the construction
+
+
+@pytest.mark.parametrize("name,table,parts", [
+    ("cho", "_CHO_FACES", generators_mod._cubohemioctahedron),
+    ("rhombihexahedron", "_RHOMBIHEXAHEDRON_FACES",
+     generators_mod._rhombihexahedron),
+    ("sdhd", "_SDHD_FACES", generators_mod.gen_small_dodecahemidodecahedron)])
+def test_hemi_face_tables_are_the_sorted_planes(name, table, parts):
+    """Each literal face table is the one _central_polygon derives from
+    the construction's vertices, each cycle from the same start vertex,
+    and the mesh is built on it."""
+    p = parts()
+    want = scalar_generate.hemi_faces(name, np.asarray(p.vertices))
+    assert list(getattr(generators_mod, table)) == want
+    assert list(p.faces) == want
+
+
+@contextlib.contextmanager
+def recorded_spokes():
+    """A list that gains (part, first_ring, spokes) at each
+    surgery._spokes call made inside the block."""
+    calls = []
+    real = surgery_mod._spokes
+
+    def record(part, first_ring):
+        out = real(part, first_ring)
+        calls.append((list(part), first_ring, out))
+        return out
+    surgery_mod._spokes = record
+    try:
+        yield calls
+    finally:
+        surgery_mod._spokes = real
+
+
+def assert_spokes_are_shared_sides(calls):
+    for part, first_ring, got in calls:
+        assert got == scalar_generate.shared_sides(part), (part, first_ring)
+
+
+def test_spokes_are_the_shared_sides_of_the_digest_corpus():
+    """On every retiled face of every drilled mesh of the digest corpus,
+    the spokes are the sides two pieces share."""
+    with recorded_spokes() as calls:
+        for _, build in corpus_digest.corpus():
+            build()
+    assert len(calls) > 300
+    assert_spokes_are_shared_sides(calls)
+    # both partitions occur: quads (equal cycle lengths) and triangles
+    assert {len(sub) for part, _, _ in calls for sub in part} == {3, 4}
+
+
+BASES = {"p2-24": (gen_p2_24, (0, 1)), "q3-18": (gen_q3_18, (1, 0)),
+         "cho": (gen_cubohemioctahedron, (4, 5))}
+
+
+def drill_drawn(base, n, k, s, t, radius, phase):
+    """A k-fold drill of order n of a base mesh at the point (s, t) of its
+    first pierced face's frame, in units of the face's size; returns the
+    _spokes calls it makes, whether it succeeds or fails."""
+    build, faces = BASES[base]
+    p = build()
+    geo = p.geometry
+    f1 = faces[0]
+    size = math.sqrt(abs(geo.area[f1]))
+    point = geo.centroid[f1] + size * (s * geo.u[f1] + t * geo.v[f1])
+    with recorded_spokes() as calls:
+        with contextlib.suppress(CcpError):
+            surgery_mod.drill_repeat(p, DrillSpec(
+                *faces, n, tuple(point.tolist()), radius, phase), k)
+    return calls
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:             # the drawn placements need hypothesis
+    st = None
+
+if st is not None:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(base=st.sampled_from(sorted(BASES)), n=st.integers(3, 13),
+           k=st.integers(1, 3), s=st.floats(-0.4, 0.4),
+           t=st.floats(-0.4, 0.4), radius=st.none() | st.floats(0.005, 0.2),
+           phase=st.floats(-math.pi, math.pi))
+    def test_spokes_are_the_shared_sides_of_drawn_placements(
+            base, n, k, s, t, radius, phase):
+        """Drills at drawn points, radii, phases, orders and counts: on
+        every face they retile, whether the drill then succeeds or fails,
+        the spokes are the sides two pieces share."""
+        assert_spokes_are_shared_sides(
+            drill_drawn(base, n, k, s, t, radius, phase))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_alignment_places_sides_as_the_frozenset_lookup(k):
+    """On each of the 2k alignments of a k-cycle, _alignment gives where
+    the mapping starts and which way it runs, and _side_place puts each
+    side of the cycle where the frozenset lookup put it; every other
+    ordering of the cycle (all of them up to k = 6) is no alignment, and
+    resolve_correspondence rejects it as the set lookup did."""
+    rng = np.random.default_rng(k)
+    cycle = tuple(int(v) for v in rng.permutation(40)[:k])
+    aligned = list(scalar_generate._alignments(cycle))
+    assert len(set(aligned)) == 2 * k
+    for mapping in aligned:
+        start, step = surgery_mod._alignment(mapping, cycle)
+        assert mapping == tuple(cycle[(start + step * i) % k]
+                                for i in range(k))
+        got = surgery_mod._side_place(np.arange(k), start, step, k)
+        assert got.tolist() == \
+            scalar_generate.seam_places(mapping, cycle).tolist()
+    others = itertools.permutations(cycle) if k <= 6 else \
+        (tuple(rng.permutation(cycle).tolist()) for _ in range(2000))
+    data = MeshData(np.zeros((40, 3)), [cycle], MeshMetadata())
+    for mapping in others:
+        if mapping in aligned:
+            continue
+        assert surgery_mod._alignment(mapping, cycle) is None
+        corr = FaceCorrespondence(0, 0, mapping)
+        got = outcome(surgery_mod.resolve_correspondence, data, data, corr)
+        assert got == outcome(scalar_generate.resolve_correspondence, data,
+                              data, corr)
+        assert got[0] is NotIsometric
+
+
+def same_fit(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_kabsch_is_the_det_diag_form(monkeypatch):
+    """The rigid fit gives the bytes of the det/diag form on 20,000
+    seeded fits, proper and improper, half of them on lattice points,
+    whose SVD factors hold exact zeros, and on every fit the glued
+    chains of the catalog make."""
+    rng = np.random.default_rng(29)
+    signs = []
+    for i in range(10_000):
+        k = int(rng.integers(3, 9))
+        src = rng.standard_normal((k, 3)) * 10.0 ** rng.integers(-3, 4)
+        rot, t = random_rigid_motion(rng)
+        dst = rng.standard_normal((k, 3)) if i % 4 == 0 else src @ rot.T + t
+        if i % 3 == 0:
+            dst = dst * [1.0, 1.0, -1.0]       # a mirror image
+        same_fit(geom_mod.kabsch(src, dst), scalar_generate.kabsch(src, dst))
+    perms = list(itertools.permutations(range(3)))
+    for i in range(10_000):
+        k = int(rng.integers(3, 9))
+        src = rng.integers(-2, 3, (k, 3)).astype(float)
+        if i % 2:
+            src[:, 2] = 0.0                     # a planar cycle, as glued
+        turn = np.zeros((3, 3))
+        turn[range(3), perms[i % 6]] = rng.choice([-1.0, 1.0], 3)
+        dst = src @ turn.T + rng.integers(-3, 4, 3)
+        signs.append(np.linalg.det(turn) < 0)
+        same_fit(geom_mod.kabsch(src, dst), scalar_generate.kabsch(src, dst))
+    assert 3000 < sum(signs) < 7000
+    fits = []
+    real = geom_mod.kabsch
+    monkeypatch.setattr(geom_mod, "kabsch", lambda src, dst: fits.append(
+        (src.copy(), dst.copy())) or real(src, dst))
+    for build, _, genus in CHAINS:
+        build(*(() if genus is None else (genus,)))
+    monkeypatch.undo()
+    assert len(fits) > 500
+    for src, dst in fits:
+        same_fit(geom_mod.kabsch(src, dst), scalar_generate.kabsch(src, dst))

@@ -354,6 +354,54 @@ def test_genus_must_be_an_integer(build, genus):
         build(genus)
 
 
+BAD_REALS = ["x", "0.25", None, math.nan, math.inf, -math.inf, True,
+             np.False_, 1j, [0.25], 10**400]
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda x: gen_p2_24(b=x), "p2-24 b"),
+    (lambda x: gen_p2_24(c=x), "p2-24 c"),
+    (lambda x: generate_family(FamilyRequest("p2-24", params={"b": x})),
+     "p2-24 b"),
+    (lambda x: gen_r_block(x, 1.0), "r-block r"),
+    (lambda x: gen_r_block(0.5, x), "r-block h"),
+    (lambda x: generate_family(FamilyRequest(
+        "r-block", params={"r": 0.5, "h": x})), "r-block h"),
+    (lambda x: gen_minimal(3, l1=x), "l1"),
+    (lambda x: generate_family(FamilyRequest("minimal", 4,
+                                             params={"l1": x})), "l1"),
+    (lambda x: solve_block_params(3, x), "l1")])
+@pytest.mark.parametrize("value", BAD_REALS, ids=map(repr, BAD_REALS))
+def test_real_parameters_must_be_finite_reals(build, name, value):
+    """A generator parameter that is not a finite real number, a bool
+    included, raises BadParameters naming it, before any bound on it is
+    compared."""
+    with pytest.raises(BadParameters) as info:
+        build(value)
+    assert str(info.value) == \
+        f"{name} {value!r} is not a finite real number"
+
+
+@pytest.mark.parametrize("l1", [0.0, -2.0, -0.0, np.float64(-1e-300)])
+def test_l1_must_be_positive(l1):
+    for build in (lambda: gen_minimal(3, l1=l1),
+                  lambda: solve_block_params(4, l1)):
+        with pytest.raises(BadParameters) as info:
+            build()
+        assert str(info.value) == f"l1 {float(l1)!r} must be positive"
+
+
+def test_real_parameters_of_any_real_type_build_alike():
+    """numpy floats and ints pass as the float of their value."""
+    want = gen_p2_24(0.25, 0.125)
+    for b, c in ((np.float64(0.25), 0.125), (0.25, np.float32(0.125))):
+        assert gen_p2_24(b, c).vertices.tobytes() == want.vertices.tobytes()
+    assert gen_r_block(1, 2).vertices.tobytes() == \
+        gen_r_block(1.0, 2.0).vertices.tobytes()
+    assert gen_minimal(3, np.float64(2)).vertices.tobytes() == \
+        gen_minimal(3).vertices.tobytes()
+
+
 def test_numpy_integer_genus_builds_with_an_int_genus():
     p = generate_family(FamilyRequest("minimal", np.int64(3)))
     assert type(p.metadata.genus) is int and p.metadata.genus == 3

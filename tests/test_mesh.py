@@ -113,6 +113,34 @@ def test_face_entries_are_integers(entry):
         build_polyhedron(TET_V, [(0, 1, 1)] + TET_F[1:3] + [(1, 3, entry)])
 
 
+@pytest.mark.parametrize("vertices", ["abc", None, 5, [[0, 0], [1, 1, 1]],
+                                      [["a", 0, 0]] * 4, np.zeros((4, 2))],
+                         ids=["text", "none", "int", "ragged", "strings",
+                              "two-columns"])
+def test_vertices_must_be_an_n_by_3_array(vertices):
+    with pytest.raises(IndexOutOfRange) as info:
+        build_polyhedron(vertices, TET_F)
+    assert str(info.value) == "vertices must be an (n, 3) array"
+
+
+@pytest.mark.parametrize("faces", [None, 5, 2.5])
+def test_faces_must_be_iterable(faces):
+    with pytest.raises(IndexOutOfRange) as info:
+        build_polyhedron(TET_V, faces)
+    assert str(info.value) == \
+        f"faces {faces!r} is not a sequence of vertex cycles"
+
+
+@pytest.mark.parametrize("face", [5, None, np.int64(3), np.array(3)],
+                         ids=["int", "none", "numpy-int", "0-d array"])
+def test_a_face_must_be_a_cycle(face):
+    """A face that has no length raises IndexOutOfRange naming it, before
+    any face is checked further."""
+    with pytest.raises(IndexOutOfRange) as info:
+        build_polyhedron(TET_V, TET_F[:2] + [face] + TET_F[2:])
+    assert str(info.value) == f"face 2 {face!r} is not a vertex cycle"
+
+
 def test_faces_are_tuples_of_python_ints():
     faces = [np.array(TET_F[0], np.int32), list(map(np.int64, TET_F[1])),
              np.array(TET_F[2], np.uint8), [1, 3, 2]]

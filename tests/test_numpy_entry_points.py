@@ -1,9 +1,11 @@
 """The per-mesh path calls numpy's ufuncs, ufunc reductions and ndarray
 methods, not the Python wrappers that end in them (README, "Geometry
-notes").  An ast scan of the four per-mesh modules fails on a wrapper the
-rule removed; the other tests compare each rewritten helper with the
-wrapper form it replaced, byte for byte, on seeded random stacks and on
-the catalog's small genera."""
+notes").  An ast scan of the per-mesh modules, the generators and file
+I/O fails on a wrapper the rule removed; the other tests compare each
+rewritten helper with the wrapper form it replaced, byte for byte, on
+seeded random stacks and on the catalog's small genera, and the dot
+products of np.vecdot and np.matvec with the stacked matmuls they
+replaced."""
 
 import ast
 import operator
@@ -16,11 +18,13 @@ from ccpforge import _geom
 from ccpforge.errors import DegenerateFace, IndexOutOfRange, NonManifoldEdge
 from ccpforge.mesh import (_Corners, _checked_corners, _corner_layout,
                            _derived_cells, _intp_entries)
+from ccpforge.metrics import _TriangleScan
 
 from test_self_intersection_oracle import SMALL_GENERA, family
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccpforge"
-MODULES = ("_geom.py", "mesh.py", "metrics.py", "surgery.py")
+MODULES = ("_geom.py", "mesh.py", "metrics.py", "surgery.py",
+           "generators.py", "fileio.py")
 # np.<name> wrappers the rule replaced; np.r_ is indexed, not called
 FUNCTIONS = {"flatnonzero", "stack", "vstack", "hstack", "r_", "tile",
              "diff", "array_equal", "roll", "cross", "argsort",
@@ -135,6 +139,66 @@ def test_tolerance_scale_is_the_max():
         assert _geom.tolerance_scale(x) == max(1.0, float(np.abs(x).max()))
         same_bytes(_geom.tolerance_scale(x, axis=-1),
                    np.maximum(1.0, np.abs(x).max(axis=-1)))
+
+
+def matmul_dot(a, b):
+    """_geom.dot as a stacked matmul of rows by columns."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matmul_matvec(m, x):
+    """np.matvec as a stacked matmul by columns."""
+    return (m @ x[..., :, None])[..., 0]
+
+
+def views(x):
+    """x and strided views of it: a column of coordinates, every other
+    row, rows reversed, and a transposed copy's transpose."""
+    out = [x, x[..., ::2, :], x[..., ::-1, :], np.ascontiguousarray(
+        np.swapaxes(x, -1, -2)).swapaxes(-1, -2)]
+    if x.ndim == 3:
+        out += [x[..., 0], x[:, ::2]]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vecdot_is_the_stacked_matmul(seed):
+    """_geom.dot (np.vecdot) rounds each pair as the stacked matmul did,
+    on contiguous and strided stacks and broadcast against one row."""
+    for a, b in zip(stacks(seed), stacks(seed + 10)):
+        for x, y in zip(views(a), views(b)):
+            same_bytes(_geom.dot(x, y), matmul_dot(x, y))
+            same_bytes(_geom.dot(x, y[..., :1, :]),
+                       matmul_dot(x, y[..., :1, :]))
+        same_bytes(_geom.norm(a), np.sqrt(matmul_dot(a, a)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matvec_is_the_stacked_matmul(seed):
+    """np.matvec, by which plane_fit, project_2d and the scan's plane
+    distances take a stack of matrix-by-vector products, rounds each as
+    the stacked matmul did: C-ordered, F-ordered, every-other-row and
+    one-row matrices, and vectors per matrix, strided or one for all.
+    Rows at a negative stride are left out: BLAS does not take them, and
+    then matmul sums each product in a loop of its own and matvec by
+    ddot, which round apart on these stacks.  Each library caller hands
+    np.matvec a fresh difference or gather, which is C-ordered."""
+    for pts, other in zip(list(stacks(seed))[1:], list(stacks(seed + 10))[1:]):
+        vec = other[:, 0, :]                    # strided rows, one per set
+        for m in views(pts)[:2] + views(pts)[3:4] + [pts[:, :1]]:
+            for x in (vec, np.ascontiguousarray(vec), vec[:1], vec[0]):
+                same_bytes(np.matvec(m, x), matmul_matvec(m, x))
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA[:8])
+def test_scan_distances_are_the_stacked_matmul(name, genus, params):
+    """_TriangleScan._distances takes each triangle's vertices against
+    another's plane by np.matvec, with the stacked matmul's bytes."""
+    scan = _TriangleScan(family(name, genus, **params))
+    n = len(scan.tri)
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+    d = matmul_matvec(scan.tri.take(i, axis=0), scan.normal.take(j, axis=0))
+    same_bytes(scan._distances(i, j), d.T - scan.offset[j])
 
 
 def corners_wrappers(sizes, vertex):
