@@ -116,6 +116,10 @@ def polygon_is_simple(p: np.ndarray | list, eps=1e-12) -> bool:
     scalars do."""
     pts = p if isinstance(p, list) else p.tolist()
     k = len(pts)
+    if k == 4:      # the loop below tests sides 0, 2 and then 1, 3
+        a, b, c, d = pts
+        return not (_cross_properly(a, b, c, d, eps)
+                    or _cross_properly(b, c, d, a, eps))
     neps = -eps
     # per side: its two ends and its direction
     sides = [(ax, ay, bx, by, bx - ax, by - ay)
@@ -133,6 +137,21 @@ def polygon_is_simple(p: np.ndarray | list, eps=1e-12) -> bool:
             if o3 > eps and o4 < neps or o3 < neps and o4 > eps:
                 return False
     return True
+
+
+def _cross_properly(a, b, c, d, eps: float) -> bool:
+    """Whether the sides a -> b and c -> d of a cycle cross properly, as
+    polygon_is_simple tests a pair of sides, with the same products."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    ux, uy = bx - ax, by - ay
+    o1 = ux * (cy - ay) - uy * (cx - ax)
+    o2 = ux * (dy - ay) - uy * (dx - ax)
+    if not (o1 > eps and o2 < -eps or o1 < -eps and o2 > eps):
+        return False
+    vx, vy = dx - cx, dy - cy
+    o3 = vx * (ay - cy) - vy * (ax - cx)
+    o4 = vx * (by - cy) - vy * (bx - cx)
+    return o3 > eps and o4 < -eps or o3 < -eps and o4 > eps
 
 
 def winds_around(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -189,12 +208,14 @@ def ear_clip(poly2d: np.ndarray | list, eps: float = 1e-12,
     if k == 3:
         return [(0, 1, 2)]
     pts = poly2d if isinstance(poly2d, list) else poly2d.tolist()
-    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
-                     in zip(pts, pts[1:] + pts[:1]))
-    s = 1.0 if twice_area > 0 else -1.0
     if scale is None:
         scale = tolerance_scale(poly2d)
     area_eps = eps * scale * scale
+    if k == 4:
+        return _clip_quad(pts, area_eps)
+    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                     in zip(pts, pts[1:] + pts[:1]))
+    s = 1.0 if twice_area > 0 else -1.0
     neps = -area_eps
     idx = list(range(k))
     tris: list[tuple[int, int, int]] = []
@@ -226,6 +247,36 @@ def ear_clip(poly2d: np.ndarray | list, eps: float = 1e-12,
             raise DegenerateFace("no ear found; polygon may be non-simple")
     tris.append((idx[0], idx[1], idx[2]))
     return tris
+
+
+# per corner of a quad, as ear_clip tries them: the ear (i0, i1, i2), the
+# fourth vertex, and the triangle left once the ear is clipped
+_QUAD_EARS = (((3, 0, 1), 2, (1, 2, 3)), ((0, 1, 2), 3, (0, 2, 3)),
+              ((1, 2, 3), 0, (0, 1, 3)), ((2, 3, 0), 1, (0, 1, 2)))
+
+
+def _clip_quad(pts: list, area_eps: float) -> list[tuple[int, int, int]]:
+    """ear_clip of a quad, a list of four pairs, with the same products
+    and sums: the orientation, then the first corner, in ear_clip's
+    order, that is convex by more than area_eps and whose triangle does
+    not hold the fourth vertex, then the triangle left."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    # the shoelace sum in ear_clip's order; its leading 0 + changes no sign
+    s = 1.0 if (x0 * y1 - x1 * y0 + (x1 * y2 - x2 * y1)
+                + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)) > 0 else -1.0
+    neps = -area_eps
+    for (i0, i1, i2), j, rest in _QUAD_EARS:
+        (ax, ay), (bx, by), (cx, cy) = pts[i0], pts[i1], pts[i2]
+        abx, aby = bx - ax, by - ay
+        if s * (abx * (cy - ay) - aby * (cx - ax)) <= area_eps:
+            continue  # reflex or collinear corner
+        px, py = pts[j]
+        if s * (abx * (py - ay) - aby * (px - ax)) >= neps and \
+           s * ((cx - bx) * (py - by) - (cy - by) * (px - bx)) >= neps and \
+           s * ((ax - cx) * (py - cy) - (ay - cy) * (px - cx)) >= neps:
+            continue  # the fourth vertex lies in the ear
+        return [(i0, i1, i2), rest]
+    raise DegenerateFace("no ear found; polygon may be non-simple")
 
 
 def _det3(m: np.ndarray) -> float:

@@ -4,7 +4,9 @@ exactly, plus OBJ and binary STL export."""
 from __future__ import annotations
 
 import json
+import operator
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +42,14 @@ def mesh_to_document(p: Polyhedron) -> dict:
 
 def _lists(rows, length=None) -> bool:
     """Whether rows is a JSON list of lists (each of the given length)."""
-    return isinstance(rows, list) and {type(r) for r in rows} <= {list} \
-        and (length is None or {len(r) for r in rows} <= {length})
+    return isinstance(rows, list) and set(map(type, rows)) <= {list} \
+        and (length is None or set(map(len, rows)) <= {length})
 
 
 def _int_entries(rows) -> bool:
-    """Whether every entry of every list in rows is a JSON integer."""
-    return {type(i) for row in rows for i in row} <= {int}
+    """Whether every entry of every list in rows is a JSON integer (true
+    and false are not: their type is bool)."""
+    return set(map(type, chain.from_iterable(rows))) <= {int}
 
 
 # metadata key -> the JSON type of its value (true and false only for
@@ -78,9 +81,12 @@ def _metadata(m, n_vertices: int) -> MeshMetadata:
         if not 0 <= v < n_vertices:
             raise BadFile(f"vertex label {name!r} names no vertex: {v}")
     # a seam is an unordered pair of distinct vertices, stored lower first
-    for a, b in seams:
-        if a == b or min(a, b) < 0 or max(a, b) >= n_vertices:
-            raise BadFile(f"seam {[a, b]} is not two distinct vertex ids")
+    lo, hi = list(map(min, seams)), list(map(max, seams))
+    if seams and (min(lo) < 0 or max(hi) >= n_vertices
+                  or not all(map(operator.ne, lo, hi))):
+        a, b = next(s for s in seams
+                    if s[0] == s[1] or min(s) < 0 or max(s) >= n_vertices)
+        raise BadFile(f"seam {[a, b]} is not two distinct vertex ids")
     return MeshMetadata(
         family=m.get("family"),
         genus=m.get("genus"),
@@ -88,7 +94,7 @@ def _metadata(m, n_vertices: int) -> MeshMetadata:
         expected_defect=m.get("expected_defect_radians"),
         provenance=list(m.get("provenance") or []),
         vertex_labels=dict(labels),
-        seam_edges={(min(a, b), max(a, b)) for a, b in seams},
+        seam_edges=set(zip(lo, hi)),
     )
 
 
@@ -115,21 +121,33 @@ def document_to_mesh(doc: dict) -> Polyhedron:
     if not _lists(faces) or not _int_entries(faces):
         raise BadFile("faces must be a list of lists of vertex indices")
     meta = _metadata(doc.get("metadata", {}), len(verts))
-    slots = None
+    cells = None
     if "edge_cells" in doc:
         cells = doc["edge_cells"]
         if not _lists(cells, 2) or not _lists(
-                halves := [h for c in cells for h in c], 2) or \
+                halves := list(chain.from_iterable(cells)), 2) or \
                 not _int_entries(halves):
             raise BadFile("edge_cells must be a list of "
                           "[[face, slot], [face, slot]] pairs")
-        slots = tuple((tuple(c[0]), tuple(c[1])) for c in cells)
-    p = build_polyhedron(verts.astype(float), [tuple(f) for f in faces],
-                         meta, edge_slots=slots)
-    stray = meta.seam_edges - set(p.edges)
-    if stray:
-        raise BadFile(f"seam {list(min(stray))} is not an edge of the mesh")
+    p = build_polyhedron(verts, faces, meta, edge_slots=cells)
+    if meta.seam_edges:
+        _check_seams(p, meta.seam_edges)
     return p
+
+
+def _check_seams(p: Polyhedron, seams: set[tuple[int, int]]) -> None:
+    """BadFile for the least seam that joins no edge cell's vertex pair.
+    Each pair (u, v), u < v < V, is keyed u * V + v, which orders as the
+    pair does, and the cells' keys ascend (build_polyhedron sorts them)."""
+    n = p.n_vertices
+    have = p.edge_pairs[:, 0] * n + p.edge_pairs[:, 1]
+    want = np.array(list(seams), np.intp)
+    want = want[:, 0] * n + want[:, 1]
+    at = np.minimum(have.searchsorted(want), len(have) - 1)
+    stray = want[have[at] != want]
+    if stray.size:
+        u, v = divmod(int(np.minimum.reduce(stray)), n)
+        raise BadFile(f"seam {[u, v]} is not an edge of the mesh")
 
 
 def save_json(p: Polyhedron, path) -> None:

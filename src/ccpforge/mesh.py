@@ -79,7 +79,6 @@ def replace_meta(meta: MeshMetadata, **kw) -> MeshMetadata:
     return replace(meta, **copies, **kw)
 
 
-@dataclass(frozen=True)
 class Polyhedron:
     """Immutable validated mesh.
 
@@ -88,15 +87,59 @@ class Polyhedron:
     edges      : tuple of (u, v) pairs with u < v; pairs may repeat when two
                  distinct 1-cells share their endpoints
     edge_slots : per edge, the two (face, slot) half-edges it carries
-    """
-    vertices: np.ndarray
-    faces: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    edge_slots: EdgeSlots
-    metadata: MeshMetadata = field(default_factory=MeshMetadata)
 
-    def __post_init__(self):
-        self.vertices.setflags(write=False)
+    build_polyhedron keeps the edge cells as arrays only, geometry.cells
+    and edge_pairs; edges and edge_slots are built from them (_as_tuples)
+    on first read and kept.  Constructed from tuples, as
+    Polyhedron(vertices, faces, edges, edge_slots, metadata), a mesh keeps
+    those and derives its arrays from them.
+    """
+
+    def __init__(self, vertices: np.ndarray,
+                 faces: tuple[tuple[int, ...], ...],
+                 edges: tuple[tuple[int, int], ...], edge_slots: EdgeSlots,
+                 metadata: MeshMetadata | None = None):
+        vertices.setflags(write=False)
+        self.__dict__.update(vertices=vertices, faces=faces, edges=edges,
+                             edge_slots=edge_slots,
+                             metadata=MeshMetadata() if metadata is None
+                             else metadata)
+
+    @classmethod
+    def _of_arrays(cls, vertices: np.ndarray,
+                   faces: tuple[tuple[int, ...], ...],
+                   metadata: MeshMetadata, geometry: "MeshGeometry",
+                   pairs: np.ndarray) -> "Polyhedron":
+        """A mesh whose edge cells are geometry.cells, with their (E, 2)
+        vertex pairs `pairs`."""
+        vertices.setflags(write=False)
+        p = cls.__new__(cls)
+        p.__dict__.update(vertices=vertices, faces=faces, metadata=metadata,
+                          geometry=geometry, edge_pairs=_readonly(pairs))
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Polyhedron is immutable: cannot set {name}")
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self._edge_tuples()[1]
+
+    @cached_property
+    def edge_slots(self) -> EdgeSlots:
+        return self._edge_tuples()[0]
+
+    def _edge_tuples(self) -> tuple[EdgeSlots, tuple[tuple[int, int], ...]]:
+        """Both tuple views, built from the arrays and kept."""
+        slots, pairs = _as_tuples(self.geometry.cells, self.edge_pairs)
+        self.__dict__.update(edges=pairs, edge_slots=slots)
+        return slots, pairs
+
+    @cached_property
+    def edge_pairs(self) -> np.ndarray:
+        """Per edge cell its (u, v) vertex pair, u < v, as an (E, 2)
+        array."""
+        return _readonly(np.array(self.edges, np.intp).reshape(-1, 2))
 
     @property
     def n_vertices(self) -> int:
@@ -104,7 +147,7 @@ class Polyhedron:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_pairs)
 
     @property
     def n_faces(self) -> int:
@@ -150,10 +193,12 @@ class Polyhedron:
         return _orientation_cover(self)
 
     def with_metadata(self, **kw) -> "Polyhedron":
-        out = replace(self, metadata=replace_meta(self.metadata, **kw))
-        for name in ("geometry", "orientation"):  # both ignore metadata
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
+        """This mesh with the metadata fields kw names replaced; it shares
+        the vertices and every part computed so far, none of which reads
+        the metadata."""
+        out = Polyhedron.__new__(Polyhedron)
+        out.__dict__.update(self.__dict__,
+                            metadata=replace_meta(self.metadata, **kw))
         return out
 
     def label(self, name: str) -> int:
@@ -300,6 +345,27 @@ class MeshGeometry:
                 a.setflags(write=False)
         return self
 
+    def reuse(self, other: "MeshGeometry") -> "MeshGeometry":
+        """Take the planes `other` has fitted when its vertex array and
+        corner layout are this geometry's, bit for bit, and return self;
+        fit then fits only the faces other has not.  A face's plane is a
+        function of its own points (see fit), so each row taken is the one
+        fit would give it here."""
+        if not all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in ((self.vertices, other.vertices),
+                                (self.face_size, other.face_size),
+                                (self.corner_vertex, other.corner_vertex))):
+            return self
+        rows, corners = other.fitted, other.fitted[self.corner_face]
+        for name in ("residual", "area"):
+            getattr(self, name)[rows] = getattr(other, name)[rows]
+        for name in ("centroid", "normal", "u", "v"):
+            getattr(self, name)[rows] = getattr(other, name).compress(
+                rows, axis=0)
+        self.uv[corners] = other.uv.compress(corners, axis=0)
+        self.fitted[:] = rows
+        return self
+
     def inside_clearance(self, faces: np.ndarray, points: np.ndarray
                          ) -> np.ndarray:
         """Per (n, 3) point, _geom.inside_clearance of its projection into
@@ -359,20 +425,38 @@ class MeshGeometry:
         return _geom.tolerance_scale(self.vertices)
 
     @cached_property
+    def uv_rows(self) -> list[list[float]]:
+        """uv as a list of [u, v] rows, for the per-face loops that slice
+        it: the simplicity check and the ear clip."""
+        return self.uv.tolist()
+
+    @cached_property
     def triangulation(self) -> Triangulation:
         """The ear clip of every face, in one record: each face's triangles
-        in a run, faces in order.  The clips run face by face on slices of
-        one list of uv, each with its face's tolerance scale, all taken in
-        one reduction."""
-        uv = self.uv.tolist()
-        bounds = self.face_start.tolist() + [len(uv)]
-        # per face its largest |u| and |v|; the scale is the larger, >= 1
-        scale = _geom.tolerance_scale(np.maximum.reduceat(
-            np.abs(self.uv), self.face_start), axis=1).tolist()
-        clips = [_geom.ear_clip(uv[a:b], scale=s)
-                 for a, b, s in zip(bounds, bounds[1:], scale)]
-        face = np.arange(len(clips)).repeat([len(c) for c in clips])
-        local = np.array([t for c in clips for t in c], np.intp)
+        in a run, faces in order.  A triangle is its own clip, (0, 1, 2),
+        as ear_clip gives it; the larger faces are clipped one by one on
+        slices of one list of uv, each with its face's tolerance scale,
+        all taken in one reduction."""
+        runs = self.face_size - 2
+        face = np.arange(len(runs)).repeat(runs)
+        local = np.empty((len(face), 3), np.intp)
+        local[:] = (0, 1, 2)
+        big = (runs > 1).nonzero()[0]
+        if big.size:
+            uv = self.uv_rows
+            # per face its largest |u| and |v|; the scale is the larger,
+            # >= 1
+            scale = _geom.tolerance_scale(np.maximum.reduceat(
+                np.abs(self.uv), self.face_start), axis=1)
+            clips = [_geom.ear_clip(uv[a:a + k], scale=s) for a, k, s in zip(
+                self.face_start[big].tolist(), self.face_size[big].tolist(),
+                scale[big].tolist())]
+            # the rows of the big faces' runs: each run's first row, less
+            # the run's place among the clips, plus the clips' row numbers
+            n = runs[big]
+            first = (runs.cumsum() - runs)[big] - (n.cumsum() - n)
+            local[first.repeat(n) + np.arange(int(np.add.reduce(n)))] = \
+                [t for c in clips for t in c]
         vertex = self.corner_vertex[self.face_start[face, None] + local]
         return Triangulation(_readonly(vertex), _readonly(face))
 
@@ -442,9 +526,12 @@ class MeshGeometry:
 def flat_edges(p: Polyhedron, seams) -> list[int]:
     """Edge cells whose dihedral angle is within ANGLE_TOL of pi, other
     than those joining a vertex pair in `seams`."""
-    near_pi = np.abs(p.geometry.dihedrals - np.pi) < ANGLE_TOL
-    return [e for e in near_pi.nonzero()[0].tolist()
-            if p.edges[e] not in seams]
+    near_pi = (np.abs(p.geometry.dihedrals - np.pi) < ANGLE_TOL).nonzero()[0]
+    if not near_pi.size:
+        return []
+    return [e for e, (u, v) in zip(near_pi.tolist(),
+                                   p.edge_pairs.take(near_pi, axis=0).tolist())
+            if (u, v) not in seams]
 
 
 def _edge_cells(cells: np.ndarray, corners: _Corners
@@ -452,7 +539,10 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     """An explicit pairing as (E, 4) rows (f1, s1, f2, s2), sorted by vertex
     pair and then by the half-edges; returns the rows and their (E, 2)
     vertex pairs (lower id first).  Every half-edge must lie in exactly
-    one cell and both halves of a cell traverse one segment."""
+    one cell and both halves of a cell traverse one segment.  A half-edge
+    (f, s) orders as its corner start[f] + s does, and no two cells share
+    a first corner, so the rows are sorted by two keys: the vertex pair,
+    packed into one integer as in _derived_cells, and the first corner."""
     half = cells.reshape(-1, 2)
     f, s = half[:, 0], half[:, 1]
     ok = (f >= 0) & (f < len(corners.size))
@@ -481,8 +571,8 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     if 2 * len(cells) != len(corners.vertex):
         raise NonManifoldEdge("edge_slots do not cover every half-edge")
     ends = ends[:, 0]
-    order = np.lexsort((cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
-                        ends[:, 1], ends[:, 0]))
+    top = int(np.maximum.reduce(ends[:, 1], initial=0)) + 1
+    order = np.lexsort((corner[::2], ends[:, 0] * top + ends[:, 1]))
     return cells.take(order, axis=0), ends.take(order, axis=0)
 
 
@@ -503,14 +593,18 @@ def _cell_array(edge_slots) -> np.ndarray:
 def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
     """Pair the half-edges by unordered vertex pair; every pair must occur
     exactly twice.  Returns the (E, 4) cells, ordered by vertex pair and
-    within a cell by half-edge, and their (E, 2) vertex pairs."""
+    within a cell by half-edge, and their (E, 2) vertex pairs.  The
+    half-edges are sorted by one key per pair, lo * m + hi with m above
+    every vertex id, which orders as (lo, hi) does; the stable sort keeps
+    a pair's half-edges in corner order."""
     u, v = corners.vertex, corners.vertex[corners.next]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((np.arange(len(u)), hi, lo))
-    lo, hi = lo[order], hi[order]
+    key = lo * (int(np.maximum.reduce(hi, initial=0)) + 1) + hi
+    order = key.argsort(kind="stable")
+    lo, hi, key = lo[order], hi[order], key[order]
     key_starts = np.empty(len(lo), dtype=bool)
     key_starts[:1] = True
-    key_starts[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    np.not_equal(key[1:], key[:-1], out=key_starts[1:])
     first = key_starts.nonzero()[0]
     uses = np.empty_like(first)
     np.subtract(first[1:], first[:-1], out=uses[:-1])
@@ -544,8 +638,8 @@ COORDINATE_LIMIT = 1e64
 
 def build_polyhedron(vertices, faces,
                      metadata: MeshMetadata | None = None,
-                     edge_slots: EdgeSlots | np.ndarray | None = None
-                     ) -> Polyhedron:
+                     edge_slots: EdgeSlots | np.ndarray | None = None,
+                     planes: MeshGeometry | None = None) -> Polyhedron:
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
@@ -556,7 +650,9 @@ def build_polyhedron(vertices, faces,
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
-    are paired by vertex pair.
+    are paired by vertex pair.  `planes`, the geometry of the same raw
+    data (surgery.pierce returns one), lends the planes it has fitted (see
+    MeshGeometry.reuse), so that only the other faces are fitted.
     """
     try:
         pts = np.asarray(vertices, dtype=float)
@@ -587,14 +683,16 @@ def build_polyhedron(vertices, faces,
     if missing.size:
         raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")
 
-    slots, pairs = _as_tuples(cells, ends)
     vertex = corners.vertex.tolist()
     bounds = corners.start.tolist() + [len(vertex)]
     cycles = tuple(tuple(vertex[a:b]) for a, b in zip(bounds, bounds[1:]))
-    poly = Polyhedron(pts.copy(), cycles, pairs, slots,
-                      metadata or MeshMetadata())
-    geo = poly.__dict__["geometry"] = MeshGeometry(
-        poly.vertices, corners, _readonly(cells)).fit()
+    pts = pts.copy()
+    geo = MeshGeometry(pts, corners, _readonly(cells))
+    if planes is not None:
+        geo.reuse(planes)
+    geo.fit()
+    poly = Polyhedron._of_arrays(pts, cycles, metadata or MeshMetadata(),
+                                 geo, ends)
     scale = geo.scale
     short = _geom.norm(pts.take(ends[:, 0], axis=0)
                        - pts.take(ends[:, 1], axis=0)) <= LENGTH_TOL * scale
@@ -602,19 +700,24 @@ def build_polyhedron(vertices, faces,
         u, v = ends[short.argmax()]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    small = geo.area <= LENGTH_TOL * scale * scale
-    uv = geo.uv.tolist()
-    bounds = geo.face_start.tolist() + [len(uv)]
-    for fi, (resid, tiny, a, b) in enumerate(zip(
-            geo.residual.tolist(), small.tolist(), bounds, bounds[1:])):
-        if resid > PLANARITY_TOL * scale:
-            raise DegenerateFace(
-                f"face {fi} deviates {resid:.2e} from planarity")
-        if tiny:
-            raise DegenerateFace(f"face {fi} has near-zero area")
-        # a triangle has no two sides that do not meet at a corner
-        if b - a > 3 and not _geom.polygon_is_simple(uv[a:b]):
+    # per face, in order: planarity, area, then simplicity; the first face
+    # that fails raises.  The faces before the first that fails one of the
+    # two array checks are tested for simplicity, all but the triangles,
+    # which have no two sides that do not meet at a corner
+    warped = geo.residual > PLANARITY_TOL * scale
+    bad = warped | (geo.area <= LENGTH_TOL * scale * scale)
+    first = int(bad.argmax()) if np.logical_or.reduce(bad) else len(bad)
+    uv = geo.uv_rows
+    big = (geo.face_size[:first] > 3).nonzero()[0]
+    for fi, a, k in zip(big.tolist(), geo.face_start[big].tolist(),
+                        geo.face_size[big].tolist()):
+        if not _geom.polygon_is_simple(uv[a:a + k]):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
+    if first < len(bad):
+        if warped[first]:
+            raise DegenerateFace(f"face {first} deviates "
+                                 f"{geo.residual[first]:.2e} from planarity")
+        raise DegenerateFace(f"face {first} has near-zero area")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:

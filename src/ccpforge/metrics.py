@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,10 @@ class DefectProfile:
         return float(self.per_vertex[v])
 
 
-@dataclass(frozen=True)
-class IntersectionWitness:
+class IntersectionWitness(NamedTuple):
+    """One face pair's witness; a named tuple, as a scan may make
+    thousands of them and a tuple is made without a Python call per
+    field."""
     faces: tuple[int, int]
     point: np.ndarray                # a representative common point
     kind: str                        # "transversal" | "coplanar-overlap"
@@ -306,8 +309,13 @@ class _TriangleScan:
             count = end - np.arange(1, len(order) + 1)
             total = np.add.reduce(count)
             if best is None or total < best[2]:
-                best = (order, count, total)
-        order, count, _ = best
+                best = (order, count, total, axis)
+        order, count, _, swept = best
+        # a pair's boxes overlap on the swept axis by construction: sorted
+        # by lo, the later box starts no earlier than the earlier one, so
+        # no later than its own hi, and `end` bounds its lo by the earlier
+        # box's hi + eps
+        others = [x for x in range(3) if x != swept]
         ends = count.cumsum()
         out_i, out_j = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
         for s in range(0, int(ends[-1]), _ROWS):
@@ -318,7 +326,7 @@ class _TriangleScan:
             j = np.maximum(order[a], order[b])
             keep = (self.face[i] != self.face[j]) & ~self.degenerate[i] & \
                 ~self.degenerate[j]
-            for x in range(3):
+            for x in others:
                 keep &= ~(lo[x][i] > hi[x][j] + eps)
                 keep &= ~(lo[x][j] > hi[x][i] + eps)
             out_i.append(i.compress(keep).astype(np.int32))

@@ -589,7 +589,8 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec))[0])
+    out, planes = pierce(data, geo, spec, _axis(geo, spec))
+    return build_polyhedron(*out, planes=planes)
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -605,7 +606,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
     Each step pierces with the geometry the step before returned, so only
-    new pieces are laid out and fitted.
+    new pieces are laid out and fitted, and the build fits only the faces
+    the last step's geometry has not.
     """
     if _integer(k, "k", BadOrder) < 1:
         raise BadOrder("k must be >= 1")
@@ -645,7 +647,7 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 SelfCrossingPartition) as exc:
             last_err = exc
         else:
-            return build_polyhedron(*out)
+            return build_polyhedron(*out, planes=step_geo)
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")
 

@@ -67,6 +67,22 @@ def test_polygon_routines_on_corpus_faces():
     assert count > 1500
 
 
+def test_triangulation_is_each_face_clipped():
+    """MeshGeometry.triangulation, which takes a triangle as its own clip
+    and clips the other faces, is every face's scalar ear clip, face by
+    face and in order, on the corpus meshes."""
+    for p in corpus_meshes():
+        geo = p.geometry
+        vertex, face = [], []
+        for f in range(p.n_faces):
+            cycle = geo.corner_vertex[geo.face_start[f]:][:geo.face_size[f]]
+            for t in scalar_polygon.ear_clip(face_polygon(geo, f)):
+                vertex.append(cycle[list(t)].tolist())
+                face.append(f)
+        assert geo.triangulation.vertex.tolist() == vertex
+        assert geo.triangulation.face.tolist() == face
+
+
 def random_polygons(rng, count):
     """Seeded polygons with 3..11 vertices: star-shaped simple ones, their
     reverses, ones with vertices jittered by 1e-13 off the middle of a
@@ -120,6 +136,21 @@ def grid_polygons(rng, count):
 def test_polygon_routines_on_grid_polygons(eps):
     for poly in grid_polygons(np.random.default_rng(31), 1000):
         assert_same_polygon_results(poly, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 0.5])
+def test_polygon_routines_on_every_grid_quad(eps):
+    """Quads take unrolled paths (two side pairs, four ears in order):
+    every cycle of four points of a 3 x 3 grid, repeats included, so
+    convex, reflex, crossing, collinear and zero-area quads, and quads
+    with no ear."""
+    grid = [(float(x), float(y)) for x in range(3) for y in range(3)]
+    failed = 0
+    for cells in np.ndindex(9, 9, 9, 9):
+        poly = np.array([grid[c] for c in cells])
+        assert_same_polygon_results(poly, eps)
+        failed += isinstance(outcome(_geom.ear_clip, poly, eps), tuple)
+    assert failed > 100
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

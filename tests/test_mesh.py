@@ -1,5 +1,7 @@
 """Mesh construction, validation errors and topological classification."""
 
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,15 +9,19 @@ import pytest
 
 from ccpforge import _geom
 from ccpforge import (build_polyhedron, classify, euler_characteristic,
-                      gen_flat_torus9, gen_q2_9, gen_tetrahedron,
+                      gen_flat_torus9, gen_p2_24, gen_q2_9, gen_tetrahedron,
                       gen_tetrahemihexahedron, is_orientable)
 from ccpforge.errors import (BadParameters, DegenerateFace,
                              DisconnectedSurface, FlatEdge,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
 from ccpforge import mesh as mesh_mod
+from ccpforge.fileio import document_to_mesh, mesh_to_document
 from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
-                           replace_meta, topology_from)
+                           _as_tuples, _cell_array, _corner_layout,
+                           _derived_cells, _edge_cells, replace_meta,
+                           topology_from)
+from ccpforge.verify import verify
 
 from conftest import (_derive_edge_slots, cube_data, face_polygon,
                       random_rigid_motion)
@@ -452,3 +458,159 @@ def test_plane_helpers_round_a_row_as_in_a_stack():
         assert _geom.dot(u, pts[:, 0])[i] == np.dot(ui, row[0])
         assert _geom.norm(row[0]) == np.linalg.norm(row[0])
         assert _geom.norm(pts[:, 0])[i] == np.linalg.norm(row[0])
+
+
+def tuples_as_built(doc):
+    """edge_slots and edges as build_polyhedron made them when it kept
+    tuples: _as_tuples of the cells a document's faces derive, or of its
+    edge_cells."""
+    corners = _corner_layout(doc["faces"])
+    if "edge_cells" in doc:
+        return _as_tuples(*_edge_cells(_cell_array(doc["edge_cells"]),
+                                       corners))
+    return _as_tuples(*_derived_cells(corners))
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
+def test_edge_tuples_are_built_on_first_read(name, genus, params):
+    """A generated mesh and its JSON round trip keep their edge cells as
+    arrays: building, loading and verifying either builds neither tuple
+    view.  Read, the views are the tuples the build used to make, pairs
+    ascending, and n_edges counts them."""
+    p = family(name, genus, **params)
+    doc = json.loads(json.dumps(mesh_to_document(p)))
+    q = document_to_mesh(doc)
+    for m in (p, q):
+        verify(m)
+        assert "edges" not in vars(m) and "edge_slots" not in vars(m)
+    slots, pairs = tuples_as_built(doc)
+    for m in (q, p):
+        assert m.edge_slots == slots and m.edges == pairs
+        assert m.n_edges == len(m.edges) == len(m.edge_slots)
+        assert list(pairs) == sorted(pairs)
+        assert m.edge_pairs.tolist() == [list(e) for e in pairs]
+
+
+def test_with_metadata_carries_the_edge_arrays():
+    """with_metadata shares the geometry and the pair array and builds no
+    tuples; read later, they are the original's."""
+    p = family("orientable", 3)
+    q = p.with_metadata(family="relabelled")
+    assert q.geometry is p.geometry and q.edge_pairs is p.edge_pairs
+    assert "edges" not in vars(q) and "edge_slots" not in vars(q)
+    assert (q.metadata.family, p.metadata.family) == \
+        ("relabelled", "orientable")
+    assert q.edges == p.edges and q.edge_slots == p.edge_slots
+    r = q.with_metadata(genus=7)
+    assert r.edges is q.edges and r.metadata.genus == 7
+
+
+def test_positional_construction_keeps_its_tuples():
+    """Polyhedron(vertices, faces, edges, edge_slots, metadata) keeps the
+    tuples it is given and derives its arrays from them."""
+    v, f = cube_data()
+    faces = tuple(map(tuple, f))
+    slots, pairs = _derive_edge_slots(faces)
+    p = Polyhedron(v, faces, pairs, slots, MeshMetadata())
+    assert p.edges is pairs and p.edge_slots is slots and p.n_edges == 12
+    assert p.edge_pairs.tolist() == [list(e) for e in pairs]
+    assert p.geometry.cells.tolist() == [[a, b, c, d]
+                                         for (a, b), (c, d) in slots]
+    assert p.with_metadata(family="cube").edges is pairs
+    built = build_polyhedron(v, f)
+    assert (built.edges, built.edge_slots) == (pairs, slots)
+
+
+def test_a_polyhedron_is_immutable():
+    p = build_polyhedron(TET_V, TET_F)
+    with pytest.raises(AttributeError):
+        p.faces = ()
+    with pytest.raises(ValueError):
+        p.vertices[0, 0] = 5.0
+
+
+def cells_by_six_keys(cells, corners):
+    """_edge_cells' rows and pairs as it sorted them with six keys: the
+    vertex pair, then f1, s1, f2 and s2."""
+    half = cells.reshape(-1, 2)
+    corner = corners.start[half[:, 0]] + half[:, 1]
+    u, v = corners.vertex[corner], corners.vertex[corners.next[corner]]
+    ends = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)[::2]
+    order = np.lexsort((cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
+                        ends[:, 1], ends[:, 0]))
+    return cells[order], ends[order]
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA + [
+    ("minimal", g, {}) for g in (6, 12)])
+def test_explicit_cells_sort_as_by_six_keys(name, genus, params):
+    """Explicit cells, their rows shuffled and some halves swapped, of
+    the mesh's faces in a shuffled order, sort by the vertex pair and the
+    first corner as they sorted by six keys; minimal g = 6 and 12 have
+    doubled segments (10 and 22), whose two cells the corners order."""
+    p = family(name, genus, **params)
+    rng = np.random.default_rng(p.n_faces)
+    for _ in range(3):
+        order = rng.permutation(p.n_faces)
+        corners = _corner_layout([p.faces[f] for f in order])
+        cells = p.geometry.cells[rng.permutation(p.n_edges)]
+        cells[:, 0::2] = order.argsort()[cells[:, 0::2]]
+        swap = rng.random(len(cells)) < 0.5
+        cells[swap] = cells[swap][:, [2, 3, 0, 1]]
+        for got, want in zip(_edge_cells(cells, corners),
+                             cells_by_six_keys(cells, corners)):
+            assert got.tobytes() == want.tobytes()
+
+
+def first_face_failure(geo, is_simple):
+    """The per-face loop the array checks replaced: face by face, in
+    order, planarity, area, then the simplicity of a face of four or more
+    vertices; the message of the first failure, or None."""
+    scale = geo.scale
+    for fi in range(len(geo.face_size)):
+        resid = float(geo.residual[fi])
+        if resid > mesh_mod.PLANARITY_TOL * scale:
+            return f"face {fi} deviates {resid:.2e} from planarity"
+        if geo.area[fi] <= mesh_mod.LENGTH_TOL * scale * scale:
+            return f"face {fi} has near-zero area"
+        if geo.face_size[fi] > 3 and \
+                not is_simple(face_polygon(geo, fi).tolist()):
+            return f"face {fi} is not a simple polygon"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
+    """p2-24 (18 faces of 4, 6 and 8 vertices) with up to two vertices
+    lifted off their faces' planes, and up to two faces each taken as of
+    zero area or as not simple: build_polyhedron names the face and the
+    check that the per-face loop named first."""
+    rng = np.random.default_rng(seed)
+    p = gen_p2_24()
+    v = p.vertices.copy()
+    lifted = rng.choice(len(v), int(rng.integers(0, 3)), replace=False)
+    v[lifted, 2] += 1e-6
+    layout = _corner_layout(p.faces)
+    geo = MeshGeometry(v, layout).fit()
+    faces = {face_polygon(geo, f).tobytes(): f for f in range(p.n_faces)}
+    flat, crossed = (set(rng.choice(p.n_faces, int(rng.integers(0, 3)),
+                                    replace=False).tolist())
+                     for _ in range(2))
+    area = _geom.polygon_area_2d
+
+    def flattened(poly):
+        rows = poly.reshape(-1, *poly.shape[-2:])
+        zero = [faces[r.tobytes()] in flat for r in rows]
+        return np.where(np.reshape(zero, poly.shape[:-2]), 0.0, area(poly))
+
+    def is_simple(pts, eps=1e-12):
+        return faces[np.array(pts).tobytes()] not in crossed
+
+    monkeypatch.setattr(_geom, "polygon_area_2d", flattened)
+    monkeypatch.setattr(_geom, "polygon_is_simple", is_simple)
+    want = first_face_failure(MeshGeometry(v, layout).fit(), is_simple)
+    if want is None:
+        build_polyhedron(v, p.faces)
+    else:
+        with pytest.raises(DegenerateFace, match=f"^{re.escape(want)}$"):
+            build_polyhedron(v, p.faces)

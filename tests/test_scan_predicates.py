@@ -5,7 +5,8 @@ of either sign and at NaN (a degenerate triangle's normal); the side
 separation test of coplanar triangles holds exactly when their overlap,
 clipped in rational arithmetic, has zero area; and the one-pass clip of
 segments to triangles gives the scalar clip's ends bit for bit, zeros'
-signs included."""
+signs included; and the broad phase's sweep yields, pair for pair and in
+order, what an all-pairs test of box overlap yields."""
 
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ccpforge.metrics import (_clip_segments, _each,  # noqa: E402
-                              _one_side, _plane_meets, _side_separates,
-                              _two_of)
+import ccpforge.metrics as metrics  # noqa: E402
+from ccpforge.metrics import (_TriangleScan, _clip_segments,  # noqa: E402
+                              _each, _one_side, _plane_meets,
+                              _side_separates, _two_of)
 
 from scalar_scan import _clip_segment_to_triangle  # noqa: E402
 
@@ -188,3 +190,71 @@ def test_clip_segments_on_a_grid():
         grid[:, None], grid[None, :]))
     for tri in (TRIANGLE, np.array([(0.0, 0.0), (3.0, 1.0), (1.0, 3.0)])):
         assert_clips_as_scalar(a, b, np.broadcast_to(tri, (len(a), 3, 2)))
+
+
+# box bounds on a coarse grid and eps and 2 eps either side of it, so that
+# boxes share a lo, touch, or stand exactly eps apart; widths of zero, eps
+# and more
+GRID = [0.0, 0.25, 0.5, 1.0]
+COORDS = st.sampled_from(GRID).flatmap(
+    lambda g: st.sampled_from([g, g + EPS, g - EPS, g + 2 * EPS]))
+WIDTHS = st.sampled_from([0.0, EPS, 0.25, 0.5])
+
+
+@st.composite
+def boxes(draw):
+    """Triangle boxes as the scan keeps them: (3, T) lo and hi rows, each
+    triangle's face (a few, so that pairs share one) and whether it is
+    degenerate."""
+    t = draw(st.integers(1, 14))
+    lo = draw(arrays(np.float64, (3, t), elements=COORDS))
+    hi = lo + draw(arrays(np.float64, (3, t), elements=WIDTHS))
+    face = draw(arrays(np.intp, t, elements=st.integers(0, 3)))
+    degenerate = draw(arrays(np.bool_, t, elements=st.sampled_from(
+        [False, False, False, True])))
+    return lo, hi, face, degenerate
+
+
+def all_pairs_candidates(lo, hi, eps, face, degenerate):
+    """The broad phase by testing every pair of boxes on every axis: the
+    pairs of different faces, neither degenerate, whose boxes widened by
+    eps overlap on all three axes, as (i, j), i < j.  They come in the
+    order of a sweep along the first axis with the fewest overlapping
+    pairs: by the earlier box in a stable sort by lo, then the later."""
+    lo, hi, t = lo.tolist(), hi.tolist(), len(face)
+
+    def overlap(x, a, b):
+        return not lo[x][a] > hi[x][b] + eps and \
+            not lo[x][b] > hi[x][a] + eps
+
+    totals = [sum(overlap(x, a, b) for a in range(t) for b in range(a + 1, t))
+              for x in range(3)]
+    axis = totals.index(min(totals))
+    order = sorted(range(t), key=lambda k: lo[axis][k])
+    out = []
+    for m, a in enumerate(order):
+        for b in order[m + 1:]:
+            if face[a] != face[b] and not degenerate[a] and \
+                    not degenerate[b] and \
+                    all(overlap(x, a, b) for x in range(3)):
+                out.append((min(a, b), max(a, b)))
+    return out
+
+
+@PROPS
+@given(boxes(), st.sampled_from([3, metrics._ROWS]))
+def test_candidates_are_the_all_pairs_overlaps(box, rows):
+    """candidates() tests only the two axes it does not sweep; the sweep
+    itself bounds the third.  Blocks of 3 rows split the pairs across
+    blocks."""
+    lo, hi, face, degenerate = box
+    scan = _TriangleScan.__new__(_TriangleScan)
+    scan.lo, scan.hi, scan.eps = lo, hi, EPS
+    scan.face, scan.degenerate = face, degenerate
+    saved, metrics._ROWS = metrics._ROWS, rows
+    try:
+        i, j = scan.candidates()
+    finally:
+        metrics._ROWS = saved
+    assert list(zip(i.tolist(), j.tolist())) == \
+        all_pairs_candidates(lo, hi, EPS, face, degenerate)

@@ -1,6 +1,7 @@
 """Connected sums, prism-order selection, drilling and annulus retiling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -580,6 +581,51 @@ def test_drill_repeat_fits_each_piece_once(monkeypatch):
         rows.clear()
         p = generate_family(FamilyRequest("orientable", genus))
         assert sum(rows) <= 2 * p.n_faces, (genus, sum(rows), p.n_faces)
+
+
+def test_drilled_build_fits_no_face_twice(monkeypatch):
+    """orientable g = 8 drills p2-24 six times; the one build takes the
+    planes the last drill step's geometry has fitted, so no face of the
+    268-face result is fitted twice (refitting them all took 442 rows)."""
+    fitted = []
+    fit = geom_mod.plane_fit
+
+    def counted(pts):
+        fitted.extend(x.tobytes() for x in pts.reshape(-1, *pts.shape[-2:]))
+        return fit(pts)
+
+    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    p = generate_family(FamilyRequest("orientable", 8))
+    assert p.n_faces == 268
+    times = Counter(fitted)
+    assert [times[p.vertices[list(cyc)].tobytes()] for cyc in p.faces] == \
+        [1] * p.n_faces
+    assert len(fitted) < 442
+
+
+def test_reuse_takes_the_planes_of_the_same_data_only():
+    """MeshGeometry.reuse copies the planes a pierce step fitted when the
+    vertex array and corner layout are the step's, each row the bits a
+    fresh fit gives; when either differs it takes none."""
+    p = gen_p2_24()
+    spec = DrillSpec(0, 1, 12)
+    out, geo = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
+                      spec, _axis(p.geometry, spec))
+    layout = mesh_mod._corner_layout(out.faces)
+    fresh = mesh_mod.MeshGeometry(out.vertices, layout).fit()
+    got = mesh_mod.MeshGeometry(out.vertices.copy(), layout).reuse(geo)
+    assert np.array_equal(got.fitted, geo.fitted) and geo.fitted.any()
+    got.fit()
+    for name in ("centroid", "normal", "u", "v", "residual", "area", "uv"):
+        assert getattr(got, name).tobytes() == \
+            getattr(fresh, name).tobytes(), name
+    moved = out.vertices.copy()
+    moved[-1, 2] = np.nextafter(moved[-1, 2], 9.0)
+    flipped = list(out.faces)
+    flipped[0] = flipped[0][::-1]
+    for verts, faces in ((moved, out.faces), (out.vertices, flipped)):
+        other = mesh_mod.MeshGeometry(verts, mesh_mod._corner_layout(faces))
+        assert not other.reuse(geo).fitted.any()
 
 
 def _z_faces(data):

@@ -616,6 +616,18 @@ CONTRACT_CASES = [
     ("face_str.json", _tet_json(faces=[[0, 1, "x"], [0, 2, 3], [0, 3, 1],
                                        [1, 3, 2]]), 2, "BadFile"),
     ("faces_int.json", _tet_json(faces=5), 2, "BadFile"),
+    # faces and edge_cells go to build_polyhedron as the lists JSON gives,
+    # so every entry is checked first: true is not an int, nor is 1.5
+    ("face_true.json", _tet_json(faces=[[0, 1, True], [0, 2, 3], [0, 3, 1],
+                                        [1, 3, 2]]), 2, "BadFile: faces"),
+    ("face_float.json", _tet_json(faces=[[0, 1, 1.5], [0, 2, 3], [0, 3, 1],
+                                         [1, 3, 2]]), 2, "BadFile: faces"),
+    ("cell_true.json", _tet_cells([[0, True], [2, 2]]), 2,
+     "BadFile: edge_cells"),
+    ("cell_float.json", _tet_cells([[0, 0], [2, 1.5]]), 2,
+     "BadFile: edge_cells"),
+    ("cell_three_entries.json", _tet_cells([[0, 0, 1], [2, 2]]), 2,
+     "BadFile: edge_cells"),
     ("edge_cells.json", _tet_json(edge_cells=[[1]]), 2, "BadFile"),
     # a seam joins two distinct vertices of the mesh, a label names one
     ("seam_out_of_range.json", _tet_json(metadata={
@@ -625,6 +637,16 @@ CONTRACT_CASES = [
     # p2-24 has no edge from vertex 0 to vertex 3
     ("seam_not_an_edge.json", _p2_seams([[0, 3]]), 2,
      "BadFile: seam [0, 3] is not an edge"),
+    # of several, the least seam that is no edge is named; of several
+    # malformed seams, the first in the file
+    ("seams_not_edges.json", _p2_seams([[20, 7], [1, 9], [5, 2], [3, 0]]), 2,
+     "BadFile: seam [0, 3] is not an edge"),
+    ("seams_malformed.json", _tet_json(metadata={
+        "seam_edges": [[0, 1], [3, 3], [1, 2], [-1, 2]]}), 2,
+     "BadFile: seam [3, 3] is not two distinct vertex ids"),
+    ("seam_loop_last.json", _tet_json(metadata={
+        "seam_edges": [[0, 1], [1, 2], [3, 3]]}), 2,
+     "BadFile: seam [3, 3] is not two distinct vertex ids"),
     ("label_out_of_range.json", _tet_json(metadata={
         "vertex_labels": {"v4": 4}}), 2, "BadFile: vertex label 'v4'"),
     ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
