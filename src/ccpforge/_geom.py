@@ -77,12 +77,16 @@ def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, n, resid
 
 
+# the coordinate axes' ids, 0, 1 and 2, made once
+_AXES = np.arange(3)
+
+
 def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal in-plane bases (u, v), u x v = n, of
     (..., 3) normals: u is the axis of n's smallest component made
     orthogonal to n."""
     n = n / norm(n)[..., None]
-    e = (np.arange(3) == np.abs(n).argmin(axis=-1)[..., None]) * 1.0
+    e = (_AXES == np.abs(n).argmin(axis=-1)[..., None]) * 1.0
     w = e - dot(e, n)[..., None] * n
     u = w / norm(w)[..., None]
     return u, cross(n, u)

@@ -12,8 +12,8 @@ class BadFile(CcpError):
     file (export only), text that is not JSON, a document of another
     format_version, without vertices or faces or with a part of the wrong
     shape, or OBJ text whose vertex line lacks three numbers or whose face
-    token is not a valid index; or an output path that cannot be
-    written."""
+    token is not a valid index; an output path that cannot be written;
+    or a path that is no str or os.PathLike."""
 
 
 class NotRepresentable(CcpError):
@@ -24,7 +24,8 @@ class NotRepresentable(CcpError):
 # ---- mesh construction / validation ----
 
 class IndexOutOfRange(CcpError):
-    """A vertex or face id that is not an integer index of its mesh."""
+    """A vertex, edge or face id that is not an integer index of its
+    mesh."""
 
 
 class NonManifoldEdge(CcpError):
@@ -105,9 +106,10 @@ class SelfCrossingPartition(CcpError):
 # ---- generators ----
 
 class BadParameters(CcpError):
-    """Free parameters outside the admissible domain of a family, a
-    defect tolerance that is not a finite positive number, or a vertex
-    label that no vertex of the mesh carries."""
+    """Free parameters outside the admissible domain of a family, or
+    arguments of a function that are not numbers or polygons of the kind
+    it takes; a defect tolerance that is not a finite positive number; or
+    a vertex label that no vertex of the mesh carries."""
 
 
 class GenusOutOfRange(CcpError):

@@ -32,7 +32,7 @@ def mesh_to_document(p: Polyhedron) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": p.vertices.tolist(),
-        "faces": [list(cyc) for cyc in p.faces],
+        "faces": p.faces,           # tuples encode as arrays
         "metadata": meta,
     }
     if p.has_multi_edges:
@@ -153,15 +153,27 @@ def _check_seams(p: Polyhedron, seams: set[tuple[int, int]]) -> None:
 def save_json(p: Polyhedron, path) -> None:
     """Write the native JSON document on one line: without indent, json
     encodes in C, and each double is written as its shortest repr, which
-    reads back to the same bits.  The layout is not part of the format."""
-    _write(path, (json.dumps(mesh_to_document(p)) + "\n").encode())
+    reads back to the same bits.  The layout is not part of the format.
+    The document is built fresh from lists, tuples and dicts, so it holds
+    no cycle and json need not look for one."""
+    _write(path, (json.dumps(mesh_to_document(p), check_circular=False)
+                  + "\n").encode())
+
+
+def _path(path) -> Path:
+    """path as a Path; one that is no str or os.PathLike raises
+    BadFile."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise BadFile(f"{path!r} is not a file path") from None
 
 
 def _write(path, data: bytes) -> None:
     """Write an output file; a path that cannot be written (a directory,
     a missing folder, no permission) raises BadFile."""
     try:
-        Path(path).write_bytes(data)
+        _path(path).write_bytes(data)
     except OSError as exc:
         raise BadFile(f"cannot write {path}: {exc.strerror or exc}") \
             from exc
@@ -170,7 +182,7 @@ def _write(path, data: bytes) -> None:
 def _read_text(path) -> str:
     """Read an input file; one that cannot be read as text raises BadFile."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return _path(path).read_text(encoding="utf-8")
     except IsADirectoryError as exc:
         raise BadFile(f"{path} is a directory, not a mesh file") from exc
     except OSError as exc:
@@ -283,7 +295,7 @@ def write_stl(p: Polyhedron, path) -> None:
 
 def save_mesh(p: Polyhedron, path) -> None:
     """Dispatch on extension: .json (native), .obj, .stl."""
-    suffix = Path(path).suffix.lower()
+    suffix = _path(path).suffix.lower()
     if suffix == ".obj":
         write_obj(p, path)
     elif suffix == ".stl":
@@ -294,7 +306,7 @@ def save_mesh(p: Polyhedron, path) -> None:
 
 def load_mesh(path) -> Polyhedron:
     """Dispatch on extension: .json (native) or .obj."""
-    suffix = Path(path).suffix.lower()
+    suffix = _path(path).suffix.lower()
     if suffix == ".obj":
         return read_obj(path)
     if suffix == ".stl":

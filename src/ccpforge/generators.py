@@ -4,7 +4,8 @@ plus the monotone root solver for the 2g+4-vertex minimal-family blocks."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import numbers
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,26 +130,17 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
     return _build(_p2_24(b, c))
 
 
-def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
-    """The parts of gen_p2_24(b, c), for drilling."""
-    b, c = _real(b, "p2-24 b", BadParameters), \
-        _real(c, "p2-24 c", BadParameters)
-    s3 = math.sqrt(3.0)
-    if not (b > c > 0 and 1 > s3 * b and 1 > 4 * s3 * c):
-        raise BadParameters(f"(b, c) = ({b}, {c}) outside admissible domain")
-
+def _p2_combinatorics():
+    """P^2_24's (b, c)-free parts: its 18 face cycles, its 24 vertex
+    labels and its 8 sign rows.  Vertex 8*(j-1) + i is base point j
+    reflected by sign row i."""
     signs = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1)
              for sz in (1, -1)]
     sign_id = {s: i for i, s in enumerate(signs)}
-    base = np.array([[1.0, 1.0, 1.0],
-                     [1 - s3 * b, 1 - b, 1.0],
-                     [1 - s3 * c, 1 - c, 1 - 4 * s3 * c]])
 
     def v(j, *s):       # point j of the base reflected by the signs s
         return 8 * (j - 1) + sign_id[s]
 
-    # each base point times each sign row; a product by +-1 is exact
-    verts = (base[:, None] * np.array(signs, float)).reshape(-1, 3)
     tags = ["".join("+-"[x < 0] for x in s) for s in signs]
     labels = {f"v{j}{tag}": 8 * (j - 1) + i
               for j in (1, 2, 3) for i, tag in enumerate(tags)}
@@ -182,8 +174,30 @@ def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
         # full cube wall at x = sx
         faces.append((v(1, sx, 1, 1), v(1, sx, -1, 1),
                       v(1, sx, -1, -1), v(1, sx, 1, -1)))
-    return _data(verts, faces, family="p2-24", genus=2, orientable=True,
-                 defect=-math.pi / 6, labels=labels)
+    sign_rows = np.array(signs, float)
+    sign_rows.flags.writeable = False
+    return tuple(faces), labels, sign_rows
+
+
+# built once per process: every consumer of a MeshData's faces reads them
+# or copies them, and _data copies the labels
+_P2_FACES, _P2_LABELS, _P2_SIGNS = _p2_combinatorics()
+
+
+def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
+    """The parts of gen_p2_24(b, c), for drilling."""
+    b, c = _real(b, "p2-24 b", BadParameters), \
+        _real(c, "p2-24 c", BadParameters)
+    s3 = math.sqrt(3.0)
+    if not (b > c > 0 and 1 > s3 * b and 1 > 4 * s3 * c):
+        raise BadParameters(f"(b, c) = ({b}, {c}) outside admissible domain")
+    base = np.array([[1.0, 1.0, 1.0],
+                     [1 - s3 * b, 1 - b, 1.0],
+                     [1 - s3 * c, 1 - c, 1 - 4 * s3 * c]])
+    # each base point times each sign row; a product by +-1 is exact
+    verts = (base[:, None] * _P2_SIGNS).reshape(-1, 3)
+    return _data(verts, _P2_FACES, family="p2-24", genus=2, orientable=True,
+                 defect=-math.pi / 6, labels=_P2_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +682,11 @@ class BlockParams:
 
 def a_coeff(k: int, g: int) -> float:
     """Angle-deficit coefficient 4(3k + 1 - (-2)^-k) * pi / (3(g+2)),
-    strictly increasing in k."""
+    strictly increasing in k.  A k that is not an integer (a bool
+    included) raises BadParameters, a g that is not one GenusOutOfRange."""
+    if isinstance(k, bool):
+        raise BadParameters(f"k {k!r} is not an integer")
+    k, g = _integer(k, "k", BadParameters), _genus(g)
     if k < 0 or g < 1:
         raise DomainError("need k >= 0 and g >= 1")
     return 4 * (3 * k + 1 - (-2.0) ** (-k)) * math.pi / (3 * (g + 2))
@@ -679,8 +697,12 @@ def f_angle_sum(l: float, d: float) -> float:
     2*arccos((2l^2-d^2)/(2l sqrt(l^2+1))) + arccos((2(l^2+1)-d^2)/(2(l^2+1))).
 
     Strictly increasing in d on [0, 2l], with f(0) = pi - 2*arctan(l),
-    f(l) = pi and f(2l) = pi + 4*arctan(l).
+    f(l) = pi and f(2l) = pi + 4*arctan(l).  An l or d that is not a
+    real number (a bool included) raises BadParameters.
     """
+    for name, x in (("l", l), ("d", d)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise BadParameters(f"{name} {x!r} is not a real number")
     return _angle_sum_of(l)(d)
 
 
@@ -785,6 +807,8 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
 
 def _t_block(l: float, d: float) -> MeshData:
     """The parts of gen_t_block(l, d), for gluing."""
+    l, d = _real(l, "T-block l", BadParameters), \
+        _real(d, "T-block d", BadParameters)
     if l <= 0 or not 0 < d < 2 * l:
         raise BadParameters(f"need l > 0 and 0 < d < 2l, got l={l}, d={d}")
     ha = math.sqrt(l * l - d * d / 4)
@@ -973,16 +997,21 @@ _BY_FAMILY = {info.family: info for info in CATALOG}
 def generate_family(request: FamilyRequest) -> Polyhedron:
     """Build the mesh a FamilyRequest describes.  A request its CATALOG row
     does not allow raises before any work: an unknown family, parameter or
-    prefer_fewest BadParameters, and a missing or other genus, or one
-    that is not an integer (a bool included), GenusOutOfRange."""
-    fam, g, par = request.family, request.genus, dict(request.params)
+    prefer_fewest BadParameters, as do params that are no mapping, and a
+    missing or other genus, or one that is not an integer (a bool
+    included), GenusOutOfRange."""
+    fam, g, par = request.family, request.genus, request.params
+    if not isinstance(par, Mapping):
+        raise BadParameters(f"params {par!r} is not a mapping of names "
+                            "to values")
+    par = dict(par)
     info = _BY_FAMILY.get(fam)
     if info is None:
         raise BadParameters(f"unknown family {fam!r}")
     unknown = set(par) - set(info.params)
     if unknown:
-        raise BadParameters(
-            f"family {fam!r} takes no parameter {', '.join(sorted(unknown))}")
+        raise BadParameters(f"family {fam!r} takes no parameter "
+                            f"{', '.join(sorted(map(str, unknown)))}")
     if info.required and set(info.params) - set(par):
         raise BadParameters(f"family {fam!r} needs --param " + " and ".join(
             f"{name}=.." for name in info.params))

@@ -792,6 +792,18 @@ def _integer(x, what: str, error: type[Exception]) -> int:
         raise error(f"{what} {x!r} is not an integer") from None
 
 
+def _index(x, n: int, what: str) -> int:
+    """x as an int when it is an integer (by _integer) in range(n), the
+    ids of a mesh's n items of the kind `what` names, else
+    IndexOutOfRange."""
+    i = _integer(x, what, IndexOutOfRange)
+    if not 0 <= i < n:
+        items = "vertices" if what == "vertex" else f"{what}s"
+        raise IndexOutOfRange(
+            f"{what} {x} out of range: the mesh has {n} {items}")
+    return i
+
+
 def _real(x, what: str, error: type[Exception]) -> float:
     """x as a float when it is a finite real number (numpy's pass) and
     not a bool, else error."""

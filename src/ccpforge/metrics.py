@@ -12,7 +12,8 @@ import numpy as np
 
 from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
-from .mesh import ANGLE_TOL, DEFECT_TOL, Polyhedron, euler_characteristic
+from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _index,
+                   euler_characteristic)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,9 @@ class IntersectionWitness(NamedTuple):
 
 
 def edge_length(p: Polyhedron, e: int) -> float:
-    u, v = p.edges[e]
+    """Length of edge e; an e that is not an edge id raises
+    IndexOutOfRange."""
+    u, v = p.edges[_index(e, p.n_edges, "edge")]
     return float(_geom.norm(p.vertices[u] - p.vertices[v]))
 
 
@@ -44,8 +47,10 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
     """Interior angle of face f's planar polygon at vertex v, in (0, 2*pi).
 
     Reflex corners are resolved against the polygon's own cycle normal, so
-    dented polygons report angles above pi.
+    dented polygons report angles above pi.  An f that is not a face id
+    raises IndexOutOfRange.
     """
+    f = _index(f, p.n_faces, "face")
     cyc = p.faces[f]
     if v not in cyc:
         raise VertexNotOnFace(f"vertex {v} not on face {f}")
@@ -54,7 +59,9 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
 
 
 def angular_defect(p: Polyhedron, v: int) -> float:
-    """2*pi minus the sum of interior angles of all face corners at v."""
+    """2*pi minus the sum of interior angles of all face corners at v; a
+    v that is not a vertex id raises IndexOutOfRange."""
+    v = _index(v, p.n_vertices, "vertex")
     faces = p.vertex_faces(v)
     if len(faces) < 3:
         raise IsolatedVertex(f"vertex {v} has {len(faces)} incident faces")
@@ -92,8 +99,10 @@ def dihedral_angle(p: Polyhedron, e: int) -> float:
 
     Measured through the side opposite the first face's cycle normal, so
     reversing that face's stored cycle maps the value to 2*pi - value.
-    Raises FlatEdge within ANGLE_TOL of pi.
+    Raises FlatEdge within ANGLE_TOL of pi, and IndexOutOfRange for an e
+    that is not an edge id.
     """
+    e = _index(e, p.n_edges, "edge")
     ang = float(p.geometry.dihedrals[e])
     if abs(ang - np.pi) < ANGLE_TOL:
         raise FlatEdge(f"edge {p.edges[e]} has dihedral angle pi")
@@ -124,8 +133,9 @@ _OVERLAP_AREA = 1e-12
 # a clip edge this close to parallel to the clipped segment or edge is
 # skipped
 _PARALLEL = 1e-30
-# each vertex's successor around a triangle, and so each side's end
-_NEXT = [1, 2, 0]
+# each vertex's successor around a triangle, and so each side's end; an
+# array, so that no scan block converts a list to index with it
+_NEXT = np.array([1, 2, 0], np.intp)
 # the samples of a transversal pair (_samples); a sample's place in its
 # pair runs from 0 to _PLACES - 1
 _PLACES = 5

@@ -15,17 +15,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _corner_layout, _finite, _integer, build_polyhedron,
-                   euler_characteristic, replace_meta)
+                   _corner_layout, _finite, _index, _integer,
+                   build_polyhedron, euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
-
-
-def _check_face(f, n_faces: int) -> None:
-    """IndexOutOfRange unless f is an integer face id of n_faces faces."""
-    if not 0 <= _integer(f, "face", IndexOutOfRange) < n_faces:
-        raise IndexOutOfRange(
-            f"face {f} out of range: the mesh has {n_faces} faces")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +171,8 @@ def glue(first: Polyhedron | MeshData,
     provenance = []
     for piece, corr in steps:
         b = _parts(piece)
-        _check_face(corr.face1, len(faces))
-        _check_face(corr.face2, len(b.faces))
+        _index(corr.face1, len(faces), "face")
+        _index(corr.face2, len(b.faces), "face")
         mapping = resolve_correspondence(
             MeshData(verts[:n], faces, a.metadata), b, corr)
         c1 = faces[corr.face1]
@@ -322,9 +315,22 @@ def retile_pierced_face(outer: np.ndarray, hole: np.ndarray
     star-shaped about the hole centre.  Returned cycles index the
     concatenation [outer, hole].  Equal vertex counts give a spoke
     partition into quads; otherwise a radial angular sweep produces
-    triangles.
+    triangles.  An argument that is not three or more 3D points raises
+    BadParameters.
     """
-    return _retile([np.asarray(outer, float)], [np.asarray(hole, float)])[0]
+    return _retile([_cycle(outer, "outer")], [_cycle(hole, "hole")])[0]
+
+
+def _cycle(points, what: str) -> np.ndarray:
+    """points as a (k, 3) float array, k >= 3, else BadParameters."""
+    try:
+        pts = np.asarray(points, float)
+    except (TypeError, ValueError):     # not numbers, or ragged
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
+        raise BadParameters(
+            f"{what} polygon {points!r} is not three or more 3D points")
+    return pts
 
 
 def _retile(outers: list[np.ndarray], holes: list[np.ndarray]
@@ -479,7 +485,7 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     a point that is not three of them, or a radius that is not positive)
     or order, a face pierced twice, and a mesh with doubled segments."""
     for f in (spec.face1, spec.face2):
-        _check_face(f, len(geo.face_size))
+        _index(f, len(geo.face_size), "face")
     point = spec.point
     if not (_finite(spec.phase)
             and (spec.radius is None or _finite(spec.radius))

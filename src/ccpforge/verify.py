@@ -5,6 +5,7 @@ self-intersection status of a mesh."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import BadParameters
@@ -66,10 +67,17 @@ class VerificationReport:
 
 def format_pi_multiple(x: float) -> str:
     """Render x as p*pi/q, q <= 120, when it is one within 1e-6, else as a
-    float."""
+    float, as a NaN and an infinity always are.  An x that is not a real
+    number in the float range (a bool is none) raises BadParameters."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise BadParameters(f"{x!r} is not a real number")
+    try:
+        x = float(x)
+    except OverflowError:           # an int beyond the float range
+        raise BadParameters(f"{x!r} is beyond the float range") from None
     if abs(x) < 1e-12:
         return "0"
-    for q in range(1, 121):
+    for q in range(1, 121) if math.isfinite(x) else ():
         p = round(x * q / math.pi)
         if p != 0 and abs(x * q / math.pi - p) < 1e-6:
             g = math.gcd(abs(int(p)), q)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ccpforge.generators as generators_mod
 from ccpforge import (a_coeff, classify, corner_angle, defect_profile,
                       f_angle_sum, gen_cubohemioctahedron,
                       gen_flat_torus9, gen_minimal, gen_n5g_odd,
@@ -70,6 +71,18 @@ class TestClosedForms:
             gen_p2_24(0.01, 0.02)          # b < c
         with pytest.raises(BadParameters):
             gen_p2_24(0.8, 0.01)           # sqrt(3) b > 1
+
+    def test_p2_24_meshes_share_no_mutable_part(self):
+        """P^2_24's faces, labels and sign rows are built once per
+        process: each mesh's labels are its own copy, the faces a tuple
+        of tuples and the sign rows read-only."""
+        p = gen_p2_24()
+        p.metadata.vertex_labels["v1+++"] = 5
+        q = gen_p2_24(0.2, 0.05)
+        assert q.label("v1+++") == 0
+        assert q.faces == generators_mod._P2_FACES
+        assert set(map(type, generators_mod._P2_FACES)) == {tuple}
+        assert not generators_mod._P2_SIGNS.flags.writeable
 
     def test_thh(self):
         p = gen_tetrahemihexahedron()
@@ -365,6 +378,8 @@ BAD_REALS = ["x", "0.25", None, math.nan, math.inf, -math.inf, True,
      "p2-24 b"),
     (lambda x: gen_r_block(x, 1.0), "r-block r"),
     (lambda x: gen_r_block(0.5, x), "r-block h"),
+    (lambda x: gen_t_block(x, 1.0), "T-block l"),
+    (lambda x: gen_t_block(2.0, x), "T-block d"),
     (lambda x: generate_family(FamilyRequest(
         "r-block", params={"r": 0.5, "h": x})), "r-block h"),
     (lambda x: gen_minimal(3, l1=x), "l1"),

@@ -1,0 +1,24 @@
+"""tests/scale_sweep.py runs its first mesh and writes what it prints as
+JSON."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent / "scale_sweep.py"
+
+
+def test_scale_sweep_runs_its_first_mesh(tmp_path):
+    out = tmp_path / "sweep.json"
+    run = subprocess.run([sys.executable, str(SCRIPT), "--limit", "1",
+                          "--out", str(out)], capture_output=True, text=True,
+                         check=True)
+    lines = run.stdout.splitlines()
+    assert len(lines) == 1 and "orientable g=25" in lines[0]
+    (row,) = json.loads(out.read_text())["meshes"]
+    assert (row["family"], row["genus"], row["verified_genus"]) == \
+        ("orientable", 25, 25)
+    assert row["verdict"] == "ccp_embedded" and row["witnesses"] == 0
+    assert row["V"] - row["E"] + row["F"] == 2 - 2 * 25
+    assert row["generate_us_per_face"] > 0 and row["verify_us_per_face"] > 0
