@@ -107,9 +107,9 @@ class SelfCrossingPartition(CcpError):
 
 class BadParameters(CcpError):
     """Free parameters outside the admissible domain of a family, or
-    arguments of a function that are not numbers or polygons of the kind
-    it takes; a defect tolerance that is not a finite positive number; or
-    a vertex label that no vertex of the mesh carries."""
+    arguments of a function that are not numbers, polygons or meshes of
+    the kind it takes; a defect tolerance that is not a finite positive
+    number; or a vertex label that no vertex of the mesh carries."""
 
 
 class GenusOutOfRange(CcpError):

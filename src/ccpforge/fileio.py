@@ -12,12 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadFile, NotRepresentable
-from .mesh import MeshMetadata, Polyhedron, build_polyhedron, flat_edges
+from .mesh import (MeshMetadata, Polyhedron, _mesh, build_polyhedron,
+                   flat_edges)
 
 FORMAT_VERSION = 1
 
 
 def mesh_to_document(p: Polyhedron) -> dict:
+    _mesh(p)
     meta = {
         "family": p.metadata.family,
         "genus": p.metadata.genus,
@@ -207,7 +209,7 @@ def write_obj(p: Polyhedron, path) -> None:
     """Wavefront OBJ with 1-based indices; polygons are preserved.  OBJ
     pairs face sides by vertex pair, so a mesh with doubled segments (two
     edge cells on one vertex pair) raises NotRepresentable."""
-    if p.has_multi_edges:
+    if _mesh(p).has_multi_edges:
         pair = next(e for e, f in zip(p.edges, p.edges[1:]) if e == f)
         raise NotRepresentable(
             f"OBJ cannot keep the doubled segment {pair} apart (it pairs "
@@ -277,7 +279,7 @@ def write_stl(p: Polyhedron, path) -> None:
     (deterministic even for non-orientable meshes, where no global
     orientation exists).  A coordinate beyond the float32 range raises
     NotRepresentable."""
-    tris = p.vertices.take(p.geometry.triangulation.vertex, axis=0)
+    tris = _mesh(p).vertices.take(p.geometry.triangulation.vertex, axis=0)
     records = np.zeros(len(tris), _STL_RECORD)
     with np.errstate(over="ignore"):
         records["normal"] = p.geometry.triangle_normals[0]
@@ -295,6 +297,7 @@ def write_stl(p: Polyhedron, path) -> None:
 
 def save_mesh(p: Polyhedron, path) -> None:
     """Dispatch on extension: .json (native), .obj, .stl."""
+    _mesh(p)
     suffix = _path(path).suffix.lower()
     if suffix == ".obj":
         write_obj(p, path)

@@ -13,8 +13,9 @@ import numpy as np
 from . import surgery
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
-from .mesh import (MeshData, MeshMetadata, Polyhedron, _integer, _real,
-                   build_polyhedron, euler_characteristic, replace_meta)
+from .mesh import (Combinatorics, MeshData, MeshMetadata, Polyhedron,
+                   _finite, _integer, _real, build_polyhedron,
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -182,6 +183,9 @@ def _p2_combinatorics():
 # built once per process: every consumer of a MeshData's faces reads them
 # or copies them, and _data copies the labels
 _P2_FACES, _P2_LABELS, _P2_SIGNS = _p2_combinatorics()
+# the faces checked and paired, with what derives from them alone, once
+# per process: every P^2_24 mesh is built on this record
+_P2_RECORD = Combinatorics.of(_P2_FACES, 24)
 
 
 def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
@@ -196,7 +200,7 @@ def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
                      [1 - s3 * c, 1 - c, 1 - 4 * s3 * c]])
     # each base point times each sign row; a product by +-1 is exact
     verts = (base[:, None] * _P2_SIGNS).reshape(-1, 3)
-    return _data(verts, _P2_FACES, family="p2-24", genus=2, orientable=True,
+    return _data(verts, _P2_RECORD, family="p2-24", genus=2, orientable=True,
                  defect=-math.pi / 6, labels=_P2_LABELS)
 
 
@@ -708,7 +712,10 @@ def f_angle_sum(l: float, d: float) -> float:
 
 def _angle_sum_of(l: float) -> Callable[[float], float]:
     """f_angle_sum(l, .) with l checked and its terms in l computed once:
-    the solver calls it thousands of times per solve."""
+    the solver calls it thousands of times per solve.  An l that is not
+    finite (a NaN included) leaves every term undefined."""
+    if not _finite(l):
+        raise DomainError(f"l = {l} is not finite")
     if l <= 0:
         raise DomainError("l must be positive")
     hi, acos = 2.0 * l, math.acos

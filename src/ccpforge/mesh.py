@@ -19,7 +19,6 @@ import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -29,6 +28,27 @@ from . import _geom
 from .errors import (BadParameters, DegenerateFace, DisconnectedSurface,
                      FlatEdge, InconsistentTopology, IndexOutOfRange,
                      NonManifoldEdge)
+
+
+class _kept:
+    """A property computed on first read and kept in the instance's
+    __dict__, which later reads find first: functools.cached_property
+    without the lock that Python 3.11 takes on each first read (3.12
+    dropped it).  Two threads may both compute a value; each is a
+    function of the instance's parts, so either serves."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
 
 # a half-edge is (face index, slot): slot i of face f traverses the segment
 # from faces[f][i] to faces[f][(i+1) % len]
@@ -88,11 +108,14 @@ class Polyhedron:
                  distinct 1-cells share their endpoints
     edge_slots : per edge, the two (face, slot) half-edges it carries
 
-    build_polyhedron keeps the edge cells as arrays only, geometry.cells
-    and edge_pairs; edges and edge_slots are built from them (_as_tuples)
-    on first read and kept.  Constructed from tuples, as
-    Polyhedron(vertices, faces, edges, edge_slots, metadata), a mesh keeps
-    those and derives its arrays from them.
+    A mesh's combinatorial parts are its `combinatorics` record, which
+    meshes built on one face list share (see Combinatorics), and its
+    geometric ones are its `geometry`.  build_polyhedron keeps the edge
+    cells as the record's arrays only, its cells and edge_pairs; edges and
+    edge_slots are built from them (_as_tuples) on first read and kept.
+    Constructed from tuples, as Polyhedron(vertices, faces, edges,
+    edge_slots, metadata), a mesh keeps those and assembles its record
+    from them, unchecked.
     """
 
     def __init__(self, vertices: np.ndarray,
@@ -106,40 +129,48 @@ class Polyhedron:
                              else metadata)
 
     @classmethod
-    def _of_arrays(cls, vertices: np.ndarray,
-                   faces: tuple[tuple[int, ...], ...],
-                   metadata: MeshMetadata, geometry: "MeshGeometry",
-                   pairs: np.ndarray) -> "Polyhedron":
-        """A mesh whose edge cells are geometry.cells, with their (E, 2)
-        vertex pairs `pairs`."""
+    def _of_arrays(cls, vertices: np.ndarray, record: "Combinatorics",
+                   metadata: MeshMetadata, geometry: "MeshGeometry"
+                   ) -> "Polyhedron":
+        """A mesh on the faces and edge cells of `record`."""
         vertices.setflags(write=False)
         p = cls.__new__(cls)
-        p.__dict__.update(vertices=vertices, faces=faces, metadata=metadata,
-                          geometry=geometry, edge_pairs=_readonly(pairs))
+        p.__dict__.update(vertices=vertices, faces=record.faces,
+                          combinatorics=record, metadata=metadata,
+                          geometry=geometry, edge_pairs=record.edge_pairs)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Polyhedron is immutable: cannot set {name}")
 
-    @cached_property
+    @_kept
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edge_tuples()[1]
 
-    @cached_property
+    @_kept
     def edge_slots(self) -> EdgeSlots:
         return self._edge_tuples()[0]
 
     def _edge_tuples(self) -> tuple[EdgeSlots, tuple[tuple[int, int], ...]]:
         """Both tuple views, built from the arrays and kept."""
-        slots, pairs = _as_tuples(self.geometry.cells, self.edge_pairs)
+        slots, pairs = _as_tuples(self.combinatorics.cells, self.edge_pairs)
         self.__dict__.update(edges=pairs, edge_slots=slots)
         return slots, pairs
 
-    @cached_property
+    @_kept
+    def combinatorics(self) -> "Combinatorics":
+        """The mesh's combinatorial record; one assembled, unchecked, from
+        the tuples of a mesh constructed from them."""
+        return Combinatorics(
+            len(self.vertices), _corner_layout(self.faces),
+            np.array(self.edge_slots, dtype=np.intp).reshape(-1, 4),
+            np.array(self.edges, np.intp).reshape(-1, 2), self.faces)
+
+    @_kept
     def edge_pairs(self) -> np.ndarray:
         """Per edge cell its (u, v) vertex pair, u < v, as an (E, 2)
         array."""
-        return _readonly(np.array(self.edges, np.intp).reshape(-1, 2))
+        return self.combinatorics.edge_pairs
 
     @property
     def n_vertices(self) -> int:
@@ -162,7 +193,7 @@ class Polyhedron:
         """Index of the (first) edge cell joining u and v."""
         return self._edge_lookup[(u, v) if u < v else (v, u)]
 
-    @cached_property
+    @_kept
     def _edge_lookup(self) -> dict[tuple[int, int], int]:
         lookup = {}
         for i in range(len(self.edges) - 1, -1, -1):
@@ -176,21 +207,19 @@ class Polyhedron:
     def face_points(self, f: int) -> np.ndarray:
         return self.vertices[list(self.faces[f])]
 
-    @cached_property
+    @_kept
     def geometry(self) -> "MeshGeometry":
         """The mesh's face, corner, vertex and edge geometry, computed on
         first use and kept for the life of the mesh."""
-        return MeshGeometry(self.vertices, _corner_layout(self.faces),
-                            _readonly(np.array(self.edge_slots, dtype=np.intp)
-                                      .reshape(-1, 4))).fit()
+        return MeshGeometry(self.vertices, self.combinatorics).fit()
 
-    @cached_property
+    @property
     def orientation(self) -> tuple[bool, bool]:
         """Whether the surface is connected and whether it is orientable,
         from one search of its orientation double cover (see
-        _orientation_cover); computed on first use and kept for the life
-        of the mesh."""
-        return _orientation_cover(self)
+        _orientation_cover); computed on first use and kept by the
+        record, for every mesh that shares it."""
+        return self.combinatorics.orientation
 
     def with_metadata(self, **kw) -> "Polyhedron":
         """This mesh with the metadata fields kw names replaced; it shares
@@ -212,9 +241,10 @@ class Polyhedron:
 
 class MeshData(NamedTuple):
     """A mesh's parts before validation: what surgery.glue assembles and
-    build_polyhedron checks.  `cells` pairs the face sides as (E, 4) rows
-    (f1, s1, f2, s2), as MeshGeometry.cells; None pairs them by vertex
-    pair."""
+    build_polyhedron checks.  `faces` may be a Combinatorics record, which
+    reads as a sequence of its faces.  `cells` pairs the face sides as
+    (E, 4) rows (f1, s1, f2, s2), as MeshGeometry.cells; None pairs them
+    by vertex pair."""
     vertices: np.ndarray
     faces: Sequence[tuple[int, ...]]
     metadata: MeshMetadata
@@ -266,6 +296,225 @@ def _corners(sizes: np.ndarray, vertex: np.ndarray) -> _Corners:
                     np.arange(len(sizes)).repeat(sizes), nxt)
 
 
+def _prev_corners(corners: _Corners) -> np.ndarray:
+    """Per corner, the corner before it on its face's cycle."""
+    prev = np.arange(-1, len(corners.vertex) - 1)
+    prev[corners.start] = corners.start + corners.size - 1
+    return prev
+
+
+class _LengthGroups(NamedTuple):
+    """Faces grouped by length, as MeshGeometry.fit stacks them."""
+    rows: np.ndarray            # the faces, one length after another
+    points: tuple[np.ndarray, ...]  # per length, its faces' (m, k) vertex
+    #                                 ids
+    ends: tuple[int, ...]       # where each length's faces end in rows
+    corners: np.ndarray         # the corners of `points`, flat
+
+
+def _length_groups(size: np.ndarray, start: np.ndarray, vertex: np.ndarray,
+                   faces: np.ndarray) -> _LengthGroups:
+    """The faces `faces` of a corner layout (its size, start and vertex)
+    grouped by length, in increasing length, each group in the order of
+    `faces`."""
+    sizes = size[faces]
+    rows, points, flat = [], [], []
+    for k in np.bincount(sizes).nonzero()[0]:
+        r = faces[sizes == k]
+        corner = start[r][:, None] + np.arange(k)
+        rows.append(r)
+        points.append(vertex[corner])
+        flat.append(corner.ravel())
+    if not rows:
+        none = np.zeros(0, np.intp)
+        return _LengthGroups(none, (), (0,), none)
+    return _LengthGroups(np.concatenate(rows), tuple(points),
+                         tuple(accumulate(map(len, rows), initial=0)),
+                         np.concatenate(flat))
+
+
+class _TriangleRuns(NamedTuple):
+    """The layout of a face list's ear clip (MeshGeometry.triangulation):
+    each face's k - 2 triangles in a run, faces in order."""
+    face: np.ndarray            # (T,) the face each triangle tiles
+    base: np.ndarray            # (T, 1) that face's first corner
+    local: np.ndarray           # (T, 3) corners within the face: (0, 1, 2)
+    #                             for a triangle, to be clipped otherwise
+    rows: np.ndarray            # the rows of the clipped faces' runs
+
+
+class Combinatorics:
+    """The combinatorial layer of a mesh: its face cycles and what derives
+    from them alone, with no coordinate (the split of a half-edge
+    structure's combinatorics from its geometry; Kettner 1999, "Using
+    generic programming for designing a data structure for polyhedral
+    surfaces").  Meshes on one face list share one record, so a family
+    whose faces never change with its parameters, such as P^2_24 for
+    every admissible (b, c), checks and pairs them once per process.
+
+    Combinatorics.of derives a record by the checks of build_polyhedron.
+    A record is immutable and its arrays are read-only.  It holds:
+
+      faces          the face cycles, a tuple of tuples; the record
+                     also reads as a sequence of them (len, index and
+                     iteration), so raw MeshData may carry it as its face
+                     list
+      n_vertices     the vertex count the faces were checked against
+      corners        the corner layout (see MeshGeometry), and
+      prev_corner    per corner, the corner before it on its face's cycle
+      corner_count   per vertex, the number of face corners at it
+      cells          the (E, 4) edge cells (f1, s1, f2, s2), as edge_slots
+      edge_pairs     per cell its (u, v) vertex pair, u < v, as (E, 2)
+
+    and, each computed on first read and kept: orientation,
+    cell_corners, polygons, length_groups (the stacks of
+    MeshGeometry.fit), triangle_runs (the layout of its triangulation),
+    next_vertex and the self-intersection scan's sorted (face, side) and
+    (face, vertex) keys, face_side and face_vertex.
+    """
+
+    def __init__(self, n_vertices: int, corners: _Corners, cells: np.ndarray,
+                 edge_pairs: np.ndarray,
+                 faces: tuple[tuple[int, ...], ...] | None = None):
+        """A record of parts already derived and checked (see of); the
+        faces are read off the corners unless given."""
+        if faces is None:
+            vertex = corners.vertex.tolist()
+            bounds = corners.start.tolist() + [len(vertex)]
+            faces = tuple(tuple(vertex[a:b])
+                          for a, b in zip(bounds, bounds[1:]))
+        for a in corners:
+            a.setflags(write=False)
+        self.__dict__.update(
+            faces=faces, n_vertices=n_vertices, corners=corners,
+            prev_corner=_readonly(_prev_corners(corners)),
+            corner_count=_readonly(np.bincount(corners.vertex,
+                                               minlength=n_vertices)),
+            cells=_readonly(cells), edge_pairs=_readonly(edge_pairs))
+
+    @classmethod
+    def of(cls, faces, n_vertices: int,
+           edge_slots: EdgeSlots | np.ndarray | None = None
+           ) -> "Combinatorics":
+        """The record of `faces` on n_vertices vertices, by build_polyhedron's
+        checks of a face list, in its order: each face (_checked_corners),
+        the pairing of the face sides, by vertex pair or by `edge_slots`
+        (see build_polyhedron), and that every vertex lies on a face."""
+        corners = _checked_corners(faces, n_vertices)
+        if edge_slots is None:
+            cells, ends = _derived_cells(corners)
+        else:
+            cells, ends = _edge_cells(_cell_array(edge_slots), corners)
+        out = cls(n_vertices, corners, cells, ends)
+        missing = (out.corner_count == 0).nonzero()[0]
+        if missing.size:
+            raise IndexOutOfRange(
+                f"vertices {missing.tolist()} appear in no face")
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"a Combinatorics record is immutable: cannot set {name}")
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def __getitem__(self, f):
+        return self.faces[f]
+
+    def __iter__(self):
+        return iter(self.faces)
+
+    def __repr__(self) -> str:
+        return (f"Combinatorics({len(self.faces)} faces, "
+                f"{self.n_vertices} vertices, {len(self.cells)} edges)")
+
+    @_kept
+    def orientation(self) -> tuple[bool, bool]:
+        """Whether the surface is connected and whether it is orientable
+        (see _orientation_cover)."""
+        return _orientation_cover(self)
+
+    @_kept
+    def cell_corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per edge cell: the corners that start its two half-edges, and
+        whether the two traverse its segment in the same sense."""
+        cells, start, vertex = self.cells, self.corners.start, \
+            self.corners.vertex
+        c1 = start[cells[:, 0]] + cells[:, 1]
+        c2 = start[cells[:, 2]] + cells[:, 3]
+        same = vertex[c1] == vertex[c2]
+        return _readonly(c1), _readonly(c2), _readonly(same)
+
+    @_kept
+    def polygons(self) -> tuple[tuple[int, int, int], ...]:
+        """Per face of more than three corners, in order: its id, first
+        corner and size.  These are the faces that have sides that do
+        not meet at a corner, and that the ear clip cuts."""
+        big = (self.corners.size > 3).nonzero()[0]
+        return tuple(zip(big.tolist(), self.corners.start[big].tolist(),
+                         self.corners.size[big].tolist()))
+
+    @_kept
+    def length_groups(self) -> _LengthGroups:
+        """Every face grouped by length, as MeshGeometry.fit stacks them."""
+        c = self.corners
+        out = _length_groups(c.size, c.start, c.vertex,
+                             np.arange(len(self.faces)))
+        for a in (out.rows, out.corners, *out.points):
+            a.setflags(write=False)
+        return out
+
+    @_kept
+    def triangle_runs(self) -> _TriangleRuns:
+        """The run layout of the ear clip: the rows of a face's run follow
+        those of the faces before it, and those of the clipped faces are
+        the runs' first rows, less the run's place among the clipped
+        ones, plus the clips' row numbers."""
+        size, start = self.corners.size, self.corners.start
+        runs = size - 2
+        face = np.arange(len(runs)).repeat(runs)
+        local = np.empty((len(face), 3), np.intp)
+        local[:] = (0, 1, 2)
+        big = (runs > 1).nonzero()[0]
+        n = runs[big]
+        first = (runs.cumsum() - runs)[big] - (n.cumsum() - n)
+        rows = first.repeat(n) + np.arange(int(np.add.reduce(n)))
+        return _TriangleRuns(_readonly(face), _readonly(start[face, None]),
+                             _readonly(local), _readonly(rows))
+
+    @_kept
+    def next_vertex(self) -> np.ndarray:
+        """Per corner, the vertex of the corner after it."""
+        return _readonly(self.corners.vertex[self.corners.next])
+
+    def vertex_key(self, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The key of each (face, vertex) pair, f * V + v."""
+        return f.astype(np.int64) * self.n_vertices + v
+
+    def side_key(self, f: np.ndarray, a: np.ndarray, b: np.ndarray
+                 ) -> np.ndarray:
+        """The key of each (face, side) triple, the side from vertex a to
+        b in either sense: (f * V + min) * V + max."""
+        return self.vertex_key(f, np.minimum(a, b)) * self.n_vertices \
+            + np.maximum(a, b)
+
+    @_kept
+    def face_side(self) -> np.ndarray:
+        """Every face's side keys, sorted."""
+        keys = self.side_key(self.corners.face, self.corners.vertex,
+                             self.next_vertex)
+        keys.sort()
+        return _readonly(keys)
+
+    @_kept
+    def face_vertex(self) -> np.ndarray:
+        """Every face's (face, vertex) keys, sorted."""
+        keys = self.vertex_key(self.corners.face, self.corners.vertex)
+        keys.sort()
+        return _readonly(keys)
+
+
 class MeshGeometry:
     """Every geometric quantity of one mesh, each computed once.
 
@@ -274,9 +523,12 @@ class MeshGeometry:
     corner_vertex[c] and next_corner / prev_corner step along its face's
     cycle.  Array-valued parts are read-only.
 
-    `corners` is the faces' _corner_layout and `cells` the (E, 4) edge
-    cells (f1, s1, f2, s2), as in edge_slots; the geometry of raw data
-    that surgery reads before validating has no cells.
+    `layout` is a validated mesh's Combinatorics record, whose corner
+    layout, edge cells (`cells`, (E, 4) rows (f1, s1, f2, s2), as in
+    edge_slots) and derived parts the geometry reads (`combinatorics`),
+    or the bare _corner_layout of raw data that surgery reads before
+    validating, which has neither: no cells, and none of the parts that
+    read them or the triangulation.
 
     Each face has one plane, its best fit (see fit): per face its
     centroid, unit normal, residual (largest vertex distance to the
@@ -287,17 +539,21 @@ class MeshGeometry:
     surgery asks for, which `fitted` marks.
     """
 
-    def __init__(self, vertices: np.ndarray, corners: _Corners,
-                 cells: np.ndarray | None = None):
+    def __init__(self, vertices: np.ndarray,
+                 layout: _Corners | Combinatorics):
         self.vertices = vertices
+        if isinstance(layout, Combinatorics):
+            self.combinatorics, corners = layout, layout.corners
+            self.prev_corner, self.cells = layout.prev_corner, layout.cells
+        else:
+            self.combinatorics = self.cells = None
+            corners = layout
+            self.prev_corner = _prev_corners(corners)
         self.face_size = corners.size
         self.face_start = corners.start
         self.corner_face = corners.face
         self.corner_vertex = corners.vertex
         self.next_corner = corners.next
-        self.prev_corner = np.arange(-1, len(corners.vertex) - 1)
-        self.prev_corner[corners.start] = corners.start + corners.size - 1
-        self.cells = cells
         self.fitted = np.zeros(len(corners.size), dtype=bool)
         self.centroid, self.normal, self.u, self.v = \
             np.empty((4, len(self.fitted), 3))
@@ -312,23 +568,22 @@ class MeshGeometry:
         and the area run once per face length, each on one stack in which
         a face gets the bits it gets fitted alone; the frames run once
         over every face fitted, a row at a time as alone, and each array
-        is written once."""
+        is written once.  A first fit of every face takes its groups from
+        the record."""
         todo = (~self.fitted).nonzero()[0] if faces is None else \
             faces[~self.fitted[faces]]
-        sizes = self.face_size[todo]
-        groups = []             # per face length: rows, corners, points
-        for k in np.bincount(sizes).nonzero()[0]:
-            rows = todo[sizes == k]
-            corner = self.face_start[rows][:, None] + np.arange(k)
-            groups.append((rows, corner, self.vertices.take(
-                self.corner_vertex[corner], axis=0)))
-        if groups:
-            rows, corners, pts = zip(*groups)
-            rows = np.concatenate(rows)
+        if faces is None and len(todo) == len(self.fitted) and \
+                self.combinatorics is not None:
+            groups = self.combinatorics.length_groups
+        else:
+            groups = _length_groups(self.face_size, self.face_start,
+                                    self.corner_vertex, todo)
+        if groups.points:
+            rows, ends = groups.rows, groups.ends
+            pts = [self.vertices.take(ids, axis=0) for ids in groups.points]
             c, n, resid = (np.concatenate(a) for a in
                            zip(*map(_geom.plane_fit, pts)))
             u, v = _geom.plane_basis(n)
-            ends = list(accumulate(map(len, pts), initial=0))
             uv = [_geom.project_2d(p, c[a:b], u[a:b], v[a:b])
                   for p, a, b in zip(pts, ends, ends[1:])]
             self.centroid[rows], self.normal[rows], self.residual[rows] = \
@@ -336,7 +591,7 @@ class MeshGeometry:
             self.u[rows], self.v[rows] = u, v
             self.area[rows] = np.concatenate(
                 [_geom.polygon_area_2d(p) for p in uv])
-            self.uv[np.concatenate([x.ravel() for x in corners])] = \
+            self.uv[groups.corners] = \
                 np.concatenate([p.reshape(-1, 2) for p in uv])
         self.fitted[todo] = True
         if np.logical_and.reduce(self.fitted):
@@ -409,7 +664,7 @@ class MeshGeometry:
         out.uv[:m] = self.uv.compress(corners, axis=0)
         return out
 
-    @cached_property
+    @_kept
     def doubled(self) -> bool:
         """Whether a segment carries two edge cells: its vertex pair bounds
         four or more face sides."""
@@ -418,49 +673,42 @@ class MeshGeometry:
         pair.sort()
         return bool(np.logical_or.reduce(pair[3:] == pair[:-3]))
 
-    @cached_property
+    @_kept
     def scale(self) -> float:
         """The mesh's tolerance scale: its largest absolute coordinate, at
         least 1."""
         return _geom.tolerance_scale(self.vertices)
 
-    @cached_property
+    @_kept
     def uv_rows(self) -> list[list[float]]:
         """uv as a list of [u, v] rows, for the per-face loops that slice
         it: the simplicity check and the ear clip."""
         return self.uv.tolist()
 
-    @cached_property
+    @_kept
     def triangulation(self) -> Triangulation:
         """The ear clip of every face, in one record: each face's triangles
-        in a run, faces in order.  A triangle is its own clip, (0, 1, 2),
-        as ear_clip gives it; the larger faces are clipped one by one on
-        slices of one list of uv, each with its face's tolerance scale,
-        all taken in one reduction."""
-        runs = self.face_size - 2
-        face = np.arange(len(runs)).repeat(runs)
-        local = np.empty((len(face), 3), np.intp)
-        local[:] = (0, 1, 2)
-        big = (runs > 1).nonzero()[0]
-        if big.size:
+        in a run, faces in order, as the record's triangle_runs lays them
+        out.  A triangle is its own clip, (0, 1, 2), as ear_clip gives it;
+        the larger faces are clipped one by one on slices of one list of
+        uv, each with its face's tolerance scale, all taken in one
+        reduction."""
+        record = self.combinatorics
+        runs, local = record.triangle_runs, record.triangle_runs.local
+        if record.polygons:
             uv = self.uv_rows
             # per face its largest |u| and |v|; the scale is the larger,
             # >= 1
             scale = _geom.tolerance_scale(np.maximum.reduceat(
-                np.abs(self.uv), self.face_start), axis=1)
-            clips = [_geom.ear_clip(uv[a:a + k], scale=s) for a, k, s in zip(
-                self.face_start[big].tolist(), self.face_size[big].tolist(),
-                scale[big].tolist())]
-            # the rows of the big faces' runs: each run's first row, less
-            # the run's place among the clips, plus the clips' row numbers
-            n = runs[big]
-            first = (runs.cumsum() - runs)[big] - (n.cumsum() - n)
-            local[first.repeat(n) + np.arange(int(np.add.reduce(n)))] = \
-                [t for c in clips for t in c]
-        vertex = self.corner_vertex[self.face_start[face, None] + local]
-        return Triangulation(_readonly(vertex), _readonly(face))
+                np.abs(self.uv), self.face_start), axis=1).tolist()
+            local = local.copy()
+            local[runs.rows] = [t for f, a, k in record.polygons
+                                for t in _geom.ear_clip(uv[a:a + k],
+                                                        scale=scale[f])]
+        vertex = self.corner_vertex[runs.base + local]
+        return Triangulation(_readonly(vertex), runs.face)
 
-    @cached_property
+    @_kept
     def triangle_normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Per triangle of `triangulation`: its unit normal, by the right-
         hand rule over its vertex order, and whether that normal has zero
@@ -472,7 +720,7 @@ class MeshGeometry:
         np.divide(n, norm[:, None], out=n, where=~zero[:, None])
         return _readonly(n), _readonly(zero)
 
-    @cached_property
+    @_kept
     def corner_angles(self) -> np.ndarray:
         """Interior angle at every corner, in (0, 2*pi); a corner turning
         against its face's normal is reflex."""
@@ -486,30 +734,20 @@ class MeshGeometry:
                            self.normal.take(self.corner_face, axis=0)) < 0
         return _readonly(np.where(reflex, 2.0 * np.pi - theta, theta))
 
-    @cached_property
+    @_kept
     def defects(self) -> np.ndarray:
         """Per vertex: 2*pi minus the sum of its corner angles."""
         total = np.bincount(self.corner_vertex, weights=self.corner_angles,
                             minlength=len(self.vertices))
         return _readonly(2.0 * np.pi - total)
 
-    @cached_property
-    def cell_corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per edge cell: the corners that start its two half-edges, and
-        whether the two traverse its segment in the same sense."""
-        cells = self.cells
-        c1 = self.face_start[cells[:, 0]] + cells[:, 1]
-        c2 = self.face_start[cells[:, 2]] + cells[:, 3]
-        same = self.corner_vertex[c1] == self.corner_vertex[c2]
-        return _readonly(c1), _readonly(c2), _readonly(same)
-
-    @cached_property
+    @_kept
     def dihedrals(self) -> np.ndarray:
         """Per edge cell: the dihedral angle in [0, 2*pi), measured through
         the side opposite the first face's normal.  Each face's
         inward direction at the edge is its normal crossed with its own
         traversal direction, which is correct for non-convex faces too."""
-        c1, c2, same = self.cell_corners
+        c1, c2, same = self.combinatorics.cell_corners
         a = self.vertices.take(self.corner_vertex[c1], axis=0)
         t = self.vertices.take(self.corner_vertex[self.next_corner[c1]],
                                axis=0) - a
@@ -648,6 +886,14 @@ def build_polyhedron(vertices, faces,
     check runs on every face, edge and vertex: surgery assembles raw data
     (surgery.glue, surgery.pierce) and validates only the finished mesh.
 
+    The checks on the face list alone derive the mesh's Combinatorics
+    record (Combinatorics.of); then the geometry is built on it.  `faces`
+    may be such a record: a family whose face list never changes builds
+    its record once, and each mesh on it checks only its vertices and
+    geometry.  A record for another vertex count is checked again as a
+    face list, as are its faces when `edge_slots` is given, so every
+    error is the one the plain face list gives.
+
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
     are paired by vertex pair.  `planes`, the geometry of the same raw
@@ -674,25 +920,20 @@ def build_polyhedron(vertices, faces,
                              f"{COORDINATE_LIMIT:g}: "
                              f"{tuple(pts[bad[0]].tolist())}")
 
-    corners = _checked_corners(faces, n)
-    if edge_slots is None:
-        cells, ends = _derived_cells(corners)
+    if isinstance(faces, Combinatorics) and edge_slots is None and \
+            faces.n_vertices == n:
+        record = faces
     else:
-        cells, ends = _edge_cells(_cell_array(edge_slots), corners)
-    missing = (np.bincount(corners.vertex, minlength=n) == 0).nonzero()[0]
-    if missing.size:
-        raise IndexOutOfRange(f"vertices {missing.tolist()} appear in no face")
+        record = Combinatorics.of(faces, n, edge_slots)
 
-    vertex = corners.vertex.tolist()
-    bounds = corners.start.tolist() + [len(vertex)]
-    cycles = tuple(tuple(vertex[a:b]) for a, b in zip(bounds, bounds[1:]))
     pts = pts.copy()
-    geo = MeshGeometry(pts, corners, _readonly(cells))
+    geo = MeshGeometry(pts, record)
     if planes is not None:
         geo.reuse(planes)
     geo.fit()
-    poly = Polyhedron._of_arrays(pts, cycles, metadata or MeshMetadata(),
-                                 geo, ends)
+    poly = Polyhedron._of_arrays(pts, record, metadata or MeshMetadata(),
+                                 geo)
+    ends = record.edge_pairs
     scale = geo.scale
     short = _geom.norm(pts.take(ends[:, 0], axis=0)
                        - pts.take(ends[:, 1], axis=0)) <= LENGTH_TOL * scale
@@ -708,9 +949,9 @@ def build_polyhedron(vertices, faces,
     bad = warped | (geo.area <= LENGTH_TOL * scale * scale)
     first = int(bad.argmax()) if np.logical_or.reduce(bad) else len(bad)
     uv = geo.uv_rows
-    big = (geo.face_size[:first] > 3).nonzero()[0]
-    for fi, a, k in zip(big.tolist(), geo.face_start[big].tolist(),
-                        geo.face_size[big].tolist()):
+    for fi, a, k in record.polygons:
+        if fi >= first:
+            break
         if not _geom.polygon_is_simple(uv[a:a + k]):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
     if first < len(bad):
@@ -847,8 +1088,9 @@ def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
     return np.array(out + [-1] * (len(flat) - bad), np.intp), bad
 
 
-def _orientation_cover(p: Polyhedron) -> tuple[bool, bool]:
-    """Connectivity and orientability, from the orientation double cover.
+def _orientation_cover(record: Combinatorics) -> tuple[bool, bool]:
+    """Connectivity and orientability of a record's faces, from the
+    orientation double cover.
 
     The cover has 2F nodes, the face-sides: face f as stored (node f) and
     reversed (node f + F).  Each side traverses the edges of its face in
@@ -858,11 +1100,11 @@ def _orientation_cover(p: Polyhedron) -> tuple[bool, bool]:
     reverse, and orientable iff face 0 does not reach its own reverse
     (Hatcher, Algebraic Topology, section 3.3).
     """
-    geo, nf = p.geometry, p.n_faces
-    _, _, same = geo.cell_corners
+    nf = len(record.faces)
+    _, _, same = record.cell_corners
     # stored faces that traverse the cell in the same sense link to each
     # other's reverse
-    f1, f2 = geo.cells[:, 0], geo.cells[:, 2] + np.where(same, nf, 0)
+    f1, f2 = record.cells[:, 0], record.cells[:, 2] + np.where(same, nf, 0)
     root = _components(np.concatenate([f1, f1 + nf]),
                        np.concatenate([f2, (f2 + nf) % (2 * nf)]), 2 * nf)
     face = root[:nf]
@@ -898,7 +1140,18 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             root = up
 
 
+def _mesh(p, raw: bool = False):
+    """p when it is a Polyhedron, or raw MeshData where `raw`, else
+    BadParameters.  Every public entry that takes a mesh checks it so,
+    before it reads any part of it."""
+    if isinstance(p, Polyhedron) or raw and isinstance(p, MeshData):
+        return p
+    kinds = "a Polyhedron or MeshData" if raw else "a Polyhedron"
+    raise BadParameters(f"the mesh must be {kinds}, not {type(p).__name__}")
+
+
 def euler_characteristic(p: Polyhedron) -> int:
+    p = _mesh(p)
     return p.n_vertices - p.n_edges + p.n_faces
 
 
@@ -906,7 +1159,7 @@ def is_orientable(p: Polyhedron) -> bool:
     """Whether the faces can be oriented consistently (see
     Polyhedron.orientation).  Raises DisconnectedSurface on
     multi-component input."""
-    connected, orientable = p.orientation
+    connected, orientable = _mesh(p).orientation
     if not connected:
         raise DisconnectedSurface("cannot orient a disconnected surface")
     return orientable
@@ -924,4 +1177,4 @@ def topology_from(chi: int, orientable: bool) -> TopologyClass:
 def classify(p: Polyhedron) -> TopologyClass:
     """Genus and orientability from the Euler characteristic (connected
     closed surfaces only)."""
-    return topology_from(euler_characteristic(p), is_orientable(p))
+    return topology_from(euler_characteristic(_mesh(p)), is_orientable(p))

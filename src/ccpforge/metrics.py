@@ -5,14 +5,13 @@ angles, and global self-intersection detection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
-from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _index,
+from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _index, _mesh,
                    euler_characteristic)
 
 
@@ -39,7 +38,7 @@ class IntersectionWitness(NamedTuple):
 def edge_length(p: Polyhedron, e: int) -> float:
     """Length of edge e; an e that is not an edge id raises
     IndexOutOfRange."""
-    u, v = p.edges[_index(e, p.n_edges, "edge")]
+    u, v = _mesh(p).edges[_index(e, p.n_edges, "edge")]
     return float(_geom.norm(p.vertices[u] - p.vertices[v]))
 
 
@@ -50,7 +49,7 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
     dented polygons report angles above pi.  An f that is not a face id
     raises IndexOutOfRange.
     """
-    f = _index(f, p.n_faces, "face")
+    f = _index(f, _mesh(p).n_faces, "face")
     cyc = p.faces[f]
     if v not in cyc:
         raise VertexNotOnFace(f"vertex {v} not on face {f}")
@@ -61,7 +60,7 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
 def angular_defect(p: Polyhedron, v: int) -> float:
     """2*pi minus the sum of interior angles of all face corners at v; a
     v that is not a vertex id raises IndexOutOfRange."""
-    v = _index(v, p.n_vertices, "vertex")
+    v = _index(v, _mesh(p).n_vertices, "vertex")
     faces = p.vertex_faces(v)
     if len(faces) < 3:
         raise IsolatedVertex(f"vertex {v} has {len(faces)} incident faces")
@@ -70,7 +69,7 @@ def angular_defect(p: Polyhedron, v: int) -> float:
 
 def _defects(p: Polyhedron) -> np.ndarray:
     """Every vertex's defect; each vertex needs three incident faces."""
-    counts = np.bincount(p.geometry.corner_vertex, minlength=p.n_vertices)
+    counts = _mesh(p).combinatorics.corner_count
     low = (counts < 3).nonzero()[0]
     if low.size:
         v = int(low[0])
@@ -102,7 +101,7 @@ def dihedral_angle(p: Polyhedron, e: int) -> float:
     Raises FlatEdge within ANGLE_TOL of pi, and IndexOutOfRange for an e
     that is not an edge id.
     """
-    e = _index(e, p.n_edges, "edge")
+    e = _index(e, _mesh(p).n_edges, "edge")
     ang = float(p.geometry.dihedrals[e])
     if abs(ang - np.pi) < ANGLE_TOL:
         raise FlatEdge(f"edge {p.edges[e]} has dihedral angle pi")
@@ -250,7 +249,8 @@ class _TriangleScan:
     frame turned counterclockwise, and its bounding box).  The triangles'
     first vertices, their origins, are kept as one (T, 3) array and the
     box bounds as contiguous (3, T) rows, one per axis, so that every pick
-    is a gather of whole rows."""
+    is a gather of whole rows.  The shared-feature lookups are the keys of
+    the mesh's Combinatorics record."""
 
     def __init__(self, p: Polyhedron):
         geo = p.geometry
@@ -278,28 +278,11 @@ class _TriangleScan:
                                    self.tri_vertex)
 
         # shared-feature lookups: (face, vertex) and (face, side) keys
-        self.corner_face = geo.corner_face
+        self.keys = p.combinatorics
         self.corner_vertex = geo.corner_vertex
-        self.next_vertex = geo.corner_vertex[geo.next_corner]
+        self.next_vertex = self.keys.next_vertex
         self.face_start = geo.face_start
         self.face_size = geo.face_size
-        self.face_side = self._side_key(
-            geo.corner_face, self.corner_vertex, self.next_vertex)
-        self.face_side.sort()
-
-    @cached_property
-    def face_vertex(self):
-        """The sorted (face, vertex) keys; only clearance reads them."""
-        keys = self._vertex_key(self.corner_face, self.corner_vertex)
-        keys.sort()
-        return keys
-
-    def _vertex_key(self, f, v):
-        return f.astype(np.int64) * len(self.vertices) + v
-
-    def _side_key(self, f, a, b):
-        nv = len(self.vertices)
-        return self._vertex_key(f, np.minimum(a, b)) * nv + np.maximum(a, b)
 
     @staticmethod
     def _member(keys, q):
@@ -418,9 +401,10 @@ class _TriangleScan:
         v = self.tri_vertex.take(i, axis=0).T
         a = np.where(on[0], v[0], v[1])
         b = np.where(on[2], v[2], v[1])
+        keys = self.keys
         return _two_of(on) & \
-            self._member(self.face_side, self._side_key(self.face[i], a, b)) \
-            & self._member(self.face_side, self._side_key(self.face[j], a, b))
+            self._member(keys.face_side, keys.side_key(self.face[i], a, b)) \
+            & self._member(keys.face_side, keys.side_key(self.face[j], a, b))
 
     def _separated(self, i, j):
         """Coplanar pairs that the line of a side separates (see
@@ -549,10 +533,11 @@ class _TriangleScan:
         corner = self.face_start[g1][owner] + at
         a, b = self.corner_vertex[corner], self.next_vertex[corner]
         other = g2[owner]
-        has_a = self._member(self.face_vertex, self._vertex_key(other, a))
-        has_b = self._member(self.face_vertex, self._vertex_key(other, b))
+        keys = self.keys
+        has_a = self._member(keys.face_vertex, keys.vertex_key(other, a))
+        has_b = self._member(keys.face_vertex, keys.vertex_key(other, b))
         side = has_a & has_b & self._member(
-            self.face_side, self._side_key(other, a, b))
+            keys.face_side, keys.side_key(other, a, b))
 
         out = np.full(len(pts), np.inf)
         for keep, segment in ((has_a, False), (side, True)):
@@ -683,7 +668,7 @@ def self_intersections(p: Polyhedron) -> list[IntersectionWitness]:
     pair, so the result equals that of testing one triangle pair at a
     time, down to the bits of the witness points.
     """
-    scan = _TriangleScan(p)
+    scan = _TriangleScan(_mesh(p))
     n_tri = len(scan.face)
     cand_i, cand_j = scan.candidates()
     found = []

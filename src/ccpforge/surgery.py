@@ -15,7 +15,7 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _corner_layout, _finite, _index, _integer,
+                   _corner_layout, _finite, _index, _integer, _mesh,
                    build_polyhedron, euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
@@ -119,7 +119,7 @@ def _parts(p: Polyhedron | MeshData) -> MeshData:
     """p's parts with their edge cells."""
     if isinstance(p, Polyhedron):
         return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
-    return p.paired()
+    return _mesh(p, raw=True).paired()
 
 
 def glue(first: Polyhedron | MeshData,
@@ -267,7 +267,7 @@ def connect_sum(p1: Polyhedron, p2: Polyhedron,
                 corr: FaceCorrespondence) -> Polyhedron:
     """The connected sum of p1 and p2 along corresponding faces (see
     glue), validated in full."""
-    return build_glued(glue(p1, [(p2, corr)]))
+    return build_glued(glue(_mesh(p1), [(_mesh(p2), corr)]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ class DrillSpec:
 
 def choose_prism_order(p: Polyhedron) -> int:
     """Prism order -V/chi that keeps the defect constant under drilling."""
-    chi = euler_characteristic(p)
+    chi = euler_characteristic(_mesh(p))
     if chi >= 0:
         raise NonNegativeChi(f"chi = {chi} must be negative")
     if p.n_vertices % (-chi) != 0:
@@ -465,7 +465,7 @@ def _spokes(part: list[tuple[int, ...]], first_ring: int
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
     """p's parts and a geometry of them: a validated mesh's own, or one
     that fits the planes of raw data's faces as they are asked for."""
-    if isinstance(p, Polyhedron):
+    if isinstance(_mesh(p, raw=True), Polyhedron):
         return MeshData(p.vertices, p.faces, p.metadata), p.geometry
     return p, MeshGeometry(np.asarray(p.vertices, float),
                            _corner_layout(p.faces))
@@ -615,6 +615,7 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     new pieces are laid out and fitted, and the build fits only the faces
     the last step's geometry has not.
     """
+    _mesh(p, raw=True)
     if _integer(k, "k", BadOrder) < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:

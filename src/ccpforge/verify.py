@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters
 from .mesh import (DEFECT_TOL, PLANARITY_TOL, Polyhedron, TopologyClass,
-                   _finite, classify, flat_edges)
+                   _finite, _mesh, classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
                       descartes_residual, self_intersections)
 
@@ -107,6 +107,7 @@ def verify(p: Polyhedron,
     its metadata says; `defect_tolerance` overrides it (see
     check_defect_tolerance).
     """
+    _mesh(p)
     defect_tolerance = check_defect_tolerance(defect_tolerance)
 
     topo = classify(p)

@@ -1,8 +1,9 @@
-"""Paired timing of one benchmark workload, this checkout against another,
+"""Paired timing of benchmark workloads, this checkout against another,
 in one process:
 
     python3 tests/ab_pass.py --against-rev HEAD~ --workload certify-files
     python3 tests/ab_pass.py --against ../other-checkout --rounds 100
+    python3 tests/ab_pass.py --against-rev HEAD~ --workload all
 
 The other checkout's src/ccpforge is imported as package `ccpforge_a` and
 this one's as `ccpforge_b`.  Each side gets its own copy of
@@ -12,13 +13,16 @@ draws p2-sweep's parameters; certify-files writes its files to a
 temporary directory per side).  Both sides must give equal records, item
 for item.  Then the sides alternate whole passes over their items, the
 first side flipping every round and gc.collect() running before each
-pass, and the script prints the median and quartiles of the paired
-ratios b / a - 1 and the rounds b won.  On a machine whose speed drifts,
-a pair of adjacent passes sees nearly the same machine where two runs
-minutes apart do not.  --against-rev REV times the files of git revision
-REV, extracted into a temporary directory that is removed afterwards.
-pytest does not collect this file; tests/test_ab_pass.py runs a checkout
-against itself for two rounds.
+pass, and the script prints one line: each side's median pass, the
+median and quartiles of the paired ratios b / a - 1 and the rounds b
+won.  --workload all times the three workloads in turn, a line each, so
+that one command shows the workloads a change does not aim at too.  On
+a machine whose speed drifts, a pair of adjacent passes sees nearly the
+same machine where two runs minutes apart do not.  --against-rev REV
+times the files of git revision REV, extracted into a temporary
+directory that is removed afterwards.  pytest does not collect this
+file; tests/test_ab_pass.py runs a checkout against itself for two
+rounds.
 """
 
 from __future__ import annotations
@@ -51,17 +55,18 @@ def _load(name: str, path: Path, package: Path | None = None):
     return module
 
 
-def side_items(root: Path, name: str, workload: str, seed: int,
-               workdir: Path, limit: int | None):
-    """The items of `workload` run against checkout `root`'s library,
+WORKLOADS = ("construct-chain", "certify-files", "p2-sweep")
+
+
+def side(root: Path, name: str):
+    """perfbench/workloads.py run against checkout `root`'s library,
     imported as package `name`."""
     package = root / "src" / "ccpforge"
     _load(name, package / "__init__.py", package)
     workloads = _load(f"{name}_workloads", ROOT / "perfbench" / "workloads.py")
     workloads._mod = lambda module: importlib.import_module(
         name + module.removeprefix("ccpforge"))
-    return workloads.SETUP[workload](np.random.default_rng(seed), workdir,
-                                     limit)
+    return workloads
 
 
 def timed_pass(items) -> float:
@@ -72,39 +77,45 @@ def timed_pass(items) -> float:
     return time.perf_counter() - t0
 
 
-def compare(other: Path, workload: str, rounds: int, seed: int,
+def compare(other: Path, workloads: list[str], rounds: int, seed: int,
             limit: int | None) -> int:
-    """Time `rounds` alternating pairs of passes, checkout `other` (a)
-    against this one (b), and print the summary; 1 when the records
-    differ, else 0."""
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = {}
-        for name, root in (("a", other), ("b", ROOT)):
-            workdir = Path(tmp) / name
-            workdir.mkdir()
-            sides[name] = side_items(root, f"ccpforge_{name}", workload,
-                                     seed, workdir, limit)
-        records = {name: [item.run() for item in items]
-                   for name, items in sides.items()}
-        if records["a"] != records["b"]:
-            bad = [item.item_id for item, x, y in zip(
-                sides["a"], records["a"], records["b"]) if x != y]
-            print(f"the records differ: {', '.join(bad)}", file=sys.stderr)
-            return 1
-        times = {"a": [], "b": []}
-        for r in range(rounds):
-            for name in ("ab" if r % 2 == 0 else "ba"):
-                times[name].append(timed_pass(sides[name]))
-    ratios = [b / a - 1 for a, b in zip(times["a"], times["b"])]
-    low, mid, high = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
-                      else ratios * 3)
-    print(f"{workload}, {len(sides['b'])} items, {rounds} rounds, seed {seed}")
-    for name in "ab":
-        print(f"  {name}: median pass {statistics.median(times[name]):.4f} s")
-    print(f"  b / a - 1: median {statistics.median(ratios):+.2%} "
-          f"[{low:+.2%}, {high:+.2%}]; b faster in "
-          f"{sum(x < 0 for x in ratios)} of {rounds}")
-    return 0
+    """Per workload in turn, time `rounds` alternating pairs of passes,
+    checkout `other` (a) against this one (b), and print its summary
+    line; 1 when the records of a workload differ (it is not timed),
+    else 0."""
+    sides = {"a": side(other, "ccpforge_a"), "b": side(ROOT, "ccpforge_b")}
+    status = 0
+    for workload in workloads:
+        with tempfile.TemporaryDirectory() as tmp:
+            items = {}
+            for name, module in sides.items():
+                workdir = Path(tmp) / name
+                workdir.mkdir()
+                items[name] = module.SETUP[workload](
+                    np.random.default_rng(seed), workdir, limit)
+            records = {name: [item.run() for item in run]
+                       for name, run in items.items()}
+            if records["a"] != records["b"]:
+                bad = [item.item_id for item, x, y in zip(
+                    items["a"], records["a"], records["b"]) if x != y]
+                print(f"{workload}: the records differ: {', '.join(bad)}",
+                      file=sys.stderr)
+                status = 1
+                continue
+            times = {"a": [], "b": []}
+            for r in range(rounds):
+                for name in ("ab" if r % 2 == 0 else "ba"):
+                    times[name].append(timed_pass(items[name]))
+        ratios = [b / a - 1 for a, b in zip(times["a"], times["b"])]
+        low, _, high = (statistics.quantiles(ratios, n=4)
+                        if len(ratios) > 1 else ratios * 3)
+        print(f"{workload}, {len(items['b'])} items, {rounds} rounds, "
+              f"seed {seed}: median pass a "
+              f"{statistics.median(times['a']):.4f} s, b "
+              f"{statistics.median(times['b']):.4f} s; b / a - 1: median "
+              f"{statistics.median(ratios):+.2%} [{low:+.2%}, {high:+.2%}]; "
+              f"b faster in {sum(x < 0 for x in ratios)} of {rounds}")
+    return status
 
 
 def main(argv=None) -> int:
@@ -115,14 +126,15 @@ def main(argv=None) -> int:
     group.add_argument("--against-rev", metavar="REV",
                        help="time against git revision REV")
     parser.add_argument("--workload", default="certify-files",
-                        choices=("construct-chain", "certify-files",
-                                 "p2-sweep"))
+                        choices=WORKLOADS + ("all",))
     parser.add_argument("--rounds", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
                         help="run only the first N items")
     args = parser.parse_args(argv)
-    run = (args.workload, args.rounds, args.seed, args.limit)
+    workloads = list(WORKLOADS) if args.workload == "all" \
+        else [args.workload]
+    run = (workloads, args.rounds, args.seed, args.limit)
     if args.against is not None:
         return compare(args.against.resolve(), *run)
     from corpus_digest import extract   # imported only for a revision

@@ -57,8 +57,11 @@ def f_angle_sum(l: float, d: float) -> float:
     2*arccos((2l^2-d^2)/(2l sqrt(l^2+1))) + arccos((2(l^2+1)-d^2)/(2(l^2+1))).
 
     Strictly increasing in d on [0, 2l], with f(0) = pi - 2*arctan(l),
-    f(l) = pi and f(2l) = pi + 4*arctan(l).
+    f(l) = pi and f(2l) = pi + 4*arctan(l).  An l that is not finite (a
+    NaN included) is outside the domain.
     """
+    if not math.isfinite(l):
+        raise DomainError(f"l = {l} is not finite")
     if l <= 0:
         raise DomainError("l must be positive")
     if not 0.0 <= d <= 2.0 * l:

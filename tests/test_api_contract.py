@@ -3,19 +3,25 @@ end in the CcpError that names the fault, never in a TypeError,
 ValueError, IndexError or OverflowError, and no bad value is accepted;
 a defect that is not finite prints as a float.  gen_t_block's l and d
 are among the generator parameters of
-test_generators.py::test_real_parameters_must_be_finite_reals."""
+test_generators.py::test_real_parameters_must_be_finite_reals.  Every
+public entry that takes a mesh raises BadParameters for an argument
+that is not one (mesh._mesh), before it reads it or writes a file."""
 
+import inspect
 import math
 
 import pytest
 
-from ccpforge import (a_coeff, angular_defect, corner_angle, dihedral_angle,
+import ccpforge
+from ccpforge import (DrillSpec, FaceCorrespondence, a_coeff, angular_defect,
+                      corner_angle, dihedral_angle, drill, drill_repeat,
                       edge_length, f_angle_sum, format_pi_multiple,
                       gen_p2_24, generate_family, load_mesh,
                       retile_pierced_face, save_mesh)
 from ccpforge.errors import (BadFile, BadParameters, GenusOutOfRange,
                              IndexOutOfRange)
-from ccpforge.generators import FamilyRequest
+from ccpforge.generators import FamilyRequest, _p2_24
+from ccpforge.mesh import MeshData
 
 P = gen_p2_24()
 
@@ -68,3 +74,69 @@ def test_bad_call_raises_the_error_that_names_it(call, error):
                                     (-math.inf, "-inf")])
 def test_a_defect_that_is_not_finite_prints_as_a_float(x, text):
     assert format_pi_multiple(x) == text
+
+
+# every public entry that takes a mesh, by name, with the other arguments
+# it needs; drill and drill_repeat also take raw MeshData
+SPEC = DrillSpec(0, 1, 12)
+MESH_ENTRIES = {
+    "angular_defect": lambda m, path: ccpforge.angular_defect(m, 0),
+    "choose_prism_order": lambda m, path: ccpforge.choose_prism_order(m),
+    "classify": lambda m, path: ccpforge.classify(m),
+    "connect_sum-first": lambda m, path: ccpforge.connect_sum(
+        m, P, FaceCorrespondence(0, 0)),
+    "connect_sum-second": lambda m, path: ccpforge.connect_sum(
+        P, m, FaceCorrespondence(0, 0)),
+    "corner_angle": lambda m, path: ccpforge.corner_angle(m, 0, 0),
+    "defect_profile": lambda m, path: ccpforge.defect_profile(m),
+    "descartes_residual": lambda m, path: ccpforge.descartes_residual(m),
+    "dihedral_angle": lambda m, path: ccpforge.dihedral_angle(m, 0),
+    "drill": lambda m, path: drill(m, SPEC),
+    "drill_repeat": lambda m, path: drill_repeat(m, SPEC, 2),
+    "edge_length": lambda m, path: ccpforge.edge_length(m, 0),
+    "euler_characteristic": lambda m, path: ccpforge.euler_characteristic(m),
+    "is_embedded": lambda m, path: ccpforge.is_embedded(m),
+    "is_orientable": lambda m, path: ccpforge.is_orientable(m),
+    "save_json": lambda m, path: ccpforge.save_json(m, path / "m.json"),
+    "save_mesh": lambda m, path: ccpforge.save_mesh(m, path / "m.stl"),
+    "save_mesh-no-path": lambda m, path: ccpforge.save_mesh(m, None),
+    "self_intersections": lambda m, path: ccpforge.self_intersections(m),
+    "verify": lambda m, path: ccpforge.verify(m),
+    "write_obj": lambda m, path: ccpforge.write_obj(m, path / "m.obj"),
+    "write_stl": lambda m, path: ccpforge.write_stl(m, path / "m.stl"),
+}
+RAW = {"drill", "drill_repeat"}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_ENTRIES))
+@pytest.mark.parametrize("bad", [None, "p2-24", 5],
+                         ids=["None", "str", "int"])
+def test_an_argument_that_is_no_mesh_raises_bad_parameters(name, bad,
+                                                           tmp_path):
+    with pytest.raises(BadParameters, match="the mesh must be"):
+        MESH_ENTRIES[name](bad, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(set(MESH_ENTRIES) - RAW))
+def test_raw_data_is_no_validated_mesh(name, tmp_path):
+    """Only drill and drill_repeat take raw MeshData."""
+    with pytest.raises(BadParameters, match="must be a Polyhedron, not"):
+        MESH_ENTRIES[name](_p2_24(), tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(RAW))
+def test_drills_take_raw_data(name, tmp_path):
+    raw = MeshData(P.vertices, P.faces, P.metadata)
+    assert MESH_ENTRIES[name](raw, tmp_path).n_faces > P.n_faces
+
+
+def test_every_public_entry_that_takes_a_mesh_is_listed():
+    """The public functions with a parameter annotated as a Polyhedron are
+    those MESH_ENTRIES lists."""
+    takes_mesh = {
+        name for name in ccpforge.__all__
+        if inspect.isfunction(fn := getattr(ccpforge, name)) and any(
+            "Polyhedron" in str(param.annotation)
+            for param in inspect.signature(fn).parameters.values())}
+    assert takes_mesh == {name.split("-")[0] for name in MESH_ENTRIES}

@@ -55,7 +55,9 @@ def test_f_angle_sum_is_the_clipped_one():
 
 @pytest.mark.parametrize("l, d", [(0.0, 1.0), (-2.0, 1.0), (2.0, -1e-300),
                                   (2.0, 4.5), (2, 5), (2.0, math.nan),
-                                  (math.nan, 1.0)])
+                                  (math.nan, 1.0), (math.inf, 1.0),
+                                  (-math.inf, 1.0), (math.inf, math.inf),
+                                  (2.0, math.inf)])
 def test_f_angle_sum_domain_errors(l, d):
     want = outcome(scalar_generate.f_angle_sum, l, d)
     assert want[0] is DomainError
