@@ -16,8 +16,9 @@ import sys
 from .errors import BadParameters, CcpError
 from .fileio import load_mesh, save_mesh
 from .generators import CATALOG, FamilyRequest, generate_family
+from .mesh import check_defect_tolerance
 from .surgery import DrillSpec, drill_repeat
-from .verify import check_defect_tolerance, format_report, verify
+from .verify import format_report, verify
 
 
 def _number(text) -> float:

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadFile, NotRepresentable
-from .mesh import (MeshMetadata, Polyhedron, _mesh, build_polyhedron,
-                   flat_edges)
+from .mesh import (MeshMetadata, Polyhedron, _edge_at, _mesh,
+                   build_polyhedron, flat_edges)
 
 FORMAT_VERSION = 1
 
@@ -138,18 +138,12 @@ def document_to_mesh(doc: dict) -> Polyhedron:
 
 
 def _check_seams(p: Polyhedron, seams: set[tuple[int, int]]) -> None:
-    """BadFile for the least seam that joins no edge cell's vertex pair.
-    Each pair (u, v), u < v < V, is keyed u * V + v, which orders as the
-    pair does, and the cells' keys ascend (build_polyhedron sorts them)."""
-    n = p.n_vertices
-    have = p.edge_pairs[:, 0] * n + p.edge_pairs[:, 1]
-    want = np.array(list(seams), np.intp)
-    want = want[:, 0] * n + want[:, 1]
-    at = np.minimum(have.searchsorted(want), len(have) - 1)
-    stray = want[have[at] != want]
+    """BadFile for the least seam (u, v), u < v < V, that joins no edge
+    cell's vertex pair."""
+    want = np.array(sorted(seams), np.intp)
+    stray = want[_edge_at(p, want) < 0]
     if stray.size:
-        u, v = divmod(int(np.minimum.reduce(stray)), n)
-        raise BadFile(f"seam {[u, v]} is not an edge of the mesh")
+        raise BadFile(f"seam {stray[0].tolist()} is not an edge of the mesh")
 
 
 def save_json(p: Polyhedron, path) -> None:
@@ -210,7 +204,8 @@ def write_obj(p: Polyhedron, path) -> None:
     pairs face sides by vertex pair, so a mesh with doubled segments (two
     edge cells on one vertex pair) raises NotRepresentable."""
     if _mesh(p).has_multi_edges:
-        pair = next(e for e, f in zip(p.edges, p.edges[1:]) if e == f)
+        pairs = p.edge_pairs.tolist()
+        pair = next(tuple(e) for e, f in zip(pairs, pairs[1:]) if e == f)
         raise NotRepresentable(
             f"OBJ cannot keep the doubled segment {pair} apart (it pairs "
             f"face sides by vertex pair); write .json, which keeps the "
@@ -261,8 +256,7 @@ def read_obj(path) -> Polyhedron:
              for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])}
     p = build_polyhedron(np.array(verts, float), faces,
                          MeshMetadata(seam_edges=sides))
-    flat = flat_edges(p, ())
-    return p.with_metadata(seam_edges={p.edges[e] for e in flat})
+    return p.with_metadata(seam_edges=set(flat_edges(p, ())))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
 from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _index, _mesh,
-                   euler_characteristic)
+                   check_defect_tolerance, euler_characteristic)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class IntersectionWitness(NamedTuple):
 def edge_length(p: Polyhedron, e: int) -> float:
     """Length of edge e; an e that is not an edge id raises
     IndexOutOfRange."""
-    u, v = _mesh(p).edges[_index(e, p.n_edges, "edge")]
+    u, v = _mesh(p).edge_pairs[_index(e, p.n_edges, "edge")].tolist()
     return float(_geom.norm(p.vertices[u] - p.vertices[v]))
 
 
@@ -46,10 +46,11 @@ def corner_angle(p: Polyhedron, f: int, v: int) -> float:
     """Interior angle of face f's planar polygon at vertex v, in (0, 2*pi).
 
     Reflex corners are resolved against the polygon's own cycle normal, so
-    dented polygons report angles above pi.  An f that is not a face id
-    raises IndexOutOfRange.
+    dented polygons report angles above pi.  An f that is not a face id,
+    or a v that is not a vertex id, raises IndexOutOfRange.
     """
     f = _index(f, _mesh(p).n_faces, "face")
+    v = _index(v, p.n_vertices, "vertex")
     cyc = p.faces[f]
     if v not in cyc:
         raise VertexNotOnFace(f"vertex {v} not on face {f}")
@@ -79,7 +80,10 @@ def _defects(p: Polyhedron) -> np.ndarray:
 
 def defect_profile(p: Polyhedron, tol: float = DEFECT_TOL) -> DefectProfile:
     """Per-vertex defects with constancy statistics: the defects are
-    constant when every one lies within tol (radians) of their mean."""
+    constant when every one lies within tol (radians) of their mean.  A
+    tol that is not a finite positive number raises BadParameters (see
+    mesh.check_defect_tolerance; None is DEFECT_TOL)."""
+    tol = check_defect_tolerance(tol)
     d = _defects(p)
     mean = float(np.add.reduce(d) / len(d))
     dev = float(np.maximum.reduce(np.abs(d - mean)))
@@ -104,7 +108,8 @@ def dihedral_angle(p: Polyhedron, e: int) -> float:
     e = _index(e, _mesh(p).n_edges, "edge")
     ang = float(p.geometry.dihedrals[e])
     if abs(ang - np.pi) < ANGLE_TOL:
-        raise FlatEdge(f"edge {p.edges[e]} has dihedral angle pi")
+        raise FlatEdge(f"edge {tuple(p.edge_pairs[e].tolist())} has "
+                       f"dihedral angle pi")
     return ang
 
 

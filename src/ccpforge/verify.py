@@ -9,8 +9,8 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import BadParameters
-from .mesh import (DEFECT_TOL, PLANARITY_TOL, Polyhedron, TopologyClass,
-                   _finite, _mesh, classify, flat_edges)
+from .mesh import (PLANARITY_TOL, Polyhedron, TopologyClass, _mesh,
+                   check_defect_tolerance, classify, flat_edges)
 from .metrics import (DefectProfile, IntersectionWitness, defect_profile,
                       descartes_residual, self_intersections)
 
@@ -87,25 +87,13 @@ def format_pi_multiple(x: float) -> str:
     return f"{x:.9g}"
 
 
-def check_defect_tolerance(value) -> float:
-    """The defect-constancy band `value` sets, as a float: DEFECT_TOL for
-    None, else value, which must be a finite positive real number (a bool
-    is none); BadParameters otherwise."""
-    if value is None:
-        return DEFECT_TOL
-    if isinstance(value, bool) or not (_finite(value) and value > 0):
-        raise BadParameters(f"the defect tolerance must be a finite "
-                            f"positive number, got {value!r}")
-    return float(value)
-
-
 def verify(p: Polyhedron,
            defect_tolerance: float | None = None) -> VerificationReport:
     """Run every check on a structurally valid mesh.
 
     Every mesh is held to the defect-constancy band DEFECT_TOL, whatever
     its metadata says; `defect_tolerance` overrides it (see
-    check_defect_tolerance).
+    mesh.check_defect_tolerance).
     """
     _mesh(p)
     defect_tolerance = check_defect_tolerance(defect_tolerance)
@@ -115,8 +103,7 @@ def verify(p: Polyhedron,
     res = descartes_residual(p)
 
     planarity = float(p.geometry.residual.max(initial=0.0))
-    violations = [p.edges[e] for e in
-                  flat_edges(p, p.metadata.seam_edges)]
+    violations = flat_edges(p, p.metadata.seam_edges)
 
     witnesses = self_intersections(p)
 

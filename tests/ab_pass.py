@@ -16,7 +16,9 @@ first side flipping every round and gc.collect() running before each
 pass, and the script prints one line: each side's median pass, the
 median and quartiles of the paired ratios b / a - 1 and the rounds b
 won.  --workload all times the three workloads in turn, a line each, so
-that one command shows the workloads a change does not aim at too.  On
+that one command shows the workloads a change does not aim at too.  A
+last line gives each side's count of non-blank lines in src/ccpforge,
+so that it also shows what a change saves or costs in code.  On
 a machine whose speed drifts, a pair of adjacent passes sees nearly the
 same machine where two runs minutes apart do not.  --against-rev REV
 times the files of git revision REV, extracted into a temporary
@@ -69,6 +71,13 @@ def side(root: Path, name: str):
     return workloads
 
 
+def source_lines(root: Path) -> int:
+    """The non-blank lines of checkout `root`'s src/ccpforge."""
+    return sum(1 for path in (root / "src" / "ccpforge").glob("*.py")
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if line.strip())
+
+
 def timed_pass(items) -> float:
     gc.collect()
     t0 = time.perf_counter()
@@ -81,8 +90,8 @@ def compare(other: Path, workloads: list[str], rounds: int, seed: int,
             limit: int | None) -> int:
     """Per workload in turn, time `rounds` alternating pairs of passes,
     checkout `other` (a) against this one (b), and print its summary
-    line; 1 when the records of a workload differ (it is not timed),
-    else 0."""
+    line, then each side's source_lines; 1 when the records of a workload
+    differ (it is not timed), else 0."""
     sides = {"a": side(other, "ccpforge_a"), "b": side(ROOT, "ccpforge_b")}
     status = 0
     for workload in workloads:
@@ -115,6 +124,8 @@ def compare(other: Path, workloads: list[str], rounds: int, seed: int,
               f"{statistics.median(times['b']):.4f} s; b / a - 1: median "
               f"{statistics.median(ratios):+.2%} [{low:+.2%}, {high:+.2%}]; "
               f"b faster in {sum(x < 0 for x in ratios)} of {rounds}")
+    a, b = source_lines(other), source_lines(ROOT)
+    print(f"src/ccpforge non-blank lines: a {a}, b {b} ({b - a:+d})")
     return status
 
 

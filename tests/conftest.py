@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ccpforge import build_polyhedron
-from ccpforge.mesh import _as_tuples, _corner_layout, _derived_cells
+from ccpforge.mesh import (Combinatorics, MeshGeometry, MeshMetadata,
+                           Polyhedron, _corner_layout, _derived_cells)
 
 
 def cube_data():
@@ -23,10 +24,22 @@ def cube_data():
     return verts, faces
 
 
-def _derive_edge_slots(faces):
-    """Pair the half-edges by unordered vertex pair; every pair must occur
-    exactly twice.  Returns (edge_slots, edge_pairs)."""
-    return _as_tuples(*_derived_cells(_corner_layout(faces)))
+def as_tuples(cells, pairs):
+    """(E, 4) edge cells and their (E, 2) vertex pairs as the tuples of
+    Polyhedron.edge_slots and Polyhedron.edges."""
+    return (tuple(((a, b), (c, d)) for a, b, c, d in cells.tolist()),
+            tuple(map(tuple, pairs.tolist())))
+
+
+def unchecked_mesh(vertices, faces):
+    """A Polyhedron on `vertices` and `faces`, their sides paired by vertex
+    pair (each pair must occur twice), with none of build_polyhedron's
+    other checks: a scan input that need not be one surface."""
+    vertices = np.array(vertices, float)
+    corners = _corner_layout(faces)
+    record = Combinatorics(len(vertices), corners, *_derived_cells(corners))
+    return Polyhedron._of_arrays(vertices, record, MeshMetadata(),
+                                 MeshGeometry(vertices, record).fit())
 
 
 def face_polygon(geo, f):

@@ -1,7 +1,8 @@
 """tests/ab_pass.py imports two checkouts side by side under their own
 package names and times them in alternating pairs of passes: here one
 checkout against itself, for two rounds of two p2-sweep items, and of
-two items of every workload in turn."""
+two items of every workload in turn, and the line counts of its
+library."""
 
 import ab_pass
 
@@ -11,14 +12,25 @@ def test_a_checkout_against_itself(capsys):
                          "--workload", "p2-sweep", "--limit", "2"]) == 0
     out = capsys.readouterr().out
     assert "p2-sweep, 2 items, 2 rounds, seed 1" in out
-    assert "of 2" in out.splitlines()[-1]
+    assert "of 2" in out.splitlines()[-2]
 
 
 def test_all_workloads_in_turn(capsys):
     assert ab_pass.main(["--against", str(ab_pass.ROOT), "--rounds", "2",
                          "--workload", "all", "--limit", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, count = capsys.readouterr().out.splitlines()
     assert [line.split(",")[0] for line in lines] == list(ab_pass.WORKLOADS)
     for line in lines:
         assert ", 2 items, 2 rounds, seed 1: median pass a " in line
         assert line.endswith("of 2")
+    n = ab_pass.source_lines(ab_pass.ROOT)
+    assert count == f"src/ccpforge non-blank lines: a {n}, b {n} (+0)"
+
+
+def test_source_lines_count_the_non_blank_lines(tmp_path):
+    package = tmp_path / "src" / "ccpforge"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\n   \ny = 2\n")
+    (package / "b.py").write_text("\n# note\n")
+    (package / "c.txt").write_text("not python\n")
+    assert ab_pass.source_lines(tmp_path) == 3

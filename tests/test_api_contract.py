@@ -10,12 +10,14 @@ that is not one (mesh._mesh), before it reads it or writes a file."""
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import ccpforge
 from ccpforge import (DrillSpec, FaceCorrespondence, a_coeff, angular_defect,
-                      corner_angle, dihedral_angle, drill, drill_repeat,
-                      edge_length, f_angle_sum, format_pi_multiple,
+                      connect_sum, corner_angle, defect_profile,
+                      dihedral_angle, drill, drill_repeat, edge_length,
+                      f_angle_sum, format_pi_multiple, gen_nonorientable,
                       gen_p2_24, generate_family, load_mesh,
                       retile_pierced_face, save_mesh)
 from ccpforge.errors import (BadFile, BadParameters, GenusOutOfRange,
@@ -60,6 +62,34 @@ BAD_CALLS = [
         [[0, 0], [1, 0], [0, 1]], [[0, 0]]), BadParameters),
     ("load_mesh-int", lambda: load_mesh(5), BadFile),
     ("save_mesh-None", lambda: save_mesh(P, None), BadFile),
+    ("connect_sum-corr-None", lambda: connect_sum(P, P, None),
+     BadParameters),
+    ("drill-spec-None", lambda: drill(P, None), BadParameters),
+    ("drill_repeat-spec-None", lambda: drill_repeat(P, None, 2),
+     BadParameters),
+    ("generate_family-None", lambda: generate_family(None), BadParameters),
+    ("generate_family-fewest-array", lambda: generate_family(FamilyRequest(
+        "nonorientable", 3, prefer_fewest=np.array([1, 0]))), BadParameters),
+    ("gen_nonorientable-fewest-array",
+     lambda: gen_nonorientable(3, np.array([1, 0])), BadParameters),
+    ("defect_profile-tol-str", lambda: defect_profile(P, "x"),
+     BadParameters),
+    ("defect_profile-tol-nan", lambda: defect_profile(P, math.nan),
+     BadParameters),
+    ("defect_profile-tol-negative", lambda: defect_profile(P, -1.0),
+     BadParameters),
+    ("corner_angle-vertex-array", lambda: corner_angle(P, 0, np.array([0, 1])),
+     IndexOutOfRange),
+    ("corner_angle-vertex-99", lambda: corner_angle(P, 0, 99),
+     IndexOutOfRange),
+    ("face_points-99", lambda: P.face_points(99), IndexOutOfRange),
+    ("face_points-str", lambda: P.face_points("x"), IndexOutOfRange),
+    ("vertex_faces-99", lambda: P.vertex_faces(99), IndexOutOfRange),
+    ("vertex_faces-str", lambda: P.vertex_faces("x"), IndexOutOfRange),
+    ("edge_index-vertex-99", lambda: P.edge_index(0, 99), IndexOutOfRange),
+    ("edge_index-same-vertex", lambda: P.edge_index(0, 0), IndexOutOfRange),
+    ("edge_index-str", lambda: P.edge_index("a", 1), IndexOutOfRange),
+    ("edge_index-no-edge", lambda: P.edge_index(0, 23), IndexOutOfRange),
 ]
 
 
@@ -68,6 +98,13 @@ BAD_CALLS = [
 def test_bad_call_raises_the_error_that_names_it(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_defect_profile_reads_no_tolerance_as_the_default_band():
+    """defect_profile checks its band as verify does: None is DEFECT_TOL."""
+    got, want = defect_profile(P, None), defect_profile(P)
+    assert (got.mean, got.max_abs_deviation, got.is_constant) == \
+        (want.mean, want.max_abs_deviation, True)
 
 
 @pytest.mark.parametrize("x,text", [(math.nan, "nan"), (math.inf, "inf"),

@@ -16,8 +16,10 @@ from ccpforge import (a_coeff, classify, corner_angle, defect_profile,
                       gen_small_dodecahemidodecahedron, gen_t_block,
                       gen_tetrahedron, gen_tetrahemihexahedron, gen_v6g,
                       gen_v7gm7, gen_v8g, generate_family, FamilyRequest,
-                      is_embedded, self_intersections, solve_block_params)
-from ccpforge.errors import BadParameters, DomainError, GenusOutOfRange
+                      is_embedded, self_intersections, solve_block_params,
+                      verify)
+from ccpforge.errors import (BadParameters, CcpError, DomainError,
+                             GenusOutOfRange)
 
 PI = math.pi
 
@@ -395,6 +397,55 @@ def test_real_parameters_must_be_finite_reals(build, name, value):
         build(value)
     assert str(info.value) == \
         f"{name} {value!r} is not a finite real number"
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:             # the drawn parameters need hypothesis
+    st = None
+
+if st is not None:
+    S3 = math.sqrt(3)
+
+    def _p2_near(edge, x, u):
+        """A (b, c) at distance 10**x from one edge of P^2_24's domain, u
+        placing the other parameter along the domain."""
+        near = 10.0 ** x
+        if edge == "b":
+            return near, u * near
+        if edge == "c":
+            return near + u * (1 / S3 - near), near
+        if edge == "b-c":
+            c = u / (4 * S3)
+            return c + near, c
+        if edge == "4*sqrt3*c":
+            c = (1 - near) / (4 * S3)
+            return c + u * (1 / S3 - c), c
+        return (1 - near) / S3, u / (4 * S3)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(edge=st.sampled_from(["b", "c", "b-c", "4*sqrt3*c", "sqrt3*b"]),
+           x=st.floats(-16, -1), u=st.floats(0, 1))
+    def test_p2_24_near_its_domain_edges_verifies_or_raises(edge, x, u):
+        """A (b, c) drawn log-uniform towards each edge of the domain:
+        gen_p2_24 raises a CcpError, or its mesh verifies as embedded with
+        defect -pi/6."""
+        try:
+            p = gen_p2_24(*_p2_near(edge, x, u))
+        except CcpError:
+            return
+        report = verify(p)
+        assert report.verdict == "ccp_embedded"
+        assert report.defects.mean == pytest.approx(-PI / 6, abs=1e-9)
+
+
+@pytest.mark.parametrize("b,c", [(9e-6, 8e-6), (0.3, 9e-7),
+                                 (0.1, 0.1 - 9e-11),
+                                 (0.3, (1 - 5e-10) / (4 * math.sqrt(3)))])
+def test_p2_24_floors(b, c):
+    """Each floor of P^2_24's domain raises BadParameters just below it."""
+    with pytest.raises(BadParameters, match="too near the edge"):
+        gen_p2_24(b, c)
 
 
 @pytest.mark.parametrize("l1", [0.0, -2.0, -0.0, np.float64(-1e-300)])

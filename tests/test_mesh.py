@@ -1,8 +1,10 @@
 """Mesh construction, validation errors and topological classification."""
 
+import ast
 import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +20,12 @@ from ccpforge.errors import (BadParameters, DegenerateFace,
 from ccpforge import mesh as mesh_mod
 from ccpforge.fileio import document_to_mesh, mesh_to_document
 from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
-                           _as_tuples, _cell_array, _corner_layout,
-                           _derived_cells, _edge_cells, replace_meta,
-                           topology_from)
+                           _cell_array, _corner_layout, _derived_cells,
+                           _edge_cells, replace_meta, topology_from)
 from ccpforge.verify import verify
 
-from conftest import (_derive_edge_slots, cube_data, face_polygon,
-                      random_rigid_motion)
+from conftest import (as_tuples, cube_data, face_polygon,
+                      random_rigid_motion, unchecked_mesh)
 from test_self_intersection_oracle import SMALL_GENERA, family
 
 TET_V = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
@@ -328,8 +329,7 @@ def test_multi_edges_are_repeated_vertex_pairs(name, genus, params):
 def disjoint_union(a, b, shift=10.0):
     v = np.vstack([a.vertices, b.vertices + shift])
     f = list(a.faces) + [tuple(i + a.n_vertices for i in c) for c in b.faces]
-    slots, pairs = _derive_edge_slots(f)
-    return Polyhedron(v, tuple(f), pairs, slots, MeshMetadata()), v, f
+    return unchecked_mesh(v, f), v, f
 
 
 @pytest.mark.parametrize("second", [gen_tetrahedron, gen_tetrahemihexahedron])
@@ -462,13 +462,13 @@ def test_plane_helpers_round_a_row_as_in_a_stack():
 
 def tuples_as_built(doc):
     """edge_slots and edges as build_polyhedron made them when it kept
-    tuples: _as_tuples of the cells a document's faces derive, or of its
+    tuples: as_tuples of the cells a document's faces derive, or of its
     edge_cells."""
     corners = _corner_layout(doc["faces"])
     if "edge_cells" in doc:
-        return _as_tuples(*_edge_cells(_cell_array(doc["edge_cells"]),
-                                       corners))
-    return _as_tuples(*_derived_cells(corners))
+        return as_tuples(*_edge_cells(_cell_array(doc["edge_cells"]),
+                                      corners))
+    return as_tuples(*_derived_cells(corners))
 
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
@@ -505,20 +505,64 @@ def test_with_metadata_carries_the_edge_arrays():
     assert r.edges is q.edges and r.metadata.genus == 7
 
 
-def test_positional_construction_keeps_its_tuples():
-    """Polyhedron(vertices, faces, edges, edge_slots, metadata) keeps the
-    tuples it is given and derives its arrays from them."""
+def test_only_build_polyhedron_makes_a_polyhedron():
+    """The class takes no parts: a mesh that no build validated cannot be
+    constructed."""
     v, f = cube_data()
-    faces = tuple(map(tuple, f))
-    slots, pairs = _derive_edge_slots(faces)
-    p = Polyhedron(v, faces, pairs, slots, MeshMetadata())
-    assert p.edges is pairs and p.edge_slots is slots and p.n_edges == 12
-    assert p.edge_pairs.tolist() == [list(e) for e in pairs]
-    assert p.geometry.cells.tolist() == [[a, b, c, d]
-                                         for (a, b), (c, d) in slots]
-    assert p.with_metadata(family="cube").edges is pairs
-    built = build_polyhedron(v, f)
-    assert (built.edges, built.edge_slots) == (pairs, slots)
+    slots, pairs = as_tuples(*_derived_cells(_corner_layout(f)))
+    with pytest.raises(TypeError, match="build_polyhedron"):
+        Polyhedron(v, f, pairs, slots)
+    with pytest.raises(TypeError, match="build_polyhedron"):
+        Polyhedron()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ccpforge"
+
+
+def unchecked_uses(source: str) -> list[tuple[int, str]]:
+    """(line, text) of each call of Polyhedron( and each read of the tuple
+    views .edges and .edge_slots in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                ast.unparse(node.func).split(".")[-1] == "Polyhedron":
+            out.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Attribute) and \
+                node.attr in ("edges", "edge_slots"):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_the_library_builds_meshes_only_by_build_polyhedron(module):
+    """No module constructs a Polyhedron but through build_polyhedron, and
+    none reads the tuple views: the library reads edge_pairs rows."""
+    assert unchecked_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_each_unchecked_use():
+    source = "\n".join([
+        "Polyhedron(v, f, e, s)", "mesh.Polyhedron(v, f, e, s)",
+        "p.edges[e]", "zip(p.edge_slots)", "build_polyhedron(v, f)",
+        "Polyhedron.__new__(Polyhedron)", "p.edge_pairs[e]",
+        "meta.seam_edges"])
+    assert [line for line, _ in unchecked_uses(source)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA + [
+    ("minimal", g, {}) for g in range(4, 13)])
+def test_edge_index_finds_the_first_cell_of_a_pair(name, genus, params):
+    """edge_index(u, v), in either order, is the first edge cell on the
+    pair, as a lookup from each pair to its first cell gives it; the
+    glued seams of minimal g >= 4 double some pairs."""
+    p = family(name, genus, **params)
+    first = {}
+    for e, pair in enumerate(p.edges):
+        first.setdefault(pair, e)
+    if name == "minimal" and genus >= 4:
+        assert len(first) < p.n_edges
+    for (u, v), e in first.items():
+        assert p.edge_index(u, v) == p.edge_index(v, u) == e
 
 
 def test_a_polyhedron_is_immutable():

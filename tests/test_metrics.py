@@ -111,11 +111,8 @@ def test_dihedral_flat_raises():
     # two coplanar triangles sharing an edge inside a tetrahedron-like body
     v = [(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0.2, 1)]
     f = [(0, 2, 1), (0, 1, 3), (0, 4, 2), (2, 4, 1), (0, 3, 4), (3, 1, 4)]
-    from ccpforge.mesh import MeshMetadata, Polyhedron
-    from conftest import _derive_edge_slots
-    slots, pairs = _derive_edge_slots([tuple(c) for c in f])
-    p = Polyhedron(np.array(v, float), tuple(tuple(c) for c in f),
-                   pairs, slots, MeshMetadata())
+    from conftest import unchecked_mesh
+    p = unchecked_mesh(v, f)
     e = p.edge_index(0, 1)
     with pytest.raises(FlatEdge):
         dihedral_angle(p, e)
@@ -266,15 +263,13 @@ def diagonal_contact():
     base PBQA: AB is a side of the tetrahedron's faces but only a diagonal
     of the base, which the ear clip cuts along AB.  Not one surface, but
     a valid scan input."""
-    from ccpforge.mesh import MeshMetadata, Polyhedron
-    from conftest import _derive_edge_slots
+    from conftest import unchecked_mesh
     v = np.array([(0, 0, 0), (2, 0, 0), (1, -1, 0), (1, 1, 0),    # A B P Q
                   (1, 0, -1), (1, 0, 1), (1, 1, 1)], float)       # X T S
     faces = [(0, 1, 5), (2, 1, 3, 0),
              (1, 0, 6), (0, 5, 6), (1, 6, 5),
              (2, 4, 1), (1, 4, 3), (3, 4, 0), (0, 4, 2)]
-    slots, pairs = _derive_edge_slots(faces)
-    return Polyhedron(v, tuple(faces), pairs, slots, MeshMetadata())
+    return unchecked_mesh(v, faces)
 
 
 def test_crossing_on_a_diagonal_keeps_its_witness(monkeypatch):

@@ -11,12 +11,11 @@ import pytest
 
 from ccpforge import CATALOG, FamilyRequest, build_polyhedron, gen_p2_24
 from ccpforge.generators import generate_family
-from ccpforge.mesh import MeshMetadata, Polyhedron
 from ccpforge import metrics
 from ccpforge.metrics import self_intersections
 
 import scalar_scan
-from conftest import _derive_edge_slots, random_rigid_motion
+from conftest import random_rigid_motion, unchecked_mesh
 
 
 def assert_same_witnesses(p):
@@ -97,8 +96,7 @@ def two_tetrahedra(shift):
                    base + (shift[0], shift[1], 0.0), [(1.0, 1.0, -1.0)]])
     faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3),
              (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)]
-    slots, pairs = _derive_edge_slots(faces)
-    return Polyhedron(v, tuple(faces), pairs, slots, MeshMetadata())
+    return unchecked_mesh(v, faces)
 
 
 @pytest.mark.parametrize("shift", [(0.5, 0.5), (0.25, -0.5), (2.0, 0.0),
@@ -111,9 +109,8 @@ def test_coplanar_overlaps(shift):
         assert "coplanar-overlap" in kinds
     for _ in range(3):
         rot, tr = random_rigid_motion(rng)
-        assert_same_witnesses(Polyhedron(
-            (rot @ p.vertices.T).T + tr, p.faces, p.edges, p.edge_slots,
-            MeshMetadata()))
+        assert_same_witnesses(unchecked_mesh((rot @ p.vertices.T).T + tr,
+                                             p.faces))
 
 
 def _rows_tested_and_clipped(monkeypatch, meshes):
@@ -204,8 +201,7 @@ def vertex_contact(reach):
                   (2, 0, 0), (0, 2, 0), (0.5, 0.5, 1)], float)  # A B C
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2),
              (0, 5, 4), (0, 4, 6), (4, 5, 6), (5, 0, 6)]
-    slots, pairs = _derive_edge_slots(faces)
-    return Polyhedron(v, tuple(faces), pairs, slots, MeshMetadata())
+    return unchecked_mesh(v, faces)
 
 
 @pytest.mark.parametrize("factor,dropped", [(0.9, True), (1.1, False)])
