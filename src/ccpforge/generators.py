@@ -21,11 +21,18 @@ TAU = 2.0 * math.pi
 
 
 def _genus(g) -> int:
-    """g as an int, by mesh._integer (numpy integers pass); a bool or
-    anything else that is not an integer raises GenusOutOfRange."""
-    if isinstance(g, bool):
-        raise GenusOutOfRange(f"genus {g!r} is not an integer")
+    """g as an int by mesh._integer, else GenusOutOfRange."""
     return _integer(g, "genus", GenusOutOfRange)
+
+
+def _genus_in(family: str, g) -> int:
+    """g as an int (by _genus) in the genera of the family's CATALOG row,
+    else GenusOutOfRange naming them: the one check of a family's range."""
+    g, info = _genus(g), _BY_FAMILY[family]
+    if g not in info.genera:
+        raise GenusOutOfRange(
+            f"{family} covers genus {info.genus_range}, not {g}")
+    return g
 
 
 def _flag(x, what: str) -> bool:
@@ -458,9 +465,7 @@ def gen_orientable(g: int) -> Polyhedron:
     """Embedded orientable family: tetrahedron, the 9-vertex flat torus,
     P^2_24, then repeated 12-gonal drilling of P^2_24 (24(g-1) vertices,
     defect -pi/6)."""
-    g = _genus(g)
-    if g < 0:
-        raise GenusOutOfRange("genus must be >= 0")
+    g = _genus_in("orientable", g)
     if g == 0:
         return gen_tetrahedron().with_metadata(family="orientable")
     if g == 1:
@@ -473,28 +478,26 @@ def gen_orientable(g: int) -> Polyhedron:
 
 
 def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
-    """Non-orientable family for every genus g >= 1.
+    """Non-orientable family over its CATALOG genus range.
 
     The default route chains the four base constructions with
     defect-preserving drilling; prefer_fewest dispatches to the known
     smallest vertex counts (5g / 7g-14 for odd genus, the hemi polyhedra
     and 4g-8 drilling for even genus).
     """
-    g = _genus(g)
+    g = _genus_in("nonorientable", g)
     prefer_fewest = _flag(prefer_fewest, "prefer_fewest")
-    if g < 1:
-        raise GenusOutOfRange("genus must be >= 1")
     if g == 1:
         return gen_tetrahemihexahedron().with_metadata(family="nonorientable")
     if g == 2:
         return gen_q2_9().with_metadata(family="nonorientable")
-    if prefer_fewest and g % 2 == 1 and g > N5G_MAX_GENUS:
-        raise GenusOutOfRange(
-            f"nonorientable with prefer_fewest covers odd genus up to "
-            f"{N5G_MAX_GENUS} (its n5g range), not {g}")
     # the fewest-vertex route differs from the chained one only for odd g
     # and for even g >= 8
     if prefer_fewest and g % 2 == 1:
+        if g not in (n5g := _BY_FAMILY["n5g"].genera):
+            raise GenusOutOfRange(
+                f"nonorientable with prefer_fewest covers odd genus up to "
+                f"{n5g[-1]} (its n5g range), not {g}")
         out = gen_n5g_odd(g)
     elif prefer_fewest and g == 14:
         out = gen_small_dodecahemidodecahedron()
@@ -531,9 +534,7 @@ def _window_prism_vertices(cot: float, a: float, z: float):
 def gen_v8g(g: int) -> Polyhedron:
     """Embedded orientable family on a 2g-gonal prism with g windows:
     |V|=8g, |E|=16g, |F|=6g+2, defect pi(1-g)/(2g)."""
-    g = _genus(g)
-    if g < 2:
-        raise GenusOutOfRange("v8g needs genus >= 2")
+    g = _genus_in("v8g", g)
     a = math.pi * (g - 1) / (4 * g)
     cot = 1.0 / math.tan(math.pi / (2 * g))
     base6 = _window_prism_vertices(cot, a, 1.0)
@@ -557,9 +558,7 @@ def gen_v8g(g: int) -> Polyhedron:
 def gen_v6g(g: int) -> Polyhedron:
     """Embedded orientable family on a g-gonal prism, one window per
     lateral face: |V|=6g, |E|=13g, |F|=5g+2, defect 2*pi(1-g)/(3g)."""
-    g = _genus(g)
-    if g < 5:
-        raise GenusOutOfRange("v6g needs genus >= 5")
+    g = _genus_in("v6g", g)
     a = math.pi * (g - 1) / (3 * g)
     cot = 1.0 / math.tan(math.pi / g)
     base = _window_prism_vertices(cot, a, 1.0)
@@ -618,12 +617,10 @@ def _v7gm7_mesh(g: int, w: float, x0: float, y0: float) -> Polyhedron:
 
 
 def gen_v7gm7(g: int) -> Polyhedron:
-    """Embedded orientable family for g in {4, 5, 6} on a (g-1)-gonal prism
-    with lateral windows plus one central ring tunnel: |V|=7g-7, |E|=18g-18,
-    |F|=9g-9, defect -4*pi/7."""
-    g = _genus(g)
-    if g not in (4, 5, 6):
-        raise GenusOutOfRange("v7gm7 supports genus 4, 5 and 6")
+    """Embedded orientable family on a (g-1)-gonal prism with lateral
+    windows plus one central ring tunnel: |V|=7g-7, |E|=18g-18, |F|=9g-9,
+    defect -4*pi/7."""
+    g = _genus_in("v7gm7", g)
     return _v7gm7_mesh(g, *_v7gm7_printed_params(g))
 
 
@@ -658,10 +655,7 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
     genus-7 member."""
-    g = _genus(g)
-    if g < 3 or g % 2 == 0 or g > N5G_MAX_GENUS:
-        raise GenusOutOfRange(
-            f"n5g covers odd genus 3..{N5G_MAX_GENUS}, not {g}")
+    g = _genus_in("n5g", g)
     if g <= 11:
         return _build(_n5g_odd(g))
     out = _drilled(_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
@@ -709,11 +703,9 @@ def a_coeff(k: int, g: int) -> float:
     """Angle-deficit coefficient 4(3k + 1 - (-2)^-k) * pi / (3(g+2)),
     strictly increasing in k.  A k that is not an integer (a bool
     included) raises BadParameters, a g that is not one GenusOutOfRange."""
-    if isinstance(k, bool):
-        raise BadParameters(f"k {k!r} is not an integer")
     k, g = _integer(k, "k", BadParameters), _genus(g)
-    if k < 0 or g < 1:
-        raise DomainError("need k >= 0 and g >= 1")
+    if not (0 <= k < 2 ** 63 and 1 <= g < 2 ** 63):
+        raise DomainError("need 0 <= k < 2**63 and 1 <= g < 2**63")
     return 4 * (3 * k + 1 - (-2.0) ** (-k)) * math.pi / (3 * (g + 2))
 
 
@@ -739,7 +731,7 @@ def _angle_sum_of(l: float) -> Callable[[float], float]:
         raise DomainError(f"l = {l} is not finite")
     if l <= 0:
         raise DomainError("l must be positive")
-    hi, acos = 2.0 * l, math.acos
+    hi, acos = 2.0 * float(l), math.acos
     a = 2 * l * l
     b = 2 * l * math.sqrt(l * l + 1)
     c = 2 * (l * l + 1)
@@ -905,20 +897,12 @@ def _chain_half(params: list[tuple[float, float]]):
     return surgery.glue(first, steps), give_face, give_cycle
 
 
-# From g = 46 the T(l, d) widths outgrow the unit block height so far that
-# the first face's area falls below the length tolerance (DegenerateFace).
-MINIMAL_MAX_GENUS = 45
-
-
 def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     """Orientable genus-g surface on 2g+4 vertices with constant defect
     -(2g-2)*pi/(g+2): a mirror-symmetric chain of T(l,d) blocks glued along
     side rectangles, with a terminal centre block for odd genus.  The
     blocks are glued as data and the finished chain validated once."""
-    g = _genus(g)
-    if not 1 <= g <= MINIMAL_MAX_GENUS:
-        raise GenusOutOfRange(
-            f"minimal covers genus 1..{MINIMAL_MAX_GENUS}, not {g}")
+    g = _genus_in("minimal", g)
     params = solve_block_params(g, l1)
     defect = -(2 * g - 2) * math.pi / (g + 2)
     if g == 1:
@@ -971,54 +955,66 @@ class FamilyRequest:
 @dataclass(frozen=True)
 class FamilyInfo:
     """One catalog row: how `ccp catalog` lists a family and how
-    generate_family builds it."""
+    generate_family builds it.  Only `genera` states a family's genera."""
     family: str
     description: str
-    genus_range: str
+    genera: range                      # the genera it builds
     vertex_count: str
     orientable: str
     build: Callable[..., Polyhedron]   # takes the genus unless it is fixed
-    genus: int | None = None           # the family's only genus, if fixed
     params: tuple[str, ...] = ()       # the --param names it takes
     required: bool = False             # every one of them must be given
     fewest: bool = False               # has a prefer_fewest route
 
+    @property
+    def genus_range(self) -> str:      # as text: "2", "1..45", "odd 3..19"
+        g, odd = self.genera, "odd " if self.genera.step == 2 else ""
+        return str(g[0]) if len(g) == 1 else f"{odd}{g[0]}..{g[-1]}"
 
+    @property
+    def genus(self) -> int | None:     # the family's only genus, if fixed
+        return self.genera[0] if len(self.genera) == 1 else None
+
+
+# Each range ends at the last genus a run generated (see CHANGES.md).
+# Odd nonorientable raises DegenerateFace from g = 2,627; orientable, v8g
+# and v6g stop where the next doubling took over 5 minutes; from minimal
+# g = 46 the first face's area falls below the length tolerance, as the
+# T(l, d) widths outgrow the unit block height.
 CATALOG: tuple[FamilyInfo, ...] = (
-    FamilyInfo("tetrahedron", "regular tetrahedron", "0", "4", "yes",
-               gen_tetrahedron, genus=0),
-    FamilyInfo("flat-torus-9", "nine-vertex flat torus", "1", "9", "yes",
-               gen_flat_torus9, genus=1),
-    FamilyInfo("p2-24", "doubly tunnelled cube (params b, c)", "2", "24",
-               "yes", gen_p2_24, genus=2, params=("b", "c")),
+    FamilyInfo("tetrahedron", "regular tetrahedron", range(0, 1), "4", "yes",
+               gen_tetrahedron),
+    FamilyInfo("flat-torus-9", "nine-vertex flat torus", range(1, 2), "9",
+               "yes", gen_flat_torus9),
+    FamilyInfo("p2-24", "doubly tunnelled cube (params b, c)", range(2, 3),
+               "24", "yes", gen_p2_24, params=("b", "c")),
     FamilyInfo("orientable", "tetrahedron / flat torus / drilled p2-24",
-               ">=0", "24(g-1) for g>=2", "yes", gen_orientable),
-    FamilyInfo("thh", "tetrahemihexahedron", "1", "6", "no",
-               gen_tetrahemihexahedron, genus=1),
+               range(0, 4001), "24(g-1) for g>=2", "yes", gen_orientable),
+    FamilyInfo("thh", "tetrahemihexahedron", range(1, 2), "6", "no",
+               gen_tetrahemihexahedron),
     FamilyInfo("r-block", "squashed tetrahemihexahedron (params r, h)",
-               "1", "6", "no", gen_r_block, genus=1, params=("r", "h"),
+               range(1, 2), "6", "no", gen_r_block, params=("r", "h"),
                required=True),
-    FamilyInfo("q2-9", "flat Klein bottle", "2", "9", "no", gen_q2_9,
-               genus=2),
-    FamilyInfo("q3-18", "drum with three projective handles", "3", "18",
-               "no", gen_q3_18, genus=3),
-    FamilyInfo("cho", "cubohemioctahedron", "4", "12", "no",
-               gen_cubohemioctahedron, genus=4),
+    FamilyInfo("q2-9", "flat Klein bottle", range(2, 3), "9", "no",
+               gen_q2_9),
+    FamilyInfo("q3-18", "drum with three projective handles", range(3, 4),
+               "18", "no", gen_q3_18),
+    FamilyInfo("cho", "cubohemioctahedron", range(4, 5), "12", "no",
+               gen_cubohemioctahedron),
     FamilyInfo("nonorientable", "chained or fewest-vertex dispatch",
-               ">=1", f"5g / 7g-14 odd (<={N5G_MAX_GENUS}), 4g-8 even "
-               "(fewest)", "no", gen_nonorientable, fewest=True),
-    FamilyInfo("v8g", "windowed 2g-gonal prism", ">=2", "8g", "yes",
-               gen_v8g),
-    FamilyInfo("v6g", "windowed g-gonal prism", ">=5", "6g", "yes",
-               gen_v6g),
+               range(1, 2501), f"5g / 7g-14 odd (<={N5G_MAX_GENUS}), 4g-8 "
+               "even (fewest)", "no", gen_nonorientable, fewest=True),
+    FamilyInfo("v8g", "windowed 2g-gonal prism", range(2, 12001), "8g",
+               "yes", gen_v8g),
+    FamilyInfo("v6g", "windowed g-gonal prism", range(5, 16001), "6g",
+               "yes", gen_v6g),
     FamilyInfo("v7gm7", "windowed prism with a central ring tunnel",
-               "4..6", "7g-7", "yes", gen_v7gm7),
+               range(4, 7), "7g-7", "yes", gen_v7gm7),
     FamilyInfo("n5g", "antiprism drum with projective handles",
-               f"odd 3..{N5G_MAX_GENUS}", "5g (<=11), 7g-14 beyond", "no",
-               gen_n5g_odd),
+               range(3, N5G_MAX_GENUS + 1, 2), "5g (<=11), 7g-14 beyond",
+               "no", gen_n5g_odd),
     FamilyInfo("minimal", "glued T(l,d) chain, fewest known vertices",
-               f"1..{MINIMAL_MAX_GENUS}", "2g+4", "yes", gen_minimal,
-               params=("l1",)),
+               range(1, 46), "2g+4", "yes", gen_minimal, params=("l1",)),
 )
 
 _BY_FAMILY = {info.family: info for info in CATALOG}
@@ -1029,15 +1025,15 @@ def generate_family(request: FamilyRequest) -> Polyhedron:
     does not allow raises before any work: an unknown family, parameter or
     prefer_fewest BadParameters, as do a request that is no FamilyRequest,
     params that are no mapping and a prefer_fewest that is no bool, and a
-    missing or other genus, or one that is not an integer (a bool
-    included), GenusOutOfRange."""
+    missing genus, one outside the row's range (_genus_in) or one that is
+    not an integer (a bool included), GenusOutOfRange."""
     _record(request, FamilyRequest, "the request")
     fam, g, par = request.family, request.genus, request.params
     if not isinstance(par, Mapping):
         raise BadParameters(f"params {par!r} is not a mapping of names "
                             "to values")
     par = dict(par)
-    info = _BY_FAMILY.get(fam)
+    info = _BY_FAMILY.get(fam) if isinstance(fam, str) else None
     if info is None:
         raise BadParameters(f"unknown family {fam!r}")
     unknown = set(par) - set(info.params)
@@ -1051,13 +1047,8 @@ def generate_family(request: FamilyRequest) -> Polyhedron:
         if not info.fewest:
             raise BadParameters(f"family {fam!r} has no fewest-vertex route")
         par["prefer_fewest"] = True
-    if g is not None:
-        g = _genus(g)
-    if info.genus is not None:
-        if g is not None and g != info.genus:
-            raise GenusOutOfRange(
-                f"family {fam!r} has genus {info.genus}, not {g}")
-        return info.build(**par)
-    if g is None:
+    if g is None and info.genus is None:
         raise GenusOutOfRange(f"family {fam!r} needs --genus")
-    return info.build(g, **par)
+    g = _genus_in(fam, info.genus if g is None else g)
+    return info.build(**par) if info.genus is not None \
+        else info.build(g, **par)

@@ -65,6 +65,15 @@ class MeshMetadata:
     # pi and are exempt from the flat-edge rejection.
     seam_edges: set[tuple[int, int]] = field(default_factory=set)
 
+    def __post_init__(self):
+        """verify compares these three: each is None or of its kind."""
+        g, o, d = self.genus, self.orientable, self.expected_defect
+        if not ((g is None or isinstance(g, numbers.Integral))
+                and (o is None or isinstance(o, (bool, np.bool_)))
+                and (d is None or _finite(d))):
+            raise BadParameters(f"metadata genus {g!r}, orientable {o!r} or "
+                                f"expected defect {d!r} is of another kind")
+
     # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
         return sum(1 for p in self.provenance
@@ -852,9 +861,11 @@ def build_polyhedron(vertices, faces,
     data (surgery.pierce returns one), lends the planes it has fitted (see
     MeshGeometry.reuse), so that only the other faces are fitted.
     """
+    meta = MeshMetadata() if metadata is None else metadata
+    _record(meta, MeshMetadata, "the metadata")
     try:
         pts = np.asarray(vertices, dtype=float)
-    except (TypeError, ValueError):     # not numbers, or ragged
+    except (TypeError, ValueError, OverflowError):  # not floats, or ragged
         pts = None
     if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
         raise IndexOutOfRange("vertices must be an (n, 3) array")
@@ -883,8 +894,7 @@ def build_polyhedron(vertices, faces,
     if planes is not None:
         geo.reuse(planes)
     geo.fit()
-    poly = Polyhedron._of_arrays(pts, record, metadata or MeshMetadata(),
-                                 geo)
+    poly = Polyhedron._of_arrays(pts, record, meta, geo)
     ends = record.edge_pairs
     scale = geo.scale
     short = _geom.norm(pts.take(ends[:, 0], axis=0)
@@ -978,9 +988,10 @@ def _checked_corners(faces, n: int) -> _Corners:
 
 
 def _integer(x, what: str, error: type[Exception]) -> int:
-    """x as an int by operator.index (numpy integers pass), else error."""
+    """x as an int by operator.index (numpy integers pass, a bool does
+    not), else error."""
     try:
-        return operator.index(x)
+        return operator.index(None if isinstance(x, bool) else x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
 

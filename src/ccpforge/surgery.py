@@ -328,7 +328,7 @@ def _cycle(points, what: str) -> np.ndarray:
     """points as a (k, 3) float array, k >= 3, else BadParameters."""
     try:
         pts = np.asarray(points, float)
-    except (TypeError, ValueError):     # not numbers, or ragged
+    except (TypeError, ValueError, OverflowError):  # not floats, or ragged
         pts = None
     if pts is None or pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise BadParameters(
@@ -501,8 +501,8 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
             f"point {point!r}")
     if spec.radius is not None and spec.radius <= 0:
         raise BadParameters(f"prism radius {spec.radius} must be positive")
-    if _integer(spec.n, "prism order", BadOrder) < 3:
-        raise BadOrder(f"prism order {spec.n} < 3")
+    if not 3 <= _integer(spec.n, "prism order", BadOrder) < 2 ** 63:
+        raise BadOrder(f"prism order {spec.n} is not in 3..2**63-1")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
     if geo.doubled:
@@ -621,8 +621,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     the last step's geometry has not.
     """
     _mesh(p, raw=True)
-    if _integer(k, "k", BadOrder) < 1:
-        raise BadOrder("k must be >= 1")
+    if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
+        raise BadOrder("k must be >= 1 and below 2**63")
     if k == 1:
         return drill(p, spec)
     data, geo = _raw(p)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import ccpforge.generators as generators_mod
-from ccpforge import (a_coeff, classify, corner_angle, defect_profile,
-                      f_angle_sum, gen_cubohemioctahedron,
+from ccpforge import (CATALOG, a_coeff, classify, corner_angle,
+                      defect_profile, f_angle_sum, gen_cubohemioctahedron,
                       gen_flat_torus9, gen_minimal, gen_n5g_odd,
                       gen_nonorientable, gen_orientable, gen_p2_24,
                       gen_q2_9, gen_q3_18, gen_r_block,
@@ -526,17 +526,48 @@ def test_generate_records_the_requested_family(tmp_path, family, genus):
 
 def test_catalog_rows_are_consistent():
     """A fixed genus matches the advertised range, and the builder of a
-    family with a genus range takes the genus first."""
+    family with a genus range takes the genus first.  `genus` and
+    `genus_range` are views of the row's `genera`: the only genus of a
+    one-genus row, and its ends, with "odd" for a range of odd genera."""
     import inspect
-    from ccpforge import CATALOG
     for info in CATALOG:
-        if info.genus is not None:
-            assert info.genus_range == str(info.genus), info.family
+        genera = info.genera
+        assert isinstance(genera, range) and len(genera) >= 1, info.family
+        assert genera.step == 1 or genera.step == 2 and genera[0] % 2 == 1
+        if len(genera) == 1:
+            assert info.genus == genera[0], info.family
+            assert info.genus_range == str(genera[0]), info.family
         else:
+            assert info.genus is None, info.family
+            odd = "odd " if genera.step == 2 else ""
+            assert info.genus_range == f"{odd}{genera[0]}..{genera[-1]}"
+        if info.genus is None:
             assert next(iter(inspect.signature(info.build).parameters)) \
                 == "g", info.family
         assert info.fewest == ("prefer_fewest" in
                                inspect.signature(info.build).parameters)
+
+
+def _readme_family_table():
+    """The rows of README's family table, as lists of cell texts with the
+    backticks taken off."""
+    from itertools import dropwhile, takewhile
+    from pathlib import Path
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = text.split("## What it can build", 1)[1].splitlines()
+    table = takewhile(lambda line: line.startswith("|"), dropwhile(
+        lambda line: not line.startswith("|"), lines))
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in list(table)[2:]]
+
+
+def test_readme_family_table_is_the_catalog():
+    """README's family table has one row per CATALOG family, in its
+    order, with its genus range, vertex count and orientability."""
+    rows = _readme_family_table()
+    assert [row[:4] for row in rows] == [
+        [info.family, info.genus_range, info.vertex_count, info.orientable]
+        for info in CATALOG]
 
 
 class TestGenusLimits:
@@ -553,17 +584,13 @@ class TestGenusLimits:
         assert report.verdict == "ccp_immersed"
         assert report.topology.genus == genus
 
-    @pytest.mark.parametrize("family,genus,fewest,limit", [
-        ("minimal", 46, False, "1..45"), ("minimal", 100, False, "1..45"),
-        ("n5g", 21, False, "3..19"), ("n5g", 25, False, "3..19"),
-        ("n5g", 41, False, "3..19"), ("nonorientable", 21, True, "up to 19"),
-        ("nonorientable", 25, True, "up to 19")])
-    def test_beyond_the_limit_raises_before_any_work(
-            self, monkeypatch, tmp_path, family, genus, fewest, limit):
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The names of the solver, surgery and build calls made while a
+        test runs, in order."""
         import ccpforge.generators as generators
         import ccpforge.mesh as mesh
         import ccpforge.surgery as surgery
-        from ccpforge.cli import main
         calls = []
 
         def counted(name, fn):
@@ -575,19 +602,66 @@ class TestGenusLimits:
         for module, name in ((generators, "solve_block_params"),
                              (surgery, "drill"), (surgery, "drill_repeat"),
                              (surgery, "connect_sum"), (surgery, "glue"),
+                             (surgery, "build_glued"),
                              (mesh, "build_polyhedron"),
                              (surgery, "build_polyhedron"),
                              (generators, "build_polyhedron")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("family,genus,fewest,limit", [
+        ("minimal", 46, False, "1..45"), ("minimal", 100, False, "1..45"),
+        ("n5g", 21, False, "3..19"), ("n5g", 25, False, "3..19"),
+        ("n5g", 41, False, "3..19"), ("nonorientable", 21, True, "up to 19"),
+        ("nonorientable", 25, True, "up to 19")])
+    def test_beyond_the_limit_raises_before_any_work(
+            self, work, tmp_path, family, genus, fewest, limit):
+        from ccpforge.cli import main
         with pytest.raises(GenusOutOfRange, match=limit):
             generate_family(FamilyRequest(family, genus, prefer_fewest=fewest))
-        assert calls == []
+        assert work == []
         out = tmp_path / "mesh.json"
         argv = ["generate", "--family", family, "--genus", str(genus),
                 "-o", str(out)] + ["--prefer-fewest"] * fewest
         assert main(argv) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("family,genus", [
+        (info.family, g) for info in CATALOG
+        for g in (info.genera[0] - 1, info.genera[-1] + 1)])
+    def test_a_genus_just_outside_the_row_raises_at_once(
+            self, work, tmp_path, capsys, family, genus):
+        """One genus below a row's least and one above its greatest raise
+        GenusOutOfRange naming the row's range, within 1 ms and before any
+        solve, surgery or build: through generate_family, through the
+        builder where it takes a genus, and through `ccp generate`."""
+        import timeit
+        from ccpforge.cli import main
+        info = next(row for row in CATALOG if row.family == family)
+        message = f"{family} covers genus {info.genus_range}, not {genus}"
+        params = {"r": 1.0, "h": 2.0} if info.required else {}  # r-block
+        calls = [lambda: generate_family(FamilyRequest(family, genus,
+                                                       params))]
+        if info.genus is None:
+            calls.append(lambda: info.build(genus))
+        for call in calls:
+            with pytest.raises(GenusOutOfRange) as raised:
+                call()
+            assert str(raised.value) == message
+
+            def timed():
+                with pytest.raises(GenusOutOfRange):
+                    call()
+            assert min(timeit.repeat(timed, number=1, repeat=5)) < 1e-3
+        assert work == []
+        out = tmp_path / "mesh.json"
+        assert main(["generate", "--family", family, "--genus", str(genus),
+                     "-o", str(out)] + [f"--param={name}={value}" for
+                                        name, value in params.items()]) == 2
+        assert f"error: GenusOutOfRange: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert work == []
 
     def test_catalog_advertises_the_limits(self):
         from ccpforge import CATALOG
