@@ -59,7 +59,9 @@ def tolerance_scale(points: np.ndarray, axis=None):
 
 
 def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best-fit planes of (..., k, 3) point sets.
+    """Least-squares planes of (..., k, 3) point sets: the planes surgery
+    cuts in (MeshGeometry.fit of raw data, retile_pierced_face), whose
+    frames place drilled vertices; a validated mesh's planes are Newell's.
 
     Returns the centroids (..., 3), the unit normals (..., 3) and the
     largest distances of a point to its plane (...).  Each normal is the

@@ -20,7 +20,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,8 @@ EdgeSlots = tuple[tuple[HalfEdge, HalfEdge], ...]
 
 # The tolerance of each geometric check of validation and verification;
 # planarity and length are relative to MeshGeometry.scale.
-PLANARITY_TOL = 1e-9    # max vertex distance to the best-fit face plane
+PLANARITY_TOL = 1e-9    # max vertex distance to the face's Newell plane
+#                         through its centroid
 ANGLE_TOL = 1e-9        # radians; dihedral-pi rejection band
 LENGTH_TOL = 1e-12      # edge-length comparisons (isometry checks)
 DEFECT_TOL = 1e-9       # defect-constancy band, radians
@@ -265,36 +266,6 @@ def _prev_corners(corners: _Corners) -> np.ndarray:
     return prev
 
 
-class _LengthGroups(NamedTuple):
-    """Faces grouped by length, as MeshGeometry.fit stacks them."""
-    rows: np.ndarray            # the faces, one length after another
-    points: tuple[np.ndarray, ...]  # per length, its faces' (m, k) vertex
-    #                                 ids
-    ends: tuple[int, ...]       # where each length's faces end in rows
-    corners: np.ndarray         # the corners of `points`, flat
-
-
-def _length_groups(size: np.ndarray, start: np.ndarray, vertex: np.ndarray,
-                   faces: np.ndarray) -> _LengthGroups:
-    """The faces `faces` of a corner layout (its size, start and vertex)
-    grouped by length, in increasing length, each group in the order of
-    `faces`."""
-    sizes = size[faces]
-    rows, points, flat = [], [], []
-    for k in np.bincount(sizes).nonzero()[0]:
-        r = faces[sizes == k]
-        corner = start[r][:, None] + np.arange(k)
-        rows.append(r)
-        points.append(vertex[corner])
-        flat.append(corner.ravel())
-    if not rows:
-        none = np.zeros(0, np.intp)
-        return _LengthGroups(none, (), (0,), none)
-    return _LengthGroups(np.concatenate(rows), tuple(points),
-                         tuple(accumulate(map(len, rows), initial=0)),
-                         np.concatenate(flat))
-
-
 class _TriangleRuns(NamedTuple):
     """The layout of a face list's ear clip (MeshGeometry.triangulation):
     each face's k - 2 triangles in a run, faces in order."""
@@ -329,10 +300,9 @@ class Combinatorics:
       edge_pairs     per cell its (u, v) vertex pair, u < v, as (E, 2)
 
     and, each computed on first read and kept: orientation,
-    cell_corners, polygons, length_groups (the stacks of
-    MeshGeometry.fit), triangle_runs (the layout of its triangulation),
-    next_vertex and the self-intersection scan's sorted (face, side) and
-    (face, vertex) keys, face_side and face_vertex.
+    cell_corners, polygons, triangle_runs (the layout of its
+    triangulation), next_vertex and the self-intersection scan's sorted
+    (face, side) and (face, vertex) keys, face_side and face_vertex.
     """
 
     def __init__(self, n_vertices: int, corners: _Corners, cells: np.ndarray,
@@ -414,18 +384,8 @@ class Combinatorics:
         return tuple(zip(big.tolist(), self.corners.start[big].tolist(),
                          self.corners.size[big].tolist()))
 
-    # measured gain: p2-sweep +5.0% without this, triangle_runs, quad paths
-    @cached_property
-    def length_groups(self) -> _LengthGroups:
-        """Every face grouped by length, as MeshGeometry.fit stacks them."""
-        c = self.corners
-        out = _length_groups(c.size, c.start, c.vertex,
-                             np.arange(len(self.faces)))
-        for a in (out.rows, out.corners, *out.points):
-            a.setflags(write=False)
-        return out
-
-    # measured gain: p2-sweep +5.0% without this, length_groups, quad paths
+    # measured gain: p2-sweep +5.0% without this and the quad paths (with
+    # the per-length plane fits of the time)
     @cached_property
     def triangle_runs(self) -> _TriangleRuns:
         """The run layout of the ear clip: the rows of a face's run follow
@@ -491,13 +451,14 @@ class MeshGeometry:
     validating, which has neither: no cells, and none of the parts that
     read them or the triangulation.
 
-    Each face has one plane, its best fit (see fit): per face its
-    centroid, unit normal, residual (largest vertex distance to the
-    plane), in-plane basis u, v (u x v = normal) and area, and per corner
-    uv, its coordinates in its face's (u, v) frame; face f's polygon is
-    the slice of uv its corners hold.  A Polyhedron's geometry has every
-    face fitted, read-only; the geometry of raw data fits only the faces
-    surgery asks for, which `fitted` marks.
+    Each face has one plane (see fit): per face its centroid, unit
+    normal, residual (largest vertex distance to the plane), in-plane
+    basis u, v (u x v = normal) and area, and per corner uv, its
+    coordinates in its face's (u, v) frame; face f's polygon is the slice
+    of uv its corners hold.  A Polyhedron's geometry has every face
+    fitted at once, by Newell's method, read-only; the geometry of raw
+    data fits only the faces surgery asks for, by least squares, which
+    `fitted` marks.
     """
 
     def __init__(self, vertices: np.ndarray,
@@ -516,72 +477,78 @@ class MeshGeometry:
         self.corner_vertex = corners.vertex
         self.next_corner = corners.next
         self.fitted = np.zeros(len(corners.size), dtype=bool)
-        self.centroid, self.normal, self.u, self.v = \
-            np.empty((4, len(self.fitted), 3))
-        self.residual, self.area = np.empty((2, len(self.fitted)))
-        self.uv = np.empty((len(corners.vertex), 2))
+        if self.combinatorics is None:      # fitted a few faces at a time
+            self.centroid, self.normal, self.u, self.v = \
+                np.empty((4, len(self.fitted), 3))
+            self.residual, self.area = np.empty((2, len(self.fitted)))
+            self.uv = np.empty((len(corners.vertex), 2))
 
     def fit(self, faces: np.ndarray | None = None) -> "MeshGeometry":
         """Fit the planes of the given faces, every face when None, that
-        are not fitted yet, and return self.  A plane is the SVD fit of
-        _geom.plane_fit, signed by its face's Newell sum, with the
-        _geom.plane_basis frame.  The fit, the projection into the frame
-        and the area run once per face length, each on one stack in which
-        a face gets the bits it gets fitted alone; the frames run once
-        over every face fitted, a row at a time as alone, and each array
-        is written once.  A first fit of every face takes its groups from
-        the record."""
+        are not fitted yet, and return self.  A geometry on a record fits
+        every face at once (_newell).  One of raw data fits a face as
+        surgery cuts it: the least-squares plane of _geom.plane_fit with
+        the _geom.plane_basis frame, run once per face length on one stack
+        in which a face gets the bits it gets fitted alone."""
+        if self.combinatorics is not None:
+            if not np.logical_and.reduce(self.fitted):
+                self._newell()
+            return self
         todo = (~self.fitted).nonzero()[0] if faces is None else \
             faces[~self.fitted[faces]]
-        if faces is None and len(todo) == len(self.fitted) and \
-                self.combinatorics is not None:
-            groups = self.combinatorics.length_groups
-        else:
-            groups = _length_groups(self.face_size, self.face_start,
-                                    self.corner_vertex, todo)
-        if groups.points:
-            rows, ends = groups.rows, groups.ends
-            pts = [self.vertices.take(ids, axis=0) for ids in groups.points]
-            c, n, resid = (np.concatenate(a) for a in
-                           zip(*map(_geom.plane_fit, pts)))
+        sizes = self.face_size[todo]
+        for k in np.bincount(sizes).nonzero()[0]:
+            rows = todo[sizes == k]
+            corner = self.face_start[rows][:, None] + np.arange(k)
+            pts = self.vertices.take(self.corner_vertex[corner], axis=0)
+            c, n, resid = _geom.plane_fit(pts)
             u, v = _geom.plane_basis(n)
-            uv = [_geom.project_2d(p, c[a:b], u[a:b], v[a:b])
-                  for p, a, b in zip(pts, ends, ends[1:])]
+            uv = _geom.project_2d(pts, c, u, v)
             self.centroid[rows], self.normal[rows], self.residual[rows] = \
                 c, n, resid
-            self.u[rows], self.v[rows] = u, v
-            self.area[rows] = np.concatenate(
-                [_geom.polygon_area_2d(p) for p in uv])
-            self.uv[groups.corners] = \
-                np.concatenate([p.reshape(-1, 2) for p in uv])
+            self.u[rows], self.v[rows], self.uv[corner] = u, v, uv
+            self.area[rows] = _geom.polygon_area_2d(uv)
         self.fitted[todo] = True
         if np.logical_and.reduce(self.fitted):
-            for a in (self.centroid, self.normal, self.u, self.v,
-                      self.residual, self.area, self.uv):
-                a.setflags(write=False)
+            self._freeze()
         return self
 
-    # measured gain: construct-chain +1.4% without reuse
-    def reuse(self, other: "MeshGeometry") -> "MeshGeometry":
-        """Take the planes `other` has fitted when its vertex array and
-        corner layout are this geometry's, bit for bit, and return self;
-        fit then fits only the faces other has not.  A face's plane is a
-        function of its own points (see fit), so each row taken is the one
-        fit would give it here."""
-        if not all(a.shape == b.shape and a.tobytes() == b.tobytes()
-                   for a, b in ((self.vertices, other.vertices),
-                                (self.face_size, other.face_size),
-                                (self.corner_vertex, other.corner_vertex))):
-            return self
-        rows, corners = other.fitted, other.fitted[self.corner_face]
-        for name in ("residual", "area"):
-            getattr(self, name)[rows] = getattr(other, name)[rows]
-        for name in ("centroid", "normal", "u", "v"):
-            getattr(self, name)[rows] = getattr(other, name).compress(
-                rows, axis=0)
-        self.uv[corners] = other.uv.compress(corners, axis=0)
-        self.fitted[:] = rows
-        return self
+    def _newell(self) -> None:
+        """Fit every face in one pass over the corners, with no SVD
+        (Newell's method: Sutherland, Sproull & Schumacker 1974; Tampieri,
+        Graphics Gems III, 1992).  Per face: its centroid; the Newell
+        vector N of its cycle about the centroid, the sum of the cross
+        products of consecutive corners, and the unit normal N / |N|; the
+        residual, the largest |d . n| over its corners d about the
+        centroid; the _geom.plane_basis frame and uv; and the area |N| / 2.
+        The sums are np.add.reduceat's, so a face's plane has the bits of
+        its own points fitted alone.  A face of zero vector area has area
+        0, never NaN, and NaN for its normal, frame and residual."""
+        face, start = self.corner_face, self.face_start
+        pts = self.vertices.take(self.corner_vertex, axis=0)
+        c = np.add.reduceat(pts, start, axis=0)
+        c /= self.face_size[:, None]
+        d = pts - c.take(face, axis=0)
+        newell = np.add.reduceat(
+            _geom.cross(d, d.take(self.next_corner, axis=0)), start, axis=0)
+        twice = _geom.norm(newell)
+        with np.errstate(invalid="ignore"):
+            n = newell / twice[:, None]
+        self.residual = np.maximum.reduceat(
+            np.abs(_geom.dot(d, n.take(face, axis=0))), start)
+        u, v = _geom.plane_basis(n)
+        uv = np.empty((len(d), 2))
+        uv[:, 0] = _geom.dot(d, u.take(face, axis=0))
+        uv[:, 1] = _geom.dot(d, v.take(face, axis=0))
+        self.centroid, self.normal, self.u, self.v, self.uv = c, n, u, v, uv
+        self.area = 0.5 * twice
+        self.fitted[:] = True
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for a in (self.centroid, self.normal, self.u, self.v,
+                  self.residual, self.area, self.uv):
+            a.setflags(write=False)
 
     def inside_clearance(self, faces: np.ndarray, points: np.ndarray
                          ) -> np.ndarray:
@@ -837,8 +804,8 @@ COORDINATE_LIMIT = 1e64
 
 def build_polyhedron(vertices, faces,
                      metadata: MeshMetadata | None = None,
-                     edge_slots: EdgeSlots | np.ndarray | None = None,
-                     planes: MeshGeometry | None = None) -> Polyhedron:
+                     edge_slots: EdgeSlots | np.ndarray | None = None
+                     ) -> Polyhedron:
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
@@ -857,9 +824,8 @@ def build_polyhedron(vertices, faces,
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
-    are paired by vertex pair.  `planes`, the geometry of the same raw
-    data (surgery.pierce returns one), lends the planes it has fitted (see
-    MeshGeometry.reuse), so that only the other faces are fitted.
+    are paired by vertex pair.  The geometry fits every face's plane in
+    one Newell pass (MeshGeometry.fit).
     """
     meta = MeshMetadata() if metadata is None else metadata
     _record(meta, MeshMetadata, "the metadata")
@@ -890,10 +856,7 @@ def build_polyhedron(vertices, faces,
         record = Combinatorics.of(faces, n, edge_slots)
 
     pts = pts.copy()
-    geo = MeshGeometry(pts, record)
-    if planes is not None:
-        geo.reuse(planes)
-    geo.fit()
+    geo = MeshGeometry(pts, record).fit()
     poly = Polyhedron._of_arrays(pts, record, meta, geo)
     ends = record.edge_pairs
     scale = geo.scale
@@ -903,12 +866,14 @@ def build_polyhedron(vertices, faces,
         u, v = ends[short.argmax()]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
-    # per face, in order: planarity, area, then simplicity; the first face
-    # that fails raises.  The faces before the first that fails one of the
-    # two array checks are tested for simplicity, all but the triangles,
-    # which have no two sides that do not meet at a corner
-    warped = geo.residual > PLANARITY_TOL * scale
-    bad = warped | (geo.area <= LENGTH_TOL * scale * scale)
+    # per face, in order: area, planarity, then simplicity; the first face
+    # that fails raises.  A face of near-zero area has no plane to deviate
+    # from: the direction of a Newell vector of rounding noise is noise.
+    # The faces before the first that fails one of the two array checks
+    # are tested for simplicity, all but the triangles, which have no two
+    # sides that do not meet at a corner
+    tiny = geo.area <= LENGTH_TOL * scale * scale
+    bad = tiny | (geo.residual > PLANARITY_TOL * scale)
     first = int(bad.argmax()) if np.logical_or.reduce(bad) else len(bad)
     uv = geo.uv.tolist()
     for fi, a, k in record.polygons:
@@ -917,10 +882,10 @@ def build_polyhedron(vertices, faces,
         if not _geom.polygon_is_simple(uv[a:a + k]):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
     if first < len(bad):
-        if warped[first]:
-            raise DegenerateFace(f"face {first} deviates "
-                                 f"{geo.residual[first]:.2e} from planarity")
-        raise DegenerateFace(f"face {first} has near-zero area")
+        if tiny[first]:
+            raise DegenerateFace(f"face {first} has near-zero area")
+        raise DegenerateFace(f"face {first} deviates "
+                             f"{geo.residual[first]:.2e} from planarity")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:

@@ -467,10 +467,14 @@ def _spokes(part: list[tuple[int, ...]], first_ring: int
 
 
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
-    """p's parts and a geometry of them: a validated mesh's own, or one
-    that fits the planes of raw data's faces as they are asked for."""
+    """p's parts and a geometry of them that fits the planes of their
+    faces as they are asked for, in surgery's least-squares frames (see
+    MeshGeometry.fit), for a validated mesh too: drilled vertices are
+    placed in those frames, whose in-plane axes a Newell normal would
+    move.  A validated mesh lends its corner layout."""
     if isinstance(_mesh(p, raw=True), Polyhedron):
-        return MeshData(p.vertices, p.faces, p.metadata), p.geometry
+        return MeshData(p.vertices, p.faces, p.metadata), MeshGeometry(
+            p.vertices, p.combinatorics.corners)
     return p, MeshGeometry(np.asarray(p.vertices, float),
                            _corner_layout(p.faces))
 
@@ -600,8 +604,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    out, planes = pierce(data, geo, spec, _axis(geo, spec))
-    return build_polyhedron(*out, planes=planes)
+    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec))[0])
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -617,8 +620,7 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
     Each step pierces with the geometry the step before returned, so only
-    new pieces are laid out and fitted, and the build fits only the faces
-    the last step's geometry has not.
+    new pieces are laid out and fitted.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
@@ -659,7 +661,7 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 SelfCrossingPartition) as exc:
             last_err = exc
         else:
-            return build_polyhedron(*out, planes=step_geo)
+            return build_polyhedron(*out)
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")
 

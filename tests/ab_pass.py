@@ -45,7 +45,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def _load(name: str, path: Path, package: Path | None = None):
+def load(name: str, path: Path, package: Path | None = None):
     """Import the module at `path` (a package when `package` is its
     directory) under `name`."""
     spec = importlib.util.spec_from_file_location(
@@ -64,8 +64,8 @@ def side(root: Path, name: str):
     """perfbench/workloads.py run against checkout `root`'s library,
     imported as package `name`."""
     package = root / "src" / "ccpforge"
-    _load(name, package / "__init__.py", package)
-    workloads = _load(f"{name}_workloads", ROOT / "perfbench" / "workloads.py")
+    load(name, package / "__init__.py", package)
+    workloads = load(f"{name}_workloads", ROOT / "perfbench" / "workloads.py")
     workloads._mod = lambda module: importlib.import_module(
         name + module.removeprefix("ccpforge"))
     return workloads

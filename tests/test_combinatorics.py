@@ -141,8 +141,7 @@ def shared_arrays(record):
     """Every array the record holds, computed ones included."""
     parts = [*record.corners, record.prev_corner, record.corner_count,
              record.cells, record.edge_pairs, *record.cell_corners,
-             record.length_groups.rows, record.length_groups.corners,
-             *record.length_groups.points, *record.triangle_runs,
+             *record.triangle_runs,
              record.next_vertex, record.face_side, record.face_vertex]
     assert all(isinstance(a, np.ndarray) for a in parts)
     return parts

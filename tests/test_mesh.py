@@ -372,32 +372,105 @@ def test_non_finite_vertex_rejected(bad):
         build_polyhedron(verts, TET_F)
 
 
+def newell_face(pts):
+    """One face's plane as a validated mesh fits it, from its own (k, 3)
+    points alone: the centroid, the Newell vector of the cycle about it
+    and the unit normal from it, the residual, the plane_basis frame, uv
+    and the area, half the Newell vector's length."""
+    c = np.add.reduceat(pts, [0], axis=0)[0] / len(pts)
+    d = pts - c
+    newell = np.add.reduceat(_geom.cross(d, np.roll(d, -1, axis=0)), [0],
+                             axis=0)[0]
+    n = newell / _geom.norm(newell)
+    u, v = _geom.plane_basis(n)
+    uv = np.stack([_geom.dot(d, u), _geom.dot(d, v)], axis=1)
+    resid = np.abs(_geom.dot(d, n)).max()
+    return c, n, resid, u, v, uv, 0.5 * _geom.norm(newell)
+
+
+def least_squares_face(pts):
+    """One face's plane as surgery fits it, from its own (k, 3) points
+    alone: plane_fit, the plane_basis frame, uv and the signed area."""
+    c, n, resid = _geom.plane_fit(pts)
+    u, v = _geom.plane_basis(n)
+    uv = _geom.project_2d(pts, c, u, v)
+    return c, n, resid, u, v, uv, _geom.polygon_area_2d(uv)
+
+
 def assert_frames_fit_face_by_face(p, geo=None):
-    """The plane arrays of geo, p's geometry when None, fitted per face
-    length, equal fitting each face's own (k, 3) points alone, to the
-    last bit."""
+    """The plane arrays of geo, p's geometry when None, equal fitting each
+    face's own (k, 3) points alone, to the last bit: by newell_face for a
+    geometry on a record, by least_squares_face for one of raw data."""
     geo = p.geometry if geo is None else geo
+    fit = least_squares_face if geo.combinatorics is None else newell_face
     assert geo.fitted.all() and len(geo.fitted) == p.n_faces
     for f, cyc in enumerate(p.faces):
-        pts = p.vertices[list(cyc)]
-        c, n, resid = _geom.plane_fit(pts)
-        u, v = _geom.plane_basis(n)
-        uv = _geom.project_2d(pts, c, u, v)
-        want = (c, n, resid, u, v, uv, _geom.polygon_area_2d(uv))
         got = (geo.centroid[f], geo.normal[f], geo.residual[f], geo.u[f],
                geo.v[f], face_polygon(geo, f), geo.area[f])
-        for a, b in zip(got, want, strict=True):
+        for a, b in zip(got, fit(p.vertices[list(cyc)]), strict=True):
             assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
 def test_frames_equal_face_by_face_fits(name, genus, params):
+    """A validated mesh's planes, fitted in one pass over every corner,
+    are each face's own Newell fit, also after a rigid motion."""
     p = family(name, genus, **params)
     assert_frames_fit_face_by_face(p)
     rot, tr = random_rigid_motion(np.random.default_rng(len(p.faces)))
     assert_frames_fit_face_by_face(build_polyhedron(
         (rot @ p.vertices.T).T + tr, p.faces, metadata=p.metadata,
         edge_slots=p.edge_slots))
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
+def test_newell_normals_are_the_least_squares_ones(name, genus, params):
+    """On a planar face the Newell normal and the least-squares normal
+    that surgery cuts with agree to within 1e-12, sign included."""
+    p = family(name, genus, **params)
+    lsq = MeshGeometry(p.vertices, p.combinatorics.corners).fit()
+    assert np.abs(p.geometry.normal - lsq.normal).max() < 1e-12
+
+
+COLLINEAR_FACES = [(0, 3, 1), (0, 1, 2), (0, 2, 4), (1, 3, 4), (0, 4, 3),
+                   (1, 4, 2)]
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_a_collinear_face_has_near_zero_area(seed):
+    """Face 0's third corner lies on the segment between its other two:
+    exactly (seed None), where its Newell vector and area are 0, never
+    NaN, or drawn in general position, where the vector is rounding noise
+    whose direction is noise too.  Either way the build raises near-zero
+    area for the face, not a deviation from a plane, with no warning and
+    no verdict."""
+    if seed is None:
+        v = np.array([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 0),
+                      (0, 0, 2)], float)
+        geo = MeshGeometry(v, mesh_mod.Combinatorics.of(COLLINEAR_FACES,
+                                                        len(v))).fit()
+        assert geo.area[0] == 0.0 and not np.isnan(geo.area).any()
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(5, 3)) * 10.0 ** rng.uniform(-2, 2)
+        v[3] = v[0] + rng.uniform(0.2, 0.8) * (v[1] - v[0])
+    with pytest.raises(DegenerateFace, match="^face 0 has near-zero area$"):
+        build_polyhedron(v, COLLINEAR_FACES)
+
+
+@pytest.mark.parametrize("lift", [1e-6, -1e-6])
+def test_a_lifted_vertex_deviates_from_planarity(lift):
+    """p2-24 with a vertex of its last face lifted by 1e-6 off the plane of
+    the first face that holds it raises for that face, by how much it
+    deviates."""
+    p = gen_p2_24()
+    v = p.vertices.copy()
+    w = p.faces[-1][0]
+    first = min(f for f, cyc in enumerate(p.faces) if w in cyc)
+    v[w] += lift * p.geometry.normal[first]
+    with pytest.raises(DegenerateFace, match=f"^face {first} deviates "
+                       r"\d\.\d\de-0[67] from planarity$"):
+        build_polyhedron(v, p.faces)
 
 
 @pytest.mark.parametrize("name,genus,first", [
@@ -608,15 +681,15 @@ def test_explicit_cells_sort_as_by_six_keys(name, genus, params):
 
 def first_face_failure(geo, is_simple):
     """The per-face loop the array checks replaced: face by face, in
-    order, planarity, area, then the simplicity of a face of four or more
+    order, area, planarity, then the simplicity of a face of four or more
     vertices; the message of the first failure, or None."""
     scale = geo.scale
     for fi in range(len(geo.face_size)):
         resid = float(geo.residual[fi])
-        if resid > mesh_mod.PLANARITY_TOL * scale:
-            return f"face {fi} deviates {resid:.2e} from planarity"
         if geo.area[fi] <= mesh_mod.LENGTH_TOL * scale * scale:
             return f"face {fi} has near-zero area"
+        if resid > mesh_mod.PLANARITY_TOL * scale:
+            return f"face {fi} deviates {resid:.2e} from planarity"
         if geo.face_size[fi] > 3 and \
                 not is_simple(face_polygon(geo, fi).tolist()):
             return f"face {fi} is not a simple polygon"
@@ -627,32 +700,33 @@ def first_face_failure(geo, is_simple):
 def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
     """p2-24 (18 faces of 4, 6 and 8 vertices) with up to two vertices
     lifted off their faces' planes, and up to two faces each taken as of
-    zero area or as not simple: build_polyhedron names the face and the
-    check that the per-face loop named first."""
+    zero area (by the Newell pass) or as not simple: build_polyhedron
+    names the face and the check that the per-face loop named first."""
     rng = np.random.default_rng(seed)
     p = gen_p2_24()
     v = p.vertices.copy()
     lifted = rng.choice(len(v), int(rng.integers(0, 3)), replace=False)
     v[lifted, 2] += 1e-6
-    layout = _corner_layout(p.faces)
-    geo = MeshGeometry(v, layout).fit()
-    faces = {face_polygon(geo, f).tobytes(): f for f in range(p.n_faces)}
     flat, crossed = (set(rng.choice(p.n_faces, int(rng.integers(0, 3)),
                                     replace=False).tolist())
                      for _ in range(2))
-    area = _geom.polygon_area_2d
+    newell = MeshGeometry._newell
 
-    def flattened(poly):
-        rows = poly.reshape(-1, *poly.shape[-2:])
-        zero = [faces[r.tobytes()] in flat for r in rows]
-        return np.where(np.reshape(zero, poly.shape[:-2]), 0.0, area(poly))
+    def flattened(geo):
+        newell(geo)
+        geo.area = np.where(np.isin(np.arange(p.n_faces), list(flat)), 0.0,
+                            geo.area)
+
+    monkeypatch.setattr(MeshGeometry, "_newell", flattened)
+    geo = MeshGeometry(v, p.combinatorics).fit()
+    assert [f for f in range(p.n_faces) if geo.area[f] == 0] == sorted(flat)
+    faces = {face_polygon(geo, f).tobytes(): f for f in range(p.n_faces)}
 
     def is_simple(pts, eps=1e-12):
         return faces[np.array(pts).tobytes()] not in crossed
 
-    monkeypatch.setattr(_geom, "polygon_area_2d", flattened)
     monkeypatch.setattr(_geom, "polygon_is_simple", is_simple)
-    want = first_face_failure(MeshGeometry(v, layout).fit(), is_simple)
+    want = first_face_failure(geo, is_simple)
     if want is None:
         build_polyhedron(v, p.faces)
     else:

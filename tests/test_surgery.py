@@ -490,28 +490,40 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     assert drilled.type is bare.type
 
 
-def test_chained_minimal_fits_few_face_rows(monkeypatch):
-    """gen_minimal(40) (282 faces) glues its twenty T-blocks as data and
-    validates the result once: one build_polyhedron call, which fits each
-    of the 282 faces exactly once."""
-    rows, builds = [], []
-    fit = geom_mod.plane_fit
-    build = surgery_mod.build_polyhedron
+def counted_fits(monkeypatch) -> tuple[list, list]:
+    """Two lists that record, from now on, each point set
+    _geom.plane_fit fits (the bytes of its (k, 3) points) and each Newell
+    pass of a validated mesh's geometry."""
+    fitted, passes = [], []
+    fit, newell = geom_mod.plane_fit, mesh_mod.MeshGeometry._newell
 
     def counted(pts):
-        rows.append(1 if pts.ndim == 2 else len(pts))
+        fitted.extend(x.tobytes() for x in pts.reshape(-1, *pts.shape[-2:]))
         return fit(pts)
+
+    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    monkeypatch.setattr(mesh_mod.MeshGeometry, "_newell",
+                        lambda geo: passes.append(1) or newell(geo))
+    return fitted, passes
+
+
+def test_chained_minimal_fits_few_face_rows(monkeypatch):
+    """gen_minimal(40) (282 faces) glues its twenty T-blocks as data and
+    validates the result once: one build_polyhedron call, which fits all
+    282 faces in one Newell pass and none by least squares."""
+    builds = []
+    build = surgery_mod.build_polyhedron
 
     def counted_build(*args, **kw):
         builds.append(1)
         return build(*args, **kw)
 
-    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    fitted, passes = counted_fits(monkeypatch)
     for module in (mesh_mod, surgery_mod, generators_mod):
         monkeypatch.setattr(module, "build_polyhedron", counted_build)
     assert gen_minimal(40).n_faces == 282
-    assert sum(rows) == 282
-    assert len(builds) == 1
+    assert fitted == []
+    assert len(builds) == len(passes) == 1
 
 
 def test_pierce_returns_the_next_geometry():
@@ -520,8 +532,8 @@ def test_pierce_returns_the_next_geometry():
     corner layout is that of the whole face list it returned."""
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
-    out, geo = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
-                      spec, _axis(p.geometry, spec))
+    data, frames = surgery_mod._raw(p)
+    out, geo = pierce(data, frames.fit(), spec, _axis(frames, spec))
     n = p.n_faces - 2
     assert geo.vertices is out.vertices
     assert geo.fitted[:n].all() and not geo.fitted[n:].any()
@@ -540,15 +552,17 @@ def test_pierce_returns_the_next_geometry():
 
 @pytest.mark.parametrize("dropped", [[0, 17], [17, 0], [5, 6], [6, 5]])
 def test_carry_keeps_the_other_faces(dropped):
-    """carry on p2-24's geometry (18 faces), dropping the first and last
-    faces or two adjacent ones, in either order: its layout is that of
-    the kept faces and then the new ones, the kept faces' planes and uv
-    are a fresh fit's bit for bit, and the new faces are unfitted."""
+    """carry on p2-24's least-squares frames (18 faces), dropping the
+    first and last faces or two adjacent ones, in either order: its
+    layout is that of the kept faces and then the new ones, the kept
+    faces' planes and uv are a fresh fit's bit for bit, and the new faces
+    are unfitted."""
     p = gen_p2_24()
     verts = np.vstack([p.vertices, [(0.0, 0.0, 5.0)]])
     new = [p.faces[f][::-1] for f in dropped] + [(0, 1, len(p.vertices))]
     faces = [f for i, f in enumerate(p.faces) if i not in dropped] + new
-    geo = p.geometry.carry(dropped, verts, mesh_mod._corner_layout(new))
+    geo = surgery_mod._raw(p)[1].fit().carry(
+        dropped, verts, mesh_mod._corner_layout(new))
     layout = mesh_mod._corner_layout(faces)
     for name, want in zip(("face_size", "face_start", "corner_vertex",
                            "corner_face", "next_corner"), layout):
@@ -566,66 +580,43 @@ def test_carry_keeps_the_other_faces(dropped):
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
     """Each step of drill_repeat keeps the planes of the faces it keeps,
     so orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit
-    at most two plane rows per face of the result, final build included,
-    where re-fitting every sub-face of both pierced planes at each step
-    grew as k squared."""
-    rows = []
-    fit = geom_mod.plane_fit
-
-    def counted(pts):
-        rows.append(1 if pts.ndim == 2 else len(pts))
-        return fit(pts)
-
-    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    at most two plane rows per face of the result, where re-fitting every
+    sub-face of both pierced planes at each step grew as k squared."""
+    fitted, _ = counted_fits(monkeypatch)
     for genus in (24, 48):
-        rows.clear()
+        fitted.clear()
         p = generate_family(FamilyRequest("orientable", genus))
-        assert sum(rows) <= 2 * p.n_faces, (genus, sum(rows), p.n_faces)
+        assert len(fitted) <= 2 * p.n_faces, (genus, len(fitted), p.n_faces)
 
 
 def test_drilled_build_fits_no_face_twice(monkeypatch):
-    """orientable g = 8 drills p2-24 six times; the one build takes the
-    planes the last drill step's geometry has fitted, so no face of the
-    268-face result is fitted twice (refitting them all took 442 rows)."""
-    fitted = []
-    fit = geom_mod.plane_fit
-
-    def counted(pts):
-        fitted.extend(x.tobytes() for x in pts.reshape(-1, *pts.shape[-2:]))
-        return fit(pts)
-
-    monkeypatch.setattr(geom_mod, "plane_fit", counted)
+    """orientable g = 8 drills p2-24 six times: the drill steps fit no
+    face's least-squares plane twice (refitting them all took 442 rows),
+    and the one build fits the 268-face result in one Newell pass."""
+    fitted, passes = counted_fits(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 8))
     assert p.n_faces == 268
-    times = Counter(fitted)
-    assert [times[p.vertices[list(cyc)].tobytes()] for cyc in p.faces] == \
-        [1] * p.n_faces
+    assert max(Counter(fitted).values()) == 1
     assert len(fitted) < 442
+    assert len(passes) == 1
 
 
-def test_reuse_takes_the_planes_of_the_same_data_only():
-    """MeshGeometry.reuse copies the planes a pierce step fitted when the
-    vertex array and corner layout are the step's, each row the bits a
-    fresh fit gives; when either differs it takes none."""
-    p = gen_p2_24()
-    spec = DrillSpec(0, 1, 12)
-    out, geo = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
-                      spec, _axis(p.geometry, spec))
-    layout = mesh_mod._corner_layout(out.faces)
-    fresh = mesh_mod.MeshGeometry(out.vertices, layout).fit()
-    got = mesh_mod.MeshGeometry(out.vertices.copy(), layout).reuse(geo)
-    assert np.array_equal(got.fitted, geo.fitted) and geo.fitted.any()
-    got.fit()
-    for name in ("centroid", "normal", "u", "v", "residual", "area", "uv"):
-        assert getattr(got, name).tobytes() == \
-            getattr(fresh, name).tobytes(), name
-    moved = out.vertices.copy()
-    moved[-1, 2] = np.nextafter(moved[-1, 2], 9.0)
-    flipped = list(out.faces)
-    flipped[0] = flipped[0][::-1]
-    for verts, faces in ((moved, out.faces), (out.vertices, flipped)):
-        other = mesh_mod.MeshGeometry(verts, mesh_mod._corner_layout(faces))
-        assert not other.reuse(geo).fitted.any()
+@pytest.mark.parametrize("name,base,spec,k", [
+    ("p2-24", gen_p2_24, DrillSpec(0, 1, 12), 1),
+    ("q3-18", gen_q3_18, DrillSpec(1, 0, 18), 1),
+    ("cho", gen_cubohemioctahedron, DrillSpec(4, 5, 6, phase=0.3), 1),
+    ("p2-24-k3", gen_p2_24, DrillSpec(0, 1, 12), 3)])
+def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
+    """Drilling a validated mesh and drilling its raw parts give the same
+    mesh bit for bit: both cut in the least-squares frames of the faces,
+    not in the validated mesh's Newell planes."""
+    p = base()
+    raw = MeshData(p.vertices.copy(), list(p.faces), p.metadata)
+    got, want = drill_repeat(p, spec, k), drill_repeat(raw, spec, k)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces == want.faces and got.edge_slots == want.edge_slots
+    assert got.metadata == want.metadata
+    assert_same_planes(got, want)
 
 
 def _z_faces(data):
