@@ -59,22 +59,16 @@ def tolerance_scale(points: np.ndarray, axis=None):
 
 
 def plane_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares planes of (..., k, 3) point sets: the planes surgery
-    cuts in (MeshGeometry.fit of raw data, retile_pierced_face), whose
-    frames place drilled vertices; a validated mesh's planes are Newell's.
-
-    Returns the centroids (..., 3), the unit normals (..., 3) and the
-    largest distances of a point to its plane (...).  Each normal is the
-    smallest principal direction, turned to agree with the Newell normal
-    (right-hand rule over the cycle order) of its own points taken about
-    their centroid, so that where the points lie does not sway the sign.
-    """
+    """Newell planes of (..., k, 3) point cycles, as MeshGeometry fits a
+    face, for retile_pierced_face's annuli: the centroids (..., 3), the
+    unit normals (..., 3), each the Newell vector of its cycle about its
+    centroid over its length (NaN where it is zero), and the largest
+    distances of a point to its plane (...)."""
     c = np.add.reduce(pts, axis=-2) / pts.shape[-2]
     d = pts - c[..., None, :]
-    _, _, vt = np.linalg.svd(d, full_matrices=False)
-    n = vt[..., -1, :]
     newell = np.add.reduce(cross(d, _succ(d)), axis=-2)
-    n = np.where((dot(n, newell) < 0)[..., None], -n, n)
+    with np.errstate(invalid="ignore"):
+        n = newell / norm(newell)[..., None]
     resid = np.maximum.reduce(np.abs(np.matvec(d, n)), axis=-1)
     return c, n, resid
 
@@ -85,10 +79,13 @@ _AXES = np.arange(3)
 
 def plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal in-plane bases (u, v), u x v = n, of
-    (..., 3) normals: u is the axis of n's smallest component made
-    orthogonal to n."""
+    (..., 3) normals: u is the first axis whose |n_i| lies within 1e-12
+    of n's smallest component, made orthogonal to n, so that rounding
+    noise does not pick it: a z-facing face gets e_x."""
     n = n / norm(n)[..., None]
-    e = (_AXES == np.abs(n).argmin(axis=-1)[..., None]) * 1.0
+    a = np.abs(n)
+    tied = a <= np.minimum.reduce(a, axis=-1)[..., None] + 1e-12
+    e = (_AXES == tied.argmax(axis=-1)[..., None]) * 1.0
     w = e - dot(e, n)[..., None] * n
     u = w / norm(w)[..., None]
     return u, cross(n, u)

@@ -53,6 +53,11 @@ class TopologyClass:
     euler_characteristic: int
 
 
+# the metadata fields that are collections, each with its kind
+_COLLECTIONS = (("provenance", list), ("vertex_labels", dict),
+                ("seam_edges", set))
+
+
 @dataclass
 class MeshMetadata:
     family: str | None = None
@@ -67,13 +72,19 @@ class MeshMetadata:
     seam_edges: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        """verify compares these three: each is None or of its kind."""
+        """verify compares genus, orientable and expected_defect: each is
+        None or of its kind.  Provenance, vertex_labels and seam_edges are
+        a list, a dict and a set, which the flat-edge check reads."""
         g, o, d = self.genus, self.orientable, self.expected_defect
         if not ((g is None or isinstance(g, numbers.Integral))
                 and (o is None or isinstance(o, (bool, np.bool_)))
                 and (d is None or _finite(d))):
             raise BadParameters(f"metadata genus {g!r}, orientable {o!r} or "
                                 f"expected defect {d!r} is of another kind")
+        for name, kind in _COLLECTIONS:
+            if not isinstance(getattr(self, name), kind):
+                raise BadParameters(
+                    f"metadata {name} is not a {kind.__name__}")
 
     # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
@@ -84,9 +95,8 @@ class MeshMetadata:
 def replace_meta(meta: MeshMetadata, **kw) -> MeshMetadata:
     """meta with the fields kw names replaced; the copy shares no list,
     dict or set with meta."""
-    copies = {name: copy(getattr(meta, name)) for name, copy in (
-        ("provenance", list), ("vertex_labels", dict), ("seam_edges", set))
-        if name not in kw}
+    copies = {name: copy(getattr(meta, name)) for name, copy in _COLLECTIONS
+              if name not in kw}
     return replace(meta, **copies, **kw)
 
 
@@ -436,6 +446,42 @@ class Combinatorics:
         return _readonly(keys)
 
 
+# the plane parts of a MeshGeometry, in _newell's order: per face but uv,
+# which is per corner
+_PLANES = ("centroid", "normal", "residual", "u", "v", "uv", "area")
+
+
+def _newell(vertices: np.ndarray, corners: _Corners
+            ) -> tuple[np.ndarray, ...]:
+    """The read-only planes, in _PLANES order, of the faces laid out in
+    `corners`, in one pass over their corners by Newell's method
+    (Sutherland, Sproull & Schumacker 1974; Tampieri, Graphics Gems III,
+    1992).  Per face: its centroid; the Newell vector N of its cycle about
+    the centroid and the unit normal N / |N|; the residual, the largest
+    |d . n| over its corners d about the centroid; the _geom.plane_basis
+    frame and uv; and the area |N| / 2.  Each sum runs over one face's
+    corners (np.add.reduceat), so a face's plane has the bits of its own
+    points fitted alone.  A face of zero vector area has area 0 and a
+    NaN normal, frame and residual."""
+    face, start = corners.face, corners.start
+    pts = vertices.take(corners.vertex, axis=0)
+    c = np.add.reduceat(pts, start, axis=0)
+    c /= corners.size[:, None]
+    d = pts - c.take(face, axis=0)
+    newell = np.add.reduceat(
+        _geom.cross(d, d.take(corners.next, axis=0)), start, axis=0)
+    twice = _geom.norm(newell)
+    with np.errstate(invalid="ignore"):
+        n = newell / twice[:, None]
+    resid = np.maximum.reduceat(np.abs(_geom.dot(d, n.take(face, axis=0))),
+                                start)
+    u, v = _geom.plane_basis(n)
+    uv = np.empty((len(d), 2))
+    uv[:, 0] = _geom.dot(d, u.take(face, axis=0))
+    uv[:, 1] = _geom.dot(d, v.take(face, axis=0))
+    return tuple(map(_readonly, (c, n, resid, u, v, uv, 0.5 * twice)))
+
+
 class MeshGeometry:
     """Every geometric quantity of one mesh, each computed once.
 
@@ -451,18 +497,22 @@ class MeshGeometry:
     validating, which has neither: no cells, and none of the parts that
     read them or the triangulation.
 
-    Each face has one plane (see fit): per face its centroid, unit
-    normal, residual (largest vertex distance to the plane), in-plane
-    basis u, v (u x v = normal) and area, and per corner uv, its
-    coordinates in its face's (u, v) frame; face f's polygon is the slice
-    of uv its corners hold.  A Polyhedron's geometry has every face
-    fitted at once, by Newell's method, read-only; the geometry of raw
-    data fits only the faces surgery asks for, by least squares, which
-    `fitted` marks.
+    Each face has one plane, fitted at construction by Newell's method
+    (_newell): per face its centroid, unit normal, residual (largest
+    vertex distance to the plane), in-plane basis u, v (u x v = normal)
+    and area, and per corner uv, its coordinates in its face's (u, v)
+    frame; face f's polygon is the slice of uv its corners hold.
+    Validation, metrics and surgery all read these planes.
     """
 
     def __init__(self, vertices: np.ndarray,
                  layout: _Corners | Combinatorics):
+        corners = self._lay_out(vertices, layout)
+        self.__dict__.update(zip(_PLANES, _newell(vertices, corners)))
+
+    def _lay_out(self, vertices: np.ndarray,
+                 layout: _Corners | Combinatorics) -> _Corners:
+        """Take the vertices and the layout's parts; return its corners."""
         self.vertices = vertices
         if isinstance(layout, Combinatorics):
             self.combinatorics, corners = layout, layout.corners
@@ -476,87 +526,14 @@ class MeshGeometry:
         self.corner_face = corners.face
         self.corner_vertex = corners.vertex
         self.next_corner = corners.next
-        self.fitted = np.zeros(len(corners.size), dtype=bool)
-        if self.combinatorics is None:      # fitted a few faces at a time
-            self.centroid, self.normal, self.u, self.v = \
-                np.empty((4, len(self.fitted), 3))
-            self.residual, self.area = np.empty((2, len(self.fitted)))
-            self.uv = np.empty((len(corners.vertex), 2))
-
-    def fit(self, faces: np.ndarray | None = None) -> "MeshGeometry":
-        """Fit the planes of the given faces, every face when None, that
-        are not fitted yet, and return self.  A geometry on a record fits
-        every face at once (_newell).  One of raw data fits a face as
-        surgery cuts it: the least-squares plane of _geom.plane_fit with
-        the _geom.plane_basis frame, run once per face length on one stack
-        in which a face gets the bits it gets fitted alone."""
-        if self.combinatorics is not None:
-            if not np.logical_and.reduce(self.fitted):
-                self._newell()
-            return self
-        todo = (~self.fitted).nonzero()[0] if faces is None else \
-            faces[~self.fitted[faces]]
-        sizes = self.face_size[todo]
-        for k in np.bincount(sizes).nonzero()[0]:
-            rows = todo[sizes == k]
-            corner = self.face_start[rows][:, None] + np.arange(k)
-            pts = self.vertices.take(self.corner_vertex[corner], axis=0)
-            c, n, resid = _geom.plane_fit(pts)
-            u, v = _geom.plane_basis(n)
-            uv = _geom.project_2d(pts, c, u, v)
-            self.centroid[rows], self.normal[rows], self.residual[rows] = \
-                c, n, resid
-            self.u[rows], self.v[rows], self.uv[corner] = u, v, uv
-            self.area[rows] = _geom.polygon_area_2d(uv)
-        self.fitted[todo] = True
-        if np.logical_and.reduce(self.fitted):
-            self._freeze()
-        return self
-
-    def _newell(self) -> None:
-        """Fit every face in one pass over the corners, with no SVD
-        (Newell's method: Sutherland, Sproull & Schumacker 1974; Tampieri,
-        Graphics Gems III, 1992).  Per face: its centroid; the Newell
-        vector N of its cycle about the centroid, the sum of the cross
-        products of consecutive corners, and the unit normal N / |N|; the
-        residual, the largest |d . n| over its corners d about the
-        centroid; the _geom.plane_basis frame and uv; and the area |N| / 2.
-        The sums are np.add.reduceat's, so a face's plane has the bits of
-        its own points fitted alone.  A face of zero vector area has area
-        0, never NaN, and NaN for its normal, frame and residual."""
-        face, start = self.corner_face, self.face_start
-        pts = self.vertices.take(self.corner_vertex, axis=0)
-        c = np.add.reduceat(pts, start, axis=0)
-        c /= self.face_size[:, None]
-        d = pts - c.take(face, axis=0)
-        newell = np.add.reduceat(
-            _geom.cross(d, d.take(self.next_corner, axis=0)), start, axis=0)
-        twice = _geom.norm(newell)
-        with np.errstate(invalid="ignore"):
-            n = newell / twice[:, None]
-        self.residual = np.maximum.reduceat(
-            np.abs(_geom.dot(d, n.take(face, axis=0))), start)
-        u, v = _geom.plane_basis(n)
-        uv = np.empty((len(d), 2))
-        uv[:, 0] = _geom.dot(d, u.take(face, axis=0))
-        uv[:, 1] = _geom.dot(d, v.take(face, axis=0))
-        self.centroid, self.normal, self.u, self.v, self.uv = c, n, u, v, uv
-        self.area = 0.5 * twice
-        self.fitted[:] = True
-        self._freeze()
-
-    def _freeze(self) -> None:
-        for a in (self.centroid, self.normal, self.u, self.v,
-                  self.residual, self.area, self.uv):
-            a.setflags(write=False)
+        return corners
 
     def inside_clearance(self, faces: np.ndarray, points: np.ndarray
                          ) -> np.ndarray:
         """Per (n, 3) point, _geom.inside_clearance of its projection into
         the (u, v) frame of the face of `faces` (n,) at its place: 0 outside
-        the face.  Fits the faces; those of one length are measured in one
-        stack, in which a point gets the bits it gets alone."""
-        self.fit(faces)
+        the face.  The faces of one length are measured in one stack, in
+        which a point gets the bits it gets alone."""
         out = np.zeros(len(faces))
         sizes = self.face_size[faces]
         for k in np.bincount(sizes).nonzero()[0]:
@@ -571,26 +548,25 @@ class MeshGeometry:
         return out
 
     def carry(self, dropped: list[int], vertices: np.ndarray,
-              new: _Corners) -> "MeshGeometry":
+              faces) -> "MeshGeometry":
         """The geometry of a mesh on `vertices` (this mesh's first, at the
-        same places) whose faces are this mesh's but the `dropped` ones, in
-        order, and then the faces laid out in `new`: the kept faces keep
-        their corners and the planes fitted here, and the new ones are not
-        fitted.  The kept faces and their corners are selected by mask."""
+        same places) and `faces`, which are this mesh's but the distinct
+        `dropped` ones, in order, and then new ones: the kept faces keep
+        their corners and planes, selected by mask, and _newell fits the
+        new ones alone, with the bits a fit of every face gives them."""
         keep = np.empty(len(self.face_size), dtype=bool)
         keep.fill(True)
         keep[dropped] = False
         corners = keep[self.corner_face]
-        out = MeshGeometry(vertices, _corners(
+        new = _corner_layout(faces[len(keep) - len(dropped):])
+        out = MeshGeometry.__new__(MeshGeometry)
+        out._lay_out(vertices, _corners(
             np.concatenate([self.face_size[keep], new.size]),
             np.concatenate([self.corner_vertex[corners], new.vertex])))
-        n = int(np.add.reduce(keep, dtype=np.intp))
-        m = int(np.add.reduce(corners, dtype=np.intp))
-        for name in ("fitted", "residual", "area"):
-            getattr(out, name)[:n] = getattr(self, name)[keep]
-        for name in ("centroid", "normal", "u", "v"):
-            getattr(out, name)[:n] = getattr(self, name).compress(keep, axis=0)
-        out.uv[:m] = self.uv.compress(corners, axis=0)
+        for name, part in zip(_PLANES, _newell(vertices, new)):
+            old = getattr(self, name).compress(
+                corners if name == "uv" else keep, axis=0)
+            setattr(out, name, _readonly(np.concatenate([old, part])))
         return out
 
     @cached_property
@@ -802,6 +778,30 @@ def _edge_at(p: Polyhedron, pairs: np.ndarray) -> np.ndarray:
 COORDINATE_LIMIT = 1e64
 
 
+def _checked_vertices(vertices) -> np.ndarray:
+    """vertices as an (n, 3) float array of at least 4 finite points, none
+    beyond COORDINATE_LIMIT, or build_polyhedron's error for them."""
+    try:
+        pts = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not floats, or ragged
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
+        raise IndexOutOfRange("vertices must be an (n, 3) array")
+    if len(pts) < 4:
+        raise IndexOutOfRange(f"need at least 4 vertices, got {len(pts)}")
+    bad = (~np.logical_and.reduce(np.isfinite(pts), axis=1)).nonzero()[0]
+    if bad.size:
+        raise DegenerateFace(f"vertex {bad[0]} has a non-finite coordinate "
+                             f"{tuple(pts[bad[0]].tolist())}")
+    bad = (np.maximum.reduce(np.abs(pts), axis=1)
+           > COORDINATE_LIMIT).nonzero()[0]
+    if bad.size:
+        raise DegenerateFace(f"vertex {bad[0]} has a coordinate beyond "
+                             f"{COORDINATE_LIMIT:g}: "
+                             f"{tuple(pts[bad[0]].tolist())}")
+    return pts
+
+
 def build_polyhedron(vertices, faces,
                      metadata: MeshMetadata | None = None,
                      edge_slots: EdgeSlots | np.ndarray | None = None
@@ -825,29 +825,12 @@ def build_polyhedron(vertices, faces,
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
     (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
     are paired by vertex pair.  The geometry fits every face's plane in
-    one Newell pass (MeshGeometry.fit).
+    one Newell pass (see MeshGeometry).
     """
     meta = MeshMetadata() if metadata is None else metadata
     _record(meta, MeshMetadata, "the metadata")
-    try:
-        pts = np.asarray(vertices, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # not floats, or ragged
-        pts = None
-    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
-        raise IndexOutOfRange("vertices must be an (n, 3) array")
+    pts = _checked_vertices(vertices)
     n = len(pts)
-    if n < 4:
-        raise IndexOutOfRange(f"need at least 4 vertices, got {n}")
-    bad = (~np.logical_and.reduce(np.isfinite(pts), axis=1)).nonzero()[0]
-    if bad.size:
-        raise DegenerateFace(f"vertex {bad[0]} has a non-finite coordinate "
-                             f"{tuple(pts[bad[0]].tolist())}")
-    bad = (np.maximum.reduce(np.abs(pts), axis=1)
-           > COORDINATE_LIMIT).nonzero()[0]
-    if bad.size:
-        raise DegenerateFace(f"vertex {bad[0]} has a coordinate beyond "
-                             f"{COORDINATE_LIMIT:g}: "
-                             f"{tuple(pts[bad[0]].tolist())}")
 
     if isinstance(faces, Combinatorics) and edge_slots is None and \
             faces.n_vertices == n:
@@ -856,7 +839,7 @@ def build_polyhedron(vertices, faces,
         record = Combinatorics.of(faces, n, edge_slots)
 
     pts = pts.copy()
-    geo = MeshGeometry(pts, record).fit()
+    geo = MeshGeometry(pts, record)
     poly = Polyhedron._of_arrays(pts, record, meta, geo)
     ends = record.edge_pairs
     scale = geo.scale

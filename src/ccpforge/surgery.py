@@ -15,9 +15,9 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _corner_layout, _finite, _index, _integer, _mesh,
-                   _record, build_polyhedron, euler_characteristic,
-                   replace_meta)
+                   _checked_corners, _checked_vertices, _finite, _index,
+                   _integer, _mesh, _record, build_polyhedron,
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -343,7 +343,7 @@ def _retile(outers: list[np.ndarray], holes: list[np.ndarray]
     share one stack for the plane fit, the projections, the hole test and
     the polygon areas, in which each gets the bits it gets alone; the
     partition is built per pair."""
-    # measured gain: construct-chain +7.9% without the one-stack path
+    # measured gain: construct-chain +8.7% without the one-stack path
     if len({(len(o), len(h)) for o, h in zip(outers, holes)}) > 1:
         return [_retile_stack(o[None], h[None])[0]
                 for o, h in zip(outers, holes)]
@@ -467,16 +467,15 @@ def _spokes(part: list[tuple[int, ...]], first_ring: int
 
 
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
-    """p's parts and a geometry of them that fits the planes of their
-    faces as they are asked for, in surgery's least-squares frames (see
-    MeshGeometry.fit), for a validated mesh too: drilled vertices are
-    placed in those frames, whose in-plane axes a Newell normal would
-    move.  A validated mesh lends its corner layout."""
+    """p's parts and their geometry, whose Newell frames place the drilled
+    vertices: a validated mesh lends its own.  Raw vertices and faces are
+    first checked as build_polyhedron checks them, so that every face can
+    be fitted."""
     if isinstance(_mesh(p, raw=True), Polyhedron):
-        return MeshData(p.vertices, p.faces, p.metadata), MeshGeometry(
-            p.vertices, p.combinatorics.corners)
-    return p, MeshGeometry(np.asarray(p.vertices, float),
-                           _corner_layout(p.faces))
+        return MeshData(p.vertices, p.faces, p.metadata), p.geometry
+    pts = _checked_vertices(p.vertices)
+    return p._replace(vertices=pts), MeshGeometry(
+        pts, _checked_corners(p.faces, len(pts)))
 
 
 def _coordinates(point) -> bool:
@@ -491,7 +490,8 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, a bad
     placement (a phase, radius or point that is not finite real numbers,
     a point that is not three of them, or a radius that is not positive)
-    or order, a face pierced twice, and a mesh with doubled segments."""
+    or order, a face pierced twice, a mesh with doubled segments, and a
+    pierced face of zero vector area, whose normal is NaN."""
     _record(spec, DrillSpec, "the drill spec")
     for f in (spec.face1, spec.face2):
         _index(f, len(geo.face_size), "face")
@@ -512,6 +512,9 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     if geo.doubled:
         raise AxisObstructed(
             "drilling meshes with doubled segments is not supported")
+    for f in (spec.face1, spec.face2):
+        if not geo.area[f] > 0:
+            raise AxisObstructed(f"pierced face {f} has zero area")
 
 
 def _axis(geo: MeshGeometry, spec: DrillSpec):
@@ -520,7 +523,6 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     two parallel faces apart (AxisObstructed)."""
     f1, f2 = spec.face1, spec.face2
     faces = np.array([f1, f2])
-    geo.fit(faces)
     c1, c2, n2 = geo.centroid[f1], geo.centroid[f2], geo.normal[f2]
     if abs(abs(float(geo.normal[f1] @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
@@ -539,14 +541,13 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
 
 
 def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
-           axis: tuple) -> tuple[MeshData, MeshGeometry]:
+           axis: tuple) -> MeshData:
     """All of drill short of validation, on raw data whose geometry is
     `geo`, along the axis _axis gives for `spec`: the two prism rings,
     both pierced faces retiled in one call, each over its own and its
     ring's vertices with the seams between the pieces, and the walls;
-    face1's errors come before face2's.  Returns the parts and the next
-    step's geometry: the kept faces first, in order, with their planes
-    from `geo`, then face1's and face2's pieces and the walls, unfitted.
+    face1's errors come before face2's.  The parts keep the other faces
+    first, in order, then face1's and face2's pieces and the walls.
     """
     p1pt, depth, d1, d2 = axis
     u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
@@ -567,7 +568,6 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
 
     faces = list(data.faces)
     del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
-    kept = len(faces)
     seams = set(data.metadata.seam_edges)
     cycles = (data.faces[spec.face1], data.faces[spec.face2])
     parts = _retile([data.vertices[list(cyc)] for cyc in cycles],
@@ -586,8 +586,7 @@ def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
     meta.provenance.append(
         f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
     meta.genus = None
-    return MeshData(verts, faces, meta), geo.carry(
-        [spec.face1, spec.face2], verts, _corner_layout(faces[kept:]))
+    return MeshData(verts, faces, meta)
 
 
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
@@ -604,7 +603,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec))[0])
+    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec)))
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -619,8 +618,8 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     drill raises, before any offset is tried.  p may be a validated mesh
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
-    Each step pierces with the geometry the step before returned, so only
-    new pieces are laid out and fitted.
+    Each step carries the geometry of the step before to its result
+    (MeshGeometry.carry), so only new pieces are laid out and fitted.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
@@ -654,9 +653,10 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 # the planes are those _axis checked; only depth is new
                 depth = float((axis_pt - step_geo.centroid[f2])
                               @ step_geo.normal[f2])
-                out, step_geo = pierce(out, step_geo, DrillSpec(
+                out = pierce(out, step_geo, DrillSpec(
                     f1, f2, spec.n, tuple(axis_pt), radius, spec.phase),
                     (axis_pt, depth, clr1, clr2))
+                step_geo = step_geo.carry([f1, f2], out.vertices, out.faces)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc

@@ -39,7 +39,7 @@ def unchecked_mesh(vertices, faces):
     corners = _corner_layout(faces)
     record = Combinatorics(len(vertices), corners, *_derived_cells(corners))
     return Polyhedron._of_arrays(vertices, record, MeshMetadata(),
-                                 MeshGeometry(vertices, record).fit())
+                                 MeshGeometry(vertices, record))
 
 
 def face_polygon(geo, f):

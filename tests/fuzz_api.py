@@ -1,7 +1,7 @@
 """Run the property of tests/test_api_fuzz.py for a longer, randomized
-search: every public callable, called with good arguments in which up
-to two are swapped for bad values, returns or raises a CcpError, and a
-Polyhedron it returns verifies.
+search: every public callable and method, called with good arguments in
+which up to two are swapped for bad values, returns or raises a
+CcpError, and a Polyhedron it returns verifies.
 
     python3 tests/fuzz_api.py                  # 5,000 examples
     python3 tests/fuzz_api.py --examples 50000 --seed 7
@@ -23,7 +23,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from test_api_fuzz import ENTRIES, _folder, check_entry  # noqa: E402
+from test_api_fuzz import CALLS, _folder, check_entry  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         @settings(max_examples=args.examples, deadline=None, database=None)
         @given(st.data())
         def search(data):
-            name = data.draw(st.sampled_from(sorted(ENTRIES)), label="entry")
+            name = data.draw(st.sampled_from(sorted(CALLS)), label="entry")
             check_entry(data, tmp, name)
 
         if args.seed is not None:

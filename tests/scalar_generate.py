@@ -14,9 +14,8 @@ at a time with it and validate each step with ``build_glued``, so every
 step of a chain is a validated mesh.  ``drill_repeat`` builds raw input
 first and then drills one validated mesh at a time, so every intermediate
 mesh of a multiple drill is validated in full, and locates each pierced
-face with its own ``_locate_face`` call on that mesh's least-squares
-frames, the ones surgery cuts in (``cutting_frames``), not on the Newell
-planes of its validated geometry.
+face with its own ``_locate_face`` call on the Newell frames of that
+mesh's validated geometry, the ones surgery cuts in.
 
 The combinatorics the library reads off the construction are found here
 as they once were at run time: ``_central_polygon`` sorts the vertices
@@ -46,9 +45,8 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              SelfCrossingPartition)
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
                                  _n5g_params, _orbit, a_coeff)
-from ccpforge.mesh import (LENGTH_TOL, MeshData, MeshGeometry, MeshMetadata,
-                           Polyhedron, _corner_layout, _integer,
-                           replace_meta)
+from ccpforge.mesh import (LENGTH_TOL, MeshData, MeshMetadata, Polyhedron,
+                           _integer, replace_meta)
 from ccpforge.surgery import build_glued
 from conftest import face_polygon
 
@@ -550,12 +548,6 @@ def gen_q3_18():
                              expected_defect=-math.pi / 9)
 
 
-def cutting_frames(p):
-    """The planes surgery fits for mesh p: each face's least-squares
-    plane and frame, fitted on p's own corner layout."""
-    return MeshGeometry(p.vertices, _corner_layout(p.faces)).fit()
-
-
 def _locate_face(geo, point: np.ndarray, plane) -> tuple[int | None, float]:
     """First face whose plane matches `plane` and whose polygon strictly
     contains the point, plus the point's clearance to that polygon's
@@ -566,7 +558,6 @@ def _locate_face(geo, point: np.ndarray, plane) -> tuple[int | None, float]:
     offset = np.abs(geo.vertices[geo.corner_vertex] @ n - d0)
     faces = np.flatnonzero(
         np.maximum.reduceat(offset, geo.face_start) <= 1e-7 * scale)
-    geo.fit(faces)
     clearance = np.zeros(len(faces))
     inside = np.zeros(len(faces), dtype=bool)
     sizes = geo.face_size[faces]
@@ -593,7 +584,7 @@ def drill_repeat(p, spec: DrillSpec, k: int):
         raise BadOrder("k must be >= 1")
     if k == 1:
         return drill(p, spec)
-    geo = cutting_frames(p)
+    geo = p.geometry
     c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
                                               geo.u, geo.v))
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
@@ -611,7 +602,7 @@ def drill_repeat(p, spec: DrillSpec, k: int):
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
-                frames = cutting_frames(out)
+                frames = out.geometry
                 f1, clr1 = _locate_face(frames, axis_pt, plane1)
                 exit_pt = axis_pt - (float(axis_pt @ n1) - plane2[0]) * n1
                 f2, clr2 = _locate_face(frames, exit_pt, plane2)

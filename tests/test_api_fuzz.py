@@ -1,11 +1,13 @@
-"""One property over every callable in ccpforge.__all__: called with good
-arguments, some of them swapped for values drawn from one shared
-vocabulary of bad ones, each entry returns or raises a CcpError, and a
-Polyhedron it returns verifies.  Input records (MeshMetadata, DrillSpec,
-FaceCorrespondence, FamilyRequest) are passed on to the entry that reads
-them.  Genera are drawn at the edges of each CATALOG row's range, up to
-50.  The test runs derandomized; tests/fuzz_api.py runs the same
-property for longer searches."""
+"""One property over every callable in ccpforge.__all__ and the public
+methods: called with good arguments, some of them swapped for values
+drawn from one shared vocabulary of bad ones, each entry returns or
+raises a CcpError, and a Polyhedron it returns verifies.  Input records
+(MeshMetadata, DrillSpec, FaceCorrespondence, FamilyRequest) are passed
+on to the entry that reads them; metadata, every field of it, is that
+of a drilled mesh, whose flat seams verify reads.  Genera are drawn at
+the edges of each CATALOG row's range, up to 50.  The test runs
+derandomized; tests/fuzz_api.py runs the same property for longer
+searches."""
 
 import math
 import os
@@ -27,6 +29,9 @@ from ccpforge.mesh import MeshData  # noqa: E402
 P = gen_p2_24()
 T = gen_tetrahedron()
 SPEC = DrillSpec(0, 1, 12)
+# a drilled mesh: its retiled faces meet along flat seams, so the seams
+# in its metadata are read wherever flat edges are checked
+D = ccpforge.drill(P, SPEC)
 OUTER = np.array([[0, 0, 0], [4, 0, 0], [4, 4, 0], [0, 4, 0]], float)
 HOLE = np.array([[1, 1, 0], [3, 1, 0], [3, 3, 0], [1, 3, 0]], float)
 
@@ -64,8 +69,8 @@ def _any_edge() -> list[int]:
 # ones (from hypothesis data and a temporary folder holding p2.json).
 ENTRIES = {
     "MeshMetadata": (
-        lambda *a: build_polyhedron(P.vertices, P.faces, MeshMetadata(*a)),
-        lambda d, tmp: ["p2-24", 2, True, -math.pi / 6]),
+        lambda *a: build_polyhedron(D.vertices, D.faces, MeshMetadata(*a)),
+        lambda d, tmp: ["p2-24", 3, True, -math.pi / 6, *_metadata(D)]),
     "TopologyClass": (TopologyClass, lambda d, tmp: [True, 2, -2]),
     "build_polyhedron": (
         build_polyhedron,
@@ -149,6 +154,21 @@ for _name in ("gen_cubohemioctahedron", "gen_flat_torus9", "gen_q2_9",
 # CATALOG is no callable, and Polyhedron's constructor refuses every call
 # with a TypeError: build_polyhedron makes each mesh
 NOT_CALLED = {"CATALOG", "Polyhedron"}
+# the public methods, drawn as the entries are
+METHODS = {
+    "Polyhedron.with_metadata": (
+        lambda *a: D.with_metadata(**dict(zip(
+            ("provenance", "vertex_labels", "seam_edges"), a))),
+        lambda d, tmp: _metadata(D)),
+}
+CALLS = {**ENTRIES, **METHODS}
+
+
+def _metadata(p: Polyhedron) -> list:
+    """Copies of p's provenance, vertex labels and seams."""
+    meta = p.metadata
+    return [list(meta.provenance), dict(meta.vertex_labels),
+            set(meta.seam_edges)]
 
 
 def _genus(data, family: str) -> int:
@@ -167,7 +187,7 @@ def check_entry(data, tmp: Path, name: str) -> None:
     bad values, and call it in the folder `tmp`, where a bad value that
     is a relative path lands: it returns or raises a CcpError, and a
     Polyhedron it returns verifies."""
-    call, good = ENTRIES[name]
+    call, good = CALLS[name]
     args = good(data, tmp)
     if args:
         for slot in data.draw(st.sets(st.integers(0, len(args) - 1),
@@ -201,7 +221,7 @@ def folder(tmp_path_factory):
     return tmp
 
 
-@pytest.mark.parametrize("name", sorted(ENTRIES))
+@pytest.mark.parametrize("name", sorted(CALLS))
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(data=st.data())
 def test_public_calls_return_or_raise_ccp_errors(folder, name, data):

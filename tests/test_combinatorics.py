@@ -36,9 +36,9 @@ SHARED = {
               lambda rng: gen._p2_24(*admissible_p2(rng, 1)[0])),
 }
 GEOMETRY = ("face_size", "face_start", "corner_face", "corner_vertex",
-            "next_corner", "prev_corner", "cells", "fitted", "centroid",
-            "normal", "u", "v", "residual", "area", "uv", "corner_angles",
-            "defects", "dihedrals", "triangle_normals")
+            "next_corner", "prev_corner", "cells", "centroid", "normal",
+            "u", "v", "residual", "area", "uv", "corner_angles", "defects",
+            "dihedrals", "triangle_normals")
 
 
 def plain(data: MeshData) -> MeshData:

@@ -1,12 +1,14 @@
 """The float-loop polygon routines and the componentwise cross product of
 ``ccpforge._geom`` against the code they replaced: the numpy-scalar
 polygon routines of tests/scalar_polygon.py and np.cross, to the last
-bit."""
+bit; and the tie rule of plane_basis."""
 
 import numpy as np
 import pytest
 
-from ccpforge import _geom, build_polyhedron, gen_p2_24
+import ccpforge.surgery as surgery_mod
+from ccpforge import (FamilyRequest, _geom, build_polyhedron, gen_p2_24,
+                      generate_family)
 from ccpforge.errors import DegenerateFace
 
 import scalar_polygon
@@ -180,3 +182,45 @@ def test_cross_equals_np_cross(shape):
     # one vector against a stack broadcasts as np.cross does
     assert np.array_equal(_geom.cross(a.reshape(-1, 3)[0], b),
                           np.cross(a.reshape(-1, 3)[0], b))
+
+
+def z_facing_u(geo):
+    """The u axes of geo's faces whose normal is +-e_z."""
+    return geo.u[np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9]
+
+
+def test_z_facing_faces_get_u_along_x(monkeypatch):
+    """Every z-facing face of n5g g = 15 (70 of them) gets u = e_x, to
+    rounding, in its validated geometry and in the frames each drill step
+    cuts in: the components of its normal along x and y are rounding
+    noise, which no longer picks u."""
+    frames = []
+    pierce = surgery_mod.pierce
+
+    def recorded(data, geo, spec, axis):
+        frames.append(geo)
+        return pierce(data, geo, spec, axis)
+
+    monkeypatch.setattr(surgery_mod, "pierce", recorded)
+    p = generate_family(FamilyRequest("n5g", 15))
+    assert len(z_facing_u(p.geometry)) == 70 and frames
+    for geo in [p.geometry, *frames]:
+        u = z_facing_u(geo)
+        assert np.abs(u - (1.0, 0.0, 0.0)).max() < 1e-15
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_plane_basis_ignores_noise_on_an_axis_normal(axis, sign):
+    """Seeded noise of at most 1e-15 added to +-e_i leaves u the axis it
+    is for the exact normal: the first axis other than e_i."""
+    n = np.zeros(3)
+    n[axis] = sign
+    rng = np.random.default_rng(3 * axis + (sign > 0))
+    noisy = n + rng.uniform(-1e-15, 1e-15, (1000, 3))
+    u = _geom.plane_basis(noisy)[0]
+    exact = _geom.plane_basis(n)[0]
+    first = 1 if axis == 0 else 0
+    assert np.array_equal(exact, np.eye(3)[first])
+    assert (np.abs(u).argmax(axis=1) == first).all()
+    assert np.abs(u - exact).max() < 1e-14

@@ -388,26 +388,16 @@ def newell_face(pts):
     return c, n, resid, u, v, uv, 0.5 * _geom.norm(newell)
 
 
-def least_squares_face(pts):
-    """One face's plane as surgery fits it, from its own (k, 3) points
-    alone: plane_fit, the plane_basis frame, uv and the signed area."""
-    c, n, resid = _geom.plane_fit(pts)
-    u, v = _geom.plane_basis(n)
-    uv = _geom.project_2d(pts, c, u, v)
-    return c, n, resid, u, v, uv, _geom.polygon_area_2d(uv)
-
-
-def assert_frames_fit_face_by_face(p, geo=None):
-    """The plane arrays of geo, p's geometry when None, equal fitting each
-    face's own (k, 3) points alone, to the last bit: by newell_face for a
-    geometry on a record, by least_squares_face for one of raw data."""
-    geo = p.geometry if geo is None else geo
-    fit = least_squares_face if geo.combinatorics is None else newell_face
-    assert geo.fitted.all() and len(geo.fitted) == p.n_faces
+def assert_frames_fit_face_by_face(p):
+    """The plane arrays of p's geometry equal fitting each face's own
+    (k, 3) points alone by newell_face, to the last bit."""
+    geo = p.geometry
+    assert len(geo.area) == p.n_faces
     for f, cyc in enumerate(p.faces):
         got = (geo.centroid[f], geo.normal[f], geo.residual[f], geo.u[f],
                geo.v[f], face_polygon(geo, f), geo.area[f])
-        for a, b in zip(got, fit(p.vertices[list(cyc)]), strict=True):
+        for a, b in zip(got, newell_face(p.vertices[list(cyc)]),
+                        strict=True):
             assert np.array_equal(a, b)
 
 
@@ -425,11 +415,17 @@ def test_frames_equal_face_by_face_fits(name, genus, params):
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
 def test_newell_normals_are_the_least_squares_ones(name, genus, params):
-    """On a planar face the Newell normal and the least-squares normal
-    that surgery cuts with agree to within 1e-12, sign included."""
+    """On a planar face the Newell normal and the least-squares normal, the
+    smallest principal direction of the face's points about their
+    centroid (here by SVD, signed to agree with the Newell normal), agree
+    to within 1e-12."""
     p = family(name, genus, **params)
-    lsq = MeshGeometry(p.vertices, p.combinatorics.corners).fit()
-    assert np.abs(p.geometry.normal - lsq.normal).max() < 1e-12
+    geo = p.geometry
+    for f, cyc in enumerate(p.faces):
+        d = p.vertices[list(cyc)] - geo.centroid[f]
+        lsq = np.linalg.svd(d)[2][-1]
+        lsq *= np.sign(lsq @ geo.normal[f])
+        assert np.abs(geo.normal[f] - lsq).max() < 1e-12, f
 
 
 COLLINEAR_FACES = [(0, 3, 1), (0, 1, 2), (0, 2, 4), (1, 3, 4), (0, 4, 3),
@@ -448,7 +444,7 @@ def test_a_collinear_face_has_near_zero_area(seed):
         v = np.array([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 0),
                       (0, 0, 2)], float)
         geo = MeshGeometry(v, mesh_mod.Combinatorics.of(COLLINEAR_FACES,
-                                                        len(v))).fit()
+                                                        len(v)))
         assert geo.area[0] == 0.0 and not np.isnan(geo.area).any()
     else:
         rng = np.random.default_rng(seed)
@@ -471,28 +467,6 @@ def test_a_lifted_vertex_deviates_from_planarity(lift):
     with pytest.raises(DegenerateFace, match=f"^face {first} deviates "
                        r"\d\.\d\de-0[67] from planarity$"):
         build_polyhedron(v, p.faces)
-
-
-@pytest.mark.parametrize("name,genus,first", [
-    ("p2-24", None, [9, 3, 0, 15, 3]), ("orientable", 3, [40, 2, 17, 5, 1])])
-def test_a_fit_in_two_calls_equals_one(name, genus, first):
-    """A raw geometry fitted in two calls, first some faces of mixed
-    lengths (out of order, one twice) and then the rest, equals the
-    one-call fit bit for bit, uv included, and each face's own fit: so
-    _axis, _locate_face and carry, which fit faces as they are asked for,
-    see the planes a validated mesh has."""
-    p = family(name, genus)
-    layout = mesh_mod._corner_layout(p.faces)
-    geo = MeshGeometry(p.vertices, layout)
-    assert len({len(p.faces[f]) for f in first}) > 1
-    geo.fit(np.array(first))
-    assert np.flatnonzero(geo.fitted).tolist() == sorted(set(first))
-    geo.fit()
-    once = MeshGeometry(p.vertices, layout).fit()
-    for part in ("centroid", "normal", "u", "v", "residual", "area", "uv"):
-        assert getattr(geo, part).tobytes() == getattr(once, part).tobytes()
-        assert not getattr(geo, part).flags.writeable
-    assert_frames_fit_face_by_face(p, geo)
 
 
 @pytest.mark.parametrize("name,genus", [("p2-24", None), ("q3-18", None),
@@ -710,15 +684,15 @@ def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
     flat, crossed = (set(rng.choice(p.n_faces, int(rng.integers(0, 3)),
                                     replace=False).tolist())
                      for _ in range(2))
-    newell = MeshGeometry._newell
+    newell = mesh_mod._newell
 
-    def flattened(geo):
-        newell(geo)
-        geo.area = np.where(np.isin(np.arange(p.n_faces), list(flat)), 0.0,
-                            geo.area)
+    def flattened(vertices, corners):
+        *planes, area = newell(vertices, corners)
+        return *planes, np.where(np.isin(np.arange(p.n_faces), list(flat)),
+                                 0.0, area)
 
-    monkeypatch.setattr(MeshGeometry, "_newell", flattened)
-    geo = MeshGeometry(v, p.combinatorics).fit()
+    monkeypatch.setattr(mesh_mod, "_newell", flattened)
+    geo = MeshGeometry(v, p.combinatorics)
     assert [f for f in range(p.n_faces) if geo.area[f] == 0] == sorted(flat)
     faces = {face_polygon(geo, f).tobytes(): f for f in range(p.n_faces)}
 

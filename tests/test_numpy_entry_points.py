@@ -100,21 +100,19 @@ def test_linalg_norm_is_np_linalg_norm(seed):
 
 
 def plane_fit_wrappers(pts):
-    """_geom.plane_fit as it read with numpy's wrappers."""
+    """_geom.plane_fit, Newell's planes, with numpy's wrappers."""
     c = pts.mean(axis=-2)
     d = pts - c[..., None, :]
-    _, _, vt = np.linalg.svd(d, full_matrices=False)
-    n = vt[..., -1, :]
     newell = np.cross(d, np.roll(d, -1, axis=-2)).sum(axis=-2)
-    n = np.where((_geom.dot(n, newell) < 0)[..., None], -n, n)
+    n = newell / _geom.norm(newell)[..., None]
     resid = np.abs((d @ n[..., :, None])[..., 0]).max(axis=-1)
     return c, n, resid
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_plane_fit_centroid_is_the_mean(seed):
-    """The centroid is ndarray.mean's, and with it the normal and the
-    residual keep their bits."""
+    """The centroid is ndarray.mean's, and with it the Newell normal and
+    the residual keep their bits."""
     for pts in stacks(seed):
         got = _geom.plane_fit(pts)
         same_bytes(got[0], pts.mean(axis=-2))

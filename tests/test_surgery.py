@@ -1,6 +1,7 @@
 """Connected sums, prism-order selection, drilling and annulus retiling."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -19,9 +20,10 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       verify)
 from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
-                             BadOrder, BadParameters, CcpError, FlatSeam,
-                             HoleNotInside, IndexOutOfRange, NonNegativeChi,
-                             NotInteger, NotIsometric)
+                             BadOrder, BadParameters, CcpError,
+                             DegenerateFace, FlatSeam, HoleNotInside,
+                             IndexOutOfRange, NonNegativeChi, NotInteger,
+                             NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _axis, _locate_face, build_glued, glue, pierce
@@ -373,6 +375,47 @@ def test_axis_acceptance_does_not_depend_on_scale(factor, delta):
         drill(p, DrillSpec(0, 1, 12, point=tuple(point)))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_pierced_face_of_zero_area_raises_up_front(k):
+    """Raw cube data whose face 0 lies on one line: its Newell vector is
+    zero and its normal NaN, which the parallel check would pass.  drill
+    and drill_repeat name the face before that check, with no warning."""
+    verts, faces = cube_data()
+    verts[faces[0]] = [(x, 0.0, -1.0) for x in (-1.5, -0.5, 0.5, 1.5)]
+    data = MeshData(verts, faces, MeshMetadata())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AxisObstructed,
+                           match="^pierced face 0 has zero area$"):
+            drill_repeat(data, DrillSpec(0, 1, 4), k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("vertex,face,error,message", [
+    ((np.inf, 0.0, 0.0), None, DegenerateFace, "non-finite coordinate"),
+    ((1e300, 0.0, 0.0), None, DegenerateFace, "coordinate beyond 1e\\+64"),
+    (None, (2, 3, 99), IndexOutOfRange, "face 5 "),
+], ids=["inf", "huge", "face-off-the-mesh"])
+def test_raw_parts_are_checked_before_they_are_fitted(k, vertex, face,
+                                                      error, message):
+    """Drilling raw cube data fits every face, so a vertex that is not
+    finite or lies beyond the coordinate limit, or a face with a vertex
+    id off the mesh, raises what building the data raises, up front and
+    with no warning, though neither touches the pierced faces."""
+    verts, faces = cube_data()
+    if vertex is not None:
+        verts[6] = vertex
+    if face is not None:
+        faces[5] = face
+    data = MeshData(verts, faces, MeshMetadata())
+    with pytest.raises(error, match=message):
+        build_polyhedron(verts, faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            drill_repeat(data, DrillSpec(0, 1, 4), k)
+
+
 def glued_data(build, *args):
     """The glued data that build(*args) validates, with its explicit
     cells."""
@@ -465,8 +508,8 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     that break a new face alike and accepts the one along the axis."""
     p = moved(gen_p2_24(), 5)
     spec = DrillSpec(0, 1, 12)
-    data, geo = pierce(MeshData(p.vertices, p.faces, p.metadata),
-                       p.geometry, spec, _axis(p.geometry, spec))
+    data = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
+                  spec, _axis(p.geometry, spec))
     verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
@@ -480,7 +523,7 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     with pytest.raises(CcpError, match=error) as bare:
         build_polyhedron(verts, data.faces)
     nudged = data._replace(vertices=verts)
-    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: (nudged, geo))
+    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: nudged)
     if nudge == "along_axis":
         # the ring vertex stays on its triangles and in its wall's plane
         assert drill(p, spec).vertices.tobytes() == verts.tobytes()
@@ -490,27 +533,26 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     assert drilled.type is bare.type
 
 
-def counted_fits(monkeypatch) -> tuple[list, list]:
-    """Two lists that record, from now on, each point set
-    _geom.plane_fit fits (the bytes of its (k, 3) points) and each Newell
-    pass of a validated mesh's geometry."""
-    fitted, passes = [], []
-    fit, newell = geom_mod.plane_fit, mesh_mod.MeshGeometry._newell
+def counted_newell(monkeypatch) -> list[list[bytes]]:
+    """A list that records, from now on, each Newell pass (mesh._newell):
+    per face it fits, the bytes of the face's (k, 3) points."""
+    passes = []
+    newell = mesh_mod._newell
 
-    def counted(pts):
-        fitted.extend(x.tobytes() for x in pts.reshape(-1, *pts.shape[-2:]))
-        return fit(pts)
+    def counted(vertices, corners):
+        pts = vertices.take(corners.vertex, axis=0)
+        passes.append([pts[a:a + k].tobytes() for a, k in
+                       zip(corners.start.tolist(), corners.size.tolist())])
+        return newell(vertices, corners)
 
-    monkeypatch.setattr(geom_mod, "plane_fit", counted)
-    monkeypatch.setattr(mesh_mod.MeshGeometry, "_newell",
-                        lambda geo: passes.append(1) or newell(geo))
-    return fitted, passes
+    monkeypatch.setattr(mesh_mod, "_newell", counted)
+    return passes
 
 
 def test_chained_minimal_fits_few_face_rows(monkeypatch):
     """gen_minimal(40) (282 faces) glues its twenty T-blocks as data and
     validates the result once: one build_polyhedron call, which fits all
-    282 faces in one Newell pass and none by least squares."""
+    282 faces in one Newell pass, and no other pass."""
     builds = []
     build = surgery_mod.build_polyhedron
 
@@ -518,87 +560,86 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
         builds.append(1)
         return build(*args, **kw)
 
-    fitted, passes = counted_fits(monkeypatch)
+    passes = counted_newell(monkeypatch)
     for module in (mesh_mod, surgery_mod, generators_mod):
         monkeypatch.setattr(module, "build_polyhedron", counted_build)
     assert gen_minimal(40).n_faces == 282
-    assert fitted == []
-    assert len(builds) == len(passes) == 1
+    assert len(builds) == 1 and list(map(len, passes)) == [282]
 
 
-def test_pierce_returns_the_next_geometry():
-    """The geometry pierce returns with its parts keeps, bit for bit, the
-    planes of the faces it kept and leaves the new pieces unfitted; its
-    corner layout is that of the whole face list it returned."""
-    p = gen_p2_24()
-    spec = DrillSpec(0, 1, 12)
-    data, frames = surgery_mod._raw(p)
-    out, geo = pierce(data, frames.fit(), spec, _axis(frames, spec))
-    n = p.n_faces - 2
-    assert geo.vertices is out.vertices
-    assert geo.fitted[:n].all() and not geo.fitted[n:].any()
-    layout = mesh_mod._corner_layout(out.faces)
-    fresh = mesh_mod.MeshGeometry(out.vertices, layout).fit()
-    for name in ("centroid", "normal", "u", "v", "residual", "area"):
-        assert getattr(geo, name)[:n].tobytes() == \
-            getattr(fresh, name)[:n].tobytes(), name
-    m = geo.face_start[n]
-    assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
-    for name, want in zip(("face_size", "face_start", "corner_vertex",
-                           "corner_face", "next_corner"), layout):
-        assert np.array_equal(getattr(geo, name), want), name
-    assert np.array_equal(geo.prev_corner, fresh.prev_corner)
-
-
-@pytest.mark.parametrize("dropped", [[0, 17], [17, 0], [5, 6], [6, 5]])
-def test_carry_keeps_the_other_faces(dropped):
-    """carry on p2-24's least-squares frames (18 faces), dropping the
-    first and last faces or two adjacent ones, in either order: its
-    layout is that of the kept faces and then the new ones, the kept
-    faces' planes and uv are a fresh fit's bit for bit, and the new faces
-    are unfitted."""
-    p = gen_p2_24()
-    verts = np.vstack([p.vertices, [(0.0, 0.0, 5.0)]])
-    new = [p.faces[f][::-1] for f in dropped] + [(0, 1, len(p.vertices))]
-    faces = [f for i, f in enumerate(p.faces) if i not in dropped] + new
-    geo = surgery_mod._raw(p)[1].fit().carry(
-        dropped, verts, mesh_mod._corner_layout(new))
+def assert_fresh_planes(geo, vertices, faces):
+    """geo's layout is that of `faces`, and its planes are a fresh fit of
+    them, bit for bit."""
     layout = mesh_mod._corner_layout(faces)
     for name, want in zip(("face_size", "face_start", "corner_vertex",
                            "corner_face", "next_corner"), layout):
         assert np.array_equal(getattr(geo, name), want), name
-    n = p.n_faces - 2
-    assert geo.fitted[:n].all() and not geo.fitted[n:].any()
-    fresh = mesh_mod.MeshGeometry(verts, layout).fit()
-    for name in ("centroid", "normal", "u", "v", "residual", "area"):
-        assert getattr(geo, name)[:n].tobytes() == \
-            getattr(fresh, name)[:n].tobytes(), name
-    m = geo.face_start[n]
-    assert geo.uv[:m].tobytes() == fresh.uv[:m].tobytes()
+    fresh = mesh_mod.MeshGeometry(vertices, layout)
+    assert np.array_equal(geo.prev_corner, fresh.prev_corner)
+    for name in mesh_mod._PLANES:
+        assert getattr(geo, name).tobytes() == \
+            getattr(fresh, name).tobytes(), name
+        assert not getattr(geo, name).flags.writeable, name
+
+
+def test_pierce_keeps_the_other_faces_first():
+    """pierce keeps the faces it does not pierce first, in order, so the
+    geometry carry makes for its parts, dropping the two pierced faces,
+    is bit for bit a fresh fit of the whole face list."""
+    p = gen_p2_24()
+    spec = DrillSpec(0, 1, 12)
+    data, frames = surgery_mod._raw(p)
+    assert frames is p.geometry
+    out = pierce(data, frames, spec, _axis(frames, spec))
+    assert out.faces[:p.n_faces - 2] == list(p.faces[2:])
+    geo = frames.carry([0, 1], out.vertices, out.faces)
+    assert geo.vertices is out.vertices
+    assert_fresh_planes(geo, out.vertices, out.faces)
+
+
+@pytest.mark.parametrize("dropped", [[0, 17], [17, 0], [5, 6], [6, 5]])
+def test_carry_keeps_the_other_faces(monkeypatch, dropped):
+    """carry on p2-24's frames (18 faces), dropping the first and last
+    faces or two adjacent ones, in either order: its layout is that of
+    the kept faces and then the new ones, its planes and uv are a fresh
+    fit's bit for bit, and it fits the new faces only."""
+    p = gen_p2_24()
+    verts = np.vstack([p.vertices, [(0.0, 0.0, 5.0)]])
+    new = [p.faces[f][::-1] for f in dropped] + [(0, 1, len(p.vertices))]
+    faces = [f for i, f in enumerate(p.faces) if i not in dropped] + new
+    passes = counted_newell(monkeypatch)
+    geo = surgery_mod._raw(p)[1].carry(dropped, verts, faces)
+    assert list(map(len, passes)) == [len(new)]
+    assert_fresh_planes(geo, verts, faces)
 
 
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
     """Each step of drill_repeat keeps the planes of the faces it keeps,
     so orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit
-    at most two plane rows per face of the result, where re-fitting every
-    sub-face of both pierced planes at each step grew as k squared."""
-    fitted, _ = counted_fits(monkeypatch)
+    fewer Newell rows in their drill steps than twice the faces of the
+    result, where re-fitting every face at each step grew as k squared."""
+    passes = counted_newell(monkeypatch)
     for genus in (24, 48):
-        fitted.clear()
+        passes.clear()
         p = generate_family(FamilyRequest("orientable", genus))
-        assert len(fitted) <= 2 * p.n_faces, (genus, len(fitted), p.n_faces)
+        # p2-24's build, the drill steps, then the one build of the result
+        first, *steps, last = map(len, passes)
+        assert first == 18 and last == p.n_faces
+        assert len(steps) == genus - 2
+        assert sum(steps) < 2 * p.n_faces, (genus, sum(steps), p.n_faces)
 
 
 def test_drilled_build_fits_no_face_twice(monkeypatch):
     """orientable g = 8 drills p2-24 six times: the drill steps fit no
-    face's least-squares plane twice (refitting them all took 442 rows),
-    and the one build fits the 268-face result in one Newell pass."""
-    fitted, passes = counted_fits(monkeypatch)
+    face's plane twice, and the one build fits the 268-face result in
+    one Newell pass."""
+    passes = counted_newell(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 8))
     assert p.n_faces == 268
-    assert max(Counter(fitted).values()) == 1
-    assert len(fitted) < 442
-    assert len(passes) == 1
+    base, *steps, last = passes
+    assert len(base) == 18 and len(steps) == 6 and len(last) == 268
+    rows = [face for step in steps for face in step]
+    assert max(Counter(rows).values()) == 1
 
 
 @pytest.mark.parametrize("name,base,spec,k", [
@@ -608,8 +649,8 @@ def test_drilled_build_fits_no_face_twice(monkeypatch):
     ("p2-24-k3", gen_p2_24, DrillSpec(0, 1, 12), 3)])
 def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
     """Drilling a validated mesh and drilling its raw parts give the same
-    mesh bit for bit: both cut in the least-squares frames of the faces,
-    not in the validated mesh's Newell planes."""
+    mesh bit for bit: the validated mesh lends its own Newell planes, and
+    the raw parts' geometry fits each face as the validated one did."""
     p = base()
     raw = MeshData(p.vertices.copy(), list(p.faces), p.metadata)
     got, want = drill_repeat(p, spec, k), drill_repeat(raw, spec, k)
@@ -620,11 +661,10 @@ def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
 
 
 def _z_faces(data):
-    """The highest and lowest faces of raw parts whose fitted normal is
+    """The highest and lowest faces of raw parts whose Newell normal is
     +-z, by the mean height of their vertices."""
     verts = np.asarray(data.vertices, float)
-    geo = mesh_mod.MeshGeometry(verts,
-                                mesh_mod._corner_layout(data.faces)).fit()
+    geo = mesh_mod.MeshGeometry(verts, mesh_mod._corner_layout(data.faces))
     level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
     cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
                    for f in np.flatnonzero(level).tolist())
@@ -704,8 +744,7 @@ def test_inside_clearance_is_the_face_by_face_loop():
     """MeshGeometry.inside_clearance of a raw geometry, on faces of three
     lengths in one call, gives per point what one face's projection and
     the side-by-side loops give: the distance where the face winds around
-    the point, else 0.0, which points outside and on the boundary get.
-    It fits the faces it is asked about and no others."""
+    the point, else 0.0, which points outside and on the boundary get."""
     data = generators_mod._p2_24()
     _, geo = surgery_mod._raw(data)
     faces = np.array([0, 2, 3, 6, 1, 9, 0, 2, 14, 3, 6])
@@ -720,8 +759,6 @@ def test_inside_clearance_is_the_face_by_face_loop():
                 a, 0.5 * (a + b)]                                  # boundary
     faces, pts = faces.repeat(4), np.array(pts)
     got = geo.inside_clearance(faces, pts)
-    assert np.flatnonzero(geo.fitted).tolist() == \
-        sorted(set(faces.tolist()))
     want = []
     for f, pt in zip(faces.tolist(), pts):
         q = geom_mod.project_2d(pt[None], geo.centroid[f], geo.u[f],
