@@ -27,10 +27,13 @@ def mesh_to_document(p: Polyhedron) -> dict:
         "expected_defect_radians": p.metadata.expected_defect,
         "provenance": list(p.metadata.provenance),
     }
+    # labels and seams as Python ints: numpy's are vertex ids too
     if p.metadata.vertex_labels:
-        meta["vertex_labels"] = dict(p.metadata.vertex_labels)
+        meta["vertex_labels"] = {name: int(v) for name, v
+                                 in p.metadata.vertex_labels.items()}
     if p.metadata.seam_edges:
-        meta["seam_edges"] = sorted(list(e) for e in p.metadata.seam_edges)
+        meta["seam_edges"] = sorted([int(u), int(w)]
+                                    for u, w in p.metadata.seam_edges)
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": p.vertices.tolist(),
@@ -253,7 +256,8 @@ def read_obj(path) -> Polyhedron:
     # validate with every side exempt from the flat-edge rejection, then
     # keep as seams the sides that are flat
     sides = {(min(u, v), max(u, v))
-             for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+             for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])
+             if u != v}
     p = build_polyhedron(np.array(verts, float), faces,
                          MeshMetadata(seam_edges=sides))
     return p.with_metadata(seam_edges=set(flat_edges(p, ())))

@@ -723,18 +723,21 @@ def f_angle_sum(l: float, d: float) -> float:
     return _angle_sum_of(l)(d)
 
 
-def _angle_sum_of(l: float) -> Callable[[float], float]:
-    """f_angle_sum(l, .) with l checked and its terms in l computed once:
-    the solver calls it thousands of times per solve.  An l that is not
-    finite (a NaN included) leaves every term undefined."""
+def _angle_terms(l: float) -> tuple[float, float, float]:
+    """The terms in l of f_angle_sum(l, .), 2l^2, 2l sqrt(l^2+1) and
+    2(l^2+1), with l checked.  An l that is not finite (a NaN included)
+    leaves every term undefined."""
     if not _finite(l):
         raise DomainError(f"l = {l} is not finite")
     if l <= 0:
         raise DomainError("l must be positive")
+    return 2 * l * l, 2 * l * math.sqrt(l * l + 1), 2 * (l * l + 1)
+
+
+def _angle_sum_of(l: float) -> Callable[[float], float]:
+    """f_angle_sum(l, .) with l checked and its terms in l computed once."""
+    a, b, c = _angle_terms(l)
     hi, acos = 2.0 * float(l), math.acos
-    a = 2 * l * l
-    b = 2 * l * math.sqrt(l * l + 1)
-    c = 2 * (l * l + 1)
 
     def f(d: float) -> float:
         if not 0.0 <= d <= hi:
@@ -753,14 +756,27 @@ def _angle_sum_of(l: float) -> Callable[[float], float]:
 _ROOT_TOL = 1e-12
 
 
-def _solve_increasing(fn, lo: float, hi: float, target: float) -> float:
-    flo, fhi = fn(lo) - target, fn(hi) - target
+def _solve_increasing(l: float, lo: float, hi: float, target: float
+                      ) -> float:
+    """The d in [lo, hi] at which f_angle_sum(l, d) meets target, by
+    bisection.  The two ends are checked as f_angle_sum checks d; each
+    midpoint lies between checked ends, so f is evaluated there inline,
+    with the float operations of _angle_sum_of in their order."""
+    f = _angle_sum_of(l)
+    flo, fhi = f(lo) - target, f(hi) - target
     if flo > 0 or fhi < 0:
         raise BracketFailure(
             f"no sign change on [{lo}, {hi}] for target {target}")
+    a, b, c = _angle_terms(l)
+    acos = math.acos
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid) - target
+        d2 = mid * mid
+        u = (a - d2) / b
+        w = (c - d2) / c
+        u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
+        w = -1.0 if w < -1.0 else 1.0 if w > 1.0 else w
+        fm = 2 * acos(u) + acos(w) - target
         if abs(fm) < _ROOT_TOL and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if fm < 0:
@@ -803,12 +819,12 @@ def solve_block_params(g: int, l1: float = 2.0) -> BlockParams:
     l = l1
     for k in range(1, n_main + 1):
         target = 3 * math.pi - a_coeff(k, g)
-        d = _solve_increasing(_angle_sum_of(l), l, 2 * l, target)
+        d = _solve_increasing(l, l, 2 * l, target)
         pairs.append((l, d))
         l = d
     terminal = None
     if g % 2 == 1:
-        d = _solve_increasing(_angle_sum_of(l), 0.0, 2 * l, terminal_target)
+        d = _solve_increasing(l, 0.0, 2 * l, terminal_target)
         terminal = (l, d)
     return BlockParams(tuple(pairs), terminal)
 
@@ -825,33 +841,44 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
     return _build(_t_block(l, d))
 
 
+# T(l, d)'s faces: rect over (v1,v2) [l x 1], the chain's receiver; rect
+# over (v1,v3) [l x 1], the second receiver (odd g); rect over (v2,v3)
+# [d x 1], which gives to the next block; then the six triangles
+_T_FACES = ((3, 4, 1, 0), (3, 5, 2, 0), (1, 2, 5, 4), (2, 3, 4), (1, 3, 2),
+            (5, 3, 1), (5, 0, 1), (4, 0, 5), (2, 0, 4))
+_T_LABELS = {f"v{i+1}": i for i in range(6)}
+# every T-block pairs its sides alike; measured gain: construct-chain
+# +2.5% without the shared cells
+_T_CELLS = Combinatorics.of(_T_FACES, 6).cells
+
+
 def _t_block(l: float, d: float) -> MeshData:
     """The parts of gen_t_block(l, d), for gluing."""
-    l, d = _real(l, "T-block l", BadParameters), \
-        _real(d, "T-block d", BadParameters)
-    if l <= 0 or not 0 < d < 2 * l:
-        raise BadParameters(f"need l > 0 and 0 < d < 2l, got l={l}, d={d}")
-    ha = math.sqrt(l * l - d * d / 4)
-    bot = [np.array([0.0, ha, -0.5]),            # v1 (apex)
-           np.array([-d / 2, 0.0, -0.5]),        # v2
-           np.array([d / 2, 0.0, -0.5])]         # v3
-    top = [p + np.array([0.0, 0.0, 1.0]) for p in bot]   # v4, v5, v6
-    verts = bot + top
-    labels = {f"v{i+1}": i for i in range(6)}
-    v1, v2, v3, v4, v5, v6 = range(6)
-    faces = [
-        (v4, v5, v2, v1),      # rect A (l x 1), receives the chain
-        (v4, v6, v3, v1),      # rect B (l x 1), second receiver (odd g)
-        (v2, v3, v6, v5),      # rect C (d x 1), gives to the next block
-        (v3, v4, v5),
-        (v2, v4, v3),
-        (v6, v4, v2),
-        (v6, v1, v2),
-        (v5, v1, v6),
-        (v3, v1, v5),
-    ]
-    return _data(verts, faces, family="t-block", genus=1, orientable=True,
-                 defect=None, labels=labels)
+    verts = _t_block_vertices([(l, d)])[0]
+    return _data(verts, list(_T_FACES), family="t-block", genus=1,
+                 orientable=True, defect=None, labels=_T_LABELS)
+
+
+def _t_block_vertices(params) -> np.ndarray:
+    """The (m, 6, 3) vertices of the T(l, d) blocks of the m (l, d) pairs,
+    each checked as gen_t_block checks it, in one pass: v1 (the apex),
+    v2 and v3 at z = -0.5 and v4, v5, v6 above them at z = 0.5, with the
+    float operations of one block's points on Python floats."""
+    for l, d in params:
+        l, d = _real(l, "T-block l", BadParameters), \
+            _real(d, "T-block d", BadParameters)
+        if l <= 0 or not 0 < d < 2 * l:
+            raise BadParameters(
+                f"need l > 0 and 0 < d < 2l, got l={l}, d={d}")
+    l, d = np.array(params, float).reshape(-1, 2).T
+    half = d / 2
+    out = np.zeros((len(l), 6, 3))
+    out[:, 0, 1] = out[:, 3, 1] = np.sqrt(l * l - d * d / 4)
+    out[:, 1, 0] = out[:, 4, 0] = -half
+    out[:, 2, 0] = out[:, 5, 0] = half
+    out[:, :3, 2] = -0.5
+    out[:, 3:, 2] = 0.5
+    return out
 
 
 # Seam maps for the zigzag chain, given as receiver-local vertex ids
@@ -867,16 +894,15 @@ _MAP_B = (0, 2, 5, 3)           # onto rect B after a rect-A receiver
 def _chain_half(params: list[tuple[float, float]]):
     """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain,
     in one glue call.  Returns (parts, giving face id, giving cycle vertex
-    ids)."""
-    first = _t_block(*params[0]).paired()
-    # every T-block pairs its sides alike; measured gain: construct-chain
-    # +2.5% without the shared cells
-    cells = first.cells
+    ids).  The blocks after the first share one face list, one cell array
+    and one metadata record, so glue works out each (receiving face,
+    mapping) of their seams once."""
+    first = _t_block(*params[0])._replace(cells=_T_CELLS)
+    verts = _t_block_vertices(params[1:])
     give_face = 2
     give_cycle = (1, 2, 5, 4)    # (v2, v3, v6, v5)
     steps = []
-    for i, (l, d) in enumerate(params[1:], start=2):
-        block = _t_block(l, d)._replace(cells=cells)
+    for i, block in enumerate(verts, start=2):
         # the chain so far: the first block's 9 faces and 6 vertices, and
         # 9 - 2 faces and 6 - 4 vertices more per block glued on
         n_faces, n_verts = 9 + 7 * (i - 2), 6 + 2 * (i - 2)
@@ -891,8 +917,9 @@ def _chain_half(params: list[tuple[float, float]]):
             mapping = _MAP_B
             face2 = 1
             give_cycle = (n_verts, h[1], h[2], n_verts + 1)
-        steps.append((block, surgery.FaceCorrespondence(
-            give_face, face2, mapping=mapping)))
+        steps.append((MeshData(block, _T_FACES, first.metadata, _T_CELLS),
+                      surgery.FaceCorrespondence(give_face, face2,
+                                                 mapping=mapping)))
         give_face = n_faces
     return surgery.glue(first, steps), give_face, give_cycle
 

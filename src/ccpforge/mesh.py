@@ -74,7 +74,10 @@ class MeshMetadata:
     def __post_init__(self):
         """verify compares genus, orientable and expected_defect: each is
         None or of its kind.  Provenance, vertex_labels and seam_edges are
-        a list, a dict and a set, which the flat-edge check reads."""
+        a list, a dict and a set, which the flat-edge check reads, and
+        their entries are what a saved file holds: each provenance entry
+        a str, each label a str naming a vertex id, and each seam a tuple
+        of two distinct vertex ids (see _vertex_id)."""
         g, o, d = self.genus, self.orientable, self.expected_defect
         if not ((g is None or isinstance(g, numbers.Integral))
                 and (o is None or isinstance(o, (bool, np.bool_)))
@@ -85,6 +88,22 @@ class MeshMetadata:
             if not isinstance(getattr(self, name), kind):
                 raise BadParameters(
                     f"metadata {name} is not a {kind.__name__}")
+        bad = next((e for e in self.provenance if not isinstance(e, str)),
+                   None)
+        if bad is not None:
+            raise BadParameters(f"metadata provenance entry {bad!r} is not "
+                                f"a str")
+        bad = next(((k, v) for k, v in self.vertex_labels.items()
+                    if not (isinstance(k, str) and _vertex_id(v))), None)
+        if bad is not None:
+            raise BadParameters(f"metadata vertex label {bad[0]!r}: "
+                                f"{bad[1]!r} is not a str naming a vertex id")
+        bad = next((e for e in self.seam_edges if not (
+            isinstance(e, tuple) and len(e) == 2 and _vertex_id(e[0])
+            and _vertex_id(e[1]) and e[0] != e[1])), None)
+        if bad is not None:
+            raise BadParameters(f"metadata seam {bad!r} is not two distinct "
+                                f"vertex ids")
 
     # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
@@ -254,8 +273,8 @@ class Triangulation(NamedTuple):
 
 def _corner_layout(faces) -> _Corners:
     sizes = np.fromiter(map(len, faces), np.intp, len(faces))
-    return _corners(sizes, np.fromiter((v for cyc in faces for v in cyc),
-                                       np.intp, int(np.add.reduce(sizes))))
+    return _corners(sizes, np.fromiter(chain.from_iterable(faces), np.intp,
+                                       int(np.add.reduce(sizes))))
 
 
 def _corners(sizes: np.ndarray, vertex: np.ndarray) -> _Corners:
@@ -507,12 +526,6 @@ class MeshGeometry:
 
     def __init__(self, vertices: np.ndarray,
                  layout: _Corners | Combinatorics):
-        corners = self._lay_out(vertices, layout)
-        self.__dict__.update(zip(_PLANES, _newell(vertices, corners)))
-
-    def _lay_out(self, vertices: np.ndarray,
-                 layout: _Corners | Combinatorics) -> _Corners:
-        """Take the vertices and the layout's parts; return its corners."""
         self.vertices = vertices
         if isinstance(layout, Combinatorics):
             self.combinatorics, corners = layout, layout.corners
@@ -526,7 +539,7 @@ class MeshGeometry:
         self.corner_face = corners.face
         self.corner_vertex = corners.vertex
         self.next_corner = corners.next
-        return corners
+        self.__dict__.update(zip(_PLANES, _newell(vertices, corners)))
 
     def inside_clearance(self, faces: np.ndarray, points: np.ndarray
                          ) -> np.ndarray:
@@ -545,28 +558,6 @@ class MeshGeometry:
             )[:, 0]
             out[rows] = _geom.inside_clearance(q, self.uv.take(
                 self.face_start[f][:, None] + np.arange(k), axis=0))
-        return out
-
-    def carry(self, dropped: list[int], vertices: np.ndarray,
-              faces) -> "MeshGeometry":
-        """The geometry of a mesh on `vertices` (this mesh's first, at the
-        same places) and `faces`, which are this mesh's but the distinct
-        `dropped` ones, in order, and then new ones: the kept faces keep
-        their corners and planes, selected by mask, and _newell fits the
-        new ones alone, with the bits a fit of every face gives them."""
-        keep = np.empty(len(self.face_size), dtype=bool)
-        keep.fill(True)
-        keep[dropped] = False
-        corners = keep[self.corner_face]
-        new = _corner_layout(faces[len(keep) - len(dropped):])
-        out = MeshGeometry.__new__(MeshGeometry)
-        out._lay_out(vertices, _corners(
-            np.concatenate([self.face_size[keep], new.size]),
-            np.concatenate([self.corner_vertex[corners], new.vertex])))
-        for name, part in zip(_PLANES, _newell(vertices, new)):
-            old = getattr(self, name).compress(
-                corners if name == "uv" else keep, axis=0)
-            setattr(out, name, _readonly(np.concatenate([old, part])))
         return out
 
     @cached_property
@@ -983,6 +974,13 @@ def _record(x, kind: type, what: str):
     if not isinstance(x, kind):
         raise BadParameters(f"{what} must be a {kind.__name__}, not "
                             f"{type(x).__name__}")
+
+
+def _vertex_id(x) -> bool:
+    """Whether x is a non-negative integer (numpy's pass, a bool does
+    not)."""
+    return (type(x) is int or isinstance(x, numbers.Integral)
+            and not isinstance(x, bool)) and x >= 0
 
 
 def _finite(x) -> bool:

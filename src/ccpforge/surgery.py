@@ -4,8 +4,10 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,10 +16,11 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (LENGTH_TOL, MeshData, MeshGeometry, Polyhedron,
-                   _checked_corners, _checked_vertices, _finite, _index,
-                   _integer, _mesh, _record, build_polyhedron,
-                   euler_characteristic, replace_meta)
+from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
+                   MeshGeometry, Polyhedron, _checked_corners,
+                   _checked_vertices, _corner_layout, _Corners, _finite,
+                   _index, _integer, _mesh, _newell, _record,
+                   build_polyhedron, euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -77,9 +80,10 @@ def _side_place(side, start: int, step: int, k: int):
     return (start - 1 - side) % k
 
 
-def resolve_correspondence(p1: MeshData, p2: MeshData,
-                           corr: FaceCorrespondence) -> tuple[int, ...]:
-    """The face2 vertex ids aligned with face1's stored cycle."""
+def _resolved(p1: MeshData, p2: MeshData, corr: FaceCorrespondence
+              ) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """resolve_correspondence's mapping, and its alignment with face2's
+    cycle (see _alignment)."""
     c1 = p1.faces[corr.face1]
     c2 = p2.faces[corr.face2]
     if len(c1) != len(c2):
@@ -95,9 +99,10 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
                         for v in entries)
         if sorted(mapping) != sorted(c2):
             raise NotIsometric("mapping is not a bijection onto face2")
-        if _alignment(mapping, c2) is None:
+        at = _alignment(mapping, c2)
+        if at is None:
             raise NotIsometric("mapping does not respect the face2 cycle")
-        return mapping
+        return mapping, at
 
     # the larger of the two meshes' tolerance scales (MeshGeometry.scale)
     tol = LENGTH_TOL * max(_geom.tolerance_scale(p1.vertices),
@@ -113,7 +118,13 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
     if len(found) > 1:
         raise AmbiguousCorrespondence(
             f"{len(found)} isometric alignments; pass an explicit mapping")
-    return found[0]
+    return found[0], _alignment(found[0], c2)
+
+
+def resolve_correspondence(p1: MeshData, p2: MeshData,
+                           corr: FaceCorrespondence) -> tuple[int, ...]:
+    """The face2 vertex ids aligned with face1's stored cycle."""
+    return _resolved(p1, p2, corr)[0]
 
 
 def _parts(p: Polyhedron | MeshData) -> MeshData:
@@ -121,6 +132,59 @@ def _parts(p: Polyhedron | MeshData) -> MeshData:
     if isinstance(p, Polyhedron):
         return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
     return _mesh(p, raw=True).paired()
+
+
+class _Side(NamedTuple):
+    """A piece's side of a seam (see _piece_side): the resolved mapping;
+    the piece's block of half-edge rows, with the piece face ids to be
+    shifted where `shift` is 1, and the count of its kept rows; whether
+    every seam place has a half-edge beyond face2; the vertices off
+    face2, as a list and an array; and the faces but face2."""
+    mapping: tuple[int, ...]
+    block: np.ndarray
+    shift: np.ndarray
+    n_kept: int
+    complete: bool
+    fresh: list[int]
+    fresh_rows: np.ndarray
+    keep: list[int]
+
+
+def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
+                start: int, step: int) -> _Side:
+    """What a glue step reads of its piece b, glued along face2 by the
+    mapping, which runs from `start` in face2's cycle by `step` (see
+    _alignment): the same for every step that glues one piece so.
+
+    The block holds the rows the step appends to the half-edge table: the
+    r half-edges of the piece's cells that do not cross face2, in cell
+    order, then per seam place i the half-edge beyond face1 (row r + 2i,
+    which the step fills in) and the one beyond face2 (row r + 2i + 1).
+    Every cell through face2 leaves one half-edge beyond the seam, its
+    partner (row ^ 1); side s of face2 sits at the place whose mapped
+    segment it is."""
+    k = len(mapping)
+    halves = b.cells.reshape(-1, 2)
+    at2 = (halves[:, 0] == face2).nonzero()[0]
+    own = np.empty(len(b.cells), dtype=bool)
+    own.fill(True)
+    own[at2 >> 1] = False
+    kept = halves.reshape(-1, 4)[own].reshape(-1, 2)
+    r = len(kept)
+    block = np.empty((r + 2 * k, 2), dtype=np.intp)
+    block.fill(-1)
+    block[:r] = kept
+    beyond = block[r + 1::2]
+    beyond[_side_place(halves[at2, 1], start, step, k)] = halves[at2 ^ 1]
+    complete = bool(np.minimum.reduce(beyond, axis=None) >= 0)
+    block[r::2] = 0
+    shift = np.zeros_like(block)
+    shift[:r, 0] = shift[r + 1::2, 0] = 1
+    mapped = set(mapping)
+    fresh = [v for v in range(len(b.vertices)) if v not in mapped]
+    return _Side(mapping, block, shift, r, complete, fresh,
+                 np.array(fresh, dtype=np.intp),
+                 [i for i in range(len(b.faces)) if i != face2])
 
 
 def glue(first: Polyhedron | MeshData,
@@ -149,10 +213,14 @@ def glue(first: Polyhedron | MeshData,
     cell, in one table sized from the faces' lengths, in the order the
     one-at-a-time glues leave them: the first mesh's, then each step's
     piece and seam cells.  A mask marks the cells a step replaces as
-    dead, and a step finds face1's live half-edges in one pass over the
-    rows glued so far.  The live cells are renumbered to face places
-    once, at the end, so a step does only its correspondence, rigid fit
-    and its piece's cells.
+    dead, and an index, per stable face and slot, holds the row of each
+    live half-edge.  So a step reads face1's k rows in the index and
+    writes the rows of the half-edges it places, its piece's and the k
+    its seam cells move, in one block.  A piece's side of the seam
+    (_piece_side), with the correspondence it resolves, is worked out
+    once per distinct piece, face2 and mapping in a call, so a chain of
+    one block does it once.  The live cells are renumbered to face places
+    once, at the end.
     """
     a = _parts(first)
     if not steps:
@@ -163,12 +231,19 @@ def glue(first: Polyhedron | MeshData,
     faces = list(a.faces)
     ids = list(range(len(faces)))          # stable id of the face at each place
     n_ids = len(faces)
-    half = np.empty((sum(map(len, faces)) + sum(
-        sum(map(len, p.faces)) for p, _ in steps), 2), dtype=np.intp)
+    lens = [list(map(len, faces))] + [list(map(len, p.faces))
+                                      for p, _ in steps]
+    half = np.empty((sum(map(sum, lens)), 2), dtype=np.intp)
     top = 2 * len(a.cells)                 # rows filled so far
     half[:top] = a.cells.reshape(-1, 2)
     live = np.empty(len(half) // 2, dtype=bool)
     live.fill(True)
+    row_of = np.empty((sum(map(len, lens)),
+                       max(max(sizes, default=0) for sizes in lens)),
+                      dtype=np.intp)
+    row_of.fill(-1)
+    row_of[half[:top, 0], half[:top, 1]] = np.arange(top)
+    sides: dict[tuple, tuple[_Side, MeshData]] = {}
     seams = set(a.metadata.seam_edges)
     provenance = []
     for piece, corr in steps:
@@ -176,9 +251,23 @@ def glue(first: Polyhedron | MeshData,
         _record(corr, FaceCorrespondence, "the correspondence")
         _index(corr.face1, len(faces), "face")
         _index(corr.face2, len(b.faces), "face")
-        mapping = resolve_correspondence(
-            MeshData(verts[:n], faces, a.metadata), b, corr)
         c1 = faces[corr.face1]
+        # the piece's side, keyed by the parts it reads and the mapping,
+        # as given or else as resolved; an entry holds b, so that no id in
+        # a key is reused within the call
+        key = (id(b.faces), id(b.cells), len(b.vertices), corr.face2)
+        try:
+            side = sides.get(key + (corr.mapping,), (None,))[0]
+        except TypeError:                   # a mapping that is no key
+            side = None
+        if side is None or len(side.mapping) != len(c1):
+            mapping, at = _resolved(MeshData(verts[:n], faces, a.metadata),
+                                    b, corr)
+            side = sides.get(key + (mapping,), (None,))[0]
+            if side is None:
+                side = _piece_side(b, corr.face2, mapping, *at)
+                sides[key + (mapping,)] = side, b
+        mapping = side.mapping
         k = len(c1)
         src = b.vertices[list(mapping)]
         dst = verts[list(c1)]
@@ -188,57 +277,37 @@ def glue(first: Polyhedron | MeshData,
         if resid > 1e-9 * _geom.tolerance_scale(dst):
             raise NotIsometric(
                 f"cycles are not congruent (rigid-fit residual {resid:.2e})")
-
-        # Every cell through face1 or face2 leaves one half-edge beyond the
-        # seam, its partner (row ^ 1); the two left at position i of
-        # face1's cycle form that seam's cell.  Side s of face2 sits at the
-        # position whose mapped segment it is, which the alignment of the
-        # mapping with face2's cycle gives.
-        at1 = ((half[:top, 0] == ids[corr.face1])
-               & live[:top // 2].repeat(2)).nonzero()[0]
-        row1 = np.empty(k, dtype=np.intp)
-        row1.fill(-1)
-        row1[half[at1, 1]] = at1
-        piece_halves = b.cells.reshape(-1, 2) + (n_ids, 0)
-        at2 = (piece_halves[:, 0] == n_ids + corr.face2).nonzero()[0]
-        start, step = _alignment(mapping, b.faces[corr.face2])
-        beyond2 = np.empty((k, 2), dtype=np.intp)
-        beyond2.fill(-1)
-        beyond2[_side_place(piece_halves[at2, 1], start, step, k)] = \
-            piece_halves[at2 ^ 1]
-        if np.logical_or.reduce(row1 < 0) or \
-                np.logical_or.reduce(beyond2 < 0, axis=None):
+        row1 = row_of[ids[corr.face1], :k]
+        if np.minimum.reduce(row1) < 0 or not side.complete:
             raise NotIsometric("seam pairing incomplete")
 
         # b's vertices: the seam ones become face1's, the rest are appended
-        new_id = np.empty(len(b.vertices), dtype=np.intp)
-        new_id.fill(-1)
-        new_id[list(mapping)] = c1
-        fresh = new_id < 0
-        m = int(np.add.reduce(fresh, dtype=np.intp))
-        new_id[fresh] = n + np.arange(m)
-        verts[n:n + m] = ((rot @ b.vertices.T).T + tr)[fresh]
+        new_id = [0] * len(b.vertices)
+        for v, w in zip(mapping, c1):
+            new_id[v] = int(w)
+        for i, v in enumerate(side.fresh, start=n):
+            new_id[v] = i
+        m = len(side.fresh)
+        verts[n:n + m] = ((rot @ b.vertices.T).T + tr)[side.fresh_rows]
         n += m
-        new_id = new_id.tolist()
 
         del faces[corr.face1], ids[corr.face1]
-        keep = [i for i in range(len(b.faces)) if i != corr.face2]
-        faces += [tuple(map(new_id.__getitem__, b.faces[i])) for i in keep]
-        ids += [n_ids + i for i in keep]
-        n_ids += len(b.faces)
+        faces += [tuple(map(new_id.__getitem__, b.faces[i]))
+                  for i in side.keep]
+        ids += [n_ids + i for i in side.keep]
 
         # the piece's cells but those through face2, then the seam cells,
-        # which replace those through face1
-        own = np.empty(len(b.cells), dtype=bool)
-        own.fill(True)
-        own[at2 >> 1] = False
-        rows = piece_halves.reshape(-1, 4)[own].reshape(-1, 2)
-        half[top:top + len(rows)] = rows
-        top += len(rows)
-        half[top:top + 2 * k:2] = half[row1 ^ 1]
-        half[top + 1:top + 2 * k:2] = beyond2
-        top += 2 * k
+        # which replace those through face1; the index follows each
+        # half-edge placed
+        end = top + len(side.block)
+        block = half[top:end]
+        np.multiply(side.shift, n_ids, out=block)
+        block += side.block
+        block[side.n_kept::2] = half[row1 ^ 1]
+        row_of[block[:, 0], block[:, 1]] = np.arange(top, end)
+        top = end
         live[row1 >> 1] = False
+        n_ids += len(b.faces)
 
         for (u, w) in b.metadata.seam_edges:
             u, w = new_id[u], new_id[w]
@@ -461,21 +530,31 @@ def _spokes(part: list[tuple[int, ...]], first_ring: int
     Each piece of a retiling has two, and each spoke is the side two
     neighbouring pieces share; the outer and hole sides are one piece's
     each."""
-    return {(u, w) if u < w else (w, u) for sub in part
-            for u, w in zip(sub, sub[1:] + sub[:1])
-            if (u < first_ring) != (w < first_ring)}
+    out = set()
+    for sub in part:
+        u = sub[-1]
+        for w in sub:
+            if (u < first_ring) != (w < first_ring):
+                out.add((u, w) if u < w else (w, u))
+            u = w
+    return out
 
 
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
     """p's parts and their geometry, whose Newell frames place the drilled
     vertices: a validated mesh lends its own.  Raw vertices and faces are
     first checked as build_polyhedron checks them, so that every face can
-    be fitted."""
+    be fitted; a Combinatorics record for their vertex count lends its
+    checked corners, as it does to build_polyhedron."""
     if isinstance(_mesh(p, raw=True), Polyhedron):
         return MeshData(p.vertices, p.faces, p.metadata), p.geometry
     pts = _checked_vertices(p.vertices)
-    return p._replace(vertices=pts), MeshGeometry(
-        pts, _checked_corners(p.faces, len(pts)))
+    faces = p.faces
+    if isinstance(faces, Combinatorics) and faces.n_vertices == len(pts):
+        corners = faces.corners
+    else:
+        corners = _checked_corners(faces, len(pts))
+    return p._replace(vertices=pts), MeshGeometry(pts, corners)
 
 
 def _coordinates(point) -> bool:
@@ -540,53 +619,267 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     return p1pt, depth, d1, d2
 
 
+def _in_planes(vertices: np.ndarray, corners: _Corners, normal: np.ndarray,
+               heights: tuple[float, float], scale: float) -> np.ndarray:
+    """Per plane normal . x = height and face laid out in `corners`:
+    whether the face is in the plane, every corner within 1e-7 * scale of
+    its height."""
+    along = vertices.take(corners.vertex, axis=0) @ normal
+    return np.maximum.reduceat(
+        np.abs(along - np.asarray(heights)[:, None]), corners.start,
+        axis=1) <= 1e-7 * scale
+
+
+class _Stack:
+    """The tracked faces of one length k (see _Drilling), one row each per
+    plane it lies in: its face id, that plane (0 or 1), its centroid and
+    (u, v) frame, its (k, 2) polygon in that frame and whether it is
+    live, and the count of live rows.  Rows are appended into arrays
+    whose room doubles."""
+
+    PARTS = ("face", "plane", "centroid", "u", "v", "polygon", "live")
+
+    def __init__(self, k: int):
+        self.m = self.n_live = 0
+        for name, shape, kind in zip(self.PARTS, ((), (), (3,), (3,), (3,),
+                                                  (k, 2), ()),
+                                     (np.intp, np.intp, float, float, float,
+                                      float, bool)):
+            setattr(self, name, np.empty((4,) + shape, kind))
+
+    def add(self, *rows) -> range:
+        """Append rows of every part but `live`; they are live."""
+        a = self.m
+        self.m = b = a + len(rows[0])
+        self.n_live += b - a
+        if b > len(self.face):
+            for name in self.PARTS:
+                old = getattr(self, name)
+                new = np.empty((max(2 * len(old), b),) + old.shape[1:],
+                               old.dtype)
+                new[:a] = old[:a]
+                setattr(self, name, new)
+        for name, part in zip(self.PARTS, rows + (True,)):
+            getattr(self, name)[a:b] = part
+        return range(a, b)
+
+
+class _Drilling:
+    """The parts of a chain of drills on one mesh, append-only, so that a
+    step costs what it adds (see drill_repeat).
+
+    Vertices and faces have stable ids: the mesh's own, then each step's
+    prism rings, and its pieces and prism walls, appended in order.  A
+    pierced face is marked dead, so the live faces in id order are the
+    face list that the drills leave one at a time, and a face's place in
+    it is its id less the dead ids below it.  Seams and provenance are
+    appended too, and the parts are assembled once (parts).
+
+    The mesh's own faces keep the planes of its geometry.  The faces a
+    step makes are fitted alone, by one Newell pass over their corners
+    (_newell), which gives them the bits a fit of every face would, when
+    the next step locates (_fit), so the last step's never are.  For
+    location (track, locate) only the faces in the two pierced planes
+    are kept, stacked by length with their frames and polygons: the
+    mesh's own faces are tested once, and each step tests the faces it
+    makes (_in_planes).  A step whose prism rings raise the tolerance
+    scale tests every live face again, as the wider band may take in
+    faces it left out.
+    """
+
+    def __init__(self, data: MeshData, geo: MeshGeometry):
+        self.metadata = data.metadata
+        self.vertices = data.vertices       # copied into room on first write
+        self.n = self.fitted = len(self.vertices)
+        self.faces = list(data.faces)       # by stable id
+        self.dead: list[int] = []           # sorted
+        self.seams = set(data.metadata.seam_edges)
+        self.provenance: list[str] = []
+        self.scale = geo.scale
+        # per step its first face id, and the corners and planes of the
+        # faces it made; the mesh's own faces are step 0's
+        self.firsts = [0]
+        self.fits = [(_Corners(geo.face_size, geo.face_start,
+                               geo.corner_vertex, geo.corner_face,
+                               geo.next_corner),
+                      tuple(getattr(geo, name) for name in _PLANES))]
+        self.stacks: dict[int, _Stack] | None = None
+        self.rows: dict[int, list[tuple[_Stack, int]]] = {}
+
+    def place(self, f: int) -> int:
+        """The place of the live face f in the face list."""
+        return f - bisect_left(self.dead, f)
+
+    def frame(self, f: int) -> tuple[np.ndarray, ...]:
+        """Face f's centroid, normal, u and v."""
+        s = bisect_right(self.firsts, f) - 1
+        centroid, normal, _, u, v, _, _ = self.fits[s][1]
+        i = f - self.firsts[s]
+        return centroid[i], normal[i], u[i], v[i]
+
+    def track(self, normal: np.ndarray, heights: tuple[float, float]
+              ) -> None:
+        """Keep, from now on, the live faces in the planes normal . x =
+        height for the two heights, for locate."""
+        self.normal, self.heights, self.stacks, self.rows = \
+            normal, heights, {}, {}
+        for first, fit in zip(self.firsts, self.fits):
+            self._stack(first, *fit, live=bool(self.dead))
+
+    def _stack(self, first: int, corners: _Corners, planes: tuple,
+               live: bool = False) -> None:
+        """Stack the faces laid out in `corners`, ids from `first` on, that
+        are in a tracked plane, with their `planes`; with `live`, only the
+        live ones."""
+        which, at = _in_planes(self.vertices, corners, self.normal,
+                               self.heights, self.scale).nonzero()
+        if live:
+            keep = ~np.isin(at + first, self.dead)
+            which, at = which[keep], at[keep]
+        centroid, _, _, u, v, uv, _ = planes
+        size = corners.size[at]
+        lengths = set(size.tolist())
+        for k in lengths:
+            # all the faces, or those of length k
+            rows = slice(None) if len(lengths) == 1 else size == k
+            f = at[rows]
+            ids = f + first
+            stack = self.stacks.get(k) or self.stacks.setdefault(k, _Stack(k))
+            added = stack.add(ids, which[rows], centroid.take(f, axis=0),
+                              u.take(f, axis=0), v.take(f, axis=0), uv.take(
+                                  corners.start[f][:, None] + np.arange(k),
+                                  axis=0))
+            for face, row in zip(ids.tolist(), added):
+                self.rows.setdefault(face, []).append((stack, row))
+
+    def _fit(self) -> None:
+        """Fit and stack the faces of the last step, which is done when it
+        is located in (the last step of a chain never is); a step whose
+        prism rings raise the tolerance scale stacks every live face
+        again."""
+        first, n = self.firsts[-1], self.n
+        corners = _corner_layout(self.faces[first:])
+        self.fits[-1] = corners, _newell(self.vertices, corners)
+        scale = max(self.scale, _geom.tolerance_scale(
+            self.vertices[self.fitted:n]))
+        self.fitted = n
+        if scale > self.scale:
+            self.scale = scale
+            self.track(self.normal, self.heights)
+        else:
+            self._stack(first, *self.fits[-1])
+
+    def locate(self, points: np.ndarray) -> list[tuple[int | None, float]]:
+        """Per point, in the tracked plane at its place: the first live face
+        in face order that holds it inside, by _axis's bound, and its
+        clearance to that face's boundary; (None, 0.0) where no face does.
+        Each point is projected into every face's frame of its plane, but
+        its boundary distance is measured only where the face's polygon
+        winds around it, as MeshGeometry.inside_clearance would give it."""
+        if self.fits[-1] is None:
+            self._fit()
+        best: list[tuple[int | None, float]] = [(None, 0.0), (None, 0.0)]
+        bound = AXIS_CLEARANCE * self.scale
+        for stack in self.stacks.values():
+            if not stack.n_live:
+                continue
+            m = stack.m
+            plane = stack.plane[:m]
+            q = _geom.project_2d(points.take(plane, axis=0)[:, None],
+                                 stack.centroid[:m], stack.u[:m],
+                                 stack.v[:m])[:, 0]
+            poly = stack.polygon[:m]
+            rows = (_geom.winds_around(q, poly) & stack.live[:m]).nonzero()[0]
+            if not rows.size:
+                continue
+            clearance = _geom.dist_point_polygon_boundary(
+                q.take(rows, axis=0), poly.take(rows, axis=0))
+            for i, f, c in zip(plane.take(rows).tolist(),
+                               stack.face.take(rows).tolist(),
+                               clearance.tolist()):
+                if c > bound and (best[i][0] is None or f < best[i][0]):
+                    best[i] = (f, c)
+        return best
+
+    def pierce(self, f1: int, f2: int, n: int, phase: float, axis: tuple,
+               radius: float | None) -> None:
+        """Drill faces f1 and f2, along the axis _axis gives, with a prism
+        of n sides and circumradius `radius` (by default a quarter of the
+        smaller clearance): the two prism rings, both pierced faces
+        retiled in one call, each over its own and its ring's vertices
+        with the seams between the pieces, and the walls; face1's errors
+        come before face2's.  The pieces of f1 and of f2 and the walls
+        are appended, and f1 and f2 die."""
+        p1pt, depth, d1, d2 = axis
+        _, _, u1, v1 = self.frame(f1)
+        n2 = self.frame(f2)[1]
+        eps = radius if radius is not None else 0.25 * min(d1, d2)
+        if eps <= 0 or eps >= min(d1, d2):
+            raise FootprintTooLarge(
+                f"prism radius {eps:.3g} does not fit (clearances {d1:.3g}, "
+                f"{d2:.3g})")
+
+        angle = [TAU * j / n + phase for j in range(n)]
+        cos = np.array([math.cos(t) for t in angle])[:, None]
+        sin = np.array([math.sin(t) for t in angle])[:, None]
+        ring1 = p1pt + eps * (cos * u1 + sin * v1)
+        ring2 = ring1 - depth * n2
+        cycles = (self.faces[f1], self.faces[f2])
+        parts = _retile([self.vertices[list(cyc)] for cyc in cycles],
+                        [ring1, ring2])
+
+        base1 = self.n
+        self.n = base1 + 2 * n
+        if self.n > len(self.vertices):
+            grown = np.empty((max(2 * len(self.vertices), self.n), 3))
+            grown[:base1] = self.vertices[:base1]
+            self.vertices = grown
+        self.vertices[base1:base1 + n] = ring1
+        self.vertices[base1 + n:self.n] = ring2
+        first = len(self.faces)
+        for cyc, base, local in zip(cycles, (base1, base1 + n), parts):
+            # the local ids index the face's cycle and then its ring
+            ids = list(cyc) + list(range(base, base + n))
+            part = [tuple(map(ids.__getitem__, sub)) for sub in local]
+            self.faces += part
+            self.seams.update(_spokes(part, base1))
+        self.faces += [(base1 + j, base1 + (j + 1) % n,
+                        base1 + n + (j + 1) % n, base1 + n + j)
+                       for j in range(n)]
+        self.provenance.append(
+            f"drill(n={n}, faces=({self.place(f1)},{self.place(f2)}), "
+            f"eps={eps:.6g})")
+        for f in (f1, f2):
+            insort(self.dead, f)
+            for stack, row in self.rows.pop(f, ()):
+                stack.live[row] = False
+                stack.n_live -= 1
+
+        self.firsts.append(first)
+        self.fits.append(None)
+
+    def parts(self) -> MeshData:
+        """The mesh's parts: its vertices, its live faces in order, and its
+        metadata with the seams and provenance of the drills and no
+        genus."""
+        ends = [-1] + self.dead + [len(self.faces)]
+        faces = [face for a, b in zip(ends, ends[1:])
+                 for face in self.faces[a + 1:b]]
+        meta = replace_meta(self.metadata, seam_edges=self.seams, genus=None)
+        meta.provenance += self.provenance
+        return MeshData(self.vertices[:self.n], faces, meta)
+
+
 def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
            axis: tuple) -> MeshData:
     """All of drill short of validation, on raw data whose geometry is
-    `geo`, along the axis _axis gives for `spec`: the two prism rings,
-    both pierced faces retiled in one call, each over its own and its
-    ring's vertices with the seams between the pieces, and the walls;
-    face1's errors come before face2's.  The parts keep the other faces
-    first, in order, then face1's and face2's pieces and the walls.
-    """
-    p1pt, depth, d1, d2 = axis
-    u1, v1, n2 = geo.u[spec.face1], geo.v[spec.face1], geo.normal[spec.face2]
-    eps = spec.radius if spec.radius is not None else 0.25 * min(d1, d2)
-    if eps <= 0 or eps >= min(d1, d2):
-        raise FootprintTooLarge(
-            f"prism radius {eps:.3g} does not fit (clearances {d1:.3g}, {d2:.3g})")
-
-    angle = [TAU * j / spec.n + spec.phase for j in range(spec.n)]
-    cos = np.array([math.cos(t) for t in angle])[:, None]
-    sin = np.array([math.sin(t) for t in angle])[:, None]
-    ring1 = p1pt + eps * (cos * u1 + sin * v1)
-    ring2 = ring1 - depth * n2
-
-    base1 = len(data.vertices)
-    base2 = base1 + spec.n
-    verts = np.concatenate((data.vertices, ring1, ring2))
-
-    faces = list(data.faces)
-    del faces[max(spec.face1, spec.face2)], faces[min(spec.face1, spec.face2)]
-    seams = set(data.metadata.seam_edges)
-    cycles = (data.faces[spec.face1], data.faces[spec.face2])
-    parts = _retile([data.vertices[list(cyc)] for cyc in cycles],
-                    [ring1, ring2])
-    for cyc, base, local in zip(cycles, (base1, base2), parts):
-        part = [tuple(cyc[i] if i < len(cyc) else base + i - len(cyc)
-                      for i in sub)
-                for sub in local]
-        faces.extend(part)
-        seams.update(_spokes(part, base1))
-    for j in range(spec.n):
-        k = (j + 1) % spec.n
-        faces.append((base1 + j, base1 + k, base2 + k, base2 + j))
-
-    meta = replace_meta(data.metadata, seam_edges=seams)
-    meta.provenance.append(
-        f"drill(n={spec.n}, faces=({spec.face1},{spec.face2}), eps={eps:.6g})")
-    meta.genus = None
-    return MeshData(verts, faces, meta)
+    `geo`, along the axis _axis gives for `spec`: one step of _Drilling.
+    The parts keep the other faces first, in order, then face1's and
+    face2's pieces and the walls."""
+    drilling = _Drilling(data, geo)
+    drilling.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
+                    spec.radius)
+    return drilling.parts()
 
 
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
@@ -618,8 +911,9 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     drill raises, before any offset is tried.  p may be a validated mesh
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
-    Each step carries the geometry of the step before to its result
-    (MeshGeometry.carry), so only new pieces are laid out and fitted.
+    The steps share one _Drilling, so each pays for what it adds: its
+    rings, pieces and walls, their fit and their plane test, and the
+    location of its two axis points among the faces of the two planes.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
@@ -637,13 +931,14 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        out, step_geo = data, geo
+        drilling = _Drilling(data, geo)
+        drilling.track(n1, heights)
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
                 exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
-                (f1, clr1), (f2, clr2) = _locate_face(
-                    step_geo, np.array([axis_pt, exit_pt]), heights, n1)
+                (f1, clr1), (f2, clr2) = drilling.locate(
+                    np.array([axis_pt, exit_pt]))
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
@@ -651,39 +946,14 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
                 # the planes are those _axis checked; only depth is new
-                depth = float((axis_pt - step_geo.centroid[f2])
-                              @ step_geo.normal[f2])
-                out = pierce(out, step_geo, DrillSpec(
-                    f1, f2, spec.n, tuple(axis_pt), radius, spec.phase),
-                    (axis_pt, depth, clr1, clr2))
-                step_geo = step_geo.carry([f1, f2], out.vertices, out.faces)
+                c2, n2, _, _ = drilling.frame(f2)
+                depth = float((axis_pt - c2) @ n2)
+                drilling.pierce(f1, f2, spec.n, spec.phase,
+                                (axis_pt, depth, clr1, clr2), radius)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
         else:
-            return build_polyhedron(*out)
+            return build_polyhedron(*drilling.parts())
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")
-
-
-def _locate_face(geo: MeshGeometry, points: np.ndarray, heights,
-                 normal: np.ndarray) -> list[tuple[int | None, float]]:
-    """Per point and plane height: the first face in the plane
-    normal . x = height that holds the point inside (_axis's bound), plus
-    the point's clearance to that face's boundary; (None, 0.0) where no
-    face does.  A face is in the plane when its corners all lie near it.
-    Both planes' candidates are selected in one pass and measured in one
-    MeshGeometry.inside_clearance call."""
-    scale = geo.scale
-    along = geo.vertices.take(geo.corner_vertex, axis=0) @ normal
-    which, faces = (np.maximum.reduceat(
-        np.abs(along - np.asarray(heights)[:, None]), geo.face_start,
-        axis=1) <= 1e-7 * scale).nonzero()
-    clearance = geo.inside_clearance(faces, points.take(which, axis=0))
-    hit = clearance > AXIS_CLEARANCE * scale
-    out: list[tuple[int | None, float]] = []
-    for i in range(len(heights)):
-        rows = (hit & (which == i)).nonzero()[0]
-        out.append((int(faces[rows[0]]), float(clearance[rows[0]]))
-                   if rows.size else (None, 0.0))
-    return out

@@ -93,6 +93,34 @@ BAD_CALLS = [
 ]
 
 
+@pytest.mark.parametrize("kw", [
+    {"seam_edges": {1j}}, {"seam_edges": {(True, 2)}},
+    {"seam_edges": {(3, 3)}}, {"seam_edges": {(-1, 2)}},
+    {"provenance": [1j]}, {"vertex_labels": {"a": "x"}},
+    {"vertex_labels": {1: 2}}],
+    ids=["seam-complex", "seam-bool", "seam-loop", "seam-negative",
+         "provenance-complex", "label-str", "label-int-name"])
+def test_metadata_entries_are_checked(kw, tmp_path):
+    """Metadata holds only what a saved file holds: a seam that is not two
+    distinct vertex ids, a provenance entry that is not a str or a label
+    that is not a str naming a vertex id raises BadParameters when the
+    metadata is made, not TypeError when it is saved or BadFile when the
+    file is read back."""
+    with pytest.raises(BadParameters, match="^metadata "):
+        P.with_metadata(**kw)
+    assert not list(tmp_path.iterdir())
+
+
+def test_numpy_ids_in_metadata_save_as_ints(tmp_path):
+    """Labels and seams may name vertices by numpy integers, as faces may;
+    the file holds them as JSON integers and reads back equal."""
+    p = P.with_metadata(vertex_labels={"a": np.int64(3)},
+                        seam_edges={(np.intp(0), np.int32(1))})
+    save_mesh(p, tmp_path / "m.json")
+    back = load_mesh(tmp_path / "m.json").metadata
+    assert back.vertex_labels == {"a": 3} and back.seam_edges == {(0, 1)}
+
+
 @pytest.mark.parametrize("call,error", [case[1:] for case in BAD_CALLS],
                          ids=[case[0] for case in BAD_CALLS])
 def test_bad_call_raises_the_error_that_names_it(call, error):

@@ -192,20 +192,23 @@ def z_facing_u(geo):
 def test_z_facing_faces_get_u_along_x(monkeypatch):
     """Every z-facing face of n5g g = 15 (70 of them) gets u = e_x, to
     rounding, in its validated geometry and in the frames each drill step
-    cuts in: the components of its normal along x and y are rounding
+    cuts in, those of the faces it pierces and of every face it may
+    locate in: the components of its normal along x and y are rounding
     noise, which no longer picks u."""
     frames = []
-    pierce = surgery_mod.pierce
+    pierce = surgery_mod._Drilling.pierce
 
-    def recorded(data, geo, spec, axis):
-        frames.append(geo)
-        return pierce(data, geo, spec, axis)
+    def recorded(self, f1, f2, *args):
+        frames.append(np.concatenate(
+            [[self.frame(f)[2] for f in (f1, f2)]]
+            + [stack.u[:stack.m][stack.live[:stack.m]]
+               for stack in (self.stacks or {}).values()]))
+        return pierce(self, f1, f2, *args)
 
-    monkeypatch.setattr(surgery_mod, "pierce", recorded)
+    monkeypatch.setattr(surgery_mod._Drilling, "pierce", recorded)
     p = generate_family(FamilyRequest("n5g", 15))
     assert len(z_facing_u(p.geometry)) == 70 and frames
-    for geo in [p.geometry, *frames]:
-        u = z_facing_u(geo)
+    for u in [z_facing_u(p.geometry), *frames]:
         assert np.abs(u - (1.0, 0.0, 0.0)).max() < 1e-15
 
 

@@ -26,7 +26,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
-from ccpforge.surgery import _axis, _locate_face, build_glued, glue, pierce
+from ccpforge.surgery import _axis, build_glued, glue, pierce
 
 from conftest import (assert_same_planes, cube_data, face_polygon,
                       random_rigid_motion)
@@ -345,13 +345,13 @@ class TestDrill:
     def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
                                                     mesh, spec, kind, error):
         """drill_repeat checks the spec once, on its input, with drill's
-        own checks: any k raises drill's error before it locates an
-        offset axis or retiles a face (drill_repeat locates with
-        _locate_face, pierce retiles with _retile).  Raw data with doubled
-        segments is refused as the validated mesh is."""
+        own checks: any k raises drill's error before it tests a face
+        for the planes it locates in or retiles a face (drill_repeat
+        tests with _in_planes, pierce retiles with _retile).  Raw data
+        with doubled segments is refused as the validated mesh is."""
         p = mesh()
         calls = []
-        for name in ("_locate_face", "_retile"):
+        for name in ("_in_planes", "_retile"):
             monkeypatch.setattr(surgery_mod, name,
                                 lambda *a, name=name: calls.append(name))
         with pytest.raises(kind, match=error):
@@ -414,6 +414,25 @@ def test_raw_parts_are_checked_before_they_are_fitted(k, vertex, face,
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             drill_repeat(data, DrillSpec(0, 1, 4), k)
+
+
+def test_raw_parts_on_a_record_lend_its_corners(monkeypatch):
+    """P^2_24's raw parts carry its Combinatorics record as their faces,
+    checked for its 24 vertices once per process, so drilling them checks
+    no face again; the record of another vertex count is checked as a
+    face list, with the error the list gives."""
+    calls = []
+    checked = surgery_mod._checked_corners
+    monkeypatch.setattr(surgery_mod, "_checked_corners",
+                        lambda *a: calls.append(1) or checked(*a))
+    data = generators_mod._p2_24()
+    assert isinstance(data.faces, mesh_mod.Combinatorics)
+    assert drill_repeat(data, DrillSpec(0, 1, 12), 2).n_faces > 18
+    assert calls == []
+    with pytest.raises(IndexOutOfRange, match="references vertex 23"):
+        drill_repeat(data._replace(vertices=data.vertices[:23]),
+                     DrillSpec(0, 1, 12), 2)
+    assert calls == [1]
 
 
 def glued_data(build, *args):
@@ -545,7 +564,8 @@ def counted_newell(monkeypatch) -> list[list[bytes]]:
                        zip(corners.start.tolist(), corners.size.tolist())])
         return newell(vertices, corners)
 
-    monkeypatch.setattr(mesh_mod, "_newell", counted)
+    for module in (mesh_mod, surgery_mod):
+        monkeypatch.setattr(module, "_newell", counted)
     return passes
 
 
@@ -582,35 +602,66 @@ def assert_fresh_planes(geo, vertices, faces):
         assert not getattr(geo, name).flags.writeable, name
 
 
+def fitted_drilling(p, faces, monkeypatch=None):
+    """A _Drilling of p, tracking the planes of `faces` (a parallel pair),
+    after its one step through them with a 12-gonal prism and the fit of
+    the faces it made, which the next location would make; with
+    monkeypatch, also the Newell passes of the step."""
+    spec = DrillSpec(*faces, 12)
+    data, geo = surgery_mod._raw(p)
+    drilling = surgery_mod._Drilling(data, geo)
+    normal = geo.normal[faces[0]]
+    drilling.track(normal, tuple(float(normal @ geo.centroid[f])
+                                 for f in faces))
+    passes = counted_newell(monkeypatch) if monkeypatch else None
+    drilling.pierce(*faces, 12, 0.0, _axis(geo, spec), None)
+    drilling._fit()
+    return drilling, passes
+
+
+def assert_fresh_frames(drilling, out):
+    """Every live face's frame in the drilling, its own or carried from the
+    mesh it drilled, has the bits of a fresh fit of the whole result."""
+    fresh = mesh_mod.MeshGeometry(out.vertices,
+                                  mesh_mod._corner_layout(out.faces))
+    for f in range(len(drilling.faces)):
+        if f in drilling.dead:
+            continue
+        at = drilling.place(f)
+        for part, want in zip(drilling.frame(f), (
+                fresh.centroid, fresh.normal, fresh.u, fresh.v)):
+            assert part.tobytes() == want[at].tobytes(), f
+
+
 def test_pierce_keeps_the_other_faces_first():
     """pierce keeps the faces it does not pierce first, in order, so the
-    geometry carry makes for its parts, dropping the two pierced faces,
-    is bit for bit a fresh fit of the whole face list."""
+    planes a drilling carries from the mesh, whose two pierced faces are
+    dead, and those it fits for the faces it makes are bit for bit a
+    fresh fit of the whole face list."""
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
     data, frames = surgery_mod._raw(p)
     assert frames is p.geometry
     out = pierce(data, frames, spec, _axis(frames, spec))
     assert out.faces[:p.n_faces - 2] == list(p.faces[2:])
-    geo = frames.carry([0, 1], out.vertices, out.faces)
-    assert geo.vertices is out.vertices
-    assert_fresh_planes(geo, out.vertices, out.faces)
+    drilling, _ = fitted_drilling(p, (0, 1))
+    got = drilling.parts()
+    assert got.faces == out.faces
+    assert got.vertices.tobytes() == out.vertices.tobytes()
+    assert_fresh_frames(drilling, out)
 
 
-@pytest.mark.parametrize("dropped", [[0, 17], [17, 0], [5, 6], [6, 5]])
+@pytest.mark.parametrize("dropped", [[0, 1], [1, 0], [16, 17], [17, 16]])
 def test_carry_keeps_the_other_faces(monkeypatch, dropped):
-    """carry on p2-24's frames (18 faces), dropping the first and last
-    faces or two adjacent ones, in either order: its layout is that of
-    the kept faces and then the new ones, its planes and uv are a fresh
-    fit's bit for bit, and it fits the new faces only."""
+    """A drilling step on p2-24 (18 faces) through its top and bottom
+    faces or its two x walls, in either order, carries the planes of the
+    faces it keeps: its one Newell pass fits the faces it makes and no
+    other, and every live face's frame is a fresh fit's bit for bit."""
     p = gen_p2_24()
-    verts = np.vstack([p.vertices, [(0.0, 0.0, 5.0)]])
-    new = [p.faces[f][::-1] for f in dropped] + [(0, 1, len(p.vertices))]
-    faces = [f for i, f in enumerate(p.faces) if i not in dropped] + new
-    passes = counted_newell(monkeypatch)
-    geo = surgery_mod._raw(p)[1].carry(dropped, verts, faces)
-    assert list(map(len, passes)) == [len(new)]
-    assert_fresh_planes(geo, verts, faces)
+    drilling, passes = fitted_drilling(p, dropped, monkeypatch)
+    out = drilling.parts()
+    assert list(map(len, passes)) == [len(out.faces) - (p.n_faces - 2)]
+    assert_fresh_frames(drilling, out)
 
 
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
@@ -622,24 +673,117 @@ def test_drill_repeat_fits_each_piece_once(monkeypatch):
     for genus in (24, 48):
         passes.clear()
         p = generate_family(FamilyRequest("orientable", genus))
-        # p2-24's build, the drill steps, then the one build of the result
+        # p2-24's build, the drill steps but the last, whose faces no
+        # later step locates in, then the one build of the result
         first, *steps, last = map(len, passes)
         assert first == 18 and last == p.n_faces
-        assert len(steps) == genus - 2
+        assert len(steps) == genus - 3
         assert sum(steps) < 2 * p.n_faces, (genus, sum(steps), p.n_faces)
 
 
 def test_drilled_build_fits_no_face_twice(monkeypatch):
     """orientable g = 8 drills p2-24 six times: the drill steps fit no
-    face's plane twice, and the one build fits the 268-face result in
-    one Newell pass."""
+    face's plane twice (the last step's faces, which no later step
+    locates in, not at all), and the one build fits the 268-face result
+    in one Newell pass."""
     passes = counted_newell(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 8))
     assert p.n_faces == 268
     base, *steps, last = passes
-    assert len(base) == 18 and len(steps) == 6 and len(last) == 268
+    assert len(base) == 18 and len(steps) == 5 and len(last) == 268
     rows = [face for step in steps for face in step]
     assert max(Counter(rows).values()) == 1
+
+
+def test_a_drill_step_pays_for_what_it_adds(monkeypatch):
+    """orientable g = 30 drills p2-24 28 times in one drill_repeat.  Once
+    p2-24's own 18 faces are tested, each step fits planes (one Newell
+    pass) and tests plane membership (_in_planes) for the faces it makes
+    and no other, 52 at the first step and 42 at each later one; the last
+    step's faces, which no step locates in, are neither.  A boundary
+    distance is measured only for a face whose polygon winds around its
+    point: two per location (the axis check's two faces, then each
+    step's entry and exit faces), where measuring every face in both
+    planes took hundreds per step."""
+    tested, measured = [], []
+    in_planes = surgery_mod._in_planes
+
+    def counted_in_planes(vertices, corners, *args):
+        tested.append(len(corners.size))
+        return in_planes(vertices, corners, *args)
+
+    dist = geom_mod.dist_point_polygon_boundary
+
+    def counted_dist(pt, poly):
+        if pt.ndim == 2:        # a point per face; retiling's holes are 3-D
+            measured.append(geom_mod.winds_around(pt, poly).tolist())
+        return dist(pt, poly)
+
+    monkeypatch.setattr(surgery_mod, "_in_planes", counted_in_planes)
+    monkeypatch.setattr(geom_mod, "dist_point_polygon_boundary",
+                        counted_dist)
+    passes = counted_newell(monkeypatch)
+    p = generate_family(FamilyRequest("orientable", 30))
+    base, *steps, last = map(len, passes)
+    assert base == 18 and steps == [52] + [42] * 26 and last == p.n_faces
+    assert p.n_faces == 18 + sum(steps) + 42 - 2 * 28
+    assert tested == [18] + steps
+    assert measured == [[True, True]] * 29
+
+
+def test_a_ring_that_raises_the_scale_retests_every_face(monkeypatch):
+    """A step whose prism rings raise the tolerance scale widens the band
+    of the plane test, which may take in faces it left out, so every
+    live face is tested again: the faces stacked after the step are
+    those a fresh record of the drilled parts stacks at the new scale.
+    The planes sit 5e-7 off p2-24's top and bottom faces, outside the
+    band at scale 1 and inside it at scale 10, which the rings are made
+    to raise it to."""
+    data, geo = surgery_mod._raw(gen_p2_24())
+    normal = geo.normal[0]
+    heights = tuple(float(normal @ geo.centroid[f]) + 5e-7 for f in (0, 1))
+
+    def stacked(drilling):
+        return sorted((drilling.place(f), i) for s in drilling.stacks.values()
+                      for f, i, live in zip(s.face[:s.m].tolist(),
+                                            s.plane[:s.m].tolist(),
+                                            s.live[:s.m].tolist()) if live)
+
+    drilling = surgery_mod._Drilling(data, geo)
+    drilling.track(normal, heights)
+    assert stacked(drilling) == []
+    drilling.pierce(0, 1, 12, 0.0, _axis(geo, DrillSpec(0, 1, 12)), None)
+    monkeypatch.setattr(geom_mod, "tolerance_scale", lambda *a, **kw: 10.0)
+    drilling._fit()
+    assert drilling.scale == 10.0
+    fresh = surgery_mod._Drilling(*surgery_mod._raw(drilling.parts()))
+    fresh.track(normal, heights)
+    got = stacked(drilling)
+    assert got == stacked(fresh) and {i for _, i in got} == {0, 1}
+
+
+def test_a_glue_chain_works_out_each_piece_side_once(monkeypatch):
+    """A glue call works out a piece's side of its seams once per distinct
+    piece, face2 and mapping: gen_n5g_odd(11) glues one R-block onto its
+    11 drum triangles alike, and gen_minimal(40)'s chain glues 19 T-blocks
+    on three (face2, mapping) pairs before the chain is glued to its
+    copy."""
+    calls = []
+    side = surgery_mod._piece_side
+
+    def counted(b, face2, mapping, *args):
+        calls.append((face2, mapping))
+        return side(b, face2, mapping, *args)
+
+    monkeypatch.setattr(surgery_mod, "_piece_side", counted)
+    assert generators_mod.gen_n5g_odd(11).n_faces > 0
+    assert calls == [(0, (0, 2, 1))]
+    calls.clear()
+    gen_minimal(40)
+    assert calls[:3] == [(0, generators_mod._MAP_A_FIRST),
+                         (1, generators_mod._MAP_B),
+                         (0, generators_mod._MAP_A)]
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("name,base,spec,k", [
@@ -694,11 +838,20 @@ def test_drilled_families_name_their_top_and_bottom_faces(
 # point location
 
 
+def locate(p, normal, heights, points):
+    """What a _Drilling of p, tracking the planes normal . x = height,
+    locates for the two points: per point its face (a place in p, which
+    is its id while nothing is pierced) and clearance."""
+    drilling = surgery_mod._Drilling(*surgery_mod._raw(p))
+    drilling.track(normal, tuple(heights))
+    return drilling.locate(np.asarray(points, float))
+
+
 def test_locate_face_matches_a_face_by_face_scan():
-    """One plane per call, and two planes of one normal in one call, as
-    drill_repeat asks: each point gets the face of the scan _locate_face
-    replaced.  The planes are those of the pierced faces, which the
-    three drills cut into many pieces."""
+    """One plane for both points, and two planes of one normal, as
+    drill_repeat asks: each point gets the face of the scan that
+    drill_repeat's one-call location replaced.  The planes are those of
+    the pierced faces, which the three drills cut into many pieces."""
     base = gen_p2_24()
     p = drill_repeat(base, DrillSpec(0, 1, 12), 3)
     geo = p.geometry
@@ -725,8 +878,8 @@ def test_locate_face_matches_a_face_by_face_scan():
         height = float(normal @ centroid)
         for point in [centroid] + list(
                 centroid + rng.normal(size=(4, 3)) * 0.3):
-            assert _locate_face(p.geometry, point[None], [height],
-                                normal) == [scan(point, height, normal)]
+            assert locate(p, normal, [height] * 2, [point] * 2) == \
+                [scan(point, height, normal)] * 2
             points.append((point, float(normal0 @ centroid)))
     # the entry and exit planes of both pierced faces, in both orders
     heights = {round(h) for _, h in points}
@@ -734,8 +887,7 @@ def test_locate_face_matches_a_face_by_face_scan():
     located = set()
     for (a, ha), (b, hb) in zip(points, reversed(points)):
         want = [scan(a, ha, normal0), scan(b, hb, normal0)]
-        assert _locate_face(p.geometry, np.array([a, b]), [ha, hb],
-                            normal0) == want
+        assert locate(p, normal0, [ha, hb], [a, b]) == want
         located.update(f is None for f, _ in want)
     assert located == {True, False}
 
@@ -775,7 +927,7 @@ def test_inside_clearance_is_the_face_by_face_loop():
 
 
 def test_axis_and_locate_face_return_the_query_bits():
-    """_axis's entry and exit clearances and each face _locate_face finds
+    """_axis's entry and exit clearances and each face a _Drilling locates
     come with the bits MeshGeometry.inside_clearance gives for that face
     and point."""
     p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 2)
@@ -796,8 +948,7 @@ def test_axis_and_locate_face_return_the_query_bits():
         assert np.array_equal([d1, d2], want)
         exit_pt = point - depth * geo.normal[f2]
         heights = [float(normal @ point), float(normal @ exit_pt)]
-        located = _locate_face(geo, np.array([point, exit_pt]), heights,
-                               normal)
+        located = locate(p, normal, heights, [point, exit_pt])
         assert [f for f, _ in located] == [f1, f2]
         assert np.array_equal([c for _, c in located], want)
         tried += 1

@@ -17,7 +17,7 @@ from ccpforge import (MeshMetadata, build_polyhedron, format_pi_multiple,
                       gen_tetrahemihexahedron, load_json, load_mesh, read_obj,
                       save_json, verify, write_obj, write_stl)
 from ccpforge import _geom
-from ccpforge.errors import BadParameters, NotRepresentable
+from ccpforge.errors import BadParameters, DegenerateFace, NotRepresentable
 from ccpforge.fileio import mesh_to_document
 
 from conftest import face_triangles
@@ -203,6 +203,16 @@ class TestFileIO:
         q = read_obj(path)
         assert np.abs(q.vertices - p.vertices).max() == 0
         assert q.faces == p.faces
+
+    def test_obj_face_that_repeats_a_vertex(self, tmp_path):
+        """A face whose cycle repeats a vertex in a row raises the build's
+        DegenerateFace, not a metadata error for its side of one vertex,
+        which is no seam."""
+        path = tmp_path / "t.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                        "f 1 1 2\nf 1 2 3\nf 1 3 4\nf 2 4 3\n")
+        with pytest.raises(DegenerateFace, match="face 0 repeats a vertex"):
+            read_obj(path)
 
     def test_obj_round_trip_of_q3_18(self, tmp_path):
         """A glued mesh without doubled segments keeps its faces and
