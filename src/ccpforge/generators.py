@@ -894,10 +894,10 @@ _MAP_B = (0, 2, 5, 3)           # onto rect B after a rect-A receiver
 def _chain_half(params: list[tuple[float, float]]):
     """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain,
     in one glue call.  Returns (parts, giving face id, giving cycle vertex
-    ids).  The blocks after the first share one face list, one cell array
-    and one metadata record, so glue works out each (receiving face,
-    mapping) of their seams once."""
-    first = _t_block(*params[0])._replace(cells=_T_CELLS)
+    ids).  The blocks share one face list and one cell array, and those
+    after the first one metadata record, so glue checks their cells once
+    and works out each (receiving face, mapping) of their seams once."""
+    first = _t_block(*params[0])._replace(faces=_T_FACES, cells=_T_CELLS)
     verts = _t_block_vertices(params[1:])
     give_face = 2
     give_cycle = (1, 2, 5, 4)    # (v2, v3, v6, v5)

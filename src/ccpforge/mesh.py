@@ -178,8 +178,11 @@ class Polyhedron:
 
     @property
     def has_multi_edges(self) -> bool:
-        """Whether two edge cells share a vertex pair."""
-        return self.geometry.doubled
+        """Whether two edge cells share a vertex pair: a row of the sorted
+        edge_pairs repeats."""
+        pairs = self.edge_pairs
+        return bool(np.logical_or.reduce(np.logical_and.reduce(
+            pairs[1:] == pairs[:-1], axis=1)))
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of the (first) edge cell joining vertices u and v, given
@@ -561,15 +564,6 @@ class MeshGeometry:
         return out
 
     @cached_property
-    def doubled(self) -> bool:
-        """Whether a segment carries two edge cells: its vertex pair bounds
-        four or more face sides."""
-        u, v = self.corner_vertex, self.corner_vertex[self.next_corner]
-        pair = np.minimum(u, v) * len(self.vertices) + np.maximum(u, v)
-        pair.sort()
-        return bool(np.logical_or.reduce(pair[3:] == pair[:-3]))
-
-    @cached_property
     def scale(self) -> float:
         """The mesh's tolerance scale: its largest absolute coordinate, at
         least 1."""
@@ -666,55 +660,82 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
     """An explicit pairing as (E, 4) rows (f1, s1, f2, s2), sorted by vertex
     pair and then by the half-edges; returns the rows and their (E, 2)
     vertex pairs (lower id first).  Every half-edge must lie in exactly
-    one cell and both halves of a cell traverse one segment.  A half-edge
-    (f, s) orders as its corner start[f] + s does, and no two cells share
-    a first corner, so the rows are sorted by two keys: the vertex pair,
-    packed into one integer as in _derived_cells, and the first corner."""
+    one cell (_cell_ends, then the count) and both halves of a cell
+    traverse one segment.  A half-edge (f, s) orders as its corner
+    start[f] + s does, and no two cells share a first corner, so the rows
+    are sorted by two keys: the vertex pair's and the first corner."""
+    corner, key, ends = _cell_ends(cells, corners)
+    if 2 * len(cells) != len(corners.vertex):
+        raise NonManifoldEdge("edge_slots do not cover every half-edge")
+    order = np.lexsort((corner[::2], key))
+    return cells.take(order, axis=0), ends.take(order, axis=0)
+
+
+def _cell_ends(cells: np.ndarray, corners: _Corners
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checks of an explicit pairing short of its count, in their
+    order (NonManifoldEdge): each half-edge is a side of the mesh, none
+    lies in two cells, and both halves of a cell traverse one segment.
+    Each check is one pass, and finds what fails only if something does.
+    Returns the corner of each half-edge, and per cell the key of its
+    vertex pair, packed into one integer as in _derived_cells, and the
+    pair (lower id first)."""
     half = cells.reshape(-1, 2)
     f, s = half[:, 0], half[:, 1]
-    ok = (f >= 0) & (f < len(corners.size))
-    ok[ok] = (s[ok] >= 0) & (s[ok] < corners.size[f[ok]])
-    if not np.logical_and.reduce(ok):
+    size = corners.size
+    if not (np.minimum.reduce(cells, axis=None, initial=0) >= 0
+            and np.maximum.reduce(f, initial=-1) < len(size)
+            and np.logical_and.reduce(s < size.take(f))):
+        ok = (f >= 0) & (f < len(size))
+        ok[ok] = (s[ok] >= 0) & (s[ok] < size[f[ok]])
         i = ok.argmin()
         raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) out of range")
-    corner = corners.start[f] + s
-    order = corner.argsort(kind="stable")
-    again = order[1:][corner[order[1:]] == corner[order[:-1]]]
-    if again.size:
-        i = np.minimum.reduce(again)
+    corner = corners.start.take(f) + s
+    if np.maximum.reduce(np.bincount(corner), initial=0) > 1:
+        order = corner.argsort(kind="stable")
+        i = np.minimum.reduce(order[1:][corner[order[1:]]
+                                        == corner[order[:-1]]])
         raise NonManifoldEdge(f"half-edge ({f[i]}, {s[i]}) paired twice")
-    u = corners.vertex[corner]
-    v = corners.vertex[corners.next[corner]]
-    ends = np.empty((len(u), 2), u.dtype)
-    np.minimum(u, v, out=ends[:, 0])
-    np.maximum(u, v, out=ends[:, 1])
-    ends = ends.reshape(-1, 2, 2)
-    bad = np.logical_or.reduce(ends[:, 0] != ends[:, 1], axis=1).nonzero()[0]
+    u = corners.vertex.take(corner)
+    v = corners.vertex.take(corners.next.take(corner))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * (int(np.maximum.reduce(hi, initial=0)) + 1) + hi
+    bad = (key[0::2] != key[1::2]).nonzero()[0]
     if bad.size:
         (f1, s1, f2, s2) = cells[bad[0]]
         raise NonManifoldEdge(
             f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
             f"different segments")
-    if 2 * len(cells) != len(corners.vertex):
-        raise NonManifoldEdge("edge_slots do not cover every half-edge")
-    ends = ends[:, 0]
-    top = int(np.maximum.reduce(ends[:, 1], initial=0)) + 1
-    order = np.lexsort((corner[::2], ends[:, 0] * top + ends[:, 1]))
-    return cells.take(order, axis=0), ends.take(order, axis=0)
+    ends = np.empty((len(cells), 2), lo.dtype)
+    ends[:, 0] = lo[0::2]
+    ends[:, 1] = hi[0::2]
+    return corner, key[0::2], ends
 
 
 def _cell_array(edge_slots) -> np.ndarray:
-    """An explicit pairing as an (E, 4) index array.  A half-edge whose
-    face or slot lies beyond the index range raises NonManifoldEdge, as
-    _edge_cells does for one off the mesh."""
+    """An explicit pairing as an (E, 4) index array: its entries, four to
+    a cell in any nesting, are integers by the faces' rule
+    (_intp_entries), else NonManifoldEdge; an integer beyond the index
+    range names a half-edge out of range, as _cell_ends does one off the
+    mesh."""
     try:
-        return np.asarray(edge_slots, dtype=np.intp).reshape(-1, 4)
-    except OverflowError:
-        limit = np.iinfo(np.intp)
-        f, s = next((f, s) for f, s in np.asarray(
-            edge_slots, dtype=object).reshape(-1, 2).tolist()
-            if not limit.min <= min(f, s) <= max(f, s) <= limit.max)
-        raise NonManifoldEdge(f"half-edge ({f}, {s}) out of range") from None
+        cells = np.asarray(edge_slots)
+        if cells.dtype.kind != "i":     # each entry as given, not coerced
+            cells = np.asarray(edge_slots, dtype=object)
+    except ValueError:              # ragged
+        cells = None
+    if cells is None or cells.ndim == 0 or cells.size % 4:
+        raise NonManifoldEdge(f"edge_slots {edge_slots!r} are not "
+                              f"(face, slot) half-edges, two to a cell")
+    if cells.dtype.kind != "i":
+        flat = cells.ravel().tolist()
+        cells, bad = _intp_entries(flat)
+        if bad < len(flat):
+            f, s = flat[bad & ~1], flat[bad | 1]
+            _integer(flat[bad], f"half-edge ({f!r}, {s!r}) entry",
+                     NonManifoldEdge)
+            raise NonManifoldEdge(f"half-edge ({f}, {s}) out of range")
+    return cells.astype(np.intp, copy=False).reshape(-1, 4)
 
 
 def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
@@ -728,28 +749,35 @@ def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * (int(np.maximum.reduce(hi, initial=0)) + 1) + hi
     order = key.argsort(kind="stable")
-    lo, hi, key = lo[order], hi[order], key[order]
-    key_starts = np.empty(len(lo), dtype=bool)
-    key_starts[:1] = True
-    np.not_equal(key[1:], key[:-1], out=key_starts[1:])
-    first = key_starts.nonzero()[0]
-    uses = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=uses[:-1])
-    uses[-1:] = len(lo) - first[-1:]
-    bad = (uses != 2).nonzero()[0]
-    if bad.size:
-        i = first[bad[0]]
-        raise NonManifoldEdge(
-            f"edge {(int(lo[i]), int(hi[i]))} used {uses[bad[0]]} times; "
-            f"meshes with doubled segments need explicit edge_slots")
+    key = key[order]
+    # every key twice: the sorted keys pair up, and no pair runs into the
+    # next
+    if len(key) % 2 or not (
+            np.logical_and.reduce(key[0::2] == key[1::2])
+            and np.logical_and.reduce(key[1:-1:2] != key[2::2])):
+        _twice(key, lo[order], hi[order])
     face = corners.face[order]
     cells = np.empty((len(order), 2), np.intp)
     cells[:, 0] = face
     np.subtract(order, corners.start[face], out=cells[:, 1])
-    ends = np.empty((len(lo) // 2, 2), lo.dtype)
-    ends[:, 0] = lo[::2]
-    ends[:, 1] = hi[::2]
+    ends = np.empty((len(key) // 2, 2), lo.dtype)
+    ends[:, 0] = lo.take(order[::2])
+    ends[:, 1] = hi.take(order[::2])
     return cells.reshape(-1, 4), ends
+
+
+def _twice(key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """NonManifoldEdge for the first of the sorted keys, each a vertex
+    pair (lo, hi), that does not occur exactly twice."""
+    starts = np.empty(len(key), dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    uses = np.subtract(np.append(first[1:], len(key)), first)
+    i = (uses != 2).nonzero()[0][0]
+    raise NonManifoldEdge(
+        f"edge {(int(lo[first[i]]), int(hi[first[i]]))} used {uses[i]} "
+        f"times; meshes with doubled segments need explicit edge_slots")
 
 
 def _edge_at(p: Polyhedron, pairs: np.ndarray) -> np.ndarray:
@@ -803,7 +831,8 @@ def build_polyhedron(vertices, faces,
     face planarity/simplicity/area, distinct edge endpoints, no flat (pi)
     dihedral angles, and connectivity of the face-adjacency graph.  Every
     check runs on every face, edge and vertex: surgery assembles raw data
-    (surgery.glue, surgery.pierce) and validates only the finished mesh.
+    with its edge cells (surgery.glue, drill and drill_repeat, which write
+    one record) and validates only the finished mesh.
 
     The checks on the face list alone derive the mesh's Combinatorics
     record (Combinatorics.of); then the geometry is built on it.  `faces`
@@ -814,9 +843,10 @@ def build_polyhedron(vertices, faces,
     error is the one the plain face list gives.
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
-    (face, slot)) cells or an (E, 2, 2) or (E, 4) array; without it sides
-    are paired by vertex pair.  The geometry fits every face's plane in
-    one Newell pass (see MeshGeometry).
+    (face, slot)) cells or an (E, 2, 2) or (E, 4) array of integers (by
+    operator.index, as vertex ids are; NonManifoldEdge otherwise); without
+    it sides are paired by vertex pair.  The geometry fits every face's
+    plane in one Newell pass (see MeshGeometry).
     """
     meta = MeshMetadata() if metadata is None else metadata
     _record(meta, MeshMetadata, "the metadata")
@@ -993,8 +1023,8 @@ def _finite(x) -> bool:
 
 def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
     """`flat` as an intp array, and the index of its first entry that is
-    not an intp integer by operator.index (len(flat) if none); from that
-    entry on the array reads -1.
+    not an intp integer by operator.index, or is a bool (len(flat) if
+    none); from that entry on the array reads -1.
 
     numpy infers an integer dtype for a flat list only when every entry is
     an integer, so the common case takes no Python call per entry."""
@@ -1009,7 +1039,7 @@ def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
     out = []
     for v in flat:
         try:
-            v = operator.index(v)
+            v = operator.index(None if isinstance(v, bool) else v)
         except TypeError:
             break
         if not lo <= v <= hi:

@@ -4,7 +4,7 @@ drilling a regular prism tunnel between two parallel faces."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,8 +17,9 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
-                   MeshGeometry, Polyhedron, _checked_corners,
-                   _checked_vertices, _corner_layout, _Corners, _finite,
+                   MeshGeometry, Polyhedron, _cell_array, _cell_ends,
+                   _checked_corners, _checked_vertices, _corner_layout,
+                   _Corners, _derived_cells, _edge_cells, _finite,
                    _index, _integer, _mesh, _newell, _record,
                    build_polyhedron, euler_characteristic, replace_meta)
 
@@ -80,11 +81,12 @@ def _side_place(side, start: int, step: int, k: int):
     return (start - 1 - side) % k
 
 
-def _resolved(p1: MeshData, p2: MeshData, corr: FaceCorrespondence
+def _resolved(pts1: np.ndarray, c1: Sequence[int], p2: MeshData,
+              corr: FaceCorrespondence
               ) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """resolve_correspondence's mapping, and its alignment with face2's
-    cycle (see _alignment)."""
-    c1 = p1.faces[corr.face1]
+    """resolve_correspondence's mapping onto face1's cycle c1, whose mesh
+    has the vertices pts1, and its alignment with face2's cycle (see
+    _alignment)."""
     c2 = p2.faces[corr.face2]
     if len(c1) != len(c2):
         raise NotIsometric("face cycles have different lengths")
@@ -105,9 +107,9 @@ def _resolved(p1: MeshData, p2: MeshData, corr: FaceCorrespondence
         return mapping, at
 
     # the larger of the two meshes' tolerance scales (MeshGeometry.scale)
-    tol = LENGTH_TOL * max(_geom.tolerance_scale(p1.vertices),
+    tol = LENGTH_TOL * max(_geom.tolerance_scale(pts1),
                            _geom.tolerance_scale(p2.vertices)) * 10
-    len1 = _cycle_lengths(p1.vertices[list(c1)])
+    len1 = _cycle_lengths(pts1[list(c1)])
     found = []
     for cand in _alignments(c2):
         len2 = _cycle_lengths(p2.vertices[list(cand)])
@@ -124,7 +126,7 @@ def _resolved(p1: MeshData, p2: MeshData, corr: FaceCorrespondence
 def resolve_correspondence(p1: MeshData, p2: MeshData,
                            corr: FaceCorrespondence) -> tuple[int, ...]:
     """The face2 vertex ids aligned with face1's stored cycle."""
-    return _resolved(p1, p2, corr)[0]
+    return _resolved(p1.vertices, p1.faces[corr.face1], p2, corr)[0]
 
 
 def _parts(p: Polyhedron | MeshData) -> MeshData:
@@ -134,15 +136,23 @@ def _parts(p: Polyhedron | MeshData) -> MeshData:
     return _mesh(p, raw=True).paired()
 
 
+def _checked_cells(data: MeshData) -> np.ndarray:
+    """Raw data's own cells as an (E, 4) array in their order, checked as
+    build_polyhedron checks them but for their count (NonManifoldEdge),
+    which glue checks at each seam."""
+    cells = _cell_array(data.cells)
+    _cell_ends(cells, _checked_corners(
+        data.faces, len(_checked_vertices(data.vertices))))
+    return cells
+
+
 class _Side(NamedTuple):
     """A piece's side of a seam (see _piece_side): the resolved mapping;
-    the piece's block of half-edge rows, with the piece face ids to be
-    shifted where `shift` is 1, and the count of its kept rows; whether
-    every seam place has a half-edge beyond face2; the vertices off
-    face2, as a list and an array; and the faces but face2."""
+    the piece's block of half-edge rows and the count of its kept rows;
+    whether every seam place has a half-edge beyond face2; the vertices
+    off face2, as a list and an array; and the faces but face2."""
     mapping: tuple[int, ...]
     block: np.ndarray
-    shift: np.ndarray
     n_kept: int
     complete: bool
     fresh: list[int]
@@ -156,13 +166,13 @@ def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
     mapping, which runs from `start` in face2's cycle by `step` (see
     _alignment): the same for every step that glues one piece so.
 
-    The block holds the rows the step appends to the half-edge table: the
+    The block holds the rows the step appends to the half-edge rows: the
     r half-edges of the piece's cells that do not cross face2, in cell
     order, then per seam place i the half-edge beyond face1 (row r + 2i,
     which the step fills in) and the one beyond face2 (row r + 2i + 1).
     Every cell through face2 leaves one half-edge beyond the seam, its
     partner (row ^ 1); side s of face2 sits at the place whose mapped
-    segment it is."""
+    segment it is.  The faces but face2 are numbered from 0 in order."""
     k = len(mapping)
     halves = b.cells.reshape(-1, 2)
     at2 = (halves[:, 0] == face2).nonzero()[0]
@@ -177,12 +187,10 @@ def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
     beyond = block[r + 1::2]
     beyond[_side_place(halves[at2, 1], start, step, k)] = halves[at2 ^ 1]
     complete = bool(np.minimum.reduce(beyond, axis=None) >= 0)
-    block[r::2] = 0
-    shift = np.zeros_like(block)
-    shift[:r, 0] = shift[r + 1::2, 0] = 1
+    block[:, 0] -= block[:, 0] > face2
     mapped = set(mapping)
     fresh = [v for v in range(len(b.vertices)) if v not in mapped]
-    return _Side(mapping, block, shift, r, complete, fresh,
+    return _Side(mapping, block, r, complete, fresh,
                  np.array(fresh, dtype=np.intp),
                  [i for i in range(len(b.faces)) if i != face2])
 
@@ -201,128 +209,39 @@ def glue(first: Polyhedron | MeshData,
     so a chain of sums is validated once, by build_glued at its end.  The
     glue checks only that a step's correspondence is a FaceCorrespondence
     (BadParameters), that its two face ids are faces of their meshes
-    (IndexOutOfRange) and that the two faces are congruent (NotIsometric
-    beyond the rigid-fit residual); they never reach a result.  Each step
-    lowers chi by 2.  The edge-cell pairing is carried through explicitly,
-    so segments of two pieces that come to share both endpoints remain
-    distinct 1-cells.
+    (IndexOutOfRange), that the two faces are congruent (NotIsometric
+    beyond the rigid-fit residual) and that raw data's own cells name
+    sides of its faces (_checked_cells); the faces never reach a result.
+    Each step lowers chi by 2.  The edge-cell pairing is carried through
+    explicitly, so segments of two pieces that come to share both
+    endpoints remain distinct 1-cells.
 
-    The faces sit in one list, each with a stable id, from which a step
-    deletes its face1 and to which it appends its piece's faces.  The
-    cells are kept as half-edge rows (face, slot) in stable ids, two to a
-    cell, in one table sized from the faces' lengths, in the order the
-    one-at-a-time glues leave them: the first mesh's, then each step's
-    piece and seam cells.  A mask marks the cells a step replaces as
-    dead, and an index, per stable face and slot, holds the row of each
-    live half-edge.  So a step reads face1's k rows in the index and
-    writes the rows of the half-edges it places, its piece's and the k
-    its seam cells move, in one block.  A piece's side of the seam
-    (_piece_side), with the correspondence it resolves, is worked out
-    once per distinct piece, face2 and mapping in a call, so a chain of
-    one block does it once.  The live cells are renumbered to face places
-    once, at the end.
+    The steps write one _Surgery record.  A piece's cells are checked,
+    and its side of a seam (_piece_side) worked out with the mapping it
+    resolves, once per distinct piece, and per face2 and mapping, in a
+    call, so a chain of one block does each once.
     """
-    a = _parts(first)
+    # per distinct piece, the first mesh among them, keyed by the parts
+    # of it that a side reads (_parts): their cells, raw data's checked,
+    # and its sides by face2 and mapping, as given or else as resolved;
+    # an entry holds the parts, so that no id in a key is reused
+    pieces: dict[tuple, tuple[MeshData, np.ndarray, dict]] = {}
+
+    def piece_of(p) -> tuple[MeshData, dict]:
+        """p's parts, with its checked cells, and its sides."""
+        b = _parts(p)
+        key = id(b.faces), id(b.cells), len(b.vertices)
+        if key not in pieces:
+            pieces[key] = b, _checked_cells(b) if b is p else b.cells, {}
+        return b._replace(cells=pieces[key][1]), pieces[key][2]
+
+    a, _ = piece_of(first)
     if not steps:
         return a
-    n = len(a.vertices)
-    verts = np.empty((n + sum(len(p.vertices) for p, _ in steps), 3))
-    verts[:n] = a.vertices
-    faces = list(a.faces)
-    ids = list(range(len(faces)))          # stable id of the face at each place
-    n_ids = len(faces)
-    lens = [list(map(len, faces))] + [list(map(len, p.faces))
-                                      for p, _ in steps]
-    half = np.empty((sum(map(sum, lens)), 2), dtype=np.intp)
-    top = 2 * len(a.cells)                 # rows filled so far
-    half[:top] = a.cells.reshape(-1, 2)
-    live = np.empty(len(half) // 2, dtype=bool)
-    live.fill(True)
-    row_of = np.empty((sum(map(len, lens)),
-                       max(max(sizes, default=0) for sizes in lens)),
-                      dtype=np.intp)
-    row_of.fill(-1)
-    row_of[half[:top, 0], half[:top, 1]] = np.arange(top)
-    sides: dict[tuple, tuple[_Side, MeshData]] = {}
-    seams = set(a.metadata.seam_edges)
-    provenance = []
+    record = _Surgery(a)
     for piece, corr in steps:
-        b = _parts(piece)
-        _record(corr, FaceCorrespondence, "the correspondence")
-        _index(corr.face1, len(faces), "face")
-        _index(corr.face2, len(b.faces), "face")
-        c1 = faces[corr.face1]
-        # the piece's side, keyed by the parts it reads and the mapping,
-        # as given or else as resolved; an entry holds b, so that no id in
-        # a key is reused within the call
-        key = (id(b.faces), id(b.cells), len(b.vertices), corr.face2)
-        try:
-            side = sides.get(key + (corr.mapping,), (None,))[0]
-        except TypeError:                   # a mapping that is no key
-            side = None
-        if side is None or len(side.mapping) != len(c1):
-            mapping, at = _resolved(MeshData(verts[:n], faces, a.metadata),
-                                    b, corr)
-            side = sides.get(key + (mapping,), (None,))[0]
-            if side is None:
-                side = _piece_side(b, corr.face2, mapping, *at)
-                sides[key + (mapping,)] = side, b
-        mapping = side.mapping
-        k = len(c1)
-        src = b.vertices[list(mapping)]
-        dst = verts[list(c1)]
-        rot, tr = _geom.kabsch(src, dst)
-        resid = float(np.maximum.reduce(
-            np.abs(rot @ src.T + tr[:, None] - dst.T), axis=None))
-        if resid > 1e-9 * _geom.tolerance_scale(dst):
-            raise NotIsometric(
-                f"cycles are not congruent (rigid-fit residual {resid:.2e})")
-        row1 = row_of[ids[corr.face1], :k]
-        if np.minimum.reduce(row1) < 0 or not side.complete:
-            raise NotIsometric("seam pairing incomplete")
-
-        # b's vertices: the seam ones become face1's, the rest are appended
-        new_id = [0] * len(b.vertices)
-        for v, w in zip(mapping, c1):
-            new_id[v] = int(w)
-        for i, v in enumerate(side.fresh, start=n):
-            new_id[v] = i
-        m = len(side.fresh)
-        verts[n:n + m] = ((rot @ b.vertices.T).T + tr)[side.fresh_rows]
-        n += m
-
-        del faces[corr.face1], ids[corr.face1]
-        faces += [tuple(map(new_id.__getitem__, b.faces[i]))
-                  for i in side.keep]
-        ids += [n_ids + i for i in side.keep]
-
-        # the piece's cells but those through face2, then the seam cells,
-        # which replace those through face1; the index follows each
-        # half-edge placed
-        end = top + len(side.block)
-        block = half[top:end]
-        np.multiply(side.shift, n_ids, out=block)
-        block += side.block
-        block[side.n_kept::2] = half[row1 ^ 1]
-        row_of[block[:, 0], block[:, 1]] = np.arange(top, end)
-        top = end
-        live[row1 >> 1] = False
-        n_ids += len(b.faces)
-
-        for (u, w) in b.metadata.seam_edges:
-            u, w = new_id[u], new_id[w]
-            seams.add((u, w) if u < w else (w, u))
-        provenance.append(
-            f"connect_sum(face {corr.face1} ~ face {corr.face2})")
-
-    place = np.empty(n_ids, dtype=np.intp)
-    place[ids] = np.arange(len(ids))
-    out = half[:top].reshape(-1, 4)[live[:top // 2]]
-    out[:, 0::2] = place[out[:, 0::2]]
-    meta = replace_meta(a.metadata, seam_edges=seams, genus=None,
-                        orientable=None)
-    meta.provenance += provenance
-    return MeshData(verts[:n], faces, meta, out)
+        record.glue(*piece_of(piece), corr)
+    return record.parts(orientable=None)
 
 
 def build_glued(data: MeshData) -> Polyhedron:
@@ -523,38 +442,23 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
     return faces_local
 
 
-def _spokes(part: list[tuple[int, ...]], first_ring: int
-            ) -> set[tuple[int, int]]:
-    """The seams of a retiled face: its spokes, the sides that join a
-    vertex of the pierced face (an id below first_ring) to a ring vertex.
-    Each piece of a retiling has two, and each spoke is the side two
-    neighbouring pieces share; the outer and hole sides are one piece's
-    each."""
-    out = set()
-    for sub in part:
-        u = sub[-1]
-        for w in sub:
-            if (u < first_ring) != (w < first_ring):
-                out.add((u, w) if u < w else (w, u))
-            u = w
-    return out
-
-
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
-    """p's parts and their geometry, whose Newell frames place the drilled
-    vertices: a validated mesh lends its own.  Raw vertices and faces are
-    first checked as build_polyhedron checks them, so that every face can
-    be fitted; a Combinatorics record for their vertex count lends its
-    checked corners, as it does to build_polyhedron."""
+    """p's parts with their edge cells, and their geometry, whose Newell
+    frames place the drilled vertices: a validated mesh lends its own.
+    Raw vertices, faces and cells are first checked as build_polyhedron
+    checks them; a Combinatorics record for their vertex count lends its
+    checked corners, and its cells where p has none, as to the build."""
     if isinstance(_mesh(p, raw=True), Polyhedron):
-        return MeshData(p.vertices, p.faces, p.metadata), p.geometry
+        return _parts(p), p.geometry
     pts = _checked_vertices(p.vertices)
     faces = p.faces
-    if isinstance(faces, Combinatorics) and faces.n_vertices == len(pts):
-        corners = faces.corners
+    record = isinstance(faces, Combinatorics) and faces.n_vertices == len(pts)
+    corners = faces.corners if record else _checked_corners(faces, len(pts))
+    if p.cells is not None:
+        cells = _edge_cells(_cell_array(p.cells), corners)[0]
     else:
-        corners = _checked_corners(faces, len(pts))
-    return p._replace(vertices=pts), MeshGeometry(pts, corners)
+        cells = faces.cells if record else _derived_cells(corners)[0]
+    return MeshData(pts, faces, p.metadata, cells), MeshGeometry(pts, corners)
 
 
 def _coordinates(point) -> bool:
@@ -569,8 +473,8 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
     """Reject a spec that no axis placement mends: bad face ids, a bad
     placement (a phase, radius or point that is not finite real numbers,
     a point that is not three of them, or a radius that is not positive)
-    or order, a face pierced twice, a mesh with doubled segments, and a
-    pierced face of zero vector area, whose normal is NaN."""
+    or order, a face pierced twice, and a pierced face of zero vector
+    area, whose normal is NaN."""
     _record(spec, DrillSpec, "the drill spec")
     for f in (spec.face1, spec.face2):
         _index(f, len(geo.face_size), "face")
@@ -588,9 +492,6 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
         raise BadOrder(f"prism order {spec.n} is not in 3..2**63-1")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
-    if geo.doubled:
-        raise AxisObstructed(
-            "drilling meshes with doubled segments is not supported")
     for f in (spec.face1, spec.face2):
         if not geo.area[f] > 0:
             raise AxisObstructed(f"pierced face {f} has zero area")
@@ -630,12 +531,23 @@ def _in_planes(vertices: np.ndarray, corners: _Corners, normal: np.ndarray,
         axis=1) <= 1e-7 * scale
 
 
+def _room(a: np.ndarray, n: int, fill=0) -> np.ndarray:
+    """a when it has n rows or more, else a copy with room for n and at
+    least twice its rows, the new ones `fill`.  A record's arrays start
+    full, so it copies one it was lent before it writes to it."""
+    if n <= len(a):
+        return a
+    out = np.empty((max(2 * len(a), n),) + a.shape[1:], a.dtype)
+    out[:len(a)] = a
+    out[len(a):] = fill
+    return out
+
+
 class _Stack:
-    """The tracked faces of one length k (see _Drilling), one row each per
-    plane it lies in: its face id, that plane (0 or 1), its centroid and
-    (u, v) frame, its (k, 2) polygon in that frame and whether it is
-    live, and the count of live rows.  Rows are appended into arrays
-    whose room doubles."""
+    """The tracked faces of one length k (see _Surgery.track), one row
+    each per plane it lies in: its face id, that plane (0 or 1), its
+    centroid and (u, v) frame, its (k, 2) polygon in that frame and
+    whether it is live, and the count of live rows."""
 
     PARTS = ("face", "plane", "centroid", "u", "v", "polygon", "live")
 
@@ -654,47 +566,52 @@ class _Stack:
         self.n_live += b - a
         if b > len(self.face):
             for name in self.PARTS:
-                old = getattr(self, name)
-                new = np.empty((max(2 * len(old), b),) + old.shape[1:],
-                               old.dtype)
-                new[:a] = old[:a]
-                setattr(self, name, new)
+                setattr(self, name, _room(getattr(self, name), b))
         for name, part in zip(self.PARTS, rows + (True,)):
             getattr(self, name)[a:b] = part
         return range(a, b)
 
 
-class _Drilling:
-    """The parts of a chain of drills on one mesh, append-only, so that a
-    step costs what it adds (see drill_repeat).
+class _Surgery:
+    """The parts of a chain of surgery steps on one mesh, append-only, so
+    that a step costs what it adds: glue's connected sums and the prism
+    tunnels of drill and drill_repeat write this one half-edge store
+    (Kettner 1999).
 
-    Vertices and faces have stable ids: the mesh's own, then each step's
-    prism rings, and its pieces and prism walls, appended in order.  A
-    pierced face is marked dead, so the live faces in id order are the
-    face list that the drills leave one at a time, and a face's place in
-    it is its id less the dead ids below it.  Seams and provenance are
-    appended too, and the parts are assembled once (parts).
+    Vertices and faces have stable ids, the mesh's own and then each
+    step's.  A step takes the faces it consumes out of the live ids,
+    which stay in id order: the face list the steps leave one at a time.
+    The cells are half-edge rows (face, slot), two to a cell, in the
+    order the steps leave them; a mask marks those a step replaces, and
+    an index holds each live half-edge's row.  The parts are assembled
+    once (parts).
 
-    The mesh's own faces keep the planes of its geometry.  The faces a
-    step makes are fitted alone, by one Newell pass over their corners
-    (_newell), which gives them the bits a fit of every face would, when
-    the next step locates (_fit), so the last step's never are.  For
-    location (track, locate) only the faces in the two pierced planes
-    are kept, stacked by length with their frames and polygons: the
-    mesh's own faces are tested once, and each step tests the faces it
-    makes (_in_planes).  A step whose prism rings raise the tolerance
-    scale tests every live face again, as the wider band may take in
-    faces it left out.
+    A drilled record keeps the planes of the mesh's geometry for its own
+    faces and fits a step's faces alone (_newell, which gives them the
+    bits of a fit of every face) when the next step locates (_fit).
+    Location (track, locate) keeps only the faces in the two pierced
+    planes, stacked by length with their frames and polygons; each face
+    is tested for them once (_in_planes), and every live face again when
+    a step's prism rings raise the tolerance scale, which widens the
+    band.
     """
 
-    def __init__(self, data: MeshData, geo: MeshGeometry):
+    def __init__(self, data: MeshData, geo: MeshGeometry | None = None):
         self.metadata = data.metadata
         self.vertices = data.vertices       # copied into room on first write
         self.n = self.fitted = len(self.vertices)
         self.faces = list(data.faces)       # by stable id
-        self.dead: list[int] = []           # sorted
+        self.live = list(range(len(self.faces)))
+        self.half = data.cells.reshape(-1, 2)   # as the vertices
+        self.top = len(self.half)
+        self.live_cells = np.ones(len(data.cells), dtype=bool)
+        width = max(map(len, self.faces), default=0)
+        self.row_of = np.full((len(self.faces), width), -1, dtype=np.intp)
+        self.row_of[self.half[:, 0], self.half[:, 1]] = np.arange(self.top)
         self.seams = set(data.metadata.seam_edges)
         self.provenance: list[str] = []
+        if geo is None:
+            return
         self.scale = geo.scale
         # per step its first face id, and the corners and planes of the
         # faces it made; the mesh's own faces are step 0's
@@ -706,9 +623,98 @@ class _Drilling:
         self.stacks: dict[int, _Stack] | None = None
         self.rows: dict[int, list[tuple[_Stack, int]]] = {}
 
-    def place(self, f: int) -> int:
-        """The place of the live face f in the face list."""
-        return f - bisect_left(self.dead, f)
+    def _add(self, half: np.ndarray, at, old: np.ndarray) -> None:
+        """Append the half-edge rows `half`, two to a cell, those at `at`
+        the partners of the half-edges in rows `old`, whose cells die, and
+        index them."""
+        half[at] = self.half[old ^ 1]
+        self.live_cells[old >> 1] = False
+        wider = int(np.maximum.reduce(half[:, 1])) + 1 - self.row_of.shape[1]
+        if wider > 0:
+            self.row_of = np.concatenate((self.row_of, np.full(
+                (len(self.row_of), wider), -1, np.intp)), axis=1)
+        self.row_of = _room(self.row_of, len(self.faces), -1)
+        top, self.top = self.top, self.top + len(half)
+        self.half = _room(self.half, self.top)
+        self.live_cells = _room(self.live_cells, self.top // 2, True)
+        self.half[top:self.top] = half
+        self.row_of[half[:, 0], half[:, 1]] = np.arange(top, self.top)
+
+    def _add_vertices(self, points: np.ndarray) -> int:
+        """Append the points; the id of the first."""
+        n, self.n = self.n, self.n + len(points)
+        self.vertices = _room(self.vertices, self.n)
+        self.vertices[n:self.n] = points
+        return n
+
+    def parts(self, **meta) -> MeshData:
+        """The mesh's parts: its vertices, live faces and live cells, their
+        faces renumbered to places, and its metadata with the steps' seams
+        and provenance, no genus and the fields `meta` names replaced."""
+        place = np.empty(len(self.faces), dtype=np.intp)
+        place[self.live] = np.arange(len(self.live))
+        cells = self.half[:self.top].reshape(-1, 4)[
+            self.live_cells[:self.top // 2]]
+        cells[:, 0::2] = place[cells[:, 0::2]]
+        meta = replace_meta(self.metadata, seam_edges=self.seams, genus=None,
+                            provenance=self.metadata.provenance
+                            + self.provenance, **meta)
+        return MeshData(self.vertices[:self.n],
+                        list(map(self.faces.__getitem__, self.live)), meta,
+                        cells)
+
+    def glue(self, b: MeshData, sides: dict, corr: FaceCorrespondence
+             ) -> None:
+        """One connected sum (see glue): piece b, with its sides by face2
+        and mapping so far, glued by corr."""
+        _record(corr, FaceCorrespondence, "the correspondence")
+        face1 = _index(corr.face1, len(self.live), "face")
+        _index(corr.face2, len(b.faces), "face")
+        c1 = self.faces[self.live[face1]]
+        try:
+            side = sides.get((corr.face2, corr.mapping))
+        except TypeError:                   # a mapping that is no key
+            side = None
+        if side is None or len(side.mapping) != len(c1):
+            mapping, at = _resolved(self.vertices[:self.n], c1, b, corr)
+            side = sides.get((corr.face2, mapping))
+            if side is None:
+                side = sides[corr.face2, mapping] = _piece_side(
+                    b, corr.face2, mapping, *at)
+        src = b.vertices[list(side.mapping)]
+        dst = self.vertices[list(c1)]
+        rot, tr = _geom.kabsch(src, dst)
+        resid = float(np.maximum.reduce(
+            np.abs(rot @ src.T + tr[:, None] - dst.T), axis=None))
+        if resid > 1e-9 * _geom.tolerance_scale(dst):
+            raise NotIsometric(
+                f"cycles are not congruent (rigid-fit residual {resid:.2e})")
+        row1 = self.row_of[self.live[face1], :len(c1)]
+        if np.minimum.reduce(row1) < 0 or not side.complete:
+            raise NotIsometric("seam pairing incomplete")
+
+        # b's vertices: the seam ones become face1's, the rest are appended
+        new_id = [0] * len(b.vertices)
+        for v, w in zip(side.mapping, c1):
+            new_id[v] = int(w)
+        for i, v in enumerate(side.fresh, start=self.n):
+            new_id[v] = i
+        self._add_vertices(((rot @ b.vertices.T).T + tr)[side.fresh_rows])
+
+        first = len(self.faces)
+        self.faces += [tuple(map(new_id.__getitem__, b.faces[i]))
+                       for i in side.keep]
+        del self.live[face1]
+        self.live += range(first, len(self.faces))
+        # the piece's cells but those through face2, then the seam cells,
+        # each of the partners of a half-edge of face1 and of face2
+        self._add(side.block + (first, 0), slice(side.n_kept, None, 2), row1)
+
+        for (u, w) in b.metadata.seam_edges:
+            u, w = new_id[u], new_id[w]
+            self.seams.add((u, w) if u < w else (w, u))
+        self.provenance.append(
+            f"connect_sum(face {corr.face1} ~ face {corr.face2})")
 
     def frame(self, f: int) -> tuple[np.ndarray, ...]:
         """Face f's centroid, normal, u and v."""
@@ -724,7 +730,7 @@ class _Drilling:
         self.normal, self.heights, self.stacks, self.rows = \
             normal, heights, {}, {}
         for first, fit in zip(self.firsts, self.fits):
-            self._stack(first, *fit, live=bool(self.dead))
+            self._stack(first, *fit, live=len(self.live) < len(self.faces))
 
     def _stack(self, first: int, corners: _Corners, planes: tuple,
                live: bool = False) -> None:
@@ -734,7 +740,7 @@ class _Drilling:
         which, at = _in_planes(self.vertices, corners, self.normal,
                                self.heights, self.scale).nonzero()
         if live:
-            keep = ~np.isin(at + first, self.dead)
+            keep = np.isin(at + first, self.live)
             which, at = which[keep], at[keep]
         centroid, _, _, u, v, uv, _ = planes
         size = corners.size[at]
@@ -806,10 +812,10 @@ class _Drilling:
         """Drill faces f1 and f2, along the axis _axis gives, with a prism
         of n sides and circumradius `radius` (by default a quarter of the
         smaller clearance): the two prism rings, both pierced faces
-        retiled in one call, each over its own and its ring's vertices
-        with the seams between the pieces, and the walls; face1's errors
-        come before face2's.  The pieces of f1 and of f2 and the walls
-        are appended, and f1 and f2 die."""
+        retiled in one call, each over its own and its ring's vertices,
+        and the walls; face1's errors come before face2's.  The pieces of
+        f1 and of f2 and the walls are appended with their cells and the
+        seams between the pieces, and f1 and f2 die."""
         p1pt, depth, d1, d2 = axis
         _, _, u1, v1 = self.frame(f1)
         n2 = self.frame(f2)[1]
@@ -828,29 +834,34 @@ class _Drilling:
         parts = _retile([self.vertices[list(cyc)] for cyc in cycles],
                         [ring1, ring2])
 
-        base1 = self.n
-        self.n = base1 + 2 * n
-        if self.n > len(self.vertices):
-            grown = np.empty((max(2 * len(self.vertices), self.n), 3))
-            grown[:base1] = self.vertices[:base1]
-            self.vertices = grown
-        self.vertices[base1:base1 + n] = ring1
-        self.vertices[base1 + n:self.n] = ring2
+        base1 = self._add_vertices(np.concatenate((ring1, ring2)))
         first = len(self.faces)
-        for cyc, base, local in zip(cycles, (base1, base1 + n), parts):
+        local = list(cycles)                # the pierced faces, then new
+        for cyc, base, part in zip(cycles, (base1, base1 + n), parts):
             # the local ids index the face's cycle and then its ring
             ids = list(cyc) + list(range(base, base + n))
-            part = [tuple(map(ids.__getitem__, sub)) for sub in local]
-            self.faces += part
-            self.seams.update(_spokes(part, base1))
-        self.faces += [(base1 + j, base1 + (j + 1) % n,
-                        base1 + n + (j + 1) % n, base1 + n + j)
-                       for j in range(n)]
+            local += [tuple(map(ids.__getitem__, sub)) for sub in part]
+        local += [(base1 + j, base1 + (j + 1) % n, base1 + n + (j + 1) % n,
+                   base1 + n + j) for j in range(n)]
+        self.faces += local[2:]
+
+        # the local faces' cells by vertex pair, a pierced face's half-edges
+        # replaced by their partners; the seams are the spokes, the cells
+        # that join a vertex of a pierced face to a ring vertex
+        cells, ends = _derived_cells(_corner_layout(local))
+        half = cells.reshape(-1, 2)
+        pierced = half[:, 0] < 2
+        old = self.row_of[[f1, f2]][tuple(half[pierced].T)]
+        half[:, 0] += first - 2
+        self._add(half, pierced, old)
+        self.seams.update((u, w) for u, w in ends.tolist() if u < base1 <= w)
+
+        at1, at2 = bisect_left(self.live, f1), bisect_left(self.live, f2)
         self.provenance.append(
-            f"drill(n={n}, faces=({self.place(f1)},{self.place(f2)}), "
-            f"eps={eps:.6g})")
+            f"drill(n={n}, faces=({at1},{at2}), eps={eps:.6g})")
+        del self.live[max(at1, at2)], self.live[min(at1, at2)]
+        self.live += range(first, len(self.faces))
         for f in (f1, f2):
-            insort(self.dead, f)
             for stack, row in self.rows.pop(f, ()):
                 stack.live[row] = False
                 stack.n_live -= 1
@@ -858,33 +869,11 @@ class _Drilling:
         self.firsts.append(first)
         self.fits.append(None)
 
-    def parts(self) -> MeshData:
-        """The mesh's parts: its vertices, its live faces in order, and its
-        metadata with the seams and provenance of the drills and no
-        genus."""
-        ends = [-1] + self.dead + [len(self.faces)]
-        faces = [face for a, b in zip(ends, ends[1:])
-                 for face in self.faces[a + 1:b]]
-        meta = replace_meta(self.metadata, seam_edges=self.seams, genus=None)
-        meta.provenance += self.provenance
-        return MeshData(self.vertices[:self.n], faces, meta)
-
-
-def pierce(data: MeshData, geo: MeshGeometry, spec: DrillSpec,
-           axis: tuple) -> MeshData:
-    """All of drill short of validation, on raw data whose geometry is
-    `geo`, along the axis _axis gives for `spec`: one step of _Drilling.
-    The parts keep the other faces first, in order, then face1's and
-    face2's pieces and the walls."""
-    drilling = _Drilling(data, geo)
-    drilling.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
-                    spec.radius)
-    return drilling.parts()
-
 
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
-    """Tunnel a regular n-gonal prism between two parallel faces: pierce,
-    then one full build_polyhedron.
+    """Tunnel a regular n-gonal prism between two parallel faces: one
+    step of a _Surgery record (_Surgery.pierce), then one full
+    build_polyhedron on its parts and edge cells.
 
     Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
     pierced faces are retiled over their existing vertices, so no other
@@ -896,7 +885,10 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    return build_polyhedron(*pierce(data, geo, spec, _axis(geo, spec)))
+    record = _Surgery(data, geo)
+    record.pierce(spec.face1, spec.face2, spec.n, spec.phase,
+                  _axis(geo, spec), spec.radius)
+    return build_polyhedron(*record.parts())
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -911,9 +903,10 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     drill raises, before any offset is tried.  p may be a validated mesh
     or raw MeshData.  The drills pierce raw data and the finished mesh is
     validated once; a sub-face a later drill pierces is never validated.
-    The steps share one _Drilling, so each pays for what it adds: its
-    rings, pieces and walls, their fit and their plane test, and the
-    location of its two axis points among the faces of the two planes.
+    The steps share one _Surgery record, so each pays for what it adds:
+    its rings, pieces, walls and cells, their fit and their plane test,
+    and the location of its two axis points among the faces of the two
+    planes.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
@@ -931,13 +924,13 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        drilling = _Drilling(data, geo)
-        drilling.track(n1, heights)
+        record = _Surgery(data, geo)
+        record.track(n1, heights)
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
                 exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
-                (f1, clr1), (f2, clr2) = drilling.locate(
+                (f1, clr1), (f2, clr2) = record.locate(
                     np.array([axis_pt, exit_pt]))
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
@@ -946,14 +939,14 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
                 # the planes are those _axis checked; only depth is new
-                c2, n2, _, _ = drilling.frame(f2)
+                c2, n2, _, _ = record.frame(f2)
                 depth = float((axis_pt - c2) @ n2)
-                drilling.pierce(f1, f2, spec.n, spec.phase,
-                                (axis_pt, depth, clr1, clr2), radius)
+                record.pierce(f1, f2, spec.n, spec.phase,
+                              (axis_pt, depth, clr1, clr2), radius)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
         else:
-            return build_polyhedron(*drilling.parts())
+            return build_polyhedron(*record.parts())
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")

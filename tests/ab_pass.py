@@ -18,7 +18,9 @@ median and quartiles of the paired ratios b / a - 1 and the rounds b
 won.  --workload all times the three workloads in turn, a line each, so
 that one command shows the workloads a change does not aim at too.  A
 last line gives each side's count of non-blank lines in src/ccpforge,
-so that it also shows what a change saves or costs in code.  On
+and of code lines, those with a token that is no comment or docstring,
+so that it also shows what a change saves or costs in code, and whether
+a saving is more than deleted comments.  On
 a machine whose speed drifts, a pair of adjacent passes sees nearly the
 same machine where two runs minutes apart do not.  --against-rev REV
 times the files of git revision REV, extracted into a temporary
@@ -33,10 +35,12 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +82,34 @@ def source_lines(root: Path) -> int:
                if line.strip())
 
 
+# tokens that hold no code, or only end or indent a line
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(root: Path) -> int:
+    """The lines of checkout `root`'s src/ccpforge that hold a token other
+    than a comment or a docstring, a string that is a statement of its
+    own; one tokenize pass per file."""
+    total = 0
+    for path in (root / "src" / "ccpforge").glob("*.py"):
+        tokens = list(tokenize.generate_tokens(
+            io.StringIO(path.read_text(encoding="utf-8")).readline))
+        lines: set[int] = set()
+        starts = True               # whether a statement starts here
+        for tok, after in zip(tokens, tokens[1:] + tokens[-1:]):
+            if tok.type in _LAYOUT:
+                starts = starts or tok.type in (
+                    tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+                continue
+            if not (starts and tok.type == tokenize.STRING
+                    and after.type in (tokenize.NEWLINE, tokenize.ENDMARKER)):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+            starts = False
+        total += len(lines)
+    return total
+
+
 def timed_pass(items) -> float:
     gc.collect()
     t0 = time.perf_counter()
@@ -90,8 +122,8 @@ def compare(other: Path, workloads: list[str], rounds: int, seed: int,
             limit: int | None) -> int:
     """Per workload in turn, time `rounds` alternating pairs of passes,
     checkout `other` (a) against this one (b), and print its summary
-    line, then each side's source_lines; 1 when the records of a workload
-    differ (it is not timed), else 0."""
+    line, then each side's source_lines and code_lines; 1 when the
+    records of a workload differ (it is not timed), else 0."""
     sides = {"a": side(other, "ccpforge_a"), "b": side(ROOT, "ccpforge_b")}
     status = 0
     for workload in workloads:
@@ -125,7 +157,9 @@ def compare(other: Path, workloads: list[str], rounds: int, seed: int,
               f"{statistics.median(ratios):+.2%} [{low:+.2%}, {high:+.2%}]; "
               f"b faster in {sum(x < 0 for x in ratios)} of {rounds}")
     a, b = source_lines(other), source_lines(ROOT)
-    print(f"src/ccpforge non-blank lines: a {a}, b {b} ({b - a:+d})")
+    ca, cb = code_lines(other), code_lines(ROOT)
+    print(f"src/ccpforge non-blank lines: a {a}, b {b} ({b - a:+d}); "
+          f"code lines: a {ca}, b {cb} ({cb - ca:+d})")
     return status
 
 

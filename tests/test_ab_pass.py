@@ -24,7 +24,9 @@ def test_all_workloads_in_turn(capsys):
         assert ", 2 items, 2 rounds, seed 1: median pass a " in line
         assert line.endswith("of 2")
     n = ab_pass.source_lines(ab_pass.ROOT)
-    assert count == f"src/ccpforge non-blank lines: a {n}, b {n} (+0)"
+    c = ab_pass.code_lines(ab_pass.ROOT)
+    assert count == (f"src/ccpforge non-blank lines: a {n}, b {n} (+0); "
+                     f"code lines: a {c}, b {c} (+0)")
 
 
 def test_source_lines_count_the_non_blank_lines(tmp_path):
@@ -34,3 +36,14 @@ def test_source_lines_count_the_non_blank_lines(tmp_path):
     (package / "b.py").write_text("\n# note\n")
     (package / "c.txt").write_text("not python\n")
     assert ab_pass.source_lines(tmp_path) == 3
+
+
+def test_code_lines_leave_out_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "ccpforge"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a note\nx = 1  # set\n\n'
+        'def f():\n    """One line."""\n    return ("""a\nb""")\n')
+    (package / "b.py").write_text("\n# note\n")
+    assert ab_pass.source_lines(tmp_path) == 9
+    assert ab_pass.code_lines(tmp_path) == 4

@@ -49,6 +49,8 @@ BAD = [
     SPEC, FaceCorrespondence(0, 0), FamilyRequest("p2-24"),  # records
     MeshMetadata(), TopologyClass(True, 2, -2),
     MeshData(P.vertices, P.faces, P.metadata), P,
+    # raw data whose cells name a face off the mesh
+    MeshData(P.vertices, P.faces, P.metadata, np.array([[99, 0, 0, 1]])),
 ]
 
 
@@ -74,7 +76,8 @@ ENTRIES = {
     "TopologyClass": (TopologyClass, lambda d, tmp: [True, 2, -2]),
     "build_polyhedron": (
         build_polyhedron,
-        lambda d, tmp: [T.vertices, T.faces, MeshMetadata()]),
+        lambda d, tmp: [T.vertices, T.faces, MeshMetadata(), d.draw(
+            st.sampled_from([None, T.edge_slots, T.geometry.cells]))]),
     "classify": (ccpforge.classify, lambda d, tmp: [P]),
     "euler_characteristic": (ccpforge.euler_characteristic,
                              lambda d, tmp: [P]),

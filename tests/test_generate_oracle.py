@@ -483,37 +483,97 @@ def test_hemi_face_tables_are_the_sorted_planes(name, table, parts):
 
 @contextlib.contextmanager
 def recorded_spokes():
-    """A list that gains (part, first_ring, spokes) at each
-    surgery._spokes call made inside the block."""
+    """A list that gains (pieces, first_ring, seams) at each drill step
+    (surgery._Surgery.pierce) made inside the block that retiles its two
+    faces: the pieces of both, the id of its first ring vertex and the
+    seams the step adds."""
     calls = []
-    real = surgery_mod._spokes
+    real = surgery_mod._Surgery.pierce
 
-    def record(part, first_ring):
-        out = real(part, first_ring)
-        calls.append((list(part), first_ring, out))
-        return out
-    surgery_mod._spokes = record
+    def record(self, f1, f2, n, *args):
+        first, first_ring, seams = len(self.faces), self.n, set(self.seams)
+        real(self, f1, f2, n, *args)
+        calls.append((self.faces[first:len(self.faces) - n], first_ring,
+                      self.seams - seams))
+    surgery_mod._Surgery.pierce = record
     try:
         yield calls
     finally:
-        surgery_mod._spokes = real
+        surgery_mod._Surgery.pierce = real
 
 
 def assert_spokes_are_shared_sides(calls):
-    for part, first_ring, got in calls:
-        assert got == scalar_generate.shared_sides(part), (part, first_ring)
+    """A step's seams are the sides two of its pieces share, each joining
+    a vertex of a pierced face to a ring vertex."""
+    for pieces, first_ring, got in calls:
+        assert got == scalar_generate.shared_sides(pieces), pieces
+        assert all(u < first_ring <= w for u, w in got), (got, first_ring)
 
 
 def test_spokes_are_the_shared_sides_of_the_digest_corpus():
-    """On every retiled face of every drilled mesh of the digest corpus,
-    the spokes are the sides two pieces share."""
+    """On every drill step of every drilled mesh of the digest corpus,
+    the seams are the sides two pieces share."""
     with recorded_spokes() as calls:
         for _, build in corpus_digest.corpus():
             build()
-    assert len(calls) > 300
+    assert len(calls) > 150
     assert_spokes_are_shared_sides(calls)
     # both partitions occur: quads (equal cycle lengths) and triangles
     assert {len(sub) for part, _, _ in calls for sub in part} == {3, 4}
+
+
+@contextlib.contextmanager
+def recorded_drilled_parts():
+    """A list that gains the parts, with their cells, that each drill or
+    drill_repeat made inside the block hands to its build: those of each
+    record made with a geometry (surgery._Surgery.parts)."""
+    calls = []
+    real = surgery_mod._Surgery.parts
+
+    def record(self, **meta):
+        out = real(self, **meta)
+        if hasattr(self, "firsts"):
+            calls.append(out)
+        return out
+    surgery_mod._Surgery.parts = record
+    try:
+        yield calls
+    finally:
+        surgery_mod._Surgery.parts = real
+
+
+def sorted_rows(cells):
+    return cells[np.lexsort(cells.T[::-1])]
+
+
+def test_drilled_cells_are_the_derived_ones_on_the_digest_corpus():
+    """The cells each drill's record hands to its build, on every drilled
+    mesh of the digest corpus, are the ones a pairing by vertex pair
+    derives from its faces (mesh._derived_cells), as sorted rows: the
+    same cells, each with its half-edges in the same order."""
+    with recorded_drilled_parts() as calls:
+        for _, build in corpus_digest.corpus():
+            build()
+    assert len(calls) > 40
+    for parts in calls:
+        want = mesh_mod._derived_cells(mesh_mod._corner_layout(parts.faces))
+        assert np.array_equal(sorted_rows(parts.cells), sorted_rows(want[0]))
+
+
+def test_a_glued_mesh_drills_on_its_glued_cells(monkeypatch):
+    """gen_n5g_odd(13) drills the glued parts of its genus-7 member: the
+    record starts from glue's cells, which no step pairs again, as each
+    pairs only the faces it pierces and makes, and the build receives
+    the cells the record carried."""
+    paired = []
+    real = surgery_mod._derived_cells
+    monkeypatch.setattr(surgery_mod, "_derived_cells", lambda corners:
+                        paired.append(len(corners.size)) or real(corners))
+    with recorded_drilled_parts() as calls:
+        p = gen_n5g_odd(13)
+    [parts] = calls
+    assert parts.cells is not None and len(parts.cells) == p.n_edges
+    assert paired and max(paired) < len(generators_mod._n5g_odd(7).faces)
 
 
 BASES = {"p2-24": (gen_p2_24, (0, 1)), "q3-18": (gen_q3_18, (1, 0)),
@@ -523,7 +583,8 @@ BASES = {"p2-24": (gen_p2_24, (0, 1)), "q3-18": (gen_q3_18, (1, 0)),
 def drill_drawn(base, n, k, s, t, radius, phase):
     """A k-fold drill of order n of a base mesh at the point (s, t) of its
     first pierced face's frame, in units of the face's size; returns the
-    _spokes calls it makes, whether it succeeds or fails."""
+    drill steps it makes (recorded_spokes), whether it succeeds or
+    fails."""
     build, faces = BASES[base]
     p = build()
     geo = p.geometry
@@ -551,8 +612,8 @@ if st is not None:
     def test_spokes_are_the_shared_sides_of_drawn_placements(
             base, n, k, s, t, radius, phase):
         """Drills at drawn points, radii, phases, orders and counts: on
-        every face they retile, whether the drill then succeeds or fails,
-        the spokes are the sides two pieces share."""
+        every step they make, whether the drill then succeeds or fails,
+        the seams are the sides two pieces share."""
         assert_spokes_are_shared_sides(
             drill_drawn(base, n, k, s, t, radius, phase))
 

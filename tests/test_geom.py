@@ -196,7 +196,7 @@ def test_z_facing_faces_get_u_along_x(monkeypatch):
     locate in: the components of its normal along x and y are rounding
     noise, which no longer picks u."""
     frames = []
-    pierce = surgery_mod._Drilling.pierce
+    pierce = surgery_mod._Surgery.pierce
 
     def recorded(self, f1, f2, *args):
         frames.append(np.concatenate(
@@ -205,7 +205,7 @@ def test_z_facing_faces_get_u_along_x(monkeypatch):
                for stack in (self.stacks or {}).values()]))
         return pierce(self, f1, f2, *args)
 
-    monkeypatch.setattr(surgery_mod._Drilling, "pierce", recorded)
+    monkeypatch.setattr(surgery_mod._Surgery, "pierce", recorded)
     p = generate_family(FamilyRequest("n5g", 15))
     assert len(z_facing_u(p.geometry)) == 70 and frames
     for u in [z_facing_u(p.geometry), *frames]:

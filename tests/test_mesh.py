@@ -120,6 +120,38 @@ def test_face_entries_are_integers(entry):
         build_polyhedron(TET_V, [(0, 1, 1)] + TET_F[1:3] + [(1, 3, entry)])
 
 
+TET_CELLS = build_polyhedron(TET_V, TET_F).geometry.cells
+
+
+def fractional(cells):
+    """cells as floats, one slot a half off its integer."""
+    out = cells.astype(float)
+    out[0, 1] += 0.5
+    return out
+
+
+@pytest.mark.parametrize("slots,message", [
+    (fractional(TET_CELLS), r"half-edge \(0\.0, 0\.5\) entry 0\.0 is not an "
+     r"integer"),
+    (TET_CELLS.astype(float), "entry 0.0 is not an integer"),
+    (TET_CELLS.astype(bool), "entry False is not an integer"),
+    ([[None, 0, 1, 0]], r"half-edge \(None, 0\) entry None is not"),
+    ([[0, 0, "1", 0]] + TET_CELLS[1:].tolist(),
+     r"half-edge \('1', 0\) entry '1' is not"),
+    ("x", "edge_slots 'x' are not"), (object(), "edge_slots <object"),
+    ([[0, 0, 1]], r"are not \(face, slot\) half-edges, two to a cell"),
+    ([[(0, 0), (1, 0)], [(0, 1)]], "are not"),
+], ids=["fraction", "whole-floats", "bools", "none", "text", "str",
+        "object", "three", "ragged"])
+def test_edge_slot_entries_are_integers(slots, message):
+    """An explicit pairing whose entries are not integers by the faces'
+    rule (operator.index, so no float, text, None or bool), or that is
+    not (face, slot) half-edges two to a cell, raises NonManifoldEdge; a
+    fractional slot is not truncated and built."""
+    with pytest.raises(NonManifoldEdge, match=message):
+        build_polyhedron(TET_V, TET_F, edge_slots=slots)
+
+
 @pytest.mark.parametrize("vertices", ["abc", None, 5, [[0, 0], [1, 1, 1]],
                                       [["a", 0, 0]] * 4, np.zeros((4, 2))],
                          ids=["text", "none", "int", "ragged", "strings",
@@ -320,7 +352,7 @@ def test_orientation_cover_agrees_with_search(name, genus, fewest, params):
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA + [
     ("minimal", g, {}) for g in range(4, 46)])
 def test_multi_edges_are_repeated_vertex_pairs(name, genus, params):
-    """has_multi_edges, read from the corner layout, says whether two
+    """has_multi_edges, read from the sorted edge pairs, says whether two
     edge cells share a vertex pair."""
     p = family(name, genus, **params)
     assert p.has_multi_edges == (len(set(p.edges)) != len(p.edges))

@@ -22,11 +22,11 @@ from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, BadParameters, CcpError,
                              DegenerateFace, FlatSeam, HoleNotInside,
-                             IndexOutOfRange, NonNegativeChi, NotInteger,
-                             NotIsometric)
+                             IndexOutOfRange, NonManifoldEdge,
+                             NonNegativeChi, NotInteger, NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
-from ccpforge.surgery import _axis, build_glued, glue, pierce
+from ccpforge.surgery import _axis, build_glued, glue
 
 from conftest import (assert_same_planes, cube_data, face_polygon,
                       random_rigid_motion)
@@ -230,6 +230,21 @@ class TestRetile:
 
 
 class TestDrill:
+    def test_a_mesh_with_doubled_segments_drills(self):
+        """minimal g = 2 has doubled segments, whose glued cells the drill
+        carries: the order -V/chi = 4 drill through its faces 0 and 8
+        adds 8 vertices of the same defect, a genus-3 surface that
+        verifies as an immersed constant-curvature polyhedron."""
+        p = gen_minimal(2)
+        assert p.has_multi_edges and choose_prism_order(p) == 4
+        out = drill(p, DrillSpec(0, 8, 4))
+        assert out.n_vertices == 16 and out.has_multi_edges
+        tc = classify(out)
+        assert tc.orientable and tc.genus == 3
+        report = verify(out)
+        assert report.verdict == "ccp_immersed"
+        assert report.defects.max_abs_deviation < 1e-9
+
     def test_cube_drill(self, cube):
         out = drill(cube, DrillSpec(face1=1, face2=0, n=4))
         assert out.n_vertices == cube.n_vertices + 8
@@ -326,9 +341,9 @@ class TestDrill:
         (gen_p2_24, DrillSpec(0, 1, 12, point=(50.0, 50.0, 50.0)),
          AxisObstructed, "not interior to face1"),
         (lambda: gen_minimal(3), DrillSpec(0, 1, 6), AxisObstructed,
-         "doubled segments"),
+         "not parallel"),
         (lambda: glued_data(gen_minimal, 3), DrillSpec(0, 1, 6),
-         AxisObstructed, "doubled segments"),
+         AxisObstructed, "not parallel"),
         (gen_p2_24, DrillSpec(0, 1, 12, radius=0.0), BadParameters,
          "radius 0.0 must be positive"),
         (gen_p2_24, DrillSpec(0, 1, 12, radius=-1.0), BadParameters,
@@ -347,8 +362,9 @@ class TestDrill:
         """drill_repeat checks the spec once, on its input, with drill's
         own checks: any k raises drill's error before it tests a face
         for the planes it locates in or retiles a face (drill_repeat
-        tests with _in_planes, pierce retiles with _retile).  Raw data
-        with doubled segments is refused as the validated mesh is."""
+        tests with _in_planes, _Surgery.pierce retiles with _retile).  A
+        mesh with doubled segments, validated or raw with its glued
+        cells, has its spec checked as any other mesh."""
         p = mesh()
         calls = []
         for name in ("_in_planes", "_retile"):
@@ -521,14 +537,16 @@ def test_incremental_equals_full_validation_on_moved_inputs(seed):
 def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
                                                    error):
     """Moving one vertex of a drill's new prism ring: one build of the
-    nudged pierce data, without the drill's seams, fails with the message
-    of the check that fails.  With the seams, which exempt the flat edges
-    between retiled pieces, drill's own build rejects the three nudges
-    that break a new face alike and accepts the one along the axis."""
+    nudged parts of the drill's record, without the drill's seams and
+    cells, fails with the message of the check that fails.  With the
+    seams, which exempt the flat edges between retiled pieces, drill's
+    own build rejects the three nudges that break a new face alike and
+    accepts the one along the axis."""
     p = moved(gen_p2_24(), 5)
     spec = DrillSpec(0, 1, 12)
-    data = pierce(MeshData(p.vertices, p.faces, p.metadata), p.geometry,
-                  spec, _axis(p.geometry, spec))
+    record = surgery_mod._Surgery(*surgery_mod._raw(p))
+    record.pierce(0, 1, 12, 0.0, _axis(p.geometry, spec), None)
+    data = record.parts()
     verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
@@ -542,7 +560,8 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     with pytest.raises(CcpError, match=error) as bare:
         build_polyhedron(verts, data.faces)
     nudged = data._replace(vertices=verts)
-    monkeypatch.setattr(surgery_mod, "pierce", lambda *args: nudged)
+    monkeypatch.setattr(surgery_mod._Surgery, "parts",
+                        lambda self, **meta: nudged)
     if nudge == "along_axis":
         # the ring vertex stays on its triangles and in its wall's plane
         assert drill(p, spec).vertices.tobytes() == verts.tobytes()
@@ -603,13 +622,13 @@ def assert_fresh_planes(geo, vertices, faces):
 
 
 def fitted_drilling(p, faces, monkeypatch=None):
-    """A _Drilling of p, tracking the planes of `faces` (a parallel pair),
-    after its one step through them with a 12-gonal prism and the fit of
-    the faces it made, which the next location would make; with
+    """A _Surgery record of p, tracking the planes of `faces` (a parallel
+    pair), after its one step through them with a 12-gonal prism and the
+    fit of the faces it made, which the next location would make; with
     monkeypatch, also the Newell passes of the step."""
     spec = DrillSpec(*faces, 12)
     data, geo = surgery_mod._raw(p)
-    drilling = surgery_mod._Drilling(data, geo)
+    drilling = surgery_mod._Surgery(data, geo)
     normal = geo.normal[faces[0]]
     drilling.track(normal, tuple(float(normal @ geo.centroid[f])
                                  for f in faces))
@@ -620,29 +639,31 @@ def fitted_drilling(p, faces, monkeypatch=None):
 
 
 def assert_fresh_frames(drilling, out):
-    """Every live face's frame in the drilling, its own or carried from the
-    mesh it drilled, has the bits of a fresh fit of the whole result."""
+    """Every live face's frame in the record, its own or carried from the
+    mesh it drilled, has the bits of a fresh fit of the whole result, at
+    the face's place: its rank among the live ids."""
     fresh = mesh_mod.MeshGeometry(out.vertices,
                                   mesh_mod._corner_layout(out.faces))
-    for f in range(len(drilling.faces)):
-        if f in drilling.dead:
-            continue
-        at = drilling.place(f)
+    assert len(drilling.live) == len(out.faces)
+    for at, f in enumerate(drilling.live):
         for part, want in zip(drilling.frame(f), (
                 fresh.centroid, fresh.normal, fresh.u, fresh.v)):
             assert part.tobytes() == want[at].tobytes(), f
 
 
 def test_pierce_keeps_the_other_faces_first():
-    """pierce keeps the faces it does not pierce first, in order, so the
-    planes a drilling carries from the mesh, whose two pierced faces are
-    dead, and those it fits for the faces it makes are bit for bit a
-    fresh fit of the whole face list."""
+    """A drill step on a fresh record, as drill makes it, keeps the faces
+    it does not pierce first, in order, so the planes the record carries
+    from the mesh, whose two pierced faces it takes out of the live ids,
+    and those it fits for the faces it makes are bit for bit a fresh fit
+    of the whole face list."""
     p = gen_p2_24()
     spec = DrillSpec(0, 1, 12)
     data, frames = surgery_mod._raw(p)
     assert frames is p.geometry
-    out = pierce(data, frames, spec, _axis(frames, spec))
+    record = surgery_mod._Surgery(data, frames)
+    record.pierce(0, 1, 12, 0.0, _axis(frames, spec), None)
+    out = record.parts()
     assert out.faces[:p.n_faces - 2] == list(p.faces[2:])
     drilling, _ = fitted_drilling(p, (0, 1))
     got = drilling.parts()
@@ -744,22 +765,62 @@ def test_a_ring_that_raises_the_scale_retests_every_face(monkeypatch):
     heights = tuple(float(normal @ geo.centroid[f]) + 5e-7 for f in (0, 1))
 
     def stacked(drilling):
-        return sorted((drilling.place(f), i) for s in drilling.stacks.values()
+        return sorted((drilling.live.index(f), i)
+                      for s in drilling.stacks.values()
                       for f, i, live in zip(s.face[:s.m].tolist(),
                                             s.plane[:s.m].tolist(),
                                             s.live[:s.m].tolist()) if live)
 
-    drilling = surgery_mod._Drilling(data, geo)
+    drilling = surgery_mod._Surgery(data, geo)
     drilling.track(normal, heights)
     assert stacked(drilling) == []
     drilling.pierce(0, 1, 12, 0.0, _axis(geo, DrillSpec(0, 1, 12)), None)
     monkeypatch.setattr(geom_mod, "tolerance_scale", lambda *a, **kw: 10.0)
     drilling._fit()
     assert drilling.scale == 10.0
-    fresh = surgery_mod._Drilling(*surgery_mod._raw(drilling.parts()))
+    fresh = surgery_mod._Surgery(*surgery_mod._raw(drilling.parts()))
     fresh.track(normal, heights)
     got = stacked(drilling)
     assert got == stacked(fresh) and {i for _, i in got} == {0, 1}
+
+
+BAD_CELLS = [np.array([[99, 0, 0, 1]]), "x", [[0, 0.5, 1, 0]]]
+
+
+@pytest.mark.parametrize("cells", BAD_CELLS, ids=["range", "text", "float"])
+@pytest.mark.parametrize("where", ["first", "piece", "drill"])
+def test_raw_cells_are_checked_by_the_build_rules(cells, where):
+    """Raw data's own cells, in glue's first mesh or a piece or in drill's
+    input, are checked as build_polyhedron checks edge_slots, before any
+    is read: a face or slot off the mesh, or an entry that is not an
+    integer, raises NonManifoldEdge."""
+    tetra = gen_tetrahedron()
+    raw = MeshData(tetra.vertices, list(tetra.faces), tetra.metadata)
+    bad = raw._replace(cells=cells)
+    corr = FaceCorrespondence(0, 0, mapping=(0, 2, 1))
+    with pytest.raises(NonManifoldEdge):
+        if where == "first":
+            glue(bad, [(raw, corr)])
+        elif where == "piece":
+            glue(raw, [(bad, corr)])
+        else:
+            p = gen_p2_24()
+            drill(MeshData(p.vertices, p.faces, p.metadata, cells),
+                  DrillSpec(0, 1, 12))
+
+
+def test_a_glue_chain_checks_each_piece_once(monkeypatch):
+    """glue checks raw cells once per distinct piece, the first mesh
+    among them: gen_minimal(40) checks the T-block that starts its chain
+    and that its 19 pieces share, then the chain, which is both the
+    first mesh and the piece of the glue that closes the surface."""
+    checked = []
+    real = surgery_mod._checked_cells
+    monkeypatch.setattr(surgery_mod, "_checked_cells",
+                        lambda data: checked.append(len(data.faces))
+                        or real(data))
+    gen_minimal(40)
+    assert checked == [9, 9 + 19 * 7]
 
 
 def test_a_glue_chain_works_out_each_piece_side_once(monkeypatch):
@@ -839,10 +900,10 @@ def test_drilled_families_name_their_top_and_bottom_faces(
 
 
 def locate(p, normal, heights, points):
-    """What a _Drilling of p, tracking the planes normal . x = height,
+    """What a _Surgery record of p, tracking the planes normal . x = height,
     locates for the two points: per point its face (a place in p, which
     is its id while nothing is pierced) and clearance."""
-    drilling = surgery_mod._Drilling(*surgery_mod._raw(p))
+    drilling = surgery_mod._Surgery(*surgery_mod._raw(p))
     drilling.track(normal, tuple(heights))
     return drilling.locate(np.asarray(points, float))
 
@@ -927,7 +988,7 @@ def test_inside_clearance_is_the_face_by_face_loop():
 
 
 def test_axis_and_locate_face_return_the_query_bits():
-    """_axis's entry and exit clearances and each face a _Drilling locates
+    """_axis's entry and exit clearances and each face a _Surgery locates
     come with the bits MeshGeometry.inside_clearance gives for that face
     and point."""
     p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 2)
