@@ -19,21 +19,22 @@ FORMAT_VERSION = 1
 
 
 def mesh_to_document(p: Polyhedron) -> dict:
-    _mesh(p)
+    m = _mesh(p).metadata
+    # genus, orientable and defect as Python numbers: numpy's pass too
     meta = {
-        "family": p.metadata.family,
-        "genus": p.metadata.genus,
-        "orientable": p.metadata.orientable,
-        "expected_defect_radians": p.metadata.expected_defect,
-        "provenance": list(p.metadata.provenance),
+        "family": m.family,
+        "genus": None if m.genus is None else int(m.genus),
+        "orientable": None if m.orientable is None else bool(m.orientable),
+        "expected_defect_radians": None if m.expected_defect is None
+        else float(m.expected_defect),
+        "provenance": list(m.provenance),
     }
     # labels and seams as Python ints: numpy's are vertex ids too
-    if p.metadata.vertex_labels:
+    if m.vertex_labels:
         meta["vertex_labels"] = {name: int(v) for name, v
-                                 in p.metadata.vertex_labels.items()}
-    if p.metadata.seam_edges:
-        meta["seam_edges"] = sorted([int(u), int(w)]
-                                    for u, w in p.metadata.seam_edges)
+                                 in m.vertex_labels.items()}
+    if m.seam_edges:
+        meta["seam_edges"] = sorted([int(u), int(w)] for u, w in m.seam_edges)
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": p.vertices.tolist(),

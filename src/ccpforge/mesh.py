@@ -72,18 +72,24 @@ class MeshMetadata:
     seam_edges: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        """verify compares genus, orientable and expected_defect: each is
-        None or of its kind.  Provenance, vertex_labels and seam_edges are
-        a list, a dict and a set, which the flat-edge check reads, and
-        their entries are what a saved file holds: each provenance entry
-        a str, each label a str naming a vertex id, and each seam a tuple
-        of two distinct vertex ids (see _vertex_id)."""
-        g, o, d = self.genus, self.orientable, self.expected_defect
-        if not ((g is None or isinstance(g, numbers.Integral))
+        """Every field is None or what a saved file holds, which verify
+        compares or reads: a family is a str, a genus a non-negative
+        integer and an expected defect a finite real number (a bool is
+        neither), orientable is a bool (numpy's pass).  Provenance,
+        vertex_labels and seam_edges are a list, a dict and a set, which
+        the flat-edge check reads, and their entries are what a saved file
+        holds: each provenance entry a str, each label a str naming a
+        vertex id, and each seam a tuple of two distinct vertex ids (see
+        _vertex_id)."""
+        f, g, o, d = (self.family, self.genus, self.orientable,
+                      self.expected_defect)
+        if not ((f is None or isinstance(f, str))
+                and (g is None or _vertex_id(g))
                 and (o is None or isinstance(o, (bool, np.bool_)))
-                and (d is None or _finite(d))):
-            raise BadParameters(f"metadata genus {g!r}, orientable {o!r} or "
-                                f"expected defect {d!r} is of another kind")
+                and (d is None or not isinstance(d, bool) and _finite(d))):
+            raise BadParameters(
+                f"metadata family {f!r}, genus {g!r}, orientable {o!r} or "
+                f"expected defect {d!r} is of another kind")
         for name, kind in _COLLECTIONS:
             if not isinstance(getattr(self, name), kind):
                 raise BadParameters(
@@ -236,22 +242,15 @@ class Polyhedron:
 
 class MeshData(NamedTuple):
     """A mesh's parts before validation: what surgery.glue assembles and
-    build_polyhedron checks.  `faces` may be a Combinatorics record, which
-    reads as a sequence of its faces.  `cells` pairs the face sides as
-    (E, 4) rows (f1, s1, f2, s2), as MeshGeometry.cells; None pairs them
-    by vertex pair."""
+    build_polyhedron checks (_checked_parts).  `cells` pairs the face
+    sides as (E, 4) rows (f1, s1, f2, s2), as MeshGeometry.cells; None
+    pairs them by vertex pair.  `faces` may be a Combinatorics record,
+    which reads as a sequence of its faces and, with no cells, pairs them
+    as it does: checked parts are such a record."""
     vertices: np.ndarray
     faces: Sequence[tuple[int, ...]]
     metadata: MeshMetadata
     cells: np.ndarray | None = None
-
-    def paired(self) -> "MeshData":
-        """This record with its cells, derived by vertex pair if it has
-        none (NonManifoldEdge unless each pair occurs exactly twice)."""
-        if self.cells is not None:
-            return self
-        return self._replace(
-            cells=_derived_cells(_corner_layout(self.faces))[0])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -512,12 +511,11 @@ class MeshGeometry:
     corner_vertex[c] and next_corner / prev_corner step along its face's
     cycle.  Array-valued parts are read-only.
 
-    `layout` is a validated mesh's Combinatorics record, whose corner
-    layout, edge cells (`cells`, (E, 4) rows (f1, s1, f2, s2), as in
-    edge_slots) and derived parts the geometry reads (`combinatorics`),
-    or the bare _corner_layout of raw data that surgery reads before
-    validating, which has neither: no cells, and none of the parts that
-    read them or the triangulation.
+    The geometry reads the corner layout, edge cells (`cells`, (E, 4)
+    rows (f1, s1, f2, s2), as in edge_slots) and derived parts of a
+    checked Combinatorics record (`combinatorics`): a validated mesh's,
+    or that of raw parts surgery reads before validating
+    (_checked_parts).
 
     Each face has one plane, fitted at construction by Newell's method
     (_newell): per face its centroid, unit normal, residual (largest
@@ -527,16 +525,10 @@ class MeshGeometry:
     Validation, metrics and surgery all read these planes.
     """
 
-    def __init__(self, vertices: np.ndarray,
-                 layout: _Corners | Combinatorics):
+    def __init__(self, vertices: np.ndarray, record: Combinatorics):
         self.vertices = vertices
-        if isinstance(layout, Combinatorics):
-            self.combinatorics, corners = layout, layout.corners
-            self.prev_corner, self.cells = layout.prev_corner, layout.cells
-        else:
-            self.combinatorics = self.cells = None
-            corners = layout
-            self.prev_corner = _prev_corners(corners)
+        self.combinatorics, corners = record, record.corners
+        self.prev_corner, self.cells = record.prev_corner, record.cells
         self.face_size = corners.size
         self.face_start = corners.start
         self.corner_face = corners.face
@@ -659,27 +651,14 @@ def _edge_cells(cells: np.ndarray, corners: _Corners
                 ) -> tuple[np.ndarray, np.ndarray]:
     """An explicit pairing as (E, 4) rows (f1, s1, f2, s2), sorted by vertex
     pair and then by the half-edges; returns the rows and their (E, 2)
-    vertex pairs (lower id first).  Every half-edge must lie in exactly
-    one cell (_cell_ends, then the count) and both halves of a cell
-    traverse one segment.  A half-edge (f, s) orders as its corner
-    start[f] + s does, and no two cells share a first corner, so the rows
-    are sorted by two keys: the vertex pair's and the first corner."""
-    corner, key, ends = _cell_ends(cells, corners)
-    if 2 * len(cells) != len(corners.vertex):
-        raise NonManifoldEdge("edge_slots do not cover every half-edge")
-    order = np.lexsort((corner[::2], key))
-    return cells.take(order, axis=0), ends.take(order, axis=0)
-
-
-def _cell_ends(cells: np.ndarray, corners: _Corners
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checks of an explicit pairing short of its count, in their
-    order (NonManifoldEdge): each half-edge is a side of the mesh, none
-    lies in two cells, and both halves of a cell traverse one segment.
-    Each check is one pass, and finds what fails only if something does.
-    Returns the corner of each half-edge, and per cell the key of its
-    vertex pair, packed into one integer as in _derived_cells, and the
-    pair (lower id first)."""
+    vertex pairs (lower id first).  Its checks, in their order
+    (NonManifoldEdge): each half-edge is a side of the mesh, none lies in
+    two cells, both halves of a cell traverse one segment, and every
+    half-edge lies in a cell.  Each check is one pass, and finds what
+    fails only if something does.  A half-edge (f, s) orders as its
+    corner start[f] + s does, and no two cells share a first corner, so
+    the rows are sorted by two keys: the vertex pair's, packed into one
+    integer as in _derived_cells, and the first corner."""
     half = cells.reshape(-1, 2)
     f, s = half[:, 0], half[:, 1]
     size = corners.size
@@ -706,23 +685,28 @@ def _cell_ends(cells: np.ndarray, corners: _Corners
         raise NonManifoldEdge(
             f"half-edges ({f1},{s1}) and ({f2},{s2}) traverse "
             f"different segments")
+    if 2 * len(cells) != len(corners.vertex):
+        raise NonManifoldEdge("edge_slots do not cover every half-edge")
+    order = np.lexsort((corner[0::2], key[0::2]))
     ends = np.empty((len(cells), 2), lo.dtype)
-    ends[:, 0] = lo[0::2]
-    ends[:, 1] = hi[0::2]
-    return corner, key[0::2], ends
+    ends[:, 0] = lo[0::2].take(order)
+    ends[:, 1] = hi[0::2].take(order)
+    return cells.take(order, axis=0), ends
 
 
 def _cell_array(edge_slots) -> np.ndarray:
     """An explicit pairing as an (E, 4) index array: its entries, four to
     a cell in any nesting, are integers by the faces' rule
     (_intp_entries), else NonManifoldEdge; an integer beyond the index
-    range names a half-edge out of range, as _cell_ends does one off the
-    mesh."""
+    range names a half-edge out of range, as _edge_cells does one off the
+    mesh.  Only an integer array is taken as it is: numpy would read a
+    bool among a list's integers as one."""
     try:
-        cells = np.asarray(edge_slots)
-        if cells.dtype.kind != "i":     # each entry as given, not coerced
+        if isinstance(edge_slots, np.ndarray) and edge_slots.dtype.kind == "i":
+            cells = edge_slots
+        else:                       # each entry as given, not coerced
             cells = np.asarray(edge_slots, dtype=object)
-    except ValueError:              # ragged
+    except ValueError:              # arrays numpy cannot nest
         cells = None
     if cells is None or cells.ndim == 0 or cells.size % 4:
         raise NonManifoldEdge(f"edge_slots {edge_slots!r} are not "
@@ -834,12 +818,13 @@ def build_polyhedron(vertices, faces,
     with its edge cells (surgery.glue, drill and drill_repeat, which write
     one record) and validates only the finished mesh.
 
-    The checks on the face list alone derive the mesh's Combinatorics
-    record (Combinatorics.of); then the geometry is built on it.  `faces`
-    may be such a record: a family whose face list never changes builds
-    its record once, and each mesh on it checks only its vertices and
-    geometry.  A record for another vertex count is checked again as a
-    face list, as are its faces when `edge_slots` is given, so every
+    The entry checks (_checked_parts), which surgery shares, check the
+    metadata and vertices and derive the mesh's Combinatorics record from
+    the face list (Combinatorics.of); then the geometry is built on it.
+    `faces` may be such a record: a family whose face list never changes
+    builds its record once, and each mesh on it checks only its vertices
+    and geometry.  A record for another vertex count is checked again as
+    a face list, as are its faces when `edge_slots` is given, so every
     error is the one the plain face list gives.
 
     `edge_slots` pairs the face sides explicitly, as ((face, slot),
@@ -848,17 +833,8 @@ def build_polyhedron(vertices, faces,
     it sides are paired by vertex pair.  The geometry fits every face's
     plane in one Newell pass (see MeshGeometry).
     """
-    meta = MeshMetadata() if metadata is None else metadata
-    _record(meta, MeshMetadata, "the metadata")
-    pts = _checked_vertices(vertices)
-    n = len(pts)
-
-    if isinstance(faces, Combinatorics) and edge_slots is None and \
-            faces.n_vertices == n:
-        record = faces
-    else:
-        record = Combinatorics.of(faces, n, edge_slots)
-
+    pts, record, meta, _ = _checked_parts(vertices, faces, metadata,
+                                          edge_slots)
     pts = pts.copy()
     geo = MeshGeometry(pts, record)
     poly = Polyhedron._of_arrays(pts, record, meta, geo)
@@ -898,6 +874,25 @@ def build_polyhedron(vertices, faces,
     if not poly.orientation[0]:
         raise DisconnectedSurface("face-adjacency graph is disconnected")
     return poly
+
+
+def _checked_parts(vertices, faces, metadata: MeshMetadata | None = None,
+                   edge_slots: EdgeSlots | np.ndarray | None = None
+                   ) -> MeshData:
+    """build_polyhedron's entry checks, in its order: the metadata (None
+    reads as empty), the vertices (_checked_vertices), and the faces and
+    their pairing, as a Combinatorics record (Combinatorics.of); faces
+    that already are a record for that vertex count, with no edge_slots,
+    are kept.  Returns the parts with the record as their faces, which
+    pairs them: build_polyhedron, surgery's drills and every mesh glue
+    reads check raw data so."""
+    meta = MeshMetadata() if metadata is None else metadata
+    _record(meta, MeshMetadata, "the metadata")
+    pts = _checked_vertices(vertices)
+    if not (isinstance(faces, Combinatorics) and edge_slots is None
+            and faces.n_vertices == len(pts)):
+        faces = Combinatorics.of(faces, len(pts), edge_slots)
+    return MeshData(pts, faces, meta)
 
 
 def _checked_corners(faces, n: int) -> _Corners:
@@ -1027,12 +1022,15 @@ def _intp_entries(flat: list) -> tuple[np.ndarray, int]:
     none); from that entry on the array reads -1.
 
     numpy infers an integer dtype for a flat list only when every entry is
-    an integer, so the common case takes no Python call per entry."""
+    an integer or a bool, so a list that holds no bool takes no Python
+    call per entry."""
     # measured gain: construct-chain, certify-files +0.9 to +1.3% without it
-    try:
-        vertex = np.array(flat)
-    except ValueError:              # ragged: an entry is a sequence
-        vertex = None
+    vertex = None
+    if {bool, np.bool_}.isdisjoint(map(type, flat)):
+        try:
+            vertex = np.array(flat)
+        except ValueError:          # ragged: an entry is a sequence
+            pass
     if vertex is not None and vertex.ndim == 1 and vertex.dtype.kind == "i":
         return vertex.astype(np.intp, copy=False), len(flat)
     lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max

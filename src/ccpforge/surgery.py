@@ -17,11 +17,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
-                   MeshGeometry, Polyhedron, _cell_array, _cell_ends,
-                   _checked_corners, _checked_vertices, _corner_layout,
-                   _Corners, _derived_cells, _edge_cells, _finite,
-                   _index, _integer, _mesh, _newell, _record,
-                   build_polyhedron, euler_characteristic, replace_meta)
+                   MeshGeometry, Polyhedron, _checked_parts, _corner_layout,
+                   _Corners, _derived_cells, _finite, _index, _integer,
+                   _mesh, _newell, _record, build_polyhedron,
+                   euler_characteristic, replace_meta)
 
 TAU = 2.0 * math.pi
 
@@ -129,32 +128,23 @@ def resolve_correspondence(p1: MeshData, p2: MeshData,
     return _resolved(p1.vertices, p1.faces[corr.face1], p2, corr)[0]
 
 
-def _parts(p: Polyhedron | MeshData) -> MeshData:
-    """p's parts with their edge cells."""
-    if isinstance(p, Polyhedron):
-        return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
-    return _mesh(p, raw=True).paired()
-
-
-def _checked_cells(data: MeshData) -> np.ndarray:
-    """Raw data's own cells as an (E, 4) array in their order, checked as
-    build_polyhedron checks them but for their count (NonManifoldEdge),
-    which glue checks at each seam."""
-    cells = _cell_array(data.cells)
-    _cell_ends(cells, _checked_corners(
-        data.faces, len(_checked_vertices(data.vertices))))
-    return cells
+def _checked(p: Polyhedron | MeshData) -> MeshData:
+    """p's parts, whose faces are their Combinatorics record: a validated
+    mesh lends its own, and raw data is checked by build_polyhedron's
+    entry checks (_checked_parts)."""
+    if isinstance(_mesh(p, raw=True), Polyhedron):
+        return MeshData(p.vertices, p.combinatorics, p.metadata)
+    return _checked_parts(*p)
 
 
 class _Side(NamedTuple):
     """A piece's side of a seam (see _piece_side): the resolved mapping;
     the piece's block of half-edge rows and the count of its kept rows;
-    whether every seam place has a half-edge beyond face2; the vertices
-    off face2, as a list and an array; and the faces but face2."""
+    the vertices off face2, as a list and an array; and the faces but
+    face2."""
     mapping: tuple[int, ...]
     block: np.ndarray
     n_kept: int
-    complete: bool
     fresh: list[int]
     fresh_rows: np.ndarray
     keep: list[int]
@@ -162,21 +152,23 @@ class _Side(NamedTuple):
 
 def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
                 start: int, step: int) -> _Side:
-    """What a glue step reads of its piece b, glued along face2 by the
-    mapping, which runs from `start` in face2's cycle by `step` (see
-    _alignment): the same for every step that glues one piece so.
+    """What a glue step reads of its piece b, checked parts (_checked),
+    glued along face2 by the mapping, which runs from `start` in face2's
+    cycle by `step` (see _alignment): the same for every step that glues
+    one record so.
 
     The block holds the rows the step appends to the half-edge rows: the
-    r half-edges of the piece's cells that do not cross face2, in cell
+    r half-edges of the record's cells that do not cross face2, in cell
     order, then per seam place i the half-edge beyond face1 (row r + 2i,
     which the step fills in) and the one beyond face2 (row r + 2i + 1).
     Every cell through face2 leaves one half-edge beyond the seam, its
     partner (row ^ 1); side s of face2 sits at the place whose mapped
     segment it is.  The faces but face2 are numbered from 0 in order."""
     k = len(mapping)
-    halves = b.cells.reshape(-1, 2)
+    cells = b.faces.cells
+    halves = cells.reshape(-1, 2)
     at2 = (halves[:, 0] == face2).nonzero()[0]
-    own = np.empty(len(b.cells), dtype=bool)
+    own = np.empty(len(cells), dtype=bool)
     own.fill(True)
     own[at2 >> 1] = False
     kept = halves.reshape(-1, 4)[own].reshape(-1, 2)
@@ -186,11 +178,10 @@ def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
     block[:r] = kept
     beyond = block[r + 1::2]
     beyond[_side_place(halves[at2, 1], start, step, k)] = halves[at2 ^ 1]
-    complete = bool(np.minimum.reduce(beyond, axis=None) >= 0)
     block[:, 0] -= block[:, 0] > face2
     mapped = set(mapping)
     fresh = [v for v in range(len(b.vertices)) if v not in mapped]
-    return _Side(mapping, block, r, complete, fresh,
+    return _Side(mapping, block, r, fresh,
                  np.array(fresh, dtype=np.intp),
                  [i for i in range(len(b.faces)) if i != face2])
 
@@ -209,31 +200,34 @@ def glue(first: Polyhedron | MeshData,
     so a chain of sums is validated once, by build_glued at its end.  The
     glue checks only that a step's correspondence is a FaceCorrespondence
     (BadParameters), that its two face ids are faces of their meshes
-    (IndexOutOfRange), that the two faces are congruent (NotIsometric
-    beyond the rigid-fit residual) and that raw data's own cells name
-    sides of its faces (_checked_cells); the faces never reach a result.
+    (IndexOutOfRange) and that the two faces are congruent (NotIsometric
+    beyond the rigid-fit residual), and it checks raw data as
+    build_polyhedron does on entry (_checked_parts); the faces never
+    reach a result.
     Each step lowers chi by 2.  The edge-cell pairing is carried through
     explicitly, so segments of two pieces that come to share both
     endpoints remain distinct 1-cells.
 
-    The steps write one _Surgery record.  A piece's cells are checked,
-    and its side of a seam (_piece_side) worked out with the mapping it
-    resolves, once per distinct piece, and per face2 and mapping, in a
-    call, so a chain of one block does each once.
+    The steps write one _Surgery record.  The first mesh and each
+    distinct piece are checked once in a call (_checked), and a piece's
+    side of a seam (_piece_side) is worked out with the mapping it
+    resolves once per record, face2 and mapping, so a chain of one block
+    does each once.  Raw data's explicit cells are read in the record's
+    order, which the build sorts them into.
     """
-    # per distinct piece, the first mesh among them, keyed by the parts
-    # of it that a side reads (_parts): their cells, raw data's checked,
-    # and its sides by face2 and mapping, as given or else as resolved;
-    # an entry holds the parts, so that no id in a key is reused
-    pieces: dict[tuple, tuple[MeshData, np.ndarray, dict]] = {}
+    # per distinct mesh, by id, the mesh and its checked parts; per
+    # record, by id, the record and its sides by face2 and mapping, as
+    # given or else as resolved; an entry holds what its key names, so
+    # that no id in a key is reused
+    checked: dict[int, tuple[object, MeshData]] = {}
+    sides: dict[int, tuple[Combinatorics, dict]] = {}
 
     def piece_of(p) -> tuple[MeshData, dict]:
-        """p's parts, with its checked cells, and its sides."""
-        b = _parts(p)
-        key = id(b.faces), id(b.cells), len(b.vertices)
-        if key not in pieces:
-            pieces[key] = b, _checked_cells(b) if b is p else b.cells, {}
-        return b._replace(cells=pieces[key][1]), pieces[key][2]
+        """p's checked parts and its record's sides."""
+        if id(p) not in checked:
+            checked[id(p)] = p, _checked(p)
+        b = checked[id(p)][1]
+        return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
 
     a, _ = piece_of(first)
     if not steps:
@@ -443,22 +437,12 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
 
 
 def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
-    """p's parts with their edge cells, and their geometry, whose Newell
-    frames place the drilled vertices: a validated mesh lends its own.
-    Raw vertices, faces and cells are first checked as build_polyhedron
-    checks them; a Combinatorics record for their vertex count lends its
-    checked corners, and its cells where p has none, as to the build."""
-    if isinstance(_mesh(p, raw=True), Polyhedron):
-        return _parts(p), p.geometry
-    pts = _checked_vertices(p.vertices)
-    faces = p.faces
-    record = isinstance(faces, Combinatorics) and faces.n_vertices == len(pts)
-    corners = faces.corners if record else _checked_corners(faces, len(pts))
-    if p.cells is not None:
-        cells = _edge_cells(_cell_array(p.cells), corners)[0]
-    else:
-        cells = faces.cells if record else _derived_cells(corners)[0]
-    return MeshData(pts, faces, p.metadata, cells), MeshGeometry(pts, corners)
+    """p's checked parts (_checked), and their geometry, whose Newell
+    frames place the drilled vertices: a validated mesh lends its own."""
+    data = _checked(p)
+    if isinstance(p, Polyhedron):
+        return data, p.geometry
+    return data, MeshGeometry(data.vertices, data.faces)
 
 
 def _coordinates(point) -> bool:
@@ -576,7 +560,8 @@ class _Surgery:
     """The parts of a chain of surgery steps on one mesh, append-only, so
     that a step costs what it adds: glue's connected sums and the prism
     tunnels of drill and drill_repeat write this one half-edge store
-    (Kettner 1999).
+    (Kettner 1999).  It starts from checked parts (_checked), whose
+    record pairs every half-edge.
 
     Vertices and faces have stable ids, the mesh's own and then each
     step's.  A step takes the faces it consumes out of the live ids,
@@ -591,20 +576,21 @@ class _Surgery:
     bits of a fit of every face) when the next step locates (_fit).
     Location (track, locate) keeps only the faces in the two pierced
     planes, stacked by length with their frames and polygons; each face
-    is tested for them once (_in_planes), and every live face again when
-    a step's prism rings raise the tolerance scale, which widens the
-    band.
+    is tested for them once (_in_planes), at the mesh's tolerance scale:
+    a prism ring lies inside the face it pierces, so only rounding could
+    raise it.
     """
 
     def __init__(self, data: MeshData, geo: MeshGeometry | None = None):
+        record = data.faces
         self.metadata = data.metadata
         self.vertices = data.vertices       # copied into room on first write
-        self.n = self.fitted = len(self.vertices)
-        self.faces = list(data.faces)       # by stable id
+        self.n = len(self.vertices)
+        self.faces = list(record)           # by stable id
         self.live = list(range(len(self.faces)))
-        self.half = data.cells.reshape(-1, 2)   # as the vertices
+        self.half = record.cells.reshape(-1, 2)     # as the vertices
         self.top = len(self.half)
-        self.live_cells = np.ones(len(data.cells), dtype=bool)
+        self.live_cells = np.ones(len(record.cells), dtype=bool)
         width = max(map(len, self.faces), default=0)
         self.row_of = np.full((len(self.faces), width), -1, dtype=np.intp)
         self.row_of[self.half[:, 0], self.half[:, 1]] = np.arange(self.top)
@@ -616,9 +602,7 @@ class _Surgery:
         # per step its first face id, and the corners and planes of the
         # faces it made; the mesh's own faces are step 0's
         self.firsts = [0]
-        self.fits = [(_Corners(geo.face_size, geo.face_start,
-                               geo.corner_vertex, geo.corner_face,
-                               geo.next_corner),
+        self.fits = [(record.corners,
                       tuple(getattr(geo, name) for name in _PLANES))]
         self.stacks: dict[int, _Stack] | None = None
         self.rows: dict[int, list[tuple[_Stack, int]]] = {}
@@ -690,8 +674,6 @@ class _Surgery:
             raise NotIsometric(
                 f"cycles are not congruent (rigid-fit residual {resid:.2e})")
         row1 = self.row_of[self.live[face1], :len(c1)]
-        if np.minimum.reduce(row1) < 0 or not side.complete:
-            raise NotIsometric("seam pairing incomplete")
 
         # b's vertices: the seam ones become face1's, the rest are appended
         new_id = [0] * len(b.vertices)
@@ -726,22 +708,17 @@ class _Surgery:
     def track(self, normal: np.ndarray, heights: tuple[float, float]
               ) -> None:
         """Keep, from now on, the live faces in the planes normal . x =
-        height for the two heights, for locate."""
+        height for the two heights, for locate; a record tracks before
+        its first step."""
         self.normal, self.heights, self.stacks, self.rows = \
             normal, heights, {}, {}
-        for first, fit in zip(self.firsts, self.fits):
-            self._stack(first, *fit, live=len(self.live) < len(self.faces))
+        self._stack(0, *self.fits[0])
 
-    def _stack(self, first: int, corners: _Corners, planes: tuple,
-               live: bool = False) -> None:
+    def _stack(self, first: int, corners: _Corners, planes: tuple) -> None:
         """Stack the faces laid out in `corners`, ids from `first` on, that
-        are in a tracked plane, with their `planes`; with `live`, only the
-        live ones."""
+        are in a tracked plane, with their `planes`."""
         which, at = _in_planes(self.vertices, corners, self.normal,
                                self.heights, self.scale).nonzero()
-        if live:
-            keep = np.isin(at + first, self.live)
-            which, at = which[keep], at[keep]
         centroid, _, _, u, v, uv, _ = planes
         size = corners.size[at]
         lengths = set(size.tolist())
@@ -760,20 +737,11 @@ class _Surgery:
 
     def _fit(self) -> None:
         """Fit and stack the faces of the last step, which is done when it
-        is located in (the last step of a chain never is); a step whose
-        prism rings raise the tolerance scale stacks every live face
-        again."""
-        first, n = self.firsts[-1], self.n
+        is located in (the last step of a chain never is)."""
+        first = self.firsts[-1]
         corners = _corner_layout(self.faces[first:])
         self.fits[-1] = corners, _newell(self.vertices, corners)
-        scale = max(self.scale, _geom.tolerance_scale(
-            self.vertices[self.fitted:n]))
-        self.fitted = n
-        if scale > self.scale:
-            self.scale = scale
-            self.track(self.normal, self.heights)
-        else:
-            self._stack(first, *self.fits[-1])
+        self._stack(first, *self.fits[-1])
 
     def locate(self, points: np.ndarray) -> list[tuple[int | None, float]]:
         """Per point, in the tracked plane at its place: the first live face
@@ -881,7 +849,8 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     such crossings only add self-intersection witnesses.  A face id that
     is not a face of p raises IndexOutOfRange, a placement that is not
     finite real numbers (the point three of them) BadParameters.  p may be
-    a validated mesh or raw MeshData.
+    a validated mesh or raw MeshData, which is first checked as
+    build_polyhedron checks it on entry (_checked_parts).
     """
     data, geo = _raw(p)
     _check_spec(geo, spec)
@@ -901,12 +870,12 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     degenerates against the evolving retiling (axis on a seam), the next
     of a fixed set of offset directions is tried.  A bad spec raises what
     drill raises, before any offset is tried.  p may be a validated mesh
-    or raw MeshData.  The drills pierce raw data and the finished mesh is
-    validated once; a sub-face a later drill pierces is never validated.
-    The steps share one _Surgery record, so each pays for what it adds:
-    its rings, pieces, walls and cells, their fit and their plane test,
-    and the location of its two axis points among the faces of the two
-    planes.
+    or raw MeshData, checked as drill checks it.  The drills pierce raw
+    data and the finished mesh is validated once; a sub-face a later
+    drill pierces is never validated.  The steps share one _Surgery
+    record, so each pays for what it adds: its rings, pieces, walls and
+    cells, their fit and their plane test, and the location of its two
+    axis points among the faces of the two planes.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:

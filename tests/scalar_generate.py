@@ -45,8 +45,8 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              SelfCrossingPartition)
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
                                  _n5g_params, _orbit, a_coeff)
-from ccpforge.mesh import (LENGTH_TOL, MeshData, MeshMetadata, Polyhedron,
-                           _integer, replace_meta)
+from ccpforge.mesh import (LENGTH_TOL, Combinatorics, MeshData,
+                           MeshMetadata, Polyhedron, _integer, replace_meta)
 from ccpforge.surgery import build_glued
 from conftest import face_polygon
 
@@ -359,10 +359,15 @@ def shared_sides(part) -> set[tuple[int, int]]:
 
 
 def _parts(p):
-    """p's parts with their edge cells."""
+    """p's parts with their edge cells: raw data with none reads its
+    Combinatorics record's, derived by vertex pair from a face list."""
     if isinstance(p, Polyhedron):
         return MeshData(p.vertices, p.faces, p.metadata, p.geometry.cells)
-    return p.paired()
+    if p.cells is not None:
+        return p
+    record = p.faces if isinstance(p.faces, Combinatorics) else \
+        Combinatorics.of(p.faces, len(p.vertices))
+    return p._replace(cells=record.cells)
 
 
 def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:

@@ -1,32 +1,47 @@
 """Generate and verify the catalog's larger drilled and windowed meshes,
 whose costs grow faster than linearly, and report each one's size,
-verdict and process time per face:
+verdict and process time per face, alone or paired with another
+checkout:
 
     python3 tests/scale_sweep.py
     python3 tests/scale_sweep.py --limit 2
     python3 tests/scale_sweep.py --out BENCH.json
+    python3 tests/scale_sweep.py --against-rev HEAD~ --limit 4
 
 The meshes are `orientable` g = 25, 50, 100 and 200, `nonorientable`
 g = 51 and 101, `n5g` g = 13, 15, 17 and 19, and `v8g` g = 200 and 600,
 in that order; --limit N runs the first N.  Per mesh it prints V, E, F,
 the genus verify finds, the verdict, the witness count, and the process
 time per face, in microseconds, of generate_family and of verify, each
-the least of REPEATS (3) runs.  --out
-PATH also writes them, with the Python and numpy versions and the
-machine, as one JSON document.  BLAS runs on one thread, as in
-perfbench/run.py, so that process time is the time of one core.  A full
-run takes about 36 s of one x86_64 core; the three benchmark workloads
-hold no mesh this large.  pytest does not collect this file;
-tests/test_scale_sweep.py runs it with --limit 1.
+the least of REPEATS (3) runs.  --out PATH also writes them, with the
+Python and numpy versions and the machine, as one JSON document.  BLAS
+runs on one thread, as in perfbench/run.py, so that process time is the
+time of one core.  A full run takes about 36 s of one x86_64 core; the
+three benchmark workloads hold no mesh this large.
+
+Times of two runs minutes apart do not compare on a machine whose speed
+drifts, so --against DIR pairs this checkout (b) with checkout DIR (a),
+whose src/ccpforge is imported as package `ccpforge_a`, as
+tests/ab_pass.py imports a side, and --against-rev REV with the files of
+git revision REV, extracted into a temporary directory that is removed
+afterwards.  In each of the REPEATS rounds both sides run the mesh, the
+first side flipping every round; both must give the same V, E, F,
+genus, verdict and witness count.  Per mesh it then prints and writes
+both sides' times per face and the ratio b / a - 1, for generate and for
+verify; it exits 1 when the sides of a mesh differ (that mesh is not
+reported).  pytest does not collect this file; tests/test_scale_sweep.py
+runs it with --limit 1, alone and against its own checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,10 +51,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
 
-from ccpforge.generators import FamilyRequest, generate_family  # noqa: E402
-from ccpforge.verify import verify  # noqa: E402
+from ab_pass import ROOT, load  # noqa: E402
 
 MESHES = (("orientable", 25), ("orientable", 50), ("orientable", 100),
           ("orientable", 200), ("nonorientable", 51),
@@ -48,40 +63,102 @@ MESHES = (("orientable", 25), ("orientable", 50), ("orientable", 100),
 # each mesh is generated and verified this many times; a time that one
 # run reads alone moves by more than most changes do
 REPEATS = 3
+# what both sides of a pair must agree on
+FACTS = ("V", "E", "F", "verified_genus", "verdict", "witnesses")
 
 
-def measure(family: str, genus: int) -> dict:
-    """One mesh's size, verdict and process times, each time the least of
-    REPEATS runs of generate_family and verify."""
-    generate_s = verify_s = float("inf")
-    for _ in range(REPEATS):
-        start = time.process_time()
-        p = generate_family(FamilyRequest(family, genus))
-        generated = time.process_time()
-        report = verify(p)
-        verified = time.process_time()
-        generate_s = min(generate_s, generated - start)
-        verify_s = min(verify_s, verified - generated)
-    faces = p.n_faces
-    return {
-        "family": family, "genus": genus,
-        "V": p.n_vertices, "E": p.n_edges, "F": faces,
-        "verified_genus": report.topology.genus,
-        "verdict": report.verdict,
-        "witnesses": len(report.witnesses),
-        "generate_s": generate_s,
-        "verify_s": verify_s,
-        "generate_us_per_face": 1e6 * generate_s / faces,
-        "verify_us_per_face": 1e6 * verify_s / faces,
-    }
+def library(root: Path, name: str):
+    """Checkout root's generators and verify modules, its src/ccpforge
+    imported as package `name`."""
+    package = root / "src" / "ccpforge"
+    load(name, package / "__init__.py", package)
+    return (importlib.import_module(f"{name}.generators"),
+            importlib.import_module(f"{name}.verify"))
+
+
+def run(lib, family: str, genus: int) -> tuple[dict, float, float]:
+    """One run on library lib: the mesh's facts, and the process times of
+    generate_family and verify."""
+    generators, verify = lib
+    start = time.process_time()
+    p = generators.generate_family(generators.FamilyRequest(family, genus))
+    generated = time.process_time()
+    report = verify.verify(p)
+    verified = time.process_time()
+    facts = dict(zip(FACTS, (p.n_vertices, p.n_edges, p.n_faces,
+                             report.topology.genus, report.verdict,
+                             len(report.witnesses))))
+    return facts, generated - start, verified - generated
+
+
+def measure(libs: dict, family: str, genus: int) -> dict | None:
+    """One mesh's facts and, per side of libs ("b" this checkout, "a" the
+    other if any), its process times, each the least of REPEATS runs; the
+    sides alternate, the first flipping every round.  None, and a line on
+    stderr, when the sides' facts differ."""
+    best = {side: [float("inf")] * 2 for side in libs}
+    facts = {}
+    for r in range(REPEATS):
+        for side in (sorted(libs) if r % 2 == 0 else sorted(libs)[::-1]):
+            facts[side], *times = run(libs[side], family, genus)
+            best[side] = list(map(min, best[side], times))
+    if facts.get("a", facts["b"]) != facts["b"]:
+        print(f"{family} g={genus}: the sides differ: a {facts['a']}, "
+              f"b {facts['b']}", file=sys.stderr)
+        return None
+    row = {"family": family, "genus": genus, **facts["b"]}
+    for side, (generate_s, verify_s) in best.items():
+        prefix = "a_" if side == "a" else ""
+        faces = row["F"]
+        row |= {f"{prefix}generate_s": generate_s,
+                f"{prefix}verify_s": verify_s,
+                f"{prefix}generate_us_per_face": 1e6 * generate_s / faces,
+                f"{prefix}verify_us_per_face": 1e6 * verify_s / faces}
+    if "a" in libs:
+        for step in ("generate", "verify"):
+            row[f"{step}_ratio"] = row[f"{step}_s"] / row[f"a_{step}_s"] - 1
+    return row
 
 
 def line(row: dict) -> str:
-    return (f"{row['family']:>13} g={row['genus']:<4} V={row['V']:<6} "
-            f"E={row['E']:<6} F={row['F']:<6} genus={row['verified_genus']:<4}"
-            f" {row['verdict']:<13} witnesses={row['witnesses']:<6} "
-            f"generate {row['generate_us_per_face']:8.1f} us/face  "
-            f"verify {row['verify_us_per_face']:8.1f} us/face")
+    out = (f"{row['family']:>13} g={row['genus']:<4} V={row['V']:<6} "
+           f"E={row['E']:<6} F={row['F']:<6} genus={row['verified_genus']:<4}"
+           f" {row['verdict']:<13} witnesses={row['witnesses']:<6}")
+    for step in ("generate", "verify"):
+        b = row[f"{step}_us_per_face"]
+        if "a_generate_s" in row:
+            out += (f" {step} a {row[f'a_{step}_us_per_face']:8.1f} b "
+                    f"{b:8.1f} us/face ({row[f'{step}_ratio']:+.1%})")
+        else:
+            out += f" {step} {b:8.1f} us/face "
+    return out.rstrip()
+
+
+def sweep(args, other: Path | None) -> int:
+    """Run the meshes, on this checkout and checkout `other` if given;
+    print a line per mesh and write --out."""
+    libs = {"b": library(ROOT, "ccpforge_b")}
+    if other is not None:
+        libs["a"] = library(other, "ccpforge_a")
+    rows, status = [], 0
+    for family, genus in MESHES[:args.limit]:
+        row = measure(libs, family, genus)
+        if row is None:
+            status = 1
+            continue
+        rows.append(row)
+        print(line(row), flush=True)
+    if args.out is not None:
+        doc = {"python": platform.python_version(),
+               "numpy": np.__version__,
+               "machine": f"{platform.machine()}, {os.cpu_count()} cores",
+               "timer": f"time.process_time, BLAS on one thread, least "
+                        f"of {REPEATS} runs",
+               "meshes": rows}
+        if other is not None:
+            doc["against"] = args.against_rev or str(other)
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return status
 
 
 def main(argv=None) -> int:
@@ -90,20 +167,18 @@ def main(argv=None) -> int:
                         help="run only the first N meshes")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
                         help="also write the results as JSON to PATH")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--against", metavar="DIR", type=Path,
+                       help="pair each run with checkout DIR's")
+    group.add_argument("--against-rev", metavar="REV",
+                       help="pair each run with git revision REV's")
     args = parser.parse_args(argv)
-    rows = []
-    for family, genus in MESHES[:args.limit]:
-        rows.append(measure(family, genus))
-        print(line(rows[-1]), flush=True)
-    if args.out is not None:
-        doc = {"python": platform.python_version(),
-               "numpy": np.__version__,
-               "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-               "timer": f"time.process_time, BLAS on one thread, least "
-                        f"of {REPEATS} runs",
-               "meshes": rows}
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    if args.against_rev is None:
+        return sweep(args, args.against and args.against.resolve())
+    from corpus_digest import extract   # imported only for a revision
+    with tempfile.TemporaryDirectory() as tmp:
+        extract(args.against_rev, Path(tmp))
+        return sweep(args, Path(tmp))
 
 
 if __name__ == "__main__":

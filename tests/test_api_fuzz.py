@@ -1,7 +1,8 @@
-"""One property over every callable in ccpforge.__all__ and the public
-methods: called with good arguments, some of them swapped for values
-drawn from one shared vocabulary of bad ones, each entry returns or
-raises a CcpError, and a Polyhedron it returns verifies.  Input records
+"""One property over every callable in ccpforge.__all__, the public
+methods, and drill_repeat and glue on raw parts: called with good
+arguments, some of them swapped for values drawn from one shared
+vocabulary of bad ones, each entry returns or raises a CcpError, and a
+Polyhedron it returns verifies.  Input records
 (MeshMetadata, DrillSpec, FaceCorrespondence, FamilyRequest) are passed
 on to the entry that reads them; metadata, every field of it, is that
 of a drilled mesh, whose flat seams verify reads.  Genera are drawn at
@@ -20,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ccpforge  # noqa: E402
+from ccpforge import surgery  # noqa: E402
 from ccpforge import (CATALOG, DrillSpec, FaceCorrespondence,  # noqa: E402
                       FamilyRequest, MeshMetadata, Polyhedron, TopologyClass,
                       build_polyhedron, gen_p2_24, gen_tetrahedron)
@@ -157,12 +159,20 @@ for _name in ("gen_cubohemioctahedron", "gen_flat_torus9", "gen_q2_9",
 # CATALOG is no callable, and Polyhedron's constructor refuses every call
 # with a TypeError: build_polyhedron makes each mesh
 NOT_CALLED = {"CATALOG", "Polyhedron"}
-# the public methods, drawn as the entries are
+# the public methods, and the surgery entries on raw parts, each field of
+# which may be drawn bad; drawn as the entries are
 METHODS = {
     "Polyhedron.with_metadata": (
         lambda *a: D.with_metadata(**dict(zip(
             ("provenance", "vertex_labels", "seam_edges"), a))),
         lambda d, tmp: _metadata(D)),
+    "drill_repeat(MeshData)": (
+        lambda *a: ccpforge.drill_repeat(MeshData(*a), SPEC, 2),
+        lambda d, tmp: _raw(P)),
+    "surgery.glue(MeshData)": (
+        lambda *a: surgery.glue(MeshData(*a), [(
+            MeshData(*a), FaceCorrespondence(0, 0, (0, 2, 1)))]),
+        lambda d, tmp: _raw(T)),
 }
 CALLS = {**ENTRIES, **METHODS}
 
@@ -172,6 +182,11 @@ def _metadata(p: Polyhedron) -> list:
     meta = p.metadata
     return [list(meta.provenance), dict(meta.vertex_labels),
             set(meta.seam_edges)]
+
+
+def _raw(p: Polyhedron) -> list:
+    """p's raw vertices, faces, metadata and cells."""
+    return [p.vertices, list(p.faces), p.metadata, p.geometry.cells]
 
 
 def _genus(data, family: str) -> int:

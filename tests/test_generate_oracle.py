@@ -21,8 +21,9 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
                       gen_cubohemioctahedron, gen_minimal, gen_n5g_odd,
                       gen_p2_24, gen_q2_9, gen_q3_18, generate_family,
                       retile_pierced_face, solve_block_params)
-from ccpforge.errors import CcpError, DomainError, NotIsometric
-from ccpforge.mesh import MeshData, MeshMetadata
+from ccpforge.errors import (CcpError, DomainError, NonManifoldEdge,
+                             NotIsometric)
+from ccpforge.mesh import MeshData, MeshMetadata, Polyhedron
 
 import corpus_digest
 import scalar_generate
@@ -239,11 +240,20 @@ def recorded_glues(monkeypatch, build, *args) -> list:
     return calls
 
 
+def checked(p):
+    """p, or raw data's parts as glue checks them (build_polyhedron's entry
+    checks), their faces a Combinatorics record."""
+    if isinstance(p, Polyhedron):
+        return p
+    return mesh_mod._checked_parts(*p)
+
+
 def folded(first, steps):
-    """The one-step reference glue applied to each step in turn."""
-    out = first
+    """The one-step reference glue applied to each step in turn, on the
+    parts glue checks: its first mesh and every piece."""
+    out = checked(first)
     for piece, corr in steps:
-        out = scalar_generate.glue(out, piece, corr)
+        out = scalar_generate.glue(out, checked(piece), corr)
     return out
 
 
@@ -261,10 +271,15 @@ def test_glue_is_the_fold_of_one_step_glues(monkeypatch, build, genus):
                           folded(first, steps))
 
 
+def cells(data):
+    """data's cells, or its record's where it has none."""
+    return data.faces.cells if data.cells is None else data.cells
+
+
 def assert_same_parts(got, want):
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert list(got.faces) == list(want.faces)
-    assert got.cells.tobytes() == want.cells.tobytes()
+    assert cells(got).tobytes() == cells(want).tobytes()
     assert got.metadata == want.metadata
 
 
@@ -336,18 +351,18 @@ def _corrupted(first, steps, j, kind):
     elif kind == "residual":
         piece = piece._replace(vertices=piece.vertices * [1.25, 1.0, 1.0])
     elif kind == "pairing-piece":
-        on = (piece.cells[:, 0::2] == corr.face2).any(axis=1)
-        piece = piece._replace(cells=np.delete(piece.cells, np.argmax(on),
+        on = (cells(piece)[:, 0::2] == corr.face2).any(axis=1)
+        piece = piece._replace(cells=np.delete(cells(piece), np.argmax(on),
                                                axis=0))
     else:                       # pairing-mesh: the giving block lacks a cell
         if j == 0:
             giver, face2 = first, None
         else:
             giver, face2 = steps[j - 1][0], steps[j - 1][1].face2
-        cells = giver.cells
-        on = (cells[:, 0::2] == 2).any(axis=1) & \
-            ~(cells[:, 0::2] == face2).any(axis=1)
-        giver = giver._replace(cells=np.delete(cells, np.argmax(on), axis=0))
+        rows = cells(giver)
+        on = (rows[:, 0::2] == 2).any(axis=1) & \
+            ~(rows[:, 0::2] == face2).any(axis=1)
+        giver = giver._replace(cells=np.delete(rows, np.argmax(on), axis=0))
         if j == 0:
             first = giver
         else:
@@ -356,28 +371,33 @@ def _corrupted(first, steps, j, kind):
     return first, steps
 
 
-GLUE_ERRORS = {"lengths": "different lengths",
-               "bijection": "not a bijection",
-               "cycle": "does not respect the face2 cycle",
-               "residual": "rigid-fit residual",
-               "pairing-piece": "seam pairing incomplete",
-               "pairing-mesh": "seam pairing incomplete"}
+# per kind, the error and message; a piece or mesh that lacks a cell fails
+# the build's entry checks, before any step glues
+GLUE_ERRORS = {"lengths": (NotIsometric, "different lengths"),
+               "bijection": (NotIsometric, "not a bijection"),
+               "cycle": (NotIsometric, "does not respect the face2 cycle"),
+               "residual": (NotIsometric, "rigid-fit residual"),
+               "pairing-piece": (NonManifoldEdge, "do not cover every"),
+               "pairing-mesh": (NonManifoldEdge, "do not cover every")}
 
 
 @pytest.mark.parametrize("kind", GLUE_ERRORS)
 def test_glue_errors_are_the_one_step_ones(monkeypatch, kind):
     """A chain spoilt at step j raises at step j the error class and
     message of the one-step glue, for a first, middle and last step of
-    the nine-step T-block chain of minimal g = 20."""
+    the nine-step T-block chain of minimal g = 20; raw data that lacks a
+    cell raises the build's NonManifoldEdge on entry."""
     (first, steps), *_ = recorded_glues(monkeypatch, gen_minimal, 20)
     assert len(steps) == 9
+    error, message = GLUE_ERRORS[kind]
     for j in (0, 4, 8):
         bad = _corrupted(first, steps, j, kind)
         got = outcome(surgery_mod.glue, *bad)
         assert got == outcome(folded, *bad)
-        assert got[0] is NotIsometric and GLUE_ERRORS[kind] in got[1]
-        # the steps before j glue
-        folded(bad[0], bad[1][:j])
+        assert got[0] is error and message in got[1]
+        if error is NotIsometric:
+            # the steps before j glue
+            folded(bad[0], bad[1][:j])
 
 
 def assert_same_mesh(got, want):

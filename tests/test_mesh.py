@@ -123,6 +123,31 @@ def test_face_entries_are_integers(entry):
 TET_CELLS = build_polyhedron(TET_V, TET_F).geometry.cells
 
 
+def slot_true(cells):
+    """cells as nested ((face, slot), (face, slot)) lists, the first slot
+    1 given as True."""
+    out = cells.reshape(-1, 2, 2).tolist()
+    half = next(h for cell in out for h in cell if h[1] == 1)
+    half[1] = True
+    return out
+
+
+@pytest.mark.parametrize("faces,slots,error,message", [
+    ([(0, True, 2)] + TET_F[1:], None, IndexOutOfRange,
+     "face 0 vertex True is not an integer"),
+    ([(0, np.True_, 2)] + TET_F[1:], None, IndexOutOfRange,
+     "face 0 vertex np.True_ is not an integer"),
+    (TET_F, slot_true(TET_CELLS), NonManifoldEdge,
+     r"half-edge \(\d+, True\) entry True is not an integer"),
+], ids=["face", "numpy-face", "nested-slots"])
+def test_a_bool_among_integers_is_no_integer(faces, slots, error, message):
+    """numpy reads a bool among a list's integers as an integer; a face or
+    nested edge_slots that holds one raises as a bool alone does, where
+    it used to build with True read as 1."""
+    with pytest.raises(error, match=message):
+        build_polyhedron(TET_V, faces, edge_slots=slots)
+
+
 def fractional(cells):
     """cells as floats, one slot a half off its integer."""
     out = cells.astype(float)

@@ -22,3 +22,22 @@ def test_scale_sweep_runs_its_first_mesh(tmp_path):
     assert row["verdict"] == "ccp_embedded" and row["witnesses"] == 0
     assert row["V"] - row["E"] + row["F"] == 2 - 2 * 25
     assert row["generate_us_per_face"] > 0 and row["verify_us_per_face"] > 0
+
+
+def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
+    """--against runs each mesh on both checkouts, here one checkout
+    twice, and reports both sides' times and their ratio."""
+    out = tmp_path / "sweep.json"
+    run = subprocess.run([sys.executable, str(SCRIPT), "--limit", "1",
+                          "--against", str(SCRIPT.parent.parent), "--out",
+                          str(out)], capture_output=True, text=True,
+                         check=True)
+    (line,) = run.stdout.splitlines()
+    assert "orientable g=25" in line and " generate a " in line
+    doc = json.loads(out.read_text())
+    assert doc["against"] == str(SCRIPT.parent.parent)
+    (row,) = doc["meshes"]
+    assert (row["verified_genus"], row["verdict"]) == (25, "ccp_embedded")
+    for step in ("generate", "verify"):
+        a, b = row[f"a_{step}_s"], row[f"{step}_s"]
+        assert a > 0 and b > 0 and row[f"{step}_ratio"] == b / a - 1

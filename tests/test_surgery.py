@@ -435,20 +435,21 @@ def test_raw_parts_are_checked_before_they_are_fitted(k, vertex, face,
 def test_raw_parts_on_a_record_lend_its_corners(monkeypatch):
     """P^2_24's raw parts carry its Combinatorics record as their faces,
     checked for its 24 vertices once per process, so drilling them checks
-    no face again; the record of another vertex count is checked as a
-    face list, with the error the list gives."""
+    no face again, only the drilled result's in its one build; the record
+    of another vertex count is checked as a face list, with the error the
+    list gives."""
     calls = []
-    checked = surgery_mod._checked_corners
-    monkeypatch.setattr(surgery_mod, "_checked_corners",
-                        lambda *a: calls.append(1) or checked(*a))
+    checked = mesh_mod._checked_corners
+    monkeypatch.setattr(mesh_mod, "_checked_corners",
+                        lambda faces, n: calls.append(n) or checked(faces, n))
     data = generators_mod._p2_24()
     assert isinstance(data.faces, mesh_mod.Combinatorics)
-    assert drill_repeat(data, DrillSpec(0, 1, 12), 2).n_faces > 18
-    assert calls == []
+    p = drill_repeat(data, DrillSpec(0, 1, 12), 2)
+    assert calls == [p.n_vertices]
     with pytest.raises(IndexOutOfRange, match="references vertex 23"):
         drill_repeat(data._replace(vertices=data.vertices[:23]),
                      DrillSpec(0, 1, 12), 2)
-    assert calls == [1]
+    assert calls == [p.n_vertices, 23]
 
 
 def glued_data(build, *args):
@@ -606,21 +607,6 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
     assert len(builds) == 1 and list(map(len, passes)) == [282]
 
 
-def assert_fresh_planes(geo, vertices, faces):
-    """geo's layout is that of `faces`, and its planes are a fresh fit of
-    them, bit for bit."""
-    layout = mesh_mod._corner_layout(faces)
-    for name, want in zip(("face_size", "face_start", "corner_vertex",
-                           "corner_face", "next_corner"), layout):
-        assert np.array_equal(getattr(geo, name), want), name
-    fresh = mesh_mod.MeshGeometry(vertices, layout)
-    assert np.array_equal(geo.prev_corner, fresh.prev_corner)
-    for name in mesh_mod._PLANES:
-        assert getattr(geo, name).tobytes() == \
-            getattr(fresh, name).tobytes(), name
-        assert not getattr(geo, name).flags.writeable, name
-
-
 def fitted_drilling(p, faces, monkeypatch=None):
     """A _Surgery record of p, tracking the planes of `faces` (a parallel
     pair), after its one step through them with a 12-gonal prism and the
@@ -642,8 +628,7 @@ def assert_fresh_frames(drilling, out):
     """Every live face's frame in the record, its own or carried from the
     mesh it drilled, has the bits of a fresh fit of the whole result, at
     the face's place: its rank among the live ids."""
-    fresh = mesh_mod.MeshGeometry(out.vertices,
-                                  mesh_mod._corner_layout(out.faces))
+    _, fresh = surgery_mod._raw(out)
     assert len(drilling.live) == len(out.faces)
     for at, f in enumerate(drilling.live):
         for part, want in zip(drilling.frame(f), (
@@ -752,38 +737,6 @@ def test_a_drill_step_pays_for_what_it_adds(monkeypatch):
     assert measured == [[True, True]] * 29
 
 
-def test_a_ring_that_raises_the_scale_retests_every_face(monkeypatch):
-    """A step whose prism rings raise the tolerance scale widens the band
-    of the plane test, which may take in faces it left out, so every
-    live face is tested again: the faces stacked after the step are
-    those a fresh record of the drilled parts stacks at the new scale.
-    The planes sit 5e-7 off p2-24's top and bottom faces, outside the
-    band at scale 1 and inside it at scale 10, which the rings are made
-    to raise it to."""
-    data, geo = surgery_mod._raw(gen_p2_24())
-    normal = geo.normal[0]
-    heights = tuple(float(normal @ geo.centroid[f]) + 5e-7 for f in (0, 1))
-
-    def stacked(drilling):
-        return sorted((drilling.live.index(f), i)
-                      for s in drilling.stacks.values()
-                      for f, i, live in zip(s.face[:s.m].tolist(),
-                                            s.plane[:s.m].tolist(),
-                                            s.live[:s.m].tolist()) if live)
-
-    drilling = surgery_mod._Surgery(data, geo)
-    drilling.track(normal, heights)
-    assert stacked(drilling) == []
-    drilling.pierce(0, 1, 12, 0.0, _axis(geo, DrillSpec(0, 1, 12)), None)
-    monkeypatch.setattr(geom_mod, "tolerance_scale", lambda *a, **kw: 10.0)
-    drilling._fit()
-    assert drilling.scale == 10.0
-    fresh = surgery_mod._Surgery(*surgery_mod._raw(drilling.parts()))
-    fresh.track(normal, heights)
-    got = stacked(drilling)
-    assert got == stacked(fresh) and {i for _, i in got} == {0, 1}
-
-
 BAD_CELLS = [np.array([[99, 0, 0, 1]]), "x", [[0, 0.5, 1, 0]]]
 
 
@@ -809,18 +762,32 @@ def test_raw_cells_are_checked_by_the_build_rules(cells, where):
                   DrillSpec(0, 1, 12))
 
 
+def test_raw_metadata_none_reads_as_empty():
+    """Raw parts whose metadata is None glue and drill as build_polyhedron
+    takes them, with empty metadata."""
+    t, p = gen_tetrahedron(), gen_p2_24()
+    raw = MeshData(t.vertices, list(t.faces), None)
+    out = glue(raw, [(raw, FaceCorrespondence(0, 0, mapping=(0, 2, 1)))])
+    assert out.metadata.provenance == ["connect_sum(face 0 ~ face 0)"]
+    drilled = drill_repeat(MeshData(p.vertices, list(p.faces), None),
+                           DrillSpec(0, 1, 12), 2)
+    assert drilled.metadata.family is None
+    assert len(drilled.metadata.provenance) == 2
+
+
 def test_a_glue_chain_checks_each_piece_once(monkeypatch):
-    """glue checks raw cells once per distinct piece, the first mesh
-    among them: gen_minimal(40) checks the T-block that starts its chain
-    and that its 19 pieces share, then the chain, which is both the
-    first mesh and the piece of the glue that closes the surface."""
+    """glue checks raw faces once per distinct piece, the first mesh
+    among them: gen_minimal(40)'s T-blocks share one record, checked once
+    per process, so its glue checks only the chain, which is both the
+    first mesh and the piece of the glue that closes the surface, and
+    then the one build checks the surface."""
     checked = []
-    real = surgery_mod._checked_cells
-    monkeypatch.setattr(surgery_mod, "_checked_cells",
-                        lambda data: checked.append(len(data.faces))
-                        or real(data))
-    gen_minimal(40)
-    assert checked == [9, 9 + 19 * 7]
+    real = mesh_mod._checked_corners
+    monkeypatch.setattr(mesh_mod, "_checked_corners",
+                        lambda faces, n: checked.append(len(faces))
+                        or real(faces, n))
+    assert gen_minimal(40).n_faces == 282
+    assert checked == [9 + 19 * 7, 282]
 
 
 def test_a_glue_chain_works_out_each_piece_side_once(monkeypatch):
@@ -868,8 +835,8 @@ def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
 def _z_faces(data):
     """The highest and lowest faces of raw parts whose Newell normal is
     +-z, by the mean height of their vertices."""
-    verts = np.asarray(data.vertices, float)
-    geo = mesh_mod.MeshGeometry(verts, mesh_mod._corner_layout(data.faces))
+    _, geo = surgery_mod._raw(data)
+    verts = geo.vertices
     level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
     cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
                    for f in np.flatnonzero(level).tolist())

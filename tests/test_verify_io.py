@@ -746,3 +746,41 @@ def test_input_is_read_as_utf8(tmp_path, name, data, code, locale):
     assert r.returncode == code, r.stderr
     if code:
         assert "BadFile" in r.stderr and "is not text" in r.stderr
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:             # the drawn metadata need hypothesis
+    st = None
+
+if st is not None:
+    # values for the scalar metadata fields: of the kinds a file holds,
+    # numpy's, and others
+    FAMILIES = [None, "p2-24", "", 7, True, b"x"]
+    GENERA = [None, 0, 3, -3, True, np.int64(1), np.int32(2), np.uint8(4),
+              2.0, "3"]
+    ORIENTABLE = [None, True, False, np.True_, np.False_, 1, "yes"]
+    DEFECTS = [None, 0.5, -math.pi / 6, 0, 3, True, np.float32(0.5),
+               np.float64(-0.25), np.int64(2), math.nan, math.inf, 10 ** 400]
+
+    @pytest.fixture(scope="module")
+    def folder(tmp_path_factory):
+        return tmp_path_factory.mktemp("metadata")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(family=st.sampled_from(FAMILIES), genus=st.sampled_from(GENERA),
+           orientable=st.sampled_from(ORIENTABLE),
+           defect=st.sampled_from(DEFECTS))
+    def test_metadata_a_mesh_takes_is_metadata_a_file_keeps(
+            folder, family, genus, orientable, defect):
+        """Metadata that constructs is metadata that saves as JSON and
+        loads back equal; the rest raises BadParameters."""
+        fields = dict(family=family, genus=genus, orientable=orientable,
+                      expected_defect=defect)
+        try:
+            p = gen_tetrahedron().with_metadata(**fields)
+        except BadParameters:
+            return
+        path = folder / "m.json"
+        save_json(p, path)
+        assert load_json(path).metadata == p.metadata
