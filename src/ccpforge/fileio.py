@@ -4,37 +4,31 @@ exactly, plus OBJ and binary STL export."""
 from __future__ import annotations
 
 import json
-import operator
-import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFile, NotRepresentable
-from .mesh import (MeshMetadata, Polyhedron, _edge_at, _mesh,
-                   build_polyhedron, flat_edges)
+from .errors import BadFile, BadParameters, NotRepresentable
+from .mesh import (MeshMetadata, Polyhedron, _mesh, build_polyhedron,
+                   flat_edges)
 
 FORMAT_VERSION = 1
 
 
 def mesh_to_document(p: Polyhedron) -> dict:
     m = _mesh(p).metadata
-    # genus, orientable and defect as Python numbers: numpy's pass too
     meta = {
         "family": m.family,
-        "genus": None if m.genus is None else int(m.genus),
-        "orientable": None if m.orientable is None else bool(m.orientable),
-        "expected_defect_radians": None if m.expected_defect is None
-        else float(m.expected_defect),
+        "genus": m.genus,
+        "orientable": m.orientable,
+        "expected_defect_radians": m.expected_defect,
         "provenance": list(m.provenance),
     }
-    # labels and seams as Python ints: numpy's are vertex ids too
     if m.vertex_labels:
-        meta["vertex_labels"] = {name: int(v) for name, v
-                                 in m.vertex_labels.items()}
+        meta["vertex_labels"] = dict(m.vertex_labels)
     if m.seam_edges:
-        meta["seam_edges"] = sorted([int(u), int(w)] for u, w in m.seam_edges)
+        meta["seam_edges"] = sorted(m.seam_edges)   # tuples encode as arrays
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": p.vertices.tolist(),
@@ -58,56 +52,33 @@ def _int_entries(rows) -> bool:
     return set(map(type, chain.from_iterable(rows))) <= {int}
 
 
-# metadata key -> the JSON type of its value (true and false only for
-# bool, not int), and a further test of the value
-_METADATA = {
-    "family": (str, None), "genus": (int, lambda g: g >= 0),
-    "orientable": (bool, None),
-    "expected_defect_radians": ((int, float),
-                                lambda x: abs(x) <= sys.float_info.max),
-    "provenance": (list, lambda v: {type(e) for e in v} <= {str}),
-    "vertex_labels": (dict, lambda v: {type(e) for e in v.values()} <= {int}),
-    "seam_edges": (list, lambda v: _lists(v, 2) and _int_entries(v)),
-}
-
-
-def _metadata(m, n_vertices: int) -> MeshMetadata:
+def _metadata(m) -> MeshMetadata:
+    """The MeshMetadata of a document's metadata object, a null or absent
+    key read as the default.  MeshMetadata checks the entries; only the
+    seams' JSON shape is checked here: integer pairs, made tuples."""
     if not isinstance(m, dict):
         raise BadFile(f"metadata is a JSON object, not {type(m).__name__}")
-    for key, (kind, value_ok) in _METADATA.items():
-        value = m.get(key)
-        if value is None:
-            continue
-        if not isinstance(value, kind) or \
-                isinstance(value, bool) != (kind is bool) or \
-                (value_ok and not value_ok(value)):
-            raise BadFile(f"metadata {key!r} is malformed: {value!r:.60}")
-    labels, seams = m.get("vertex_labels") or {}, m.get("seam_edges") or []
-    for name, v in labels.items():
-        if not 0 <= v < n_vertices:
-            raise BadFile(f"vertex label {name!r} names no vertex: {v}")
-    # a seam is an unordered pair of distinct vertices, stored lower first
-    lo, hi = list(map(min, seams)), list(map(max, seams))
-    if seams and (min(lo) < 0 or max(hi) >= n_vertices
-                  or not all(map(operator.ne, lo, hi))):
-        a, b = next(s for s in seams
-                    if s[0] == s[1] or min(s) < 0 or max(s) >= n_vertices)
-        raise BadFile(f"seam {[a, b]} is not two distinct vertex ids")
+    m = {key: value for key, value in m.items() if value is not None}
+    seams = m.get("seam_edges", [])
+    if not (_lists(seams, 2) and _int_entries(seams)):
+        raise BadFile(f"metadata 'seam_edges' is malformed: {seams!r:.60}")
     return MeshMetadata(
         family=m.get("family"),
         genus=m.get("genus"),
         orientable=m.get("orientable"),
         expected_defect=m.get("expected_defect_radians"),
-        provenance=list(m.get("provenance") or []),
-        vertex_labels=dict(labels),
-        seam_edges=set(zip(lo, hi)),
+        provenance=m.get("provenance", []),
+        vertex_labels=m.get("vertex_labels", {}),
+        seam_edges=set(map(tuple, seams)),
     )
 
 
 def document_to_mesh(doc: dict) -> Polyhedron:
     """Build the mesh a native JSON document describes.  A document whose
-    parts are not of the documented shapes, or that names a seam that is
-    not an edge of the mesh, raises BadFile."""
+    parts are not of the documented shapes raises BadFile, and so does
+    metadata that the build refuses with BadParameters, as MeshMetadata
+    does an entry of another kind and build_polyhedron a label or seam
+    that does not fit the mesh; the build's other errors pass."""
     if not isinstance(doc, dict):
         raise BadFile(f"a mesh document is a JSON object, not "
                       f"{type(doc).__name__}")
@@ -126,7 +97,6 @@ def document_to_mesh(doc: dict) -> Polyhedron:
     faces = doc["faces"]
     if not _lists(faces) or not _int_entries(faces):
         raise BadFile("faces must be a list of lists of vertex indices")
-    meta = _metadata(doc.get("metadata", {}), len(verts))
     cells = None
     if "edge_cells" in doc:
         cells = doc["edge_cells"]
@@ -135,19 +105,12 @@ def document_to_mesh(doc: dict) -> Polyhedron:
                 not _int_entries(halves):
             raise BadFile("edge_cells must be a list of "
                           "[[face, slot], [face, slot]] pairs")
-    p = build_polyhedron(verts, faces, meta, edge_slots=cells)
-    if meta.seam_edges:
-        _check_seams(p, meta.seam_edges)
-    return p
-
-
-def _check_seams(p: Polyhedron, seams: set[tuple[int, int]]) -> None:
-    """BadFile for the least seam (u, v), u < v < V, that joins no edge
-    cell's vertex pair."""
-    want = np.array(sorted(seams), np.intp)
-    stray = want[_edge_at(p, want) < 0]
-    if stray.size:
-        raise BadFile(f"seam {stray[0].tolist()} is not an edge of the mesh")
+    try:
+        return build_polyhedron(verts, faces,
+                                _metadata(doc.get("metadata", {})),
+                                edge_slots=cells)
+    except BadParameters as exc:
+        raise BadFile(str(exc)) from exc
 
 
 def save_json(p: Polyhedron, path) -> None:
@@ -256,8 +219,7 @@ def read_obj(path) -> Polyhedron:
                                for tok in parts[1:]))
     # validate with every side exempt from the flat-edge rejection, then
     # keep as seams the sides that are flat
-    sides = {(min(u, v), max(u, v))
-             for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])
+    sides = {(u, v) for cyc in faces for u, v in zip(cyc, cyc[1:] + cyc[:1])
              if u != v}
     p = build_polyhedron(np.array(verts, float), faces,
                          MeshMetadata(seam_edges=sides))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
 from .mesh import (Combinatorics, MeshData, MeshMetadata, Polyhedron,
                    _finite, _integer, _real, _record, build_polyhedron,
-                   euler_characteristic, replace_meta)
+                   euler_characteristic)
 
 TAU = 2.0 * math.pi
 
@@ -70,7 +70,7 @@ def _data(vertices, faces, *, family, genus, orientable, defect,
     """A construction's parts, not yet validated."""
     meta = MeshMetadata(family=family, genus=genus, orientable=orientable,
                         expected_defect=defect,
-                        vertex_labels=dict(labels or {}))
+                        vertex_labels=labels or {})
     return MeshData(np.asarray(vertices, float), faces, meta)
 
 
@@ -84,7 +84,7 @@ def _build(data: MeshData) -> Polyhedron:
 
 def _relabel(data: MeshData, **kw) -> MeshData:
     """data with the metadata fields kw names replaced."""
-    return data._replace(metadata=replace_meta(data.metadata, **kw))
+    return data._replace(metadata=replace(data.metadata, **kw))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
                    MeshGeometry, Polyhedron, _checked_parts, _corner_layout,
                    _Corners, _derived_cells, _finite, _index, _integer,
                    _mesh, _newell, _record, build_polyhedron,
-                   euler_characteristic, replace_meta)
+                   euler_characteristic)
 
 TAU = 2.0 * math.pi
 
@@ -640,9 +640,9 @@ class _Surgery:
         cells = self.half[:self.top].reshape(-1, 4)[
             self.live_cells[:self.top // 2]]
         cells[:, 0::2] = place[cells[:, 0::2]]
-        meta = replace_meta(self.metadata, seam_edges=self.seams, genus=None,
-                            provenance=self.metadata.provenance
-                            + self.provenance, **meta)
+        meta = replace(self.metadata, seam_edges=self.seams, genus=None,
+                       provenance=self.metadata.provenance + self.provenance,
+                       **meta)
         return MeshData(self.vertices[:self.n],
                         list(map(self.faces.__getitem__, self.live)), meta,
                         cells)
@@ -692,9 +692,8 @@ class _Surgery:
         # each of the partners of a half-edge of face1 and of face2
         self._add(side.block + (first, 0), slice(side.n_kept, None, 2), row1)
 
-        for (u, w) in b.metadata.seam_edges:
-            u, w = new_id[u], new_id[w]
-            self.seams.add((u, w) if u < w else (w, u))
+        self.seams.update((new_id[u], new_id[w])
+                          for u, w in b.metadata.seam_edges)
         self.provenance.append(
             f"connect_sum(face {corr.face1} ~ face {corr.face2})")
 

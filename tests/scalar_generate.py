@@ -30,6 +30,7 @@ np.linalg.det and applies it through np.diag.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -46,7 +47,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
 from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
                                  _n5g_params, _orbit, a_coeff)
 from ccpforge.mesh import (LENGTH_TOL, Combinatorics, MeshData,
-                           MeshMetadata, Polyhedron, _integer, replace_meta)
+                           MeshMetadata, Polyhedron, _integer)
 from ccpforge.surgery import build_glued
 from conftest import face_polygon
 
@@ -426,7 +427,7 @@ def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
     for (u, w) in b.metadata.seam_edges:
         u, w = new_id[u], new_id[w]
         seams.add((u, w) if u < w else (w, u))
-    meta = replace_meta(a.metadata, seam_edges=seams)
+    meta = dataclasses.replace(a.metadata, seam_edges=seams)
     meta.provenance.append(
         f"connect_sum(face {corr.face1} ~ face {corr.face2})")
     meta.genus = None

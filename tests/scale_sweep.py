@@ -27,10 +27,13 @@ git revision REV, extracted into a temporary directory that is removed
 afterwards.  In each of the REPEATS rounds both sides run the mesh, the
 first side flipping every round; both must give the same V, E, F,
 genus, verdict and witness count.  Per mesh it then prints and writes
-both sides' times per face and the ratio b / a - 1, for generate and for
-verify; it exits 1 when the sides of a mesh differ (that mesh is not
-reported).  pytest does not collect this file; tests/test_scale_sweep.py
-runs it with --limit 1, alone and against its own checkout.
+both sides' times per face and the ratio b / a - 1 of their least
+times, for generate and for verify, and beside it the range of the
+per-round ratios, each round's b / a - 1, which shows how far one
+round's pair moves; it exits 1 when the sides of a mesh differ (that
+mesh is not reported).  pytest does not collect this file;
+tests/test_scale_sweep.py runs it with --limit 1, alone and against its
+own checkout.
 """
 
 from __future__ import annotations
@@ -93,15 +96,17 @@ def run(lib, family: str, genus: int) -> tuple[dict, float, float]:
 
 def measure(libs: dict, family: str, genus: int) -> dict | None:
     """One mesh's facts and, per side of libs ("b" this checkout, "a" the
-    other if any), its process times, each the least of REPEATS runs; the
+    other if any), its process times, each the least of REPEATS runs, and
+    with two sides the extremes of each round's ratio b / a - 1; the
     sides alternate, the first flipping every round.  None, and a line on
     stderr, when the sides' facts differ."""
-    best = {side: [float("inf")] * 2 for side in libs}
+    rounds = {side: [] for side in libs}   # per round, the two times
     facts = {}
     for r in range(REPEATS):
         for side in (sorted(libs) if r % 2 == 0 else sorted(libs)[::-1]):
             facts[side], *times = run(libs[side], family, genus)
-            best[side] = list(map(min, best[side], times))
+            rounds[side].append(times)
+    best = {side: list(map(min, *times)) for side, times in rounds.items()}
     if facts.get("a", facts["b"]) != facts["b"]:
         print(f"{family} g={genus}: the sides differ: a {facts['a']}, "
               f"b {facts['b']}", file=sys.stderr)
@@ -115,8 +120,11 @@ def measure(libs: dict, family: str, genus: int) -> dict | None:
                 f"{prefix}generate_us_per_face": 1e6 * generate_s / faces,
                 f"{prefix}verify_us_per_face": 1e6 * verify_s / faces}
     if "a" in libs:
-        for step in ("generate", "verify"):
+        for i, step in enumerate(("generate", "verify")):
             row[f"{step}_ratio"] = row[f"{step}_s"] / row[f"a_{step}_s"] - 1
+            ratios = [b[i] / a[i] - 1 for a, b in zip(rounds["a"],
+                                                      rounds["b"])]
+            row[f"{step}_ratio_range"] = [min(ratios), max(ratios)]
     return row
 
 
@@ -127,8 +135,10 @@ def line(row: dict) -> str:
     for step in ("generate", "verify"):
         b = row[f"{step}_us_per_face"]
         if "a_generate_s" in row:
+            lo, hi = row[f"{step}_ratio_range"]
             out += (f" {step} a {row[f'a_{step}_us_per_face']:8.1f} b "
-                    f"{b:8.1f} us/face ({row[f'{step}_ratio']:+.1%})")
+                    f"{b:8.1f} us/face ({row[f'{step}_ratio']:+.1%}, rounds "
+                    f"[{lo:+.1%}, {hi:+.1%}])")
         else:
             out += f" {step} {b:8.1f} us/face "
     return out.rstrip()

@@ -8,6 +8,7 @@ public entry that takes a mesh raises BadParameters for an argument
 that is not one (mesh._mesh), before it reads it or writes a file."""
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ccpforge import (DrillSpec, FaceCorrespondence, a_coeff, angular_defect,
                       retile_pierced_face, save_mesh)
 from ccpforge.errors import (BadFile, BadParameters, GenusOutOfRange,
                              IndexOutOfRange)
+from ccpforge.fileio import mesh_to_document
 from ccpforge.generators import FamilyRequest, _p2_24
 from ccpforge.mesh import MeshData
 
@@ -109,6 +111,71 @@ def test_metadata_entries_are_checked(kw, tmp_path):
     with pytest.raises(BadParameters, match="^metadata "):
         P.with_metadata(**kw)
     assert not list(tmp_path.iterdir())
+
+
+# p2-24 has 24 vertices and no edge from vertex 0 to vertex 3
+MISFITS = {"label-99": {"vertex_labels": {"a": 99}},
+           "seam-99": {"seam_edges": {(0, 99)}},
+           "seam-not-an-edge": {"seam_edges": {(3, 0)}}}
+
+
+@pytest.mark.parametrize("kw", MISFITS.values(), ids=MISFITS.keys())
+def test_labels_and_seams_must_fit_the_mesh(kw, tmp_path, capsys):
+    """Labels and seams that are of the right kinds but do not fit the
+    mesh (a label beyond its vertices, a seam that is not an edge) raise
+    BadParameters from the build and from with_metadata, and the same
+    metadata in a file ends in BadFile, with the same message, and exit
+    2."""
+    from ccpforge.cli import main
+    with pytest.raises(BadParameters, match="^metadata ") as built:
+        ccpforge.build_polyhedron(P.vertices, P.faces,
+                                  ccpforge.MeshMetadata(**kw))
+    with pytest.raises(BadParameters) as relabelled:
+        P.with_metadata(**kw)
+    assert str(relabelled.value) == str(built.value)
+    doc = mesh_to_document(P)
+    doc["metadata"].update({key: [list(s) for s in value]
+                            if key == "seam_edges" else value
+                            for key, value in kw.items()})
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: BadFile: {built.value}\n"
+
+
+def test_drilled_mesh_rebuilds_from_seams_written_higher_id_first():
+    """A seam is an unordered pair: the drilled p2-24's 40 seams, each
+    given higher id first, are the mesh's seams, exempt from the flat-edge
+    check."""
+    p = ccpforge.gen_orientable(3)
+    seams = {(w, u) for u, w in p.metadata.seam_edges}
+    assert len(seams) == 40 and all(u > w for u, w in seams)
+    meta = ccpforge.MeshMetadata(seam_edges=seams)
+    assert meta.seam_edges == p.metadata.seam_edges
+    q = ccpforge.build_polyhedron(p.vertices, p.faces, meta,
+                                  edge_slots=p.geometry.cells)
+    assert p.with_metadata(seam_edges=seams).metadata == p.metadata
+    assert ccpforge.verify(q).verdict == "ccp_embedded"
+
+
+def test_with_metadata_names_a_field_it_does_not_have():
+    with pytest.raises(BadParameters, match="metadata has no field 'foo'"):
+        P.with_metadata(foo=1)
+
+
+def test_metadata_keeps_python_numbers_in_fresh_containers():
+    """MeshMetadata keeps numpy numbers as Python ones, seams lower id
+    first, and containers of its own."""
+    labels, seams = {"a": np.int64(3)}, {(np.intp(5), np.int32(1))}
+    meta = ccpforge.MeshMetadata(genus=np.int64(2), orientable=np.True_,
+                                 expected_defect=np.float32(0.5),
+                                 vertex_labels=labels, seam_edges=seams)
+    assert [type(x) for x in (meta.genus, meta.orientable,
+                              meta.expected_defect)] == [int, bool, float]
+    assert meta.vertex_labels == {"a": 3} and meta.seam_edges == {(1, 5)}
+    assert {type(x) for x in (*meta.vertex_labels.values(),
+                              *next(iter(meta.seam_edges)))} == {int}
+    assert meta.vertex_labels is not labels and meta.seam_edges is not seams
 
 
 def test_numpy_ids_in_metadata_save_as_ints(tmp_path):

@@ -2,13 +2,15 @@
 methods, and drill_repeat and glue on raw parts: called with good
 arguments, some of them swapped for values drawn from one shared
 vocabulary of bad ones, each entry returns or raises a CcpError, and a
-Polyhedron it returns verifies.  Input records
+Polyhedron it returns verifies and comes back from save_json and
+load_json with equal metadata, vertex bytes and faces.  Input records
 (MeshMetadata, DrillSpec, FaceCorrespondence, FamilyRequest) are passed
 on to the entry that reads them; metadata, every field of it, is that
 of a drilled mesh, whose flat seams verify reads.  Genera are drawn at
 the edges of each CATALOG row's range, up to 50.  The test runs
-derandomized; tests/fuzz_api.py runs the same property for longer
-searches."""
+derandomized, once per entry and once per argument of each entry with
+that argument always bad; tests/fuzz_api.py runs the same property for
+longer searches."""
 
 import math
 import os
@@ -53,6 +55,10 @@ BAD = [
     MeshData(P.vertices, P.faces, P.metadata), P,
     # raw data whose cells name a face off the mesh
     MeshData(P.vertices, P.faces, P.metadata, np.array([[99, 0, 0, 1]])),
+    # labels and seams of the right kinds that fit no mesh here, and the
+    # drilled mesh's seams written higher id first, which fit it
+    {"a": 10 ** 6}, {(0, 10 ** 6)}, {(0, 3)},
+    {(w, u) for u, w in D.metadata.seam_edges},
 ]
 
 
@@ -78,8 +84,8 @@ ENTRIES = {
     "TopologyClass": (TopologyClass, lambda d, tmp: [True, 2, -2]),
     "build_polyhedron": (
         build_polyhedron,
-        lambda d, tmp: [T.vertices, T.faces, MeshMetadata(), d.draw(
-            st.sampled_from([None, T.edge_slots, T.geometry.cells]))]),
+        lambda d, tmp: [T.vertices, T.faces, MeshMetadata(), _pick(
+            d, [None, T.edge_slots, T.geometry.cells])]),
     "classify": (ccpforge.classify, lambda d, tmp: [P]),
     "euler_characteristic": (ccpforge.euler_characteristic,
                              lambda d, tmp: [P]),
@@ -115,14 +121,14 @@ ENTRIES = {
         lambda *a: ccpforge.generate_family(FamilyRequest(*a)),
         lambda d, tmp: _request(d)),
     "a_coeff": (ccpforge.a_coeff,
-                lambda d, tmp: [1, d.draw(st.sampled_from(_any_edge()))]),
+                lambda d, tmp: [1, _pick(d, _any_edge())]),
     "f_angle_sum": (ccpforge.f_angle_sum, lambda d, tmp: [2.0, 2.5]),
     "gen_minimal": (ccpforge.gen_minimal,
                     lambda d, tmp: [_genus(d, "minimal"), 2.0]),
     "gen_n5g_odd": (ccpforge.gen_n5g_odd,
                     lambda d, tmp: [_genus(d, "n5g")]),
     "gen_nonorientable": (ccpforge.gen_nonorientable, lambda d, tmp: [
-        _genus(d, "nonorientable"), d.draw(st.booleans())]),
+        _genus(d, "nonorientable"), _pick(d, [False, True])]),
     "gen_orientable": (ccpforge.gen_orientable,
                        lambda d, tmp: [_genus(d, "orientable")]),
     "gen_p2_24": (ccpforge.gen_p2_24, lambda d, tmp: [0.25, 1 / 32]),
@@ -162,10 +168,12 @@ NOT_CALLED = {"CATALOG", "Polyhedron"}
 # the public methods, and the surgery entries on raw parts, each field of
 # which may be drawn bad; drawn as the entries are
 METHODS = {
+    # the last value goes to the field the first argument names, which
+    # may be no field
     "Polyhedron.with_metadata": (
-        lambda *a: D.with_metadata(**dict(zip(
-            ("provenance", "vertex_labels", "seam_edges"), a))),
-        lambda d, tmp: _metadata(D)),
+        lambda field, *a: D.with_metadata(**dict(zip(
+            ("provenance", "vertex_labels", str(field)), a))),
+        lambda d, tmp: [_pick(d, ["seam_edges", "foo"]), *_metadata(D)]),
     "drill_repeat(MeshData)": (
         lambda *a: ccpforge.drill_repeat(MeshData(*a), SPEC, 2),
         lambda d, tmp: _raw(P)),
@@ -189,27 +197,40 @@ def _raw(p: Polyhedron) -> list:
     return [p.vertices, list(p.faces), p.metadata, p.geometry.cells]
 
 
+def _pick(data, options: list):
+    """One of the options, drawn from hypothesis data; the first when data
+    is None, as when ARITY counts the arguments."""
+    return options[0] if data is None else data.draw(st.sampled_from(options))
+
+
 def _genus(data, family: str) -> int:
-    return data.draw(st.sampled_from(_edges(family)))
+    return _pick(data, _edges(family))
 
 
 def _request(data) -> list:
-    family = data.draw(st.sampled_from([info.family for info in CATALOG]))
+    family = _pick(data, [info.family for info in CATALOG])
     params = {"r": 1.0, "h": math.sqrt(2)} if family == "r-block" else {}
     return [family, _genus(data, family), params,
-            family == "nonorientable" and data.draw(st.booleans())]
+            family == "nonorientable" and _pick(data, [False, True])]
 
 
-def check_entry(data, tmp: Path, name: str) -> None:
+# per entry, its number of arguments
+ARITY = {name: len(good(None, Path())) for name, (_, good) in CALLS.items()}
+
+
+def check_entry(data, tmp: Path, name: str, bad: int | None = None) -> None:
     """Draw the arguments of the entry `name`, swap up to two of them for
-    bad values, and call it in the folder `tmp`, where a bad value that
-    is a relative path lands: it returns or raises a CcpError, and a
-    Polyhedron it returns verifies."""
+    bad values, argument `bad` always if given, and call it in the folder
+    `tmp`, where a bad value that is a relative path lands: it returns or
+    raises a CcpError, and a Polyhedron it returns verifies and saves as
+    JSON that loads back equal."""
     call, good = CALLS[name]
     args = good(data, tmp)
     if args:
-        for slot in data.draw(st.sets(st.integers(0, len(args) - 1),
-                                      max_size=2), label="bad slots"):
+        slots = data.draw(st.sets(st.integers(0, len(args) - 1),
+                                  max_size=1 if bad is not None else 2),
+                          label="bad slots")
+        for slot in slots | ({bad} if bad is not None else set()):
             args[slot] = data.draw(st.sampled_from(BAD), label="bad value")
     cwd = os.getcwd()
     os.chdir(tmp)
@@ -221,6 +242,10 @@ def check_entry(data, tmp: Path, name: str) -> None:
         os.chdir(cwd)
     if isinstance(out, Polyhedron):
         ccpforge.verify(out)
+        ccpforge.save_json(out, tmp / "out.json")
+        back = ccpforge.load_json(tmp / "out.json")
+        assert back.metadata == out.metadata and back.faces == out.faces
+        assert back.vertices.tobytes() == out.vertices.tobytes()
 
 
 def _folder(tmp: Path) -> None:
@@ -244,3 +269,18 @@ def folder(tmp_path_factory):
 @given(data=st.data())
 def test_public_calls_return_or_raise_ccp_errors(folder, name, data):
     check_entry(data, folder, name)
+
+
+SLOTS = [(name, slot) for name in sorted(CALLS)
+         for slot in range(ARITY[name])]
+
+
+@pytest.mark.parametrize("name,slot", SLOTS,
+                         ids=[f"{name}-{slot}" for name, slot in SLOTS])
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_each_argument_drawn_bad_returns_or_raises_a_ccp_error(
+        folder, name, slot, data):
+    """The property with argument `slot` of the entry always bad: drawn
+    per entry alone, a later argument is rarely made bad."""
+    check_entry(data, folder, name, slot)

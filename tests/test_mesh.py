@@ -3,7 +3,7 @@
 import ast
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from ccpforge import mesh as mesh_mod
 from ccpforge.fileio import document_to_mesh, mesh_to_document
 from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
                            _cell_array, _corner_layout, _derived_cells,
-                           _edge_cells, replace_meta, topology_from)
+                           _edge_cells, topology_from)
 from ccpforge.verify import verify
 
 from conftest import (as_tuples, cube_data, face_polygon,
@@ -289,18 +289,24 @@ def test_deterministic_edges():
     assert a.edges == b.edges and a.edge_slots == b.edge_slots
 
 
-def test_replace_meta_keeps_every_field_and_copies_containers():
+def test_replace_keeps_every_field_and_copies_containers():
+    """dataclasses.replace keeps every field, a subclass's too, and the
+    copy owns its containers: MeshMetadata makes fresh ones."""
     @dataclass
     class Tagged(MeshMetadata):
         tag: str = ""
 
+    labels = {"a": 0}
     meta = Tagged(family="t", provenance=["drill"], seam_edges={(0, 1)},
-                  tag="kept")
-    new = replace_meta(meta, genus=3)
+                  vertex_labels=labels, tag="kept")
+    new = replace(meta, genus=3)
     assert (new.tag, new.family, new.genus) == ("kept", "t", 3)
     new.provenance.append("connect_sum")
     new.seam_edges.add((1, 2))
+    new.vertex_labels["b"] = 1
     assert meta.provenance == ["drill"] and meta.seam_edges == {(0, 1)}
+    assert meta.vertex_labels == labels == {"a": 0}
+    assert meta.vertex_labels is not labels
 
 
 def test_flat_edge_beside_non_convex_face_rejected():

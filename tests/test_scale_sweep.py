@@ -26,7 +26,8 @@ def test_scale_sweep_runs_its_first_mesh(tmp_path):
 
 def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
     """--against runs each mesh on both checkouts, here one checkout
-    twice, and reports both sides' times and their ratio."""
+    twice, and reports both sides' times, the ratio of their least times
+    and the range of the per-round ratios."""
     out = tmp_path / "sweep.json"
     run = subprocess.run([sys.executable, str(SCRIPT), "--limit", "1",
                           "--against", str(SCRIPT.parent.parent), "--out",
@@ -34,6 +35,7 @@ def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
                          check=True)
     (line,) = run.stdout.splitlines()
     assert "orientable g=25" in line and " generate a " in line
+    assert line.count(", rounds [") == 2
     doc = json.loads(out.read_text())
     assert doc["against"] == str(SCRIPT.parent.parent)
     (row,) = doc["meshes"]
@@ -41,3 +43,5 @@ def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
     for step in ("generate", "verify"):
         a, b = row[f"a_{step}_s"], row[f"{step}_s"]
         assert a > 0 and b > 0 and row[f"{step}_ratio"] == b / a - 1
+        lo, hi = row[f"{step}_ratio_range"]
+        assert -1 < lo <= hi and f"rounds [{lo:+.1%}, {hi:+.1%}]" in line

@@ -639,26 +639,30 @@ CONTRACT_CASES = [
     ("cell_three_entries.json", _tet_cells([[0, 0, 1], [2, 2]]), 2,
      "BadFile: edge_cells"),
     ("edge_cells.json", _tet_json(edge_cells=[[1]]), 2, "BadFile"),
-    # a seam joins two distinct vertices of the mesh, a label names one
+    # a seam is an edge of the mesh, joining two distinct vertices, and a
+    # label names a vertex: the build's rules, its BadParameters read as
+    # BadFile
     ("seam_out_of_range.json", _tet_json(metadata={
-        "seam_edges": [[5, 1000000]]}), 2, "BadFile: seam [5, 1000000]"),
+        "seam_edges": [[5, 1000000]]}), 2,
+     "BadFile: metadata seam (5, 1000000) is not an edge"),
     ("seam_loop.json", _tet_json(metadata={"seam_edges": [[2, 2]]}), 2,
-     "BadFile: seam [2, 2]"),
+     "BadFile: metadata seam (2, 2) is not two distinct vertex ids"),
     # p2-24 has no edge from vertex 0 to vertex 3
     ("seam_not_an_edge.json", _p2_seams([[0, 3]]), 2,
-     "BadFile: seam [0, 3] is not an edge"),
+     "BadFile: metadata seam (0, 3) is not an edge"),
     # of several, the least seam that is no edge is named; of several
-    # malformed seams, the first in the file
+    # malformed seams, one (MeshMetadata reads the seams as a set)
     ("seams_not_edges.json", _p2_seams([[20, 7], [1, 9], [5, 2], [3, 0]]), 2,
-     "BadFile: seam [0, 3] is not an edge"),
+     "BadFile: metadata seam (0, 3) is not an edge"),
     ("seams_malformed.json", _tet_json(metadata={
         "seam_edges": [[0, 1], [3, 3], [1, 2], [-1, 2]]}), 2,
-     "BadFile: seam [3, 3] is not two distinct vertex ids"),
+     "is not two distinct vertex ids"),
     ("seam_loop_last.json", _tet_json(metadata={
         "seam_edges": [[0, 1], [1, 2], [3, 3]]}), 2,
-     "BadFile: seam [3, 3] is not two distinct vertex ids"),
+     "BadFile: metadata seam (3, 3) is not two distinct vertex ids"),
     ("label_out_of_range.json", _tet_json(metadata={
-        "vertex_labels": {"v4": 4}}), 2, "BadFile: vertex label 'v4'"),
+        "vertex_labels": {"v4": 4}}), 2,
+     "BadFile: metadata vertex label 'v4' names none of the 4 vertices: 4"),
     ("nan.json", _tet_vertex([float("nan"), 0, 0]), 2, "DegenerateFace"),
     ("inf.json", _tet_vertex([float("inf"), 0, 0]), 2, "vertex 0"),
     ("huge.json", _tet_scaled(1.7e308), 2, "DegenerateFace: vertex 0"),
