@@ -198,7 +198,7 @@ def _p2_combinatorics():
 
 
 # built once per process: every consumer of a MeshData's faces reads them
-# or copies them, and _data copies the labels
+# or copies them, and MeshMetadata copies the labels
 _P2_FACES, _P2_LABELS, _P2_SIGNS = _p2_combinatorics()
 # the faces checked and paired, with what derives from them alone, once
 # per process: every P^2_24 mesh is built on this record
