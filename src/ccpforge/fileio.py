@@ -23,9 +23,10 @@ def mesh_to_document(p: Polyhedron) -> dict:
         "genus": m.genus,
         "orientable": m.orientable,
         "expected_defect_radians": m.expected_defect,
-        "provenance": list(m.provenance),
+        "provenance": m.provenance,             # a tuple encodes as an array
     }
     if m.vertex_labels:
+        # json encodes a dict, not the record's read-only mapping
         meta["vertex_labels"] = dict(m.vertex_labels)
     if m.seam_edges:
         meta["seam_edges"] = sorted(m.seam_edges)   # tuples encode as arrays

@@ -198,11 +198,14 @@ def _p2_combinatorics():
 
 
 # built once per process: every consumer of a MeshData's faces reads them
-# or copies them, and MeshMetadata copies the labels
+# or copies them
 _P2_FACES, _P2_LABELS, _P2_SIGNS = _p2_combinatorics()
-# the faces checked and paired, with what derives from them alone, once
-# per process: every P^2_24 mesh is built on this record
+# the faces checked and paired, with what derives from them alone, and the
+# metadata, once per process: every P^2_24 mesh is built on these records
 _P2_RECORD = Combinatorics.of(_P2_FACES, 24)
+_P2_META = MeshMetadata(family="p2-24", genus=2, orientable=True,
+                        expected_defect=-math.pi / 6,
+                        vertex_labels=_P2_LABELS)
 
 
 def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
@@ -227,8 +230,7 @@ def _p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> MeshData:
                      [1 - s3 * c, 1 - c, 1 - 4 * s3 * c]])
     # each base point times each sign row; a product by +-1 is exact
     verts = (base[:, None] * _P2_SIGNS).reshape(-1, 3)
-    return _data(verts, _P2_RECORD, family="p2-24", genus=2, orientable=True,
-                 defect=-math.pi / 6, labels=_P2_LABELS)
+    return MeshData(verts, _P2_RECORD, _P2_META)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +250,12 @@ def gen_r_block(r: float, h: float) -> Polyhedron:
 
 # R(r, h)'s faces: the bottom, the trapezoids through the interior, then
 # the lateral triangles; every R-block is built on this one record, checked
-# and paired once per process
+# and paired once per process, and on one metadata record
 _R_RECORD = Combinatorics.of([(0, 1, 2), (0, 1, 3, 4), (1, 2, 4, 5),
                               (2, 0, 5, 3), (3, 4, 2), (4, 5, 0), (5, 3, 1)],
                              6)
+_R_META = MeshMetadata(family="r-block", genus=1, orientable=False,
+                       vertex_labels={f"v{i+1}": i for i in range(6)})
 
 
 def _r_block(r: float, h: float) -> MeshData:
@@ -260,23 +264,18 @@ def _r_block(r: float, h: float) -> MeshData:
         _real(h, "r-block h", BadParameters)
     if not (0 < r <= 1) or h <= 0:
         raise BadParameters(f"need 0 < r <= 1 and h > 0, got r={r}, h={h}")
-    verts = []
-    labels = {}
-    for i, ang in enumerate((0.0, TAU / 3, 2 * TAU / 3)):        # v1 v2 v3
-        labels[f"v{i+1}"] = len(verts)
-        verts.append(np.array([math.cos(ang), math.sin(ang), 0.0]))
-    for i, ang in enumerate((math.pi, 5 * math.pi / 3, math.pi / 3)):  # v4 v5 v6
-        labels[f"v{i+4}"] = len(verts)
-        verts.append(np.array([r * math.cos(ang), r * math.sin(ang), h]))
-    return _data(verts, _R_RECORD, family="r-block", genus=1, orientable=False,
-                 defect=None, labels=labels)
+    verts = [[math.cos(ang), math.sin(ang), 0.0]                  # v1 v2 v3
+             for ang in (0.0, TAU / 3, 2 * TAU / 3)]
+    verts += [[r * math.cos(ang), r * math.sin(ang), h]           # v4 v5 v6
+              for ang in (math.pi, 5 * math.pi / 3, math.pi / 3)]
+    return MeshData(np.array(verts), _R_RECORD, _R_META)
 
 
 def gen_tetrahemihexahedron() -> Polyhedron:
     """Uniform tetrahemihexahedron: |V|=6, |E|=12, |F|=7, defect pi/3."""
-    p = gen_r_block(1.0, math.sqrt(2.0))
-    return p.with_metadata(family="thh", genus=1, orientable=False,
-                           expected_defect=math.pi / 3)
+    return _build(_relabel(_r_block(1.0, math.sqrt(2.0)), family="thh",
+                           genus=1, orientable=False,
+                           expected_defect=math.pi / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +421,10 @@ def gen_q2_9() -> Polyhedron:
     """Flat Klein bottle on 9 vertices: two copies of R(1/2, h) glued along
     their base triangles; every defect is zero."""
     block = _r_block(0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
-    out = surgery.build_glued(surgery.glue(block, [(
-        block, surgery.FaceCorrespondence(0, 0, mapping=(0, 2, 1)))]))
-    return out.with_metadata(family="q2-9", genus=2, orientable=False,
-                             expected_defect=0.0)
+    out = surgery.glue(block, [(
+        block, surgery.FaceCorrespondence(0, 0, mapping=(0, 2, 1)))])
+    return _build(_relabel(out, family="q2-9", genus=2, orientable=False,
+                           expected_defect=0.0))
 
 
 def gen_q3_18() -> Polyhedron:
@@ -843,18 +842,17 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
 # over (v1,v3) [l x 1], the second receiver (odd g); rect over (v2,v3)
 # [d x 1], which gives to the next block; then the six triangles.  Every
 # T-block is built on this one record, checked and paired once per
-# process; measured gain: construct-chain +2.5% without the shared cells
+# process; measured gain: construct-chain +2.5% without the shared cells.
+# Every one carries one metadata record too, with the R-block's labels.
 _T_RECORD = Combinatorics.of(
     ((3, 4, 1, 0), (3, 5, 2, 0), (1, 2, 5, 4), (2, 3, 4), (1, 3, 2),
      (5, 3, 1), (5, 0, 1), (4, 0, 5), (2, 0, 4)), 6)
-_T_LABELS = {f"v{i+1}": i for i in range(6)}
+_T_META = replace(_R_META, family="t-block", orientable=True)
 
 
 def _t_block(l: float, d: float) -> MeshData:
     """The parts of gen_t_block(l, d), for gluing."""
-    verts = _t_block_vertices([(l, d)])[0]
-    return _data(verts, _T_RECORD, family="t-block", genus=1,
-                 orientable=True, defect=None, labels=_T_LABELS)
+    return MeshData(_t_block_vertices([(l, d)])[0], _T_RECORD, _T_META)
 
 
 def _t_block_vertices(params) -> np.ndarray:
@@ -892,10 +890,10 @@ _MAP_B = (0, 2, 5, 3)           # onto rect B after a rect-A receiver
 def _chain_half(params: list[tuple[float, float]]):
     """Glue T(l_1,d_1) # ... # T(l_m,d_m) along the zigzag rectangle chain,
     in one glue call.  Returns (parts, giving face id, giving cycle vertex
-    ids).  The blocks share one Combinatorics record, and those after the
-    first one metadata record, so glue checks only their vertices and
-    metadata and works out each (receiving face, mapping) of their seams
-    once."""
+    ids).  The blocks share the T-block's Combinatorics and metadata
+    records, so glue checks only their vertices and labels and works out
+    each (receiving face, mapping) of their seams once, and no metadata is
+    made but the glued parts' own."""
     first = _t_block(*params[0])
     verts = _t_block_vertices(params[1:])
     give_face = 2
@@ -916,7 +914,7 @@ def _chain_half(params: list[tuple[float, float]]):
             mapping = _MAP_B
             face2 = 1
             give_cycle = (n_verts, h[1], h[2], n_verts + 1)
-        steps.append((MeshData(block, _T_RECORD, first.metadata),
+        steps.append((MeshData(block, _T_RECORD, _T_META),
                       surgery.FaceCorrespondence(give_face, face2,
                                                  mapping=mapping)))
         give_face = n_faces
@@ -932,37 +930,33 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     params = solve_block_params(g, l1)
     defect = -(2 * g - 2) * math.pi / (g + 2)
     if g == 1:
-        lt, dt = params.terminal
-        out = gen_t_block(lt, dt)
+        out = _t_block(*params.terminal)
     elif g % 2 == 0:
         # both halves are one chain; it is glued to a moved copy of itself
         mesh, gf, gc = _chain_half(list(params.pairs))
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
         mapping = (gc[1], gc[0], gc[3], gc[2])
-        out = surgery.build_glued(surgery.glue(mesh, [(
-            mesh, surgery.FaceCorrespondence(gf, gf, mapping=mapping))]))
+        out = surgery.glue(mesh, [(
+            mesh, surgery.FaceCorrespondence(gf, gf, mapping=mapping))])
     else:
         m = len(params.pairs)
         half, gf, _ = _chain_half(list(params.pairs))
-        lt, dt = params.terminal
-        centre = _t_block(lt, dt)
         # the centre receives each half on one of its two long rectangles,
         # taking the halves' still-free top/bottom vertices at v4 and v1
         mapping = _MAP_A if m % 2 == 0 and m >= 2 else _MAP_A_FIRST
-        mesh = surgery.glue(half, [(centre, surgery.FaceCorrespondence(
-            gf, 0, mapping=mapping))])
-        rb_face = len(half.faces) - 1    # centre block's rect B in the result
+        rb_face = len(half.faces) - 1    # centre block's rect B once glued
         h2 = half.faces[gf]
         if m % 2 == 0 and m >= 2:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = surgery.build_glued(surgery.glue(mesh, [(
-            half, surgery.FaceCorrespondence(rb_face, gf,
-                                             mapping=mapping2))]))
-    return out.with_metadata(family="minimal", genus=g, orientable=True,
-                             expected_defect=defect)
+        out = surgery.glue(half, [
+            (_t_block(*params.terminal),
+             surgery.FaceCorrespondence(gf, 0, mapping=mapping)),
+            (half, surgery.FaceCorrespondence(rb_face, gf, mapping=mapping2))])
+    return _build(_relabel(out, family="minimal", genus=g, orientable=True,
+                           expected_defect=defect))
 
 
 # ---------------------------------------------------------------------------

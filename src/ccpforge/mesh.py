@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -53,27 +54,30 @@ class TopologyClass:
     euler_characteristic: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshMetadata:
     family: str | None = None
     genus: int | None = None
     orientable: bool | None = None
     expected_defect: float | None = None
-    provenance: list[str] = field(default_factory=list)
-    vertex_labels: dict[str, int] = field(default_factory=dict)
+    provenance: tuple[str, ...] = ()
+    vertex_labels: Mapping[str, int] = field(default_factory=dict)
     # Subdivision seams: edges between coplanar sub-faces produced by
     # retiling a pierced face.  Such edges necessarily have dihedral angle
     # pi and are exempt from the flat-edge rejection.
-    seam_edges: set[tuple[int, int]] = field(default_factory=set)
+    seam_edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        """Every field is None or what a saved file holds, kept as Python's
-        or fresh: a family a str, a genus a non-negative integer, orientable
-        a bool and an expected defect a finite real number (numpy's pass, a
-        bool is no number); provenance a list of str, vertex_labels a dict
-        of str to vertex id (see _vertex_id), and seam_edges a set of
-        tuples of two distinct vertex ids, kept lower first.  Else
-        BadParameters; _check_metadata fits labels and seams to a mesh."""
+        """Every field is None or what a saved file holds, kept frozen and
+        as Python's: a family a str, a genus a non-negative integer,
+        orientable a bool and an expected defect a finite real number
+        (numpy's pass, a bool is no number); provenance a list or tuple of
+        str, kept a tuple; vertex_labels a dict of str to vertex id (see
+        _vertex_id), kept a read-only mapping; and seam_edges a set of
+        tuples of two distinct vertex ids, kept a frozenset, lower id
+        first.  Else BadParameters; _check_metadata fits labels and seams
+        to a mesh.  A record is never changed, so meshes share it, and a
+        subclass must be frozen too."""
         f, g, o, d = (self.family, self.genus, self.orientable,
                       self.expected_defect)
         if not ((f is None or isinstance(f, str))
@@ -83,12 +87,13 @@ class MeshMetadata:
             raise BadParameters(
                 f"metadata family {f!r}, genus {g!r}, orientable {o!r} or "
                 f"expected defect {d!r} is of another kind")
-        for name, kind in (("provenance", list), ("vertex_labels", dict),
-                           ("seam_edges", set)):
-            if not isinstance(getattr(self, name), kind):
-                raise BadParameters(
-                    f"metadata {name} is not a {kind.__name__}")
-        seams = set(map(_seam, self.seam_edges))
+        for name, kinds in (("provenance", (list, tuple)),
+                            ("vertex_labels", (dict, MappingProxyType)),
+                            ("seam_edges", (set, frozenset))):
+            if not isinstance(getattr(self, name), kinds):
+                raise BadParameters(f"metadata {name} is not a " + " or a "
+                                    .join(k.__name__ for k in kinds))
+        seams = frozenset(map(_seam, self.seam_edges))
         bad = next(chain(
             (f"provenance entry {e!r} is not a str"
              for e in self.provenance if not isinstance(e, str)),
@@ -100,12 +105,21 @@ class MeshMetadata:
              if _seam(e) is None)), None)
         if bad is not None:
             raise BadParameters(f"metadata {bad}")
-        self.genus = None if g is None else int(g)
-        self.orientable = None if o is None else bool(o)
-        self.expected_defect = None if d is None else float(d)
-        self.provenance = list(self.provenance)
-        self.vertex_labels = {k: int(v) for k, v in self.vertex_labels.items()}
-        self.seam_edges = seams
+        self.__dict__.update(
+            genus=None if g is None else int(g),
+            orientable=None if o is None else bool(o),
+            expected_defect=None if d is None else float(d),
+            provenance=tuple(self.provenance),
+            vertex_labels=MappingProxyType(
+                {k: int(v) for k, v in self.vertex_labels.items()}),
+            seam_edges=seams)
+
+    def __reduce__(self):
+        """Pickled and copied by its fields, the labels as a dict: a
+        read-only mapping does not pickle."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["vertex_labels"] = dict(self.vertex_labels)
+        return type(self), tuple(values.values())
 
     # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
@@ -211,10 +225,12 @@ class Polyhedron:
         return self.combinatorics.orientation
 
     def with_metadata(self, **kw) -> "Polyhedron":
-        """This mesh with the metadata fields kw names replaced; it shares
-        the vertices and every part computed so far, none of which reads
-        the metadata.  A name that is no field, or labels or seams that do
-        not fit this mesh (_check_metadata), raise BadParameters."""
+        """This mesh with a new metadata record, the fields kw names
+        replaced (dataclasses.replace, which checks the record again);
+        metadata is never changed in place.  The mesh shares the vertices
+        and every part computed so far, none of which reads the metadata.
+        A name that is no field, or labels or seams that do not fit this
+        mesh (_check_metadata), raise BadParameters."""
         unknown = kw.keys() - {f.name for f in fields(self.metadata)}
         if unknown:
             raise BadParameters(f"metadata has no field {min(unknown)!r}")

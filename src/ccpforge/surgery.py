@@ -83,9 +83,10 @@ def _side_place(side, start: int, step: int, k: int):
 def _resolved(pts1: np.ndarray, c1: Sequence[int], p2: MeshData,
               corr: FaceCorrespondence
               ) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """resolve_correspondence's mapping onto face1's cycle c1, whose mesh
-    has the vertices pts1, and its alignment with face2's cycle (see
-    _alignment)."""
+    """The face2 vertex ids aligned with face1's cycle c1, whose mesh has
+    the vertices pts1, and their alignment with face2's cycle (see
+    _alignment): corr's mapping, checked, or else the one isometric
+    alignment of the two cycles."""
     c2 = p2.faces[corr.face2]
     if len(c1) != len(c2):
         raise NotIsometric("face cycles have different lengths")
@@ -120,12 +121,6 @@ def _resolved(pts1: np.ndarray, c1: Sequence[int], p2: MeshData,
         raise AmbiguousCorrespondence(
             f"{len(found)} isometric alignments; pass an explicit mapping")
     return found[0], _alignment(found[0], c2)
-
-
-def resolve_correspondence(p1: MeshData, p2: MeshData,
-                           corr: FaceCorrespondence) -> tuple[int, ...]:
-    """The face2 vertex ids aligned with face1's stored cycle."""
-    return _resolved(p1.vertices, p1.faces[corr.face1], p2, corr)[0]
 
 
 def _checked(p: Polyhedron | MeshData) -> MeshData:
@@ -641,7 +636,8 @@ class _Surgery:
             self.live_cells[:self.top // 2]]
         cells[:, 0::2] = place[cells[:, 0::2]]
         meta = replace(self.metadata, seam_edges=self.seams, genus=None,
-                       provenance=self.metadata.provenance + self.provenance,
+                       provenance=(*self.metadata.provenance,
+                                   *self.provenance),
                        **meta)
         return MeshData(self.vertices[:self.n],
                         list(map(self.faces.__getitem__, self.live)), meta,

@@ -1,3 +1,6 @@
+import operator
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,27 @@ def unchecked_mesh(vertices, faces):
     record = Combinatorics(len(vertices), corners, *_derived_cells(corners))
     return Polyhedron._of_arrays(vertices, record, MeshMetadata(),
                                  MeshGeometry(vertices, record))
+
+
+# per kind of in-place change to a MeshMetadata, the change and the error
+# its frozen form raises
+METADATA_CHANGES = {
+    "field": (lambda m: setattr(m, "genus", 99), FrozenInstanceError),
+    "label": (lambda m: operator.setitem(m.vertex_labels, "a", 99),
+              TypeError),
+    "seam": (lambda m: m.seam_edges.add((0, 99)), AttributeError),
+    "provenance": (lambda m: m.provenance.append("drill"), AttributeError),
+}
+
+
+def refuses_change(meta) -> None:
+    """Every change of METADATA_CHANGES raises its error on meta, which
+    stays equal to what it was."""
+    before = replace(meta)
+    for change, error in METADATA_CHANGES.values():
+        with pytest.raises(error):
+            change(meta)
+    assert meta == before
 
 
 def face_polygon(geo, f):

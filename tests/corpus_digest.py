@@ -123,7 +123,9 @@ def parts(p, workdir: Path, lib=None) -> dict[str, str]:
     out = {"vertices": p.vertices.tobytes(), "faces": p.faces,
            "edge_slots": p.edge_slots,
            "seams": sorted(p.metadata.seam_edges),
-           "provenance": p.metadata.provenance,
+           # as a list: a part hashes its repr, and a library that keeps
+           # provenance as a tuple and one that keeps a list digest alike
+           "provenance": list(p.metadata.provenance),
            "defects": p.geometry.defects.tobytes(),
            "triangulation": tri.vertex.tobytes() + tri.face.tobytes()}
     out.update((f"report.{key}", json.dumps(value, sort_keys=True))

@@ -427,11 +427,10 @@ def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
     for (u, w) in b.metadata.seam_edges:
         u, w = new_id[u], new_id[w]
         seams.add((u, w) if u < w else (w, u))
-    meta = dataclasses.replace(a.metadata, seam_edges=seams)
-    meta.provenance.append(
-        f"connect_sum(face {corr.face1} ~ face {corr.face2})")
-    meta.genus = None
-    meta.orientable = None
+    meta = dataclasses.replace(
+        a.metadata, seam_edges=seams, genus=None, orientable=None,
+        provenance=[*a.metadata.provenance,
+                    f"connect_sum(face {corr.face1} ~ face {corr.face2})"])
     return MeshData(verts, faces, meta, np.vstack(cells))
 
 

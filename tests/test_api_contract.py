@@ -7,9 +7,11 @@ test_generators.py::test_real_parameters_must_be_finite_reals.  Every
 public entry that takes a mesh raises BadParameters for an argument
 that is not one (mesh._mesh), before it reads it or writes a file."""
 
+import copy
 import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from ccpforge import (DrillSpec, FaceCorrespondence, a_coeff, angular_defect,
                       connect_sum, corner_angle, defect_profile,
                       dihedral_angle, drill, drill_repeat, edge_length,
                       f_angle_sum, format_pi_multiple, gen_nonorientable,
-                      gen_p2_24, generate_family, load_mesh,
-                      retile_pierced_face, save_mesh)
+                      gen_p2_24, generate_family, load_json, load_mesh,
+                      retile_pierced_face, save_json, save_mesh)
 from ccpforge.errors import (BadFile, BadParameters, GenusOutOfRange,
                              IndexOutOfRange)
 from ccpforge.fileio import mesh_to_document
 from ccpforge.generators import FamilyRequest, _p2_24
 from ccpforge.mesh import MeshData
+
+from conftest import METADATA_CHANGES
 
 P = gen_p2_24()
 
@@ -176,6 +180,39 @@ def test_metadata_keeps_python_numbers_in_fresh_containers():
     assert {type(x) for x in (*meta.vertex_labels.values(),
                               *next(iter(meta.seam_edges)))} == {int}
     assert meta.vertex_labels is not labels and meta.seam_edges is not seams
+
+
+@pytest.fixture(scope="module")
+def drilled():
+    """A drilled p2-24: metadata with labels, seams and provenance."""
+    return ccpforge.gen_orientable(3)
+
+
+@pytest.mark.parametrize("change,error", METADATA_CHANGES.values(),
+                         ids=METADATA_CHANGES.keys())
+def test_metadata_refuses_change_in_place(drilled, change, error, tmp_path):
+    """A mesh's metadata is frozen: assigning a field, setting a label,
+    adding a seam or appending provenance raises, and the mesh still
+    saves as JSON that loads back with equal metadata: a label set in
+    place would escape every check into a file the loader refuses."""
+    before = drilled.metadata
+    with pytest.raises(error):
+        change(drilled.metadata)
+    assert drilled.metadata is before
+    save_json(drilled, tmp_path / "m.json")
+    assert load_json(tmp_path / "m.json").metadata == drilled.metadata
+
+
+@pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_mesh_pickles_and_deep_copies_with_its_metadata(drilled, clone):
+    """A drilled mesh, with labels and seams, comes back from pickle and
+    from copy.deepcopy with equal metadata and the same verdict."""
+    meta = drilled.metadata
+    assert meta.vertex_labels and meta.seam_edges and meta.provenance
+    back = clone(drilled)
+    assert back.metadata == meta and back.metadata is not meta
+    assert ccpforge.verify(back).verdict == ccpforge.verify(drilled).verdict
 
 
 def test_numpy_ids_in_metadata_save_as_ints(tmp_path):

@@ -2,8 +2,9 @@
 methods, and drill_repeat and glue on raw parts: called with good
 arguments, some of them swapped for values drawn from one shared
 vocabulary of bad ones, each entry returns or raises a CcpError, and a
-Polyhedron it returns verifies and comes back from save_json and
-load_json with equal metadata, vertex bytes and faces.  Input records
+Polyhedron it returns verifies, its metadata refuses every change in
+place, and it comes back from save_json and load_json with equal
+metadata, vertex bytes and faces.  Input records
 (MeshMetadata, DrillSpec, FaceCorrespondence, FamilyRequest) are passed
 on to the entry that reads them; metadata, every field of it, is that
 of a drilled mesh, whose flat seams verify reads.  Genera are drawn at
@@ -29,6 +30,8 @@ from ccpforge import (CATALOG, DrillSpec, FaceCorrespondence,  # noqa: E402
                       build_polyhedron, gen_p2_24, gen_tetrahedron)
 from ccpforge.errors import CcpError  # noqa: E402
 from ccpforge.mesh import MeshData  # noqa: E402
+
+from conftest import refuses_change  # noqa: E402
 
 P = gen_p2_24()
 T = gen_tetrahedron()
@@ -222,8 +225,9 @@ def check_entry(data, tmp: Path, name: str, bad: int | None = None) -> None:
     """Draw the arguments of the entry `name`, swap up to two of them for
     bad values, argument `bad` always if given, and call it in the folder
     `tmp`, where a bad value that is a relative path lands: it returns or
-    raises a CcpError, and a Polyhedron it returns verifies and saves as
-    JSON that loads back equal."""
+    raises a CcpError, and a Polyhedron it returns verifies, has metadata
+    that refuses change in place and saves as JSON that loads back
+    equal."""
     call, good = CALLS[name]
     args = good(data, tmp)
     if args:
@@ -242,6 +246,7 @@ def check_entry(data, tmp: Path, name: str, bad: int | None = None) -> None:
         os.chdir(cwd)
     if isinstance(out, Polyhedron):
         ccpforge.verify(out)
+        refuses_change(out.metadata)
         ccpforge.save_json(out, tmp / "out.json")
         back = ccpforge.load_json(tmp / "out.json")
         assert back.metadata == out.metadata and back.faces == out.faces

@@ -644,7 +644,8 @@ def test_alignment_places_sides_as_the_frozenset_lookup(k):
     the mapping starts and which way it runs, and _side_place puts each
     side of the cycle where the frozenset lookup put it; every other
     ordering of the cycle (all of them up to k = 6) is no alignment, and
-    resolve_correspondence rejects it as the set lookup did."""
+    glue's correspondence search (_resolved) rejects it as the set lookup
+    did."""
     rng = np.random.default_rng(k)
     cycle = tuple(int(v) for v in rng.permutation(40)[:k])
     aligned = list(scalar_generate._alignments(cycle))
@@ -664,7 +665,8 @@ def test_alignment_places_sides_as_the_frozenset_lookup(k):
             continue
         assert surgery_mod._alignment(mapping, cycle) is None
         corr = FaceCorrespondence(0, 0, mapping)
-        got = outcome(surgery_mod.resolve_correspondence, data, data, corr)
+        got = outcome(lambda: surgery_mod._resolved(
+            data.vertices, cycle, data, corr)[0])
         assert got == outcome(scalar_generate.resolve_correspondence, data,
                               data, corr)
         assert got[0] is NotIsometric

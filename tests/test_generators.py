@@ -75,12 +75,14 @@ class TestClosedForms:
             gen_p2_24(0.8, 0.01)           # sqrt(3) b > 1
 
     def test_p2_24_meshes_share_no_mutable_part(self):
-        """P^2_24's faces, labels and sign rows are built once per
-        process: each mesh's labels are its own copy, the faces a tuple
-        of tuples and the sign rows read-only."""
+        """P^2_24's faces, metadata and sign rows are built once per
+        process and every mesh shares them: the metadata is frozen, the
+        faces a tuple of tuples and the sign rows read-only."""
         p = gen_p2_24()
-        p.metadata.vertex_labels["v1+++"] = 5
+        with pytest.raises(TypeError):
+            p.metadata.vertex_labels["v1+++"] = 5
         q = gen_p2_24(0.2, 0.05)
+        assert q.metadata is p.metadata is generators_mod._P2_META
         assert q.label("v1+++") == 0
         assert q.faces == generators_mod._P2_FACES
         assert set(map(type, generators_mod._P2_FACES)) == {tuple}

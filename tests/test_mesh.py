@@ -24,7 +24,7 @@ from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
                            _edge_cells, topology_from)
 from ccpforge.verify import verify
 
-from conftest import (as_tuples, cube_data, face_polygon,
+from conftest import (as_tuples, cube_data, face_polygon, refuses_change,
                       random_rigid_motion, unchecked_mesh)
 from test_self_intersection_oracle import SMALL_GENERA, family
 
@@ -290,9 +290,11 @@ def test_deterministic_edges():
 
 
 def test_replace_keeps_every_field_and_copies_containers():
-    """dataclasses.replace keeps every field, a subclass's too, and the
-    copy owns its containers: MeshMetadata makes fresh ones."""
-    @dataclass
+    """dataclasses.replace keeps every field, a subclass's too, which
+    must be frozen as MeshMetadata is; both records hold frozen copies of
+    the containers given, so a change to the caller's dict reaches
+    neither and neither can be changed."""
+    @dataclass(frozen=True)
     class Tagged(MeshMetadata):
         tag: str = ""
 
@@ -301,12 +303,16 @@ def test_replace_keeps_every_field_and_copies_containers():
                   vertex_labels=labels, tag="kept")
     new = replace(meta, genus=3)
     assert (new.tag, new.family, new.genus) == ("kept", "t", 3)
-    new.provenance.append("connect_sum")
-    new.seam_edges.add((1, 2))
-    new.vertex_labels["b"] = 1
-    assert meta.provenance == ["drill"] and meta.seam_edges == {(0, 1)}
-    assert meta.vertex_labels == labels == {"a": 0}
-    assert meta.vertex_labels is not labels
+    labels["b"] = 1
+    for m in (meta, new):
+        assert m.provenance == ("drill",)
+        assert type(m.seam_edges) is frozenset and m.seam_edges == {(0, 1)}
+        assert m.vertex_labels == {"a": 0}
+        refuses_change(m)
+    with pytest.raises(TypeError, match="non-frozen"):
+        @dataclass
+        class Loose(MeshMetadata):
+            tag: str = ""
 
 
 def test_flat_edge_beside_non_convex_face_rejected():

@@ -768,7 +768,7 @@ def test_raw_metadata_none_reads_as_empty():
     t, p = gen_tetrahedron(), gen_p2_24()
     raw = MeshData(t.vertices, list(t.faces), None)
     out = glue(raw, [(raw, FaceCorrespondence(0, 0, mapping=(0, 2, 1)))])
-    assert out.metadata.provenance == ["connect_sum(face 0 ~ face 0)"]
+    assert out.metadata.provenance == ("connect_sum(face 0 ~ face 0)",)
     drilled = drill_repeat(MeshData(p.vertices, list(p.faces), None),
                            DrillSpec(0, 1, 12), 2)
     assert drilled.metadata.family is None
