@@ -449,13 +449,20 @@ def _q3_18() -> MeshData:
 # drilled families
 
 
-def _drilled(base: MeshData, faces: tuple[int, int], n: int,
-             k: int) -> Polyhedron:
+def _drilled(base: MeshData, faces: tuple[int, int], n: int, k: int,
+             meta: dict) -> Polyhedron:
     """The raw base built, or drilled k times with n-gonal prisms between
-    two of its faces, its highest and lowest ones normal to the z-axis."""
+    two of its faces, its highest and lowest ones normal to the z-axis,
+    once, with the metadata fields `meta` names.  The expected defect is
+    2*pi*chi/V where meta names none: each drill adds 2n vertices and
+    lowers chi by 2."""
+    v = len(base.vertices)
+    chi = v - sum(map(len, base.faces)) // 2 + len(base.faces) - 2 * k
+    meta = {"expected_defect": TAU * chi / (v + 2 * n * k), **meta}
     if k == 0:
-        return _build(base)
-    return surgery.drill_repeat(base, surgery.DrillSpec(*faces, n), k)
+        return _build(_relabel(base, **meta))
+    record = surgery._drill_chain(base, surgery.DrillSpec(*faces, n), k)
+    return build_polyhedron(*record.parts(**meta))
 
 
 def gen_orientable(g: int) -> Polyhedron:
@@ -469,9 +476,9 @@ def gen_orientable(g: int) -> Polyhedron:
         return gen_flat_torus9().with_metadata(family="orientable")
     if g == 2:
         return gen_p2_24().with_metadata(family="orientable")
-    out = _drilled(_p2_24(), (0, 1), 12, g - 2)
-    return out.with_metadata(family="orientable", genus=g, orientable=True,
-                             expected_defect=-math.pi / 6)
+    return _drilled(_p2_24(), (0, 1), 12, g - 2, dict(
+        family="orientable", genus=g, orientable=True,
+        expected_defect=-math.pi / 6))
 
 
 def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
@@ -488,6 +495,7 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
         return gen_tetrahemihexahedron().with_metadata(family="nonorientable")
     if g == 2:
         return gen_q2_9().with_metadata(family="nonorientable")
+    meta = dict(family="nonorientable", genus=g, orientable=False)
     # the fewest-vertex route differs from the chained one only for odd g
     # and for even g >= 8
     if prefer_fewest and g % 2 == 1:
@@ -495,18 +503,20 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
             raise GenusOutOfRange(
                 f"nonorientable with prefer_fewest covers odd genus up to "
                 f"{n5g[-1]} (its n5g range), not {g}")
+        if g > 11:
+            return _drilled(*_n5g_drills(g), meta)
         out = gen_n5g_odd(g)
     elif prefer_fewest and g == 14:
         out = gen_small_dodecahemidodecahedron()
     elif prefer_fewest and g >= 8:
-        out = _drilled(_rhombihexahedron(), (4, 5), 4, (g - 8) // 2)
+        return _drilled(_rhombihexahedron(), (4, 5), 4, (g - 8) // 2, meta)
     elif g % 2 == 1:
-        out = _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2)
+        return _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2, meta)
     else:
-        out = _drilled(_cubohemioctahedron(), (4, 5), 6, (g - 4) // 2)
+        return _drilled(_cubohemioctahedron(), (4, 5), 6, (g - 4) // 2, meta)
     return out.with_metadata(
-        family="nonorientable", genus=g, orientable=False,
-        expected_defect=TAU * euler_characteristic(out) / out.n_vertices)
+        **meta, expected_defect=TAU * euler_characteristic(out)
+        / out.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +665,14 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     g = _genus_in("n5g", g)
     if g <= 11:
         return _build(_n5g_odd(g))
-    out = _drilled(_n5g_odd(7), (0, 1), 7, (g - 7) // 2)
-    return out.with_metadata(
-        family="n5g", genus=g, orientable=False,
-        expected_defect=TAU * euler_characteristic(out) / out.n_vertices)
+    return _drilled(*_n5g_drills(g), dict(family="n5g", genus=g,
+                                          orientable=False))
+
+
+def _n5g_drills(g: int) -> tuple[MeshData, tuple[int, int], int, int]:
+    """The base, faces, prism order and drill count of gen_n5g_odd(g) for
+    g >= 13: the genus-7 member drilled (g - 7)/2 times."""
+    return _n5g_odd(7), (0, 1), 7, (g - 7) // 2
 
 
 def _n5g_odd(g: int) -> MeshData:

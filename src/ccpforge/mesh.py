@@ -840,7 +840,8 @@ def build_polyhedron(vertices, faces,
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
-    face planarity/simplicity/area, distinct edge endpoints, no flat (pi)
+    face planarity/simplicity/area, that each face's corner angles sum to
+    (k - 2) * pi within DEFECT_TOL, distinct edge endpoints, no flat (pi)
     dihedral angles, and connectivity of the face-adjacency graph.  Every
     check runs on every face, edge and vertex: surgery assembles raw data
     with its edge cells (surgery.glue, drill and drill_repeat, which write
@@ -895,6 +896,15 @@ def build_polyhedron(vertices, faces,
             raise DegenerateFace(f"face {first} has near-zero area")
         raise DegenerateFace(f"face {first} deviates "
                              f"{geo.residual[first]:.2e} from planarity")
+    # every face turns once, its corner angles summing to (k - 2) * pi: a
+    # face crossed within polygon_is_simple's eps passes that test, not this
+    total = np.bincount(geo.corner_face, weights=geo.corner_angles)
+    want = (geo.face_size - 2) * np.pi
+    crossed = (np.abs(total - want) > DEFECT_TOL).nonzero()[0]
+    if crossed.size:
+        f = crossed[0]
+        raise DegenerateFace(f"face {f} is crossed: its corner angles sum "
+                             f"to {total[f]:.6g}, not {want[f]:.6g}")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:

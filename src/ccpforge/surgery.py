@@ -18,7 +18,7 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
                    MeshGeometry, Polyhedron, _checked_parts, _corner_layout,
-                   _Corners, _derived_cells, _finite, _index, _integer,
+                   _derived_cells, _finite, _index, _integer,
                    _mesh, _newell, _record, build_polyhedron,
                    euler_characteristic)
 
@@ -499,17 +499,6 @@ def _axis(geo: MeshGeometry, spec: DrillSpec):
     return p1pt, depth, d1, d2
 
 
-def _in_planes(vertices: np.ndarray, corners: _Corners, normal: np.ndarray,
-               heights: tuple[float, float], scale: float) -> np.ndarray:
-    """Per plane normal . x = height and face laid out in `corners`:
-    whether the face is in the plane, every corner within 1e-7 * scale of
-    its height."""
-    along = vertices.take(corners.vertex, axis=0) @ normal
-    return np.maximum.reduceat(
-        np.abs(along - np.asarray(heights)[:, None]), corners.start,
-        axis=1) <= 1e-7 * scale
-
-
 def _room(a: np.ndarray, n: int, fill=0) -> np.ndarray:
     """a when it has n rows or more, else a copy with room for n and at
     least twice its rows, the new ones `fill`.  A record's arrays start
@@ -520,35 +509,6 @@ def _room(a: np.ndarray, n: int, fill=0) -> np.ndarray:
     out[:len(a)] = a
     out[len(a):] = fill
     return out
-
-
-class _Stack:
-    """The tracked faces of one length k (see _Surgery.track), one row
-    each per plane it lies in: its face id, that plane (0 or 1), its
-    centroid and (u, v) frame, its (k, 2) polygon in that frame and
-    whether it is live, and the count of live rows."""
-
-    PARTS = ("face", "plane", "centroid", "u", "v", "polygon", "live")
-
-    def __init__(self, k: int):
-        self.m = self.n_live = 0
-        for name, shape, kind in zip(self.PARTS, ((), (), (3,), (3,), (3,),
-                                                  (k, 2), ()),
-                                     (np.intp, np.intp, float, float, float,
-                                      float, bool)):
-            setattr(self, name, np.empty((4,) + shape, kind))
-
-    def add(self, *rows) -> range:
-        """Append rows of every part but `live`; they are live."""
-        a = self.m
-        self.m = b = a + len(rows[0])
-        self.n_live += b - a
-        if b > len(self.face):
-            for name in self.PARTS:
-                setattr(self, name, _room(getattr(self, name), b))
-        for name, part in zip(self.PARTS, rows + (True,)):
-            getattr(self, name)[a:b] = part
-        return range(a, b)
 
 
 class _Surgery:
@@ -568,12 +528,11 @@ class _Surgery:
 
     A drilled record keeps the planes of the mesh's geometry for its own
     faces and fits a step's faces alone (_newell, which gives them the
-    bits of a fit of every face) when the next step locates (_fit).
-    Location (track, locate) keeps only the faces in the two pierced
-    planes, stacked by length with their frames and polygons; each face
-    is tested for them once (_in_planes), at the mesh's tolerance scale:
-    a prism ring lies inside the face it pierces, so only rounding could
-    raise it.
+    bits of a fit of every face) when the next step locates (_fit).  Per
+    step it keeps, for each of its two planes, the face it pierced and
+    the ids of that face's pieces, which are all quads or all triangles
+    (cuts); location (locate) reads only those pieces, so a chain's
+    location is linear in its steps.
     """
 
     def __init__(self, data: MeshData, geo: MeshGeometry | None = None):
@@ -599,8 +558,7 @@ class _Surgery:
         self.firsts = [0]
         self.fits = [(record.corners,
                       tuple(getattr(geo, name) for name in _PLANES))]
-        self.stacks: dict[int, _Stack] | None = None
-        self.rows: dict[int, list[tuple[_Stack, int]]] = {}
+        self.cuts: list[tuple[tuple[int, range], tuple[int, range]]] = []
 
     def _add(self, half: np.ndarray, at, old: np.ndarray) -> None:
         """Append the half-edge rows `half`, two to a cell, those at `at`
@@ -629,16 +587,17 @@ class _Surgery:
     def parts(self, **meta) -> MeshData:
         """The mesh's parts: its vertices, live faces and live cells, their
         faces renumbered to places, and its metadata with the steps' seams
-        and provenance, no genus and the fields `meta` names replaced."""
+        and provenance, no genus, and the fields `meta` names replaced,
+        a genus among them."""
         place = np.empty(len(self.faces), dtype=np.intp)
         place[self.live] = np.arange(len(self.live))
         cells = self.half[:self.top].reshape(-1, 4)[
             self.live_cells[:self.top // 2]]
         cells[:, 0::2] = place[cells[:, 0::2]]
-        meta = replace(self.metadata, seam_edges=self.seams, genus=None,
-                       provenance=(*self.metadata.provenance,
-                                   *self.provenance),
-                       **meta)
+        meta = replace(self.metadata, **{
+            "seam_edges": self.seams, "genus": None,
+            "provenance": (*self.metadata.provenance, *self.provenance),
+            **meta})
         return MeshData(self.vertices[:self.n],
                         list(map(self.faces.__getitem__, self.live)), meta,
                         cells)
@@ -700,74 +659,61 @@ class _Surgery:
         i = f - self.firsts[s]
         return centroid[i], normal[i], u[i], v[i]
 
-    def track(self, normal: np.ndarray, heights: tuple[float, float]
-              ) -> None:
-        """Keep, from now on, the live faces in the planes normal . x =
-        height for the two heights, for locate; a record tracks before
-        its first step."""
-        self.normal, self.heights, self.stacks, self.rows = \
-            normal, heights, {}, {}
-        self._stack(0, *self.fits[0])
-
-    def _stack(self, first: int, corners: _Corners, planes: tuple) -> None:
-        """Stack the faces laid out in `corners`, ids from `first` on, that
-        are in a tracked plane, with their `planes`."""
-        which, at = _in_planes(self.vertices, corners, self.normal,
-                               self.heights, self.scale).nonzero()
-        centroid, _, _, u, v, uv, _ = planes
-        size = corners.size[at]
-        lengths = set(size.tolist())
-        for k in lengths:
-            # all the faces, or those of length k
-            rows = slice(None) if len(lengths) == 1 else size == k
-            f = at[rows]
-            ids = f + first
-            stack = self.stacks.get(k) or self.stacks.setdefault(k, _Stack(k))
-            added = stack.add(ids, which[rows], centroid.take(f, axis=0),
-                              u.take(f, axis=0), v.take(f, axis=0), uv.take(
-                                  corners.start[f][:, None] + np.arange(k),
-                                  axis=0))
-            for face, row in zip(ids.tolist(), added):
-                self.rows.setdefault(face, []).append((stack, row))
-
     def _fit(self) -> None:
-        """Fit and stack the faces of the last step, which is done when it
-        is located in (the last step of a chain never is)."""
+        """Fit the faces of the last step, which is done when it is located
+        in (the last step of a chain never is)."""
         first = self.firsts[-1]
         corners = _corner_layout(self.faces[first:])
         self.fits[-1] = corners, _newell(self.vertices, corners)
-        self._stack(first, *self.fits[-1])
 
-    def locate(self, points: np.ndarray) -> list[tuple[int | None, float]]:
-        """Per point, in the tracked plane at its place: the first live face
-        in face order that holds it inside, by _axis's bound, and its
-        clearance to that face's boundary; (None, 0.0) where no face does.
-        Each point is projected into every face's frame of its plane, but
-        its boundary distance is measured only where the face's polygon
-        winds around it, as MeshGeometry.inside_clearance would give it."""
+    def locate(self, points: np.ndarray, roots: tuple[int, int]
+               ) -> list[tuple[int | None, float]]:
+        """Per plane i, the face that holds points[i] inside, by _axis's
+        bound, and its clearance to that face's boundary, or (None, 0.0)
+        where none does: face roots[i] until a step pierces it, and then a
+        piece of a face pierced in its plane.  The pieces of the last cut
+        of both planes are tested first, in one stack; a plane whose point
+        they miss walks back through the live pieces of the cuts before.
+        Each point is projected into its candidates' frames in one call,
+        and its boundary distance is measured only where a polygon winds
+        around it, as MeshGeometry.inside_clearance would give it; the
+        least such face wins."""
         if self.fits[-1] is None:
             self._fit()
         best: list[tuple[int | None, float]] = [(None, 0.0), (None, 0.0)]
         bound = AXIS_CLEARANCE * self.scale
-        for stack in self.stacks.values():
-            if not stack.n_live:
+        dead: set[int] = set()
+        levels = [tuple((f, range(f, f + 1)) for f in roots), *self.cuts]
+        for back, cut in enumerate(reversed(levels)):
+            want = [i for i in (0, 1) if best[i][0] is None]
+            if not want:
+                break
+            if back == 1:               # the pieces pierced since their cut
+                dead = {f for c in self.cuts for f, _ in c}
+            rows = [(i, f) for i in want for f in cut[i][1] if f not in dead]
+            if not rows:
                 continue
-            m = stack.m
-            plane = stack.plane[:m]
-            q = _geom.project_2d(points.take(plane, axis=0)[:, None],
-                                 stack.centroid[:m], stack.u[:m],
-                                 stack.v[:m])[:, 0]
-            poly = stack.polygon[:m]
-            rows = (_geom.winds_around(q, poly) & stack.live[:m]).nonzero()[0]
-            if not rows.size:
-                continue
-            clearance = _geom.dist_point_polygon_boundary(
-                q.take(rows, axis=0), poly.take(rows, axis=0))
-            for i, f, c in zip(plane.take(rows).tolist(),
-                               stack.face.take(rows).tolist(),
-                               clearance.tolist()):
-                if c > bound and (best[i][0] is None or f < best[i][0]):
-                    best[i] = (f, c)
+            # the candidates are faces of one step, of one length per plane
+            plane, faces = np.array(rows).T
+            s = bisect_right(self.firsts, int(faces[0])) - 1
+            corners, (centroid, _, _, u, v, uv, _) = self.fits[s]
+            at = faces - self.firsts[s]
+            q = _geom.project_2d(points.take(plane, axis=0)[:, None], *(
+                a.take(at, axis=0) for a in (centroid, u, v)))[:, 0]
+            size = corners.size.take(at)
+            for k in set(size.tolist()):
+                of_k = (size == k).nonzero()[0]
+                poly = uv.take(corners.start.take(at.take(of_k))[:, None]
+                               + np.arange(k), axis=0)
+                hit = _geom.winds_around(q.take(of_k, axis=0), poly)
+                of_k, poly = of_k[hit], poly[hit]
+                clearance = _geom.dist_point_polygon_boundary(
+                    q.take(of_k, axis=0), poly)
+                for i, f, c in zip(plane.take(of_k).tolist(),
+                                   faces.take(of_k).tolist(),
+                                   clearance.tolist()):
+                    if c > bound and (best[i][0] is None or f < best[i][0]):
+                        best[i] = (f, c)
         return best
 
     def pierce(self, f1: int, f2: int, n: int, phase: float, axis: tuple,
@@ -824,11 +770,9 @@ class _Surgery:
             f"drill(n={n}, faces=({at1},{at2}), eps={eps:.6g})")
         del self.live[max(at1, at2)], self.live[min(at1, at2)]
         self.live += range(first, len(self.faces))
-        for f in (f1, f2):
-            for stack, row in self.rows.pop(f, ()):
-                stack.live[row] = False
-                stack.n_live -= 1
-
+        split = first + len(parts[0])
+        self.cuts.append(((f1, range(first, split)),
+                          (f2, range(split, split + len(parts[1])))))
         self.firsts.append(first)
         self.fits.append(None)
 
@@ -847,12 +791,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     a validated mesh or raw MeshData, which is first checked as
     build_polyhedron checks it on entry (_checked_parts).
     """
-    data, geo = _raw(p)
-    _check_spec(geo, spec)
-    record = _Surgery(data, geo)
-    record.pierce(spec.face1, spec.face2, spec.n, spec.phase,
-                  _axis(geo, spec), spec.radius)
-    return build_polyhedron(*record.parts())
+    return build_polyhedron(*_drill_chain(p, spec, 1).parts())
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -860,42 +799,52 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     """Apply k parallel drills along offset copies of the axis.
 
     Axes are spread along a face-frame direction with spacing
-    clearance/(2k); each subsequent drill locates the current sub-faces
-    containing its axis's entry and exit points.  If an offset line
-    degenerates against the evolving retiling (axis on a seam), the next
-    of a fixed set of offset directions is tried.  A bad spec raises what
-    drill raises, before any offset is tried.  p may be a validated mesh
-    or raw MeshData, checked as drill checks it.  The drills pierce raw
-    data and the finished mesh is validated once; a sub-face a later
-    drill pierces is never validated.  The steps share one _Surgery
-    record, so each pays for what it adds: its rings, pieces, walls and
-    cells, their fit and their plane test, and the location of its two
-    axis points among the faces of the two planes.
+    clearance/(2k); each subsequent drill pierces the piece of face1, and
+    the piece of face2, that holds its axis's entry or exit point.  If an
+    offset line degenerates against the evolving retiling (axis on a
+    seam), the next of a fixed set of offset directions is tried.  A bad
+    spec raises what drill raises, before any offset is tried.  p may be
+    a validated mesh or raw MeshData, checked as drill checks it.  The
+    drills pierce raw data (_drill_chain) and the finished mesh is
+    validated once; a sub-face a later drill pierces is never validated.
     """
     _mesh(p, raw=True)
     if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
         raise BadOrder("k must be >= 1 and below 2**63")
-    if k == 1:
-        return drill(p, spec)
+    return build_polyhedron(*_drill_chain(p, spec, k).parts())
+
+
+def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
+                 k: int) -> _Surgery:
+    """The _Surgery record of drill_repeat(p, spec, k), k >= 1, whose
+    parts are the drilled mesh: one record per offset direction tried,
+    on which each step pays for what it adds (its rings, pieces, walls
+    and cells, and their fit) and for locating its two axis points among
+    the pieces of the step before (_Surgery.locate)."""
     data, geo = _raw(p)
     _check_spec(geo, spec)
-    p1pt, _, d0, _ = _axis(geo, spec)
-    c1, n1, u1, v1 = (a[spec.face1] for a in (geo.centroid, geo.normal,
-                                              geo.u, geo.v))
+    axis = _axis(geo, spec)
+    if k == 1:
+        record = _Surgery(data, geo)
+        record.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
+                      spec.radius)
+        return record
+    p1pt, _, d0, _ = axis
+    n1, u1, v1 = (a[spec.face1] for a in (geo.normal, geo.u, geo.v))
     delta = d0 / (2 * k)
-    heights = (float(n1 @ c1), float(n1 @ geo.centroid[spec.face2]))
+    exit_height = float(n1 @ geo.centroid[spec.face2])
+    roots = spec.face1, spec.face2
 
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
         record = _Surgery(data, geo)
-        record.track(n1, heights)
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
-                exit_pt = axis_pt - (float(axis_pt @ n1) - heights[1]) * n1
+                exit_pt = axis_pt - (float(axis_pt @ n1) - exit_height) * n1
                 (f1, clr1), (f2, clr2) = record.locate(
-                    np.array([axis_pt, exit_pt]))
+                    np.array([axis_pt, exit_pt]), roots)
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
@@ -911,6 +860,6 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
                 SelfCrossingPartition) as exc:
             last_err = exc
         else:
-            return build_polyhedron(*record.parts())
+            return record
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")

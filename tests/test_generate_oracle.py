@@ -439,9 +439,20 @@ DRILLED = [(f"orientable-{g}", lambda g=g: generate_family(
 def test_drill_repeat_is_the_step_by_step_one(monkeypatch, make):
     """Drills that pierce raw data and validate the finished mesh once
     give the mesh of drills validated one at a time, bit for bit; each
-    drill_repeat calls build_polyhedron exactly once."""
+    drill_repeat calls build_polyhedron exactly once.  A drilled family
+    drills through generators._drilled, which the oracle replaces with
+    the validated drills and the metadata set afterwards, its defect
+    2*pi*chi/V read off the result where the family names none."""
+    def scalar_drilled(base, faces, n, k, meta):
+        out = scalar_generate.drill_repeat(base, DrillSpec(*faces, n), k) \
+            if k else generators_mod._build(base)
+        defect = 2 * math.pi * mesh_mod.euler_characteristic(out) \
+            / out.n_vertices
+        return out.with_metadata(**{"expected_defect": defect, **meta})
+
     monkeypatch.setattr(surgery_mod, "drill_repeat",
                         scalar_generate.drill_repeat)
+    monkeypatch.setattr(generators_mod, "_drilled", scalar_drilled)
     want = make()
     monkeypatch.undo()
     builds, per_repeat = [], []

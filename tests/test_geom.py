@@ -192,17 +192,16 @@ def z_facing_u(geo):
 def test_z_facing_faces_get_u_along_x(monkeypatch):
     """Every z-facing face of n5g g = 15 (70 of them) gets u = e_x, to
     rounding, in its validated geometry and in the frames each drill step
-    cuts in, those of the faces it pierces and of every face it may
-    locate in: the components of its normal along x and y are rounding
-    noise, which no longer picks u."""
+    cuts in, those of the faces it pierces and of every piece an earlier
+    step cut, in which it may locate: the components of its normal along
+    x and y are rounding noise, which no longer picks u."""
     frames = []
     pierce = surgery_mod._Surgery.pierce
 
     def recorded(self, f1, f2, *args):
-        frames.append(np.concatenate(
-            [[self.frame(f)[2] for f in (f1, f2)]]
-            + [stack.u[:stack.m][stack.live[:stack.m]]
-               for stack in (self.stacks or {}).values()]))
+        frames.append(np.array([self.frame(f)[2] for f in (
+            f1, f2, *(g for cut in self.cuts for _, pieces in cut
+                      for g in pieces))]))
         return pierce(self, f1, f2, *args)
 
     monkeypatch.setattr(surgery_mod._Surgery, "pierce", recorded)

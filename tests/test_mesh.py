@@ -775,3 +775,17 @@ def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
     else:
         with pytest.raises(DegenerateFace, match=f"^{re.escape(want)}$"):
             build_polyhedron(v, p.faces)
+
+
+def test_a_crossed_face_within_the_simplicity_eps_raises():
+    """A pyramid over a bowtie quad whose crossing lies within
+    polygon_is_simple's eps, one end 4e-13 off the other side's line: the
+    quad reads as simple, but its corner angles sum to 4*pi, not 2*pi,
+    and the build names it."""
+    v = np.array([(0, 0, 0), (2, 0, 0), (1, 4e-13, 0), (1, -1, 0),
+                  (0.8, -0.3, 1)], float)
+    faces = [(0, 1, 2, 3), (4, 1, 0), (4, 2, 1), (4, 3, 2), (4, 0, 3)]
+    assert _geom.polygon_is_simple(v[:4, :2])
+    with pytest.raises(DegenerateFace, match=r"^face 0 is crossed: its "
+                       r"corner angles sum to 12\.5664, not 6\.28319$"):
+        build_polyhedron(v, faces)

@@ -16,6 +16,7 @@ from ccpforge.errors import FlatEdge, VertexNotOnFace
 from ccpforge.generators import generate_family
 
 from conftest import random_rigid_motion
+from test_self_intersection_oracle import SMALL_GENERA, family
 
 
 def test_edge_lengths_flat_torus():
@@ -87,6 +88,14 @@ def test_defect_profile_broken_symmetry():
                  float)
     f = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
     assert not defect_profile(build_polyhedron(v, f)).is_constant
+
+
+@pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
+def test_descartes_residual_is_rounding_on_the_catalog(name, genus, params):
+    """The build refuses a face whose corner angles do not sum to
+    (k - 2) * pi, so the defects of every built mesh sum to 2*pi*chi up
+    to rounding: below 1e-9 on the catalog's small genera."""
+    assert descartes_residual(family(name, genus, **params)) < 1e-9
 
 
 def test_descartes_residual():

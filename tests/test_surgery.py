@@ -360,15 +360,15 @@ class TestDrill:
     def test_bad_spec_raises_before_the_offset_loop(self, monkeypatch, k,
                                                     mesh, spec, kind, error):
         """drill_repeat checks the spec once, on its input, with drill's
-        own checks: any k raises drill's error before it tests a face
-        for the planes it locates in or retiles a face (drill_repeat
-        tests with _in_planes, _Surgery.pierce retiles with _retile).  A
-        mesh with doubled segments, validated or raw with its glued
-        cells, has its spec checked as any other mesh."""
+        own checks: any k raises drill's error before it locates an axis
+        point (_Surgery.locate) or retiles a face (_Surgery.pierce retiles
+        with _retile).  A mesh with doubled segments, validated or raw
+        with its glued cells, has its spec checked as any other mesh."""
         p = mesh()
         calls = []
-        for name in ("_in_planes", "_retile"):
-            monkeypatch.setattr(surgery_mod, name,
+        for owner, name in ((surgery_mod._Surgery, "locate"),
+                            (surgery_mod, "_retile")):
+            monkeypatch.setattr(owner, name,
                                 lambda *a, name=name: calls.append(name))
         with pytest.raises(kind, match=error):
             drill_repeat(p, spec, k)
@@ -572,6 +572,20 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     assert drilled.type is bare.type
 
 
+def test_a_drill_that_crosses_its_pieces_raises():
+    """A 4-gonal ring 1.7e-11 across next to a corner of p2-24's face 14
+    retiles it into quads that polygon_is_simple reads as simple; two of
+    them are crossed, their corner angles summing to 4*pi, and the build
+    refuses the first rather than make a genus-3 mesh that verify calls
+    not_ccp."""
+    spec = DrillSpec(14, 15, 4, (0.9997205085739765, 1.0,
+                                 0.9997205085739765),
+                     1.7302884578087102e-11, 0.8016644050918733)
+    with pytest.raises(DegenerateFace, match="^face 18 is crossed: its "
+                       "corner angles sum to 12.5664, not 6.28319$"):
+        drill(gen_p2_24(), spec)
+
+
 def counted_newell(monkeypatch) -> list[list[bytes]]:
     """A list that records, from now on, each Newell pass (mesh._newell):
     per face it fits, the bytes of the face's (k, 3) points."""
@@ -608,16 +622,13 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
 
 
 def fitted_drilling(p, faces, monkeypatch=None):
-    """A _Surgery record of p, tracking the planes of `faces` (a parallel
-    pair), after its one step through them with a 12-gonal prism and the
-    fit of the faces it made, which the next location would make; with
-    monkeypatch, also the Newell passes of the step."""
+    """A _Surgery record of p after its one step through `faces` (a
+    parallel pair) with a 12-gonal prism and the fit of the faces it
+    made, which the next location would make; with monkeypatch, also the
+    Newell passes of the step."""
     spec = DrillSpec(*faces, 12)
     data, geo = surgery_mod._raw(p)
     drilling = surgery_mod._Surgery(data, geo)
-    normal = geo.normal[faces[0]]
-    drilling.track(normal, tuple(float(normal @ geo.centroid[f])
-                                 for f in faces))
     passes = counted_newell(monkeypatch) if monkeypatch else None
     drilling.pierce(*faces, 12, 0.0, _axis(geo, spec), None)
     drilling._fit()
@@ -701,40 +712,75 @@ def test_drilled_build_fits_no_face_twice(monkeypatch):
     assert max(Counter(rows).values()) == 1
 
 
+def located_rows(monkeypatch) -> list[tuple[list[int], int]]:
+    """A list that gains, at each _Surgery.locate from now on, the rows of
+    each winding test it makes (_geom.winds_around) and the pieces of its
+    record's last cut in both planes (the two root faces before any)."""
+    calls, inside = [], []
+    winds, locate = geom_mod.winds_around, surgery_mod._Surgery.locate
+
+    def counted_winds(pt, poly):
+        if inside:
+            calls[-1][0].append(len(poly))
+        return winds(pt, poly)
+
+    def counted_locate(self, points, roots):
+        cut = self.cuts[-1] if self.cuts else [(f, [f]) for f in roots]
+        calls.append(([], sum(len(pieces) for _, pieces in cut)))
+        inside.append(True)
+        try:
+            return locate(self, points, roots)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(geom_mod, "winds_around", counted_winds)
+    monkeypatch.setattr(surgery_mod._Surgery, "locate", counted_locate)
+    return calls
+
+
 def test_a_drill_step_pays_for_what_it_adds(monkeypatch):
-    """orientable g = 30 drills p2-24 28 times in one drill_repeat.  Once
-    p2-24's own 18 faces are tested, each step fits planes (one Newell
-    pass) and tests plane membership (_in_planes) for the faces it makes
-    and no other, 52 at the first step and 42 at each later one; the last
-    step's faces, which no step locates in, are neither.  A boundary
-    distance is measured only for a face whose polygon winds around its
-    point: two per location (the axis check's two faces, then each
-    step's entry and exit faces), where measuring every face in both
-    planes took hundreds per step."""
-    tested, measured = [], []
-    in_planes = surgery_mod._in_planes
-
-    def counted_in_planes(vertices, corners, *args):
-        tested.append(len(corners.size))
-        return in_planes(vertices, corners, *args)
-
-    dist = geom_mod.dist_point_polygon_boundary
+    """orientable g = 30 drills p2-24 28 times in one drill_repeat.  Each
+    step fits planes (one Newell pass) for the faces it makes and no
+    other, 52 at the first step and 42 at each later one; the last
+    step's faces, which no step locates in, are not fitted.  Each
+    location tests winding, in one call, for the two pierced faces at
+    the first step and then for the pieces of the step before in both
+    planes (its faces but its 12 walls).  A boundary distance is measured
+    only for a face whose polygon winds around its point: two per
+    location (the axis check's two faces, then each step's entry and
+    exit faces), where measuring every face in both planes took hundreds
+    per step."""
+    measured = []
+    dist, winds = geom_mod.dist_point_polygon_boundary, geom_mod.winds_around
 
     def counted_dist(pt, poly):
         if pt.ndim == 2:        # a point per face; retiling's holes are 3-D
-            measured.append(geom_mod.winds_around(pt, poly).tolist())
+            measured.append(winds(pt, poly).tolist())
         return dist(pt, poly)
 
-    monkeypatch.setattr(surgery_mod, "_in_planes", counted_in_planes)
     monkeypatch.setattr(geom_mod, "dist_point_polygon_boundary",
                         counted_dist)
+    tested = located_rows(monkeypatch)
     passes = counted_newell(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 30))
     base, *steps, last = map(len, passes)
     assert base == 18 and steps == [52] + [42] * 26 and last == p.n_faces
     assert p.n_faces == 18 + sum(steps) + 42 - 2 * 28
-    assert tested == [18] + steps
+    assert tested == [([2], 2)] + [([n - 12], n - 12) for n in steps]
     assert measured == [[True, True]] * 29
+
+
+@pytest.mark.parametrize("genus", [30, 60])
+def test_a_location_tests_one_cut_of_pieces(monkeypatch, genus):
+    """orientable g = 30 and g = 60 drill p2-24 28 and 58 times: no
+    location tests the winding of more faces than the pieces the step
+    before cut in the two planes, 40 at most, however many steps came
+    before.  Testing every face of both planes grew with each step."""
+    calls = located_rows(monkeypatch)
+    generate_family(FamilyRequest("orientable", genus))
+    assert len(calls) == genus - 2
+    assert all(sum(rows) <= pieces <= 40 for rows, pieces in calls)
+    assert max(sum(rows) for rows, _ in calls) == 40
 
 
 BAD_CELLS = [np.array([[99, 0, 0, 1]]), "x", [[0, 0.5, 1, 0]]]
@@ -866,58 +912,116 @@ def test_drilled_families_name_their_top_and_bottom_faces(
 # point location
 
 
-def locate(p, normal, heights, points):
-    """What a _Surgery record of p, tracking the planes normal . x = height,
-    locates for the two points: per point its face (a place in p, which
-    is its id while nothing is pierced) and clearance."""
-    drilling = surgery_mod._Surgery(*surgery_mod._raw(p))
-    drilling.track(normal, tuple(heights))
-    return drilling.locate(np.asarray(points, float))
+def locate(p, roots, points):
+    """What a fresh _Surgery record of p, which has pierced nothing,
+    locates for the two points with the root faces `roots`: per point its
+    face (an id of p) and clearance."""
+    record = surgery_mod._Surgery(*surgery_mod._raw(p))
+    return record.locate(np.asarray(points, float), tuple(roots))
 
 
-def test_locate_face_matches_a_face_by_face_scan():
-    """One plane for both points, and two planes of one normal, as
-    drill_repeat asks: each point gets the face of the scan that
-    drill_repeat's one-call location replaced.  The planes are those of
-    the pierced faces, which the three drills cut into many pieces."""
-    base = gen_p2_24()
-    p = drill_repeat(base, DrillSpec(0, 1, 12), 3)
+def scan(p, point, height, normal):
+    """The first face of p, in face order, in the plane normal . x =
+    height (every corner within 1e-7 * scale of it) whose polygon winds
+    around the point's projection into its frame, clear of its boundary
+    by more than 1e-9 * scale, and that clearance; (None, 0.0) where no
+    face does: the scan drill_repeat's location replaced."""
     geo = p.geometry
-    rng = np.random.default_rng(8)
-
-    def scan(point, height, normal):
-        for f in range(p.n_faces):
-            if np.abs(p.face_points(f) @ normal - height).max() \
-                    > 1e-7 * geo.scale:
-                continue
-            q = geom_mod.project_2d(point[None, :], geo.centroid[f],
-                                    geo.u[f], geo.v[f])[0]
-            clear = dist_point_polygon_boundary(q, face_polygon(geo, f))
-            if geom_mod.winds_around(q, face_polygon(geo, f)) \
-                    and clear > 1e-9 * geo.scale:
-                return f, clear
-        return None, 0.0
-
-    normal0, points = base.geometry.normal[0], []
-    for face in range(p.n_faces):
-        normal, centroid = geo.normal[face], geo.centroid[face]
-        if abs(abs(normal @ normal0) - 1.0) > 1e-9:
+    for f in range(p.n_faces):
+        if np.abs(p.face_points(f) @ normal - height).max() \
+                > 1e-7 * geo.scale:
             continue
-        height = float(normal @ centroid)
-        for point in [centroid] + list(
-                centroid + rng.normal(size=(4, 3)) * 0.3):
-            assert locate(p, normal, [height] * 2, [point] * 2) == \
-                [scan(point, height, normal)] * 2
-            points.append((point, float(normal0 @ centroid)))
-    # the entry and exit planes of both pierced faces, in both orders
-    heights = {round(h) for _, h in points}
-    assert heights == {-1, 1}
-    located = set()
-    for (a, ha), (b, hb) in zip(points, reversed(points)):
-        want = [scan(a, ha, normal0), scan(b, hb, normal0)]
-        assert locate(p, normal0, [ha, hb], [a, b]) == want
-        located.update(f is None for f, _ in want)
-    assert located == {True, False}
+        q = geom_mod.project_2d(point[None, :], geo.centroid[f], geo.u[f],
+                                geo.v[f])[0]
+        clear = dist_point_polygon_boundary(q, face_polygon(geo, f))
+        if geom_mod.winds_around(q, face_polygon(geo, f)) \
+                and clear > 1e-9 * geo.scale:
+            return f, clear
+    return None, 0.0
+
+
+def scanned(record, points, roots):
+    """What scan gives, per point, in the plane of root face i of the
+    _Surgery record, among the faces of the mesh its parts build, with
+    the face as the record's id."""
+    p = build_polyhedron(*record.parts())
+    out = []
+    for point, root in zip(points, roots):
+        _, normal, _, _ = record.frame(root)
+        f, clear = scan(p, point, float(normal @ record.vertices[
+            record.faces[root][0]]), normal)
+        out.append((None if f is None else record.live[f], clear))
+    return out
+
+
+def test_locate_face_matches_a_face_by_face_scan(monkeypatch):
+    """At each step of drill_repeat(p2-24, DrillSpec(0, 1, 12), 3), and
+    after the last, points at and around the centroid of every face of
+    the two pierced planes, as entry and exit points in either plane, get
+    from _Surgery.locate the face and clearance bits of the face-by-face
+    scan of the mesh the record's parts build: a piece of the last cut,
+    of an earlier one or none."""
+    spec = DrillSpec(0, 1, 12)
+    rng = np.random.default_rng(8)
+    normal0 = gen_p2_24().geometry.normal[0]
+    pierce, located = surgery_mod._Surgery.pierce, []
+
+    def check(record):
+        p = build_polyhedron(*record.parts())
+        geo, points = p.geometry, []
+        for face in range(p.n_faces):
+            if abs(abs(geo.normal[face] @ normal0) - 1.0) < 1e-9:
+                points += [geo.centroid[face]] + list(
+                    geo.centroid[face] + rng.normal(size=(2, 3)) * 0.3)
+        for pair in zip(points, reversed(points)):
+            roots = (spec.face1, spec.face2)
+            want = scanned(record, pair, roots)
+            assert record.locate(np.array(pair), roots) == want
+            located.extend(f for f, _ in want)
+
+    def checked(self, *args):
+        if not self.cuts:
+            check(self)
+        pierce(self, *args)
+        check(self)
+
+    monkeypatch.setattr(surgery_mod._Surgery, "pierce", checked)
+    drill_repeat(gen_p2_24(), spec, 3)
+    # roots, pieces of each of the three cuts, and none
+    assert None in located and {0, 1} <= set(located)
+    assert len(set(located)) > 40
+
+
+def test_locate_walks_back_through_earlier_cuts():
+    """A _Surgery record of p2-24 pierces faces 0 and 1, and then a piece
+    of each: a point in another piece of the first cut, which none of the
+    second cut's pieces holds, is located in that piece, as the
+    face-by-face scan locates it."""
+    p = gen_p2_24()
+    spec = DrillSpec(0, 1, 12)
+    record = surgery_mod._Surgery(*surgery_mod._raw(p))
+    record.pierce(0, 1, 12, 0.0, _axis(p.geometry, spec), None)
+    fresh = build_polyhedron(*record.parts()).geometry
+    (_, top), (_, bottom) = record.cuts[0]
+
+    def axis_through(piece):
+        """A point at the piece's centroid and its drop onto face 1's
+        plane."""
+        point = fresh.centroid[record.live.index(piece)]
+        c1, n1 = p.geometry.centroid[1], p.geometry.normal[1]
+        return np.array([point, point - float((point - c1) @ n1) * n1])
+
+    entry, other = axis_through(top[0]), axis_through(top[len(top) // 2])
+    (a, clr_a), (b, clr_b) = record.locate(entry, (0, 1))
+    assert a == top[0] and b in bottom
+    c2, n2, _, _ = record.frame(b)
+    record.pierce(a, b, 12, 0.0, (entry[0], float((entry[0] - c2) @ n2),
+                                  clr_a, clr_b), 0.25 * min(clr_a, clr_b))
+    (_, last_top), (_, last_bottom) = record.cuts[-1]
+    got = record.locate(other, (0, 1))
+    assert got == scanned(record, other, (0, 1))
+    assert got[0][0] == top[len(top) // 2] and got[1][0] in bottom
+    assert got[0][0] not in last_top and got[1][0] not in last_bottom
 
 
 def test_inside_clearance_is_the_face_by_face_loop():
@@ -955,9 +1059,9 @@ def test_inside_clearance_is_the_face_by_face_loop():
 
 
 def test_axis_and_locate_face_return_the_query_bits():
-    """_axis's entry and exit clearances and each face a _Surgery locates
-    come with the bits MeshGeometry.inside_clearance gives for that face
-    and point."""
+    """_axis's entry and exit clearances, and the spec's own faces that a
+    fresh _Surgery of the mesh locates for the axis, come with the bits
+    MeshGeometry.inside_clearance gives for that face and point."""
     p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 2)
     geo = p.geometry
     normal = gen_p2_24().geometry.normal[0]
@@ -975,8 +1079,7 @@ def test_axis_and_locate_face_return_the_query_bits():
             [point, point - depth * geo.normal[f2]]))
         assert np.array_equal([d1, d2], want)
         exit_pt = point - depth * geo.normal[f2]
-        heights = [float(normal @ point), float(normal @ exit_pt)]
-        located = locate(p, normal, heights, [point, exit_pt])
+        located = locate(p, (f1, f2), [point, exit_pt])
         assert [f for f, _ in located] == [f1, f2]
         assert np.array_equal([c for _, c in located], want)
         tried += 1
