@@ -14,8 +14,7 @@ from . import surgery
 from .errors import (BadParameters, BracketFailure, DomainError,
                      GenusOutOfRange)
 from .mesh import (Combinatorics, MeshData, MeshMetadata, Polyhedron,
-                   _finite, _integer, _real, _record, build_polyhedron,
-                   euler_characteristic)
+                   _finite, _integer, _real, _record, build_polyhedron)
 
 TAU = 2.0 * math.pi
 
@@ -74,17 +73,19 @@ def _data(vertices, faces, *, family, genus, orientable, defect,
     return MeshData(np.asarray(vertices, float), faces, meta)
 
 
-def _build(data: MeshData) -> Polyhedron:
-    """Validate a construction's parts; glued parts, which carry their
-    edge cells, through build_glued."""
-    if data.cells is not None:
-        return surgery.build_glued(data)
-    return build_polyhedron(data.vertices, data.faces, data.metadata)
+def _constant(base: MeshData, steps: list, **meta) -> Polyhedron:
+    """The recipe's mesh (surgery.construct) with the metadata fields
+    `meta` names and the expected defect 2*pi*chi/V, its V and chi read
+    off the recipe (surgery.counts)."""
+    v, chi = surgery.counts(base, steps)
+    return surgery.construct(base, steps, **meta,
+                             expected_defect=TAU * chi / v)
 
 
-def _relabel(data: MeshData, **kw) -> MeshData:
-    """data with the metadata fields kw names replaced."""
-    return data._replace(metadata=replace(data.metadata, **kw))
+def _drills(f1: int, f2: int, n: int, k: int) -> list[surgery.Drill]:
+    """The steps of k drills of order n between faces f1 and f2, a base's
+    highest and lowest ones normal to the z-axis: none for k = 0."""
+    return [surgery.Drill(surgery.DrillSpec(f1, f2, n), k)] if k else []
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,8 @@ def gen_tetrahedron() -> Polyhedron:
     v = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     f = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
     labels = {f"v{i+1}": i for i in range(4)}
-    return _build(_data(v, f, family="tetrahedron", genus=0,
-                        orientable=True, defect=math.pi, labels=labels))
+    return build_polyhedron(*_data(v, f, labels=labels, family="tetrahedron",
+                                   genus=0, orientable=True, defect=math.pi))
 
 
 def gen_flat_torus9() -> Polyhedron:
@@ -125,8 +126,9 @@ def gen_flat_torus9() -> Polyhedron:
         # wrap band rows 3-1
         faces.append((vid(3, k), vid(3, k1), vid(1, k)))
         faces.append((vid(3, k1), vid(1, k1), vid(1, k)))
-    return _build(_data(verts, faces, family="flat-torus-9", genus=1,
-                        orientable=True, defect=0.0, labels=labels))
+    return build_polyhedron(*_data(verts, faces, family="flat-torus-9",
+                                   genus=1, orientable=True, defect=0.0,
+                                   labels=labels))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,7 @@ def gen_p2_24(b: float = 0.25, c: float = 1.0 / 32.0) -> Polyhedron:
     verification, so a pair also needs b >= 1e-5, c >= 1e-6 and
     (b - c)*(1 - 4*sqrt(3)*c) >= 1e-10, else BadParameters.
     """
-    return _build(_p2_24(b, c))
+    return build_polyhedron(*_p2_24(b, c))
 
 
 def _p2_combinatorics():
@@ -245,7 +247,7 @@ def gen_r_block(r: float, h: float) -> Polyhedron:
     isosceles trapezoids passing through the interior.  r = 1, h = sqrt(2)
     reproduces the uniform tetrahemihexahedron.
     """
-    return _build(_r_block(r, h))
+    return build_polyhedron(*_r_block(r, h))
 
 
 # R(r, h)'s faces: the bottom, the trapezoids through the interior, then
@@ -273,9 +275,9 @@ def _r_block(r: float, h: float) -> MeshData:
 
 def gen_tetrahemihexahedron() -> Polyhedron:
     """Uniform tetrahemihexahedron: |V|=6, |E|=12, |F|=7, defect pi/3."""
-    return _build(_relabel(_r_block(1.0, math.sqrt(2.0)), family="thh",
-                           genus=1, orientable=False,
-                           expected_defect=math.pi / 3))
+    return surgery.construct(_r_block(1.0, math.sqrt(2.0)), [],
+                             family="thh", genus=1, orientable=False,
+                             expected_defect=math.pi / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ _SDHD_FACES = (
 def gen_cubohemioctahedron() -> Polyhedron:
     """Cuboctahedron vertices; 6 squares plus 4 hexagons through the centre.
     Non-orientable genus 4, defect -pi/3 at all 12 vertices."""
-    return _build(_cubohemioctahedron())
+    return build_polyhedron(*_cubohemioctahedron())
 
 
 def _cubohemioctahedron() -> MeshData:
@@ -343,7 +345,7 @@ def gen_rhombihexahedron() -> Polyhedron:
     """Small rhombihexahedron on the rhombicuboctahedron's 24 vertices:
     12 edge squares + 6 off-centre octagons.  Non-orientable genus 8,
     defect -pi/2."""
-    return _build(_rhombihexahedron())
+    return build_polyhedron(*_rhombihexahedron())
 
 
 def _rhombihexahedron() -> MeshData:
@@ -366,6 +368,11 @@ def gen_small_dodecahemidodecahedron() -> Polyhedron:
     """Small dodecahemidodecahedron on the icosidodecahedron's 30 vertices
     (icosahedron edge midpoints): 12 pentagons + 6 equatorial decagons.
     Non-orientable genus 14, defect -4*pi/5."""
+    return build_polyhedron(*_small_dodecahemidodecahedron())
+
+
+def _small_dodecahemidodecahedron() -> MeshData:
+    """The parts of gen_small_dodecahemidodecahedron()."""
     phi = (1 + math.sqrt(5.0)) / 2
     ico = []
     for s1 in (1, -1):
@@ -379,8 +386,8 @@ def gen_small_dodecahemidodecahedron() -> Polyhedron:
              if abs(sum((a - b) ** 2 for a, b in zip(ico[i], ico[j])) - 4.0)
              < 1e-9]
     verts = np.array([(ico[i] + ico[j]) / 2 for i, j in edges])
-    return _build(_data(verts, _SDHD_FACES, family="sdhd", genus=14,
-                        orientable=False, defect=-4 * math.pi / 5))
+    return _data(verts, _SDHD_FACES, family="sdhd", genus=14,
+                 orientable=False, defect=-4 * math.pi / 5)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +399,7 @@ def gen_s_base() -> Polyhedron:
     top, three equilateral gluing triangles and three isosceles trapezoids.
     The gluing triangles have side sqrt(3); the trapezoid base angle at the
     hexagon is 5*pi/9."""
-    return _build(_s_base())
+    return build_polyhedron(*_s_base())
 
 
 def _s_base() -> MeshData:
@@ -421,48 +428,31 @@ def gen_q2_9() -> Polyhedron:
     """Flat Klein bottle on 9 vertices: two copies of R(1/2, h) glued along
     their base triangles; every defect is zero."""
     block = _r_block(0.5, 0.5 * math.sqrt(3 * (1 + math.sqrt(3))))
-    out = surgery.glue(block, [(
-        block, surgery.FaceCorrespondence(0, 0, mapping=(0, 2, 1)))])
-    return _build(_relabel(out, family="q2-9", genus=2, orientable=False,
-                           expected_defect=0.0))
+    return surgery.construct(block, [(
+        block, surgery.FaceCorrespondence(0, 0, mapping=(0, 2, 1)))],
+        family="q2-9", genus=2, orientable=False, expected_defect=0.0)
 
 
 def gen_q3_18() -> Polyhedron:
     """Non-orientable genus 3 on 18 vertices: the S drum with an R(r, h)
     block glued onto each of its three lateral triangles; defect -pi/9."""
-    return _build(_q3_18())
+    return surgery.construct(*_q3_18(), family="q3-18", genus=3,
+                             orientable=False, expected_defect=-math.pi / 9)
 
 
-def _q3_18() -> MeshData:
-    """The glued parts of gen_q3_18(), for drilling."""
+def _q3_18(k: int = 0) -> tuple[MeshData, list]:
+    """The recipe of gen_q3_18() drilled k times with 18-gonal prisms: the
+    S drum, its three glue steps and the drills (_drills)."""
     sp9 = math.sin(math.pi / 9)
     r = 2 * sp9 / (1 + 2 * sp9)
     h = math.sqrt(-4 * sp9 * sp9 - 2 * sp9 + 2) / (1 + 2 * sp9)
     block = _r_block(r, h)
-    out = surgery.glue(_s_base(), [(block, surgery.FaceCorrespondence(
-        2, 0, mapping=(0, 2, 1)))] * 3)
-    return _relabel(out, family="q3-18", genus=3, orientable=False,
-                    expected_defect=-math.pi / 9)
+    return _s_base(), [(block, surgery.FaceCorrespondence(
+        2, 0, mapping=(0, 2, 1)))] * 3 + _drills(1, 0, 18, k)
 
 
 # ---------------------------------------------------------------------------
 # drilled families
-
-
-def _drilled(base: MeshData, faces: tuple[int, int], n: int, k: int,
-             meta: dict) -> Polyhedron:
-    """The raw base built, or drilled k times with n-gonal prisms between
-    two of its faces, its highest and lowest ones normal to the z-axis,
-    once, with the metadata fields `meta` names.  The expected defect is
-    2*pi*chi/V where meta names none: each drill adds 2n vertices and
-    lowers chi by 2."""
-    v = len(base.vertices)
-    chi = v - sum(map(len, base.faces)) // 2 + len(base.faces) - 2 * k
-    meta = {"expected_defect": TAU * chi / (v + 2 * n * k), **meta}
-    if k == 0:
-        return _build(_relabel(base, **meta))
-    record = surgery._drill_chain(base, surgery.DrillSpec(*faces, n), k)
-    return build_polyhedron(*record.parts(**meta))
 
 
 def gen_orientable(g: int) -> Polyhedron:
@@ -476,9 +466,9 @@ def gen_orientable(g: int) -> Polyhedron:
         return gen_flat_torus9().with_metadata(family="orientable")
     if g == 2:
         return gen_p2_24().with_metadata(family="orientable")
-    return _drilled(_p2_24(), (0, 1), 12, g - 2, dict(
-        family="orientable", genus=g, orientable=True,
-        expected_defect=-math.pi / 6))
+    return surgery.construct(_p2_24(), _drills(0, 1, 12, g - 2),
+                             family="orientable", genus=g, orientable=True,
+                             expected_defect=-math.pi / 6)
 
 
 def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
@@ -495,7 +485,6 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
         return gen_tetrahemihexahedron().with_metadata(family="nonorientable")
     if g == 2:
         return gen_q2_9().with_metadata(family="nonorientable")
-    meta = dict(family="nonorientable", genus=g, orientable=False)
     # the fewest-vertex route differs from the chained one only for odd g
     # and for even g >= 8
     if prefer_fewest and g % 2 == 1:
@@ -503,20 +492,17 @@ def gen_nonorientable(g: int, prefer_fewest: bool = False) -> Polyhedron:
             raise GenusOutOfRange(
                 f"nonorientable with prefer_fewest covers odd genus up to "
                 f"{n5g[-1]} (its n5g range), not {g}")
-        if g > 11:
-            return _drilled(*_n5g_drills(g), meta)
-        out = gen_n5g_odd(g)
+        base, steps = _n5g_odd(g)
     elif prefer_fewest and g == 14:
-        out = gen_small_dodecahemidodecahedron()
+        base, steps = _small_dodecahemidodecahedron(), []
     elif prefer_fewest and g >= 8:
-        return _drilled(_rhombihexahedron(), (4, 5), 4, (g - 8) // 2, meta)
+        base, steps = _rhombihexahedron(), _drills(4, 5, 4, (g - 8) // 2)
     elif g % 2 == 1:
-        return _drilled(_q3_18(), (1, 0), 18, (g - 3) // 2, meta)
+        base, steps = _q3_18((g - 3) // 2)
     else:
-        return _drilled(_cubohemioctahedron(), (4, 5), 6, (g - 4) // 2, meta)
-    return out.with_metadata(
-        **meta, expected_defect=TAU * euler_characteristic(out)
-        / out.n_vertices)
+        base, steps = _cubohemioctahedron(), _drills(4, 5, 6, (g - 4) // 2)
+    return _constant(base, steps, family="nonorientable", genus=g,
+                     orientable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +544,8 @@ def gen_v8g(g: int) -> Polyhedron:
         faces.append((v(2, k), v(8, k), v(6, k), v(5, k)))
         faces.append((v(1, k), v(2, k), v(8, k), v(7, k)))
         faces.append((v(7, k), v(8, k), v(2, k + 1), v(1, k + 1)))
-    return _build(_data(verts, faces, family="v8g", genus=g,
-                        orientable=True, defect=-2 * a))
+    return build_polyhedron(*_data(verts, faces, family="v8g", genus=g,
+                                   orientable=True, defect=-2 * a))
 
 
 def gen_v6g(g: int) -> Polyhedron:
@@ -579,8 +565,8 @@ def gen_v6g(g: int) -> Polyhedron:
         faces.append((v(1, k), v(1, k + 1), v(6, k), v(5, k)))
         faces.append((v(2, k), v(2, k + 1), v(6, k), v(5, k)))
         faces.append((v(1, k), v(2, k), v(2, k + 1), v(1, k + 1)))
-    return _build(_data(verts, faces, family="v6g", genus=g,
-                        orientable=True, defect=-2 * a))
+    return build_polyhedron(*_data(verts, faces, family="v6g", genus=g,
+                                   orientable=True, defect=-2 * a))
 
 
 def _v7gm7_printed_params(g: int):
@@ -619,8 +605,8 @@ def _v7gm7_mesh(g: int, w: float, x0: float, y0: float) -> Polyhedron:
         faces.append((v(2, k), v(5, k), v(6, k), v(2, k + 1)))
         faces.append((v(3, k), v(7, k), v(7, k + 1), v(3, k + 1)))   # ringT
         faces.append((v(4, k), v(7, k), v(7, k + 1), v(4, k + 1)))   # ringB
-    return _build(_data(verts, faces, family="v7gm7", genus=g,
-                        orientable=True, defect=-4 * math.pi / 7))
+    return build_polyhedron(*_data(verts, faces, family="v7gm7", genus=g,
+                                   orientable=True, defect=-4 * math.pi / 7))
 
 
 def gen_v7gm7(g: int) -> Polyhedron:
@@ -661,22 +647,20 @@ def gen_n5g_odd(g: int) -> Polyhedron:
     (4-2g)*pi/(5g): a g-gonal antiprism drum whose downward lateral
     triangles (all equilateral, side sqrt(3)) each carry an R(r, 1)
     handle.  Genus 13 and beyond comes from 7-gonal drilling of the
-    genus-7 member."""
+    genus-7 member.  The defect is its recipe's 2*pi*chi/V, which up to
+    genus 11 is (4-2g)*pi/(5g) to the bit: both products with pi are
+    2*pi*(g-2) up to sign, and a product by 2 is exact."""
     g = _genus_in("n5g", g)
-    if g <= 11:
-        return _build(_n5g_odd(g))
-    return _drilled(*_n5g_drills(g), dict(family="n5g", genus=g,
-                                          orientable=False))
+    return _constant(*_n5g_odd(g), family="n5g", genus=g, orientable=False)
 
 
-def _n5g_drills(g: int) -> tuple[MeshData, tuple[int, int], int, int]:
-    """The base, faces, prism order and drill count of gen_n5g_odd(g) for
-    g >= 13: the genus-7 member drilled (g - 7)/2 times."""
-    return _n5g_odd(7), (0, 1), 7, (g - 7) // 2
-
-
-def _n5g_odd(g: int) -> MeshData:
-    """The glued parts of gen_n5g_odd(g) for g up to 11, for drilling."""
+def _n5g_odd(g: int) -> tuple[MeshData, list]:
+    """The recipe of gen_n5g_odd(g): the drum and its g glue steps up to
+    genus 11, and beyond it the genus-7 member's, drilled (g - 7)/2
+    times."""
+    if g > 11:
+        base, steps = _n5g_odd(7)
+        return base, steps + _drills(0, 1, 7, (g - 7) // 2)
     a, h2, r = _n5g_params(g)
     t = math.tan(5 * a / 4)
     s = math.sqrt(9 / 4 - h2 * h2)
@@ -693,10 +677,8 @@ def _n5g_odd(g: int) -> MeshData:
         faces.append((v(1, k), v(2, k + 1), v(1, k + 1)))
     drum = MeshData(np.array(verts), faces, MeshMetadata(family="n5g-drum"))
     block = _r_block(r, 1.0)
-    out = surgery.glue(drum, [(block, surgery.FaceCorrespondence(
-        2, 0, mapping=(0, 2, 1)))] * g)
-    return _relabel(out, family="n5g", genus=g, orientable=False,
-                    expected_defect=-a)
+    return drum, [(block, surgery.FaceCorrespondence(
+        2, 0, mapping=(0, 2, 1)))] * g
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +831,7 @@ def gen_t_block(l: float, d: float) -> Polyhedron:
     Face order: rect over (v1,v2) [l x 1], rect over (v1,v3) [l x 1],
     rect over (v2,v3) [d x 1], then the six triangles.
     """
-    return _build(_t_block(l, d))
+    return build_polyhedron(*_t_block(l, d))
 
 
 # T(l, d)'s faces: rect over (v1,v2) [l x 1], the chain's receiver; rect
@@ -944,15 +926,15 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
     params = solve_block_params(g, l1)
     defect = -(2 * g - 2) * math.pi / (g + 2)
     if g == 1:
-        out = _t_block(*params.terminal)
+        base, steps = _t_block(*params.terminal), []
     elif g % 2 == 0:
         # both halves are one chain; it is glued to a moved copy of itself
         mesh, gf, gc = _chain_half(list(params.pairs))
         # middle seam: the vertex continuing on one side meets the vertex
         # that stops on the other, so exactly one earlier block joins in
         mapping = (gc[1], gc[0], gc[3], gc[2])
-        out = surgery.glue(mesh, [(
-            mesh, surgery.FaceCorrespondence(gf, gf, mapping=mapping))])
+        base, steps = mesh, [(
+            mesh, surgery.FaceCorrespondence(gf, gf, mapping=mapping))]
     else:
         m = len(params.pairs)
         half, gf, _ = _chain_half(list(params.pairs))
@@ -965,12 +947,12 @@ def gen_minimal(g: int, l1: float = 2.0) -> Polyhedron:
             mapping2 = (h2[2], h2[3], h2[0], h2[1])
         else:
             mapping2 = (h2[3], h2[2], h2[1], h2[0])
-        out = surgery.glue(half, [
+        base, steps = half, [
             (_t_block(*params.terminal),
              surgery.FaceCorrespondence(gf, 0, mapping=mapping)),
-            (half, surgery.FaceCorrespondence(rb_face, gf, mapping=mapping2))])
-    return _build(_relabel(out, family="minimal", genus=g, orientable=True,
-                           expected_defect=defect))
+            (half, surgery.FaceCorrespondence(rb_face, gf, mapping=mapping2))]
+    return surgery.construct(base, steps, family="minimal", genus=g,
+                             orientable=True, expected_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +993,10 @@ class FamilyInfo:
 
 
 # Each range ends at the last genus a run generated (see CHANGES.md).
-# Odd nonorientable raises DegenerateFace from g = 2,627; orientable, v8g
-# and v6g stop where the next doubling took over 5 minutes; from minimal
+# Odd nonorientable raises DegenerateFace from g = 2,627; orientable stops
+# where the next doubling took over 5 minutes; v8g and v6g below the first
+# genus, 1,393 and 2,310, whose cap's corner angles sum off (k - 2) * pi
+# by more than DEFECT_TOL, by rounding over its k corners; from minimal
 # g = 46 the first face's area falls below the length tolerance, as the
 # T(l, d) widths outgrow the unit block height.
 CATALOG: tuple[FamilyInfo, ...] = (
@@ -1038,9 +1022,9 @@ CATALOG: tuple[FamilyInfo, ...] = (
     FamilyInfo("nonorientable", "chained or fewest-vertex dispatch",
                range(1, 2501), f"5g / 7g-14 odd (<={N5G_MAX_GENUS}), 4g-8 "
                "even (fewest)", "no", gen_nonorientable, fewest=True),
-    FamilyInfo("v8g", "windowed 2g-gonal prism", range(2, 12001), "8g",
+    FamilyInfo("v8g", "windowed 2g-gonal prism", range(2, 1393), "8g",
                "yes", gen_v8g),
-    FamilyInfo("v6g", "windowed g-gonal prism", range(5, 16001), "6g",
+    FamilyInfo("v6g", "windowed g-gonal prism", range(5, 2310), "6g",
                "yes", gen_v6g),
     FamilyInfo("v7gm7", "windowed prism with a central ring tunnel",
                range(4, 7), "7g-7", "yes", gen_v7gm7),

@@ -21,7 +21,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +53,20 @@ class TopologyClass:
     euler_characteristic: int
 
 
+class _Labels(dict):
+    """A read-only dict, MeshMetadata's vertex labels: every change in
+    place raises TypeError, and it pickles, copies and deep-copies as a
+    new one of the same items."""
+    def _refuse(self, *args, **kw):
+        raise TypeError("metadata vertex labels are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class MeshMetadata:
     family: str | None = None
@@ -73,7 +86,7 @@ class MeshMetadata:
         orientable a bool and an expected defect a finite real number
         (numpy's pass, a bool is no number); provenance a list or tuple of
         str, kept a tuple; vertex_labels a dict of str to vertex id (see
-        _vertex_id), kept a read-only mapping; and seam_edges a set of
+        _vertex_id), kept a read-only dict (_Labels); and seam_edges a set of
         tuples of two distinct vertex ids, kept a frozenset, lower id
         first.  Else BadParameters; _check_metadata fits labels and seams
         to a mesh.  A record is never changed, so meshes share it, and a
@@ -88,7 +101,7 @@ class MeshMetadata:
                 f"metadata family {f!r}, genus {g!r}, orientable {o!r} or "
                 f"expected defect {d!r} is of another kind")
         for name, kinds in (("provenance", (list, tuple)),
-                            ("vertex_labels", (dict, MappingProxyType)),
+                            ("vertex_labels", (dict,)),
                             ("seam_edges", (set, frozenset))):
             if not isinstance(getattr(self, name), kinds):
                 raise BadParameters(f"metadata {name} is not a " + " or a "
@@ -110,16 +123,9 @@ class MeshMetadata:
             orientable=None if o is None else bool(o),
             expected_defect=None if d is None else float(d),
             provenance=tuple(self.provenance),
-            vertex_labels=MappingProxyType(
+            vertex_labels=_Labels(
                 {k: int(v) for k, v in self.vertex_labels.items()}),
             seam_edges=seams)
-
-    def __reduce__(self):
-        """Pickled and copied by its fields, the labels as a dict: a
-        read-only mapping does not pickle."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["vertex_labels"] = dict(self.vertex_labels)
-        return type(self), tuple(values.values())
 
     # nothing in the library reads it; perfbench/workloads.py calls it
     def surgery_count(self) -> int:
@@ -512,13 +518,37 @@ def _newell(vertices: np.ndarray, corners: _Corners
     return tuple(map(_readonly, (c, n, resid, u, v, uv, 0.5 * twice)))
 
 
+def _clearance(pts: np.ndarray, faces: np.ndarray, corners: _Corners,
+               planes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Per (n, 3) point, how far its projection into the (u, v) frame of
+    the face of `faces` (n,) at its place lies inside that face's
+    polygon: the distance to its boundary where the polygon winds around
+    it, else 0.  The faces are laid out in `corners`, with their planes
+    in _PLANES order.  The faces of one length are projected and wound in
+    one stack, in which a point gets the bits it gets alone, and a
+    boundary distance is measured only where a polygon winds around its
+    point (MeshGeometry.inside_clearance, surgery's location)."""
+    centroid, _, _, u, v, uv, _ = planes
+    out = np.zeros(len(faces))
+    sizes = corners.size.take(faces)
+    for k in np.bincount(sizes).nonzero()[0]:
+        rows = (sizes == k).nonzero()[0]
+        f = faces[rows]
+        q = _geom.project_2d(pts[rows][:, None], centroid[f], u[f], v[f])[:, 0]
+        poly = uv[corners.start[f][:, None] + np.arange(k)]
+        hit = _geom.winds_around(q, poly)
+        out[rows[hit]] = _geom.dist_point_polygon_boundary(q[hit], poly[hit])
+    return out
+
+
 class MeshGeometry:
     """Every geometric quantity of one mesh, each computed once.
 
-    Faces are flattened into corners: face f owns the face_size[f] corners
-    from face_start[f] onwards, in cycle order; corner c sits at vertex
-    corner_vertex[c] and next_corner / prev_corner step along its face's
-    cycle.  Array-valued parts are read-only.
+    Faces are flattened into corners (`corners`, the record's layout):
+    face f owns the face_size[f] corners from face_start[f] onwards, in
+    cycle order; corner c sits at vertex corner_vertex[c] and
+    next_corner / prev_corner step along its face's cycle.  Array-valued
+    parts are read-only.
 
     The geometry reads the corner layout, edge cells (`cells`, (E, 4)
     rows (f1, s1, f2, s2), as in edge_slots) and derived parts of a
@@ -530,39 +560,29 @@ class MeshGeometry:
     (_newell): per face its centroid, unit normal, residual (largest
     vertex distance to the plane), in-plane basis u, v (u x v = normal)
     and area, and per corner uv, its coordinates in its face's (u, v)
-    frame; face f's polygon is the slice of uv its corners hold.
+    frame; face f's polygon is the slice of uv its corners hold.  `planes`
+    holds the seven arrays in _PLANES order.
     Validation, metrics and surgery all read these planes.
     """
 
     def __init__(self, vertices: np.ndarray, record: Combinatorics):
         self.vertices = vertices
-        self.combinatorics, corners = record, record.corners
+        self.combinatorics, self.corners = record, record.corners
         self.prev_corner, self.cells = record.prev_corner, record.cells
-        self.face_size = corners.size
-        self.face_start = corners.start
-        self.corner_face = corners.face
-        self.corner_vertex = corners.vertex
-        self.next_corner = corners.next
-        self.__dict__.update(zip(_PLANES, _newell(vertices, corners)))
+        self.face_size = self.corners.size
+        self.face_start = self.corners.start
+        self.corner_face = self.corners.face
+        self.corner_vertex = self.corners.vertex
+        self.next_corner = self.corners.next
+        self.planes = _newell(vertices, self.corners)
+        self.__dict__.update(zip(_PLANES, self.planes))
 
     def inside_clearance(self, faces: np.ndarray, points: np.ndarray
                          ) -> np.ndarray:
         """Per (n, 3) point, _geom.inside_clearance of its projection into
         the (u, v) frame of the face of `faces` (n,) at its place: 0 outside
-        the face.  The faces of one length are measured in one stack, in
-        which a point gets the bits it gets alone."""
-        out = np.zeros(len(faces))
-        sizes = self.face_size[faces]
-        for k in np.bincount(sizes).nonzero()[0]:
-            rows = (sizes == k).nonzero()[0]
-            f = faces[rows]
-            q = _geom.project_2d(
-                points.take(rows, axis=0)[:, None],
-                *(a.take(f, axis=0) for a in (self.centroid, self.u, self.v))
-            )[:, 0]
-            out[rows] = _geom.inside_clearance(q, self.uv.take(
-                self.face_start[f][:, None] + np.arange(k), axis=0))
-        return out
+        the face (_clearance)."""
+        return _clearance(points, faces, self.corners, self.planes)
 
     @cached_property
     def scale(self) -> float:
@@ -843,9 +863,10 @@ def build_polyhedron(vertices, faces,
     face planarity/simplicity/area, that each face's corner angles sum to
     (k - 2) * pi within DEFECT_TOL, distinct edge endpoints, no flat (pi)
     dihedral angles, and connectivity of the face-adjacency graph.  Every
-    check runs on every face, edge and vertex: surgery assembles raw data
-    with its edge cells (surgery.glue, drill and drill_repeat, which write
-    one record) and validates only the finished mesh.
+    check runs on every face, edge and vertex: surgery assembles a
+    recipe's raw data with its edge cells (surgery.assemble, whose glue
+    steps and drill chains write _Surgery records) and validates only the
+    finished mesh (surgery.construct).
 
     The entry checks (_checked_parts), which surgery shares, check the
     metadata and vertices, derive the mesh's Combinatorics record from

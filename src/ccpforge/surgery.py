@@ -1,5 +1,7 @@
-"""Topology-changing operations: connected sum along congruent faces, and
-drilling a regular prism tunnel between two parallel faces."""
+"""Topology-changing operations: connected sum along congruent faces,
+drilling a regular prism tunnel between two parallel faces, and the
+recipes that chain them: a base and its steps, assembled and built once
+(assemble, construct, counts)."""
 
 from __future__ import annotations
 
@@ -16,11 +18,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (_PLANES, LENGTH_TOL, Combinatorics, MeshData,
-                   MeshGeometry, Polyhedron, _checked_parts, _corner_layout,
-                   _derived_cells, _finite, _index, _integer,
-                   _mesh, _newell, _record, build_polyhedron,
-                   euler_characteristic)
+from .mesh import (LENGTH_TOL, Combinatorics, MeshData, MeshGeometry,
+                   Polyhedron, _checked_parts, _clearance, _corner_layout,
+                   _derived_cells, _finite, _index, _integer, _mesh, _newell,
+                   _record, build_polyhedron, euler_characteristic)
 
 TAU = 2.0 * math.pi
 
@@ -186,68 +187,30 @@ def glue(first: Polyhedron | MeshData,
          ) -> MeshData:
     """The parts of a chain of connected sums, not yet validated: at each
     step, remove the two corresponding faces, rigidly move the piece so
-    the cycles coincide, and identify them vertex by vertex.
+    the cycles coincide, and identify them vertex by vertex (assemble of
+    glue steps alone).
 
     Each step's corr.face1 is a face of the mesh glued so far and
     corr.face2 one of its piece; the result is that of gluing the steps
     one at a time, each onto the result of the one before.  Any mesh may
-    be a validated mesh or raw MeshData, such as an earlier glue's result,
-    so a chain of sums is validated once, by build_glued at its end.  The
-    glue checks only that a step's correspondence is a FaceCorrespondence
-    (BadParameters), that its two face ids are faces of their meshes
-    (IndexOutOfRange) and that the two faces are congruent (NotIsometric
-    beyond the rigid-fit residual), and it checks raw data as
-    build_polyhedron does on entry (_checked_parts); the faces never
-    reach a result.
-    Each step lowers chi by 2.  The edge-cell pairing is carried through
-    explicitly, so segments of two pieces that come to share both
-    endpoints remain distinct 1-cells.
-
-    The steps write one _Surgery record.  The first mesh and each
-    distinct piece are checked once in a call (_checked), and a piece's
-    side of a seam (_piece_side) is worked out with the mapping it
-    resolves once per record, face2 and mapping, so a chain of one block
-    does each once.  Raw data's explicit cells are read in the record's
-    order, which the build sorts them into.
+    be a validated mesh or raw MeshData, such as an earlier glue's result.
+    The glue checks only that a step's correspondence is a
+    FaceCorrespondence (BadParameters), that its two face ids are faces
+    of their meshes (IndexOutOfRange) and that the two faces are
+    congruent (NotIsometric beyond the rigid-fit residual), and it checks
+    raw data as build_polyhedron does on entry (_checked_parts); the
+    faces never reach a result.  Each step lowers chi by 2.  The
+    edge-cell pairing is carried through explicitly, so segments of two
+    pieces that come to share both endpoints remain distinct 1-cells.
     """
-    # per distinct mesh, by id, the mesh and its checked parts; per
-    # record, by id, the record and its sides by face2 and mapping, as
-    # given or else as resolved; an entry holds what its key names, so
-    # that no id in a key is reused
-    checked: dict[int, tuple[object, MeshData]] = {}
-    sides: dict[int, tuple[Combinatorics, dict]] = {}
-
-    def piece_of(p) -> tuple[MeshData, dict]:
-        """p's checked parts and its record's sides."""
-        if id(p) not in checked:
-            checked[id(p)] = p, _checked(p)
-        b = checked[id(p)][1]
-        return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
-
-    a, _ = piece_of(first)
-    if not steps:
-        return a
-    record = _Surgery(a)
-    for piece, corr in steps:
-        record.glue(*piece_of(piece), corr)
-    return record.parts(orientable=None)
-
-
-def build_glued(data: MeshData) -> Polyhedron:
-    """Validate glued parts in full (build_polyhedron with their edge
-    cells); a flat edge, which a seam can make, raises FlatSeam."""
-    try:
-        return build_polyhedron(data.vertices, data.faces, data.metadata,
-                                edge_slots=data.cells)
-    except FlatEdge as exc:
-        raise FlatSeam(str(exc)) from exc
+    return assemble(first, steps)
 
 
 def connect_sum(p1: Polyhedron, p2: Polyhedron,
                 corr: FaceCorrespondence) -> Polyhedron:
     """The connected sum of p1 and p2 along corresponding faces (see
-    glue), validated in full."""
-    return build_glued(glue(_mesh(p1), [(_mesh(p2), corr)]))
+    glue), validated in full (construct)."""
+    return construct(_mesh(p1), [(_mesh(p2), corr)])
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +476,8 @@ def _room(a: np.ndarray, n: int, fill=0) -> np.ndarray:
 
 class _Surgery:
     """The parts of a chain of surgery steps on one mesh, append-only, so
-    that a step costs what it adds: glue's connected sums and the prism
-    tunnels of drill and drill_repeat write this one half-edge store
-    (Kettner 1999).  It starts from checked parts (_checked), whose
+    that a step costs what it adds: a recipe's connected sums and prism
+    tunnels (assemble) write this one half-edge store (Kettner 1999).  It starts from checked parts (_checked), whose
     record pairs every half-edge.
 
     Vertices and faces have stable ids, the mesh's own and then each
@@ -549,6 +511,7 @@ class _Surgery:
         self.row_of = np.full((len(self.faces), width), -1, dtype=np.intp)
         self.row_of[self.half[:, 0], self.half[:, 1]] = np.arange(self.top)
         self.seams = set(data.metadata.seam_edges)
+        self.unknown = {"genus": None}      # the fields the steps unset
         self.provenance: list[str] = []
         if geo is None:
             return
@@ -556,8 +519,7 @@ class _Surgery:
         # per step its first face id, and the corners and planes of the
         # faces it made; the mesh's own faces are step 0's
         self.firsts = [0]
-        self.fits = [(record.corners,
-                      tuple(getattr(geo, name) for name in _PLANES))]
+        self.fits = [(record.corners, geo.planes)]
         self.cuts: list[tuple[tuple[int, range], tuple[int, range]]] = []
 
     def _add(self, half: np.ndarray, at, old: np.ndarray) -> None:
@@ -587,15 +549,15 @@ class _Surgery:
     def parts(self, **meta) -> MeshData:
         """The mesh's parts: its vertices, live faces and live cells, their
         faces renumbered to places, and its metadata with the steps' seams
-        and provenance, no genus, and the fields `meta` names replaced,
-        a genus among them."""
+        and provenance, no genus (and no orientability once a glue ran),
+        and the fields `meta` names replaced, those among them."""
         place = np.empty(len(self.faces), dtype=np.intp)
         place[self.live] = np.arange(len(self.live))
         cells = self.half[:self.top].reshape(-1, 4)[
             self.live_cells[:self.top // 2]]
         cells[:, 0::2] = place[cells[:, 0::2]]
         meta = replace(self.metadata, **{
-            "seam_edges": self.seams, "genus": None,
+            "seam_edges": self.seams, **self.unknown,
             "provenance": (*self.metadata.provenance, *self.provenance),
             **meta})
         return MeshData(self.vertices[:self.n],
@@ -649,6 +611,7 @@ class _Surgery:
 
         self.seams.update((new_id[u], new_id[w])
                           for u, w in b.metadata.seam_edges)
+        self.unknown["orientable"] = None   # a sum may change it
         self.provenance.append(
             f"connect_sum(face {corr.face1} ~ face {corr.face2})")
 
@@ -674,10 +637,9 @@ class _Surgery:
         piece of a face pierced in its plane.  The pieces of the last cut
         of both planes are tested first, in one stack; a plane whose point
         they miss walks back through the live pieces of the cuts before.
-        Each point is projected into its candidates' frames in one call,
-        and its boundary distance is measured only where a polygon winds
-        around it, as MeshGeometry.inside_clearance would give it; the
-        least such face wins."""
+        Each point's clearance in its candidates is mesh._clearance's, as
+        MeshGeometry.inside_clearance gives it; the least such face
+        wins."""
         if self.fits[-1] is None:
             self._fit()
         best: list[tuple[int | None, float]] = [(None, 0.0), (None, 0.0)]
@@ -696,24 +658,11 @@ class _Surgery:
             # the candidates are faces of one step, of one length per plane
             plane, faces = np.array(rows).T
             s = bisect_right(self.firsts, int(faces[0])) - 1
-            corners, (centroid, _, _, u, v, uv, _) = self.fits[s]
             at = faces - self.firsts[s]
-            q = _geom.project_2d(points.take(plane, axis=0)[:, None], *(
-                a.take(at, axis=0) for a in (centroid, u, v)))[:, 0]
-            size = corners.size.take(at)
-            for k in set(size.tolist()):
-                of_k = (size == k).nonzero()[0]
-                poly = uv.take(corners.start.take(at.take(of_k))[:, None]
-                               + np.arange(k), axis=0)
-                hit = _geom.winds_around(q.take(of_k, axis=0), poly)
-                of_k, poly = of_k[hit], poly[hit]
-                clearance = _geom.dist_point_polygon_boundary(
-                    q.take(of_k, axis=0), poly)
-                for i, f, c in zip(plane.take(of_k).tolist(),
-                                   faces.take(of_k).tolist(),
-                                   clearance.tolist()):
-                    if c > bound and (best[i][0] is None or f < best[i][0]):
-                        best[i] = (f, c)
+            clearance = _clearance(points[plane], at, *self.fits[s]).tolist()
+            for i, f, c in zip(plane.tolist(), faces.tolist(), clearance):
+                if c > bound and (best[i][0] is None or f < best[i][0]):
+                    best[i] = (f, c)
         return best
 
     def pierce(self, f1: int, f2: int, n: int, phase: float, axis: tuple,
@@ -780,7 +729,7 @@ class _Surgery:
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     """Tunnel a regular n-gonal prism between two parallel faces: one
     step of a _Surgery record (_Surgery.pierce), then one full
-    build_polyhedron on its parts and edge cells.
+    build_polyhedron on its parts and edge cells (construct).
 
     Adds 2n vertices of defect -2*pi/n each and lowers chi by 2.  The
     pierced faces are retiled over their existing vertices, so no other
@@ -791,7 +740,7 @@ def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
     a validated mesh or raw MeshData, which is first checked as
     build_polyhedron checks it on entry (_checked_parts).
     """
-    return build_polyhedron(*_drill_chain(p, spec, 1).parts())
+    return construct(p, [Drill(spec)])
 
 
 def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
@@ -806,21 +755,20 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     spec raises what drill raises, before any offset is tried.  p may be
     a validated mesh or raw MeshData, checked as drill checks it.  The
     drills pierce raw data (_drill_chain) and the finished mesh is
-    validated once; a sub-face a later drill pierces is never validated.
+    validated once (construct); a sub-face a later drill pierces is never
+    validated.
     """
-    _mesh(p, raw=True)
-    if not 1 <= _integer(k, "k", BadOrder) < 2 ** 63:
-        raise BadOrder("k must be >= 1 and below 2**63")
-    return build_polyhedron(*_drill_chain(p, spec, k).parts())
+    return construct(p, [Drill(spec, k)])
 
 
 def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
                  k: int) -> _Surgery:
     """The _Surgery record of drill_repeat(p, spec, k), k >= 1, whose
-    parts are the drilled mesh: one record per offset direction tried,
-    on which each step pays for what it adds (its rings, pieces, walls
-    and cells, and their fit) and for locating its two axis points among
-    the pieces of the step before (_Surgery.locate)."""
+    parts are the drilled mesh, as a Drill step of assemble: one record
+    per offset direction tried, on which each step pays for what it adds
+    (its rings, pieces, walls and cells, and their fit) and for locating
+    its two axis points among the pieces of the step before
+    (_Surgery.locate)."""
     data, geo = _raw(p)
     _check_spec(geo, spec)
     axis = _axis(geo, spec)
@@ -863,3 +811,100 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
             return record
     raise FootprintTooLarge(
         f"no workable offset direction for {k} parallel drills: {last_err}")
+
+
+# ---------------------------------------------------------------------------
+# recipes
+
+
+@dataclass(frozen=True)
+class Drill:
+    """A drill step of a recipe (see assemble): k >= 1 parallel drills of
+    the spec, as drill_repeat makes them."""
+    spec: DrillSpec
+    k: int = 1
+
+
+def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
+             ) -> MeshData:
+    """The parts of a recipe, not yet validated: its base, a validated
+    mesh or raw MeshData, and then its steps in order, with the
+    metadata fields `meta` names replaced.  A glue step is the (piece,
+    FaceCorrespondence) pair that glue takes; a Drill step pierces the
+    parts assembled so far, or the base itself, with one drill chain
+    (_drill_chain, which raises what drill_repeat raises; a k that is no
+    integer in 1..2**63-1 raises BadOrder).  A base that is no mesh
+    raises BadParameters before any step.
+
+    The glue steps write one _Surgery record, and a drill chain starts a
+    record of its own, on which later glue steps write.  The base and
+    each distinct piece are checked once in a call (_checked), and a
+    piece's side of a seam (_piece_side) is worked out with the mapping
+    it resolves once per record, face2 and mapping, so a chain of one
+    block does each once.  Raw data's explicit cells are read in the
+    record's order, which the build sorts them into.  A step leaves the
+    genus unset, and a glue step the orientability, unless `meta` names
+    them; a recipe of no steps is its checked base.
+    """
+    _mesh(base, raw=True)
+    # per distinct mesh, by id, the mesh and its checked parts; per
+    # record, by id, the record and its sides by face2 and mapping, as
+    # given or else as resolved; an entry holds what its key names, so
+    # that no id in a key is reused
+    checked: dict[int, tuple[object, MeshData]] = {}
+    sides: dict[int, tuple[Combinatorics, dict]] = {}
+
+    def piece_of(p) -> tuple[MeshData, dict]:
+        """p's checked parts and its record's sides."""
+        if id(p) not in checked:
+            checked[id(p)] = p, _checked(p)
+        b = checked[id(p)][1]
+        return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
+
+    record = None
+    for step in steps:
+        if not isinstance(step, Drill):
+            record = record or _Surgery(piece_of(base)[0])
+            record.glue(*piece_of(step[0]), step[1])
+        elif not 1 <= _integer(step.k, "k", BadOrder) < 2 ** 63:
+            raise BadOrder("k must be >= 1 and below 2**63")
+        else:
+            record = _drill_chain(base if record is None else record.parts(),
+                                  step.spec, step.k)
+    if record is not None:
+        return record.parts(**meta)
+    parts = piece_of(base)[0]
+    return parts._replace(metadata=replace(parts.metadata, **meta))
+
+
+def construct(base: Polyhedron | MeshData, steps: Sequence, **meta
+              ) -> Polyhedron:
+    """The recipe's mesh: its parts (assemble), with the metadata fields
+    `meta` names, validated in full by one build_polyhedron with their
+    edge cells.  A flat edge, which a seam can make, raises FlatSeam
+    where a glue step ran, else FlatEdge."""
+    try:
+        return build_polyhedron(*assemble(base, steps, **meta))
+    except FlatEdge as exc:
+        if all(isinstance(step, Drill) for step in steps):
+            raise
+        raise FlatSeam(str(exc)) from exc
+
+
+def counts(base: Polyhedron | MeshData, steps: Sequence) -> tuple[int, int]:
+    """The vertex count V and Euler characteristic chi of the recipe's
+    mesh, read off face lists alone, before any geometry, and unchecked:
+    the base's V and V - corners/2 + F; a glue of a piece on a k-gon adds
+    V(piece) - k vertices and changes chi by chi(piece) - 2, and a Drill
+    step adds 2nk vertices and lowers chi by 2k."""
+    def euler(p) -> int:
+        return len(p.vertices) - sum(map(len, p.faces)) // 2 + len(p.faces)
+
+    v, chi = len(base.vertices), euler(base)
+    for step in steps:
+        if isinstance(step, Drill):
+            v, chi = v + 2 * step.spec.n * step.k, chi - 2 * step.k
+        else:           # a piece on a k-gon
+            v += len(step[0].vertices) - len(step[0].faces[step[1].face2])
+            chi += euler(step[0]) - 2
+    return v, chi

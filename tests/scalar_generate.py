@@ -10,12 +10,13 @@ takes each sub-face's area with its own polygon_area_2d call.  ``glue``
 is one connected sum as data, with a renumbered copy of every face and
 mask passes over every cell.  The chain builders ``gen_minimal``,
 ``gen_n5g_odd``, ``gen_q2_9`` and ``gen_q3_18`` glue one validated block
-at a time with it and validate each step with ``build_glued``, so every
-step of a chain is a validated mesh.  ``drill_repeat`` builds raw input
-first and then drills one validated mesh at a time, so every intermediate
-mesh of a multiple drill is validated in full, and locates each pierced
-face with its own ``_locate_face`` call on the Newell frames of that
-mesh's validated geometry, the ones surgery cuts in.
+at a time with it and validate each step in full, as a recipe of no
+steps (``surgery.construct``), so every step of a chain is a validated
+mesh.  ``drill_repeat`` builds raw input first and then drills one
+validated mesh at a time, so every intermediate mesh of a multiple
+drill is validated in full, and locates each pierced face with its own
+``_locate_face`` call on the Newell frames of that mesh's validated
+geometry, the ones surgery cuts in.
 
 The combinatorics the library reads off the construction are found here
 as they once were at run time: ``_central_polygon`` sorts the vertices
@@ -48,7 +49,7 @@ from ccpforge.generators import (_MAP_A, _MAP_A_FIRST, _MAP_B, BlockParams,
                                  _n5g_params, _orbit, a_coeff)
 from ccpforge.mesh import (LENGTH_TOL, Combinatorics, MeshData,
                            MeshMetadata, Polyhedron, _integer)
-from ccpforge.surgery import build_glued
+from ccpforge.surgery import construct
 from conftest import face_polygon
 
 TAU = 2.0 * math.pi
@@ -436,7 +437,7 @@ def glue(p1, p2, corr: FaceCorrespondence) -> MeshData:
 
 def connect_sum(p1, p2, corr: FaceCorrespondence):
     """glue, validated in full."""
-    return build_glued(glue(p1, p2, corr))
+    return construct(glue(p1, p2, corr), [])
 
 
 def _chain_half(params: list[tuple[float, float]]):
@@ -584,7 +585,7 @@ def drill_repeat(p, spec: DrillSpec, k: int):
     """k parallel drills along offset copies of the axis, each a validated
     drill of the mesh the one before returned; raw input is built first."""
     if isinstance(p, MeshData):
-        p = build_glued(p)
+        p = construct(p, [])
     if k < 1:
         raise BadOrder("k must be >= 1")
     if k == 1:

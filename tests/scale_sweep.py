@@ -13,27 +13,28 @@ g = 51 and 101, `n5g` g = 13, 15, 17 and 19, and `v8g` g = 200 and 600,
 in that order; --limit N runs the first N.  Per mesh it prints V, E, F,
 the genus verify finds, the verdict, the witness count, and the process
 time per face, in microseconds, of generate_family and of verify, each
-the least of REPEATS (3) runs.  --out PATH also writes them, with the
-Python and numpy versions and the machine, as one JSON document.  BLAS
-runs on one thread, as in perfbench/run.py, so that process time is the
-time of one core.  A full run takes about 36 s of one x86_64 core; the
-three benchmark workloads hold no mesh this large.
+the least of REPEATS (3) runs, which follow one untimed run (WARMUP).
+--out PATH also writes them, with the Python and numpy versions and the
+machine, as one JSON document.  BLAS runs on one thread, as in
+perfbench/run.py, so that process time is the time of one core.  A full
+run takes about 48 s of one x86_64 core; the three benchmark workloads
+hold no mesh this large.
 
 Times of two runs minutes apart do not compare on a machine whose speed
 drifts, so --against DIR pairs this checkout (b) with checkout DIR (a),
 whose src/ccpforge is imported as package `ccpforge_a`, as
 tests/ab_pass.py imports a side, and --against-rev REV with the files of
 git revision REV, extracted into a temporary directory that is removed
-afterwards.  In each of the REPEATS rounds both sides run the mesh, the
-first side flipping every round; both must give the same V, E, F,
-genus, verdict and witness count.  Per mesh it then prints and writes
-both sides' times per face and the ratio b / a - 1 of their least
-times, for generate and for verify, and beside it the range of the
-per-round ratios, each round's b / a - 1, which shows how far one
-round's pair moves; it exits 1 when the sides of a mesh differ (that
-mesh is not reported).  pytest does not collect this file;
-tests/test_scale_sweep.py runs it with --limit 1, alone and against its
-own checkout.
+afterwards.  Both sides run the mesh once untimed and then once in
+each of the REPEATS rounds, the first side flipping every round; both
+must give the same V, E, F, genus, verdict and witness count.  Per
+mesh it then prints and writes both sides' times per face and the
+ratio b / a - 1 of their least times, for generate and for verify, and
+beside it the range of the per-round ratios, each round's b / a - 1,
+which shows how far one round's pair moves; it exits 1 when the sides
+of a mesh differ (that mesh is not reported).  pytest does not collect
+this file; tests/test_scale_sweep.py runs it with --limit 1, alone and
+against its own checkout.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ MESHES = (("orientable", 25), ("orientable", 50), ("orientable", 100),
 # each mesh is generated and verified this many times; a time that one
 # run reads alone moves by more than most changes do
 REPEATS = 3
+# and first this many times untimed on each side, so that no timed round
+# pays a first run's one-time costs
+WARMUP = 1
 # what both sides of a pair must agree on
 FACTS = ("V", "E", "F", "verified_genus", "verdict", "witnesses")
 
@@ -96,12 +100,15 @@ def run(lib, family: str, genus: int) -> tuple[dict, float, float]:
 
 def measure(libs: dict, family: str, genus: int) -> dict | None:
     """One mesh's facts and, per side of libs ("b" this checkout, "a" the
-    other if any), its process times, each the least of REPEATS runs, and
-    with two sides the extremes of each round's ratio b / a - 1; the
-    sides alternate, the first flipping every round.  None, and a line on
-    stderr, when the sides' facts differ."""
+    other if any), its process times, each the least of REPEATS runs
+    after WARMUP untimed ones, and with two sides the extremes of each
+    round's ratio b / a - 1; the sides alternate, the first flipping every
+    round.  None, and a line on stderr, when the sides' facts differ."""
     rounds = {side: [] for side in libs}   # per round, the two times
     facts = {}
+    for _ in range(WARMUP):
+        for side in sorted(libs):
+            run(libs[side], family, genus)
     for r in range(REPEATS):
         for side in (sorted(libs) if r % 2 == 0 else sorted(libs)[::-1]):
             facts[side], *times = run(libs[side], family, genus)
@@ -163,7 +170,7 @@ def sweep(args, other: Path | None) -> int:
                "numpy": np.__version__,
                "machine": f"{platform.machine()}, {os.cpu_count()} cores",
                "timer": f"time.process_time, BLAS on one thread, least "
-                        f"of {REPEATS} runs",
+                        f"of {REPEATS} runs after {WARMUP} untimed",
                "meshes": rows}
         if other is not None:
             doc["against"] = args.against_rev or str(other)

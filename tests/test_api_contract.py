@@ -8,6 +8,7 @@ public entry that takes a mesh raises BadParameters for an argument
 that is not one (mesh._mesh), before it reads it or writes a file."""
 
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -29,7 +30,7 @@ from ccpforge.fileio import mesh_to_document
 from ccpforge.generators import FamilyRequest, _p2_24
 from ccpforge.mesh import MeshData
 
-from conftest import METADATA_CHANGES
+from conftest import METADATA_CHANGES, refuses_change
 
 P = gen_p2_24()
 
@@ -201,6 +202,28 @@ def test_metadata_refuses_change_in_place(drilled, change, error, tmp_path):
     assert drilled.metadata is before
     save_json(drilled, tmp_path / "m.json")
     assert load_json(tmp_path / "m.json").metadata == drilled.metadata
+
+
+def test_metadata_converts_copies_and_pickles_as_a_dataclass():
+    """dataclasses.asdict of a metadata record with labels gives its
+    fields, from which MeshMetadata makes an equal record, and
+    copy.deepcopy and a pickle round trip give an equal record; each
+    still refuses every change in place.  The labels are a read-only dict
+    of the library's own, where a read-only mapping proxy neither deep
+    copies nor pickles."""
+    meta = ccpforge.gen_p2_24().metadata
+    fields = dataclasses.asdict(meta)
+    assert fields["family"] == "p2-24" and fields["vertex_labels"] == {
+        f"v{j}{tag}": 8 * (j - 1) + i for j in (1, 2, 3)
+        for i, tag in enumerate(("+++", "++-", "+-+", "+--", "-++", "-+-",
+                                 "--+", "---"))}
+    copies = [ccpforge.MeshMetadata(**fields), copy.deepcopy(meta),
+              pickle.loads(pickle.dumps(meta))]
+    for back in copies:
+        assert back == meta and back is not meta
+        assert back.vertex_labels is not meta.vertex_labels
+        refuses_change(back)
+    refuses_change(meta)
 
 
 @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)),

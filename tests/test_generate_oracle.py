@@ -28,6 +28,7 @@ from ccpforge.mesh import MeshData, MeshMetadata, Polyhedron
 import corpus_digest
 import scalar_generate
 from conftest import assert_same_planes, random_rigid_motion
+from test_self_intersection_oracle import SMALL_GENERA
 
 TAU = 2.0 * math.pi
 
@@ -440,19 +441,31 @@ def test_drill_repeat_is_the_step_by_step_one(monkeypatch, make):
     """Drills that pierce raw data and validate the finished mesh once
     give the mesh of drills validated one at a time, bit for bit; each
     drill_repeat calls build_polyhedron exactly once.  A drilled family
-    drills through generators._drilled, which the oracle replaces with
-    the validated drills and the metadata set afterwards, its defect
-    2*pi*chi/V read off the result where the family names none."""
-    def scalar_drilled(base, faces, n, k, meta):
-        out = scalar_generate.drill_repeat(base, DrillSpec(*faces, n), k) \
-            if k else generators_mod._build(base)
-        defect = 2 * math.pi * mesh_mod.euler_characteristic(out) \
-            / out.n_vertices
-        return out.with_metadata(**{"expected_defect": defect, **meta})
+    builds its recipe through surgery.construct, which the oracle replaces
+    with the recipe's glue steps built, or assembled and then drilled by
+    its one Drill step as the validated drills, and the metadata set
+    afterwards, its defect 2*pi*chi/V read off the result where the
+    family reads it off the recipe (nonorientable and n5g)."""
+    real_construct = surgery_mod.construct
+
+    def scalar_construct(base, steps, **meta):
+        if not meta:        # the library's drill, which the oracle calls
+            return real_construct(base, steps)
+        glues = [s for s in steps if not isinstance(s, surgery_mod.Drill)]
+        drills = steps[len(glues):]
+        assert len(drills) <= 1 and all(
+            isinstance(s, surgery_mod.Drill) for s in drills)
+        out = real_construct(base, glues) if not drills else \
+            scalar_generate.drill_repeat(surgery_mod.assemble(base, glues),
+                                         drills[0].spec, drills[0].k)
+        if meta["family"] in ("nonorientable", "n5g"):
+            meta["expected_defect"] = 2 * math.pi * \
+                mesh_mod.euler_characteristic(out) / out.n_vertices
+        return out.with_metadata(**meta)
 
     monkeypatch.setattr(surgery_mod, "drill_repeat",
                         scalar_generate.drill_repeat)
-    monkeypatch.setattr(generators_mod, "_drilled", scalar_drilled)
+    monkeypatch.setattr(surgery_mod, "construct", scalar_construct)
     want = make()
     monkeypatch.undo()
     builds, per_repeat = [], []
@@ -491,6 +504,34 @@ def test_drilled_family_builds_once(monkeypatch, family, genus, fewest):
     builds = counted_builds(monkeypatch)
     generate_family(FamilyRequest(family, genus, prefer_fewest=fewest))
     assert len(builds) == 1
+
+
+# every CATALOG family at the genera the tests draw: the small genera of
+# the witness oracle, the drilled families and every minimal genus
+RECIPE_GENERA = list({(f, g, x): (f, g, params, x) for f, g, params, x in [
+    *((f, g, params, False) for f, g, params in SMALL_GENERA),
+    *((f, g, {}, x) for f, g, x in DRILLED_FAMILIES),
+    *(("minimal", g, {}, False) for g in range(1, 46))]}.values())
+
+
+@pytest.mark.parametrize(
+    "family,genus,params,fewest", RECIPE_GENERA,
+    ids=[f"{f}-{g}" + "-fewest" * x for f, g, _, x in RECIPE_GENERA])
+def test_a_recipe_counts_what_it_builds(monkeypatch, family, genus, params,
+                                        fewest):
+    """The V and chi that surgery.counts reads off a family's recipe, the
+    base and steps of its last surgery.construct call, from face lists
+    alone, are the built mesh's; a closed form, which calls
+    build_polyhedron directly, is its own mesh with no steps."""
+    recipes = []
+    real = surgery_mod.construct
+    monkeypatch.setattr(surgery_mod, "construct", lambda base, steps, **kw:
+                        recipes.append((base, steps))
+                        or real(base, steps, **kw))
+    p = generate_family(FamilyRequest(family, genus, params, fewest))
+    base, steps = recipes[-1] if recipes else (p, [])
+    assert surgery_mod.counts(base, steps) == \
+        (p.n_vertices, mesh_mod.euler_characteristic(p))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +645,8 @@ def test_a_glued_mesh_drills_on_its_glued_cells(monkeypatch):
         p = gen_n5g_odd(13)
     [parts] = calls
     assert parts.cells is not None and len(parts.cells) == p.n_edges
-    assert paired and max(paired) < len(generators_mod._n5g_odd(7).faces)
+    glued = surgery_mod.assemble(*generators_mod._n5g_odd(7))
+    assert paired and max(paired) < len(glued.faces)
 
 
 BASES = {"p2-24": (gen_p2_24, (0, 1)), "q3-18": (gen_q3_18, (1, 0)),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ccpforge.generators as generators_mod
+import ccpforge.mesh as mesh_mod
 from ccpforge import (CATALOG, a_coeff, classify, corner_angle,
                       defect_profile, f_angle_sum, gen_cubohemioctahedron,
                       gen_flat_torus9, gen_minimal, gen_n5g_odd,
@@ -572,6 +573,37 @@ def test_readme_family_table_is_the_catalog():
         for info in CATALOG]
 
 
+def cap_angle_misses(monkeypatch, build, genus) -> np.ndarray:
+    """Per face of build(genus)'s parts, built past its row's range, how
+    far its corner angles sum off (k - 2) * pi, as build_polyhedron's
+    angle-sum check sums them, without the rest of the build."""
+    parts = []
+    monkeypatch.setattr(generators_mod, "_genus_in", lambda family, g: g)
+    monkeypatch.setattr(generators_mod, "build_polyhedron",
+                        lambda *args: parts.append(args))
+    build(genus)
+    vertices, faces = parts[0][:2]
+    geo = mesh_mod.MeshGeometry(vertices, mesh_mod.Combinatorics.of(
+        faces, len(vertices)))
+    total = np.bincount(geo.corner_face, weights=geo.corner_angles)
+    return np.abs(total - (geo.face_size - 2) * np.pi)
+
+
+@pytest.mark.parametrize("family,build", [("v8g", gen_v8g),
+                                          ("v6g", gen_v6g)])
+def test_a_cap_row_ends_below_the_first_angle_sum_miss(monkeypatch, family,
+                                                       build):
+    """v8g and v6g end at the genus below the first whose cap, a 3g-gon
+    or a 2g-gon, fails the build's angle-sum check: the rounding of its
+    sum over thousands of corners passes DEFECT_TOL.  At the row's last
+    genus every face passes; one genus more, the cap fails."""
+    last = next(row for row in CATALOG if row.family == family).genera[-1]
+    assert cap_angle_misses(monkeypatch, build, last).max() <= \
+        mesh_mod.DEFECT_TOL
+    misses = cap_angle_misses(monkeypatch, build, last + 1)
+    assert misses.argmax() == 0 and misses[0] > mesh_mod.DEFECT_TOL
+
+
 class TestGenusLimits:
     """Each family builds and verifies up to the limit it advertises and
     raises GenusOutOfRange, naming that limit, before any work beyond."""
@@ -604,7 +636,7 @@ class TestGenusLimits:
         for module, name in ((generators, "solve_block_params"),
                              (surgery, "drill"), (surgery, "drill_repeat"),
                              (surgery, "connect_sum"), (surgery, "glue"),
-                             (surgery, "build_glued"),
+                             (surgery, "assemble"), (surgery, "construct"),
                              (mesh, "build_polyhedron"),
                              (surgery, "build_polyhedron"),
                              (generators, "build_polyhedron")):

@@ -26,7 +26,7 @@ from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              NonNegativeChi, NotInteger, NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
-from ccpforge.surgery import _axis, build_glued, glue
+from ccpforge.surgery import _axis, construct, glue
 
 from conftest import (assert_same_planes, cube_data, face_polygon,
                       random_rigid_motion)
@@ -139,18 +139,18 @@ class TestConnectSum:
 
     def test_flat_seam_from_glued_data(self):
         """Two cubes glued as data: the glue checks only congruence, and
-        the one build of the chain finds the flat seam."""
+        the one build of the recipe finds the flat seam."""
         verts, faces = cube_data()
         cube = MeshData(verts, faces, MeshMetadata())
         aligned = tuple(
             next(w for w in faces[0]
                  if tuple(verts[w][:2]) == tuple(verts[v][:2]))
             for v in faces[1])
-        chain = glue(cube, [(cube, FaceCorrespondence(1, 0,
-                                                      mapping=aligned))])
+        steps = [(cube, FaceCorrespondence(1, 0, mapping=aligned))]
+        chain = glue(cube, steps)
         assert (len(chain.vertices), len(chain.faces)) == (12, 10)
         with pytest.raises(FlatSeam):
-            build_glued(chain)
+            construct(cube, steps)
 
     def test_carries_second_mesh_seams(self):
         """The second mesh's retiling seams come through under their new
@@ -454,14 +454,15 @@ def test_raw_parts_on_a_record_lend_its_corners(monkeypatch):
 
 def glued_data(build, *args):
     """The glued data that build(*args) validates, with its explicit
-    cells."""
+    cells: the parts its last recipe assembles (surgery.assemble)."""
     seen = []
-    real = surgery_mod.build_glued
-    surgery_mod.build_glued = lambda data: seen.append(data) or real(data)
+    real = surgery_mod.assemble
+    surgery_mod.assemble = lambda *a, **kw: seen.append(real(*a, **kw)) \
+        or seen[-1]
     try:
         build(*args)
     finally:
-        surgery_mod.build_glued = real
+        surgery_mod.assemble = real
     assert seen[-1].cells is not None
     return seen[-1]
 
@@ -896,16 +897,18 @@ def _z_faces(data):
     ids=["p2-24", "q3-18", "n5g-7", "cho", "rhombihexahedron"])
 def test_drilled_families_name_their_top_and_bottom_faces(
         monkeypatch, name, genus, fewest, faces):
-    """Each drilled family drills the two faces it names, which are its
-    base's highest and lowest faces normal to the z-axis."""
+    """Each drilled family drills the two faces its recipe's Drill step
+    names, which are the highest and lowest faces normal to the z-axis of
+    the parts assembled before it."""
     calls = []
-    real = generators_mod._drilled
-    monkeypatch.setattr(generators_mod, "_drilled",
-                        lambda base, *a: calls.append((base, a[0]))
-                        or real(base, *a))
+    real = surgery_mod.construct
+    monkeypatch.setattr(surgery_mod, "construct", lambda base, steps, **kw:
+                        calls.append((base, steps))
+                        or real(base, steps, **kw))
     generate_family(FamilyRequest(name, genus, prefer_fewest=fewest))
-    [(base, named)] = calls
-    assert named == faces == _z_faces(base)
+    [(base, [*glues, drill])] = calls
+    named = (drill.spec.face1, drill.spec.face2)
+    assert named == faces == _z_faces(surgery_mod.assemble(base, glues))
 
 
 # ---------------------------------------------------------------------------
