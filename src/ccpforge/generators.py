@@ -992,13 +992,12 @@ class FamilyInfo:
         return self.genera[0] if len(self.genera) == 1 else None
 
 
-# Each range ends at the last genus a run generated (see CHANGES.md).
-# Odd nonorientable raises DegenerateFace from g = 2,627; orientable stops
-# where the next doubling took over 5 minutes; v8g and v6g below the first
-# genus, 1,393 and 2,310, whose cap's corner angles sum off (k - 2) * pi
-# by more than DEFECT_TOL, by rounding over its k corners; from minimal
-# g = 46 the first face's area falls below the length tolerance, as the
-# T(l, d) widths outgrow the unit block height.
+# Each range ends at the last genus a run generated (tests/cap_runs.py;
+# see CHANGES.md).  Odd nonorientable raises DegenerateFace from
+# g = 2,627; orientable, v8g and v6g stop where the next doubling took
+# over 5 minutes; from minimal g = 46 the first face's area falls below
+# the length tolerance, as the T(l, d) widths outgrow the unit block
+# height.
 CATALOG: tuple[FamilyInfo, ...] = (
     FamilyInfo("tetrahedron", "regular tetrahedron", range(0, 1), "4", "yes",
                gen_tetrahedron),
@@ -1022,9 +1021,9 @@ CATALOG: tuple[FamilyInfo, ...] = (
     FamilyInfo("nonorientable", "chained or fewest-vertex dispatch",
                range(1, 2501), f"5g / 7g-14 odd (<={N5G_MAX_GENUS}), 4g-8 "
                "even (fewest)", "no", gen_nonorientable, fewest=True),
-    FamilyInfo("v8g", "windowed 2g-gonal prism", range(2, 1393), "8g",
+    FamilyInfo("v8g", "windowed 2g-gonal prism", range(2, 12001), "8g",
                "yes", gen_v8g),
-    FamilyInfo("v6g", "windowed g-gonal prism", range(5, 2310), "6g",
+    FamilyInfo("v6g", "windowed g-gonal prism", range(5, 16001), "6g",
                "yes", gen_v6g),
     FamilyInfo("v7gm7", "windowed prism with a central ring tunnel",
                range(4, 7), "7g-7", "yes", gen_v7gm7),

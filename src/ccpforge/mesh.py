@@ -237,9 +237,7 @@ class Polyhedron:
         and every part computed so far, none of which reads the metadata.
         A name that is no field, or labels or seams that do not fit this
         mesh (_check_metadata), raise BadParameters."""
-        unknown = kw.keys() - {f.name for f in fields(self.metadata)}
-        if unknown:
-            raise BadParameters(f"metadata has no field {min(unknown)!r}")
+        _check_fields(kw)
         meta = replace(self.metadata, **kw)
         _check_metadata(meta, self.combinatorics)
         out = Polyhedron.__new__(Polyhedron)
@@ -430,8 +428,9 @@ class Combinatorics:
         return tuple(zip(big.tolist(), self.corners.start[big].tolist(),
                          self.corners.size[big].tolist()))
 
-    # measured gain: p2-sweep +5.0% without this and the quad paths (with
-    # the per-length plane fits of the time)
+    # measured gain: p2-sweep +5.0% without this, _clip_quad and the quad
+    # crossing test since deleted (with the per-length plane fits of the
+    # time)
     @cached_property
     def triangle_runs(self) -> _TriangleRuns:
         """The run layout of the ear clip: the rows of a face's run follow
@@ -805,6 +804,15 @@ def _edge_at(record: Combinatorics, pairs: np.ndarray) -> np.ndarray:
     return np.where(have[at] == want, at, -1)
 
 
+def _check_fields(kw: Mapping) -> None:
+    """BadParameters for the least name in kw that is no MeshMetadata
+    field: the one check of the fields a caller replaces, shared by
+    with_metadata and surgery's recipes."""
+    unknown = kw.keys() - {f.name for f in fields(MeshMetadata)}
+    if unknown:
+        raise BadParameters(f"metadata has no field {min(unknown)!r}")
+
+
 def _check_metadata(meta: MeshMetadata, record: Combinatorics) -> None:
     """BadParameters for the first vertex label of `meta` that names no
     vertex of the record's mesh, else for the least seam beyond them, else
@@ -860,9 +868,12 @@ def build_polyhedron(vertices, faces,
     """Validate raw data and return an immutable Polyhedron.
 
     Checks: index ranges, cycle lengths, a closed pairing of face sides,
-    face planarity/simplicity/area, that each face's corner angles sum to
-    (k - 2) * pi within DEFECT_TOL, distinct edge endpoints, no flat (pi)
-    dihedral angles, and connectivity of the face-adjacency graph.  Every
+    face area and planarity, that each face turns once (its exterior
+    angles, pi less each corner angle, sum to 2 * pi within DEFECT_TOL)
+    and is simple (a face that turns once with no reflex corner is convex,
+    so only the others take the crossing test, _geom.polygon_is_simple),
+    distinct edge endpoints, no flat (pi) dihedral angles, and
+    connectivity of the face-adjacency graph.  Every
     check runs on every face, edge and vertex: surgery assembles a
     recipe's raw data with its edge cells (surgery.assemble, whose glue
     steps and drill chains write _Surgery records) and validates only the
@@ -897,12 +908,21 @@ def build_polyhedron(vertices, faces,
         u, v = ends[short.argmax()]
         raise DegenerateFace(f"edge ({u}, {v}) has coincident endpoints")
 
+    # per face its turn, the sum of its exterior angles: 2 * pi for a face
+    # that turns once (Hopf's Umlaufsatz), off it for one crossed, even
+    # within polygon_is_simple's eps.  A face that turns once and has no
+    # reflex corner is convex, so simple (Preparata & Shamos 1985): the
+    # crossing test is asked only about the others
+    angles = geo.corner_angles
+    turn = np.bincount(geo.corner_face, weights=np.pi - angles)
+    crossed = np.abs(turn - 2.0 * np.pi) > DEFECT_TOL
+    asked = crossed | np.logical_or.reduceat(angles > np.pi, geo.face_start)
     # per face, in order: area, planarity, then simplicity; the first face
     # that fails raises.  A face of near-zero area has no plane to deviate
     # from: the direction of a Newell vector of rounding noise is noise.
-    # The faces before the first that fails one of the two array checks
-    # are tested for simplicity, all but the triangles, which have no two
-    # sides that do not meet at a corner
+    # The faces asked about before the first that fails one of the two
+    # array checks are tested for simplicity, all but the triangles, which
+    # have no two sides that do not meet at a corner
     tiny = geo.area <= LENGTH_TOL * scale * scale
     bad = tiny | (geo.residual > PLANARITY_TOL * scale)
     first = int(bad.argmax()) if np.logical_or.reduce(bad) else len(bad)
@@ -910,22 +930,19 @@ def build_polyhedron(vertices, faces,
     for fi, a, k in record.polygons:
         if fi >= first:
             break
-        if not _geom.polygon_is_simple(uv[a:a + k]):
+        if asked[fi] and not _geom.polygon_is_simple(uv[a:a + k]):
             raise DegenerateFace(f"face {fi} is not a simple polygon")
     if first < len(bad):
         if tiny[first]:
             raise DegenerateFace(f"face {first} has near-zero area")
         raise DegenerateFace(f"face {first} deviates "
                              f"{geo.residual[first]:.2e} from planarity")
-    # every face turns once, its corner angles summing to (k - 2) * pi: a
-    # face crossed within polygon_is_simple's eps passes that test, not this
-    total = np.bincount(geo.corner_face, weights=geo.corner_angles)
-    want = (geo.face_size - 2) * np.pi
-    crossed = (np.abs(total - want) > DEFECT_TOL).nonzero()[0]
-    if crossed.size:
-        f = crossed[0]
+    if np.logical_or.reduce(crossed):
+        f = int(crossed.argmax())
+        k = geo.face_size[f]
         raise DegenerateFace(f"face {f} is crossed: its corner angles sum "
-                             f"to {total[f]:.6g}, not {want[f]:.6g}")
+                             f"to {k * np.pi - turn[f]:.6g}, not "
+                             f"{(k - 2) * np.pi:.6g}")
 
     flat = flat_edges(poly, poly.metadata.seam_edges)
     if flat:

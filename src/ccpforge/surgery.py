@@ -19,9 +19,10 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
 from .mesh import (LENGTH_TOL, Combinatorics, MeshData, MeshGeometry,
-                   Polyhedron, _checked_parts, _clearance, _corner_layout,
-                   _derived_cells, _finite, _index, _integer, _mesh, _newell,
-                   _record, build_polyhedron, euler_characteristic)
+                   Polyhedron, _check_fields, _checked_parts, _clearance,
+                   _corner_layout, _derived_cells, _finite, _index,
+                   _integer, _mesh, _newell, _record, build_polyhedron,
+                   euler_characteristic)
 
 TAU = 2.0 * math.pi
 
@@ -833,8 +834,10 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
     FaceCorrespondence) pair that glue takes; a Drill step pierces the
     parts assembled so far, or the base itself, with one drill chain
     (_drill_chain, which raises what drill_repeat raises; a k that is no
-    integer in 1..2**63-1 raises BadOrder).  A base that is no mesh
-    raises BadParameters before any step.
+    integer in 1..2**63-1 raises BadOrder).  A base that is no mesh, a
+    name in `meta` that is no metadata field (_check_fields) or steps
+    that are no sequence raise BadParameters before any step, and a step
+    that is neither a Drill nor a pair where it comes.
 
     The glue steps write one _Surgery record, and a drill chain starts a
     record of its own, on which later glue steps write.  The base and
@@ -847,6 +850,10 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
     them; a recipe of no steps is its checked base.
     """
     _mesh(base, raw=True)
+    _check_fields(meta)
+    if not isinstance(steps, Sequence):
+        raise BadParameters(f"the steps, a {type(steps).__name__}, are "
+                            "not a sequence")
     # per distinct mesh, by id, the mesh and its checked parts; per
     # record, by id, the record and its sides by face2 and mapping, as
     # given or else as resolved; an entry holds what its key names, so
@@ -862,10 +869,14 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
         return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
 
     record = None
-    for step in steps:
-        if not isinstance(step, Drill):
+    for i, step in enumerate(steps):
+        if isinstance(step, (tuple, list)) and len(step) == 2:
             record = record or _Surgery(piece_of(base)[0])
             record.glue(*piece_of(step[0]), step[1])
+        elif not isinstance(step, Drill):
+            raise BadParameters(f"step {i}, a {type(step).__name__}, is "
+                                "neither a Drill nor a (piece, "
+                                "FaceCorrespondence) pair")
         elif not 1 <= _integer(step.k, "k", BadOrder) < 2 ** 63:
             raise BadOrder("k must be >= 1 and below 2**63")
         else:

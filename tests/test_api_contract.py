@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import ccpforge
+from ccpforge import surgery
 from ccpforge import (DrillSpec, FaceCorrespondence, a_coeff, angular_defect,
                       connect_sum, corner_angle, defect_profile,
                       dihedral_angle, drill, drill_repeat, edge_length,
@@ -166,6 +167,22 @@ def test_drilled_mesh_rebuilds_from_seams_written_higher_id_first():
 def test_with_metadata_names_a_field_it_does_not_have():
     with pytest.raises(BadParameters, match="metadata has no field 'foo'"):
         P.with_metadata(foo=1)
+
+
+@pytest.mark.parametrize("recipe", [surgery.assemble, surgery.construct])
+def test_a_recipe_names_a_field_or_step_it_cannot_take(recipe):
+    """A recipe's metadata field that is no field, a step that is neither
+    a Drill nor a (piece, FaceCorrespondence) pair, and steps that are no
+    sequence raise BadParameters, as with_metadata does, not a
+    TypeError."""
+    with pytest.raises(BadParameters, match="metadata has no field 'fo'"):
+        recipe(P, [], fo=1)
+    with pytest.raises(BadParameters, match="^step 1, a int, is neither "
+                       r"a Drill nor a \(piece, FaceCorrespondence\) pair"):
+        recipe(P, [surgery.Drill(DrillSpec(0, 1, 12)), 5])
+    with pytest.raises(BadParameters, match="^the steps, a int, are not a "
+                       "sequence$"):
+        recipe(P, 5)
 
 
 def test_metadata_keeps_python_numbers_in_fresh_containers():

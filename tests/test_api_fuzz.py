@@ -180,6 +180,16 @@ METHODS = {
     "drill_repeat(MeshData)": (
         lambda *a: ccpforge.drill_repeat(MeshData(*a), SPEC, 2),
         lambda d, tmp: _raw(P)),
+    # a recipe of one step on its base, a glue or a drill, with the last
+    # value in the metadata field the third argument names, which may be
+    # no field
+    "surgery.construct": (
+        lambda base, step, field, value: surgery.construct(
+            base, [step], **{str(field): value}),
+        lambda d, tmp: [*_pick(d, [
+            (T, (T, FaceCorrespondence(0, 0, mapping=(0, 2, 1)))),
+            (P, surgery.Drill(SPEC)), (P, surgery.Drill(SPEC, 2))]),
+            _pick(d, ["family", "fo"]), "recipe"]),
     "surgery.glue(MeshData)": (
         lambda *a: surgery.glue(MeshData(*a), [(
             MeshData(*a), FaceCorrespondence(0, 0, (0, 2, 1)))]),

@@ -573,35 +573,33 @@ def test_readme_family_table_is_the_catalog():
         for info in CATALOG]
 
 
-def cap_angle_misses(monkeypatch, build, genus) -> np.ndarray:
-    """Per face of build(genus)'s parts, built past its row's range, how
-    far its corner angles sum off (k - 2) * pi, as build_polyhedron's
-    angle-sum check sums them, without the rest of the build."""
+def cap_turn_misses(monkeypatch, build, genus) -> np.ndarray:
+    """Per face of build(genus)'s parts, how far its exterior angles, pi
+    less each corner angle, sum off 2 * pi, as build_polyhedron's turn
+    check sums them, without the rest of the build."""
     parts = []
-    monkeypatch.setattr(generators_mod, "_genus_in", lambda family, g: g)
     monkeypatch.setattr(generators_mod, "build_polyhedron",
                         lambda *args: parts.append(args))
     build(genus)
     vertices, faces = parts[0][:2]
     geo = mesh_mod.MeshGeometry(vertices, mesh_mod.Combinatorics.of(
         faces, len(vertices)))
-    total = np.bincount(geo.corner_face, weights=geo.corner_angles)
-    return np.abs(total - (geo.face_size - 2) * np.pi)
+    turn = np.bincount(geo.corner_face, weights=np.pi - geo.corner_angles)
+    return np.abs(turn - 2 * np.pi)
 
 
-@pytest.mark.parametrize("family,build", [("v8g", gen_v8g),
-                                          ("v6g", gen_v6g)])
-def test_a_cap_row_ends_below_the_first_angle_sum_miss(monkeypatch, family,
-                                                       build):
-    """v8g and v6g end at the genus below the first whose cap, a 3g-gon
-    or a 2g-gon, fails the build's angle-sum check: the rounding of its
-    sum over thousands of corners passes DEFECT_TOL.  At the row's last
-    genus every face passes; one genus more, the cap fails."""
-    last = next(row for row in CATALOG if row.family == family).genera[-1]
-    assert cap_angle_misses(monkeypatch, build, last).max() <= \
-        mesh_mod.DEFECT_TOL
-    misses = cap_angle_misses(monkeypatch, build, last + 1)
-    assert misses.argmax() == 0 and misses[0] > mesh_mod.DEFECT_TOL
+@pytest.mark.parametrize("family,build,last", [("v8g", gen_v8g, 12000),
+                                               ("v6g", gen_v6g, 16000)])
+def test_a_cap_row_turns_once_at_its_last_genus(monkeypatch, family, build,
+                                                last):
+    """v8g and v6g reach genus 12,000 and 16,000, where a cap is a 36,000-
+    or a 32,000-gon: summed over exterior angles, each near 0, the turn
+    of every face of the parts rounds off 2 * pi by less than 1e-11,
+    where a sum of interior angles, each near pi, missed (k - 2) * pi by
+    more than DEFECT_TOL from about 4,200 corners."""
+    assert next(row for row in CATALOG if row.family == family
+                ).genera[-1] == last
+    assert cap_turn_misses(monkeypatch, build, last).max() < 1e-11
 
 
 class TestGenusLimits:

@@ -26,7 +26,7 @@ from ccpforge.verify import verify
 
 from conftest import (as_tuples, cube_data, face_polygon, refuses_change,
                       random_rigid_motion, unchecked_mesh)
-from test_self_intersection_oracle import SMALL_GENERA, family
+from test_self_intersection_oracle import CERTIFY_FILES, SMALL_GENERA, family
 
 TET_V = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 TET_F = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -739,20 +739,38 @@ def first_face_failure(geo, is_simple):
     return None
 
 
+def asked_faces(geo) -> list[int]:
+    """The faces whose simplicity the build tests, face by face: those
+    with a corner angle above pi or whose exterior angles, pi less each
+    corner angle, do not sum to 2 * pi within DEFECT_TOL.  Any other face
+    is convex."""
+    out = []
+    for f in range(len(geo.face_size)):
+        a = geo.face_start[f]
+        angles = geo.corner_angles[a:a + geo.face_size[f]].tolist()
+        turn = sum(np.pi - t for t in angles)
+        if max(angles) > np.pi or \
+                abs(turn - 2 * np.pi) > mesh_mod.DEFECT_TOL:
+            out.append(f)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
     """p2-24 (18 faces of 4, 6 and 8 vertices) with up to two vertices
-    lifted off their faces' planes, and up to two faces each taken as of
-    zero area (by the Newell pass) or as not simple: build_polyhedron
-    names the face and the check that the per-face loop named first."""
+    lifted off their faces' planes, up to two faces taken as of zero area
+    (by the Newell pass), and up to two of the faces that the build asks
+    about, those with a reflex corner, taken as not simple:
+    build_polyhedron names the face and the check that the per-face loop
+    named first."""
     rng = np.random.default_rng(seed)
     p = gen_p2_24()
     v = p.vertices.copy()
     lifted = rng.choice(len(v), int(rng.integers(0, 3)), replace=False)
     v[lifted, 2] += 1e-6
-    flat, crossed = (set(rng.choice(p.n_faces, int(rng.integers(0, 3)),
+    flat, crossed = (set(rng.choice(faces, int(rng.integers(0, 3)),
                                     replace=False).tolist())
-                     for _ in range(2))
+                     for faces in (p.n_faces, asked_faces(p.geometry)))
     newell = mesh_mod._newell
 
     def flattened(vertices, corners):
@@ -775,6 +793,43 @@ def test_face_checks_name_the_first_failing_face(monkeypatch, seed):
     else:
         with pytest.raises(DegenerateFace, match=f"^{re.escape(want)}$"):
             build_polyhedron(v, p.faces)
+
+
+# the meshes of the benchmark's workloads with faces of four or more
+# corners: certify-files' eight and construct-chain's orientable g = 8
+WORKLOAD_MESHES = CERTIFY_FILES + [("orientable", 8, False)]
+
+
+def crossing_tests(monkeypatch, p) -> list[int]:
+    """The sizes of the faces, in order, that build_polyhedron hands
+    polygon_is_simple as it builds p's parts again."""
+    sizes = []
+    is_simple = _geom.polygon_is_simple
+
+    def counted(pts, eps=1e-12):
+        sizes.append(len(pts))
+        return is_simple(pts, eps)
+
+    with monkeypatch.context() as m:
+        m.setattr(_geom, "polygon_is_simple", counted)
+        build_polyhedron(p.vertices, p.faces, p.metadata, p.edge_slots)
+    return sizes
+
+
+def test_the_build_tests_only_faces_it_cannot_call_convex(monkeypatch):
+    """Of the 393 faces of four or more corners in the nine workload
+    meshes, 349 of them quads, the build hands polygon_is_simple the 36
+    with a reflex corner and no quad: p2-24's notched walls and bitten
+    caps, and v8g's windows and caps; on p2-24 alone, 6 of its 18."""
+    meshes = [family(*row) for row in WORKLOAD_MESHES]
+    sizes = [np.asarray(p.geometry.face_size) for p in meshes]
+    assert sum(int((k > 3).sum()) for k in sizes) == 393
+    assert sum(int((k == 4).sum()) for k in sizes) == 349
+    asked = [crossing_tests(monkeypatch, p) for p in meshes]
+    assert sum(map(len, asked)) == 36 and 4 not in sum(asked, [])
+    p = gen_p2_24()
+    assert len(crossing_tests(monkeypatch, p)) == 6 == \
+        len(asked_faces(p.geometry)) and p.n_faces == 18
 
 
 def test_a_crossed_face_within_the_simplicity_eps_raises():

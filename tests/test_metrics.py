@@ -92,9 +92,9 @@ def test_defect_profile_broken_symmetry():
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
 def test_descartes_residual_is_rounding_on_the_catalog(name, genus, params):
-    """The build refuses a face whose corner angles do not sum to
-    (k - 2) * pi, so the defects of every built mesh sum to 2*pi*chi up
-    to rounding: below 1e-9 on the catalog's small genera."""
+    """The build refuses a face that does not turn once, its exterior
+    angles summing off 2 * pi, so the defects of every built mesh sum to
+    2*pi*chi up to rounding: below 1e-9 on the catalog's small genera."""
     assert descartes_residual(family(name, genus, **params)) < 1e-9
 
 
