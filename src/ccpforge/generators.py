@@ -716,20 +716,15 @@ def f_angle_sum(l: float, d: float) -> float:
     return _angle_sum_of(l)(d)
 
 
-def _angle_terms(l: float) -> tuple[float, float, float]:
-    """The terms in l of f_angle_sum(l, .), 2l^2, 2l sqrt(l^2+1) and
-    2(l^2+1), with l checked.  An l that is not finite (a NaN included)
-    leaves every term undefined."""
+def _angle_sum_of(l: float) -> Callable[[float], float]:
+    """f_angle_sum(l, .) with l checked and its terms in l, 2l^2,
+    2l sqrt(l^2+1) and 2(l^2+1), computed once.  An l that is not finite
+    (a NaN included) leaves every term undefined."""
     if not _finite(l):
         raise DomainError(f"l = {l} is not finite")
     if l <= 0:
         raise DomainError("l must be positive")
-    return 2 * l * l, 2 * l * math.sqrt(l * l + 1), 2 * (l * l + 1)
-
-
-def _angle_sum_of(l: float) -> Callable[[float], float]:
-    """f_angle_sum(l, .) with l checked and its terms in l computed once."""
-    a, b, c = _angle_terms(l)
+    a, b, c = 2 * l * l, 2 * l * math.sqrt(l * l + 1), 2 * (l * l + 1)
     hi, acos = 2.0 * float(l), math.acos
 
     def f(d: float) -> float:
@@ -752,24 +747,16 @@ _ROOT_TOL = 1e-12
 def _solve_increasing(l: float, lo: float, hi: float, target: float
                       ) -> float:
     """The d in [lo, hi] at which f_angle_sum(l, d) meets target, by
-    bisection.  The two ends are checked as f_angle_sum checks d; each
-    midpoint lies between checked ends, so f is evaluated there inline,
-    with the float operations of _angle_sum_of in their order."""
+    bisection of _angle_sum_of(l), which checks the two ends as
+    f_angle_sum checks d; each midpoint lies between checked ends."""
     f = _angle_sum_of(l)
     flo, fhi = f(lo) - target, f(hi) - target
     if flo > 0 or fhi < 0:
         raise BracketFailure(
             f"no sign change on [{lo}, {hi}] for target {target}")
-    a, b, c = _angle_terms(l)
-    acos = math.acos
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        d2 = mid * mid
-        u = (a - d2) / b
-        w = (c - d2) / c
-        u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
-        w = -1.0 if w < -1.0 else 1.0 if w > 1.0 else w
-        fm = 2 * acos(u) + acos(w) - target
+        fm = f(mid) - target
         if abs(fm) < _ROOT_TOL and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if fm < 0:

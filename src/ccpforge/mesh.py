@@ -428,9 +428,8 @@ class Combinatorics:
         return tuple(zip(big.tolist(), self.corners.start[big].tolist(),
                          self.corners.size[big].tolist()))
 
-    # measured gain: p2-sweep +5.0% without this, _clip_quad and the quad
-    # crossing test since deleted (with the per-length plane fits of the
-    # time)
+    # measured gain: p2-sweep +3.5% without the record's cache alone (120
+    # paired rounds)
     @cached_property
     def triangle_runs(self) -> _TriangleRuns:
         """The run layout of the ear clip: the rows of a face's run follow
@@ -526,7 +525,8 @@ def _clearance(pts: np.ndarray, faces: np.ndarray, corners: _Corners,
     in _PLANES order.  The faces of one length are projected and wound in
     one stack, in which a point gets the bits it gets alone, and a
     boundary distance is measured only where a polygon winds around its
-    point (MeshGeometry.inside_clearance, surgery's location)."""
+    point (surgery's axis check and location, each on the fit of the
+    faces it tests)."""
     centroid, _, _, u, v, uv, _ = planes
     out = np.zeros(len(faces))
     sizes = corners.size.take(faces)
@@ -551,9 +551,8 @@ class MeshGeometry:
 
     The geometry reads the corner layout, edge cells (`cells`, (E, 4)
     rows (f1, s1, f2, s2), as in edge_slots) and derived parts of a
-    checked Combinatorics record (`combinatorics`): a validated mesh's,
-    or that of raw parts surgery reads before validating
-    (_checked_parts).
+    validated mesh's Combinatorics record (`combinatorics`): only
+    build_polyhedron makes one, once per mesh.
 
     Each face has one plane, fitted at construction by Newell's method
     (_newell): per face its centroid, unit normal, residual (largest
@@ -561,7 +560,9 @@ class MeshGeometry:
     and area, and per corner uv, its coordinates in its face's (u, v)
     frame; face f's polygon is the slice of uv its corners hold.  `planes`
     holds the seven arrays in _PLANES order.
-    Validation, metrics and surgery all read these planes.
+    Validation, metrics and verification read these planes; surgery
+    fits the faces it reads alone (surgery._fitted), which gives them
+    the same bits.
     """
 
     def __init__(self, vertices: np.ndarray, record: Combinatorics):
@@ -575,13 +576,6 @@ class MeshGeometry:
         self.next_corner = self.corners.next
         self.planes = _newell(vertices, self.corners)
         self.__dict__.update(zip(_PLANES, self.planes))
-
-    def inside_clearance(self, faces: np.ndarray, points: np.ndarray
-                         ) -> np.ndarray:
-        """Per (n, 3) point, _geom.inside_clearance of its projection into
-        the (u, v) frame of the face of `faces` (n,) at its place: 0 outside
-        the face (_clearance)."""
-        return _clearance(points, faces, self.corners, self.planes)
 
     @cached_property
     def scale(self) -> float:

@@ -6,8 +6,8 @@ recipes that chain them: a base and its steps, assembled and built once
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -18,8 +18,8 @@ from .errors import (AmbiguousCorrespondence, AxisObstructed, BadOrder,
                      BadParameters, FlatEdge, FlatSeam, FootprintTooLarge,
                      HoleNotInside, IndexOutOfRange, NonNegativeChi,
                      NotInteger, NotIsometric, SelfCrossingPartition)
-from .mesh import (LENGTH_TOL, Combinatorics, MeshData, MeshGeometry,
-                   Polyhedron, _check_fields, _checked_parts, _clearance,
+from .mesh import (LENGTH_TOL, Combinatorics, MeshData, Polyhedron,
+                   _check_fields, _checked_parts, _clearance,
                    _corner_layout, _derived_cells, _finite, _index,
                    _integer, _mesh, _newell, _record, build_polyhedron,
                    euler_characteristic)
@@ -48,12 +48,6 @@ class FaceCorrespondence:
 
 def _cycle_lengths(pts: np.ndarray) -> np.ndarray:
     return _geom.linalg_norm(_geom._succ(pts) - pts)
-
-
-def _alignments(cycle2: tuple[int, ...]):
-    for base in (tuple(cycle2), tuple(reversed(cycle2))):
-        for shift in range(len(base)):
-            yield base[shift:] + base[:shift]
 
 
 def _alignment(mapping: Sequence[int], cycle: Sequence[int]
@@ -108,21 +102,23 @@ def _resolved(pts1: np.ndarray, c1: Sequence[int], p2: MeshData,
             raise NotIsometric("mapping does not respect the face2 cycle")
         return mapping, at
 
-    # the larger of the two meshes' tolerance scales (MeshGeometry.scale)
+    # the larger of the two meshes' tolerance scales, of their vertices
     tol = LENGTH_TOL * max(_geom.tolerance_scale(pts1),
                            _geom.tolerance_scale(p2.vertices)) * 10
     len1 = _cycle_lengths(pts1[list(c1)])
-    found = []
-    for cand in _alignments(c2):
-        len2 = _cycle_lengths(p2.vertices[list(cand)])
-        if np.maximum.reduce(np.abs(len1 - len2)) < tol:
-            found.append(cand)
+    k, found = len(c2), []
+    for step in (1, -1):                # the 2k alignments, as _alignment
+        for start in range(k):
+            cand = tuple(c2[(start + step * i) % k] for i in range(k))
+            len2 = _cycle_lengths(p2.vertices[list(cand)])
+            if np.maximum.reduce(np.abs(len1 - len2)) < tol:
+                found.append((cand, (start, step)))
     if not found:
         raise NotIsometric("no isometric alignment of the two face cycles")
     if len(found) > 1:
         raise AmbiguousCorrespondence(
             f"{len(found)} isometric alignments; pass an explicit mapping")
-    return found[0], _alignment(found[0], c2)
+    return found[0]
 
 
 def _checked(p: Polyhedron | MeshData) -> MeshData:
@@ -395,13 +391,12 @@ def _partition(o2: np.ndarray, h2: np.ndarray, area_o, area_h,
     return faces_local
 
 
-def _raw(p: Polyhedron | MeshData) -> tuple[MeshData, MeshGeometry]:
-    """p's checked parts (_checked), and their geometry, whose Newell
-    frames place the drilled vertices: a validated mesh lends its own."""
-    data = _checked(p)
-    if isinstance(p, Polyhedron):
-        return data, p.geometry
-    return data, MeshGeometry(data.vertices, data.faces)
+def _fitted(vertices: np.ndarray, cycles) -> tuple:
+    """The corner layout of the face cycles and their planes, in _PLANES
+    order: one Newell pass over those faces alone (_newell), which gives
+    each the bits of a fit of every face of its mesh."""
+    corners = _corner_layout(cycles)
+    return corners, _newell(vertices, corners)
 
 
 def _coordinates(point) -> bool:
@@ -412,15 +407,14 @@ def _coordinates(point) -> bool:
     return flat and len(point) == 3 and all(map(_finite, point))
 
 
-def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
-    """Reject a spec that no axis placement mends: bad face ids, a bad
-    placement (a phase, radius or point that is not finite real numbers,
-    a point that is not three of them, or a radius that is not positive)
-    or order, a face pierced twice, and a pierced face of zero vector
-    area, whose normal is NaN."""
+def _check_spec(n_faces: int, spec: DrillSpec) -> None:
+    """Reject a spec that no axis placement mends: bad face ids of a mesh
+    of n_faces faces, a bad placement (a phase, radius or point that is
+    not finite real numbers, a point that is not three of them, or a
+    radius that is not positive) or order, and a face pierced twice."""
     _record(spec, DrillSpec, "the drill spec")
     for f in (spec.face1, spec.face2):
-        _index(f, len(geo.face_size), "face")
+        _index(f, n_faces, "face")
     point = spec.point
     if not (_finite(spec.phase)
             and (spec.radius is None or _finite(spec.radius))
@@ -435,30 +429,32 @@ def _check_spec(geo: MeshGeometry, spec: DrillSpec) -> None:
         raise BadOrder(f"prism order {spec.n} is not in 3..2**63-1")
     if spec.face1 == spec.face2:
         raise AxisObstructed("face1 and face2 must differ")
-    for f in (spec.face1, spec.face2):
-        if not geo.area[f] > 0:
-            raise AxisObstructed(f"pierced face {f} has zero area")
 
 
-def _axis(geo: MeshGeometry, spec: DrillSpec):
+def _axis(fit: tuple, scale: float, spec: DrillSpec):
     """The axis: entry point, depth along face2's normal, and entry and
-    exit clearances in the pierced faces; it must join the interiors of
-    two parallel faces apart (AxisObstructed)."""
-    f1, f2 = spec.face1, spec.face2
-    faces = np.array([f1, f2])
-    c1, c2, n2 = geo.centroid[f1], geo.centroid[f2], geo.normal[f2]
-    if abs(abs(float(geo.normal[f1] @ n2)) - 1.0) > 1e-9:
+    exit clearances in the pierced faces, whose fit (_fitted) holds
+    face1 and then face2, in a mesh of tolerance scale `scale`; it must
+    join the interiors of two parallel faces apart, neither of zero
+    vector area, whose normal is NaN (AxisObstructed)."""
+    corners, planes = fit
+    centroid, normal, area = planes[0], planes[1], planes[6]
+    for f, a in zip((spec.face1, spec.face2), area.tolist()):
+        if not a > 0:
+            raise AxisObstructed(f"pierced face {f} has zero area")
+    c1, c2, n2 = centroid[0], centroid[1], normal[1]
+    if abs(abs(float(normal[0] @ n2)) - 1.0) > 1e-9:
         raise AxisObstructed("pierced faces are not parallel")
     p1pt = c1 if spec.point is None else np.asarray(spec.point, float)
     # the exit point: the entry point projected onto face2's plane
     depth = float((p1pt - c2) @ n2)
-    d1, d2 = geo.inside_clearance(
-        faces, np.array([p1pt, p1pt - depth * n2])).tolist()
-    if not d1 > AXIS_CLEARANCE * geo.scale:
+    d1, d2 = _clearance(np.array([p1pt, p1pt - depth * n2]), np.arange(2),
+                        corners, planes).tolist()
+    if not d1 > AXIS_CLEARANCE * scale:
         raise AxisObstructed("axis point is not interior to face1")
-    if abs(depth) < 1e-9 * geo.scale:
+    if abs(depth) < 1e-9 * scale:
         raise AxisObstructed("pierced faces are coplanar")
-    if not d2 > AXIS_CLEARANCE * geo.scale:
+    if not d2 > AXIS_CLEARANCE * scale:
         raise AxisObstructed("axis exit point is not interior to face2")
     return p1pt, depth, d1, d2
 
@@ -489,16 +485,15 @@ class _Surgery:
     an index holds each live half-edge's row.  The parts are assembled
     once (parts).
 
-    A drilled record keeps the planes of the mesh's geometry for its own
-    faces and fits a step's faces alone (_newell, which gives them the
-    bits of a fit of every face) when the next step locates (_fit).  Per
-    step it keeps, for each of its two planes, the face it pierced and
-    the ids of that face's pieces, which are all quads or all triangles
-    (cuts); location (locate) reads only those pieces, so a chain's
-    location is linear in its steps.
+    A drilled record, made with its mesh's tolerance scale, holds no
+    geometry: each location fits the faces it tests, and no other
+    (_fitted).  Per step it keeps, for each of its two planes, the face
+    it pierced and the ids of that face's pieces, which are all quads or
+    all triangles (cuts); location (locate) reads only those pieces, so
+    a chain's location is linear in its steps.
     """
 
-    def __init__(self, data: MeshData, geo: MeshGeometry | None = None):
+    def __init__(self, data: MeshData, scale: float | None = None):
         record = data.faces
         self.metadata = data.metadata
         self.vertices = data.vertices       # copied into room on first write
@@ -514,13 +509,9 @@ class _Surgery:
         self.seams = set(data.metadata.seam_edges)
         self.unknown = {"genus": None}      # the fields the steps unset
         self.provenance: list[str] = []
-        if geo is None:
+        if scale is None:
             return
-        self.scale = geo.scale
-        # per step its first face id, and the corners and planes of the
-        # faces it made; the mesh's own faces are step 0's
-        self.firsts = [0]
-        self.fits = [(record.corners, geo.planes)]
+        self.scale = scale
         self.cuts: list[tuple[tuple[int, range], tuple[int, range]]] = []
 
     def _add(self, half: np.ndarray, at, old: np.ndarray) -> None:
@@ -616,34 +607,19 @@ class _Surgery:
         self.provenance.append(
             f"connect_sum(face {corr.face1} ~ face {corr.face2})")
 
-    def frame(self, f: int) -> tuple[np.ndarray, ...]:
-        """Face f's centroid, normal, u and v."""
-        s = bisect_right(self.firsts, f) - 1
-        centroid, normal, _, u, v, _, _ = self.fits[s][1]
-        i = f - self.firsts[s]
-        return centroid[i], normal[i], u[i], v[i]
-
-    def _fit(self) -> None:
-        """Fit the faces of the last step, which is done when it is located
-        in (the last step of a chain never is)."""
-        first = self.firsts[-1]
-        corners = _corner_layout(self.faces[first:])
-        self.fits[-1] = corners, _newell(self.vertices, corners)
-
-    def locate(self, points: np.ndarray, roots: tuple[int, int]
-               ) -> list[tuple[int | None, float]]:
+    def locate(self, points: np.ndarray, roots: tuple[int, int],
+               fit: tuple) -> list[tuple]:
         """Per plane i, the face that holds points[i] inside, by _axis's
-        bound, and its clearance to that face's boundary, or (None, 0.0)
-        where none does: face roots[i] until a step pierces it, and then a
-        piece of a face pierced in its plane.  The pieces of the last cut
-        of both planes are tested first, in one stack; a plane whose point
-        they miss walks back through the live pieces of the cuts before.
-        Each point's clearance in its candidates is mesh._clearance's, as
-        MeshGeometry.inside_clearance gives it; the least such face
-        wins."""
-        if self.fits[-1] is None:
-            self._fit()
-        best: list[tuple[int | None, float]] = [(None, 0.0), (None, 0.0)]
+        bound, its clearance to that face's boundary and its centroid,
+        normal, u and v, or (None, 0.0, None) where none does: face
+        roots[i], whose fit (_fitted, as _axis reads it) is `fit`, until a
+        step pierces it, and then a piece of a face pierced in its plane.
+        The pieces of the last cut of both planes are fitted and tested
+        first, in one stack; a plane whose point they miss walks back
+        through the live pieces of the cuts before.  Each point's
+        clearance in its candidates is mesh._clearance's; the least such
+        face wins."""
+        best: list[tuple] = [(None, 0.0, None), (None, 0.0, None)]
         bound = AXIS_CLEARANCE * self.scale
         dead: set[int] = set()
         levels = [tuple((f, range(f, f + 1)) for f in roots), *self.cuts]
@@ -656,28 +632,33 @@ class _Surgery:
             rows = [(i, f) for i in want for f in cut[i][1] if f not in dead]
             if not rows:
                 continue
-            # the candidates are faces of one step, of one length per plane
+            # live roots, both of them, are tested only before the first
+            # cut; every other candidate is fitted here
             plane, faces = np.array(rows).T
-            s = bisect_right(self.firsts, int(faces[0])) - 1
-            at = faces - self.firsts[s]
-            clearance = _clearance(points[plane], at, *self.fits[s]).tolist()
-            for i, f, c in zip(plane.tolist(), faces.tolist(), clearance):
+            corners, planes = fit if not self.cuts else _fitted(
+                self.vertices, [self.faces[f] for f in faces.tolist()])
+            centroid, normal, _, u, v, _, _ = planes
+            clearance = _clearance(points[plane], np.arange(len(faces)),
+                                   corners, planes).tolist()
+            for at, (i, f, c) in enumerate(zip(plane.tolist(),
+                                               faces.tolist(), clearance)):
                 if c > bound and (best[i][0] is None or f < best[i][0]):
-                    best[i] = (f, c)
+                    best[i] = (f, c, (centroid[at], normal[at], u[at], v[at]))
         return best
 
     def pierce(self, f1: int, f2: int, n: int, phase: float, axis: tuple,
-               radius: float | None) -> None:
+               radius: float | None, u1: np.ndarray, v1: np.ndarray,
+               n2: np.ndarray) -> None:
         """Drill faces f1 and f2, along the axis _axis gives, with a prism
         of n sides and circumradius `radius` (by default a quarter of the
-        smaller clearance): the two prism rings, both pierced faces
-        retiled in one call, each over its own and its ring's vertices,
-        and the walls; face1's errors come before face2's.  The pieces of
-        f1 and of f2 and the walls are appended with their cells and the
-        seams between the pieces, and f1 and f2 die."""
+        smaller clearance), its first ring in f1's (u1, v1) frame and its
+        second that ring moved by depth along f2's normal n2: the two
+        prism rings, both pierced faces retiled in one call, each over
+        its own and its ring's vertices, and the walls; face1's errors
+        come before face2's.  The pieces of f1 and of f2 and the walls
+        are appended with their cells and the seams between the pieces,
+        and f1 and f2 die."""
         p1pt, depth, d1, d2 = axis
-        _, _, u1, v1 = self.frame(f1)
-        n2 = self.frame(f2)[1]
         eps = radius if radius is not None else 0.25 * min(d1, d2)
         if eps <= 0 or eps >= min(d1, d2):
             raise FootprintTooLarge(
@@ -723,8 +704,6 @@ class _Surgery:
         split = first + len(parts[0])
         self.cuts.append(((f1, range(first, split)),
                           (f2, range(split, split + len(parts[1])))))
-        self.firsts.append(first)
-        self.fits.append(None)
 
 
 def drill(p: Polyhedron | MeshData, spec: DrillSpec) -> Polyhedron:
@@ -755,9 +734,10 @@ def drill_repeat(p: Polyhedron | MeshData, spec: DrillSpec,
     seam), the next of a fixed set of offset directions is tried.  A bad
     spec raises what drill raises, before any offset is tried.  p may be
     a validated mesh or raw MeshData, checked as drill checks it.  The
-    drills pierce raw data (_drill_chain) and the finished mesh is
-    validated once (construct); a sub-face a later drill pierces is never
-    validated.
+    drills pierce raw data (_drill_chain), fitting only the faces they
+    read: the spec's two faces, and at each later drill the pieces it
+    locates among.  The finished mesh is validated once (construct); a
+    sub-face a later drill pierces is never validated.
     """
     return construct(p, [Drill(spec, k)])
 
@@ -767,33 +747,37 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
     """The _Surgery record of drill_repeat(p, spec, k), k >= 1, whose
     parts are the drilled mesh, as a Drill step of assemble: one record
     per offset direction tried, on which each step pays for what it adds
-    (its rings, pieces, walls and cells, and their fit) and for locating
-    its two axis points among the pieces of the step before
-    (_Surgery.locate)."""
-    data, geo = _raw(p)
-    _check_spec(geo, spec)
-    axis = _axis(geo, spec)
+    (its rings, pieces, walls and cells) and for locating its two axis
+    points among the pieces of the step before (_Surgery.locate).  The
+    spec's two faces are fitted once (_fitted), for the axis and the
+    first step's location, and no other face of p is."""
+    data = _checked(p)
+    _check_spec(len(data.faces), spec)
+    roots = spec.face1, spec.face2
+    fit = _fitted(data.vertices, [data.faces[f] for f in roots])
+    scale = _geom.tolerance_scale(data.vertices)
+    axis = _axis(fit, scale, spec)
+    centroid, normal, _, u, v, _, _ = fit[1]
     if k == 1:
-        record = _Surgery(data, geo)
-        record.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
-                      spec.radius)
+        record = _Surgery(data, scale)
+        record.pierce(*roots, spec.n, spec.phase, axis, spec.radius, u[0],
+                      v[0], normal[1])
         return record
     p1pt, _, d0, _ = axis
-    n1, u1, v1 = (a[spec.face1] for a in (geo.normal, geo.u, geo.v))
+    n1, u1, v1 = normal[0], u[0], v[0]
     delta = d0 / (2 * k)
-    exit_height = float(n1 @ geo.centroid[spec.face2])
-    roots = spec.face1, spec.face2
+    exit_height = float(n1 @ centroid[1])
 
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        record = _Surgery(data, geo)
+        record = _Surgery(data, scale)
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
                 exit_pt = axis_pt - (float(axis_pt @ n1) - exit_height) * n1
-                (f1, clr1), (f2, clr2) = record.locate(
-                    np.array([axis_pt, exit_pt]), roots)
+                (f1, clr1, frame1), (f2, clr2, frame2) = record.locate(
+                    np.array([axis_pt, exit_pt]), roots, fit)
                 if f1 is None or f2 is None:
                     raise FootprintTooLarge(
                         f"drill {j + 1}/{k}: axis offset leaves the "
@@ -801,10 +785,11 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
                 radius = spec.radius if spec.radius is not None else \
                     0.25 * min(clr1, clr2, delta / 2)
                 # the planes are those _axis checked; only depth is new
-                c2, n2, _, _ = record.frame(f2)
+                c2, n2, _, _ = frame2
                 depth = float((axis_pt - c2) @ n2)
                 record.pierce(f1, f2, spec.n, spec.phase,
-                              (axis_pt, depth, clr1, clr2), radius)
+                              (axis_pt, depth, clr1, clr2), radius,
+                              *frame1[2:], n2)
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
@@ -826,6 +811,23 @@ class Drill:
     k: int = 1
 
 
+def _steps(steps: Sequence) -> Iterator[tuple[object, bool]]:
+    """A recipe's steps, in order, each with whether it is a glue step, a
+    two-item (piece, FaceCorrespondence) tuple or list, and not a Drill:
+    steps that are no sequence raise BadParameters before the first, and
+    a step that is neither where the walk reaches it."""
+    if not isinstance(steps, Sequence):
+        raise BadParameters(f"the steps, a {type(steps).__name__}, are "
+                            "not a sequence")
+    for i, step in enumerate(steps):
+        glued = isinstance(step, (tuple, list)) and len(step) == 2
+        if not (glued or isinstance(step, Drill)):
+            raise BadParameters(
+                f"step {i}, a {type(step).__name__}, is neither a Drill nor "
+                "a (piece, FaceCorrespondence) pair")
+        yield step, glued
+
+
 def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
              ) -> MeshData:
     """The parts of a recipe, not yet validated: its base, a validated
@@ -837,7 +839,7 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
     integer in 1..2**63-1 raises BadOrder).  A base that is no mesh, a
     name in `meta` that is no metadata field (_check_fields) or steps
     that are no sequence raise BadParameters before any step, and a step
-    that is neither a Drill nor a pair where it comes.
+    that is neither a Drill nor a pair where it comes (_steps).
 
     The glue steps write one _Surgery record, and a drill chain starts a
     record of its own, on which later glue steps write.  The base and
@@ -851,9 +853,6 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
     """
     _mesh(base, raw=True)
     _check_fields(meta)
-    if not isinstance(steps, Sequence):
-        raise BadParameters(f"the steps, a {type(steps).__name__}, are "
-                            "not a sequence")
     # per distinct mesh, by id, the mesh and its checked parts; per
     # record, by id, the record and its sides by face2 and mapping, as
     # given or else as resolved; an entry holds what its key names, so
@@ -869,14 +868,10 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
         return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
 
     record = None
-    for i, step in enumerate(steps):
-        if isinstance(step, (tuple, list)) and len(step) == 2:
+    for step, glued in _steps(steps):
+        if glued:
             record = record or _Surgery(piece_of(base)[0])
             record.glue(*piece_of(step[0]), step[1])
-        elif not isinstance(step, Drill):
-            raise BadParameters(f"step {i}, a {type(step).__name__}, is "
-                                "neither a Drill nor a (piece, "
-                                "FaceCorrespondence) pair")
         elif not 1 <= _integer(step.k, "k", BadOrder) < 2 ** 63:
             raise BadOrder("k must be >= 1 and below 2**63")
         else:
@@ -904,18 +899,19 @@ def construct(base: Polyhedron | MeshData, steps: Sequence, **meta
 
 def counts(base: Polyhedron | MeshData, steps: Sequence) -> tuple[int, int]:
     """The vertex count V and Euler characteristic chi of the recipe's
-    mesh, read off face lists alone, before any geometry, and unchecked:
-    the base's V and V - corners/2 + F; a glue of a piece on a k-gon adds
-    V(piece) - k vertices and changes chi by chi(piece) - 2, and a Drill
-    step adds 2nk vertices and lowers chi by 2k."""
+    mesh, read off face lists alone, before any geometry, and unchecked
+    but for the shape of the steps, which raises assemble's BadParameters
+    (_steps): the base's V and V - corners/2 + F; a glue of a piece on a
+    k-gon adds V(piece) - k vertices and changes chi by chi(piece) - 2,
+    and a Drill step adds 2nk vertices and lowers chi by 2k."""
     def euler(p) -> int:
         return len(p.vertices) - sum(map(len, p.faces)) // 2 + len(p.faces)
 
     v, chi = len(base.vertices), euler(base)
-    for step in steps:
-        if isinstance(step, Drill):
-            v, chi = v + 2 * step.spec.n * step.k, chi - 2 * step.k
-        else:           # a piece on a k-gon
+    for step, glued in _steps(steps):
+        if glued:       # a piece on a k-gon
             v += len(step[0].vertices) - len(step[0].faces[step[1].face2])
             chi += euler(step[0]) - 2
+        else:
+            v, chi = v + 2 * step.spec.n * step.k, chi - 2 * step.k
     return v, chi

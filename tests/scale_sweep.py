@@ -11,9 +11,13 @@ checkout:
 The meshes are `orientable` g = 25, 50, 100 and 200, `nonorientable`
 g = 51 and 101, `n5g` g = 13, 15, 17 and 19, and `v8g` g = 200 and 600,
 in that order; --limit N runs the first N.  Per mesh it prints V, E, F,
-the genus verify finds, the verdict, the witness count, and the process
-time per face, in microseconds, of generate_family and of verify, each
-the least of REPEATS (3) runs, which follow one untimed run (WARMUP).
+the genus verify finds, the verdict, the witness count, the face rows
+that Newell passes (mesh._newell) fitted before the build, the last
+pass of generate_family, and the process time per face, in
+microseconds, of generate_family and of verify, each the least of
+REPEATS (3) runs, which follow one untimed run (WARMUP).  The rows are
+counted by a wrapper of _newell at both of its bindings, in mesh and in
+surgery, so they are exact where a time ratio is noise.
 --out PATH also writes them, with the Python and numpy versions and the
 machine, as one JSON document.  BLAS runs on one thread, as in
 perfbench/run.py, so that process time is the time of one core.  A full
@@ -28,7 +32,8 @@ git revision REV, extracted into a temporary directory that is removed
 afterwards.  Both sides run the mesh once untimed and then once in
 each of the REPEATS rounds, the first side flipping every round; both
 must give the same V, E, F, genus, verdict and witness count.  Per
-mesh it then prints and writes both sides' times per face and the
+mesh it then prints and writes both sides' fitted rows, times per face
+and the
 ratio b / a - 1 of their least times, for generate and for verify, and
 beside it the range of the per-round ratios, each round's b / a - 1,
 which shows how far one round's pair moves; it exits 1 when the sides
@@ -76,42 +81,58 @@ FACTS = ("V", "E", "F", "verified_genus", "verdict", "witnesses")
 
 def library(root: Path, name: str):
     """Checkout root's generators and verify modules, its src/ccpforge
-    imported as package `name`."""
+    imported as package `name`, and a list that gains each Newell pass's
+    face count from now on: its mesh._newell is wrapped at its two
+    bindings, mesh's and surgery's."""
     package = root / "src" / "ccpforge"
     load(name, package / "__init__.py", package)
+    mesh = importlib.import_module(f"{name}.mesh")
+    newell, passes = mesh._newell, []
+
+    def counted(vertices, corners):
+        passes.append(len(corners.size))
+        return newell(vertices, corners)
+
+    for module in (mesh, importlib.import_module(f"{name}.surgery")):
+        module._newell = counted
     return (importlib.import_module(f"{name}.generators"),
-            importlib.import_module(f"{name}.verify"))
+            importlib.import_module(f"{name}.verify"), passes)
 
 
-def run(lib, family: str, genus: int) -> tuple[dict, float, float]:
-    """One run on library lib: the mesh's facts, and the process times of
-    generate_family and verify."""
-    generators, verify = lib
+def run(lib, family: str, genus: int) -> tuple[dict, int, float, float]:
+    """One run on library lib: the mesh's facts, the face rows Newell
+    passes fitted before the last pass of generate_family, its build,
+    and the process times of generate_family and verify."""
+    generators, verify, passes = lib
+    passes.clear()
     start = time.process_time()
     p = generators.generate_family(generators.FamilyRequest(family, genus))
     generated = time.process_time()
+    fitted = sum(passes[:-1])
     report = verify.verify(p)
     verified = time.process_time()
     facts = dict(zip(FACTS, (p.n_vertices, p.n_edges, p.n_faces,
                              report.topology.genus, report.verdict,
                              len(report.witnesses))))
-    return facts, generated - start, verified - generated
+    return facts, fitted, generated - start, verified - generated
 
 
 def measure(libs: dict, family: str, genus: int) -> dict | None:
     """One mesh's facts and, per side of libs ("b" this checkout, "a" the
-    other if any), its process times, each the least of REPEATS runs
-    after WARMUP untimed ones, and with two sides the extremes of each
-    round's ratio b / a - 1; the sides alternate, the first flipping every
-    round.  None, and a line on stderr, when the sides' facts differ."""
+    other if any), its fitted rows and process times, each time the least
+    of REPEATS runs after WARMUP untimed ones, and with two sides the
+    extremes of each round's ratio b / a - 1; the sides alternate, the
+    first flipping every round.  None, and a line on stderr, when the
+    sides' facts differ."""
     rounds = {side: [] for side in libs}   # per round, the two times
-    facts = {}
+    facts, fitted = {}, {}
     for _ in range(WARMUP):
         for side in sorted(libs):
             run(libs[side], family, genus)
     for r in range(REPEATS):
         for side in (sorted(libs) if r % 2 == 0 else sorted(libs)[::-1]):
-            facts[side], *times = run(libs[side], family, genus)
+            facts[side], fitted[side], *times = run(libs[side], family,
+                                                    genus)
             rounds[side].append(times)
     best = {side: list(map(min, *times)) for side, times in rounds.items()}
     if facts.get("a", facts["b"]) != facts["b"]:
@@ -122,7 +143,8 @@ def measure(libs: dict, family: str, genus: int) -> dict | None:
     for side, (generate_s, verify_s) in best.items():
         prefix = "a_" if side == "a" else ""
         faces = row["F"]
-        row |= {f"{prefix}generate_s": generate_s,
+        row |= {f"{prefix}fitted_rows": fitted[side],
+                f"{prefix}generate_s": generate_s,
                 f"{prefix}verify_s": verify_s,
                 f"{prefix}generate_us_per_face": 1e6 * generate_s / faces,
                 f"{prefix}verify_us_per_face": 1e6 * verify_s / faces}
@@ -139,6 +161,10 @@ def line(row: dict) -> str:
     out = (f"{row['family']:>13} g={row['genus']:<4} V={row['V']:<6} "
            f"E={row['E']:<6} F={row['F']:<6} genus={row['verified_genus']:<4}"
            f" {row['verdict']:<13} witnesses={row['witnesses']:<6}")
+    if "a_fitted_rows" in row:
+        out += f" fitted rows a {row['a_fitted_rows']} b {row['fitted_rows']}"
+    else:
+        out += f" fitted rows {row['fitted_rows']}"
     for step in ("generate", "verify"):
         b = row[f"{step}_us_per_face"]
         if "a_generate_s" in row:

@@ -185,6 +185,19 @@ def test_a_recipe_names_a_field_or_step_it_cannot_take(recipe):
         recipe(P, 5)
 
 
+def test_counts_names_a_step_it_cannot_take():
+    """surgery.counts, which reads a recipe before it is assembled, raises
+    assemble's BadParameters for a step that is neither a Drill nor a
+    (piece, FaceCorrespondence) pair and for steps that are no sequence,
+    not a TypeError; it takes no metadata."""
+    with pytest.raises(BadParameters, match="^step 0, a int, is neither "
+                       r"a Drill nor a \(piece, FaceCorrespondence\) pair"):
+        surgery.counts(P, [5])
+    with pytest.raises(BadParameters, match="^the steps, a int, are not a "
+                       "sequence$"):
+        surgery.counts(P, 5)
+
+
 def test_metadata_keeps_python_numbers_in_fresh_containers():
     """MeshMetadata keeps numpy numbers as Python ones, seams lower id
     first, and containers of its own."""

@@ -247,20 +247,19 @@ def z_facing_u(geo):
 
 def test_z_facing_faces_get_u_along_x(monkeypatch):
     """Every z-facing face of n5g g = 15 (70 of them) gets u = e_x, to
-    rounding, in its validated geometry and in the frames each drill step
-    cuts in, those of the faces it pierces and of every piece an earlier
-    step cut, in which it may locate: the components of its normal along
-    x and y are rounding noise, which no longer picks u."""
+    rounding, in its validated geometry and in every fit each drill
+    makes (surgery._fitted), of the faces it pierces and of the pieces an
+    earlier step cut, in which it locates: the components of its normal
+    along x and y are rounding noise, which no longer picks u."""
     frames = []
-    pierce = surgery_mod._Surgery.pierce
+    fitted = surgery_mod._fitted
 
-    def recorded(self, f1, f2, *args):
-        frames.append(np.array([self.frame(f)[2] for f in (
-            f1, f2, *(g for cut in self.cuts for _, pieces in cut
-                      for g in pieces))]))
-        return pierce(self, f1, f2, *args)
+    def recorded(vertices, cycles):
+        corners, planes = fitted(vertices, cycles)
+        frames.append(planes[3])
+        return corners, planes
 
-    monkeypatch.setattr(surgery_mod._Surgery, "pierce", recorded)
+    monkeypatch.setattr(surgery_mod, "_fitted", recorded)
     p = generate_family(FamilyRequest("n5g", 15))
     assert len(z_facing_u(p.geometry)) == 70 and frames
     for u in [z_facing_u(p.geometry), *frames]:

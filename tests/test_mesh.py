@@ -18,6 +18,7 @@ from ccpforge.errors import (BadParameters, DegenerateFace,
                              InconsistentTopology, IndexOutOfRange,
                              NonManifoldEdge)
 from ccpforge import mesh as mesh_mod
+from ccpforge import surgery as surgery_mod
 from ccpforge.fileio import document_to_mesh, mesh_to_document
 from ccpforge.mesh import (MeshGeometry, MeshMetadata, Polyhedron,
                            _cell_array, _corner_layout, _derived_cells,
@@ -473,13 +474,32 @@ def assert_frames_fit_face_by_face(p):
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)
 def test_frames_equal_face_by_face_fits(name, genus, params):
     """A validated mesh's planes, fitted in one pass over every corner,
-    are each face's own Newell fit, also after a rigid motion."""
+    are each face's own Newell fit, also after a rigid motion; and a fit
+    of a seeded subset of the faces alone, in a seeded order, as surgery
+    fits the faces it reads (surgery._fitted), gives each face the bytes
+    of its rows in the mesh's geometry, the sign of a zero included."""
     p = family(name, genus, **params)
     assert_frames_fit_face_by_face(p)
-    rot, tr = random_rigid_motion(np.random.default_rng(len(p.faces)))
+    rng = np.random.default_rng(len(p.faces))
+    rot, tr = random_rigid_motion(rng)
     assert_frames_fit_face_by_face(build_polyhedron(
         (rot @ p.vertices.T).T + tr, p.faces, metadata=p.metadata,
         edge_slots=p.edge_slots))
+    geo = p.geometry
+    for _ in range(3):
+        faces = rng.permutation(p.n_faces)[:rng.integers(1, p.n_faces + 1)]
+        corners, planes = surgery_mod._fitted(p.vertices,
+                                              [p.faces[f] for f in faces])
+        for name, part in zip(mesh_mod._PLANES, planes):
+            want = getattr(geo, name)
+            for at, f in enumerate(faces.tolist()):
+                if name == "uv":
+                    a, b = corners.start[at], geo.face_start[f]
+                    k = geo.face_size[f]
+                    got, row = part[a:a + k], want[b:b + k]
+                else:
+                    got, row = part[at], want[f]
+                assert got.tobytes() == row.tobytes(), (name, f)
 
 
 @pytest.mark.parametrize("name,genus,params", SMALL_GENERA)

@@ -9,7 +9,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "scale_sweep.py"
 
 
+# the face rows orientable g = 25 (23 drills of P^2_24) fits before its
+# build: the two pierced faces, then per location after the first the
+# pieces of the step before in both planes
+ORIENTABLE_25_ROWS = 2 + 40 + 30 * 21
+
+
 def test_scale_sweep_runs_its_first_mesh(tmp_path):
+    """The first mesh's facts, its process times per face and the exact
+    count of face rows its Newell passes fitted before its build."""
     out = tmp_path / "sweep.json"
     run = subprocess.run([sys.executable, str(SCRIPT), "--limit", "1",
                           "--out", str(out)], capture_output=True, text=True,
@@ -22,12 +30,15 @@ def test_scale_sweep_runs_its_first_mesh(tmp_path):
     assert row["verdict"] == "ccp_embedded" and row["witnesses"] == 0
     assert row["V"] - row["E"] + row["F"] == 2 - 2 * 25
     assert row["generate_us_per_face"] > 0 and row["verify_us_per_face"] > 0
+    assert row["fitted_rows"] == ORIENTABLE_25_ROWS
+    assert f" fitted rows {ORIENTABLE_25_ROWS} " in lines[0]
 
 
 def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
     """--against runs each mesh on both checkouts, here one checkout
-    twice, and reports both sides' times, the ratio of their least times
-    and the range of the per-round ratios."""
+    twice, and reports both sides' fitted rows and times, the ratio of
+    their least times and the range of the per-round ratios; each side
+    counts its own Newell passes."""
     out = tmp_path / "sweep.json"
     run = subprocess.run([sys.executable, str(SCRIPT), "--limit", "1",
                           "--against", str(SCRIPT.parent.parent), "--out",
@@ -40,6 +51,9 @@ def test_scale_sweep_pairs_a_checkout_with_itself(tmp_path):
     assert doc["against"] == str(SCRIPT.parent.parent)
     (row,) = doc["meshes"]
     assert (row["verified_genus"], row["verdict"]) == (25, "ccp_embedded")
+    assert row["a_fitted_rows"] == row["fitted_rows"] == ORIENTABLE_25_ROWS
+    assert (f" fitted rows a {ORIENTABLE_25_ROWS} b {ORIENTABLE_25_ROWS} "
+            in line)
     for step in ("generate", "verify"):
         a, b = row[f"a_{step}_s"], row[f"{step}_s"]
         assert a > 0 and b > 0 and row[f"{step}_ratio"] == b / a - 1

@@ -414,10 +414,11 @@ def test_a_pierced_face_of_zero_area_raises_up_front(k):
 ], ids=["inf", "huge", "face-off-the-mesh"])
 def test_raw_parts_are_checked_before_they_are_fitted(k, vertex, face,
                                                       error, message):
-    """Drilling raw cube data fits every face, so a vertex that is not
-    finite or lies beyond the coordinate limit, or a face with a vertex
-    id off the mesh, raises what building the data raises, up front and
-    with no warning, though neither touches the pierced faces."""
+    """Drilling raw cube data checks every face before it fits the two
+    it pierces, so a vertex that is not finite or lies beyond the
+    coordinate limit, or a face with a vertex id off the mesh, raises
+    what building the data raises, up front and with no warning, though
+    neither touches the pierced faces."""
     verts, faces = cube_data()
     if vertex is not None:
         verts[6] = vertex
@@ -546,9 +547,7 @@ def test_invalid_new_face_same_error_on_both_paths(monkeypatch, nudge,
     accepts the one along the axis."""
     p = moved(gen_p2_24(), 5)
     spec = DrillSpec(0, 1, 12)
-    record = surgery_mod._Surgery(*surgery_mod._raw(p))
-    record.pierce(0, 1, 12, 0.0, _axis(p.geometry, spec), None)
-    data = record.parts()
+    data = first_step(p, spec)[0].parts()
     verts = data.vertices.copy()
     a, b = p.n_vertices, p.n_vertices + 1      # two ring neighbours
     if nudge == "along_axis":
@@ -585,6 +584,38 @@ def test_a_drill_that_crosses_its_pieces_raises():
     with pytest.raises(DegenerateFace, match="^face 18 is crossed: its "
                        "corner angles sum to 12.5664, not 6.28319$"):
         drill(gen_p2_24(), spec)
+
+
+def drill_axis(p, spec):
+    """What a drill chain reads of p before its first step: p's checked
+    parts, the fit of the spec's two faces (surgery._fitted), p's
+    tolerance scale and the axis (_axis)."""
+    data = surgery_mod._checked(p)
+    fit = surgery_mod._fitted(data.vertices,
+                              [data.faces[f] for f in (spec.face1,
+                                                       spec.face2)])
+    scale = geom_mod.tolerance_scale(data.vertices)
+    return data, fit, scale, _axis(fit, scale, spec)
+
+
+def first_step(p, spec, monkeypatch=None):
+    """A _Surgery record of p that has made the spec's one step, as drill
+    makes it, and the fit of the spec's two faces; with monkeypatch, also
+    the Newell passes from the step on."""
+    data, fit, scale, axis = drill_axis(p, spec)
+    record = surgery_mod._Surgery(data, scale)
+    passes = counted_newell(monkeypatch) if monkeypatch else None
+    _, normal, _, u, v, _, _ = fit[1]
+    record.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
+                  spec.radius, u[0], v[0], normal[1])
+    return record, fit, passes
+
+
+def fit_of(record, roots):
+    """The fit of the record's faces `roots`, by stable id, as _axis reads
+    the spec's two faces (surgery._fitted)."""
+    return surgery_mod._fitted(record.vertices,
+                               [record.faces[f] for f in roots])
 
 
 def counted_newell(monkeypatch) -> list[list[bytes]]:
@@ -624,93 +655,126 @@ def test_chained_minimal_fits_few_face_rows(monkeypatch):
 
 def fitted_drilling(p, faces, monkeypatch=None):
     """A _Surgery record of p after its one step through `faces` (a
-    parallel pair) with a 12-gonal prism and the fit of the faces it
-    made, which the next location would make; with monkeypatch, also the
-    Newell passes of the step."""
-    spec = DrillSpec(*faces, 12)
-    data, geo = surgery_mod._raw(p)
-    drilling = surgery_mod._Surgery(data, geo)
-    passes = counted_newell(monkeypatch) if monkeypatch else None
-    drilling.pierce(*faces, 12, 0.0, _axis(geo, spec), None)
-    drilling._fit()
-    return drilling, passes
+    parallel pair) with a 12-gonal prism, and what the next location
+    finds for the vertex means of the first piece of each plane; with
+    monkeypatch, also the Newell passes of the step and the location."""
+    drilling, fit, passes = first_step(p, DrillSpec(*faces, 12), monkeypatch)
+    pieces = [cut[0] for _, cut in drilling.cuts[-1]]
+    points = np.array([drilling.vertices[list(drilling.faces[f])].mean(0)
+                       for f in pieces])
+    located = drilling.locate(points, faces, fit)
+    assert [f for f, _, _ in located] == pieces
+    return drilling, passes, located
 
 
-def assert_fresh_frames(drilling, out):
-    """Every live face's frame in the record, its own or carried from the
-    mesh it drilled, has the bits of a fresh fit of the whole result, at
-    the face's place: its rank among the live ids."""
-    _, fresh = surgery_mod._raw(out)
+def assert_fresh_frames(drilling, located, out):
+    """Every live face of the record, fitted alone as a location fits it
+    (surgery._fitted), and every frame the location found, have the bits
+    of a fresh fit of the whole result, at the face's place: its rank
+    among the live ids."""
+    fresh = build_polyhedron(*out).geometry
     assert len(drilling.live) == len(out.faces)
     for at, f in enumerate(drilling.live):
-        for part, want in zip(drilling.frame(f), (
-                fresh.centroid, fresh.normal, fresh.u, fresh.v)):
+        a = fresh.face_start[at]
+        rows = {"uv": slice(a, a + fresh.face_size[at])}
+        for name, part in zip(mesh_mod._PLANES, fit_of(drilling, [f])[1]):
+            want = getattr(fresh, name)[rows.get(name, slice(at, at + 1))]
+            assert part.tobytes() == want.tobytes(), (f, name)
+    for f, _, frame in located:
+        at = drilling.live.index(f)
+        for part, want in zip(frame, (fresh.centroid, fresh.normal, fresh.u,
+                                      fresh.v)):
             assert part.tobytes() == want[at].tobytes(), f
 
 
 def test_pierce_keeps_the_other_faces_first():
     """A drill step on a fresh record, as drill makes it, keeps the faces
-    it does not pierce first, in order, so the planes the record carries
-    from the mesh, whose two pierced faces it takes out of the live ids,
-    and those it fits for the faces it makes are bit for bit a fresh fit
-    of the whole face list."""
+    it does not pierce first, in order; the two pierced faces, fitted
+    alone for the axis, have the planes of the mesh's own geometry bit
+    for bit, and every live face fitted alone, and every frame the next
+    location finds, is bit for bit a fresh fit of the whole face list."""
     p = gen_p2_24()
-    spec = DrillSpec(0, 1, 12)
-    data, frames = surgery_mod._raw(p)
-    assert frames is p.geometry
-    record = surgery_mod._Surgery(data, frames)
-    record.pierce(0, 1, 12, 0.0, _axis(frames, spec), None)
+    record, fit, _ = first_step(p, DrillSpec(0, 1, 12))
+    corners = len(p.faces[0]) + len(p.faces[1])
+    for name, part in zip(mesh_mod._PLANES, fit[1]):
+        want = getattr(p.geometry, name)
+        assert part.tobytes() == want[:corners if name == "uv" else 2
+                                      ].tobytes(), name
     out = record.parts()
     assert out.faces[:p.n_faces - 2] == list(p.faces[2:])
-    drilling, _ = fitted_drilling(p, (0, 1))
+    drilling, _, located = fitted_drilling(p, (0, 1))
     got = drilling.parts()
     assert got.faces == out.faces
     assert got.vertices.tobytes() == out.vertices.tobytes()
-    assert_fresh_frames(drilling, out)
+    assert_fresh_frames(drilling, located, out)
 
 
 @pytest.mark.parametrize("dropped", [[0, 1], [1, 0], [16, 17], [17, 16]])
 def test_carry_keeps_the_other_faces(monkeypatch, dropped):
     """A drilling step on p2-24 (18 faces) through its top and bottom
-    faces or its two x walls, in either order, carries the planes of the
-    faces it keeps: its one Newell pass fits the faces it makes and no
-    other, and every live face's frame is a fresh fit's bit for bit."""
+    faces or its two x walls, in either order, carries no plane: the
+    step fits no face, and the next location makes one Newell pass, over
+    the pieces it tests, the faces the step made but its 12 walls, and
+    no face the step kept; every live face fitted alone, and every frame
+    the location finds, is a fresh fit's bit for bit."""
     p = gen_p2_24()
-    drilling, passes = fitted_drilling(p, dropped, monkeypatch)
+    drilling, passes, located = fitted_drilling(p, dropped, monkeypatch)
     out = drilling.parts()
-    assert list(map(len, passes)) == [len(out.faces) - (p.n_faces - 2)]
-    assert_fresh_frames(drilling, out)
+    assert list(map(len, passes)) == [len(out.faces) - (p.n_faces - 2) - 12]
+    assert_fresh_frames(drilling, located, out)
 
 
 def test_drill_repeat_fits_each_piece_once(monkeypatch):
-    """Each step of drill_repeat keeps the planes of the faces it keeps,
-    so orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit
+    """Each location of drill_repeat fits only the pieces it tests, so
+    orientable g = 24 and g = 48 (k = 22 and 46 drills of p2-24) fit
     fewer Newell rows in their drill steps than twice the faces of the
     result, where re-fitting every face at each step grew as k squared."""
     passes = counted_newell(monkeypatch)
     for genus in (24, 48):
         passes.clear()
         p = generate_family(FamilyRequest("orientable", genus))
-        # p2-24's build, the drill steps but the last, whose faces no
-        # later step locates in, then the one build of the result
+        # the two pierced faces of p2-24's raw parts, the locations but
+        # the first, which reads their fit, then the one build
         first, *steps, last = map(len, passes)
-        assert first == 18 and last == p.n_faces
+        assert first == 2 and last == p.n_faces
         assert len(steps) == genus - 3
         assert sum(steps) < 2 * p.n_faces, (genus, sum(steps), p.n_faces)
 
 
 def test_drilled_build_fits_no_face_twice(monkeypatch):
-    """orientable g = 8 drills p2-24 six times: the drill steps fit no
-    face's plane twice (the last step's faces, which no later step
-    locates in, not at all), and the one build fits the 268-face result
-    in one Newell pass."""
+    """orientable g = 8 drills p2-24 six times: before the build it fits
+    the two pierced faces and then, at each location after the first,
+    the pieces the step before cut in both planes (40, then 30), and no
+    face's plane twice (no wall, and no face of the last step, at all);
+    the one build fits the 268-face result in one Newell pass."""
     passes = counted_newell(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 8))
     assert p.n_faces == 268
-    base, *steps, last = passes
-    assert len(base) == 18 and len(steps) == 5 and len(last) == 268
+    *steps, last = passes
+    assert list(map(len, steps)) == [2, 40, 30, 30, 30, 30]
+    assert len(last) == 268
     rows = [face for step in steps for face in step]
     assert max(Counter(rows).values()) == 1
+
+
+@pytest.mark.parametrize("name,genus,fewest", [
+    ("orientable", 4, False), ("nonorientable", 10, True)])
+def test_a_drill_recipe_on_raw_parts_makes_one_geometry(
+        monkeypatch, name, genus, fewest):
+    """orientable g = 4 drills P^2_24's raw parts twice, and nonorientable
+    g = 10 --prefer-fewest the rhombihexahedron's once: each makes one
+    MeshGeometry, in the build of the drilled result, and none for the
+    raw parts it drills."""
+    made = []
+    init = mesh_mod.MeshGeometry.__init__
+
+    def counted(self, vertices, record):
+        made.append(len(record))
+        init(self, vertices, record)
+
+    monkeypatch.setattr(mesh_mod.MeshGeometry, "__init__", counted)
+    p = generate_family(FamilyRequest(name, genus, prefer_fewest=fewest))
+    assert made == [p.n_faces]
 
 
 def located_rows(monkeypatch) -> list[tuple[list[int], int]]:
@@ -725,12 +789,12 @@ def located_rows(monkeypatch) -> list[tuple[list[int], int]]:
             calls[-1][0].append(len(poly))
         return winds(pt, poly)
 
-    def counted_locate(self, points, roots):
+    def counted_locate(self, points, roots, fit):
         cut = self.cuts[-1] if self.cuts else [(f, [f]) for f in roots]
         calls.append(([], sum(len(pieces) for _, pieces in cut)))
         inside.append(True)
         try:
-            return locate(self, points, roots)
+            return locate(self, points, roots, fit)
         finally:
             inside.pop()
 
@@ -740,13 +804,15 @@ def located_rows(monkeypatch) -> list[tuple[list[int], int]]:
 
 
 def test_a_drill_step_pays_for_what_it_adds(monkeypatch):
-    """orientable g = 30 drills p2-24 28 times in one drill_repeat.  Each
-    step fits planes (one Newell pass) for the faces it makes and no
-    other, 52 at the first step and 42 at each later one; the last
-    step's faces, which no step locates in, are not fitted.  Each
-    location tests winding, in one call, for the two pierced faces at
-    the first step and then for the pieces of the step before in both
-    planes (its faces but its 12 walls).  A boundary distance is measured
+    """orientable g = 30 drills p2-24 28 times in one drill_repeat.  It
+    fits the two pierced faces once (one Newell pass), for the axis and
+    the first location, and each later location fits (one pass) the
+    faces it tests, and no other: the pieces of the step before in both
+    planes, the faces it made but its 12 walls, 40 at the second step
+    and 30 at each later one.  The walls, and the last step's faces,
+    which no step locates in, are not fitted.  Each location tests
+    winding, in one call, for the two pierced faces at the first step
+    and then for those pieces.  A boundary distance is measured
     only for a face whose polygon winds around its point: two per
     location (the axis check's two faces, then each step's entry and
     exit faces), where measuring every face in both planes took hundreds
@@ -765,9 +831,11 @@ def test_a_drill_step_pays_for_what_it_adds(monkeypatch):
     passes = counted_newell(monkeypatch)
     p = generate_family(FamilyRequest("orientable", 30))
     base, *steps, last = map(len, passes)
-    assert base == 18 and steps == [52] + [42] * 26 and last == p.n_faces
-    assert p.n_faces == 18 + sum(steps) + 42 - 2 * 28
-    assert tested == [([2], 2)] + [([n - 12], n - 12) for n in steps]
+    assert base == 2 and steps == [40] + [30] * 26 and last == p.n_faces
+    # the faces each step made: the pieces, its 12 walls; the last step's
+    # 30 pieces are not fitted
+    assert p.n_faces == 18 + sum(steps) + 30 + 12 * 28 - 2 * 28
+    assert tested == [([2], 2)] + [([n], n) for n in steps]
     assert measured == [[True, True]] * 29
 
 
@@ -868,8 +936,8 @@ def test_a_glue_chain_works_out_each_piece_side_once(monkeypatch):
     ("p2-24-k3", gen_p2_24, DrillSpec(0, 1, 12), 3)])
 def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
     """Drilling a validated mesh and drilling its raw parts give the same
-    mesh bit for bit: the validated mesh lends its own Newell planes, and
-    the raw parts' geometry fits each face as the validated one did."""
+    mesh bit for bit: both fit the faces they read alone, which gives
+    each the bits of the validated mesh's geometry."""
     p = base()
     raw = MeshData(p.vertices.copy(), list(p.faces), p.metadata)
     got, want = drill_repeat(p, spec, k), drill_repeat(raw, spec, k)
@@ -882,9 +950,9 @@ def test_a_mesh_drills_as_its_raw_parts(name, base, spec, k):
 def _z_faces(data):
     """The highest and lowest faces of raw parts whose Newell normal is
     +-z, by the mean height of their vertices."""
-    _, geo = surgery_mod._raw(data)
-    verts = geo.vertices
-    level = np.abs(np.abs(geo.normal[:, 2]) - 1.0) < 1e-9
+    normal = surgery_mod._fitted(data.vertices, data.faces)[1][1]
+    verts = data.vertices
+    level = np.abs(np.abs(normal[:, 2]) - 1.0) < 1e-9
     cands = sorted((float(verts[list(data.faces[f])][:, 2].mean()), f)
                    for f in np.flatnonzero(level).tolist())
     return cands[-1][1], cands[0][1]
@@ -917,10 +985,13 @@ def test_drilled_families_name_their_top_and_bottom_faces(
 
 def locate(p, roots, points):
     """What a fresh _Surgery record of p, which has pierced nothing,
-    locates for the two points with the root faces `roots`: per point its
-    face (an id of p) and clearance."""
-    record = surgery_mod._Surgery(*surgery_mod._raw(p))
-    return record.locate(np.asarray(points, float), tuple(roots))
+    locates for the two points with the root faces `roots` and their fit:
+    per point its face (an id of p) and clearance."""
+    data = surgery_mod._checked(p)
+    record = surgery_mod._Surgery(data, geom_mod.tolerance_scale(p.vertices))
+    got = record.locate(np.asarray(points, float), tuple(roots),
+                        fit_of(record, roots))
+    return [(f, c) for f, c, _ in got]
 
 
 def scan(p, point, height, normal):
@@ -950,7 +1021,7 @@ def scanned(record, points, roots):
     p = build_polyhedron(*record.parts())
     out = []
     for point, root in zip(points, roots):
-        _, normal, _, _ = record.frame(root)
+        normal = fit_of(record, [root])[1][1][0]
         f, clear = scan(p, point, float(normal @ record.vertices[
             record.faces[root][0]]), normal)
         out.append((None if f is None else record.live[f], clear))
@@ -962,8 +1033,9 @@ def test_locate_face_matches_a_face_by_face_scan(monkeypatch):
     after the last, points at and around the centroid of every face of
     the two pierced planes, as entry and exit points in either plane, get
     from _Surgery.locate the face and clearance bits of the face-by-face
-    scan of the mesh the record's parts build: a piece of the last cut,
-    of an earlier one or none."""
+    scan of the mesh the record's parts build, a piece of the last cut,
+    of an earlier one or none, and the frame bits of that mesh's geometry
+    for the face."""
     spec = DrillSpec(0, 1, 12)
     rng = np.random.default_rng(8)
     normal0 = gen_p2_24().geometry.normal[0]
@@ -976,10 +1048,17 @@ def test_locate_face_matches_a_face_by_face_scan(monkeypatch):
             if abs(abs(geo.normal[face] @ normal0) - 1.0) < 1e-9:
                 points += [geo.centroid[face]] + list(
                     geo.centroid[face] + rng.normal(size=(2, 3)) * 0.3)
+        roots = (spec.face1, spec.face2)
+        fit = fit_of(record, roots)
         for pair in zip(points, reversed(points)):
-            roots = (spec.face1, spec.face2)
             want = scanned(record, pair, roots)
-            assert record.locate(np.array(pair), roots) == want
+            got = record.locate(np.array(pair), roots, fit)
+            assert [(f, c) for f, c, _ in got] == want
+            for f, _, frame in got:
+                if f is not None:
+                    at = record.live.index(f)
+                    assert all(a.tobytes() == b[at].tobytes() for a, b in zip(
+                        frame, (geo.centroid, geo.normal, geo.u, geo.v)))
             located.extend(f for f, _ in want)
 
     def checked(self, *args):
@@ -995,15 +1074,15 @@ def test_locate_face_matches_a_face_by_face_scan(monkeypatch):
     assert len(set(located)) > 40
 
 
-def test_locate_walks_back_through_earlier_cuts():
+def test_locate_walks_back_through_earlier_cuts(monkeypatch):
     """A _Surgery record of p2-24 pierces faces 0 and 1, and then a piece
     of each: a point in another piece of the first cut, which none of the
     second cut's pieces holds, is located in that piece, as the
-    face-by-face scan locates it."""
+    face-by-face scan locates it.  The location fits each cut it reads
+    in one Newell pass, of exactly the faces whose winding it tests: the
+    second cut's pieces, then the first cut's live ones."""
     p = gen_p2_24()
-    spec = DrillSpec(0, 1, 12)
-    record = surgery_mod._Surgery(*surgery_mod._raw(p))
-    record.pierce(0, 1, 12, 0.0, _axis(p.geometry, spec), None)
+    record, fit, _ = first_step(p, DrillSpec(0, 1, 12))
     fresh = build_polyhedron(*record.parts()).geometry
     (_, top), (_, bottom) = record.cuts[0]
 
@@ -1015,25 +1094,35 @@ def test_locate_walks_back_through_earlier_cuts():
         return np.array([point, point - float((point - c1) @ n1) * n1])
 
     entry, other = axis_through(top[0]), axis_through(top[len(top) // 2])
-    (a, clr_a), (b, clr_b) = record.locate(entry, (0, 1))
+    (a, clr_a, frame_a), (b, clr_b, frame_b) = record.locate(entry, (0, 1),
+                                                              fit)
     assert a == top[0] and b in bottom
-    c2, n2, _, _ = record.frame(b)
+    c2, n2, _, _ = frame_b
     record.pierce(a, b, 12, 0.0, (entry[0], float((entry[0] - c2) @ n2),
-                                  clr_a, clr_b), 0.25 * min(clr_a, clr_b))
+                                  clr_a, clr_b), 0.25 * min(clr_a, clr_b),
+                  *frame_a[2:], n2)
     (_, last_top), (_, last_bottom) = record.cuts[-1]
-    got = record.locate(other, (0, 1))
+    passes, wound = counted_newell(monkeypatch), []
+    winds = geom_mod.winds_around
+    monkeypatch.setattr(geom_mod, "winds_around", lambda pt, poly:
+                        wound.append(len(poly)) or winds(pt, poly))
+    got = [(f, c) for f, c, _ in record.locate(other, (0, 1), fit)]
+    assert list(map(len, passes)) == [len(last_top) + len(last_bottom),
+                                      len(top) + len(bottom) - 2]
+    assert sum(wound) == sum(map(len, passes))
     assert got == scanned(record, other, (0, 1))
     assert got[0][0] == top[len(top) // 2] and got[1][0] in bottom
     assert got[0][0] not in last_top and got[1][0] not in last_bottom
 
 
 def test_inside_clearance_is_the_face_by_face_loop():
-    """MeshGeometry.inside_clearance of a raw geometry, on faces of three
-    lengths in one call, gives per point what one face's projection and
-    the side-by-side loops give: the distance where the face winds around
-    the point, else 0.0, which points outside and on the boundary get."""
+    """mesh._clearance in the fit of raw parts (surgery._fitted), on
+    faces of three lengths in one call, gives per point what one face's
+    projection and the side-by-side loops give: the distance where the
+    face winds around the point, else 0.0, which points outside and on
+    the boundary get."""
     data = generators_mod._p2_24()
-    _, geo = surgery_mod._raw(data)
+    geo = build_polyhedron(*data).geometry
     faces = np.array([0, 2, 3, 6, 1, 9, 0, 2, 14, 3, 6])
     assert sorted(set(geo.face_size[faces].tolist())) == [4, 6, 8]
     pts = []
@@ -1045,7 +1134,8 @@ def test_inside_clearance_is_the_face_by_face_loop():
                 a + 3.0 * (a - cyc.mean(axis=0)),                  # outside
                 a, 0.5 * (a + b)]                                  # boundary
     faces, pts = faces.repeat(4), np.array(pts)
-    got = geo.inside_clearance(faces, pts)
+    got = mesh_mod._clearance(pts, faces, *surgery_mod._fitted(data.vertices,
+                                                               data.faces))
     want = []
     for f, pt in zip(faces.tolist(), pts):
         q = geom_mod.project_2d(pt[None], geo.centroid[f], geo.u[f],
@@ -1064,7 +1154,8 @@ def test_inside_clearance_is_the_face_by_face_loop():
 def test_axis_and_locate_face_return_the_query_bits():
     """_axis's entry and exit clearances, and the spec's own faces that a
     fresh _Surgery of the mesh locates for the axis, come with the bits
-    MeshGeometry.inside_clearance gives for that face and point."""
+    mesh._clearance gives for that face and point in the mesh's
+    geometry."""
     p = drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12), 2)
     geo = p.geometry
     normal = gen_p2_24().geometry.normal[0]
@@ -1077,9 +1168,10 @@ def test_axis_and_locate_face_return_the_query_bits():
                   if np.allclose(geo.centroid[f][:2], geo.centroid[f1][:2])
                   and geo.centroid[f] @ normal < -0.5)
         spec = DrillSpec(f1, f2, 12)
-        point, depth, d1, d2 = _axis(geo, spec)
-        want = geo.inside_clearance(np.array([f1, f2]), np.array(
-            [point, point - depth * geo.normal[f2]]))
+        point, depth, d1, d2 = drill_axis(p, spec)[3]
+        want = mesh_mod._clearance(np.array(
+            [point, point - depth * geo.normal[f2]]), np.array([f1, f2]),
+            geo.corners, geo.planes)
         assert np.array_equal([d1, d2], want)
         exit_pt = point - depth * geo.normal[f2]
         located = locate(p, (f1, f2), [point, exit_pt])
