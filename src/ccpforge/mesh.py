@@ -772,14 +772,30 @@ def _derived_cells(corners: _Corners) -> tuple[np.ndarray, np.ndarray]:
     return cells.reshape(-1, 4), ends
 
 
+def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal entries of the 1-D array k: where each starts,
+    and its length."""
+    starts = np.empty(len(k), bool)
+    starts[:1] = True
+    np.not_equal(k[1:], k[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    length = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=length[:-1])
+    length[-1:] = len(k) - first[-1:]
+    return first, length
+
+
+def _find(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per query of q, its place in the ascending, non-empty keys, at most
+    the last, and whether the key there is the query."""
+    at = np.minimum(keys.searchsorted(q), len(keys) - 1)
+    return at, keys[at] == q
+
+
 def _twice(key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     """NonManifoldEdge for the first of the sorted keys, each a vertex
     pair (lo, hi), that does not occur exactly twice."""
-    starts = np.empty(len(key), dtype=bool)
-    starts[:1] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    uses = np.subtract(np.append(first[1:], len(key)), first)
+    first, uses = _runs(key)
     i = (uses != 2).nonzero()[0][0]
     raise NonManifoldEdge(
         f"edge {(int(lo[first[i]]), int(hi[first[i]]))} used {uses[i]} "
@@ -790,12 +806,11 @@ def _edge_at(record: Combinatorics, pairs: np.ndarray) -> np.ndarray:
     """Per (u, v) row of `pairs`, u < v < V, the first edge cell of the
     record joining them, or -1.  Each pair is keyed u * V + v, which
     orders as the pair does, and the cells' keys ascend (the record sorts
-    them), so one search finds them all."""
+    them), so one search finds them all (_find)."""
     n, ends = record.n_vertices, record.edge_pairs
-    have = ends[:, 0] * n + ends[:, 1]
-    want = pairs[:, 0] * n + pairs[:, 1]
-    at = np.minimum(have.searchsorted(want), len(have) - 1)
-    return np.where(have[at] == want, at, -1)
+    at, found = _find(ends[:, 0] * n + ends[:, 1],
+                      pairs[:, 0] * n + pairs[:, 1])
+    return np.where(found, at, -1)
 
 
 def _check_fields(kw: Mapping) -> None:

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import _geom
 from .errors import FlatEdge, IsolatedVertex, VertexNotOnFace
-from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _index, _mesh,
-                   check_defect_tolerance, euler_characteristic)
+from .mesh import (ANGLE_TOL, DEFECT_TOL, Polyhedron, _find, _index, _mesh,
+                   _runs, check_defect_tolerance, euler_characteristic)
 
 
 @dataclass(frozen=True)
@@ -289,11 +289,6 @@ class _TriangleScan:
         self.face_start = geo.face_start
         self.face_size = geo.face_size
 
-    @staticmethod
-    def _member(keys, q):
-        at = np.minimum(keys.searchsorted(q), len(keys) - 1)
-        return keys[at] == q
-
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Triangle pairs (i, j), i < j, of different faces whose bounding
         boxes, widened by eps, overlap on every axis.  The boxes are swept
@@ -408,8 +403,8 @@ class _TriangleScan:
         b = np.where(on[2], v[2], v[1])
         keys = self.keys
         return _two_of(on) & \
-            self._member(keys.face_side, keys.side_key(self.face[i], a, b)) \
-            & self._member(keys.face_side, keys.side_key(self.face[j], a, b))
+            _find(keys.face_side, keys.side_key(self.face[i], a, b))[1] \
+            & _find(keys.face_side, keys.side_key(self.face[j], a, b))[1]
 
     def _separated(self, i, j):
         """Coplanar pairs that the line of a side separates (see
@@ -539,10 +534,10 @@ class _TriangleScan:
         a, b = self.corner_vertex[corner], self.next_vertex[corner]
         other = g2[owner]
         keys = self.keys
-        has_a = self._member(keys.face_vertex, keys.vertex_key(other, a))
-        has_b = self._member(keys.face_vertex, keys.vertex_key(other, b))
-        side = has_a & has_b & self._member(
-            keys.face_side, keys.side_key(other, a, b))
+        has_a = _find(keys.face_vertex, keys.vertex_key(other, a))[1]
+        has_b = _find(keys.face_vertex, keys.vertex_key(other, b))[1]
+        side = has_a & has_b & _find(keys.face_side,
+                                     keys.side_key(other, a, b))[1]
 
         out = np.full(len(pts), np.inf)
         for keep, segment in ((has_a, False), (side, True)):
@@ -610,19 +605,6 @@ def _side_separates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             side = p[:, (e + 1) % 3, None] - start
             out |= _each((_cross2(side, q - start) <= 0).T)
     return out
-
-
-def _runs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of equal entries of the 1-D array k: where each starts,
-    and its length."""
-    starts = np.empty(len(k), bool)
-    starts[:1] = True
-    np.not_equal(k[1:], k[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    length = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=length[:-1])
-    length[-1:] = len(k) - first[-1:]
-    return first, length
 
 
 def _best_per_pair(n_tri, key, clearance, i, j, place, *rest):

@@ -131,15 +131,12 @@ def _checked(p: Polyhedron | MeshData) -> MeshData:
 
 
 class _Side(NamedTuple):
-    """A piece's side of a seam (see _piece_side): the resolved mapping;
-    the piece's block of half-edge rows and the count of its kept rows;
-    the vertices off face2, as a list and an array; and the faces but
-    face2."""
-    mapping: tuple[int, ...]
+    """A piece's side of a seam (see _piece_side): the piece's block of
+    half-edge rows and the count of its kept rows, the vertices off
+    face2, in id order, and the faces but face2."""
     block: np.ndarray
     n_kept: int
     fresh: list[int]
-    fresh_rows: np.ndarray
     keep: list[int]
 
 
@@ -174,8 +171,7 @@ def _piece_side(b: MeshData, face2: int, mapping: tuple[int, ...],
     block[:, 0] -= block[:, 0] > face2
     mapped = set(mapping)
     fresh = [v for v in range(len(b.vertices)) if v not in mapped]
-    return _Side(mapping, block, r, fresh,
-                 np.array(fresh, dtype=np.intp),
+    return _Side(block, r, fresh,
                  [i for i in range(len(b.faces)) if i != face2])
 
 
@@ -474,8 +470,9 @@ def _room(a: np.ndarray, n: int, fill=0) -> np.ndarray:
 class _Surgery:
     """The parts of a chain of surgery steps on one mesh, append-only, so
     that a step costs what it adds: a recipe's connected sums and prism
-    tunnels (assemble) write this one half-edge store (Kettner 1999).  It starts from checked parts (_checked), whose
-    record pairs every half-edge.
+    tunnels (assemble) write this one half-edge store (Kettner 1999).  It
+    starts from checked parts (_checked), whose record pairs every
+    half-edge.
 
     Vertices and faces have stable ids, the mesh's own and then each
     step's.  A step takes the faces it consumes out of the live ids,
@@ -485,15 +482,16 @@ class _Surgery:
     an index holds each live half-edge's row.  The parts are assembled
     once (parts).
 
-    A drilled record, made with its mesh's tolerance scale, holds no
-    geometry: each location fits the faces it tests, and no other
-    (_fitted).  Per step it keeps, for each of its two planes, the face
-    it pierced and the ids of that face's pieces, which are all quads or
-    all triangles (cuts); location (locate) reads only those pieces, so
-    a chain's location is linear in its steps.
+    Every record has one shape.  It holds its mesh's tolerance scale
+    (scale) and no geometry: each location fits the faces it tests, and
+    no other (_fitted).  Per drill step it keeps, for each of its two
+    planes, the face it pierced and the ids of that face's pieces, which
+    are all quads or all triangles (cuts, empty until a drill); location
+    (locate) reads only those pieces, so a chain's location is linear in
+    its steps.
     """
 
-    def __init__(self, data: MeshData, scale: float | None = None):
+    def __init__(self, data: MeshData):
         record = data.faces
         self.metadata = data.metadata
         self.vertices = data.vertices       # copied into room on first write
@@ -509,9 +507,7 @@ class _Surgery:
         self.seams = set(data.metadata.seam_edges)
         self.unknown = {"genus": None}      # the fields the steps unset
         self.provenance: list[str] = []
-        if scale is None:
-            return
-        self.scale = scale
+        self.scale = _geom.tolerance_scale(data.vertices)
         self.cuts: list[tuple[tuple[int, range], tuple[int, range]]] = []
 
     def _add(self, half: np.ndarray, at, old: np.ndarray) -> None:
@@ -556,25 +552,23 @@ class _Surgery:
                         list(map(self.faces.__getitem__, self.live)), meta,
                         cells)
 
-    def glue(self, b: MeshData, sides: dict, corr: FaceCorrespondence
+    def glue(self, b: MeshData, corr: FaceCorrespondence, sides: dict
              ) -> None:
-        """One connected sum (see glue): piece b, with its sides by face2
-        and mapping so far, glued by corr."""
+        """One connected sum (see glue): piece b, checked parts (_checked),
+        glued by corr, whose mapping every step resolves (_resolved).  The
+        piece's side of the seam is read from `sides`, a call's table by
+        piece record, face2 and resolved mapping, or worked out
+        (_piece_side) and put there."""
         _record(corr, FaceCorrespondence, "the correspondence")
         face1 = _index(corr.face1, len(self.live), "face")
         _index(corr.face2, len(b.faces), "face")
         c1 = self.faces[self.live[face1]]
-        try:
-            side = sides.get((corr.face2, corr.mapping))
-        except TypeError:                   # a mapping that is no key
-            side = None
-        if side is None or len(side.mapping) != len(c1):
-            mapping, at = _resolved(self.vertices[:self.n], c1, b, corr)
-            side = sides.get((corr.face2, mapping))
-            if side is None:
-                side = sides[corr.face2, mapping] = _piece_side(
-                    b, corr.face2, mapping, *at)
-        src = b.vertices[list(side.mapping)]
+        mapping, at = _resolved(self.vertices[:self.n], c1, b, corr)
+        key = b.faces, corr.face2, mapping
+        side = sides.get(key)
+        if side is None:
+            side = sides[key] = _piece_side(b, corr.face2, mapping, *at)
+        src = b.vertices[list(mapping)]
         dst = self.vertices[list(c1)]
         rot, tr = _geom.kabsch(src, dst)
         resid = float(np.maximum.reduce(
@@ -586,11 +580,11 @@ class _Surgery:
 
         # b's vertices: the seam ones become face1's, the rest are appended
         new_id = [0] * len(b.vertices)
-        for v, w in zip(side.mapping, c1):
+        for v, w in zip(mapping, c1):
             new_id[v] = int(w)
         for i, v in enumerate(side.fresh, start=self.n):
             new_id[v] = i
-        self._add_vertices(((rot @ b.vertices.T).T + tr)[side.fresh_rows])
+        self._add_vertices(((rot @ b.vertices.T).T + tr)[side.fresh])
 
         first = len(self.faces)
         self.faces += [tuple(map(new_id.__getitem__, b.faces[i]))
@@ -616,20 +610,22 @@ class _Surgery:
         step pierces it, and then a piece of a face pierced in its plane.
         The pieces of the last cut of both planes are fitted and tested
         first, in one stack; a plane whose point they miss walks back
-        through the live pieces of the cuts before.  Each point's
+        through the cuts before, one level at a time, and tests each
+        level's pieces but those a later cut pierced: leaving a level,
+        the walk adds the faces its cut pierced to one dead set, so a
+        location costs what the levels it reads hold.  Each point's
         clearance in its candidates is mesh._clearance's; the least such
         face wins."""
         best: list[tuple] = [(None, 0.0, None), (None, 0.0, None)]
         bound = AXIS_CLEARANCE * self.scale
         dead: set[int] = set()
         levels = [tuple((f, range(f, f + 1)) for f in roots), *self.cuts]
-        for back, cut in enumerate(reversed(levels)):
+        for cut in reversed(levels):
             want = [i for i in (0, 1) if best[i][0] is None]
             if not want:
                 break
-            if back == 1:               # the pieces pierced since their cut
-                dead = {f for c in self.cuts for f, _ in c}
             rows = [(i, f) for i in want for f in cut[i][1] if f not in dead]
+            dead.update(f for f, _ in cut)
             if not rows:
                 continue
             # live roots, both of them, are tested only before the first
@@ -750,16 +746,19 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
     (its rings, pieces, walls and cells) and for locating its two axis
     points among the pieces of the step before (_Surgery.locate).  The
     spec's two faces are fitted once (_fitted), for the axis and the
-    first step's location, and no other face of p is."""
+    first step's location, and no other face of p is; the axis checks
+    use the chain's one tolerance scale, that of p's vertices, which the
+    first record holds (_Surgery.scale).  When every direction fails,
+    the FootprintTooLarge raised is caused by the last direction's
+    error."""
     data = _checked(p)
     _check_spec(len(data.faces), spec)
     roots = spec.face1, spec.face2
     fit = _fitted(data.vertices, [data.faces[f] for f in roots])
-    scale = _geom.tolerance_scale(data.vertices)
-    axis = _axis(fit, scale, spec)
+    record = _Surgery(data)
+    axis = _axis(fit, record.scale, spec)
     centroid, normal, _, u, v, _, _ = fit[1]
     if k == 1:
-        record = _Surgery(data, scale)
         record.pierce(*roots, spec.n, spec.phase, axis, spec.radius, u[0],
                       v[0], normal[1])
         return record
@@ -771,7 +770,6 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
     last_err: Exception | None = None
     for theta in (t * math.pi / 7 for t in range(7)):
         u_dir = math.cos(theta) * u1 + math.sin(theta) * v1
-        record = _Surgery(data, scale)
         try:
             for j in range(k):
                 axis_pt = p1pt + (j - (k - 1) / 2) * delta * u_dir
@@ -793,10 +791,12 @@ def _drill_chain(p: Polyhedron | MeshData, spec: DrillSpec,
         except (FootprintTooLarge, AxisObstructed,
                 SelfCrossingPartition) as exc:
             last_err = exc
+            record = _Surgery(data)     # the next direction starts afresh
         else:
             return record
     raise FootprintTooLarge(
-        f"no workable offset direction for {k} parallel drills: {last_err}")
+        f"no workable offset direction for {k} parallel drills: {last_err}"
+    ) from last_err
 
 
 # ---------------------------------------------------------------------------
@@ -843,35 +843,34 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
 
     The glue steps write one _Surgery record, and a drill chain starts a
     record of its own, on which later glue steps write.  The base and
-    each distinct piece are checked once in a call (_checked), and a
-    piece's side of a seam (_piece_side) is worked out with the mapping
-    it resolves once per record, face2 and mapping, so a chain of one
-    block does each once.  Raw data's explicit cells are read in the
-    record's order, which the build sorts them into.  A step leaves the
-    genus unset, and a glue step the orientability, unless `meta` names
-    them; a recipe of no steps is its checked base.
+    each distinct piece are checked once in a call (_checked).  Every
+    glue step resolves its correspondence (_resolved), and the call
+    keeps one table of seam sides (_piece_side), keyed by the piece's
+    Combinatorics record, face2 and the resolved mapping, so a chain of
+    one block works each out once.  Raw data's explicit cells are read
+    in the record's order, which the build sorts them into.  A step
+    leaves the genus unset, and a glue step the orientability, unless
+    `meta` names them; a recipe of no steps is its checked base.
     """
     _mesh(base, raw=True)
     _check_fields(meta)
-    # per distinct mesh, by id, the mesh and its checked parts; per
-    # record, by id, the record and its sides by face2 and mapping, as
-    # given or else as resolved; an entry holds what its key names, so
-    # that no id in a key is reused
+    # per distinct mesh, by id, the mesh and its checked parts, an entry
+    # holding what its key names so that no id is reused; the seam sides,
+    # whose keys hold their piece records
     checked: dict[int, tuple[object, MeshData]] = {}
-    sides: dict[int, tuple[Combinatorics, dict]] = {}
+    sides: dict[tuple[Combinatorics, int, tuple[int, ...]], _Side] = {}
 
-    def piece_of(p) -> tuple[MeshData, dict]:
-        """p's checked parts and its record's sides."""
+    def piece_of(p) -> MeshData:
+        """p's checked parts."""
         if id(p) not in checked:
             checked[id(p)] = p, _checked(p)
-        b = checked[id(p)][1]
-        return b, sides.setdefault(id(b.faces), (b.faces, {}))[1]
+        return checked[id(p)][1]
 
     record = None
     for step, glued in _steps(steps):
         if glued:
-            record = record or _Surgery(piece_of(base)[0])
-            record.glue(*piece_of(step[0]), step[1])
+            record = record or _Surgery(piece_of(base))
+            record.glue(piece_of(step[0]), step[1], sides)
         elif not 1 <= _integer(step.k, "k", BadOrder) < 2 ** 63:
             raise BadOrder("k must be >= 1 and below 2**63")
         else:
@@ -879,7 +878,7 @@ def assemble(base: Polyhedron | MeshData, steps: Sequence, **meta
                                   step.spec, step.k)
     if record is not None:
         return record.parts(**meta)
-    parts = piece_of(base)[0]
+    parts = piece_of(base)
     return parts._replace(metadata=replace(parts.metadata, **meta))
 
 

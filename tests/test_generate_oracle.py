@@ -598,14 +598,14 @@ def test_spokes_are_the_shared_sides_of_the_digest_corpus():
 def recorded_drilled_parts():
     """A list that gains the parts, with their cells, that each drill or
     drill_repeat made inside the block hands to its build: those of each
-    record made with a tolerance scale, which drills
+    record that has drilled, whose cuts are not empty
     (surgery._Surgery.parts)."""
     calls = []
     real = surgery_mod._Surgery.parts
 
     def record(self, **meta):
         out = real(self, **meta)
-        if hasattr(self, "cuts"):
+        if self.cuts:
             calls.append(out)
         return out
     surgery_mod._Surgery.parts = record

@@ -19,8 +19,8 @@ from ccpforge import (CATALOG, a_coeff, classify, corner_angle,
                       gen_v7gm7, gen_v8g, generate_family, FamilyRequest,
                       is_embedded, self_intersections, solve_block_params,
                       verify)
-from ccpforge.errors import (BadParameters, CcpError, DomainError,
-                             GenusOutOfRange)
+from ccpforge.errors import (BadParameters, CcpError, DegenerateFace,
+                             DomainError, GenusOutOfRange)
 
 PI = math.pi
 
@@ -449,6 +449,27 @@ def test_p2_24_floors(b, c):
     """Each floor of P^2_24's domain raises BadParameters just below it."""
     with pytest.raises(BadParameters, match="too near the edge"):
         gen_p2_24(b, c)
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateFace,
+                   reason="the build accepts a face that verify's ear clip "
+                   "cannot triangulate (ROADMAP item 4)")
+def test_p2_24_raw_parts_below_the_floors_verify_once_built():
+    """P^2_24's raw vertices at (b, c) = (2.9e-7, 1.45e-7), below
+    gen_p2_24's floors, on its record: build_polyhedron accepts them, so
+    verify gives the mesh a verdict with defect -pi/6.  Today it raises
+    DegenerateFace ("no ear found"): the build and the triangulation
+    disagree on a face, which item 4's one polygon kernel mends."""
+    b, c = 2.9e-7, 1.45e-7
+    base = np.array([[1.0, 1.0, 1.0],
+                     [1 - math.sqrt(3) * b, 1 - b, 1.0],
+                     [1 - math.sqrt(3) * c, 1 - c, 1 - 4 * math.sqrt(3) * c]])
+    p = mesh_mod.build_polyhedron(
+        (base[:, None] * generators_mod._P2_SIGNS).reshape(-1, 3),
+        generators_mod._P2_RECORD, generators_mod._P2_META)
+    report = verify(p)
+    assert report.verdict.startswith("ccp")
+    assert report.defects.mean == pytest.approx(-PI / 6, abs=1e-9)
 
 
 @pytest.mark.parametrize("l1", [0.0, -2.0, -0.0, np.float64(-1e-300)])

@@ -21,9 +21,10 @@ from ccpforge import (DrillSpec, FaceCorrespondence, FamilyRequest,
 from ccpforge._geom import dist_point_polygon_boundary
 from ccpforge.errors import (AmbiguousCorrespondence, AxisObstructed,
                              BadOrder, BadParameters, CcpError,
-                             DegenerateFace, FlatSeam, HoleNotInside,
-                             IndexOutOfRange, NonManifoldEdge,
-                             NonNegativeChi, NotInteger, NotIsometric)
+                             DegenerateFace, FlatSeam, FootprintTooLarge,
+                             HoleNotInside, IndexOutOfRange,
+                             NonManifoldEdge, NonNegativeChi, NotInteger,
+                             NotIsometric)
 from ccpforge.generators import gen_t_block, generate_family
 from ccpforge.mesh import MeshData, MeshMetadata
 from ccpforge.surgery import _axis, construct, glue
@@ -602,8 +603,8 @@ def first_step(p, spec, monkeypatch=None):
     """A _Surgery record of p that has made the spec's one step, as drill
     makes it, and the fit of the spec's two faces; with monkeypatch, also
     the Newell passes from the step on."""
-    data, fit, scale, axis = drill_axis(p, spec)
-    record = surgery_mod._Surgery(data, scale)
+    data, fit, _, axis = drill_axis(p, spec)
+    record = surgery_mod._Surgery(data)
     passes = counted_newell(monkeypatch) if monkeypatch else None
     _, normal, _, u, v, _, _ = fit[1]
     record.pierce(spec.face1, spec.face2, spec.n, spec.phase, axis,
@@ -929,6 +930,54 @@ def test_a_glue_chain_works_out_each_piece_side_once(monkeypatch):
     assert len(calls) == 4
 
 
+def r_block_chain(*mappings):
+    """The parts of _q3_18's S drum with its R-block glued onto face 2,
+    once per mapping, each step gluing the block's face 0 by it."""
+    block = generators_mod._q3_18()[1][0][0]
+    return glue(generators_mod._s_base(),
+                [(block, FaceCorrespondence(2, 0, mapping=m))
+                 for m in mappings])
+
+
+@pytest.mark.parametrize("first", ["same", "tuple"])
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+def test_a_mapping_glues_as_its_tuple(form, first):
+    """A glue step whose mapping is a list or a numpy integer array gives
+    the parts its tuple gives: vertex bytes, faces, cells and metadata,
+    on the first step and on the repeated steps of one piece, whether
+    the first step's mapping has the same form or is the tuple."""
+    m = form((0, 2, 1))
+    got = r_block_chain(m if first == "same" else (0, 2, 1), m, m)
+    want = r_block_chain(*[(0, 2, 1)] * 3)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces == want.faces and got.metadata == want.metadata
+    assert got.cells.tobytes() == want.cells.tobytes()
+
+
+@pytest.mark.parametrize("before", [0, 1, 2])
+def test_a_repeated_glue_step_checks_its_mapping(before):
+    """Every glue step resolves its own mapping: a float entry raises
+    IndexOutOfRange on a repeated step of one piece as on the first,
+    though the steps before glued the same piece and face2 by the equal
+    integer mapping."""
+    with pytest.raises(IndexOutOfRange,
+                       match="mapping entry 0.0 is not an integer"):
+        r_block_chain(*[(0, 2, 1)] * before, (0.0, 2.0, 1.0))
+
+
+def test_no_workable_offset_is_caused_by_the_last_directions_error():
+    """When no offset direction of a drill chain works, its
+    FootprintTooLarge is raised from the last direction's error, whose
+    message it ends with."""
+    with pytest.raises(FootprintTooLarge,
+                       match="no workable offset direction") as info:
+        drill_repeat(gen_p2_24(), DrillSpec(0, 1, 12, radius=0.3), 6)
+    cause = info.value.__cause__
+    assert type(cause) is FootprintTooLarge
+    assert str(cause) == "drill 2/6: axis offset leaves the pierced faces"
+    assert str(info.value).endswith(f": {cause}")
+
+
 @pytest.mark.parametrize("name,base,spec,k", [
     ("p2-24", gen_p2_24, DrillSpec(0, 1, 12), 1),
     ("q3-18", gen_q3_18, DrillSpec(1, 0, 18), 1),
@@ -988,7 +1037,7 @@ def locate(p, roots, points):
     locates for the two points with the root faces `roots` and their fit:
     per point its face (an id of p) and clearance."""
     data = surgery_mod._checked(p)
-    record = surgery_mod._Surgery(data, geom_mod.tolerance_scale(p.vertices))
+    record = surgery_mod._Surgery(data)
     got = record.locate(np.asarray(points, float), tuple(roots),
                         fit_of(record, roots))
     return [(f, c) for f, c, _ in got]
